@@ -1,0 +1,8 @@
+"""Lets ``pytest benchmarks/e2e`` import ``repro`` from the source tree."""
+
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
