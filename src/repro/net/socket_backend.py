@@ -2,38 +2,31 @@
 
 Implements the :class:`repro.net.backend.TransportBackend` contract
 against the operating system's TCP stack with wall-clock deadlines.
-The probe driver stays synchronous: the backend owns a private asyncio
-event loop and drives it from :meth:`run_until`, so from the probes'
-point of view a socket connection behaves exactly like a simulated one
-— bytes arrive through ``on_data`` callbacks while the client is
-blocked inside a wait.
+The probe driver stays synchronous: every socket lives on an asyncio
+loop hosted by a :class:`LoopDriver` thread, and the probing thread
+blocks inside :meth:`SocketBackend.run_until` on a per-backend wakeup
+event, so from the probes' point of view a socket connection behaves
+exactly like a simulated one — bytes arrive through ``on_data``
+callbacks while the client is blocked inside a wait.
 
-Time is the loop's monotonic clock.  ``run_until`` polls the predicate
-between short loop slices; the granularity (:data:`POLL_INTERVAL`) is
-a latency/CPU trade-off, far below any probe timeout.
+Time is the loop's monotonic clock.
 
 Name resolution is pluggable so hermetic tests can map simulated
 domains onto loopback ports (see :class:`repro.servers.loopback`): a
 ``resolver`` is either a ``{(domain, port): (host, port)}`` mapping or
 a callable returning such a pair (or ``None`` for "no such host").
 
-Two ownership modes:
-
-* **Private loop** (default, ``driver=None``): the backend owns an
-  event loop and drives it from inside ``run_until``.  One loop per
-  session — simple, but N concurrent sessions poll N loops, which is
-  what capped the PR 6 thread pool at a few hundred sessions.
-* **Shared loop** (``driver=`` a running loop host, e.g.
-  :class:`repro.scope.concurrent.LoopDriver`): all sockets multiplex
-  onto one asyncio loop running on its own thread, and ``run_until``
-  blocks on a per-backend wakeup event instead of polling.  The
-  delivery contract keeps the sans-IO client single-threaded: loop
-  callbacks only *enqueue* (received bytes into per-endpoint inboxes,
-  completed connects into a ready queue) and set the wakeup; the
-  session's thread pumps those queues inside ``run_until`` /
-  ``sleep_until``, so ``on_data`` / ``on_close`` / ``on_connect`` —
-  and all client state they touch — run on the probing thread only.
-  Writes are marshalled to the loop with ``call_soon_threadsafe``.
+Loop ownership: ``SocketBackend(driver=None)`` starts a
+:class:`LoopDriver` of its own and closes it in ``close()``; a live
+campaign passes one ``driver=`` to every session so all sockets
+multiplex onto a single loop.  Either way the delivery contract keeps
+the sans-IO client single-threaded: loop callbacks only *enqueue*
+(received bytes into per-endpoint inboxes, completed connects into a
+ready queue) and set the wakeup; the session's thread pumps those
+queues inside ``run_until`` / ``sleep_until``, so ``on_data`` /
+``on_close`` / ``on_connect`` — and all client state they touch — run
+on the probing thread only.  Writes are marshalled to the loop with
+``call_soon_threadsafe``.
 """
 
 from __future__ import annotations
@@ -46,28 +39,83 @@ from collections.abc import Callable
 
 from repro.net.backend import TransportBackend
 
-#: Seconds between predicate evaluations while the loop runs.
-POLL_INTERVAL = 0.005
-
-#: Shared-loop mode: upper bound on one wakeup wait.  The wakeup event
-#: makes delivery latency ~0; the cap is belt-and-braces against a
-#: lost-wakeup bug ever wedging a session forever.
+#: Upper bound on one wakeup wait.  The wakeup event makes delivery
+#: latency ~0; the cap is belt-and-braces against a lost-wakeup bug
+#: ever wedging a session forever.
 _WAKEUP_CAP = 0.25
+
+
+class LoopDriver:
+    """One asyncio event loop on one thread, shared by many backends.
+
+    All of a campaign's sockets multiplex onto this single loop and
+    each session's ``run_until`` blocks on an event the loop signals
+    when *that* backend has activity.  See the module docstring for the
+    delivery contract (loop thread enqueues, session thread pumps).
+    """
+
+    def __init__(self) -> None:
+        self._loop = asyncio.new_event_loop()
+        self._started = threading.Event()
+        self._thread = threading.Thread(
+            target=self._run, name="h2scope-loop", daemon=True
+        )
+        self._thread.start()
+        self._started.wait()
+
+    def _run(self) -> None:
+        loop = self._loop
+        asyncio.set_event_loop(loop)
+        loop.call_soon(self._started.set)
+        try:
+            loop.run_forever()
+            # Stopped by close(): reap connects a closing backend has
+            # just cancelled, then give deferred transport closes their
+            # slices (unregister, _call_connection_lost), so no task or
+            # fd outlives the loop.
+            pending = asyncio.all_tasks(loop)
+            for task in pending:
+                task.cancel()
+            if pending:
+                loop.run_until_complete(
+                    asyncio.gather(*pending, return_exceptions=True)
+                )
+            for _ in range(3):
+                loop.run_until_complete(asyncio.sleep(0))
+        finally:
+            loop.close()
+
+    @property
+    def loop(self):
+        return self._loop
+
+    def close(self) -> None:
+        """Stop and release the loop (idempotent)."""
+        if self._loop.is_closed():
+            return
+        try:
+            self._loop.call_soon_threadsafe(self._loop.stop)
+        except RuntimeError:  # pragma: no cover - already stopping
+            pass
+        self._thread.join(timeout=10.0)
+
+    def __enter__(self) -> "LoopDriver":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 class SocketEndpoint:
     """Client end of a real TCP connection, duck-typing ``Endpoint``.
 
-    With a private loop, protocol callbacks and client code run on the
-    same thread (the loop only spins inside the client's waits), so
-    ``_feed`` may invoke ``on_data`` directly.  On a shared loop the
-    protocol fires on the loop's thread, so ``_feed`` / ``_peer_closed``
-    only enqueue into ``_inbox`` under ``_lock``; the owning backend's
-    pump delivers on the session thread, and writes go the other way
-    via ``call_soon_threadsafe``.
+    The protocol fires on the loop's thread, so ``_feed`` /
+    ``_peer_closed`` only enqueue into ``_inbox`` under ``_lock``; the
+    owning backend's pump delivers on the session thread, and writes go
+    the other way via ``call_soon_threadsafe``.
     """
 
-    def __init__(self, label: str, shared_backend: "SocketBackend | None" = None):
+    def __init__(self, label: str, backend: "SocketBackend | None" = None):
         self.label = label
         self.on_data: Callable[[bytes], None] | None = None
         self.on_close: Callable[[], None] | None = None
@@ -76,7 +124,7 @@ class SocketEndpoint:
         self.bytes_received = 0
         self._recv_buffer = bytearray()
         self._transport: asyncio.Transport | None = None
-        self._shared = shared_backend
+        self._backend = backend
         self._lock = threading.Lock()
         self._inbox: list[bytes] = []
         self._pending_close = False
@@ -90,29 +138,19 @@ class SocketEndpoint:
             return
         assert self._transport is not None
         self.bytes_sent += len(data)
-        if self._shared is not None:
-            self._shared._loop.call_soon_threadsafe(self._write_on_loop, data)
-        else:
-            self._transport.write(data)
+        self._backend._loop.call_soon_threadsafe(self._write_on_loop, data)
 
     def _write_on_loop(self, data: bytes) -> None:
         transport = self._transport
         if transport is not None and not transport.is_closing():
             transport.write(data)
 
-    # -- receiving (called from the protocol, inside the loop) -------------
+    # -- receiving (called from the protocol, on the loop thread) ----------
 
     def _feed(self, data: bytes) -> None:
-        if self._shared is not None:
-            with self._lock:
-                self._inbox.append(data)
-            self._shared._wakeup.set()
-            return
-        self.bytes_received += len(data)
-        if self.on_data is not None:
-            self.on_data(data)
-        else:
-            self._recv_buffer.extend(data)
+        with self._lock:
+            self._inbox.append(data)
+        self._backend._wakeup.set()
 
     def drain(self) -> bytes:
         data = bytes(self._recv_buffer)
@@ -120,7 +158,7 @@ class SocketEndpoint:
         return data
 
     def _pump(self) -> None:
-        """Deliver queued bytes/close on the session thread (shared mode).
+        """Deliver queued bytes/close on the session thread.
 
         Bytes queued before a close are always delivered before the
         close; a close racing fresh data re-loops until the inbox is
@@ -154,25 +192,15 @@ class SocketEndpoint:
         transport = self._transport
         if transport is None:
             return
-        if self._shared is not None:
-            try:
-                self._shared._loop.call_soon_threadsafe(transport.close)
-            except RuntimeError:  # driver loop already closed
-                pass
-        else:
-            transport.close()
+        try:
+            self._backend._loop.call_soon_threadsafe(transport.close)
+        except RuntimeError:  # driver loop already closed
+            pass
 
     def _peer_closed(self) -> None:
-        if self._shared is not None:
-            with self._lock:
-                self._pending_close = True
-            self._shared._wakeup.set()
-            return
-        if self.closed:
-            return
-        self.closed = True
-        if self.on_close is not None:
-            self.on_close()
+        with self._lock:
+            self._pending_close = True
+        self._backend._wakeup.set()
 
 
 class _ClientProtocol(asyncio.Protocol):
@@ -245,20 +273,19 @@ class SocketBackend(TransportBackend):
         #: The live campaign layer installs its per-host-gap gate and
         #: global rate limiter here; ``None`` means no throttling.
         self._gate = gate
-        #: ``driver`` (anything with a running ``.loop``) switches the
-        #: backend to shared-loop mode: sockets multiplex on the
-        #: driver's loop and waits block on ``_wakeup`` (see module
-        #: docstring).  The driver owns the loop's lifecycle.
-        self._driver = driver
-        self._shared = driver is not None
-        self._loop = driver.loop if driver is not None else asyncio.new_event_loop()
+        #: The loop host this backend started itself (``driver=None``)
+        #: and must close; a ``driver`` handed in (anything with a
+        #: running ``.loop``) stays its owner's to close.
+        self._own_driver = None
+        if driver is None:
+            driver = self._own_driver = LoopDriver()
+        self._loop = driver.loop
         self._endpoints: list[SocketEndpoint] = []
         self._attempts: list[SocketConnectAttempt] = []
-        self._tasks: set[asyncio.Task] = set()
-        #: Shared mode: concurrent.futures handles for in-flight
+        #: concurrent.futures handles for in-flight
         #: run_coroutine_threadsafe connects, cancellable from close().
         self._cfutures: set = set()
-        #: Shared mode: connects completed on the loop thread, awaiting
+        #: Connects completed on the loop thread, awaiting
         #: ``attempt._complete`` on the session thread.
         self._ready: deque[tuple[SocketConnectAttempt, SocketEndpoint | None]] = (
             deque()
@@ -294,23 +321,14 @@ class SocketBackend(TransportBackend):
             address = self.resolve(domain, port)
         except socket.gaierror:
             address = None
-            attempt.dns_failure = True
         if address is None:
             # No such host: resolve to a terminal failure on the next
-            # loop slice / pump so callers still go through their
-            # normal wait.
-            if not attempt.dns_failure:
-                attempt.dns_failure = True  # resolver said "no address"
-            if self._shared:
-                self._enqueue_ready(attempt, None)
-            else:
-                self._loop.call_soon(attempt._complete, None)
+            # pump so callers still go through their normal wait.
+            attempt.dns_failure = True
+            self._enqueue_ready(attempt, None)
             return attempt
 
-        endpoint = SocketEndpoint(
-            f"client->{domain}:{port}",
-            shared_backend=self if self._shared else None,
-        )
+        endpoint = SocketEndpoint(f"client->{domain}:{port}", self)
 
         async def _establish() -> None:
             host, real_port = address
@@ -324,56 +342,38 @@ class SocketBackend(TransportBackend):
             except asyncio.CancelledError:
                 # close() tore us down mid-connect: leave a terminal
                 # refusal behind for anyone still holding the attempt.
-                self._finish_connect(attempt, None)
+                self._enqueue_ready(attempt, None)
                 raise
             except socket.gaierror:
                 attempt.dns_failure = True
-                self._finish_connect(attempt, None)
+                self._enqueue_ready(attempt, None)
                 return
             except (OSError, asyncio.TimeoutError):
-                self._finish_connect(attempt, None)
+                self._enqueue_ready(attempt, None)
                 return
             if self._closed:
                 transport.close()
-                self._finish_connect(attempt, None)
+                self._enqueue_ready(attempt, None)
                 return
-            self._finish_connect(attempt, endpoint)
-
-        if self._shared:
-            future = asyncio.run_coroutine_threadsafe(_establish(), self._loop)
-            self._cfutures.add(future)
-            future.add_done_callback(self._cfutures.discard)
-        else:
-            task = self._loop.create_task(_establish())
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
-        return attempt
-
-    def _finish_connect(
-        self, attempt: SocketConnectAttempt, endpoint: SocketEndpoint | None
-    ) -> None:
-        """Terminal connect outcome, from the loop that ran _establish.
-
-        Private mode completes inline (loop and client share a thread);
-        shared mode enqueues so ``attempt.on_connect`` — client code —
-        runs on the session thread during the next pump.
-        """
-        if self._shared:
             self._enqueue_ready(attempt, endpoint)
-        else:
-            if endpoint is not None:
-                self._endpoints.append(endpoint)
-            attempt._complete(endpoint)
+
+        future = asyncio.run_coroutine_threadsafe(_establish(), self._loop)
+        self._cfutures.add(future)
+        future.add_done_callback(self._cfutures.discard)
+        return attempt
 
     def _enqueue_ready(
         self, attempt: SocketConnectAttempt, endpoint: SocketEndpoint | None
     ) -> None:
+        """Terminal connect outcome, queued from whichever thread found
+        it so ``attempt.on_connect`` — client code — runs on the session
+        thread during the next pump."""
         self._ready.append((attempt, endpoint))
         self._wakeup.set()
 
     def _pump(self) -> None:
-        """Session-thread delivery for shared mode: complete ready
-        connects, then drain every endpoint's inbox."""
+        """Session-thread delivery: complete ready connects, then drain
+        every endpoint's inbox."""
         while True:
             try:
                 attempt, endpoint = self._ready.popleft()
@@ -392,26 +392,6 @@ class SocketBackend(TransportBackend):
         return self._loop.time()
 
     def run_until(self, predicate: Callable[[], bool], timeout: float) -> bool:
-        if self._shared:
-            return self._run_until_shared(predicate, timeout)
-        if predicate():
-            return True
-        deadline = self._loop.time() + timeout
-
-        async def _wait() -> bool:
-            while True:
-                if predicate():
-                    return True
-                remaining = deadline - self._loop.time()
-                if remaining <= 0:
-                    return predicate()
-                await asyncio.sleep(min(POLL_INTERVAL, remaining))
-
-        return self._loop.run_until_complete(_wait())
-
-    def _run_until_shared(
-        self, predicate: Callable[[], bool], timeout: float
-    ) -> bool:
         # clear -> pump -> predicate -> wait is lost-wakeup-free: any
         # enqueue after the clear sets the event, so the wait returns
         # immediately and the next pump delivers it.
@@ -431,66 +411,35 @@ class SocketBackend(TransportBackend):
             self._wakeup.wait(min(remaining, _WAKEUP_CAP))
 
     def sleep_until(self, when: float) -> None:
-        if self._shared:
-            # Keep pumping while asleep so inboxes drain with the same
-            # during-the-wait delivery semantics as the private loop.
-            while True:
-                delay = when - self._loop.time()
-                if delay <= 0:
-                    return
-                self._wakeup.clear()
-                self._pump()
-                self._wakeup.wait(min(delay, _WAKEUP_CAP))
-        delay = when - self._loop.time()
-        if delay > 0:
-            self._loop.run_until_complete(asyncio.sleep(delay))
+        # Keep pumping while asleep so inboxes drain during the wait,
+        # exactly as they do inside run_until.
+        while True:
+            delay = when - self._loop.time()
+            if delay <= 0:
+                return
+            self._wakeup.clear()
+            self._pump()
+            self._wakeup.wait(min(delay, _WAKEUP_CAP))
 
     # -- lifecycle --------------------------------------------------------
 
     def close(self) -> None:
         """Tear the backend down completely: cancel in-flight connect
-        attempts, close every live transport, and release the loop.
+        attempts, close every live transport, and release the loop if
+        this backend started it.
 
         After close() no task is left pending (so the interpreter never
         logs "Task was destroyed but it is pending"), every file
         descriptor the backend opened is closed, and every outstanding
         :class:`SocketConnectAttempt` has reached a terminal state so
         a caller blocked on ``established or refused`` can make
-        progress.  Idempotent.  In shared mode the loop belongs to the
-        driver and stays running: only this backend's futures,
+        progress.  Idempotent.  A loop handed in as ``driver=`` belongs
+        to its owner and stays running: only this backend's futures,
         transports and attempts are torn down.
         """
         if self._closed:
             return
         self._closed = True
-        if self._shared:
-            self._close_shared()
-            return
-        # 1. Cancel in-flight connects and reap them.  _establish's
-        #    CancelledError handler marks each attempt refused; gather
-        #    consumes the cancellations so no task outlives the loop.
-        pending = [t for t in self._tasks if not t.done()]
-        for task in pending:
-            task.cancel()
-        if pending:
-            self._loop.run_until_complete(
-                asyncio.gather(*pending, return_exceptions=True)
-            )
-        # 2. Attempts whose completion callback never got a loop slice
-        #    (the no-address call_soon path) resolve to refusal now.
-        for attempt in self._attempts:
-            attempt._complete(None)
-        # 3. Close live transports; transport.close() defers the actual
-        #    fd close to a call_soon, so run a few slices to let the
-        #    close chain (unregister, _call_connection_lost) finish.
-        for endpoint in self._endpoints:
-            endpoint.close()
-        for _ in range(3):
-            self._loop.run_until_complete(asyncio.sleep(0))
-        self._loop.run_until_complete(self._loop.shutdown_asyncgens())
-        self._loop.close()
-
-    def _close_shared(self) -> None:
         # 1. Cancel in-flight connects.  A cancelled _establish enqueues
         #    a terminal refusal from the loop thread; step 4 resolves
         #    any attempt the cancellation beat to the queue.
@@ -523,3 +472,7 @@ class SocketBackend(TransportBackend):
         self._pump()
         for attempt in self._attempts:
             attempt._complete(None)
+        # 5. A loop of our own winds down with us: the driver reaps the
+        #    cancelled connects and lets the transport closes finish.
+        if self._own_driver is not None:
+            self._own_driver.close()

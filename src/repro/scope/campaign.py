@@ -31,12 +31,17 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.net.faults import FaultPlan
 from repro.scope.report import SiteReport
 from repro.scope.resilience import ResilienceConfig
 from repro.scope.storage import ReportStore
+
+if TYPE_CHECKING:
+    from repro.scope.parallel import SiteResult
 
 
 class SiteStatus(enum.Enum):
@@ -131,13 +136,12 @@ class CampaignManifest:
     def build(
         cls,
         campaign: str,
-        sites,
+        domains: list[str],
         include: set[str],
         seed: int,
         fault_plan: FaultPlan | None = None,
         resilience: ResilienceConfig | None = None,
     ) -> "CampaignManifest":
-        domains = [site.domain for site in sites]
         return cls(
             campaign=campaign,
             seed=seed,
@@ -276,14 +280,17 @@ class CampaignJournal:
 
     def pending(
         self, campaign: str, max_site_attempts: int
-    ) -> list[tuple[int, str, int]]:
-        """Sites still owed work: ``(site_index, domain, attempts)`` rows.
+    ) -> list[tuple[int, str, int, float]]:
+        """Sites still owed work: ``(site_index, domain, attempts,
+        virtual_time)`` rows.
 
         Pending sites have never completed; failed sites are retried as
-        long as their attempt budget lasts.  Quarantined sites are out.
+        long as their attempt budget lasts (``virtual_time`` is what the
+        last failed attempt cost).  Quarantined sites are out.
         """
         rows = self._db.execute(
-            "SELECT site_index, domain, attempts FROM campaign_sites "
+            "SELECT site_index, domain, attempts, virtual_time "
+            "FROM campaign_sites "
             "WHERE campaign = ? AND (status = ? OR (status = ? AND attempts < ?)) "
             "ORDER BY site_index",
             (
@@ -293,7 +300,7 @@ class CampaignJournal:
                 max_site_attempts,
             ),
         ).fetchall()
-        return [(row[0], row[1], row[2]) for row in rows]
+        return rows
 
     def counts(self, campaign: str) -> dict[str, int]:
         """Status histogram with every status present (zeros included)."""
@@ -360,3 +367,152 @@ class CampaignJournal:
                         entry.site_index,
                     ),
                 )
+
+
+class CampaignRun:
+    """One journaled pass over a campaign: the loop every backend shares.
+
+    Construction validates the manifest (``begin`` for a fresh run,
+    ``resume`` otherwise) and lists the work still owed as
+    :attr:`tasks`, in todo order.  The caller scans those tasks however
+    its backend does and hands the results to :meth:`drive`, which
+    classifies, batches, checkpoints and reports progress — so a
+    simulated and a live campaign differ only in the order their
+    results arrive (todo order for byte-identical stores, completion
+    order for wall-clock scans).
+    """
+
+    def __init__(
+        self,
+        store: ReportStore,
+        campaign: str,
+        domains: list[str],
+        include: set[str],
+        seed: int,
+        fault_plan: FaultPlan | None,
+        resilience: ResilienceConfig | None,
+        resume: bool,
+        max_site_attempts: int,
+    ):
+        # Not at module level: parallel.py brings in multiprocessing,
+        # which ``import repro.scope`` alone should not pay for.
+        from repro.scope.parallel import SiteTask
+
+        self.journal = CampaignJournal(store)
+        self.campaign = campaign
+        self.total = len(domains)
+        self.max_site_attempts = max_site_attempts
+        manifest = CampaignManifest.build(
+            campaign, domains, include, seed, fault_plan, resilience
+        )
+        if resume:
+            self.journal.resume(manifest, max_site_attempts)
+        else:
+            self.journal.begin(manifest, domains)
+        todo = self.journal.pending(campaign, max_site_attempts)
+        self.tasks = [
+            SiteTask(position, site_index, domain, prior_attempts)
+            for position, (site_index, domain, prior_attempts, _) in enumerate(todo)
+        ]
+        #: What each retried site's previous attempt cost.
+        self._prior_virtual = {
+            site_index: virtual_time
+            for site_index, _, prior_attempts, virtual_time in todo
+            if prior_attempts
+        }
+
+    def drive(
+        self,
+        results: Iterable[SiteResult],
+        checkpoint_every: int = 25,
+        progress: Callable | None = None,
+    ) -> CampaignResult:
+        """Journal ``results`` (one per task, in any order) as they come.
+
+        Flushes reports + journal rows every ``checkpoint_every`` sites
+        in one transaction, and ticks ``progress`` with a
+        :class:`~repro.scope.scanner.ScanProgress` after every site.  A
+        ``KeyboardInterrupt``/``SystemExit`` raised anywhere in the loop
+        — including inside ``results`` — flushes what was scanned so far
+        and becomes :class:`CampaignInterrupted`.  Tearing down whatever
+        produces ``results`` is the caller's job.
+        """
+        from repro.scope.scanner import ScanProgress, report_has_dns_error
+
+        journal, campaign, total = self.journal, self.campaign, self.total
+        counts = journal.counts(campaign)
+        virtual_seconds = journal.virtual_seconds(campaign)
+        dns_failures = journal.dns_failures(campaign)
+        batch: list[JournalEntry] = []
+        scanned = 0
+        try:
+            for result in results:
+                task, report = result.task, result.report
+                attempts = task.prior_attempts + 1
+                dns_error = report_has_dns_error(report)
+                if not report.failed:
+                    status = SiteStatus.DONE
+                elif dns_error:
+                    # Unresolvable site: quarantine immediately, never retry.
+                    status = SiteStatus.QUARANTINED
+                    attempts = max(attempts, self.max_site_attempts)
+                elif attempts >= self.max_site_attempts:
+                    status = SiteStatus.QUARANTINED
+                else:
+                    status = SiteStatus.FAILED
+                batch.append(
+                    JournalEntry(
+                        site_index=task.site_index,
+                        domain=task.domain,
+                        status=status,
+                        attempts=attempts,
+                        report=report,
+                        virtual_time=report.scan_virtual_time,
+                        error=str(report.errors[0]) if report.failed else None,
+                    )
+                )
+                scanned += 1
+                if task.prior_attempts > 0:  # a retried failure leaves 'failed'
+                    counts[SiteStatus.FAILED.value] -= 1
+                else:
+                    counts[SiteStatus.PENDING.value] -= 1
+                counts[status.value] += 1
+                dns_failures += dns_error
+                # The journal's total already holds a retried site's last
+                # attempt, and this attempt's row will overwrite it.
+                virtual_seconds += report.scan_virtual_time - self._prior_virtual.get(
+                    task.site_index, 0.0
+                )
+                if len(batch) >= max(1, checkpoint_every):
+                    journal.checkpoint(campaign, batch)
+                    batch = []
+                if progress is not None:
+                    # ``done`` counts sites with a journaled terminal
+                    # status, so a resume's first tick already credits
+                    # everything scanned before the interrupt (retries of
+                    # failed sites keep it flat, not double).
+                    progress(
+                        ScanProgress(
+                            done=total - counts[SiteStatus.PENDING.value],
+                            total=total,
+                            errors=counts[SiteStatus.FAILED.value]
+                            + counts[SiteStatus.QUARANTINED.value],
+                            quarantined=counts[SiteStatus.QUARANTINED.value],
+                            dns_failures=dns_failures,
+                            virtual_seconds=virtual_seconds,
+                        )
+                    )
+        except (KeyboardInterrupt, SystemExit):
+            journal.checkpoint(campaign, batch)
+            raise CampaignInterrupted(
+                campaign, flushed=scanned, remaining=len(self.tasks) - scanned
+            ) from None
+        journal.checkpoint(campaign, batch)
+        return CampaignResult(
+            campaign=campaign,
+            total=total,
+            scanned=scanned,
+            skipped=total - len(self.tasks),
+            counts=journal.counts(campaign),
+            virtual_seconds=virtual_seconds,
+        )

@@ -15,6 +15,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import shlex
 import sys
 
 
@@ -227,61 +228,59 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _resume_command(args: argparse.Namespace) -> str:
     """The exact command line that resumes this campaign."""
-    parts = [
-        f"h2scope --seed {args.seed} scan",
-        f"--experiment {args.experiment}",
-        f"-n {args.n_sites}",
-        f"--db {args.db}",
-    ]
-    if args.fault_plan is not None:
-        parts.append(f"--fault-plan '{args.fault_plan}'")
-    if args.timeout is not None:
-        parts.append(f"--timeout {args.timeout}")
-    if args.retries is not None:
-        parts.append(f"--retries {args.retries}")
-    if args.checkpoint_every != 25:
-        parts.append(f"--checkpoint-every {args.checkpoint_every}")
-    if args.workers != 1:
-        # Not part of the manifest: resuming with a different worker
-        # count is safe and produces byte-identical results.
-        parts.append(f"--workers {args.workers}")
-    if args.concurrency != 8:
-        # Same: in-flight sessions per worker don't affect the bytes.
-        parts.append(f"--concurrency {args.concurrency}")
+    live = args.backend == "socket"
+    parts = ["h2scope", "--seed", args.seed, "scan"]
+
+    def option(flag: str, value, default=None) -> None:
+        if value != default:
+            parts.extend([flag, value])
+
+    # Workers, in-flight sessions and the politeness knobs are not part
+    # of the manifest: a campaign may be resumed with different values
+    # (simulated bytes stay identical; a live scan gets gentler or more
+    # aggressive than it started).
+    if live:
+        parts += ["--backend", "socket", "--targets", args.targets]
+        parts += ["--db", args.db, "--campaign", args.campaign]
+        option("--per-host-gap", args.per_host_gap, 0.0)
+        option("--rate", args.rate)
+        option("--burst", args.burst)
+        option("--timeout-scale", args.timeout_scale, 1.0)
+    else:
+        parts += ["--experiment", args.experiment, "-n", args.n_sites]
+        parts += ["--db", args.db]
+        option("--fault-plan", args.fault_plan)
+        option("--workers", args.workers, 1)
+    option("--timeout", args.timeout)
+    option("--retries", args.retries)
+    option("--checkpoint-every", args.checkpoint_every, 25)
+    option("--concurrency", args.concurrency, 8)
     parts.append("--resume")
-    return " ".join(parts)
+    return shlex.join(str(part) for part in parts)
 
 
-def _store_campaign(
-    args: argparse.Namespace,
-    campaign: str,
-    include,
-    fault_plan=None,
-    resilience=None,
+def _run_stored_campaign(
+    args: argparse.Namespace, campaign: str, run, seconds: str
 ) -> int:
-    """Run a journaled, checkpointed campaign scan into ``args.db``.
+    """Run a journaled, checkpointed campaign into ``args.db``.
 
-    SIGINT (Ctrl-C) flushes the journal and prints the exact resume
-    command; resuming against a mismatched configuration or a corrupt
-    database is a usage error, never a traceback.
+    ``run(store)`` is the campaign entry point with everything but the
+    store bound; ``seconds`` names what the backend's scan time is
+    measured in.  SIGINT (Ctrl-C) flushes the journal and prints the
+    exact resume command; resuming against a mismatched configuration
+    or a corrupt database is a usage error, never a traceback.
     """
     import signal
     import sqlite3
 
-    from repro.population import PopulationConfig, make_population
     from repro.scope.campaign import (
         CampaignError,
         CampaignInterrupted,
+        CampaignJournal,
         ManifestMismatch,
     )
-    from repro.scope.scanner import run_campaign
     from repro.scope.storage import ReportStore, SchemaVersionError
 
-    sites = make_population(
-        PopulationConfig(
-            experiment=args.experiment, n_sites=args.n_sites, seed=args.seed
-        )
-    )
     try:
         store = ReportStore(args.db)
     except (SchemaVersionError, sqlite3.DatabaseError) as exc:
@@ -296,19 +295,7 @@ def _store_campaign(
     try:
         with store:
             try:
-                result = run_campaign(
-                    sites,
-                    store,
-                    campaign,
-                    include=include,
-                    seed=args.seed,
-                    fault_plan=fault_plan,
-                    resilience=resilience,
-                    resume=args.resume,
-                    checkpoint_every=args.checkpoint_every,
-                    workers=args.workers,
-                    concurrency=args.concurrency,
-                )
+                result = run(store)
             except CampaignInterrupted as interrupt:
                 print(
                     f"\ninterrupted: journal flushed "
@@ -324,6 +311,7 @@ def _store_campaign(
                 print(str(exc), file=sys.stderr)
                 return 2
             counts = result.counts
+            dns_failures = CampaignJournal(store).dns_failures(campaign)
             print(
                 f"stored {store.count(campaign)} reports for {campaign} "
                 f"in {args.db}"
@@ -331,11 +319,12 @@ def _store_campaign(
             print(
                 f"campaign {campaign}: {counts['done']} done, "
                 f"{counts['failed']} failed, "
-                f"{counts['quarantined']} quarantined, "
-                f"{counts['pending']} pending "
+                f"{counts['quarantined']} quarantined"
+                + (f" ({dns_failures} dns)" if dns_failures else "")
+                + f", {counts['pending']} pending "
                 f"({result.scanned} scanned this run, "
                 f"{result.skipped} already journaled; "
-                f"{result.virtual_seconds:.1f} virtual seconds)"
+                f"{result.virtual_seconds:.1f} {seconds})"
             )
             if counts["failed"] or counts["pending"]:
                 print(f"finish with: {_resume_command(args)}")
@@ -345,33 +334,40 @@ def _store_campaign(
             signal.signal(signal.SIGINT, previous_handler)
 
 
-def _live_resume_command(args: argparse.Namespace) -> str:
-    """The exact command line that resumes this live campaign."""
-    parts = [
-        f"h2scope --seed {args.seed} scan",
-        "--backend socket",
-        f"--targets {args.targets}",
-        f"--db {args.db}",
-        f"--campaign {args.campaign}",
-    ]
-    if args.timeout is not None:
-        parts.append(f"--timeout {args.timeout}")
-    if args.retries is not None:
-        parts.append(f"--retries {args.retries}")
-    if args.checkpoint_every != 25:
-        parts.append(f"--checkpoint-every {args.checkpoint_every}")
-    # Pool/politeness knobs are not part of the manifest: a campaign
-    # may be resumed gentler or more aggressive than it started.
-    if args.concurrency != 8:
-        parts.append(f"--concurrency {args.concurrency}")
-    if args.per_host_gap:
-        parts.append(f"--per-host-gap {args.per_host_gap}")
-    if args.rate is not None:
-        parts.append(f"--rate {args.rate}")
-    if args.timeout_scale != 1.0:
-        parts.append(f"--timeout-scale {args.timeout_scale}")
-    parts.append("--resume")
-    return " ".join(parts)
+def _store_campaign(
+    args: argparse.Namespace,
+    campaign: str,
+    include,
+    fault_plan=None,
+    resilience=None,
+) -> int:
+    """Simulated-backend campaign over the generated population."""
+    from repro.population import PopulationConfig, make_population
+    from repro.scope.scanner import run_campaign
+
+    sites = make_population(
+        PopulationConfig(
+            experiment=args.experiment, n_sites=args.n_sites, seed=args.seed
+        )
+    )
+    return _run_stored_campaign(
+        args,
+        campaign,
+        lambda store: run_campaign(
+            sites,
+            store,
+            campaign,
+            include=include,
+            seed=args.seed,
+            fault_plan=fault_plan,
+            resilience=resilience,
+            resume=args.resume,
+            checkpoint_every=args.checkpoint_every,
+            workers=args.workers,
+            concurrency=args.concurrency,
+        ),
+        "virtual seconds",
+    )
 
 
 def _cmd_scan_live(args: argparse.Namespace) -> int:
@@ -384,17 +380,8 @@ def _cmd_scan_live(args: argparse.Namespace) -> int:
     (``--rate``/``--burst``) — journaled and resumable exactly like a
     simulated campaign.
     """
-    import signal
-    import sqlite3
-
-    from repro.scope.campaign import (
-        CampaignError,
-        CampaignInterrupted,
-        ManifestMismatch,
-    )
     from repro.scope.live import LiveConfig, run_live_campaign
     from repro.scope.resilience import ResilienceConfig
-    from repro.scope.storage import ReportStore, SchemaVersionError
 
     if not args.db:
         print("--backend socket requires --db (the journal)", file=sys.stderr)
@@ -430,66 +417,21 @@ def _cmd_scan_live(args: argparse.Namespace) -> int:
         burst=args.burst,
         timeout_scale=args.timeout_scale,
     )
-    try:
-        store = ReportStore(args.db)
-    except (SchemaVersionError, sqlite3.DatabaseError) as exc:
-        print(f"cannot open {args.db}: {exc}", file=sys.stderr)
-        return 2
-    try:
-        previous_handler = signal.signal(
-            signal.SIGINT, signal.default_int_handler
-        )
-    except ValueError:  # not the main thread (tests, embedding)
-        previous_handler = None
-    try:
-        with store:
-            try:
-                result = run_live_campaign(
-                    domains,
-                    store,
-                    args.campaign,
-                    seed=args.seed,
-                    resilience=resilience,
-                    resume=args.resume,
-                    checkpoint_every=args.checkpoint_every,
-                    config=config,
-                )
-            except CampaignInterrupted as interrupt:
-                print(
-                    f"\ninterrupted: journal flushed "
-                    f"({interrupt.flushed} sites scanned this run, "
-                    f"{interrupt.remaining} remaining)"
-                )
-                print(f"resume with: {_live_resume_command(args)}")
-                return 130
-            except ManifestMismatch as exc:
-                print(
-                    f"cannot resume {args.campaign!r}: {exc}", file=sys.stderr
-                )
-                return 2
-            except CampaignError as exc:
-                print(str(exc), file=sys.stderr)
-                return 2
-            counts = result.counts
-            from repro.scope.campaign import CampaignJournal
-
-            dns_failures = CampaignJournal(store).dns_failures(args.campaign)
-            print(
-                f"campaign {args.campaign}: {counts['done']} done, "
-                f"{counts['failed']} failed, "
-                f"{counts['quarantined']} quarantined "
-                f"({dns_failures} dns), "
-                f"{counts['pending']} pending "
-                f"({result.scanned} scanned this run, "
-                f"{result.skipped} already journaled; "
-                f"{result.virtual_seconds:.1f} wall seconds of scan time)"
-            )
-            if counts["failed"] or counts["pending"]:
-                print(f"finish with: {_live_resume_command(args)}")
-        return 0
-    finally:
-        if previous_handler is not None:
-            signal.signal(signal.SIGINT, previous_handler)
+    return _run_stored_campaign(
+        args,
+        args.campaign,
+        lambda store: run_live_campaign(
+            domains,
+            store,
+            args.campaign,
+            seed=args.seed,
+            resilience=resilience,
+            resume=args.resume,
+            checkpoint_every=args.checkpoint_every,
+            config=config,
+        ),
+        "wall seconds of scan time",
+    )
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:

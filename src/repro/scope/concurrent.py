@@ -98,7 +98,7 @@ import time
 import warnings
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from time import perf_counter
 
@@ -1001,62 +1001,3 @@ def scan_interleaved(
         profile=profile,
     )
     yield from scheduler.run()
-
-
-# ---------------------------------------------------------------------------
-# Shared asyncio loop driver (the socket backend's single event loop)
-# ---------------------------------------------------------------------------
-
-
-class LoopDriver:
-    """One asyncio event loop on one thread, shared by many backends.
-
-    The socket-backend sibling of the virtual-time scheduler: instead of
-    every live session owning a private polling loop (PR 6's thread
-    pool, which tops out around a few hundred sessions), all sockets
-    multiplex onto this single loop and each session's ``run_until``
-    blocks on an event the loop signals when *that* backend has
-    activity.  See :class:`repro.net.socket_backend.SocketBackend` for
-    the delivery contract (loop thread enqueues, session thread pumps).
-    """
-
-    def __init__(self) -> None:
-        import asyncio
-
-        self._loop = asyncio.new_event_loop()
-        self._started = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="h2scope-loop", daemon=True
-        )
-        self._thread.start()
-        self._started.wait()
-
-    def _run(self) -> None:
-        import asyncio
-
-        asyncio.set_event_loop(self._loop)
-        self._loop.call_soon(self._started.set)
-        try:
-            self._loop.run_forever()
-        finally:
-            self._loop.close()
-
-    @property
-    def loop(self):
-        return self._loop
-
-    def close(self) -> None:
-        """Stop and release the loop (idempotent)."""
-        if self._loop.is_closed():
-            return
-        try:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        except RuntimeError:  # pragma: no cover - already stopping
-            pass
-        self._thread.join(timeout=10.0)
-
-    def __enter__(self) -> "LoopDriver":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -8,13 +8,11 @@ real connection synchronously; this module is the campaign layer that
 makes it survive (and be survivable by) a population:
 
 * a **bounded pool**: ``concurrency`` worker threads, each driving one
-  in-flight :class:`~repro.scope.session.ProbeSession`.  By default
-  (``shared_loop=True``) every session's sockets multiplex onto ONE
-  asyncio loop hosted by a
-  :class:`~repro.scope.concurrent.LoopDriver`, and each session blocks
-  on its backend's wakeup event between deliveries — the single-loop
-  design that scales to ~1k in-flight sessions, where N private
-  polling loops topped out around a few hundred.  Probes are
+  in-flight :class:`~repro.scope.session.ProbeSession`.  Every
+  session's sockets multiplex onto ONE asyncio loop hosted by a
+  :class:`~repro.net.socket_backend.LoopDriver`, and each session
+  blocks on its backend's wakeup event between deliveries — the
+  single-loop design that scales to ~1k in-flight sessions.  Probes are
   synchronous sans-IO drivers whose wall-clock time is dominated by
   network waits, so the exact probe code the simulator runs is reused
   unchanged (the determinism contract stays untouched);
@@ -28,11 +26,12 @@ makes it survive (and be survivable by) a population:
   resolution failures onto :class:`~repro.scope.resilience.DnsFault`
   (``ErrorClass.DNS``), and quarantines unresolvable sites immediately
   — no connect attempts, no retry budget spent;
-* **durability identical to the simulated path**: the same
-  :class:`~repro.scope.campaign.CampaignJournal` and manifest checks,
-  so ``--resume`` after a crash or SIGKILL skips completed sites and
+* **durability identical to the simulated path**: the very same
+  journaled loop (:class:`~repro.scope.campaign.CampaignRun`), so
+  ``--resume`` after a crash or SIGKILL skips completed sites and
   retries failed ones exactly as a simulated campaign does.  The one
-  deliberate difference: checkpoints are written in *completion* order
+  deliberate difference: results arrive — and checkpoints are written —
+  in *completion* order
   rather than todo order — live wall-clock results are not
   byte-deterministic anyway, and completion order means a crash loses
   at most one unflushed batch instead of everything behind a stalled
@@ -57,27 +56,16 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
-from repro.net.socket_backend import SocketBackend
-from repro.scope.campaign import (
-    CampaignInterrupted,
-    CampaignJournal,
-    CampaignManifest,
-    CampaignResult,
-    JournalEntry,
-    SiteStatus,
-)
+from repro.net.socket_backend import LoopDriver, SocketBackend
+from repro.scope.campaign import CampaignResult, CampaignRun
+from repro.scope.parallel import SiteResult, SiteTask
 from repro.scope.report import ErrorClass, ScanError, SiteReport
 from repro.scope.resilience import (
     DnsFault,
     ResilienceConfig,
     make_scan_error,
 )
-from repro.scope.scanner import (
-    ScanProgress,
-    _validate_include,
-    probe_target,
-    report_has_dns_error,
-)
+from repro.scope.scanner import _validate_include, probe_target
 from repro.scope.session import ProbeSession
 from repro.scope.storage import ReportStore
 
@@ -113,26 +101,6 @@ def verdict_view(report) -> dict:
             node = node.get(key) or {}
         node.pop(path[-1], None)
     return view
-
-
-@dataclass(frozen=True)
-class LiveTarget:
-    """One live-scan target: a domain to resolve and probe."""
-
-    domain: str
-
-
-def as_targets(targets) -> list[LiveTarget]:
-    """Normalize plain domain strings / Site-likes into LiveTargets."""
-    out = []
-    for target in targets:
-        if isinstance(target, LiveTarget):
-            out.append(target)
-        elif isinstance(target, str):
-            out.append(LiveTarget(domain=target))
-        else:
-            out.append(LiveTarget(domain=target.domain))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +277,6 @@ class DnsStage:
             self._positive[key] = address
         return address
 
-    def lookup(self, domain: str, port: int):
-        """Backend-facing resolver: cached, raising on negative entries.
-
-        Handed to :class:`SocketBackend` as its ``resolver`` so probe
-        connects hit the cache; a miss (e.g. the cleartext port of a
-        partially mapped target) resolves inline.
-        """
-        return self.resolve(domain, port)
-
     # -- the pre-probe stage ----------------------------------------------
 
     def resolve_all(
@@ -428,74 +387,59 @@ class LiveConfig:
     dns_workers: int = 16
     timeout_scale: float = 1.0
     connect_timeout: float = 10.0
-    #: Multiplex every session's sockets onto one shared asyncio loop
-    #: (:class:`~repro.scope.concurrent.LoopDriver`).  False falls back
-    #: to a private polling loop per session (the PR 6 behaviour).
-    shared_loop: bool = True
 
 
 # ---------------------------------------------------------------------------
-# The live campaign runner
+# The live campaign: DNS stage + polite pool feeding the shared journal loop
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _LiveTask:
-    position: int
-    site_index: int
-    domain: str
-    prior_attempts: int = 0
+def _dns_quarantine_report(domain: str, fault: DnsFault) -> SiteReport:
+    report = SiteReport(domain=domain)
+    report.errors.append(
+        ScanError(
+            probe="dns",
+            error_class=ErrorClass.DNS,
+            exception=type(fault).__name__,
+            message=str(fault),
+            attempts=1,
+        )
+    )
+    return report
 
 
-class LiveCampaignRunner:
-    """Journaled live scan over a bounded, polite socket-probe pool."""
+class _LivePool:
+    """A bounded, polite pool of socket probe sessions behind a DNS stage."""
 
     def __init__(
         self,
-        targets,
-        store: ReportStore,
-        campaign: str,
-        include=None,
-        seed: int = 0,
-        resilience: ResilienceConfig | None = None,
-        resume: bool = False,
-        checkpoint_every: int = 25,
-        max_site_attempts: int = 3,
-        config: LiveConfig | None = None,
-        resolver=None,
-        progress=None,
-        metrics: LiveScanMetrics | None = None,
+        include_set: set[str],
+        seed: int,
+        resilience: ResilienceConfig,
+        config: LiveConfig,
+        resolver,
+        metrics: LiveScanMetrics,
     ):
-        self.targets = as_targets(targets)
-        self.store = store
-        self.campaign = campaign
-        self.include_set = _validate_include(include)
+        self.include_set = include_set
         self.seed = seed
-        #: Live probes always run under deadlines: a stalled peer must
-        #: be cut off at its budget, not at TCP's.
-        self.resilience = resilience or ResilienceConfig()
-        self.resume = resume
-        self.checkpoint_every = checkpoint_every
-        self.max_site_attempts = max_site_attempts
-        self.config = config or LiveConfig()
-        self.progress = progress
-        self.metrics = metrics if metrics is not None else LiveScanMetrics()
-        self.dns = DnsStage(
-            resolver=resolver, workers=self.config.dns_workers
-        )
-        self.politeness = HostPoliteness(self.config.per_host_gap)
-        self.politeness.contacts = self.metrics.contacts
+        self.resilience = resilience
+        self.config = config
+        self.metrics = metrics
+        self.dns = DnsStage(resolver=resolver, workers=config.dns_workers)
+        self.politeness = HostPoliteness(config.per_host_gap)
+        self.politeness.contacts = metrics.contacts
         self.bucket: TokenBucket | None = None
-        if self.config.rate is not None:
-            self.bucket = TokenBucket(self.config.rate, self.config.burst)
-            self.bucket.grants = self.metrics.rate_grants
+        if config.rate is not None:
+            self.bucket = TokenBucket(config.rate, config.burst)
+            self.bucket.grants = metrics.rate_grants
         self._stop = threading.Event()
         self._sched_lock = threading.Lock()
-        self._pending: deque[_LiveTask] = deque()
+        self._pending: deque[SiteTask] = deque()
         self._busy_hosts: set[str] = set()
         self._completions: queue.Queue = queue.Queue()
-        #: Shared asyncio loop host, created for the duration of run().
-        self.loop_driver = None
+        self._workers: list[threading.Thread] = []
+        #: The one asyncio loop every session's sockets share.
+        self._loop_driver: LoopDriver | None = None
 
     # -- politeness gate (installed on every backend) ----------------------
 
@@ -525,14 +469,14 @@ class LiveCampaignRunner:
             time.sleep(0.01)
         return None
 
-    def _scan_one(self, task: _LiveTask) -> SiteReport:
+    def _scan_one(self, task: SiteTask) -> SiteReport:
         report = SiteReport(domain=task.domain)
         backend = SocketBackend(
-            resolver=self.dns.lookup,
+            resolver=self.dns.resolve,
             timeout_scale=self.config.timeout_scale,
             connect_timeout=self.config.connect_timeout,
             gate=self._gate,
-            driver=self.loop_driver,
+            driver=self._loop_driver,
         )
         started = time.monotonic()
         try:
@@ -566,184 +510,57 @@ class LiveCampaignRunner:
                 self.metrics.session_finished()
                 with self._sched_lock:
                     self._busy_hosts.discard(task.domain)
-            self._completions.put((task, report))
+            self._completions.put(SiteResult(task, report))
 
-    # -- journal plumbing --------------------------------------------------
+    # -- the results -------------------------------------------------------
 
-    def _entry(self, task: _LiveTask, report: SiteReport) -> JournalEntry:
-        attempts = task.prior_attempts + 1
-        if not report.failed:
-            status = SiteStatus.DONE
-        elif report_has_dns_error(report):
-            # Unresolvable site: quarantine immediately, never retry.
-            status = SiteStatus.QUARANTINED
-            attempts = max(attempts, self.max_site_attempts)
-        elif attempts >= self.max_site_attempts:
-            status = SiteStatus.QUARANTINED
-        else:
-            status = SiteStatus.FAILED
-        return JournalEntry(
-            site_index=task.site_index,
-            domain=task.domain,
-            status=status,
-            attempts=attempts,
-            report=report,
-            virtual_time=report.scan_virtual_time,
-            error=str(report.errors[0]) if report.failed else None,
-        )
-
-    def _dns_quarantine_report(
-        self, domain: str, fault: DnsFault
-    ) -> SiteReport:
-        report = SiteReport(domain=domain)
-        report.errors.append(
-            ScanError(
-                probe="dns",
-                error_class=ErrorClass.DNS,
-                exception=type(fault).__name__,
-                message=str(fault),
-                attempts=1,
-            )
-        )
-        return report
-
-    # -- the run -----------------------------------------------------------
-
-    def run(self) -> CampaignResult:
-        journal = CampaignJournal(self.store)
-        manifest = CampaignManifest.build(
-            self.campaign,
-            self.targets,
-            self.include_set,
-            self.seed,
-            None,
-            self.resilience,
-        )
-        if self.resume:
-            journal.resume(manifest, self.max_site_attempts)
-        else:
-            journal.begin(
-                manifest, [target.domain for target in self.targets]
-            )
-
-        todo = journal.pending(self.campaign, self.max_site_attempts)
-        counts = journal.counts(self.campaign)
-        virtual_seconds = journal.virtual_seconds(self.campaign)
-        dns_failures = journal.dns_failures(self.campaign)
-        total = len(self.targets)
-        skipped = total - len(todo)
-
-        def emit() -> None:
-            if self.progress is not None:
-                self.progress(
-                    ScanProgress(
-                        done=total - counts[SiteStatus.PENDING.value],
-                        total=total,
-                        errors=counts[SiteStatus.FAILED.value]
-                        + counts[SiteStatus.QUARANTINED.value],
-                        quarantined=counts[SiteStatus.QUARANTINED.value],
-                        dns_failures=dns_failures,
-                        virtual_seconds=virtual_seconds,
-                    )
-                )
-
-        def settle(task: _LiveTask, entry: JournalEntry) -> None:
-            nonlocal virtual_seconds, dns_failures
-            if task.prior_attempts > 0:  # a retried failure leaves 'failed'
-                counts[SiteStatus.FAILED.value] -= 1
+    def results(self, tasks: list[SiteTask]):
+        """One :class:`SiteResult` per task: unresolvable sites first
+        (quarantine reports straight from the DNS stage, no connect ever
+        attempted), then the pool's scans in completion order."""
+        resolution = self.dns.resolve_all([task.domain for task in tasks])
+        scan_tasks = []
+        for task in tasks:
+            fault = resolution.get(task.domain)
+            if fault is None:
+                scan_tasks.append(task)
             else:
-                counts[SiteStatus.PENDING.value] -= 1
-            counts[entry.status.value] += 1
-            if entry.report.failed and report_has_dns_error(entry.report):
-                dns_failures += 1
-            virtual_seconds += entry.virtual_time
-
-        # -- DNS stage: quarantine unresolvable sites up front ------------
-        resolution = self.dns.resolve_all([domain for _, domain, _ in todo])
-        batch: list[JournalEntry] = []
-        scanned = 0
-        scan_tasks: list[_LiveTask] = []
-        for position, (site_index, domain, prior_attempts) in enumerate(todo):
-            fault = resolution.get(domain)
-            if fault is not None:
-                task = _LiveTask(position, site_index, domain, prior_attempts)
-                entry = self._entry(
-                    task, self._dns_quarantine_report(domain, fault)
-                )
-                batch.append(entry)
-                settle(task, entry)
-                scanned += 1
                 self.metrics.dns_quarantined += 1
-            else:
-                scan_tasks.append(
-                    _LiveTask(position, site_index, domain, prior_attempts)
-                )
-        if batch:
-            journal.checkpoint(self.campaign, batch)
-            batch = []
-        emit()
+                yield SiteResult(task, _dns_quarantine_report(task.domain, fault))
+        if not scan_tasks:
+            return
 
-        # -- the pool ------------------------------------------------------
-        if self.config.shared_loop and scan_tasks:
-            from repro.scope.concurrent import LoopDriver
-
-            self.loop_driver = LoopDriver()
+        self._loop_driver = LoopDriver()
         self._pending.extend(scan_tasks)
-        pool_size = min(self.config.concurrency, len(scan_tasks))
-        workers = [
+        self._workers = [
             threading.Thread(
                 target=self._worker, name=f"h2scope-live-{i}", daemon=True
             )
-            for i in range(pool_size)
+            for i in range(min(self.config.concurrency, len(scan_tasks)))
         ]
-        for worker in workers:
+        for worker in self._workers:
             worker.start()
-
         received = 0
-        try:
-            while received < len(scan_tasks):
-                try:
-                    task, report = self._completions.get(timeout=0.25)
-                except queue.Empty:
-                    if not any(w.is_alive() for w in workers):
-                        break  # defensive: pool died, don't spin forever
-                    continue
-                received += 1
-                scanned += 1
-                entry = self._entry(task, report)
-                batch.append(entry)
-                settle(task, entry)
-                if len(batch) >= max(1, self.checkpoint_every):
-                    journal.checkpoint(self.campaign, batch)
-                    batch = []
-                emit()
-        except (KeyboardInterrupt, SystemExit):
-            self._stop.set()
-            journal.checkpoint(self.campaign, batch)
-            raise CampaignInterrupted(
-                self.campaign,
-                flushed=scanned,
-                remaining=len(todo) - scanned,
-            ) from None
-        finally:
-            self._stop.set()
-            for worker in workers:
-                # In-flight sessions are deadline-bounded; join so no
-                # daemon thread outlives the campaign.
-                worker.join(timeout=60)
-            if self.loop_driver is not None:
-                self.loop_driver.close()
-                self.loop_driver = None
+        while received < len(scan_tasks):
+            try:
+                result = self._completions.get(timeout=0.25)
+            except queue.Empty:
+                if not any(w.is_alive() for w in self._workers):
+                    break  # defensive: pool died, don't spin forever
+                continue
+            received += 1
+            yield result
 
-        journal.checkpoint(self.campaign, batch)
-        return CampaignResult(
-            campaign=self.campaign,
-            total=total,
-            scanned=scanned,
-            skipped=skipped,
-            counts=journal.counts(self.campaign),
-            virtual_seconds=virtual_seconds,
-        )
+    def close(self) -> None:
+        """Stop claiming tasks and wait the in-flight sessions out."""
+        self._stop.set()
+        for worker in self._workers:
+            # In-flight sessions are deadline-bounded; join so no
+            # daemon thread outlives the campaign.
+            worker.join(timeout=60)
+        if self._loop_driver is not None:
+            self._loop_driver.close()
+            self._loop_driver = None
 
 
 def run_live_campaign(
@@ -764,25 +581,39 @@ def run_live_campaign(
     """Journaled live scan of ``targets`` over real TCP sockets.
 
     The wall-clock sibling of
-    :func:`~repro.scope.scanner.run_campaign`: same journal, same
+    :func:`~repro.scope.scanner.run_campaign`: same journaled loop, same
     manifest validation, same resume/quarantine semantics — but sites
     are probed concurrently by a bounded pool with per-host politeness,
     global rate limiting, and a DNS pre-stage (see the module
-    docstring).  ``resolver`` maps ``(domain, port)`` to real addresses
-    for hermetic fleets; ``None`` uses the system resolver.
+    docstring), and journaled in completion order.  ``targets`` are
+    domain strings (or anything with a ``.domain``).  ``resolver`` maps
+    ``(domain, port)`` to real addresses for hermetic fleets; ``None``
+    uses the system resolver.
     """
-    return LiveCampaignRunner(
-        targets,
+    include_set = _validate_include(include)
+    # Live probes always run under deadlines: a stalled peer must be
+    # cut off at its budget, not at TCP's.
+    resilience = resilience or ResilienceConfig()
+    run = CampaignRun(
         store,
         campaign,
-        include=include,
-        seed=seed,
-        resilience=resilience,
-        resume=resume,
-        checkpoint_every=checkpoint_every,
-        max_site_attempts=max_site_attempts,
-        config=config,
-        resolver=resolver,
-        progress=progress,
-        metrics=metrics,
-    ).run()
+        [getattr(target, "domain", target) for target in targets],
+        include_set,
+        seed,
+        None,
+        resilience,
+        resume,
+        max_site_attempts,
+    )
+    pool = _LivePool(
+        include_set,
+        seed,
+        resilience,
+        config or LiveConfig(),
+        resolver,
+        metrics if metrics is not None else LiveScanMetrics(),
+    )
+    try:
+        return run.drive(pool.results(run.tasks), checkpoint_every, progress)
+    finally:
+        pool.close()

@@ -18,14 +18,7 @@ from dataclasses import dataclass
 from repro.net.clock import Simulation
 from repro.net.faults import FaultPlan
 from repro.net.transport import Network
-from repro.scope.campaign import (
-    CampaignInterrupted,
-    CampaignJournal,
-    CampaignManifest,
-    CampaignResult,
-    JournalEntry,
-    SiteStatus,
-)
+from repro.scope.campaign import CampaignResult, CampaignRun
 from repro.scope.probes import (
     probe_hpack,
     probe_large_window_update,
@@ -431,6 +424,11 @@ def run_campaign(
     Failed sites are retried across resumes until ``max_site_attempts``
     is exhausted, then quarantined (the circuit breaker): their last
     report stays in the store, but no further scan time is spent.
+    That bookkeeping — manifest, resume, classification, checkpoints,
+    progress, interrupt flush — is
+    :class:`~repro.scope.campaign.CampaignRun`'s, shared with
+    :func:`~repro.scope.live.run_live_campaign`; this function only
+    supplies the results, in todo order.
 
     Raises :class:`~repro.scope.campaign.CampaignInterrupted` on
     SIGINT/KeyboardInterrupt after flushing everything scanned so far,
@@ -438,40 +436,19 @@ def run_campaign(
     with a configuration the journal contradicts.
     """
     include_set = _validate_include(include)
-    from repro.scope.parallel import ParallelCampaignRunner, SiteTask
-    journal = CampaignJournal(store)
-    manifest = CampaignManifest.build(
-        campaign, sites, include_set, seed, fault_plan, resilience
+    from repro.scope.parallel import ParallelCampaignRunner
+
+    run = CampaignRun(
+        store,
+        campaign,
+        [site.domain for site in sites],
+        include_set,
+        seed,
+        fault_plan,
+        resilience,
+        resume,
+        max_site_attempts,
     )
-    if resume:
-        journal.resume(manifest, max_site_attempts)
-    else:
-        journal.begin(manifest, [site.domain for site in sites])
-
-    todo = journal.pending(campaign, max_site_attempts)
-    counts = journal.counts(campaign)
-    virtual_seconds = journal.virtual_seconds(campaign)
-    dns_failures = journal.dns_failures(campaign)
-    total = len(sites)
-    skipped = total - len(todo)
-
-    def emit() -> None:
-        # ``done`` counts sites with a journaled terminal status, so a
-        # resume's first tick already credits everything scanned before
-        # the interrupt (retries of failed sites keep it flat, not double).
-        if progress is not None:
-            progress(
-                ScanProgress(
-                    done=total - counts[SiteStatus.PENDING.value],
-                    total=total,
-                    errors=counts[SiteStatus.FAILED.value]
-                    + counts[SiteStatus.QUARANTINED.value],
-                    quarantined=counts[SiteStatus.QUARANTINED.value],
-                    dns_failures=dns_failures,
-                    virtual_seconds=virtual_seconds,
-                )
-            )
-
     runner = ParallelCampaignRunner(
         sites,
         workers=workers,
@@ -482,69 +459,11 @@ def run_campaign(
         max_worker_crashes=max_site_attempts,
         concurrency=concurrency,
     )
-    tasks = [
-        SiteTask(
-            position=position,
-            site_index=site_index,
-            domain=domain,
-            prior_attempts=prior_attempts,
-        )
-        for position, (site_index, domain, prior_attempts) in enumerate(todo)
-    ]
-
-    batch: list[JournalEntry] = []
-    scanned = 0
     # iter_ordered releases completions in todo order, so the batches —
     # and therefore the journal's write sequence — are byte-identical
     # to a serial run's, whatever the workers are doing.
-    results = runner.iter_ordered(tasks)
+    results = runner.iter_ordered(run.tasks)
     try:
-        for result in results:
-            report = result.report
-            attempts = result.task.prior_attempts + 1
-            if not report.failed:
-                status = SiteStatus.DONE
-            elif attempts >= max_site_attempts:
-                status = SiteStatus.QUARANTINED
-            else:
-                status = SiteStatus.FAILED
-            batch.append(
-                JournalEntry(
-                    site_index=result.task.site_index,
-                    domain=result.task.domain,
-                    status=status,
-                    attempts=attempts,
-                    report=report,
-                    virtual_time=report.scan_virtual_time,
-                    error=str(report.errors[0]) if report.failed else None,
-                )
-            )
-            scanned += 1
-            if result.task.prior_attempts > 0:  # a retried failure leaves 'failed'
-                counts[SiteStatus.FAILED.value] -= 1
-            else:
-                counts[SiteStatus.PENDING.value] -= 1
-            counts[status.value] += 1
-            if report.failed and report_has_dns_error(report):
-                dns_failures += 1
-            virtual_seconds += report.scan_virtual_time
-            if len(batch) >= max(1, checkpoint_every):
-                journal.checkpoint(campaign, batch)
-                batch = []
-            emit()
-    except (KeyboardInterrupt, SystemExit):
-        journal.checkpoint(campaign, batch)
-        raise CampaignInterrupted(
-            campaign, flushed=scanned, remaining=len(todo) - scanned
-        ) from None
+        return run.drive(results, checkpoint_every, progress)
     finally:
         results.close()  # tears the worker pool down on any exit path
-    journal.checkpoint(campaign, batch)
-    return CampaignResult(
-        campaign=campaign,
-        total=total,
-        scanned=scanned,
-        skipped=skipped,
-        counts=journal.counts(campaign),
-        virtual_seconds=virtual_seconds,
-    )

@@ -13,11 +13,12 @@ import gc
 import logging
 import os
 import socket
+import threading
 import warnings
 
 import pytest
 
-from repro.net.socket_backend import SocketBackend
+from repro.net.socket_backend import LoopDriver, SocketBackend
 
 
 def open_fds() -> int:
@@ -112,3 +113,56 @@ class TestCloseWithInflightConnects:
         assert not attempt.refused  # completion is deferred to the loop
         backend.close()
         assert attempt.refused
+
+
+def loop_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name == "h2scope-loop"]
+
+
+class TestLoopOwnership:
+    """One loop mode: a backend either starts (and must release) its own
+    LoopDriver, or borrows one it must leave running."""
+
+    def test_driverless_backend_releases_its_loop_thread_and_fds(self):
+        server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        server.bind(("127.0.0.1", 0))
+        server.listen(8)
+        try:
+            gc.collect()
+            fds, threads = open_fds(), len(loop_threads())
+            backend = SocketBackend(
+                resolver={("own.example", 443): server.getsockname()[:2]}
+            )
+            assert len(loop_threads()) == threads + 1
+            attempt = backend.connect("own.example", 443)
+            assert backend.run_until(lambda: attempt.established, timeout=5.0)
+            backend.close()
+            backend.close()  # idempotent: the driver is already gone
+            gc.collect()
+            assert len(loop_threads()) == threads
+            assert open_fds() <= fds
+        finally:
+            server.close()
+
+    def test_closing_one_backend_leaves_a_shared_driver_running(self):
+        server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        server.bind(("127.0.0.1", 0))
+        server.listen(8)
+        resolver = {("shared.example", 443): server.getsockname()[:2]}
+        try:
+            with LoopDriver() as driver:
+                first = SocketBackend(resolver=resolver, driver=driver)
+                second = SocketBackend(resolver=resolver, driver=driver)
+                try:
+                    attempt = first.connect("shared.example", 443)
+                    assert first.run_until(lambda: attempt.established, 5.0)
+                    first.close()
+                    assert driver._thread.is_alive()
+                    assert not driver.loop.is_closed()
+                    attempt = second.connect("shared.example", 443)
+                    assert second.run_until(lambda: attempt.established, 5.0)
+                finally:
+                    second.close()
+            assert not driver._thread.is_alive()
+        finally:
+            server.close()

@@ -20,12 +20,15 @@ from repro.scope.campaign import (
     CampaignInterrupted,
     CampaignJournal,
     CampaignManifest,
+    CampaignRun,
     ManifestMismatch,
     SiteStatus,
 )
+from repro.scope.live import LiveConfig, run_live_campaign
 from repro.scope.resilience import ResilienceConfig
 from repro.scope.scanner import ScanProgress, run_campaign
 from repro.scope.storage import ReportStore, _encode
+from repro.servers.fleet import REFUSE, FleetPlan, LoopbackFleet
 
 #: Hostile enough that some sites fail, some get rescued by retries.
 CHAOS_SPEC = (
@@ -505,6 +508,118 @@ class TestCampaignProgress:
             )
         assert seen[0].done > 10 - 1  # completed sites skip straight to done
         assert seen[-1].done == len(chaos_sites)
+
+
+    def test_virtual_seconds_agree_with_journal_across_resumes(self, tmp_path):
+        """A retried site's previous attempt must leave the running
+        total: the journal row it came from is overwritten, not added
+        to.  (Both pre-unification loops double-counted it.)"""
+        sites = make_population(PopulationConfig(n_sites=120, seed=3))
+        kwargs = dict(
+            include=PROBES,
+            seed=3,
+            fault_plan=FaultPlan.parse(
+                "refuse:0.1x6,reset:0.06x4,stall(30):0.05,truncate(400):0.05",
+                seed=5,
+            ),
+            resilience=RESILIENCE,
+        )
+        with ReportStore(tmp_path / "v.db") as store:
+            journal = CampaignJournal(store)
+            retried = 0
+            for resume in (False, True, True):
+                seen = []
+                result = run_campaign(
+                    sites, store, "camp", resume=resume,
+                    progress=seen.append, **kwargs,
+                )
+                stored = journal.virtual_seconds("camp")
+                assert result.virtual_seconds == pytest.approx(stored, rel=1e-9)
+                assert seen[-1].virtual_seconds == pytest.approx(
+                    stored, rel=1e-9
+                )
+                retried += result.scanned if resume else 0
+            assert retried > 0  # the resumes really rescanned failures
+
+
+class TestOneLoopForBothBackends:
+    """The sim and live entry points feed the same journaled loop, so a
+    failing site walks the same journal trajectory, and an interrupt
+    raised by the result iterator mid-batch settles the same way."""
+
+    @pytest.fixture(params=["sim", "live"])
+    def entry(self, request):
+        """``(run(store, **kw), total sites, always-failing domains)``."""
+        if request.param == "sim":
+            sites = population(5)
+            kwargs = dict(
+                include={"negotiation"},
+                seed=3,
+                fault_plan=FaultPlan.parse("refuse"),  # every connect, forever
+                resilience=ResilienceConfig(timeout=5.0, retries=0),
+            )
+
+            def run(store, **kw):
+                return run_campaign(sites, store, "camp", **kwargs, **kw)
+
+            yield run, len(sites), {site.domain for site in sites}
+            return
+        plan = FleetPlan(sites=5, seed=13, refuse=1, link_rtt=0.002)
+        with LoopbackFleet(plan) as fleet:
+
+            def run(store, **kw):
+                return run_live_campaign(
+                    fleet.domains, store, "camp", include={"negotiation"},
+                    seed=plan.seed,
+                    resilience=ResilienceConfig(timeout=40.0, retries=0),
+                    config=LiveConfig(
+                        concurrency=2, timeout_scale=0.15, connect_timeout=1.0
+                    ),
+                    resolver=fleet.resolver(), **kw,
+                )
+
+            yield run, plan.sites, set(fleet.domains_with(REFUSE))
+
+    def test_failure_trajectory_and_interrupt_arithmetic(
+        self, entry, tmp_path, monkeypatch
+    ):
+        run, total, failing = entry
+        assert failing
+        with ReportStore(tmp_path / "walk.db") as store:
+            journal = CampaignJournal(store)
+            walk = []
+            for resume in (False, True, True):
+                result = run(store, resume=resume)
+                statuses = journal.statuses("camp")
+                walk.append({statuses[domain] for domain in failing})
+                assert result.counts["done"] == total - len(failing)
+            assert walk == [
+                {(SiteStatus.FAILED, 1)},
+                {(SiteStatus.FAILED, 2)},
+                {(SiteStatus.QUARANTINED, 3)},
+            ]
+            assert run(store, resume=True).scanned == 0  # circuit open
+
+        drive = CampaignRun.drive
+
+        def interrupted_drive(self, results, *args, **kwargs):
+            def cut():
+                for seen, result in enumerate(results):
+                    if seen == 3:
+                        raise KeyboardInterrupt
+                    yield result
+
+            return drive(self, cut(), *args, **kwargs)
+
+        monkeypatch.setattr(CampaignRun, "drive", interrupted_drive)
+        with ReportStore(tmp_path / "cut.db") as store:
+            with pytest.raises(CampaignInterrupted) as caught:
+                run(store, checkpoint_every=2)
+            assert (caught.value.flushed, caught.value.remaining) == (3, total - 3)
+            # One full batch plus the half-filled one the interrupt flushed.
+            counts = CampaignJournal(store).counts("camp")
+            assert counts["pending"] == total - 3
+            assert store.count("camp") == 3
 
 
 class TestJournalCrashConsistency:

@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 import repro
 from repro.net.backend import SimulatedBackend, TransportBackend
 from repro.net.clock import Simulation
+from repro.net.socket_backend import LoopDriver
 from repro.net.transport import Network
 from repro.scope.campaign import CampaignInterrupted
 import repro.scope.concurrent as concurrent_module
@@ -40,7 +41,6 @@ from repro.scope.concurrent import (
     InterleavedBackend,
     InterleavedScheduler,
     LaneLeakError,
-    LoopDriver,
     _HeapPolicy,
     _Lane,
     _LinearPolicy,

@@ -337,37 +337,6 @@ class TestHighConcurrencyPool:
             simulated = scan_site(site, seed=plan.seed, include=self.INCLUDE)
             assert verdict_view(live) == verdict_view(simulated), site.domain
 
-    def test_private_loop_fallback_still_agrees(self, tmp_path):
-        """shared_loop=False keeps the PR 6 per-session private loops;
-        both modes must produce the same verdicts for the same fleet."""
-        plan = FleetPlan(sites=6, seed=31)
-        verdicts = {}
-        for mode in (True, False):
-            metrics = LiveScanMetrics()
-            with LoopbackFleet(plan) as fleet:
-                with ReportStore(tmp_path / f"loop{mode}.db") as store:
-                    run_live_campaign(
-                        fleet.domains,
-                        store,
-                        "loop",
-                        seed=plan.seed,
-                        resilience=RESILIENCE,
-                        config=LiveConfig(
-                            concurrency=4,
-                            timeout_scale=TIMEOUT_SCALE,
-                            connect_timeout=1.0,
-                            shared_loop=mode,
-                        ),
-                        resolver=fleet.resolver(),
-                        metrics=metrics,
-                    )
-                    verdicts[mode] = {
-                        site.domain: verdict_view(store.load("loop", site.domain))
-                        for site in fleet.healthy_sites()
-                    }
-            assert metrics.in_flight == 0
-        assert verdicts[True] == verdicts[False]
-
 
 #: Rebuilds the kill-fleet deterministically in a child process, scans
 #: it, and SIGKILLs itself once the journal has absorbed ``cut`` sites.

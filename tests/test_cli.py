@@ -239,6 +239,55 @@ def test_resume_completes_interrupted_campaign(tmp_path, capsys):
         assert store.count("experiment-1-faults") == sum(counts.values())
 
 
+@pytest.mark.parametrize(
+    "entry_point, argv",
+    [
+        (
+            "repro.scope.scanner.run_campaign",
+            ["--seed", "7", "scan", "-n", "12", "--db", "{dir}/sim scan.db",
+             "--fault-plan", "stall(30):0.05,refuse:0.1x2", "--timeout", "8",
+             "--retries", "0", "--checkpoint-every", "5", "--workers", "2",
+             "--concurrency", "16", "--resume"],
+        ),
+        (
+            "repro.scope.live.run_live_campaign",
+            ["--seed", "9", "scan", "--backend", "socket",
+             "--targets", "{dir}/targets.txt", "--db", "{dir}/live scan.db",
+             "--campaign", "top sites", "--timeout", "3", "--retries", "1",
+             "--checkpoint-every", "10", "--concurrency", "4",
+             "--per-host-gap", "0.5", "--rate", "5", "--burst", "1",
+             "--timeout-scale", "0.5", "--resume"],
+        ),
+    ],
+    ids=["sim", "socket"],
+)
+def test_printed_resume_command_round_trips(
+    entry_point, argv, tmp_path, capsys, monkeypatch
+):
+    """The "resume with:" line must parse back to the very arguments the
+    interrupted campaign ran with — quoting and every knob included."""
+    import shlex
+
+    from repro.scope.campaign import CampaignInterrupted
+
+    directory = tmp_path / "with space"
+    directory.mkdir()
+    (directory / "targets.txt").write_text("example.com\n")
+    argv = [arg.format(dir=directory) for arg in argv]
+
+    def interrupted(*args, **kwargs):
+        raise CampaignInterrupted("any", flushed=1, remaining=2)
+
+    monkeypatch.setattr(entry_point, interrupted)
+    assert main(argv) == 130
+    out = capsys.readouterr().out
+    printed = out.split("resume with: ", 1)[1].splitlines()[0]
+    program, *resume_argv = shlex.split(printed)
+    assert program == "h2scope"
+    parser = build_parser()
+    assert vars(parser.parse_args(resume_argv)) == vars(parser.parse_args(argv))
+
+
 def test_attack_battery_matrix(capsys):
     rc = main(
         ["attack", "--profile", "ping_flood", "--vendor", "nginx",
