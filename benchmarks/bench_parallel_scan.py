@@ -24,17 +24,13 @@ the width — ``width + width/8`` negotiation-only sites, so the
 admission window is actually full at width 4096 — and runs every point
 in its own subprocess so ``ru_maxrss`` is a per-point peak rather than
 a process-lifetime monotone.  Each row records wall + modeled
-throughput and peak RSS; width 4096 is measured both with the lane
-pool (default) and in thread-per-lane mode (``H2SCOPE_LANE_POOL=0``),
-and ``scan_rss_delta_kb`` (peak minus pre-scan RSS) pins the memory
-win ``tools/concurrency_check.py`` gates (>= 4x).  Width 16384 rides
-behind ``H2SCOPE_BENCH_WIDE=1`` (weekly CI): its serial leg alone is
-~25s, and its thread-per-lane leg would need 16k OS threads, so only
-the pooled row is recorded there.
+throughput, peak RSS and ``scan_rss_delta_kb`` (peak minus pre-scan
+RSS).  Width 16384 rides behind ``H2SCOPE_BENCH_WIDE=1`` (weekly CI):
+its serial leg alone is ~25s.
 
 The benchmark also re-checks the determinism contract on the way: all
 worker counts, all concurrency levels, and every wide-sweep subprocess
-(pooled, unpooled, serial) must produce byte-identical reports.
+must produce byte-identical reports.
 """
 
 import json
@@ -60,13 +56,11 @@ CHAOS_SPEC = "refuse:0.1x6,reset:0.06x4,stall(30):0.05,truncate(400):0.05"
 
 #: Wide-sweep widths; 16384 only when H2SCOPE_BENCH_WIDE=1 (weekly).
 WIDE_WIDTHS = [1024, 4096]
-#: Widths whose thread-per-lane leg is also measured for the RSS pin.
-WIDE_RSS_WIDTHS = [4096]
 
 #: Subprocess probe for one wide-sweep point: scans ``width + width/8``
 #: negotiation-only sites at ``width``, reporting timings, scheduler
 #: metrics, peak RSS, and a digest of the position-ordered reports so
-#: the parent can assert byte-identity across pool modes and serial.
+#: the parent can assert byte-identity across widths and serial.
 _WIDE_PROBE = r"""
 import hashlib, json, resource, sys, time
 from repro.population import PopulationConfig, make_population
@@ -120,29 +114,24 @@ print(json.dumps({
 os.environ["H2SCOPE_OVERSUBSCRIBE"] = "1"
 
 
-def _run_wide_point(width: int, n_sites: int, pool: str) -> dict:
+def _run_wide_point(width: int, n_sites: int) -> dict:
     """One wide-sweep point in a fresh subprocess (its own ru_maxrss)."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     pythonpath = env.get("PYTHONPATH")
     env["PYTHONPATH"] = src + (os.pathsep + pythonpath if pythonpath else "")
-    if pool == "off":
-        env["H2SCOPE_LANE_POOL"] = "0"
-    else:
-        env.pop("H2SCOPE_LANE_POOL", None)
     proc = subprocess.run(
         [sys.executable, "-c", _WIDE_PROBE,
          str(width), str(n_sites), str(BENCH_SEED)],
         env=env, capture_output=True, text=True, timeout=1800,
     )
     assert proc.returncode == 0, (
-        f"wide probe width={width} pool={pool} failed:\n{proc.stderr[-2000:]}"
+        f"wide probe width={width} failed:\n{proc.stderr[-2000:]}"
     )
     row = json.loads(proc.stdout.strip().splitlines()[-1])
     row.update(
         concurrency=width,
         population=n_sites,
-        pool=pool,
         sites_per_sec=round(row["n_sites"] / row["seconds"], 2),
         modeled_sites_per_sec=round(
             row["n_sites"] / row["virtual_makespan"], 2
@@ -154,23 +143,20 @@ def _run_wide_point(width: int, n_sites: int, pool: str) -> dict:
 def _wide_sweep() -> list[dict]:
     """Width-scaled populations, one subprocess per point.
 
-    The default set proves the acceptance pins on a ~5k-site
-    negotiation population: modeled throughput at 4096 >= at 1024, and
-    the lane pool's scan RSS delta >= 4x smaller than thread-per-lane.
+    The default set proves the acceptance pin on a ~5k-site
+    negotiation population: modeled throughput at 4096 >= at 1024.
     ``H2SCOPE_BENCH_WIDE=1`` adds the 16384-lane population (~21k
-    sites); its thread-per-lane leg is deliberately not run — 16k OS
-    threads is the configuration this PR exists to avoid.
+    sites).
     """
     max_width = max(WIDE_WIDTHS)
     rows = []
-    plans: list[tuple[int, int, str]] = [(1, max_width, "on")]
-    plans += [(width, max_width, "on") for width in WIDE_WIDTHS]
-    plans += [(width, max_width, "off") for width in WIDE_RSS_WIDTHS]
+    plans: list[tuple[int, int]] = [(1, max_width)]
+    plans += [(width, max_width) for width in WIDE_WIDTHS]
     if os.environ.get("H2SCOPE_BENCH_WIDE") == "1":
-        plans += [(1, 16384, "on"), (16384, 16384, "on")]
-    for width, population, pool in plans:
+        plans += [(1, 16384), (16384, 16384)]
+    for width, population in plans:
         n_sites = population + population // 8
-        rows.append(_run_wide_point(width, n_sites, pool))
+        rows.append(_run_wide_point(width, n_sites))
     by_population: dict[int, list[dict]] = {}
     for row in rows:
         by_population.setdefault(row["population"], []).append(row)
@@ -178,7 +164,7 @@ def _wide_sweep() -> list[dict]:
         digests = {row["digest"] for row in group}
         assert len(digests) == 1, (
             f"wide sweep population {population} broke byte-identity "
-            f"across pool modes/widths"
+            f"across widths"
         )
     return rows
 

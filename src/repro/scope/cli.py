@@ -956,12 +956,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8,
         metavar="N",
-        help="max in-flight probe sessions per process (default 8, "
-        "ceiling 16384): the live pool size on the socket backend, the "
-        "single-loop interleaving width per worker on the simulated "
-        "backend (at most H2SCOPE_LANE_POOL lanes, default 64, are "
-        "mid-scan at once); composes multiplicatively with --workers "
-        "and never changes simulated-scan bytes",
+        help="max in-flight probe sessions (default 8, floor 1): the "
+        "live pool size on the socket backend; on the simulated backend "
+        "with --workers 1, the single-loop interleaving width (ceiling "
+        "16384, at most 64 lanes mid-scan at once) — worker processes "
+        "scan serially.  Never changes simulated-scan bytes",
     )
     scan.add_argument(
         "--per-host-gap",

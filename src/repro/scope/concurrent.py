@@ -62,13 +62,13 @@ Two costs used to bound the usable width at ~1k:
   as :class:`_LinearPolicy` (the ``huffman_ref`` idiom) and the test
   battery asserts decision-for-decision equality between the two.
 
-* **One OS thread per admitted lane.**  A mid-scan lane's continuation
-  is its thread stack — that cannot be recycled without native stack
+* **A stack per mid-scan lane.**  A mid-scan lane's continuation is
+  its thread stack — that cannot be recycled without native stack
   switching.  But a lane that has not been *granted* yet has a trivial
   continuation ("start the scan"), and its universe does not exist yet
-  either.  The scheduler therefore gates lane *starts* on a bounded
-  recycling pool of runner threads (:class:`_LanePool`, default
-  :data:`LANE_POOL_SIZE`): admitted lanes queue as lightweight
+  either.  So lane *starts* are gated on a bounded recycling pool of
+  runner threads (:class:`_LanePool`, :data:`LANE_POOL_SIZE` of
+  them): admitted lanes queue as lightweight
   ``_Lane`` records, at most ``pool`` of them are ever mid-scan, and a
   runner that finishes a site picks up the next fresh lane instead of
   dying — resident stacks *and* live universes drop from O(width) to
@@ -77,21 +77,21 @@ Two costs used to bound the usable width at ~1k:
   trajectory (``offset + local event times``) is independent of when
   it executes, and admission offsets — the only cross-lane coupling —
   are still assigned by the same global-clock rule.  With
-  ``pool >= width`` the grant sequence is exactly PR 8's; with a
-  smaller pool the schedule is still a pure function of the task list,
-  just with starts deferred until a runner frees.
+  ``pool >= width`` no start is ever deferred (the grant sequence of a
+  thread per lane); with a smaller pool the schedule is still a pure
+  function of the task list, just with starts deferred until a runner
+  frees.
 
-Composition: :mod:`repro.scope.parallel` embeds this scheduler both in
-its serial path and inside each worker process, so ``--workers W
---concurrency C`` keeps ``W x C`` sessions in flight while the parent
-stays the sole SQLite writer and the reorder buffer keeps journal bytes
-identical to a serial run.
+Where it runs: :mod:`repro.scope.parallel` calls this scheduler on its
+in-process path (``workers <= 1``), where the modeled makespan it
+produces can be read.  Worker processes scan one site per message,
+serially: processes buy wall clock, lanes buy modeled makespan, and the
+two do not nest.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 import queue
 import threading
 import time
@@ -100,11 +100,9 @@ from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from random import Random
-from time import perf_counter
 
 from repro.net.backend import SimulatedBackend
 from repro.scope.report import SiteReport
-from repro.scope.resilience import make_scan_error
 
 _INFINITY = float("inf")
 
@@ -115,14 +113,8 @@ LANE_STACK_BYTES = 1 << 20
 
 #: Default size of the lane-runner recycling pool: how many lanes may
 #: be mid-scan (thread + universe resident) at once.  Admitted lanes
-#: beyond the pool wait as queue records until a runner frees.  Env
-#: knob ``H2SCOPE_LANE_POOL``: an integer overrides the size, ``0``
-#: disables pooling entirely (one thread per lane, the PR 8 layout —
-#: what the benchmark's RSS comparison measures against).
+#: beyond the pool wait as queue records until a runner frees.
 LANE_POOL_SIZE = 64
-
-#: Env knob overriding (or with ``0``, disabling) the lane pool.
-LANE_POOL_ENV = "H2SCOPE_LANE_POOL"
 
 #: Hard ceiling on ``--concurrency``.  Beyond 16k lanes per worker the
 #: admission window stops buying modeled makespan on any realistic
@@ -182,9 +174,8 @@ class ConcurrencyMetrics:
     #: Most lanes simultaneously *mid-scan* — thread + universe resident.
     #: Bounded by the lane pool size, not the admission width.
     resident_high_water: int = 0
-    #: OS threads created over the scheduler's lifetime.  With the
-    #: recycling pool this is O(pool); thread-per-lane mode pays one
-    #: per admitted lane.
+    #: OS threads created over the scheduler's lifetime: O(pool), not
+    #: one per admitted lane.
     threads_spawned: int = 0
     #: Full park/resume baton handoffs (the slice optimisation keeps
     #: this far below the event count).
@@ -193,51 +184,8 @@ class ConcurrencyMetrics:
     virtual_makespan: float = 0.0
 
 
-@dataclass
-class HandoffProfile:
-    """Per-phase cost accounting for the scheduler handoff path.
-
-    Enabled only when explicitly passed to the scheduler (the hot loop
-    takes a single ``is not None`` branch otherwise), this splits each
-    grant into the phases ``tools/profile_scan.py --concurrency``
-    renders, so a future scheduler regression is attributable to pick
-    arithmetic vs. horizon arithmetic vs. thread handoff latency.
-    """
-
-    grants: int = 0
-    #: Seconds choosing the next lane (heap top / linear scan).
-    pick_s: float = 0.0
-    #: Seconds deriving the granted lane's run horizon.
-    horizon_s: float = 0.0
-    #: Seconds the scheduler thread spent blocked on the baton.
-    baton_wait_s: float = 0.0
-    #: Seconds between a resume grant and the lane thread running.
-    resume_s: float = 0.0
-    resumes: int = 0
-    _grant_stamp: float = 0.0
-
-    def rows(self) -> list[dict]:
-        """Per-handoff averages, in microseconds, table-ready."""
-        grants = max(1, self.grants)
-        resumes = max(1, self.resumes)
-        return [
-            {"phase": "grant pick", "count": self.grants,
-             "total_s": round(self.pick_s, 4),
-             "avg_us": round(1e6 * self.pick_s / grants, 2)},
-            {"phase": "horizon", "count": self.grants,
-             "total_s": round(self.horizon_s, 4),
-             "avg_us": round(1e6 * self.horizon_s / grants, 2)},
-            {"phase": "baton wait", "count": self.grants,
-             "total_s": round(self.baton_wait_s, 4),
-             "avg_us": round(1e6 * self.baton_wait_s / grants, 2)},
-            {"phase": "lane resume", "count": self.resumes,
-             "total_s": round(self.resume_s, 4),
-             "avg_us": round(1e6 * self.resume_s / resumes, 2)},
-        ]
-
-
 class _Lane:
-    """One in-flight session: its thread, clock offset and park state."""
+    """One in-flight session: its clock offset, position and park state."""
 
     __slots__ = (
         "index",
@@ -247,7 +195,6 @@ class _Lane:
         "horizon_g",
         "horizon_index",
         "resume",
-        "thread",
         "started",
         "finished",
         "report",
@@ -255,7 +202,6 @@ class _Lane:
         "aborted",
         "handoffs",
         "heap_entry",
-        "profile",
         "_baton",
     )
 
@@ -269,7 +215,6 @@ class _Lane:
         self.horizon_g = _INFINITY
         self.horizon_index = -1
         self.resume = threading.Event()
-        self.thread: threading.Thread | None = None
         #: True once the lane has been granted for the first time and a
         #: runner is hosting its scan.  A lane that never started holds
         #: no thread and no universe — only this record.
@@ -282,7 +227,6 @@ class _Lane:
         #: The policy's current heap entry for this lane; identity is
         #: the validity token for lazy invalidation.
         self.heap_entry: tuple | None = None
-        self.profile: HandoffProfile | None = None
         self._baton = baton
 
     # Called by InterleavedBackend before every step that would move
@@ -308,10 +252,6 @@ class _Lane:
         self.resume.clear()
         self._baton.set()  # hand control back to the scheduler…
         self.resume.wait()  # …and sleep until granted again
-        profile = self.profile
-        if profile is not None:
-            profile.resume_s += perf_counter() - profile._grant_stamp
-            profile.resumes += 1
         if self.aborted:
             raise SchedulerAbort
 
@@ -573,26 +513,6 @@ class _LanePool:
         return leaked
 
 
-def _resolve_pool_size(explicit: int | None) -> int:
-    """Pool size from the argument, else the env knob, else the default.
-
-    Returns 0 for "pooling disabled" (one thread per lane).
-    """
-    if explicit is not None:
-        return max(0, int(explicit))
-    env = os.environ.get(LANE_POOL_ENV)
-    if env is not None:
-        try:
-            return max(0, int(env))
-        except ValueError:
-            warnings.warn(
-                f"ignoring non-integer {LANE_POOL_ENV}={env!r}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return LANE_POOL_SIZE
-
-
 class InterleavedScheduler:
     """Run site scans as cooperatively interleaved virtual-time lanes.
 
@@ -616,7 +536,6 @@ class InterleavedScheduler:
         metrics: ConcurrencyMetrics | None = None,
         grant_policy: str = "heap",
         lane_pool_size: int | None = None,
-        profile: HandoffProfile | None = None,
     ):
         self.sites = sites
         self.tasks = list(tasks)
@@ -640,47 +559,28 @@ class InterleavedScheduler:
             self._policy = _LinearPolicy()
         else:
             raise ValueError(f"unknown grant policy {grant_policy!r}")
-        #: The fuzz policy parks on every advance and needs every lane
-        #: resumable at any instant, so it keeps one thread per lane.
-        pool_size = 0 if self._rng is not None else _resolve_pool_size(
-            lane_pool_size
-        )
-        self._pool = (
-            _LanePool(pool_size, self._lane_main) if pool_size > 0 else None
-        )
-        self.profile = profile
+        pool_size = LANE_POOL_SIZE if lane_pool_size is None else lane_pool_size
+        if self._rng is not None:
+            # The fuzz policy parks on every advance and needs every
+            # lane resumable at any instant: a runner per admitted lane.
+            pool_size = max(pool_size, concurrency)
+        self._pool = _LanePool(pool_size, self._lane_main)
         self._quantum = _HORIZON_QUANTUM
         self._baton = threading.Event()
         self._next_index = 0
 
     # -- lane side ---------------------------------------------------------
 
-    def _lane_scan(self, lane: _Lane) -> SiteReport:
-        """Scan one site with the serial path's exact semantics: any
-        exception becomes an error-bearing report, never a dead lane."""
-        from repro.scope.scanner import scan_site
-
-        site = self.sites[lane.task.site_index]
-        options = self.options
-        try:
-            return scan_site(
-                site,
-                include=options.include,
-                seed=options.seed + lane.task.site_index,
-                fault_plan=options.fault_plan,
-                resilience=options.resilience,
-                backend_factory=lambda network: InterleavedBackend(
-                    network, lane
-                ),
-            )
-        except Exception as exc:  # noqa: BLE001 - one site, one report
-            report = SiteReport(domain=site.domain)
-            report.errors.append(make_scan_error("scan", exc))
-            return report
-
     def _lane_main(self, lane: _Lane) -> None:
+        from repro.scope.parallel import _scan_one
+
         try:
-            lane.report = self._lane_scan(lane)
+            lane.report = _scan_one(
+                self.sites[lane.task.site_index],
+                lane.task,
+                self.options,
+                backend_factory=lambda network: InterleavedBackend(network, lane),
+            )
         except SchedulerAbort:
             pass
         except BaseException as exc:  # pragma: no cover - driver bug
@@ -693,41 +593,17 @@ class InterleavedScheduler:
 
     def _admit(self, task, global_now: float) -> _Lane:
         lane = _Lane(self._next_index, task, global_now, self._baton)
-        lane.profile = self.profile
         self._next_index += 1
         self.metrics.admitted += 1
         return lane
 
     def _start_lane(self, lane: _Lane, busy: int) -> None:
-        """Hand a never-granted lane to a runner (or its own thread)."""
+        """Hand a never-granted lane to a pool runner."""
         lane.started = True
         pool = self._pool
-        if pool is not None:
-            pool.ensure_threads(busy)
-            self.metrics.threads_spawned = len(pool.threads)
-            pool.dispatch(lane)
-        else:
-            lane.thread = _spawn_lane_thread(
-                self._lane_main, f"h2scope-lane-{lane.index}", lane
-            )
-            self.metrics.threads_spawned += 1
-
-    def _join_finished(self, lane: _Lane) -> None:
-        """Reap a finished lane's private thread (thread-per-lane mode).
-
-        PR 8 ignored a join timeout here — a wedged thread silently
-        outlived its "completed" lane.  Now it is a named failure.
-        """
-        thread = lane.thread
-        if thread is None:
-            return
-        thread.join(timeout=LANE_JOIN_TIMEOUT)
-        if thread.is_alive():
-            raise LaneLeakError(
-                f"lane {lane.index} ({lane.task.domain}) finished but its "
-                f"thread {thread.name!r} refused to exit within "
-                f"{LANE_JOIN_TIMEOUT}s"
-            )
+        pool.ensure_threads(busy)
+        self.metrics.threads_spawned = len(pool.threads)
+        pool.dispatch(lane)
 
     def _teardown(self, lanes: Iterable[_Lane]) -> None:
         """Abort every lane, reclaim every thread, and name any leak.
@@ -748,17 +624,7 @@ class InterleavedScheduler:
                 lane.resume.set()
             time.sleep(0.002)
             pending = [lane for lane in pending if not lane.finished]
-        leaked: list[threading.Thread] = []
-        if self._pool is not None:
-            leaked = self._pool.shutdown(deadline)
-        else:
-            for lane in lanes:
-                thread = lane.thread
-                if thread is None:
-                    continue
-                thread.join(timeout=max(0.0, deadline - time.monotonic()))
-                if thread.is_alive():
-                    leaked.append(thread)
+        leaked = self._pool.shutdown(deadline)
         if pending or leaked:
             stuck = ", ".join(
                 f"lane {lane.index} ({lane.task.domain})" for lane in pending
@@ -779,10 +645,9 @@ class InterleavedScheduler:
         fresh: deque[_Lane] = deque()
         in_flight: set[_Lane] = set()
         policy = self._policy
-        pool_cap = self._pool.size if self._pool is not None else None
+        pool_cap = self._pool.size
         metrics = self.metrics
         baton = self._baton
-        profile = self.profile
         quantum = self._quantum
         concurrency = self.concurrency
         global_now = 0.0
@@ -803,19 +668,14 @@ class InterleavedScheduler:
                 # Fresh lanes are runnable only while a pool slot is
                 # free; they are admission-ordered, and offsets are
                 # monotone, so the deque head is their best entry.
-                if profile is not None:
-                    stamp = perf_counter()
                 lane = policy.peek()
-                if fresh and (pool_cap is None or started < pool_cap):
+                if fresh and started < pool_cap:
                     head = fresh[0]
                     if lane is None or (head.position, head.index) < (
                         lane.position,
                         lane.index,
                     ):
                         lane = head
-                if profile is not None:
-                    profile.pick_s += perf_counter() - stamp
-                    profile.grants += 1
                 first_grant = not lane.started
                 if first_grant:
                     fresh.popleft()
@@ -826,10 +686,8 @@ class InterleavedScheduler:
                 if lane.position > global_now:
                     global_now = lane.position
                 # -- horizon: earliest other runnable lane + quantum.
-                if profile is not None:
-                    stamp = perf_counter()
                 best_g, best_index = policy.best_other(lane)
-                if fresh and (pool_cap is None or started < pool_cap):
+                if fresh and started < pool_cap:
                     head = fresh[0]
                     if head.position < best_g or (
                         head.position == best_g and head.index < best_index
@@ -839,23 +697,14 @@ class InterleavedScheduler:
                     best_g + quantum if best_g < _INFINITY else best_g
                 )
                 lane.horizon_index = best_index
-                if profile is not None:
-                    profile.horizon_s += perf_counter() - stamp
                 baton.clear()
                 if first_grant:
                     self._start_lane(lane, started)
                 else:
-                    if profile is not None:
-                        profile._grant_stamp = perf_counter()
                     lane.resume.set()
                 # Exactly one lane runs between grants, so the baton can
                 # only be set by ``lane`` parking or finishing.
-                if profile is not None:
-                    stamp = perf_counter()
-                    baton.wait()
-                    profile.baton_wait_s += perf_counter() - stamp
-                else:
-                    baton.wait()
+                baton.wait()
                 handoffs += 1
                 if lane.finished:
                     policy.remove(lane)
@@ -866,8 +715,6 @@ class InterleavedScheduler:
                         global_now = lane.position
                     if lane.position > makespan:
                         makespan = lane.position
-                    if self._pool is None:
-                        self._join_finished(lane)
                     if lane.failure is not None:
                         raise lane.failure
                     metrics.completed = completed
@@ -887,7 +734,7 @@ class InterleavedScheduler:
             self._teardown(in_flight)
 
     def _run_fuzz(self) -> Iterator:
-        """Seeded-random scheduling: one event step per grant, a thread
+        """Seeded-random scheduling: one event step per grant, a runner
         per lane, uniform pick over every in-flight lane — maximal
         interleaving randomness for the byte-stability battery."""
         from repro.scope.parallel import SiteResult
@@ -930,7 +777,6 @@ class InterleavedScheduler:
                         global_now = lane.position
                     if lane.position > metrics.virtual_makespan:
                         metrics.virtual_makespan = lane.position
-                    self._join_finished(lane)
                     if lane.failure is not None:
                         raise lane.failure
                     yield SiteResult(lane.task, lane.report)
@@ -948,7 +794,6 @@ def scan_interleaved(
     metrics: ConcurrencyMetrics | None = None,
     grant_policy: str = "heap",
     lane_pool_size: int | None = None,
-    profile: HandoffProfile | None = None,
 ) -> Iterator:
     """Scan ``tasks`` with up to ``concurrency`` interleaved sessions.
 
@@ -964,8 +809,7 @@ def scan_interleaved(
     ``"heap"`` (O(log n), default) or ``"linear"`` (the retained PR 8
     reference) — the two are decision-identical, which the test battery
     proves.  ``lane_pool_size`` bounds how many lanes are mid-scan at
-    once (``None`` = the :data:`LANE_POOL_ENV` knob or
-    :data:`LANE_POOL_SIZE`; ``0`` = one thread per lane).
+    once (``None`` = :data:`LANE_POOL_SIZE`).
     """
     from repro.scope.parallel import SiteResult, _scan_one
 
@@ -998,6 +842,5 @@ def scan_interleaved(
         metrics=metrics,
         grant_policy=grant_policy,
         lane_pool_size=lane_pool_size,
-        profile=profile,
     )
     yield from scheduler.run()

@@ -424,6 +424,9 @@ class _LivePool:
         self.seed = seed
         self.resilience = resilience
         self.config = config
+        #: Pool width, floored at 1 like the simulated path's lane width:
+        #: a zero-wide pool would start no worker and scan nothing.
+        self.concurrency = max(1, int(config.concurrency))
         self.metrics = metrics
         self.dns = DnsStage(resolver=resolver, workers=config.dns_workers)
         self.politeness = HostPoliteness(config.per_host_gap)
@@ -536,7 +539,7 @@ class _LivePool:
             threading.Thread(
                 target=self._worker, name=f"h2scope-live-{i}", daemon=True
             )
-            for i in range(min(self.config.concurrency, len(scan_tasks)))
+            for i in range(min(self.concurrency, len(scan_tasks)))
         ]
         for worker in self._workers:
             worker.start()

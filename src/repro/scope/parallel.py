@@ -35,16 +35,11 @@ Architecture (one campaign, ``workers`` > 1)::
   serial run's.  An interrupt flushes the in-order prefix; anything
   still in flight is simply rescanned on resume into byte-identical
   reports.
-* **Exact crash accounting.**  Tasks are dispatched in batches of up to
-  ``concurrency`` to a specific worker (which interleaves them on its
-  in-process scheduler, :mod:`repro.scope.concurrent`), and completions
-  stream back one at a time, so when a worker dies the parent knows
-  precisely which sites were still in flight.  A lost one-task batch
-  charges that site's crash budget directly; a lost multi-task batch is
-  requeued uncharged as one-task "suspect" batches so the killer site
-  crashes a worker alone, gets charged exactly, and — after
-  ``max_worker_crashes`` — a synthetic ``WorkerCrashed`` error report,
-  while its innocent batch-mates rescan cleanly.
+* **Exact crash accounting.**  A worker scans one site per message, so
+  when it dies the parent knows precisely which site was in flight:
+  that site's crash budget is charged, and it is retried or — after
+  ``max_worker_crashes`` — given a synthetic ``WorkerCrashed`` error
+  report.  No other site is touched.
 * **SIGINT discipline.**  Workers ignore SIGINT; a Ctrl-C lands on the
   parent, which unwinds through the generator, terminates the workers
   and lets ``run_campaign`` flush the journal and raise
@@ -52,9 +47,15 @@ Architecture (one campaign, ``workers`` > 1)::
 
 ``workers <= 1`` (or a single task) runs everything in-process with no
 multiprocessing machinery at all — through the in-process interleaving
-scheduler when ``concurrency > 1``, else the plain serial loop that is
-both the fast path for small populations and the serial baseline the
-determinism tests diff against.
+scheduler (:mod:`repro.scope.concurrent`) when ``concurrency > 1``, else
+the plain serial loop that is both the fast path for small populations
+and the serial baseline the determinism tests diff against.
+
+The two knobs buy different things and do not nest: processes buy wall
+clock, lanes buy *modeled* makespan (``ConcurrencyMetrics``), which only
+the in-process path can hand back.  A worker process scans serially
+whatever ``concurrency`` says: lanes inside a worker would cost wall
+time for a makespan nothing can read.
 """
 
 from __future__ import annotations
@@ -104,31 +105,6 @@ def effective_workers(requested: int, *, warn: bool = True) -> int:
     return requested
 
 
-def effective_concurrency(requested: int, *, warn: bool = True) -> int:
-    """Clamp a requested lane width to the scheduler's 16384-lane ceiling.
-
-    The interleaved scheduler's admission window stops buying modeled
-    makespan beyond ~16k lanes (the longest site dominates) while
-    per-lane bookkeeping keeps growing, so a wider request is capped
-    with a :class:`RuntimeWarning` — the ``effective_workers`` idiom.
-    Results are unaffected either way: reports are byte-identical for
-    any lane width.
-    """
-    from repro.scope.concurrent import MAX_CONCURRENCY
-
-    requested = max(1, int(requested))
-    if requested > MAX_CONCURRENCY:
-        if warn:
-            warnings.warn(
-                f"--concurrency {requested} exceeds the {MAX_CONCURRENCY}-lane "
-                f"scheduler ceiling; capping to {MAX_CONCURRENCY}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        return MAX_CONCURRENCY
-    return requested
-
-
 @dataclass(frozen=True)
 class SiteTask:
     """One unit of scan work: a position in the todo list.
@@ -162,14 +138,18 @@ class ScanOptions:
     seed: int
     fault_plan: FaultPlan | None = None
     resilience: ResilienceConfig | None = None
-    #: In-flight sessions per process (:mod:`repro.scope.concurrent`);
-    #: 1 = plain serial loop.  Results are byte-identical either way.
+    #: In-flight sessions on the in-process path
+    #: (:mod:`repro.scope.concurrent`); 1 = plain serial loop.  Results
+    #: are byte-identical either way.
     concurrency: int = 1
 
 
-def _scan_one(site: Site, task: SiteTask, options: ScanOptions) -> SiteReport:
-    """Scan one site with the exact semantics of the serial loop:
-    any exception becomes an error-bearing report, never a crash."""
+def _scan_one(
+    site: Site, task: SiteTask, options: ScanOptions, backend_factory=None
+) -> SiteReport:
+    """Scan one site — serial loop, worker process or scheduler lane —
+    with one rule: any exception becomes an error-bearing report, never
+    a crash."""
     from repro.scope.scanner import scan_site
 
     try:
@@ -179,6 +159,7 @@ def _scan_one(site: Site, task: SiteTask, options: ScanOptions) -> SiteReport:
             seed=options.seed + task.site_index,
             fault_plan=options.fault_plan,
             resilience=options.resilience,
+            backend_factory=backend_factory,
         )
     except Exception as exc:  # noqa: BLE001 - one site, one report
         report = SiteReport(domain=site.domain)
@@ -208,7 +189,7 @@ def _worker_main(
     sites: list[Site],
     options: ScanOptions,
 ) -> None:
-    """Worker loop: pull tasks, scan, push results.
+    """Worker loop: pull one task, scan it, push its result.
 
     SIGINT is ignored so an interactive Ctrl-C (which the terminal
     delivers to the whole process group) is orchestrated by the parent:
@@ -228,43 +209,32 @@ def _worker_main(
                 os._exit(1)
             continue
         try:
-            batch = task_conn.recv()
+            task = task_conn.recv()
         except (EOFError, OSError):  # parent closed the channel
             os._exit(1)
-        if batch is None:
+        if task is None:
             return
+        report = _scan_one(sites[task.site_index], task, options)
         try:
-            if len(batch) <= 1 or options.concurrency <= 1:
-                for task in batch:
-                    report = _scan_one(sites[task.site_index], task, options)
-                    result_conn.send((task, report))
-            else:
-                from repro.scope.concurrent import scan_interleaved
-
-                # Stream completions as the scheduler produces them so
-                # the parent's reorder buffer (and a kill point) sees
-                # the same granularity as the serial protocol.
-                for result in scan_interleaved(sites, batch, options):
-                    result_conn.send((result.task, result.report))
+            result_conn.send((task, report))
         except (BrokenPipeError, OSError):  # parent gone mid-send
             os._exit(1)
 
 
 class _Worker:
-    """Parent-side handle: process, both pipe ends, in-flight tasks.
+    """Parent-side handle: process, both pipe ends, the in-flight task.
 
-    ``tasks`` maps position -> :class:`SiteTask` for the batch currently
-    dispatched to the worker; completions are popped as they stream
-    back, so on a crash the remainder is exactly what was lost.
+    ``task`` is the :class:`SiteTask` the worker is scanning (None when
+    idle); on a crash it is exactly what was lost.
     """
 
-    __slots__ = ("proc", "task_conn", "result_conn", "tasks")
+    __slots__ = ("proc", "task_conn", "result_conn", "task")
 
     def __init__(self, proc, task_conn, result_conn):
         self.proc = proc
         self.task_conn = task_conn
         self.result_conn = result_conn
-        self.tasks: dict[int, SiteTask] = {}
+        self.task: SiteTask | None = None
 
 
 def _mp_context():
@@ -307,7 +277,7 @@ class ParallelCampaignRunner:
             seed=seed,
             fault_plan=fault_plan,
             resilience=resilience,
-            concurrency=effective_concurrency(concurrency),
+            concurrency=concurrency,
         )
         self.max_worker_crashes = max(1, int(max_worker_crashes))
         self.poll_interval = poll_interval
@@ -335,8 +305,8 @@ class ParallelCampaignRunner:
 
         Positions must be the contiguous sequence ``0..len(tasks)-1``
         (they index the todo list).  Memory is bounded by the spread of
-        in-flight completions, at most ``workers x concurrency``
-        results.
+        in-flight completions: at most ``workers`` results across
+        processes, at most ``concurrency`` on the in-process path.
         """
         tasks = list(tasks)
         buffered: dict[int, SiteResult] = {}
@@ -356,17 +326,12 @@ class ParallelCampaignRunner:
     def _iter_multiprocess(self, tasks: list[SiteTask]) -> Iterator[SiteResult]:
         ctx = _mp_context()
         backlog: deque[SiteTask] = deque(tasks)
-        # Tasks lost in a multi-task batch crash: the culprit is unknown,
-        # so they are requeued *uncharged* as one-task batches — the
-        # killer site then crashes a worker alone and gets charged
-        # exactly, while innocent batch-mates scan cleanly.
-        suspects: deque[SiteTask] = deque()
         crashes: dict[int, int] = {}
         workers: dict[int, _Worker] = {}
         try:
             for worker_id in range(min(self.workers, len(tasks))):
                 workers[worker_id] = self._spawn(ctx, worker_id)
-                self._dispatch(workers[worker_id], backlog, suspects)
+                self._dispatch(workers[worker_id], backlog)
             done = 0
             while done < len(tasks):
                 by_conn = {
@@ -376,9 +341,7 @@ class ParallelCampaignRunner:
                     list(by_conn), timeout=self.poll_interval
                 )
                 if not readable:
-                    for result in self._reap(
-                        ctx, workers, backlog, suspects, crashes
-                    ):
+                    for result in self._reap(ctx, workers, backlog, crashes):
                         done += 1
                         yield result
                     continue
@@ -388,14 +351,12 @@ class ParallelCampaignRunner:
                 except (EOFError, OSError):
                     # EOF: the worker died.  Its pipe stays readable, so
                     # reap it *now* rather than waiting for a quiet poll.
-                    for result in self._reap(
-                        ctx, workers, backlog, suspects, crashes
-                    ):
+                    for result in self._reap(ctx, workers, backlog, crashes):
                         done += 1
                         yield result
                     continue
-                worker.tasks.pop(task.position, None)
-                self._dispatch(worker, backlog, suspects)
+                worker.task = None
+                self._dispatch(worker, backlog)
                 done += 1
                 yield SiteResult(task, report, crashes.get(task.position, 0))
         finally:
@@ -419,58 +380,38 @@ class ParallelCampaignRunner:
         result_w.close()
         return _Worker(proc, task_w, result_r)
 
-    def _dispatch(
-        self,
-        worker: _Worker,
-        backlog: deque[SiteTask],
-        suspects: deque[SiteTask],
-    ) -> None:
-        """Send the worker its next batch once its current one is done.
+    def _dispatch(self, worker: _Worker, backlog: deque[SiteTask]) -> None:
+        """Send an idle worker the next site, if there is one."""
+        if worker.task is None and backlog:
+            self._send(worker, backlog.popleft())
 
-        Suspects go first and strictly one at a time (crash
-        attribution); otherwise the batch is up to ``concurrency``
-        tasks, which is what the worker's in-process scheduler can
-        keep in flight at once.
-        """
-        if worker.tasks:
-            return
-        if suspects:
-            batch = [suspects.popleft()]
-        elif backlog:
-            width = max(1, self.options.concurrency)
-            batch = [backlog.popleft() for _ in range(min(width, len(backlog)))]
-        else:
-            return
-        worker.tasks = {task.position: task for task in batch}
+    @staticmethod
+    def _send(worker: _Worker, task: SiteTask) -> None:
+        worker.task = task
         try:
-            worker.task_conn.send(batch)
+            worker.task_conn.send(task)
         except (BrokenPipeError, OSError):
-            pass  # worker already dead: _reap sees tasks and requeues
+            pass  # worker already dead: _reap sees the task and charges it
 
-    def _reap(
-        self, ctx, workers, backlog, suspects, crashes
-    ) -> list[SiteResult]:
+    def _reap(self, ctx, workers, backlog, crashes) -> list[SiteResult]:
         """Respawn dead workers; emit reports for crash-budget-spent sites.
 
         A worker that dies mid-site triggers a retry of exactly that
         site (its universe is deterministic, so the eventual report is
         unchanged); a site that keeps killing workers is charged to the
         crash budget and surfaced as a ``WorkerCrashed`` failure instead
-        of wedging the campaign.  Results the worker fully sent before
-        dying are salvaged from its pipe first, so a completion is never
-        double-counted as a crash.  Losing a one-task batch charges that
-        site; losing a multi-task batch cannot name the culprit, so the
-        remainder is requeued uncharged as one-task suspect batches and
-        the killer gets charged on its solo retry.
+        of wedging the campaign.  A result the worker fully sent before
+        dying is salvaged from its pipe first, so a completion is never
+        double-counted as a crash.
         """
         results: list[SiteResult] = []
         for worker_id, worker in list(workers.items()):
             if worker.proc.is_alive():
                 continue
             try:
-                while worker.result_conn.poll(0):
+                if worker.result_conn.poll(0):
                     task, report = worker.result_conn.recv()
-                    worker.tasks.pop(task.position, None)
+                    worker.task = None
                     results.append(
                         SiteResult(task, report, crashes.get(task.position, 0))
                     )
@@ -479,32 +420,15 @@ class ParallelCampaignRunner:
             worker.result_conn.close()
             worker.task_conn.close()
             worker.proc.join()
-            lost = list(worker.tasks.values())
-            worker.tasks = {}
+            lost = worker.task
             workers[worker_id] = replacement = self._spawn(ctx, worker_id)
-            if len(lost) == 1:
-                task = lost[0]
-                crashes[task.position] = crashes.get(task.position, 0) + 1
-                if crashes[task.position] >= self.max_worker_crashes:
-                    results.append(
-                        SiteResult(
-                            task,
-                            _crash_report(task, crashes[task.position]),
-                            crashes[task.position],
-                        )
-                    )
-                else:
-                    replacement.tasks = {task.position: task}
-                    try:
-                        replacement.task_conn.send([task])
-                    except (BrokenPipeError, OSError):
-                        pass  # died instantly: next _reap charges it again
+            if lost is not None:
+                charged = crashes[lost.position] = crashes.get(lost.position, 0) + 1
+                if charged < self.max_worker_crashes:
+                    self._send(replacement, lost)
                     continue
-            elif lost:
-                suspects.extend(
-                    sorted(lost, key=lambda task: task.position)
-                )
-            self._dispatch(replacement, backlog, suspects)
+                results.append(SiteResult(lost, _crash_report(lost, charged), charged))
+            self._dispatch(replacement, backlog)
         return results
 
     def _shutdown(self, workers) -> None:

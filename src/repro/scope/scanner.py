@@ -340,9 +340,10 @@ def scan_population(
     resilience: ResilienceConfig | None = None,
     concurrency: int = 1,
 ) -> list[SiteReport]:
-    """Scan every site; ``workers`` > 1 shards across processes and
-    ``concurrency`` > 1 keeps that many sessions in flight per process
-    (:mod:`repro.scope.concurrent`), composing multiplicatively.
+    """Scan every site; ``workers`` > 1 shards across processes, each
+    scanning serially (processes buy wall clock), otherwise
+    ``concurrency`` > 1 keeps that many sessions in flight in this
+    process (:mod:`repro.scope.concurrent`; lanes buy modeled makespan).
     ``concurrency`` is clamped to the scheduler's 16384-lane ceiling;
     within it, only ``LANE_POOL_SIZE`` lanes are ever mid-scan at once,
     so memory stays O(pool) regardless of the admission width.
@@ -410,12 +411,12 @@ def run_campaign(
     the merged reports byte-identical to an uninterrupted run.
 
     ``workers`` > 1 shards the pending sites across that many scan
-    processes (:mod:`repro.scope.parallel`) and ``concurrency`` > 1
-    keeps that many sessions in flight inside each process
+    processes (:mod:`repro.scope.parallel`), each scanning serially:
+    processes buy wall clock.  Otherwise ``concurrency`` > 1 keeps that
+    many sessions in flight in this process
     (:mod:`repro.scope.concurrent`; clamped to 16384 lanes, of which at
-    most the lane pool is mid-scan at once), for ``workers x
-    concurrency`` total in-flight sessions; this process stays the sole
-    SQLite
+    most the lane pool is mid-scan at once): lanes buy modeled
+    makespan.  Either way this process stays the sole SQLite
     writer and journals completions in todo order, so the stored bytes
     are identical for any worker count, concurrency level, kill point
     and fault plan — and neither knob is part of the manifest, so a

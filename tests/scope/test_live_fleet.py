@@ -230,6 +230,37 @@ class TestPoolAndPolitenessInvariants:
         assert len(metrics.rate_grants) == len(metrics.contacts)
 
 
+class TestConcurrencyFloor:
+    """``LiveConfig(concurrency=0)`` started no worker and "finished"
+    with every site still pending; the pool width is floored at 1, as
+    the simulated path floors its lane width."""
+
+    @pytest.mark.parametrize("concurrency", [0, -3])
+    def test_nonpositive_concurrency_scans_every_site(
+        self, concurrency, tmp_path
+    ):
+        plan = FleetPlan(sites=6, seed=23)
+        with LoopbackFleet(plan) as fleet:
+            with ReportStore(tmp_path / "floor.db") as store:
+                result = run_live_campaign(
+                    fleet.domains,
+                    store,
+                    "floor",
+                    seed=plan.seed,
+                    include={"negotiation"},
+                    resilience=RESILIENCE,
+                    config=LiveConfig(
+                        concurrency=concurrency,
+                        timeout_scale=TIMEOUT_SCALE,
+                        connect_timeout=1.0,
+                    ),
+                    resolver=fleet.resolver(),
+                )
+        assert result.scanned == plan.sites
+        assert result.counts["pending"] == 0
+        assert result.counts["done"] == plan.sites
+
+
 class TestVerdictDifferential:
     def test_live_verdicts_match_simulated_verdicts(self, fleet_campaign):
         """The fleet's healthy engines are seeded exactly like

@@ -140,8 +140,15 @@ class TestShardedDeterminism:
 
 
 @requires_fork
+@pytest.mark.parametrize("concurrency", [1, 8])
 class TestWorkerCrashRecovery:
-    def test_crashed_worker_respawned_site_retried(self, tmp_path, monkeypatch):
+    """``concurrency`` 1 is the library default; 8 is the CLI's, so the
+    shape ``h2scope scan --workers N`` runs.  A worker scans one site
+    per message at either, so the accounting must not differ."""
+
+    def test_crashed_worker_respawned_site_retried(
+        self, concurrency, tmp_path, monkeypatch
+    ):
         import repro.scope.parallel as parallel_module
 
         sites = population(12)
@@ -161,7 +168,8 @@ class TestWorkerCrashRecovery:
         # Workers fork after the patch, so they inherit the sabotage.
         monkeypatch.setattr(parallel_module, "_scan_one", crash_once)
         runner = ParallelCampaignRunner(
-            sites, workers=3, include={"negotiation"}, seed=3
+            sites, workers=3, include={"negotiation"}, seed=3,
+            concurrency=concurrency,
         )
         results = list(runner.iter_unordered(tasks_for(sites)))
         assert marker.exists()  # the crash really happened
@@ -173,7 +181,7 @@ class TestWorkerCrashRecovery:
         assert serialize_reports(ordered) == baseline
 
     def test_site_that_keeps_killing_workers_gets_crash_report(
-        self, monkeypatch
+        self, concurrency, monkeypatch
     ):
         import repro.scope.parallel as parallel_module
 
@@ -193,6 +201,7 @@ class TestWorkerCrashRecovery:
             include={"negotiation"},
             seed=3,
             max_worker_crashes=2,
+            concurrency=concurrency,
         )
         results = list(runner.iter_unordered(tasks_for(sites)))
         assert len(results) == len(sites)  # the scan still completes

@@ -6,20 +6,18 @@ CI runs the parallel-scan benchmark (which regenerates
 
     python tools/concurrency_check.py benchmarks/results/BENCH_parallel_scan.json
 
-The check fails (exit 1) when any of these floors is broken:
+The check fails (exit 1) when either of these floors is broken:
 
 * the *modeled* campaign throughput — sites per virtual second of
   makespan — at ``--concurrency`` (default 64) is less than ``--floor``
   (default 5.0) times the serial row's;
 * in the wide sweep (width-scaled populations), modeled throughput at
-  ``--wide`` (default 4096) is below the widest narrower pooled row's —
-  i.e. pushing the admission window wider must never model *slower*;
-* the lane pool's scan RSS delta (peak minus pre-scan RSS) at
-  ``--wide`` is less than ``--rss-floor`` (default 4.0) times smaller
-  than the thread-per-lane leg's.
+  ``--wide`` (default 4096) is below the widest narrower row's — i.e.
+  pushing the admission window wider must never model *slower*.
 
-Pass ``--wide 0`` to skip the wide/RSS gates (e.g. against a JSON
-produced before ISSUE 9).
+Pass ``--wide 0`` to skip the wide gate (e.g. against a JSON produced
+before ISSUE 9).  Rows marked ``"pool": "off"`` in older JSON measured
+the deleted thread-per-lane layout and are skipped.
 
 Modeled, not wall: simulated scans burn CPU rather than wall time, so
 on one core the wall column can only show scheduler overhead.  Virtual
@@ -56,15 +54,7 @@ def main(argv: list[str] | None = None) -> int:
         "--wide",
         type=int,
         default=4096,
-        help="wide-sweep width to gate (default 4096; 0 skips the "
-        "wide and RSS gates)",
-    )
-    parser.add_argument(
-        "--rss-floor",
-        type=float,
-        default=4.0,
-        help="min scan-RSS-delta reduction of the lane pool vs "
-        "thread-per-lane at the --wide width (default 4.0)",
+        help="wide-sweep width to gate (default 4096; 0 skips it)",
     )
     args = parser.parse_args(argv)
 
@@ -102,14 +92,13 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     if args.wide:
-        failed |= check_wide(
-            data.get("wide_results", []), args.wide, args.rss_floor
-        )
+        failed |= check_wide(data.get("wide_results", []), args.wide)
     return 1 if failed else 0
 
 
-def check_wide(wide_rows: list[dict], wide: int, rss_floor: float) -> bool:
-    """The ISSUE 9 gates over the wide sweep; returns True on failure."""
+def check_wide(wide_rows: list[dict], wide: int) -> bool:
+    """The ISSUE 9 gate over the wide sweep; returns True on failure."""
+    wide_rows = [row for row in wide_rows if row.get("pool") != "off"]
     if not wide_rows:
         print(
             f"FAIL: no wide_results in the JSON but --wide={wide} "
@@ -118,27 +107,25 @@ def check_wide(wide_rows: list[dict], wide: int, rss_floor: float) -> bool:
         return True
     failed = False
     print(
-        f"\n{'width':>7} {'pool':>5} {'sites':>7} {'seconds':>8} "
+        f"\n{'width':>7} {'sites':>7} {'seconds':>8} "
         f"{'modeled/s':>10} {'peak_rss_kb':>12} {'scan_delta_kb':>14}"
     )
     for row in wide_rows:
         print(
-            f"{row['concurrency']:>7} {row['pool']:>5} {row['n_sites']:>7} "
+            f"{row['concurrency']:>7} {row['n_sites']:>7} "
             f"{row['seconds']:>8} {row['modeled_sites_per_sec']:>10} "
             f"{row['peak_rss_kb']:>12} {row['scan_rss_delta_kb']:>14}"
         )
-    pooled = {
-        row["concurrency"]: row
-        for row in wide_rows
-        if row["pool"] == "on" and row["concurrency"] > 1
+    by_width = {
+        row["concurrency"]: row for row in wide_rows if row["concurrency"] > 1
     }
-    gated = pooled.get(wide)
+    gated = by_width.get(wide)
     if gated is None:
-        print(f"FAIL: wide_results has no pooled width-{wide} row")
+        print(f"FAIL: wide_results has no width-{wide} row")
         return True
-    anchors = [level for level in pooled if level < wide]
+    anchors = [level for level in by_width if level < wide]
     if anchors:
-        anchor = pooled[max(anchors)]
+        anchor = by_width[max(anchors)]
         ratio = (
             gated["modeled_sites_per_sec"] / anchor["modeled_sites_per_sec"]
         )
@@ -149,26 +136,6 @@ def check_wide(wide_rows: list[dict], wide: int, rss_floor: float) -> bool:
             f"{ratio:.2f}x (floor 1.0x) ... "
             f"{'ok' if ok else 'REGRESSION'}"
         )
-    unpooled = next(
-        (
-            row
-            for row in wide_rows
-            if row["pool"] == "off" and row["concurrency"] == wide
-        ),
-        None,
-    )
-    if unpooled is not None:
-        reduction = (
-            unpooled["scan_rss_delta_kb"] / max(1, gated["scan_rss_delta_kb"])
-        )
-        ok = reduction >= rss_floor
-        failed |= not ok
-        print(
-            f"lane-pool RSS reduction at width {wide}: {reduction:.2f}x "
-            f"(floor {rss_floor:.1f}x) ... {'ok' if ok else 'REGRESSION'}"
-        )
-    else:
-        print(f"note: no thread-per-lane row at width {wide}; RSS gate skipped")
     return failed
 
 

@@ -8,18 +8,17 @@ time — the before/after instrument for hot-path work::
     PYTHONPATH=src python tools/profile_scan.py --sites 60 --top 25
     PYTHONPATH=src python tools/profile_scan.py --json profile.json
 
-With ``--concurrency N`` (ISSUE 9) the same workload runs through the
-interleaved scheduler instead, and a per-handoff cost table splits each
-grant into its phases — grant pick, horizon arithmetic, baton wait,
-lane resume latency — so a scheduler regression is attributable to a
-specific phase rather than a vague slowdown::
+With ``--json`` the top rows are also written as JSON so two runs can
+be diffed mechanically.  The workload is fully deterministic (seeded
+population, seeded faults), so two profiles of the same tree differ
+only by machine noise.
 
-    PYTHONPATH=src python tools/profile_scan.py --sites 300 --concurrency 256
+This profiles the serial loop only.  For the interleaved scheduler —
+park / ``run_until`` / ``sleep_until`` seconds and handoffs per site,
+timed from outside without cProfile's distortion — use the end-to-end
+benchmark's traced pass::
 
-With ``--json`` the top rows (and the handoff table, when present) are
-also written as JSON so two runs can be diffed mechanically.  The
-workload is fully deterministic (seeded population, seeded faults), so
-two profiles of the same tree differ only by machine noise.
+    python3 benchmarks/e2e/run.py --workload sim_chaos_c64 --trace 1
 """
 
 from __future__ import annotations
@@ -54,42 +53,6 @@ def run_workload(n_sites: int, seed: int, chaos: str | None) -> int:
         resilience=ResilienceConfig(timeout=10.0, retries=1),
     )
     return len(reports)
-
-
-def run_concurrent_workload(
-    n_sites: int, seed: int, chaos: str | None, concurrency: int
-):
-    """The same chaos scan through the interleaved scheduler, with the
-    handoff-phase profile attached; returns (count, profile, metrics)."""
-    from repro.scope.concurrent import (
-        ConcurrencyMetrics,
-        HandoffProfile,
-        scan_interleaved,
-    )
-    from repro.scope.parallel import ScanOptions, SiteTask
-
-    sites = make_population(PopulationConfig(n_sites=n_sites, seed=seed))
-    options = ScanOptions(
-        include=("negotiation", "ping", "settings"),
-        seed=seed,
-        fault_plan=FaultPlan.parse(chaos, seed=5) if chaos else None,
-        resilience=ResilienceConfig(timeout=10.0, retries=1),
-        concurrency=concurrency,
-    )
-    tasks = [
-        SiteTask(position=index, site_index=index, domain=site.domain)
-        for index, site in enumerate(sites)
-    ]
-    handoffs = HandoffProfile()
-    metrics = ConcurrencyMetrics()
-    count = sum(
-        1
-        for _ in scan_interleaved(
-            sites, tasks, options, concurrency=concurrency,
-            metrics=metrics, profile=handoffs,
-        )
-    )
-    return count, handoffs, metrics
 
 
 def top_rows(stats: pstats.Stats, sort: str, top: int) -> list[dict]:
@@ -130,36 +93,15 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--top", type=int, default=25, metavar="N")
     parser.add_argument(
-        "--concurrency", type=int, default=1, metavar="N",
-        help="run through the interleaved scheduler at this lane width "
-        "and print the per-handoff cost table",
-    )
-    parser.add_argument(
         "--json", type=Path, default=None, metavar="FILE",
         help="also write the hotspot rows as JSON",
     )
     args = parser.parse_args(argv)
 
-    handoff_rows = None
-    scheduler_stats = None
     profile = cProfile.Profile()
     wall_start = time.perf_counter()
     profile.enable()
-    if args.concurrency > 1:
-        n_reports, handoffs, metrics = run_concurrent_workload(
-            args.sites, args.seed, args.chaos or None, args.concurrency
-        )
-        handoff_rows = handoffs.rows()
-        scheduler_stats = {
-            "concurrency": metrics.concurrency,
-            "handoffs": metrics.handoffs,
-            "high_water": metrics.high_water,
-            "resident_high_water": metrics.resident_high_water,
-            "threads_spawned": metrics.threads_spawned,
-            "virtual_makespan": round(metrics.virtual_makespan, 3),
-        }
-    else:
-        n_reports = run_workload(args.sites, args.seed, args.chaos or None)
+    n_reports = run_workload(args.sites, args.seed, args.chaos or None)
     profile.disable()
     wall = time.perf_counter() - wall_start
 
@@ -177,25 +119,6 @@ def main(argv: list[str] | None = None) -> int:
     print_table(f"top {args.top} by self time", by_self)
     print_table(f"top {args.top} by cumulative time", by_cum)
 
-    if handoff_rows is not None:
-        print(
-            f"\n== per-handoff scheduler costs "
-            f"(concurrency {args.concurrency}, "
-            f"{scheduler_stats['handoffs']} handoffs) =="
-        )
-        print(f"{'phase':<12} {'count':>9} {'total_s':>9} {'avg_us':>9}")
-        for row in handoff_rows:
-            print(
-                f"{row['phase']:<12} {row['count']:>9} "
-                f"{row['total_s']:>9.4f} {row['avg_us']:>9.2f}"
-            )
-        print(
-            f"high water {scheduler_stats['high_water']} lanes, "
-            f"{scheduler_stats['resident_high_water']} resident, "
-            f"{scheduler_stats['threads_spawned']} threads spawned, "
-            f"virtual makespan {scheduler_stats['virtual_makespan']}s"
-        )
-
     if args.json is not None:
         document = {
             "sites": args.sites,
@@ -207,9 +130,6 @@ def main(argv: list[str] | None = None) -> int:
             "by_self_time": by_self,
             "by_cumulative_time": by_cum,
         }
-        if handoff_rows is not None:
-            document["scheduler"] = scheduler_stats
-            document["handoff_costs"] = handoff_rows
         args.json.write_text(json.dumps(document, indent=1) + "\n")
         print(f"\nwrote {args.json}")
     return 0
