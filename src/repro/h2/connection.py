@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 from repro.h2 import events as ev
 from repro.h2.constants import (
@@ -64,6 +65,20 @@ from repro.h2.hpack.encoder import Encoder, IndexingPolicy
 from repro.h2.priority import PriorityTree, SelfDependencyError
 from repro.h2.settings import SettingsMap
 from repro.h2.stream import Stream
+
+
+#: HEADERS flags by ``(end_stream, end_headers)``, ORed once here
+#: (``IntFlag.__or__`` goes through the enum metaclass).
+_HEADERS_FLAGS = {
+    (end_stream, end_headers): (
+        (FrameFlag.END_STREAM if end_stream else FrameFlag.NONE)
+        | (FrameFlag.END_HEADERS if end_headers else FrameFlag.NONE)
+    )
+    for end_stream in (False, True)
+    for end_headers in (False, True)
+}
+#: Connection-control frame types that have no meaning on a stream.
+_STREAM_ZERO_ONLY = frozenset({FrameType.SETTINGS, FrameType.PING, FrameType.GOAWAY})
 
 
 class Side(enum.Enum):
@@ -140,13 +155,14 @@ class H2Connection:
         )
 
         self.streams: dict[int, Stream] = {}
-        self.priority_tree = PriorityTree(
-            max_tracked_streams=self.config.max_tracked_priority_streams
-        )
 
         #: Connection-scope windows: what we may send / what we granted.
         self.outbound_window = FlowControlWindow(DEFAULT_INITIAL_WINDOW_SIZE)
         self.inbound_window = FlowControlWindow(DEFAULT_INITIAL_WINDOW_SIZE)
+        #: The INITIAL_WINDOW_SIZE each side last announced: what new
+        #: streams' windows start from.
+        self._remote_initial_window = DEFAULT_INITIAL_WINDOW_SIZE
+        self._local_initial_window = DEFAULT_INITIAL_WINDOW_SIZE
 
         self._outbound = bytearray()
         self._inbound = b""
@@ -161,6 +177,14 @@ class H2Connection:
         self.frame_log: list[Frame] = []
         #: Frames sent, for symmetry.
         self.sent_frame_log: list[Frame] = []
+
+    @cached_property
+    def priority_tree(self) -> PriorityTree:
+        """The dependency tree, built when a stream first needs it (a
+        connection that only exchanges SETTINGS and PINGs never does)."""
+        return PriorityTree(
+            max_tracked_streams=self.config.max_tracked_priority_streams
+        )
 
     # ------------------------------------------------------------------
     # Connection setup
@@ -184,6 +208,8 @@ class H2Connection:
     # ------------------------------------------------------------------
 
     def data_to_send(self) -> bytes:
+        if not self._outbound:
+            return b""
         out = bytes(self._outbound)
         self._outbound.clear()
         return out
@@ -425,32 +451,16 @@ class H2Connection:
                 )
             ]
 
-        if frame.stream_id == 0 and frame.frame_type not in CONNECTION_FRAME_TYPES:
-            raise ProtocolError(
-                f"{frame.frame_type.name} frame on stream 0 is a connection error"
-            )
-        if frame.stream_id != 0 and frame.frame_type in (
-            FrameType.SETTINGS,
-            FrameType.PING,
-            FrameType.GOAWAY,
-        ):
-            raise ProtocolError(
-                f"{frame.frame_type.name} frame must be on stream 0"
-            )
+        frame_type = frame.frame_type
+        if frame.stream_id == 0:
+            if frame_type not in CONNECTION_FRAME_TYPES:
+                raise ProtocolError(
+                    f"{frame_type.name} frame on stream 0 is a connection error"
+                )
+        elif frame_type in _STREAM_ZERO_ONLY:
+            raise ProtocolError(f"{frame_type.name} frame must be on stream 0")
 
-        handler = {
-            FrameType.DATA: self._handle_data,
-            FrameType.HEADERS: self._handle_headers,
-            FrameType.PRIORITY: self._handle_priority,
-            FrameType.RST_STREAM: self._handle_rst_stream,
-            FrameType.SETTINGS: self._handle_settings,
-            FrameType.PUSH_PROMISE: self._handle_push_promise,
-            FrameType.PING: self._handle_ping,
-            FrameType.GOAWAY: self._handle_goaway,
-            FrameType.WINDOW_UPDATE: self._handle_window_update,
-            FrameType.CONTINUATION: self._handle_continuation,
-        }[frame.frame_type]
-        return handler(frame)
+        return self._FRAME_HANDLERS[frame_type](self, frame)
 
     def _handle_data(self, frame: DataFrame) -> list[ev.Event]:
         stream = self.streams.get(frame.stream_id)
@@ -681,24 +691,33 @@ class H2Connection:
             ]
         return [ev.WindowUpdateReceived(stream_id=stream_id, increment=increment)]
 
+    #: One table for the class, not a dict of ten bound methods per frame.
+    _FRAME_HANDLERS = {
+        FrameType.DATA: _handle_data,
+        FrameType.HEADERS: _handle_headers,
+        FrameType.PRIORITY: _handle_priority,
+        FrameType.RST_STREAM: _handle_rst_stream,
+        FrameType.SETTINGS: _handle_settings,
+        FrameType.PUSH_PROMISE: _handle_push_promise,
+        FrameType.PING: _handle_ping,
+        FrameType.GOAWAY: _handle_goaway,
+        FrameType.WINDOW_UPDATE: _handle_window_update,
+        FrameType.CONTINUATION: _handle_continuation,
+    }
+
     # ------------------------------------------------------------------
     # Settings application
     # ------------------------------------------------------------------
 
     def _apply_remote_setting(self, identifier: int, value: int) -> None:
         self.remote_settings.set(identifier, value, validate=True)
-        try:
-            code = SettingCode(identifier)
-        except ValueError:
-            return
-        if code is SettingCode.INITIAL_WINDOW_SIZE:
-            old = getattr(self, "_remote_initial_window", DEFAULT_INITIAL_WINDOW_SIZE)
-            delta = value - old
+        if identifier == SettingCode.INITIAL_WINDOW_SIZE:
+            delta = value - self._remote_initial_window
             self._remote_initial_window = value
             for stream in self.streams.values():
                 if not stream.closed:
                     stream.outbound_window.adjust_initial(delta)
-        elif code is SettingCode.HEADER_TABLE_SIZE:
+        elif identifier == SettingCode.HEADER_TABLE_SIZE:
             cap = self.config.max_peer_header_table_size
             if cap is not None:
                 value = min(value, cap)
@@ -706,20 +725,13 @@ class H2Connection:
 
     def _apply_local_settings(self, settings: dict[int, int]) -> None:
         for identifier, value in settings.items():
-            try:
-                code = SettingCode(identifier)
-            except ValueError:
-                continue
-            if code is SettingCode.INITIAL_WINDOW_SIZE:
-                old = getattr(
-                    self, "_local_initial_window", DEFAULT_INITIAL_WINDOW_SIZE
-                )
-                delta = value - old
+            if identifier == SettingCode.INITIAL_WINDOW_SIZE:
+                delta = value - self._local_initial_window
                 self._local_initial_window = value
                 for stream in self.streams.values():
                     if not stream.closed:
                         stream.inbound_window.adjust_initial(delta)
-            elif code is SettingCode.HEADER_TABLE_SIZE:
+            elif identifier == SettingCode.HEADER_TABLE_SIZE:
                 self.decoder.set_max_allowed_table_size(value)
 
     # ------------------------------------------------------------------
@@ -732,16 +744,10 @@ class H2Connection:
         stream = self.streams.get(stream_id)
         if stream is not None:
             return stream
-        outbound_initial = getattr(
-            self, "_remote_initial_window", DEFAULT_INITIAL_WINDOW_SIZE
-        )
-        inbound_initial = getattr(
-            self, "_local_initial_window", DEFAULT_INITIAL_WINDOW_SIZE
-        )
         stream = Stream(
             stream_id=stream_id,
-            outbound_window=FlowControlWindow(outbound_initial),
-            inbound_window=FlowControlWindow(inbound_initial),
+            outbound_window=FlowControlWindow(self._remote_initial_window),
+            inbound_window=FlowControlWindow(self._local_initial_window),
         )
         self.streams[stream_id] = stream
         if peer_initiated:
@@ -817,15 +823,10 @@ class H2Connection:
         max_frame = self.remote_settings.max_frame_size
         budget = max_frame - (5 if priority is not None else 0)
         first_chunk, rest = block[:budget], block[budget:]
-        flags = FrameFlag.NONE
-        if end_stream:
-            flags |= FrameFlag.END_STREAM
-        if not rest:
-            flags |= FrameFlag.END_HEADERS
         self._send_frame(
             HeadersFrame(
                 stream_id=stream_id,
-                flags=flags,
+                flags=_HEADERS_FLAGS[bool(end_stream), not rest],
                 header_block=first_chunk,
                 priority=priority,
             )

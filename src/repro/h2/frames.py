@@ -98,7 +98,8 @@ class PriorityData:
 
 @dataclass
 class Frame:
-    """Base frame: subclasses set ``frame_type`` and payload fields.
+    """Base frame: subclasses redeclare ``frame_type`` with their type
+    as its default (``None`` here: an unknown type) and add payload fields.
 
     ``write_payload`` is the canonical serialization hook; the
     ``serialize_payload`` wrapper exists for callers that want a
@@ -123,7 +124,9 @@ class Frame:
         raise NotImplementedError
 
     def has_flag(self, flag: FrameFlag) -> bool:
-        return bool(self.flags & flag)
+        # Both sides as plain ints: ``IntFlag.__and__`` builds its
+        # result through the enum metaclass.
+        return bool(int(self.flags) & int(flag))
 
 
 def _strip_padding(payload, what: str):
@@ -150,13 +153,13 @@ def _check_pad_length(pad_length: int) -> None:
 class DataFrame(Frame):
     """DATA (§6.1)."""
 
+    frame_type: FrameType = field(init=False, default=FrameType.DATA)
     data: bytes = b""
     pad_length: int | None = None
 
     def __post_init__(self) -> None:
-        self.frame_type = FrameType.DATA
-        if self.pad_length is not None and not int(self.flags) & _PADDED_BIT:
-            self.flags |= FrameFlag.PADDED
+        if self.pad_length is not None:
+            self.flags = _FLAG_CACHE[int(self.flags) | _PADDED_BIT]
 
     @property
     def flow_controlled_length(self) -> int:
@@ -192,17 +195,19 @@ class DataFrame(Frame):
 class HeadersFrame(Frame):
     """HEADERS (§6.2): carries a header block fragment, maybe priority."""
 
+    frame_type: FrameType = field(init=False, default=FrameType.HEADERS)
     header_block: bytes = b""
     priority: PriorityData | None = None
     pad_length: int | None = None
 
     def __post_init__(self) -> None:
-        self.frame_type = FrameType.HEADERS
-        bits = int(self.flags)
-        if self.priority is not None and not bits & _PRIORITY_BIT:
-            self.flags |= FrameFlag.PRIORITY
-        if self.pad_length is not None and not bits & _PADDED_BIT:
-            self.flags |= FrameFlag.PADDED
+        if self.priority is not None or self.pad_length is not None:
+            bits = int(self.flags)
+            if self.priority is not None:
+                bits |= _PRIORITY_BIT
+            if self.pad_length is not None:
+                bits |= _PADDED_BIT
+            self.flags = _FLAG_CACHE[bits]
 
     def write_payload(self, out: bytearray) -> None:
         priority = b"" if self.priority is None else self.priority.serialize()
@@ -249,10 +254,8 @@ class HeadersFrame(Frame):
 class PriorityFrame(Frame):
     """PRIORITY (§6.3)."""
 
+    frame_type: FrameType = field(init=False, default=FrameType.PRIORITY)
     priority: PriorityData = field(default_factory=PriorityData)
-
-    def __post_init__(self) -> None:
-        self.frame_type = FrameType.PRIORITY
 
     def write_payload(self, out: bytearray) -> None:
         out += self.priority.serialize()
@@ -270,10 +273,8 @@ class PriorityFrame(Frame):
 class RstStreamFrame(Frame):
     """RST_STREAM (§6.4)."""
 
+    frame_type: FrameType = field(init=False, default=FrameType.RST_STREAM)
     error_code: int = 0
-
-    def __post_init__(self) -> None:
-        self.frame_type = FrameType.RST_STREAM
 
     def write_payload(self, out: bytearray) -> None:
         out += self.error_code.to_bytes(4, "big")
@@ -297,14 +298,12 @@ class SettingsFrame(Frame):
     ignore them, but a measurement tool wants to see them).
     """
 
+    frame_type: FrameType = field(init=False, default=FrameType.SETTINGS)
     settings: list[tuple[int, int]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self.frame_type = FrameType.SETTINGS
 
     @property
     def is_ack(self) -> bool:
-        return bool(self.flags & FrameFlag.ACK)
+        return bool(int(self.flags) & _ACK_BIT)
 
     def write_payload(self, out: bytearray) -> None:
         pack = _SETTING.pack
@@ -334,14 +333,14 @@ class SettingsFrame(Frame):
 class PushPromiseFrame(Frame):
     """PUSH_PROMISE (§6.6)."""
 
+    frame_type: FrameType = field(init=False, default=FrameType.PUSH_PROMISE)
     promised_stream_id: int = 0
     header_block: bytes = b""
     pad_length: int | None = None
 
     def __post_init__(self) -> None:
-        self.frame_type = FrameType.PUSH_PROMISE
-        if self.pad_length is not None and not int(self.flags) & _PADDED_BIT:
-            self.flags |= FrameFlag.PADDED
+        if self.pad_length is not None:
+            self.flags = _FLAG_CACHE[int(self.flags) | _PADDED_BIT]
 
     def write_payload(self, out: bytearray) -> None:
         pad = self.pad_length
@@ -380,14 +379,12 @@ class PushPromiseFrame(Frame):
 class PingFrame(Frame):
     """PING (§6.7): eight opaque octets; ACK flag marks the reply."""
 
+    frame_type: FrameType = field(init=False, default=FrameType.PING)
     payload: bytes = b"\x00" * PING_PAYLOAD_LENGTH
-
-    def __post_init__(self) -> None:
-        self.frame_type = FrameType.PING
 
     @property
     def is_ack(self) -> bool:
-        return bool(self.flags & FrameFlag.ACK)
+        return bool(int(self.flags) & _ACK_BIT)
 
     def write_payload(self, out: bytearray) -> None:
         if len(self.payload) != PING_PAYLOAD_LENGTH:
@@ -408,12 +405,10 @@ class PingFrame(Frame):
 class GoAwayFrame(Frame):
     """GOAWAY (§6.8)."""
 
+    frame_type: FrameType = field(init=False, default=FrameType.GOAWAY)
     last_stream_id: int = 0
     error_code: int = 0
     debug_data: bytes = b""
-
-    def __post_init__(self) -> None:
-        self.frame_type = FrameType.GOAWAY
 
     def write_payload(self, out: bytearray) -> None:
         out += (self.last_stream_id & MAX_STREAM_ID).to_bytes(4, "big")
@@ -444,10 +439,8 @@ class WindowUpdateFrame(Frame):
     behaviour the paper measures.
     """
 
+    frame_type: FrameType = field(init=False, default=FrameType.WINDOW_UPDATE)
     window_increment: int = 0
-
-    def __post_init__(self) -> None:
-        self.frame_type = FrameType.WINDOW_UPDATE
 
     def write_payload(self, out: bytearray) -> None:
         out += (self.window_increment & MAX_STREAM_ID).to_bytes(4, "big")
@@ -466,10 +459,8 @@ class WindowUpdateFrame(Frame):
 class ContinuationFrame(Frame):
     """CONTINUATION (§6.10)."""
 
+    frame_type: FrameType = field(init=False, default=FrameType.CONTINUATION)
     header_block: bytes = b""
-
-    def __post_init__(self) -> None:
-        self.frame_type = FrameType.CONTINUATION
 
     def write_payload(self, out: bytearray) -> None:
         out += self.header_block
@@ -491,9 +482,6 @@ class UnknownFrame(Frame):
 
     type_code: int = 0xFF
     payload: bytes = b""
-
-    def __post_init__(self) -> None:
-        self.frame_type = None  # type: ignore[assignment]
 
     def write_payload(self, out: bytearray) -> None:
         out += self.payload

@@ -27,23 +27,22 @@ def validate_setting(identifier: int, value: int) -> None:
 
     Unknown identifiers are always acceptable (they must be ignored).
     """
-    try:
-        code = SettingCode(identifier)
-    except ValueError:
-        return
-    if code is SettingCode.ENABLE_PUSH and value not in (0, 1):
-        raise ProtocolError(f"SETTINGS_ENABLE_PUSH must be 0 or 1, got {value}")
-    if code is SettingCode.INITIAL_WINDOW_SIZE and value > MAX_WINDOW_SIZE:
-        raise FlowControlError(
-            f"SETTINGS_INITIAL_WINDOW_SIZE {value} exceeds 2^31-1",
-            error_code=ErrorCode.FLOW_CONTROL_ERROR,
-        )
-    if code is SettingCode.MAX_FRAME_SIZE and not (
-        DEFAULT_MAX_FRAME_SIZE <= value <= MAX_ALLOWED_FRAME_SIZE
-    ):
-        raise ProtocolError(
-            f"SETTINGS_MAX_FRAME_SIZE {value} outside [2^14, 2^24-1]"
-        )
+    # Compared as ints: ``SettingCode(identifier)`` is an enum metaclass
+    # call, and this runs for every setting of every frame.
+    if identifier == SettingCode.ENABLE_PUSH:
+        if value not in (0, 1):
+            raise ProtocolError(f"SETTINGS_ENABLE_PUSH must be 0 or 1, got {value}")
+    elif identifier == SettingCode.INITIAL_WINDOW_SIZE:
+        if value > MAX_WINDOW_SIZE:
+            raise FlowControlError(
+                f"SETTINGS_INITIAL_WINDOW_SIZE {value} exceeds 2^31-1",
+                error_code=ErrorCode.FLOW_CONTROL_ERROR,
+            )
+    elif identifier == SettingCode.MAX_FRAME_SIZE:
+        if not DEFAULT_MAX_FRAME_SIZE <= value <= MAX_ALLOWED_FRAME_SIZE:
+            raise ProtocolError(
+                f"SETTINGS_MAX_FRAME_SIZE {value} outside [2^14, 2^24-1]"
+            )
 
 
 class SettingsMap:
@@ -62,13 +61,11 @@ class SettingsMap:
 
     def get(self, identifier: int) -> int | None:
         """Effective value: explicit if announced, else the RFC default."""
-        identifier = int(identifier)
-        if identifier in self._explicit:
-            return self._explicit[identifier]
-        try:
-            return SETTING_DEFAULTS[SettingCode(identifier)]
-        except (ValueError, KeyError):
-            return None
+        explicit = self._explicit
+        if identifier in explicit:
+            return explicit[identifier]
+        # SettingCode is an IntEnum: a plain int finds its key.
+        return SETTING_DEFAULTS.get(identifier)
 
     def announced(self, identifier: int) -> int | None:
         """The explicitly announced value, or ``None`` (paper's "NULL")."""
@@ -98,8 +95,8 @@ class SettingsMap:
 
     @property
     def max_frame_size(self) -> int:
-        value = self.get(SettingCode.MAX_FRAME_SIZE)
-        return DEFAULT_MAX_FRAME_SIZE if value is None else value
+        # Read for every received buffer and every DATA frame sent.
+        return self._explicit.get(SettingCode.MAX_FRAME_SIZE, DEFAULT_MAX_FRAME_SIZE)
 
     @property
     def max_header_list_size(self) -> int | None:

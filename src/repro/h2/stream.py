@@ -26,10 +26,12 @@ class StreamState(enum.Enum):
     CLOSED = "closed"
 
 
-#: States in which this endpoint may still *send* DATA/HEADERS.
-_SEND_OPEN = {StreamState.OPEN, StreamState.HALF_CLOSED_REMOTE}
+#: States in which this endpoint may still *send* DATA/HEADERS.  Tuples:
+#: membership is two identity checks, where a set would hash the member
+#: through ``Enum.__hash__`` for every DATA frame.
+_SEND_OPEN = (StreamState.OPEN, StreamState.HALF_CLOSED_REMOTE)
 #: States in which the peer may still send us DATA/HEADERS.
-_RECV_OPEN = {StreamState.OPEN, StreamState.HALF_CLOSED_LOCAL}
+_RECV_OPEN = (StreamState.OPEN, StreamState.HALF_CLOSED_LOCAL)
 
 
 @dataclass

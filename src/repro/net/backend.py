@@ -42,6 +42,9 @@ class TransportBackend(ABC):
 
     #: Multiplier applied to probe-level timeouts (see module docstring).
     timeout_scale: float = 1.0
+    #: The per-attempt policy slot (see module docstring); clients read
+    #: it on every wait.
+    probe_policy = None
 
     # -- connections ------------------------------------------------------
 

@@ -35,7 +35,9 @@ import json
 import os
 import random
 import re
+from _random import Random as _MersenneTwister
 from dataclasses import dataclass
+from functools import cached_property
 
 
 def stable_seed(*parts: object) -> int:
@@ -100,13 +102,19 @@ class FaultState:
     bytes.
     """
 
-    def __init__(self, rule: FaultRule, rng: random.Random):
+    def __init__(self, rule: FaultRule, payload_key: tuple):
         self.rule = rule
         self.kind = rule.kind
-        self.rng = rng
+        self._payload_key = payload_key
         self.bytes_out = 0
         self.tripped = False
         self.silent_until: float | None = None
+
+    @cached_property
+    def rng(self) -> random.Random:
+        """The payload stream, built on first use: only GARBAGE and
+        HELLO_CORRUPT ever draw from it."""
+        return random.Random(stable_seed(*self._payload_key))
 
     def intercept_receive(self) -> bool:
         """True if inbound delivery should become a connection reset."""
@@ -189,16 +197,16 @@ class FaultSession:
             ):
                 continue
             if rule.probability < 1.0:
-                rng = random.Random(
-                    stable_seed(self.plan.seed, index, domain, port, conn_index)
-                )
-                if rng.random() >= rule.probability:
+                # One draw from the C generator itself: the stream of
+                # ``random.Random(seed)``, bit for bit, without the
+                # Python-level ``__init__``/``seed()`` around it.
+                seed = stable_seed(self.plan.seed, index, domain, port, conn_index)
+                if _MersenneTwister(seed).random() >= rule.probability:
                     continue
             self._triggers[index] += 1
-            payload_rng = random.Random(
-                stable_seed(self.plan.seed, "payload", index, domain, port, conn_index)
+            return FaultState(
+                rule, (self.plan.seed, "payload", index, domain, port, conn_index)
             )
-            return FaultState(rule, payload_rng)
         return None
 
 

@@ -117,12 +117,22 @@ def encode_client_hello(
     return f"CLIENTHELLO alpn={alpn_part} npn={int(npn_offered)}\n".encode()
 
 
+def _hello_fields(line: bytes, side: str) -> dict[str, str]:
+    """The ``key=value`` parts of one side's hello record (ValueError
+    if it is not that record or a part has no ``=``)."""
+    text = line.decode().strip()
+    if not text.startswith(f"{side.upper()}HELLO "):
+        raise ValueError(f"not a {side} hello: {text[:40]!r}")
+    fields = {}
+    for part in text.split()[1:]:
+        key, value = part.split("=", 1)
+        fields[key] = value
+    return fields
+
+
 def decode_client_hello(line: bytes) -> tuple[list[str], bool]:
     """Returns (client_alpn_protocols, npn_offered)."""
-    text = line.decode().strip()
-    if not text.startswith("CLIENTHELLO "):
-        raise ValueError(f"not a client hello: {text[:40]!r}")
-    fields = dict(part.split("=", 1) for part in text.split()[1:])
+    fields = _hello_fields(line, "client")
     alpn = [] if fields.get("alpn", "-") == "-" else fields["alpn"].split(",")
     return alpn, fields.get("npn", "0") == "1"
 
@@ -137,10 +147,7 @@ def encode_server_hello(
 
 def decode_server_hello(line: bytes) -> tuple[str | None, list[str] | None]:
     """Returns (alpn_choice, npn_advertised_protocols)."""
-    text = line.decode().strip()
-    if not text.startswith("SERVERHELLO "):
-        raise ValueError(f"not a server hello: {text[:40]!r}")
-    fields = dict(part.split("=", 1) for part in text.split()[1:])
+    fields = _hello_fields(line, "server")
     alpn = None if fields.get("alpn", "-") == "-" else fields["alpn"]
     npn = None if fields.get("npn", "-") == "-" else fields["npn"].split(",")
     return alpn, npn

@@ -27,6 +27,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.net.clock import Simulation
 from repro.net.faults import (
@@ -74,9 +75,18 @@ class LinkChannel:
 class Endpoint:
     """One end of an established connection."""
 
-    def __init__(self, sim: Simulation, label: str):
+    def __init__(
+        self,
+        sim: Simulation,
+        label: tuple[str, int, bool],
+        profile: LinkProfile,
+        channel: LinkChannel,
+        rng_key: tuple,
+    ):
         self._sim = sim
-        self.label = label
+        #: ``(server, port, towards_server)``; the text is only made
+        #: when an error message needs it.
+        self._label = label
         self.peer: "Endpoint | None" = None
         self.on_data: Callable[[bytes], None] | None = None
         self.on_close: Callable[[], None] | None = None
@@ -84,26 +94,31 @@ class Endpoint:
         self.bytes_sent = 0
         self.bytes_received = 0
         self._recv_buffer = bytearray()
-        # Filled in by Network when the pipe is wired up.
-        self._one_way_delay = 0.0
-        self._bandwidth = float("inf")
-        self._channel = LinkChannel()  # shared per host+direction
+        self._one_way_delay = profile.rtt / 2
+        self._bandwidth = profile.bandwidth
+        self._profile = profile
+        self._channel = channel  # shared per host+direction
         self._stall_until = 0.0  # per-connection loss-recovery stall
-        # The RNG is built lazily from the seed: on a clean link (no
-        # loss, no jitter) no draw is ever observable, so the Random
-        # instance — and its costly seeding — can be skipped entirely.
-        self._rng_seed = 0
-        self._rng_cache: random.Random | None = None
-        self._profile = LinkProfile()
+        self._rng_key = rng_key
         #: Injected fault applied to this endpoint's traffic (if any).
         self.fault: FaultState | None = None
 
     @property
+    def label(self) -> str:
+        server, port, towards_server = self._label
+        if towards_server:
+            return f"client->{server}:{port}"
+        return f"{server}:{port}->client"
+
+    @cached_property
     def _rng(self) -> random.Random:
-        rng = self._rng_cache
-        if rng is None:
-            rng = self._rng_cache = random.Random(self._rng_seed)
-        return rng
+        """Loss and jitter draws, built — seed included — on first use:
+        on a clean link no draw is ever observable, so the hash, the
+        Random instance and its costly seeding are skipped entirely."""
+        # stable_seed, not hash(): string hashing is randomized per
+        # process, and a resumed campaign must replay a site's original
+        # universe from a fresh process bit-for-bit.
+        return random.Random(stable_seed(*self._rng_key))
 
     # -- sending ----------------------------------------------------------
 
@@ -135,9 +150,14 @@ class Endpoint:
         # Serialization: the shared link transmits at most `bandwidth`
         # B/s across ALL connections; this chunk also cannot start
         # before our own connection finishes any loss recovery.
-        start = max(self._sim.now, self._channel.busy_until, self._stall_until)
+        start = self._sim.now
+        channel = self._channel
+        if channel.busy_until > start:
+            start = channel.busy_until
+        if self._stall_until > start:
+            start = self._stall_until
         serialize = len(data) / self._bandwidth if self._bandwidth else 0.0
-        self._channel.busy_until = start + serialize
+        channel.busy_until = start + serialize
 
         # Loss: each segment independently needs a retransmission with
         # probability loss_rate, each costing one RTO of extra delay.
@@ -148,6 +168,7 @@ class Endpoint:
         # a lossy or jittery link the draw order matches the original
         # implementation exactly, bit for bit.
         profile = self._profile
+        arrival = start + serialize
         jitter = 0.0
         if profile.loss_rate or profile.jitter:
             rng = self._rng
@@ -155,15 +176,11 @@ class Endpoint:
             retransmissions = sum(
                 1 for _ in range(segments) if rng.random() < profile.loss_rate
             )
-            penalty = retransmissions * profile.rto()
+            arrival += retransmissions * profile.rto()
             if profile.jitter:
-                jitter = rng.uniform(-profile.jitter, profile.jitter)
-        else:
-            penalty = 0.0
-        self._stall_until = start + serialize + penalty
-
-        arrival = self._stall_until + self._one_way_delay + max(0.0, jitter)
-        arrival += fault_delay
+                jitter = max(0.0, rng.uniform(-profile.jitter, profile.jitter))
+        self._stall_until = arrival
+        arrival = arrival + self._one_way_delay + jitter + fault_delay
         self._sim.call_at(arrival, self._deliver_to_peer, data)
         if close_peer:
             # Truncated close: the peer observes FIN/RST right after the
@@ -196,6 +213,8 @@ class Endpoint:
 
     def drain(self) -> bytes:
         """Take any bytes that arrived before ``on_data`` was attached."""
+        if not self._recv_buffer:
+            return b""
         data = bytes(self._recv_buffer)
         self._recv_buffer.clear()
         return data
@@ -267,6 +286,10 @@ class ConnectAttempt:
             return None
         return self.completed_at - self.started_at
 
+    def _handshake_done(self, listener, server_end: Endpoint, client_end: Endpoint) -> None:
+        listener(server_end)
+        self._complete(client_end)
+
     def _complete(self, endpoint: Endpoint | None) -> None:
         self.completed_at = self._sim.now
         if endpoint is None:
@@ -329,13 +352,6 @@ class Network:
             return attempt
 
         self._connection_counter += 1
-        # stable_seed, not hash(): string hashing is randomized per
-        # process, and a resumed campaign must replay a site's original
-        # universe from a fresh process bit-for-bit.
-        conn_seed = stable_seed(
-            self.seed, server_name, port, self._connection_counter
-        )
-
         fault = None
         if self.fault_session is not None:
             fault = self.fault_session.draw(
@@ -347,27 +363,29 @@ class Network:
                 self.sim.call_later(profile.rtt, attempt._complete, None)
                 return attempt
 
-        client_end = Endpoint(self.sim, f"client->{server_name}:{port}")
-        server_end = Endpoint(self.sim, f"{server_name}:{port}->client")
+        # Both ends draw loss and jitter from the same per-connection
+        # stream; parallel connections to one host contend for its
+        # access link.
+        rng_key = (self.seed, server_name, port, self._connection_counter)
+        client_end = Endpoint(
+            self.sim, (server_name, port, True), profile, server.uplink, rng_key
+        )
+        server_end = Endpoint(
+            self.sim, (server_name, port, False), profile, server.downlink, rng_key
+        )
         client_end.peer = server_end
         server_end.peer = client_end
-        for end in (client_end, server_end):
-            end._one_way_delay = profile.rtt / 2
-            end._bandwidth = profile.bandwidth
-            end._profile = profile
-            end._rng_seed = conn_seed
-        # Parallel connections to one host contend for its access link.
-        client_end._channel = server.uplink
-        server_end._channel = server.downlink
         # Injected faults ride on the server side: its outbound stream
         # is filtered and its inbound delivery can become an RST.
         server_end.fault = fault
 
-        def handshake_done() -> None:
-            listener(server_end)
-            attempt._complete(client_end)
-
         # SYN out + SYN-ACK back: one RTT plus the server kernel's
         # (tiny) turnaround.  The final ACK piggybacks on first data.
-        self.sim.call_later(profile.rtt + server.kernel_delay, handshake_done)
+        self.sim.call_later(
+            profile.rtt + server.kernel_delay,
+            attempt._handshake_done,
+            listener,
+            server_end,
+            client_end,
+        )
         return attempt

@@ -115,6 +115,10 @@ class ScopeClient:
         self._trace = trace
         self.tls = TlsOutcome()
         self.events: list[TimedEvent] = []
+        #: ``events`` by exact event class (they are all leaf classes),
+        #: so a wait predicate does not rescan the whole log after
+        #: every clock event.
+        self._events_by_type: dict[type, list[TimedEvent]] = {}
         self.frames: list[TimedFrame] = []
         self.errors: list[str] = []
         self._hello_buffer = b""
@@ -136,15 +140,11 @@ class ScopeClient:
     # Resilience policy (deadlines + classified failures)
     # ------------------------------------------------------------------
 
-    def _policy(self) -> ProbePolicy | None:
-        """The per-attempt policy installed by the resilience layer."""
-        return getattr(self.backend, "probe_policy", None)
-
     def _clamp(self, timeout: float, what: str) -> float:
         """Clamp a wait to the policy deadline (raising once spent)."""
-        policy = self._policy()
+        policy: ProbePolicy | None = self.backend.probe_policy
         if policy is not None and policy.deadline is not None:
-            return policy.deadline.clamp(timeout, what=f"{self.domain}: {what}")
+            return policy.deadline.clamp(timeout, self.domain, what)
         return timeout
 
     def _budget(self, timeout: float, what: str) -> float:
@@ -152,7 +152,7 @@ class ScopeClient:
         return self._clamp(self.backend.scale(timeout), what)
 
     def _raise_faults(self) -> bool:
-        policy = self._policy()
+        policy: ProbePolicy | None = self.backend.probe_policy
         return policy is not None and policy.raise_faults
 
     # ------------------------------------------------------------------
@@ -245,10 +245,7 @@ class ScopeClient:
         self.start_h2()
         # Wait for the server's SETTINGS (or silence).
         self.wait_for(
-            lambda: any(
-                isinstance(te.event, ev.SettingsReceived) for te in self.events
-            ),
-            timeout=timeout,
+            lambda: ev.SettingsReceived in self._events_by_type, timeout=timeout
         )
         return True
 
@@ -314,8 +311,11 @@ class ScopeClient:
             self.frames.append(TimedFrame(at=now, frame=frame))
             if self._trace is not None:
                 self._trace.record(now, frame)
+        by_type = self._events_by_type
         for event in produced:
-            self.events.append(TimedEvent(at=now, event=event))
+            timed = TimedEvent(at=now, event=event)
+            self.events.append(timed)
+            by_type.setdefault(type(event), []).append(timed)
         self.flush()
 
     def _on_close(self) -> None:
@@ -437,7 +437,7 @@ class ScopeClient:
                 return
 
     def events_of(self, event_type) -> list[TimedEvent]:
-        return [te for te in self.events if isinstance(te.event, event_type)]
+        return list(self._events_by_type.get(event_type, ()))
 
     def stream_events(self, stream_id: int, event_type=None) -> list[TimedEvent]:
         out = []

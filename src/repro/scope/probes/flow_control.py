@@ -155,10 +155,9 @@ def _await_reaction(
     """Wait for RST_STREAM / GOAWAY; silence within ``timeout`` = ignore."""
 
     def saw_reaction() -> bool:
-        return any(
-            (isinstance(te.event, ev.StreamReset) and te.event.stream_id == stream_id)
-            or isinstance(te.event, ev.GoAwayReceived)
-            for te in client.events
+        return bool(client.events_of(ev.GoAwayReceived)) or any(
+            te.event.stream_id == stream_id
+            for te in client.events_of(ev.StreamReset)
         )
 
     client.wait_for(saw_reaction, timeout=timeout)

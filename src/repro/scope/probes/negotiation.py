@@ -62,9 +62,8 @@ def probe_negotiation(session, domain: str, timeout: float = 8.0) -> Negotiation
         # Let the body finish so the connection winds down cleanly.
         fetch.wait_for(
             lambda: any(
-                isinstance(te.event, ev.StreamEnded)
-                and te.event.stream_id == stream_id
-                for te in fetch.events
+                te.event.stream_id == stream_id
+                for te in fetch.events_of(ev.StreamEnded)
             ),
             timeout=timeout,
         )

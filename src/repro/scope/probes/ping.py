@@ -38,21 +38,14 @@ def probe_ping(
             start = client.now
             client.send_ping(payload)
 
-            def acked() -> bool:
-                return any(
-                    isinstance(te.event, ev.PingAckReceived)
-                    and te.event.payload == payload
-                    for te in client.events
-                )
+            def ack_time() -> float | None:
+                for te in client.events_of(ev.PingAckReceived):
+                    if te.event.payload == payload:
+                        return te.at
+                return None
 
-            if client.wait_for(acked, timeout=timeout):
-                ack_time = next(
-                    te.at
-                    for te in client.events
-                    if isinstance(te.event, ev.PingAckReceived)
-                    and te.event.payload == payload
-                )
-                rtts.append(ack_time - start)
+            if client.wait_for(lambda: ack_time() is not None, timeout=timeout):
+                rtts.append(ack_time() - start)
         if rtts:
             result.ping_supported = True
             result.h2_ping_rtt = sum(rtts) / len(rtts)

@@ -31,9 +31,8 @@ def probe_push(
         stream_id = client.request(page)
         client.wait_for(
             lambda: any(
-                isinstance(te.event, ev.StreamEnded)
-                and te.event.stream_id == stream_id
-                for te in client.events
+                te.event.stream_id == stream_id
+                for te in client.events_of(ev.StreamEnded)
             ),
             timeout=timeout,
         )

@@ -121,11 +121,15 @@ class Deadline:
     def expired(self) -> bool:
         return self.remaining <= 0
 
-    def clamp(self, timeout: float, what: str = "wait") -> float:
-        """Bound ``timeout`` by the budget; raise once it is spent."""
+    def clamp(self, timeout: float, *what: str) -> float:
+        """Bound ``timeout`` by the budget; raise once it is spent.
+
+        ``what`` names the wait, outermost part first; the parts are
+        only joined into the error message when the budget is spent.
+        """
         remaining = self.remaining
         if remaining <= 0:
-            raise DeadlineExceeded(f"{what}: deadline exceeded")
+            raise DeadlineExceeded(f"{': '.join(what) or 'wait'}: deadline exceeded")
         return min(timeout, remaining)
 
 
@@ -189,7 +193,7 @@ def run_resilient(
     backend retries are free in wall time and fully deterministic.
     """
     backend = as_backend(target)
-    rng = random.Random(stable_seed(seed, probe, "backoff"))
+    rng = None  # the backoff jitter stream, built by the first retry
     attempts = 0
     try:
         while True:
@@ -204,6 +208,8 @@ def run_resilient(
                 error_class = classify_exception(exc)
                 if error_class is not ErrorClass.TRANSIENT or attempts > config.retries:
                     return attempts, make_scan_error(probe, exc, attempts)
+                if rng is None:
+                    rng = random.Random(stable_seed(seed, probe, "backoff"))
                 delay = config.backoff.delay(attempts - 1, rng)
                 backend.sleep(backend.scale(delay))
     finally:

@@ -18,6 +18,7 @@ import json
 import sqlite3
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
+from functools import cache
 from pathlib import Path
 
 from repro.scope.report import (
@@ -98,10 +99,20 @@ class SchemaVersionError(RuntimeError):
     """The database was written by an incompatible (newer) schema."""
 
 
+@cache
+def _field_names(cls: type) -> tuple[str, ...] | None:
+    """A dataclass type's field names (None for any other type)."""
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
+
+
 def _encode(value):
     """JSON-encode dataclasses/enums/bytes recursively."""
-    if is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+    cls = type(value)
+    if cls is str or cls is int or cls is float or cls is bool or value is None:
+        return value
+    names = _field_names(cls)
+    if names is not None:
+        return {name: _encode(getattr(value, name)) for name in names}
     if isinstance(value, (ErrorClass, ErrorReaction, TinyWindowResult)):
         return {"__enum__": type(value).__name__, "value": value.name}
     if isinstance(value, bytes):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import base64
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.h2 import events as ev
 from repro.h2.connection import ConnectionConfig, H2Connection, Side
@@ -212,7 +213,6 @@ class _ServerConnection:
         self._arrival_counter = 0
         self._rr_last_arrival = 0
         self._page_path: str | None = None
-        self._rng = random.Random(hash((server.seed, index, 0x5EED)))
         self.index = index
 
         # -- abuse guards (ISSUE 7) ------------------------------------
@@ -250,6 +250,12 @@ class _ServerConnection:
         pending = endpoint.drain()
         if pending:
             self._on_data(pending)
+
+    @cached_property
+    def _rng(self) -> random.Random:
+        """Processing jitter, cookies and header noise; built by the
+        first request (most connections never carry one)."""
+        return random.Random(hash((self.server.seed, self.index, 0x5EED)))
 
     # ------------------------------------------------------------------
     # TLS hello
@@ -375,6 +381,9 @@ class _ServerConnection:
     def _observe_frames(self, mark: int) -> None:
         """Timeline recording + guard accounting for newly parsed frames."""
         assert self.conn is not None
+        guards = self.guards
+        if self.timeline is None and not guards.any_enabled:
+            return
         arrived = self.conn.frame_log[mark:]
         if self.timeline is not None and arrived:
             from repro.scope.trace import TracedFrame
@@ -383,7 +392,6 @@ class _ServerConnection:
             self.timeline.frames.extend(
                 TracedFrame(at=now, frame=frame) for frame in arrived
             )
-        guards = self.guards
         if not guards.any_enabled:
             return
         for frame in arrived:
@@ -502,22 +510,21 @@ class _ServerConnection:
         self.sim.call_later(GUARD_CLOSE_LINGER, self.endpoint.close)
 
     def _handle_event(self, event: ev.Event) -> None:
-        assert self.conn is not None
-        if isinstance(event, ev.HeadersReceived):
-            self._handle_request(event)
-        elif isinstance(event, ev.PingReceived):
-            self.sim.call_later(self.profile.ping_delay, self._ping_ack, event.payload)
-        elif isinstance(event, ev.StreamReset):
-            self._tasks.pop(event.stream_id, None)
-            self._active_requests.discard(event.stream_id)
-        elif isinstance(event, ev.SettingsReceived):
-            self._enforce_window_lower_bound(event)
-        elif isinstance(
-            event, (ev.WindowUpdateReceived, ev.PriorityReceived)
-        ):
-            pass  # window or priority state changed; _pump() runs after events.
-        elif isinstance(event, ev.GoAwayReceived):
-            self._tasks.clear()
+        # Window and priority changes need nothing here: _pump() runs
+        # after the events.
+        handler = self._EVENT_HANDLERS.get(type(event))
+        if handler is not None:
+            handler(self, event)
+
+    def _schedule_ping_ack(self, event: ev.PingReceived) -> None:
+        self.sim.call_later(self.profile.ping_delay, self._ping_ack, event.payload)
+
+    def _forget_stream(self, event: ev.StreamReset) -> None:
+        self._tasks.pop(event.stream_id, None)
+        self._active_requests.discard(event.stream_id)
+
+    def _drop_tasks(self, event: ev.GoAwayReceived) -> None:
+        self._tasks.clear()
 
     def _enforce_window_lower_bound(self, event: ev.SettingsReceived) -> None:
         """The Discussion's proposed slow-read defence: refuse abusive
@@ -576,7 +583,7 @@ class _ServerConnection:
 
         # Learned-push bookkeeping (§VI point 4): the connection's first
         # request is "the page"; later requests are its followers.
-        if getattr(self, "_page_path", None) is None:
+        if self._page_path is None:
             self._page_path = path
         else:
             self.server.record_follow(self._page_path, path)
@@ -587,6 +594,15 @@ class _ServerConnection:
             self._rng.gauss(profile.processing_delay, profile.processing_jitter),
         )
         self.sim.call_later(delay, self._respond, event.stream_id, resource, path)
+
+    #: What each connection event asks of the engine, by event class.
+    _EVENT_HANDLERS = {
+        ev.HeadersReceived: _handle_request,
+        ev.PingReceived: _schedule_ping_ack,
+        ev.StreamReset: _forget_stream,
+        ev.SettingsReceived: _enforce_window_lower_bound,
+        ev.GoAwayReceived: _drop_tasks,
+    }
 
     def _respond(
         self, stream_id: int, resource: Resource | None, path: str = "/"

@@ -52,7 +52,7 @@ from collections.abc import Callable
 
 from repro.net.clock import Simulation
 from repro.net.faults import stable_seed
-from repro.servers.engine import H2Server
+from repro.servers.engine import H2Server, _ServerConnection
 from repro.servers.site import Site
 
 #: Virtual-to-wall time ratio.  1.0 preserves the engines' concurrency
@@ -155,6 +155,7 @@ class _ServerProtocol(asyncio.Protocol):
     def connection_lost(self, exc) -> None:
         if self.endpoint is not None:
             self.endpoint._peer_closed()
+            self.runtime.release(self.endpoint)
         self.runtime.kick()
 
 
@@ -189,7 +190,12 @@ class _SiteRuntime:
         self._timer: asyncio.TimerHandle | None = None
         self._timer_due: float | None = None
         self._running = False
-        self.endpoints: list[_BridgeEndpoint] = []
+        #: Connections whose transport is still up, by endpoint: a fleet
+        #: serves many campaigns, and none may outlive its sockets.
+        self.endpoints: dict[_BridgeEndpoint, _ServerConnection] = {}
+        #: Connections ever accepted: the next one's engine index (an
+        #: input of its RNG seed, so it must not restart when some leave).
+        self._accepted = 0
 
     def accept(self, transport: asyncio.Transport, tls: bool) -> _BridgeEndpoint:
         """Wrap a fresh TCP connection in an engine connection."""
@@ -200,19 +206,23 @@ class _SiteRuntime:
         kind = "tls" if tls else "clear"
         endpoint = _BridgeEndpoint(self, f"{self.site.domain}:{kind}")
         endpoint._transport = transport
-        self.endpoints.append(endpoint)
         # Same construction as H2Server._accept_tls/_accept_clear.
-        from repro.servers.engine import _ServerConnection
-
         conn = _ServerConnection(
-            self.server,
-            endpoint,
-            index=len(self.server.connections),
-            tls=tls,
+            self.server, endpoint, index=self._accepted, tls=tls
         )
+        self._accepted += 1
+        self.endpoints[endpoint] = conn
         self.server.connections.append(conn)
         self.kick()
         return endpoint
+
+    def release(self, endpoint: _BridgeEndpoint) -> None:
+        """Forget a connection whose transport is lost.  Events already
+        queued for it (the engine's ``on_close``, one link delay out)
+        hold their own references."""
+        conn = self.endpoints.pop(endpoint, None)
+        if conn is not None:
+            self.server.connections.remove(conn)
 
     # -- pacing -----------------------------------------------------------
 
@@ -271,7 +281,7 @@ class _SiteRuntime:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        for endpoint in self.endpoints:
+        for endpoint in list(self.endpoints):
             endpoint._close_out()
 
 

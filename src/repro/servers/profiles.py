@@ -55,17 +55,14 @@ class AbuseGuards:
 
     @property
     def any_enabled(self) -> bool:
-        return any(
-            getattr(self, knob) is not None
-            for knob in (
-                "preface_timeout",
-                "header_timeout",
-                "idle_timeout",
-                "stall_timeout",
-                "ping_rate_limit",
-                "settings_rate_limit",
-                "rst_rate_limit",
-            )
+        return not (
+            self.preface_timeout is None
+            and self.header_timeout is None
+            and self.idle_timeout is None
+            and self.stall_timeout is None
+            and self.ping_rate_limit is None
+            and self.settings_rate_limit is None
+            and self.rst_rate_limit is None
         )
 
     def clone(self, **overrides) -> "AbuseGuards":

@@ -446,3 +446,52 @@ class TestPropertyRoundTrip:
         second, leftover = parse_frames(rest + wire[cut:])
         assert leftover == b""
         assert (first + second) == [frame]
+
+
+class TestFlagMasks:
+    """``has_flag`` / ``is_ack`` mask plain ints (ISSUE 16); the answers
+    are those of ``IntFlag.__and__``, for enum and plain-``int`` flags."""
+
+    FLAGS = (
+        FrameFlag.END_STREAM,
+        FrameFlag.ACK,
+        FrameFlag.END_HEADERS,
+        FrameFlag.PADDED,
+        FrameFlag.PRIORITY,
+        FrameFlag.NONE,
+        FrameFlag.END_STREAM | FrameFlag.END_HEADERS,
+    )
+
+    @pytest.mark.parametrize("as_enum", [True, False])
+    def test_has_flag_over_all_256_octets(self, as_enum):
+        for bits in range(256):
+            frame = ContinuationFrame(
+                stream_id=1, flags=FrameFlag(bits) if as_enum else bits
+            )
+            for flag in self.FLAGS:
+                assert frame.has_flag(flag) is bool(FrameFlag(bits) & flag), (bits, flag)
+                assert frame.has_flag(int(flag)) is bool(bits & int(flag))
+
+    @pytest.mark.parametrize("frame_cls", [SettingsFrame, PingFrame])
+    def test_is_ack_over_all_256_octets(self, frame_cls):
+        for bits in range(256):
+            for flags in (FrameFlag(bits), bits):
+                assert frame_cls(flags=flags).is_ack is bool(bits & 0x1)
+
+    def test_every_frame_class_carries_its_type(self):
+        # frame_type is a dataclass default now, not a __post_init__ store.
+        for frame_cls, frame_type in (
+            (DataFrame, FrameType.DATA),
+            (HeadersFrame, FrameType.HEADERS),
+            (PriorityFrame, FrameType.PRIORITY),
+            (RstStreamFrame, FrameType.RST_STREAM),
+            (SettingsFrame, FrameType.SETTINGS),
+            (PushPromiseFrame, FrameType.PUSH_PROMISE),
+            (PingFrame, FrameType.PING),
+            (GoAwayFrame, FrameType.GOAWAY),
+            (WindowUpdateFrame, FrameType.WINDOW_UPDATE),
+            (ContinuationFrame, FrameType.CONTINUATION),
+        ):
+            assert frame_cls().frame_type is frame_type
+            assert frame_cls(stream_id=3, flags=FrameFlag.NONE).frame_type is frame_type
+        assert UnknownFrame().frame_type is None

@@ -277,3 +277,126 @@ class TestRuleMatching:
         rule = FaultRule(kind=FaultKind.REFUSE, domain="site-*.test")
         assert rule.matches("site-7.test")
         assert not rule.matches("other.test")
+
+
+# -- the draw sequence, pinned -------------------------------------------
+#
+# Which connection gets which fault, and what a payload fault writes, are
+# functions of ``(plan seed, rule index, domain, port, connection index)``
+# alone.  The literals below were recorded before the fault RNGs became
+# lazy (ISSUE 16): a generator built later, or seeded another way, that
+# drifts by one draw fails here in milliseconds, not only through the
+# 40-site campaign digest of tests/scope/test_backend_equivalence.py.
+
+#: That file's six-rule spec, and one in which both payload faults occur.
+CHAOS_SPEC = (
+    "refuse:0.1x6,reset:0.06x4,stall(30):0.05,blackhole:0.04,"
+    "truncate(400):0.05,garbage(96):0.05"
+)
+CORRUPT_SPEC = "hello-corrupt:0.3,garbage(96):0.3"
+SERVER_HELLO = b"SERVERHELLO alpn=h2 npn=h2,http/1.1\n"
+KIND_CODES = {
+    FaultKind.REFUSE: "R",
+    FaultKind.RESET: "X",
+    FaultKind.HELLO_CORRUPT: "H",
+    FaultKind.STALL: "S",
+    FaultKind.BLACKHOLE: "B",
+    FaultKind.TRUNCATE: "T",
+    FaultKind.GARBAGE: "G",
+}
+
+CHAOS_KINDS = [
+    "...ST.......X.B",
+    "RSXXSR.G...X...",
+    ".R.G.X.....R..R",
+    "X....S.SR...R..",
+    "XBR.......X.R..",
+    "R..B....S..X...",
+    "...G...R..X.X..",
+    "........R...S..",
+    "...S.G.TR......",
+    ".....G...XR...B",
+    ".X.....X...RT.G",
+    ".SRR..SRS...T.R",
+    ".SX..R.X.......",
+    "...R......X..RR",
+    "...S..B......X.",
+    "X..R...........",
+    "S.X.......R..R.",
+    "...GRXGS..S.T..",
+    "..S.....X..R...",
+    ".X.XT....R...R.",
+]
+CHAOS_PAYLOADS = [
+    "daa1dd26019f8b65adfcac4020eb7f0095913f6bb84b2428104f82e1c9174a51",
+    "057b58d56a69b6f929bf04cc7162e3db378a0e1e994e519788bfc0b356873c12",
+    "638b828ee02a692e4eec4ec4409f01d730c3dda73a07b7aea8a11fa265538630",
+    "9e481756a6ae78a12360ab17def85399c3f1cb077496c635a4c9a745e34c14cf",
+    "221f3d2e505eaba2ca11acf144fdb7cecd209c00be9f8f6663452c481efed5f9",
+    "20524af8477a31675addda0860448c9631552c13a025dbfbbee14ad7cb197bfe",
+    "e8430eb16d459cfc285fb818cd4e34a377cb7a3e36dfa9ef1c94359f15ba292a",
+    "e0f70bcb943166df7bcd329c52646379d5bfea35d8e7588687fac735ba15c1c4",
+]
+CORRUPT_KINDS = [
+    "HH...",
+    "H.GGH",
+    "GH..G",
+    "GG..H",
+]
+CORRUPT_PAYLOADS = [
+    "ac455256a1524845c54c2da561a1706e3d6832206e706e3d68322c683b74702f",
+    "ac455256455248d64c4c4c20616c706e3d6832b36e706e3d68322c687474702f",
+    "ac455256455248454c4c9f20616c706e3d6832206e706e6968322c687474702f",
+    "f3914751c67571696669ca18346c28eb73eda42279aae4ca1be00b7007905d0a",
+    "6e8c8aa7efd40df5b2d6537648c5312b5b296e9a16bbc819503d35887b43ac65",
+    "ac4552564552484d4c4c4f62616c706e3d6832206e706e3d68322c687474702f",
+    "c5421aac9a00e595658a02a2aac5db50558a65f68b424c6858a193d33aa07344",
+    "ac455256455248454c2d4f20616c706e3d6832f26e706e3d68322c687474066f",
+    "af5dddae03690e774e4dbf268aecfbca65e42689c3a53c7ccd35d26bbc636c00",
+    "23b88ba99adf45fb4b147d36cd1729ab47df67e728905ae79fc5c4b08a388675",
+    "d0f1359f9b711e624db19395c4c9974f543fb445c2c77b90d42dbee46367198f",
+    "ac45474b455248454c4c4f20616cca6e3d6832206e706e3d68322c6874747099",
+]
+
+
+def recorded_draws(spec: str, domains: int, conns: int):
+    """One session per domain (a scan universe), ``conns`` connections
+    each: a row of kind codes per domain ("." = no fault), and the first
+    32 octets every GARBAGE / HELLO_CORRUPT fault wrote, in draw order."""
+    plan = FaultPlan.parse(spec, seed=5)
+    kinds, payloads = [], []
+    for number in range(domains):
+        domain = f"site{number:06d}.first.alexa"
+        session = plan.session()
+        row = ""
+        for conn_index in range(1, conns + 1):
+            state = session.draw(domain, 443, conn_index)
+            row += "." if state is None else KIND_CODES[state.kind]
+            if state is None:
+                continue
+            if state.kind is FaultKind.GARBAGE:
+                filtered, _, _ = state.on_send(0.0, bytes(160))
+                payloads.append(filtered[96:128].hex())  # after_bytes = 96
+            elif state.kind is FaultKind.HELLO_CORRUPT:
+                filtered, _, _ = state.on_send(0.0, SERVER_HELLO)
+                payloads.append(filtered[:32].hex())
+        kinds.append(row)
+    return kinds, payloads
+
+
+class TestPinnedDrawSequence:
+    def test_chaos_spec_300_draws(self):
+        kinds, payloads = recorded_draws(CHAOS_SPEC, domains=20, conns=15)
+        assert kinds == CHAOS_KINDS
+        assert payloads == CHAOS_PAYLOADS
+
+    def test_both_payload_faults(self):
+        kinds, payloads = recorded_draws(CORRUPT_SPEC, domains=4, conns=5)
+        assert kinds == CORRUPT_KINDS
+        assert payloads == CORRUPT_PAYLOADS
+
+    def test_no_generator_is_built_for_a_fault_that_never_draws(self):
+        plan = FaultPlan.parse("stall(30)", seed=5)
+        state = plan.session().draw("a.test", 443, 1)
+        state.on_send(0.0, b"x" * 500)
+        assert "rng" not in vars(state)

@@ -32,6 +32,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -259,6 +260,64 @@ class TestConcurrencyFloor:
         assert result.scanned == plan.sites
         assert result.counts["pending"] == 0
         assert result.counts["done"] == plan.sites
+
+
+class TestNothingOutlivesItsCampaign:
+    """A fleet serves many campaigns; its in-process servers used to
+    keep every accepted connection (endpoint and engine state) for the
+    fleet's lifetime, ~16 MB more per campaign."""
+
+    def test_servers_release_connections_between_campaigns(self, tmp_path):
+        plan = FleetPlan(sites=5, seed=29, link_rtt=0.002)
+        with LoopbackFleet(plan) as fleet:
+            runtimes = list(fleet.bridge._runtimes.values())
+            accepted = 0
+            for round_ in range(3):
+                with ReportStore(tmp_path / f"round-{round_}.db") as store:
+                    result = run_live_campaign(
+                        fleet.domains,
+                        store,
+                        "round",
+                        seed=plan.seed,
+                        include={"negotiation", "settings", "ping"},
+                        resilience=RESILIENCE,
+                        config=LiveConfig(
+                            concurrency=2,
+                            timeout_scale=TIMEOUT_SCALE,
+                            connect_timeout=1.0,
+                        ),
+                        resolver=fleet.resolver(),
+                    )
+                    assert result.counts["done"] == plan.sites
+                    reports = {
+                        site.domain: store.load("round", site.domain)
+                        for site in fleet.sites
+                    }
+                # The servers see each FIN one loop turn after the
+                # client sent it: give the bridge a moment to catch up.
+                deadline = time.monotonic() + 5.0
+                while time.monotonic() < deadline and any(
+                    runtime.endpoints or runtime.server.connections
+                    for runtime in runtimes
+                ):
+                    time.sleep(0.01)
+                for runtime in runtimes:
+                    assert len(runtime.endpoints) == 0, runtime.site.domain
+                    assert len(runtime.server.connections) == 0, runtime.site.domain
+                # Indices keep counting: a connection's index seeds its
+                # engine RNG, so it must not restart when others leave.
+                now_accepted = sum(runtime._accepted for runtime in runtimes)
+                assert now_accepted > accepted
+                accepted = now_accepted
+            # Releasing connections changed no verdict: the third
+            # campaign over the same fleet still matches the simulation.
+            for site in fleet.sites:
+                simulated = scan_site(
+                    site, include={"negotiation", "settings", "ping"}, seed=plan.seed
+                )
+                assert verdict_view(reports[site.domain]) == verdict_view(
+                    simulated
+                ), site.domain
 
 
 class TestVerdictDifferential:

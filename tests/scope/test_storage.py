@@ -1,15 +1,31 @@
 """Report persistence (§IV-B's database)."""
 
+import json
+from dataclasses import fields, is_dataclass
+
 import pytest
 
+from repro.h2.constants import FrameFlag
+from repro.h2.frames import DataFrame
 from repro.scope.report import (
+    ErrorClass,
     ErrorReaction,
+    ErrorTaxonomy,
+    FlowControlResult,
+    HpackResult,
+    MultiplexingResult,
     NegotiationResult,
+    PingResult,
+    PriorityResult,
+    PushResult,
+    ScanError,
+    SettingsResult,
     SiteReport,
     TinyWindowResult,
 )
 from repro.scope.scanner import scan_site
-from repro.scope.storage import ReportStore
+from repro.scope.storage import ReportStore, _encode
+from repro.scope.trace import ConnectionTimeline, TracedFrame
 from repro.servers.profiles import ServerProfile
 from repro.servers.site import Site
 from repro.servers.website import testbed_website
@@ -369,3 +385,142 @@ class TestTimelineSchemaMigration:
             )
             assert store.timeline_labels("atk") == {"ping_flood": 1}
             assert len(store.load_timelines("atk")) == 1
+
+
+# -- _encode's fast path against the recursion it replaced (ISSUE 16) ------
+
+
+def reference_encode(value):
+    """``storage._encode`` as it was: ``is_dataclass`` / ``fields`` asked of
+    every value, scalars falling through the whole ``isinstance`` chain."""
+    if is_dataclass(value) and not isinstance(value, type):
+        return {
+            f.name: reference_encode(getattr(value, f.name)) for f in fields(value)
+        }
+    if isinstance(value, (ErrorClass, ErrorReaction, TinyWindowResult)):
+        return {"__enum__": type(value).__name__, "value": value.name}
+    if isinstance(value, bytes):
+        return {"__bytes__": value.hex()}
+    if isinstance(value, dict):
+        return {str(k): reference_encode(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [reference_encode(v) for v in value]
+    return value
+
+
+def populated_instances():
+    """One instance of every dataclass in ``scope/report.py`` and
+    ``scope/trace.py``, no field left at a default that hides a type."""
+    error = ScanError(
+        probe="ping",
+        error_class=ErrorClass.TIMEOUT,
+        exception="ProbeTimeout",
+        message="no answer",
+        attempts=2,
+    )
+    negotiation = NegotiationResult(
+        tcp_connected=True,
+        alpn_h2=True,
+        npn_h2=False,
+        h2c_upgrade=None,
+        headers_received=True,
+        server_header="nginx/1.9",
+        tcp_handshake_rtt=0.0312,
+    )
+    settings = SettingsResult(
+        settings_frame_received=True, announced={3: 128, 4: 65_536, 0xBEEF: 1}
+    )
+    multiplexing = MultiplexingResult(
+        streams=3, interleaved=True, arrival_pattern=[1, 3, 1, 5]
+    )
+    flow_control = FlowControlResult(
+        tiny_window=TinyWindowResult.ZERO_LENGTH_DATA,
+        first_data_size=0,
+        headers_with_zero_window=True,
+        zero_update_stream=ErrorReaction.RST_STREAM,
+        zero_update_connection=ErrorReaction.GOAWAY,
+        zero_update_debug_data=b"\x00\xffdebug",
+        large_update_stream=ErrorReaction.IGNORE,
+        large_update_connection=ErrorReaction.NO_RESPONSE,
+    )
+    priority = PriorityResult(
+        first_frame_order=["a", "b"],
+        last_frame_order=["b", "a"],
+        follows_rules_by_last=True,
+        follows_rules_by_first=False,
+        follows_rules_by_both=False,
+        passes_algorithm1=True,
+        headers_while_blocked=None,
+        self_dependency=ErrorReaction.RST_STREAM,
+    )
+    push = PushResult(push_received=True, promised_paths=["/style.css"])
+    hpack = HpackResult(requests=3, header_sizes=[120, 40, 38], ratio=0.325)
+    ping = PingResult(
+        h2_ping_rtt=0.05, tcp_rtt=0.049, icmp_rtt=None, http1_rtt=0.07,
+        ping_supported=True,
+    )
+    report = SiteReport(
+        domain="encode.test",
+        negotiation=negotiation,
+        settings=settings,
+        multiplexing=multiplexing,
+        flow_control=flow_control,
+        priority=priority,
+        push=push,
+        hpack=hpack,
+        ping=ping,
+        errors=[error, "legacy bare string"],
+        probe_attempts={"negotiation": 1, "ping": 2},
+        scan_virtual_time=12.5,
+    )
+    taxonomy = ErrorTaxonomy(
+        total_sites=4,
+        failed_sites=1,
+        retried_sites=1,
+        total_errors=2,
+        by_class={"timeout": 2},
+        by_exception={"ProbeTimeout": 2},
+        by_probe={"ping": 2},
+    )
+    traced = TracedFrame(
+        at=0.25, frame=DataFrame(stream_id=1, flags=FrameFlag.END_STREAM, data=b"ab")
+    )
+    timeline = ConnectionTimeline(
+        opened_at=0.0, closed_at=1.5, protocol="h2", frames=[traced], label="slow-read"
+    )
+    return [
+        error, negotiation, settings, multiplexing, flow_control, priority,
+        push, hpack, ping, report, taxonomy, traced, timeline,
+    ]
+
+
+class TestEncodeFastPath:
+    def test_every_report_and_trace_dataclass_is_covered(self):
+        import repro.scope.report as report_module
+        import repro.scope.trace as trace_module
+
+        declared = {
+            cls
+            for module in (report_module, trace_module)
+            for cls in vars(module).values()
+            if isinstance(cls, type)
+            and is_dataclass(cls)
+            and cls.__module__ == module.__name__
+        }
+        assert {type(instance) for instance in populated_instances()} == declared
+
+    @pytest.mark.parametrize(
+        "instance", populated_instances(), ids=lambda value: type(value).__name__
+    )
+    def test_agrees_with_the_per_value_recursion(self, instance):
+        assert _encode(instance) == reference_encode(instance)
+        # Key order is part of the stored bytes.
+        assert json.dumps(_encode(instance)) == json.dumps(reference_encode(instance))
+
+    def test_dataclass_types_are_left_alone(self):
+        assert _encode(SiteReport) is SiteReport
+        assert _encode([ScanError, 1]) == [ScanError, 1]
+
+    @pytest.mark.parametrize("value", ["text", 7, 2.5, True, None, b"\x01", (1, "a")])
+    def test_scalars_and_containers(self, value):
+        assert _encode(value) == reference_encode(value)
