@@ -11,10 +11,14 @@ connection up.
 
 Design constraints:
 
-* **Deterministic.**  Every draw is keyed on a stable hash of
-  ``(plan seed, rule index, domain, port, connection index)``, so the
-  same plan over the same probe sequence injects byte-identical faults
-  — across processes, not just within one (no reliance on ``hash()``).
+* **Deterministic.**  A connection's draws are one keyed BLAKE2b digest
+  of ``(plan seed, domain, port, connection index)``: rule *i* reads its
+  own eight octets of it as a uniform, so rules stay independent of each
+  other and the same plan over the same probe sequence injects the same
+  faults — across processes, not just within one (no reliance on
+  ``hash()``).  A payload fault's bytes come from a separate stream,
+  keyed ``(plan seed, "payload", rule index, domain, port, connection
+  index)``.
 * **Declarative.**  A plan is a list of :class:`FaultRule` objects; the
   first matching rule wins.  Rules can be scoped to a domain glob,
   fired probabilistically, and capped (``max_triggers``) so that a
@@ -35,7 +39,7 @@ import json
 import os
 import random
 import re
-from _random import Random as _MersenneTwister
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -44,6 +48,15 @@ def stable_seed(*parts: object) -> int:
     """A process-independent hash of ``parts``, usable as an RNG seed."""
     digest = hashlib.blake2b(repr(parts).encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
+
+
+def _draw_words(
+    seed: int, domain: str, port: int, conn_index: int, block: int
+) -> tuple[int, ...]:
+    """One connection's draw material for rules ``8 * block`` to
+    ``8 * block + 7``: a 64-octet keyed digest as eight big-endian words."""
+    key = repr((seed, domain, port, conn_index, block)).encode()
+    return struct.unpack(">8Q", hashlib.blake2b(key, digest_size=64).digest())
 
 
 class FaultKind(enum.Enum):
@@ -188,7 +201,9 @@ class FaultSession:
 
     def draw(self, domain: str, port: int, conn_index: int) -> FaultState | None:
         """Decide the fault (if any) for one new connection."""
-        for index, rule in enumerate(self.plan.rules):
+        plan = self.plan
+        block, words = -1, ()
+        for index, rule in enumerate(plan.rules):
             if not rule.matches(domain):
                 continue
             if (
@@ -197,15 +212,18 @@ class FaultSession:
             ):
                 continue
             if rule.probability < 1.0:
-                # One draw from the C generator itself: the stream of
-                # ``random.Random(seed)``, bit for bit, without the
-                # Python-level ``__init__``/``seed()`` around it.
-                seed = stable_seed(self.plan.seed, index, domain, port, conn_index)
-                if _MersenneTwister(seed).random() >= rule.probability:
+                # Hashed when a rule first needs a uniform, once per
+                # eight rules: the key names the connection, the rule
+                # index only picks the word.
+                if index // 8 != block:
+                    block = index // 8
+                    words = _draw_words(plan.seed, domain, port, conn_index, block)
+                # The 53 high bits as a float in [0, 1), as random() does.
+                if (words[index % 8] >> 11) * 2.0**-53 >= rule.probability:
                     continue
             self._triggers[index] += 1
             return FaultState(
-                rule, (self.plan.seed, "payload", index, domain, port, conn_index)
+                rule, (plan.seed, "payload", index, domain, port, conn_index)
             )
         return None
 

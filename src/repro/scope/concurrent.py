@@ -575,12 +575,16 @@ class InterleavedScheduler:
         from repro.scope.parallel import _scan_one
 
         try:
-            lane.report = _scan_one(
+            report = lane.report = _scan_one(
                 self.sites[lane.task.site_index],
                 lane.task,
                 self.options,
                 backend_factory=lambda network: InterleavedBackend(network, lane),
             )
+            # Waits that bypass the backend (``icmp_ping`` runs the
+            # clock itself) never reach ``advance``; a lane whose last
+            # wait was one of those would finish short of its own site.
+            lane.position = max(lane.position, lane.offset + report.scan_virtual_time)
         except SchedulerAbort:
             pass
         except BaseException as exc:  # pragma: no cover - driver bug

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.net.clock import Simulation
-from repro.net.faults import FaultKind, FaultPlan, FaultRule, stable_seed
+from repro.net.faults import FaultKind, FaultPlan, FaultRule, FaultState, stable_seed
 from repro.net.transport import LinkProfile, Network
 
 
@@ -281,12 +281,28 @@ class TestRuleMatching:
 
 # -- the draw sequence, pinned -------------------------------------------
 #
-# Which connection gets which fault, and what a payload fault writes, are
-# functions of ``(plan seed, rule index, domain, port, connection index)``
-# alone.  The literals below were recorded before the fault RNGs became
-# lazy (ISSUE 16): a generator built later, or seeded another way, that
-# drifts by one draw fails here in milliseconds, not only through the
+# Which connection gets which fault is a function of ``(plan seed,
+# domain, port, connection index)`` and the rule's position in the plan;
+# what a payload fault writes is a function of ``(plan seed, "payload",
+# rule index, domain, port, connection index)``.  A draw derived another
+# way, or a payload generator built later or seeded differently, that
+# drifts by one bit fails here in milliseconds, not only through the
 # 40-site campaign digest of tests/scope/test_backend_equivalence.py.
+#
+# Re-pinned once, in ISSUE 17: the draw key lost its rule index (one
+# BLAKE2b digest per connection, rule *i* reads word *i*, in place of one
+# ``stable_seed`` + Mersenne-Twister seeding per rule), so *which*
+# connections fault is another realisation of the same plan and the four
+# lists below were regenerated (scratch script, not kept).  A change of
+# the draw key is the only kind of change that justifies that; what the
+# new draws must still be is in test_fault_draw_distribution.py.  The
+# payload stream did not move: ``PARENT_PAYLOADS`` was recorded on the
+# parent of ISSUE 17 and does not depend on which connections fault.
+# The old values (recorded before ISSUE 16 made the RNGs lazy; in full at
+# commit 4344ec8): CHAOS_KINDS began "...ST.......X.B", "RSXXSR.G...X...";
+# CHAOS_PAYLOADS had 8 entries, the first "daa1dd26…" (now the first of
+# PARENT_PAYLOADS); CORRUPT_KINDS was "HH...", "H.GGH", "GH..G", "GG..H"
+# with 12 payloads, the first "ac455256a1524845…".
 
 #: That file's six-rule spec, and one in which both payload faults occur.
 CHAOS_SPEC = (
@@ -306,57 +322,85 @@ KIND_CODES = {
 }
 
 CHAOS_KINDS = [
-    "...ST.......X.B",
-    "RSXXSR.G...X...",
-    ".R.G.X.....R..R",
-    "X....S.SR...R..",
-    "XBR.......X.R..",
-    "R..B....S..X...",
-    "...G...R..X.X..",
-    "........R...S..",
-    "...S.G.TR......",
-    ".....G...XR...B",
-    ".X.....X...RT.G",
-    ".SRR..SRS...T.R",
-    ".SX..R.X.......",
-    "...R......X..RR",
-    "...S..B......X.",
-    "X..R...........",
-    "S.X.......R..R.",
-    "...GRXGS..S.T..",
-    "..S.....X..R...",
-    ".X.XT....R...R.",
+    "......X.G..S...",
+    "R..RGX.....XSR.",
+    "B.........S...R",
+    "..XSRST..R.R..T",
+    "R.T.B...R.....R",
+    "..X.X.......G..",
+    "...S.S....B.T.T",
+    ".S...T..R......",
+    "..G.S.GT.......",
+    ".RS...B.SS..S.R",
+    "R........R.....",
+    "SRS............",
+    ".X.XXS....S.ST.",
+    ".......G......R",
+    ".....GB..B...X.",
+    ".R...T.B.TT...X",
+    ".XR...G........",
+    "RR..X.G.RT....B",
+    ".....XG.R.XR.RR",
+    ".R....R........",
 ]
 CHAOS_PAYLOADS = [
-    "daa1dd26019f8b65adfcac4020eb7f0095913f6bb84b2428104f82e1c9174a51",
-    "057b58d56a69b6f929bf04cc7162e3db378a0e1e994e519788bfc0b356873c12",
-    "638b828ee02a692e4eec4ec4409f01d730c3dda73a07b7aea8a11fa265538630",
-    "9e481756a6ae78a12360ab17def85399c3f1cb077496c635a4c9a745e34c14cf",
-    "221f3d2e505eaba2ca11acf144fdb7cecd209c00be9f8f6663452c481efed5f9",
-    "20524af8477a31675addda0860448c9631552c13a025dbfbbee14ad7cb197bfe",
-    "e8430eb16d459cfc285fb818cd4e34a377cb7a3e36dfa9ef1c94359f15ba292a",
+    "51f3f772501971dbfb65895a7459ee399dc5218b70e6a5349f6510506d2f6ed3",
+    "c9841365b978f6f1228c01bcde92444bc11c84f51b92fed0a17753b735946e8d",
+    "45fb5a91b4d96e61811b2a6b5bd1934bd39ef0415c4bcb05912ec5baf038403c",
+    "45c7d8ee47bae7444208b6a592bf545f6272613fba2f4d3dbcfc09ddc1936845",
+    "a9e04b1417bdcdac021cf4d29df6807c1249846a4f28a8b4a582583d5aa9e77a",
+    "453069f636c81068409b97e8adfd8a8700c1e2eed4a1e3eebd53dc19c0a53687",
+    "1510f02d675b8c8d31d7c08618be470fb26370bbf06468a54913e1cc0dfffe95",
+    "4be3418ef459b145365917761c4bf182be0b1001d178892d7daa32c45242720f",
     "e0f70bcb943166df7bcd329c52646379d5bfea35d8e7588687fac735ba15c1c4",
+    "a2a49d2b981f0258d91d2b38352b21422b656cebeecb1130b80b521acad0d0a4",
 ]
 CORRUPT_KINDS = [
-    "HH...",
-    "H.GGH",
-    "GH..G",
-    "GG..H",
+    "G....",
+    "H..H.",
+    "H..G.",
+    "..GHH",
 ]
 CORRUPT_PAYLOADS = [
-    "ac455256a1524845c54c2da561a1706e3d6832206e706e3d68322c683b74702f",
-    "ac455256455248d64c4c4c20616c706e3d6832b36e706e3d68322c687474702f",
+    "112ecdc9e979661dcee248f5239012a2a6c9b21910443b90c68fbeffeae2a9b0",
     "ac455256455248454c4c9f20616c706e3d6832206e706e6968322c687474702f",
-    "f3914751c67571696669ca18346c28eb73eda42279aae4ca1be00b7007905d0a",
-    "6e8c8aa7efd40df5b2d6537648c5312b5b296e9a16bbc819503d35887b43ac65",
-    "ac4552564552484d4c4c4f62616c706e3d6832206e706e3d68322c687474702f",
-    "c5421aac9a00e595658a02a2aac5db50558a65f68b424c6858a193d33aa07344",
-    "ac455256455248454c2d4f20616c706e3d6832f26e706e3d68322c687474066f",
-    "af5dddae03690e774e4dbf268aecfbca65e42689c3a53c7ccd35d26bbc636c00",
-    "23b88ba99adf45fb4b147d36cd1729ab47df67e728905ae79fc5c4b08a388675",
-    "d0f1359f9b711e624db19395c4c9974f543fb445c2c77b90d42dbee46367198f",
+    "ac455256455248454c4cf120616c706e3d6832206e706e3d68322c307474702f",
+    "ac455256455248714c4c4f20616c706e3d9632206e706e3d68322c687474702f",
+    "8e7e1015a0a949ef3bdc44371187e742d450f4c58b86c205fc7a80f1577eaa87",
+    "9334c7475fb156d961db82efb575e0259c7543d7430903fdfcc17ccec2634262",
+    "ac45e756455248454c4c4f20616c706e3d6832206e706e3d68322c687474702f",
     "ac45474b455248454c4c4f20616cca6e3d6832206e706e3d68322c6874747099",
 ]
+
+#: ``(kind, payload key, first 32 payload octets)`` recorded on the
+#: parent of ISSUE 17 by constructing the ``FaultState`` directly.
+PARENT_PAYLOADS = [
+    (FaultKind.GARBAGE, (5, "payload", 5, "site000001.first.alexa", 443, 8),
+     "daa1dd26019f8b65adfcac4020eb7f0095913f6bb84b2428104f82e1c9174a51"),
+    (FaultKind.GARBAGE, (5, "payload", 1, "site000001.first.alexa", 443, 8),
+     "a94b4bcc2aa8f61d19dfcd0d7efd678273bfe262625ab1fe2c7e1acc7305eb3c"),
+    (FaultKind.GARBAGE, (0, "payload", 0, "a.test", 443, 1),
+     "7b77ed3a49fdd102446ac56fb2f30fc5f55b4bef971da70ac2bdc02b5cfeaf87"),
+    (FaultKind.GARBAGE, (7, "payload", 9, "b.example", 8443, 12),
+     "750b5eb7c6880da4b4301d0d1a3a71401c2e5de746bceea7aae3f3634959d320"),
+    (FaultKind.HELLO_CORRUPT, (5, "payload", 0, "site000000.first.alexa", 443, 1),
+     "ac455256a1524845c54c2da561a1706e3d6832206e706e3d68322c683b74702f"),
+    (FaultKind.HELLO_CORRUPT, (5, "payload", 0, "site000000.first.alexa", 443, 2),
+     "ac455256455248d64c4c4c20616c706e3d6832b36e706e3d68322c687474702f"),
+    (FaultKind.HELLO_CORRUPT, (0, "payload", 3, "a.test", 80, 1),
+     "ac455256455248454c4c4f0c61a2706e3dd832206e70a23d68322c687474702f"),
+    (FaultKind.HELLO_CORRUPT, (11, "payload", 2, "c.example", 443, 40),
+     "ac455256455248454c4c4f20616c706e3d6832206e706e3d68322c686574702f"),
+]
+
+
+def first_payload_octets(state) -> str:
+    """The first 32 octets a GARBAGE / HELLO_CORRUPT fault writes."""
+    if state.kind is FaultKind.GARBAGE:
+        filtered, _, _ = state.on_send(0.0, bytes(160))
+        return filtered[96:128].hex()  # after_bytes = 96
+    filtered, _, _ = state.on_send(0.0, SERVER_HELLO)
+    return filtered[:32].hex()
 
 
 def recorded_draws(spec: str, domains: int, conns: int):
@@ -372,14 +416,11 @@ def recorded_draws(spec: str, domains: int, conns: int):
         for conn_index in range(1, conns + 1):
             state = session.draw(domain, 443, conn_index)
             row += "." if state is None else KIND_CODES[state.kind]
-            if state is None:
-                continue
-            if state.kind is FaultKind.GARBAGE:
-                filtered, _, _ = state.on_send(0.0, bytes(160))
-                payloads.append(filtered[96:128].hex())  # after_bytes = 96
-            elif state.kind is FaultKind.HELLO_CORRUPT:
-                filtered, _, _ = state.on_send(0.0, SERVER_HELLO)
-                payloads.append(filtered[:32].hex())
+            if state is not None and state.kind in (
+                FaultKind.GARBAGE,
+                FaultKind.HELLO_CORRUPT,
+            ):
+                payloads.append(first_payload_octets(state))
         kinds.append(row)
     return kinds, payloads
 
@@ -394,6 +435,12 @@ class TestPinnedDrawSequence:
         kinds, payloads = recorded_draws(CORRUPT_SPEC, domains=4, conns=5)
         assert kinds == CORRUPT_KINDS
         assert payloads == CORRUPT_PAYLOADS
+
+    def test_payload_stream_did_not_move(self):
+        for kind, payload_key, octets in PARENT_PAYLOADS:
+            rule = FaultRule(kind=kind, after_bytes=96)
+            state = FaultState(rule, payload_key)
+            assert first_payload_octets(state) == octets, payload_key
 
     def test_no_generator_is_built_for_a_fault_that_never_draws(self):
         plan = FaultPlan.parse("stall(30)", seed=5)

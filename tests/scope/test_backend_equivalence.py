@@ -10,6 +10,19 @@ The hash below was computed on the pre-refactor tree and re-verified on
 the refactored one.  If it ever changes, some code path altered probe
 behaviour (an extra RNG draw, a reordered wait, a changed timeout) —
 that is a real behavioural regression, not a hash to re-pin casually.
+
+Re-pinned once, in ISSUE 17, for the only kind of change that justifies
+it: the fault draw's *key* changed.  ``FaultSession.draw`` now hashes
+``(plan seed, domain, port, connection index)`` once per connection and
+rule *i* reads word *i* of that digest, where it used to hash ``(plan
+seed, rule index, domain, port, connection index)`` and seed a generator
+per rule — so which connections fault is another realisation of the same
+plan, and every chaos-mode report byte moved with it.  No probe, wait,
+timeout or payload stream changed (tests/net/test_faults.py pins the
+payload bytes against the parent's; tests/net/
+test_fault_draw_distribution.py pins the rates).  The value before
+ISSUE 17 was
+``cadaf71a0fd8179e0e5a6e04bdcc399d89f8838feaa9467f28b920f5f7a74e7c``.
 """
 
 import hashlib
@@ -25,7 +38,7 @@ from repro.scope.storage import _encode
 #: the campaign actually scans a few more).  Same probe set, fault plan
 #: and resilience policy as the full 350-site differential in
 #: ISSUE 5's acceptance run — shrunk so this stays in the default suite.
-PINNED_SHA256 = "cadaf71a0fd8179e0e5a6e04bdcc399d89f8838feaa9467f28b920f5f7a74e7c"
+PINNED_SHA256 = "64b0a5829a8474e2fe3b2fdd84b79ed25d642b4ff1ed5f1b3112ea5f412bd2b5"
 
 CHAOS_SPEC = (
     "refuse:0.1x6,reset:0.06x4,stall(30):0.05,blackhole:0.04,"

@@ -48,6 +48,7 @@ from repro.scope.concurrent import (
     scan_interleaved,
 )
 from repro.scope.parallel import ScanOptions
+from repro.scope.resilience import ResilienceConfig
 from repro.scope.scanner import run_campaign
 from repro.scope.storage import ReportStore
 from tests.scope.test_campaign import KillAt, serialize_campaign
@@ -176,6 +177,32 @@ class TestConcurrencyDeterminism:
         ):
             pass
         assert analytic <= metrics.virtual_makespan <= 1.05 * analytic
+
+    @pytest.mark.parametrize("grant_policy", ["heap", "linear"])
+    def test_lane_whose_last_wait_bypassed_the_backend_ends_with_its_site(
+        self, grant_policy
+    ):
+        """``icmp_ping`` runs the clock itself, so its RTTs never reach
+        ``_Lane.advance``.  Here a 0.5 s probe deadline runs out during
+        the ping probe's ICMP step; the HTTP/1.1 step that follows
+        raises on the spent deadline without waiting, so the site's last
+        wait is one the lane never saw.  The lane must still end where
+        its site does (before ISSUE 17: 0.394 s against 0.630 s)."""
+        sites = population(8)[:1]
+        options = ScanOptions(
+            include=("ping",),
+            seed=3,
+            resilience=ResilienceConfig(timeout=0.5, retries=0),
+        )
+        metrics = ConcurrencyMetrics()
+        [result] = InterleavedScheduler(
+            sites, tasks_for(sites), options, concurrency=2,
+            metrics=metrics, grant_policy=grant_policy,
+        ).run()
+        [error] = result.report.errors
+        assert error.message.endswith("tcp connect: deadline exceeded")
+        assert result.report.scan_virtual_time > 0.5
+        assert metrics.virtual_makespan == result.report.scan_virtual_time
 
 
 class TestConcurrentKillResume:
