@@ -62,6 +62,12 @@ class PriorityTree:
         #: the priority-churn attack study reads this as its work metric.
         self.operations = 0
 
+    def __del__(self) -> None:
+        # parent <-> children is the only cycle; a tree dies with its
+        # connection, so cut the up-edges here (DESIGN §8).
+        for node in self._nodes.values():
+            node.parent = None
+
     # -- queries ----------------------------------------------------------
 
     def __contains__(self, stream_id: int) -> bool:

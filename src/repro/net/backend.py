@@ -45,6 +45,8 @@ class TransportBackend(ABC):
     #: The per-attempt policy slot (see module docstring); clients read
     #: it on every wait.
     probe_policy = None
+    #: ``as_session``'s wrapper for this backend, once asked for.
+    _session_cache = None
 
     # -- connections ------------------------------------------------------
 
@@ -146,10 +148,9 @@ def as_backend(target) -> TransportBackend:
     if isinstance(target, TransportBackend):
         return target
     if isinstance(target, Network):
-        backend = getattr(target, "_backend_cache", None)
+        backend = target._backend_cache
         if backend is None:
-            backend = SimulatedBackend(target)
-            target._backend_cache = backend
+            backend = target._backend_cache = SimulatedBackend(target)
         return backend
     raise TypeError(
         f"expected a TransportBackend or Network, got {type(target).__name__}"

@@ -17,6 +17,10 @@ kept deliberately low:
 * ``run_until`` re-evaluates its predicate only after something that
   could have changed it: one per executed callback, plus the final
   deadline check only when the clock actually moved.
+
+Ownership: the queue holds each pending :class:`Timer`, the timer its
+callback (a bound method of something in the universe) and the clock;
+:meth:`Simulation.clear` cuts all three when the universe ends (DESIGN §8).
 """
 
 from __future__ import annotations
@@ -96,6 +100,14 @@ class Simulation:
             ]
             heapq.heapify(self._queue)
             self._stale = 0
+
+    def clear(self) -> None:
+        """Drop every pending event, in place and idempotently.  The timers
+        forget the clock, so a late ``cancel()`` cannot touch its counters."""
+        for _, _, timer in self._queue:
+            timer._sim = None
+        self._queue.clear()
+        self._live = self._stale = 0
 
     # -- execution ---------------------------------------------------------
 

@@ -20,6 +20,12 @@ measurements:
 
 Determinism: per-connection RNGs are seeded from the network seed plus
 a connection counter.
+
+Ownership: a :class:`Network` and what hangs off it is one universe, a
+tree (network → hosts → listeners, network → endpoints) plus back-edges:
+the ends of a connection name each other as ``peer``, and ``on_data`` /
+``on_close`` are bound methods of the client or server connection holding
+the endpoint.  :meth:`Network.close` cuts them in one place (DESIGN §8).
 """
 
 from __future__ import annotations
@@ -243,8 +249,7 @@ class Endpoint:
 class Host:
     """A named machine on the simulated network."""
 
-    def __init__(self, network: "Network", name: str, profile: LinkProfile):
-        self.network = network
+    def __init__(self, name: str, profile: LinkProfile):
         self.name = name
         self.profile = profile
         self._listeners: dict[int, Callable[[Endpoint], None]] = {}
@@ -310,6 +315,9 @@ class Network:
         self.sim = sim
         self.seed = seed
         self.hosts: dict[str, Host] = {}
+        #: Both ends of every connection made, for :meth:`close`.
+        self._endpoints: list[Endpoint] = []
+        self.closed = False
         self._connection_counter = 0
         self.fault_plan = fault_plan
         self.fault_session: FaultSession | None = (
@@ -318,11 +326,26 @@ class Network:
         #: Per-attempt probing policy (deadline, fault raising) set by
         #: the resilience layer; clients consult it on every wait.
         self.probe_policy = None
+        #: ``as_backend``'s wrapper for this network, once asked for.
+        self._backend_cache = None
+
+    def close(self) -> None:
+        """End the universe by cutting its back-edges (module docstring).
+        Afterwards nothing is pending, ``connect`` raises and every
+        endpoint is closed, so ``send`` raises too.  Idempotent."""
+        self.closed = True
+        self.sim.clear()
+        self.hosts.clear()
+        for endpoint in self._endpoints:
+            endpoint.closed = True
+            endpoint.peer = endpoint.on_data = endpoint.on_close = None
+        self._endpoints.clear()
+        self._backend_cache = None
 
     def add_host(self, name: str, profile: LinkProfile | None = None) -> Host:
         if name in self.hosts:
             raise ValueError(f"host {name} already exists")
-        host = Host(self, name, profile or LinkProfile())
+        host = Host(name, profile or LinkProfile())
         self.hosts[name] = host
         return host
 
@@ -336,6 +359,8 @@ class Network:
         of virtual time, so callers run the simulation until
         ``attempt.established`` (or ``attempt.refused``).
         """
+        if self.closed:
+            raise RuntimeError("connect on a closed network")
         attempt = ConnectAttempt(self.sim)
         server = self.hosts.get(server_name)
         if server is None:
@@ -375,6 +400,7 @@ class Network:
         )
         client_end.peer = server_end
         server_end.peer = client_end
+        self._endpoints += (client_end, server_end)
         # Injected faults ride on the server side: its outbound stream
         # is filtered and its inbound delivery can become an RST.
         server_end.fault = fault

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
+from repro.net.backend import SimulatedBackend
 from repro.net.clock import Simulation
 from repro.net.faults import FaultPlan
 from repro.net.transport import Network
@@ -38,7 +39,7 @@ from repro.scope.resilience import (
     make_scan_error,
     run_resilient,
 )
-from repro.scope.session import as_session
+from repro.scope.session import ProbeSession, as_session
 from repro.scope.storage import ReportStore
 from repro.servers.site import Site, deploy_site
 
@@ -297,37 +298,44 @@ def scan_site(
     substitute must be observationally identical for this universe, so
     the report stays a pure function of ``(site, include, seed,
     fault_plan, resilience)``.
+
+    The universe ends with the call: on every way out its back-edges
+    are cut, so reference counts free all but the report and the cyclic
+    collector finds nothing.  Whoever kept what ``backend_factory``
+    received or returned must not use it afterwards.
     """
     _validate_include(include)
 
     report = SiteReport(domain=site.domain)
-    sim = Simulation()
-    network = Network(sim, seed=seed, fault_plan=fault_plan)
-    if backend_factory is not None:
-        # Pre-seed as_backend's per-network cache so every probe in
-        # this universe waits through the substitute backend.
-        network._backend_cache = backend_factory(network)
+    network = Network(Simulation(), seed=seed, fault_plan=fault_plan)
+    # One session per universe, on the scheduler's backend if it has one.
+    session = ProbeSession((backend_factory or SimulatedBackend)(network))
+    server = None
     try:
-        deploy_site(network, site)
-    except Exception as exc:  # noqa: BLE001 - a poisoned site must not
-        # abort the scan; record the setup failure and move on.
-        report.errors.append(make_scan_error("setup", exc))
-        report.scan_virtual_time = sim.now
+        try:
+            server = deploy_site(network, site)
+        except Exception as exc:  # noqa: BLE001 - a poisoned site must not
+            # abort the scan; record the setup failure and move on.
+            report.errors.append(make_scan_error("setup", exc))
+        else:
+            probe_target(
+                session,
+                site.domain,
+                include=include,
+                seed=seed,
+                priority_test_paths=priority_test_paths,
+                priority_depletion_paths=priority_depletion_paths,
+                resilience=resilience,
+                known_paths=site.website,
+                report=report,
+            )
+        report.scan_virtual_time = session.now
         return report
-
-    probe_target(
-        network,
-        site.domain,
-        include=include,
-        seed=seed,
-        priority_test_paths=priority_test_paths,
-        priority_depletion_paths=priority_depletion_paths,
-        resilience=resilience,
-        known_paths=site.website,
-        report=report,
-    )
-    report.scan_virtual_time = sim.now
-    return report
+    finally:
+        # The one teardown call site (DESIGN §8).
+        if server is not None:
+            server.close()
+        network.close()
 
 
 def scan_population(

@@ -14,7 +14,7 @@ fly, so existing callers and tests keep working unchanged.
 
 from __future__ import annotations
 
-from repro.net.backend import TransportBackend, as_backend
+from repro.net.backend import as_backend
 from repro.scope.client import ScopeClient
 from repro.scope.trace import TraceRecorder
 
@@ -62,20 +62,12 @@ class ProbeSession:
 
 
 def as_session(target) -> ProbeSession:
-    """Normalize a ProbeSession, TransportBackend or Network."""
+    """Normalize a ProbeSession, TransportBackend or Network; the
+    wrapper is cached on the backend, so one target has one session."""
     if isinstance(target, ProbeSession):
         return target
-    if isinstance(target, TransportBackend):
-        session = getattr(target, "_session_cache", None)
-        if session is None:
-            session = ProbeSession(target)
-            target._session_cache = session
-        return session
-    # A simulated Network: cache the wrapper on the instance so every
-    # probe in a scan shares one session (and one backend).
     backend = as_backend(target)
-    session = getattr(backend, "_session_cache", None)
+    session = backend._session_cache
     if session is None:
-        session = ProbeSession(backend)
-        backend._session_cache = session
+        session = backend._session_cache = ProbeSession(backend)
     return session

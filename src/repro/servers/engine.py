@@ -143,6 +143,11 @@ class H2Server:
         )
         self.connections.append(conn)
 
+    def close(self) -> None:
+        """Let go of the accepted connections; each one points back at
+        its server, so nothing else can free the pair (DESIGN §8)."""
+        self.connections.clear()
+
     @property
     def pending_response_bytes(self) -> int:
         """Memory pinned by buffered responses across all connections."""

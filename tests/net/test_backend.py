@@ -25,6 +25,15 @@ class TestSimulatedBackend:
         assert as_backend(network) is backend  # cached on the instance
         assert as_backend(backend) is backend  # passthrough
 
+    def test_closing_the_network_lets_go_of_the_cached_wrapper(self, collector_off):
+        import weakref
+
+        network, _ = make_network()
+        gone = weakref.ref(as_backend(network))  # network <-> wrapper
+        network.close()
+        assert gone() is None
+        assert collector_off.collect() == 0
+
     def test_as_backend_rejects_other_types(self):
         with pytest.raises(TypeError):
             as_backend("example.com")

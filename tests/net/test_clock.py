@@ -226,3 +226,61 @@ class TestRunSemantics:
         sim.run_until(lambda: bool(calls.append(0)) or False, timeout=10.0)
         # up-front + once per processed event + once at the deadline
         assert len(calls) == 1 + 3 + 1
+
+
+class TestClear:
+    """``Simulation.clear``: the universe's end drops the heap for good."""
+
+    def test_clear_drops_pending_events_and_keeps_the_clock(self):
+        sim = Simulation()
+        fired = []
+        sim.call_later(1.0, fired.append, "early")
+        sim.run()
+        sim.call_later(1.0, fired.append, "dropped")
+        sim.call_later(2.0, fired.append, "dropped too").cancel()
+        sim.clear()
+        assert sim.pending_events == 0
+        assert sim.next_event_time() is None
+        sim.run()  # returns at once: nothing is left to run
+        assert not sim.step()
+        assert fired == ["early"]
+        assert sim.now == 1.0
+        assert sim.processed_events == 1
+
+    def test_cancel_of_a_dropped_timer_leaves_the_count_at_zero(self):
+        sim = Simulation()
+        timer = sim.call_later(1.0, lambda: None)
+        sim.clear()
+        timer.cancel()
+        assert timer.cancelled
+        assert sim.pending_events == 0
+        # ... and the accounting is sound for whatever is scheduled next.
+        sim.call_later(1.0, lambda: None)
+        assert sim.pending_events == 1
+        sim.run()
+        assert sim.pending_events == 0
+
+    def test_clear_is_idempotent_and_safe_on_an_empty_queue(self):
+        sim = Simulation()
+        sim.clear()
+        sim.call_later(1.0, lambda: None)
+        sim.clear()
+        sim.clear()
+        assert sim.pending_events == 0
+        assert not sim.run_until(lambda: False, timeout=0.0)
+
+    def test_clear_releases_the_callbacks(self):
+        import weakref
+
+        class Owner:
+            def tick(self):
+                pass
+
+        sim = Simulation()
+        owner = Owner()
+        gone = weakref.ref(owner)
+        sim.call_later(1.0, owner.tick)
+        del owner
+        assert gone() is not None  # the queued timer holds the bound method
+        sim.clear()
+        assert gone() is None

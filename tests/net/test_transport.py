@@ -227,3 +227,71 @@ class TestNetwork:
         assert a1.established and a2.established
         assert len(accepted) == 2
         assert a1.endpoint is not a2.endpoint
+
+
+class TestNetworkClose:
+    """A closed universe refuses use loudly; it does not imitate a dead host."""
+
+    def test_connect_on_a_closed_network_raises(self, sim):
+        network, _ = make_server(sim)
+        network.close()
+        assert network.closed
+        with pytest.raises(RuntimeError, match="closed network"):
+            network.connect("srv.example", 443)
+        assert sim.pending_events == 0  # no "refused after 0 s" was queued
+
+    def test_close_unlinks_and_closes_every_endpoint(self, sim):
+        network, accepted = make_server(sim)
+        attempts = [network.connect("srv.example", 443) for _ in range(3)]
+        sim.run()
+        ends = [a.endpoint for a in attempts] + accepted
+        for end in ends:
+            end.on_data = end.on_close = lambda *args: None
+        ends[0].send(b"in flight when the universe ends")
+        network.close()
+        assert sim.pending_events == 0
+        assert network.hosts == {}
+        for end in ends:
+            assert end.closed
+            assert end.peer is None and end.on_data is None and end.on_close is None
+            with pytest.raises(ConnectionError):
+                end.send(b"x")
+            end.close()  # stays a no-op ...
+        assert sim.pending_events == 0  # ... that schedules nothing
+
+    def test_close_is_idempotent(self, sim):
+        network, _ = make_server(sim)
+        network.connect("srv.example", 443)
+        network.close()
+        network.close()
+        assert sim.pending_events == 0
+        assert network.closed
+
+    def test_close_frees_the_universe_by_reference_count(self, sim, collector_off):
+        import weakref
+
+        class Owner:
+            """What a client or a server connection is to its endpoint."""
+
+            def __init__(self, endpoint):
+                self.endpoint = endpoint
+                endpoint.on_data = self.on_data
+                endpoint.on_close = self.on_close
+
+            def on_data(self, data):
+                pass
+
+            def on_close(self):
+                pass
+
+        network, accepted = make_server(sim)
+        attempt = network.connect("srv.example", 443)
+        sim.run()
+        owners = [Owner(attempt.endpoint), Owner(accepted.pop())]
+        sim.call_later(5.0, owners[0].on_close)  # still pending at the end
+        refs = [weakref.ref(owner) for owner in owners]
+        refs += [weakref.ref(owner.endpoint) for owner in owners]
+        network.close()
+        del attempt, owners
+        assert [ref() for ref in refs] == [None] * 4
+        assert collector_off.collect() == 0

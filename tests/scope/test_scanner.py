@@ -215,3 +215,177 @@ class TestResilientScan:
         # reports an unresponsive site, matching pre-fault behavior.
         assert report.probe_attempts == {}
         assert not report.speaks_h2
+
+
+# The e2e benchmark's ``sim_chaos`` hostility (benchmarks/e2e/workloads.py).
+E2E_CHAOS_PLAN = "refuse:0.1x6,reset:0.06x4,stall(30):0.05,truncate(400):0.05"
+E2E_CHAOS_PLAN_SEED = 5
+SHORT_PROBES = {"negotiation", "settings", "ping"}
+
+
+def chaos_options():
+    from repro.net.faults import FaultPlan
+    from repro.scope.resilience import ResilienceConfig
+
+    return dict(
+        include=SHORT_PROBES,
+        fault_plan=FaultPlan.parse(E2E_CHAOS_PLAN, seed=E2E_CHAOS_PLAN_SEED),
+        resilience=ResilienceConfig(timeout=10.0, retries=1),
+    )
+
+
+@pytest.fixture(scope="module")
+def population():
+    from repro.population.generator import PopulationConfig, make_population
+
+    return make_population(PopulationConfig(n_sites=45, seed=7))
+
+
+class TestUniverseEndsWithTheCall:
+    """``scan_site`` tears its universe down on every way out, so
+    reference counts free it and the cyclic collector finds nothing."""
+
+    @pytest.fixture
+    def universe_refs(self, monkeypatch):
+        """Weak references to the Network, Simulation and H2Server of
+        every universe ``scan_site`` builds; ``setup-fails.test`` raises
+        out of ``deploy_site`` after the engine is installed."""
+        import weakref
+
+        import repro.scope.scanner as scanner_module
+
+        real_deploy = scanner_module.deploy_site
+        refs = []
+
+        def watched_deploy(network, site):
+            refs.extend([weakref.ref(network), weakref.ref(network.sim)])
+            server = real_deploy(network, site)
+            refs.append(weakref.ref(server))
+            if site.domain == "setup-fails.test":
+                raise RuntimeError("deploy exploded")
+            return server
+
+        monkeypatch.setattr(scanner_module, "deploy_site", watched_deploy)
+        return refs
+
+    @staticmethod
+    def assert_freed(refs, report):
+        assert len(refs) == 3
+        assert [ref() for ref in refs] == [None, None, None], report.domain
+        refs.clear()
+
+    def test_serial_scans_leave_nothing_for_the_collector(
+        self, population, collector_off, universe_refs, monkeypatch
+    ):
+        import repro.scope.scanner as scanner_module
+
+        for index, site in enumerate(population[:40]):
+            report = scan_site(site, seed=7 + index, **chaos_options())
+            self.assert_freed(universe_refs, report)
+        for index, site in enumerate(population[:10]):
+            report = scan_site(site, seed=7 + index)  # all seven probe groups
+            assert report.errors == []
+            self.assert_freed(universe_refs, report)
+
+        report = scan_site(make_site(domain="setup-fails.test"))
+        assert report.errors[0].probe == "setup"
+        self.assert_freed(universe_refs, report)
+
+        def exploding_probe(session, domain):
+            client = session.client(domain)
+            assert client.connect()
+            client.tls_handshake()  # a live connection, events still queued
+            raise RuntimeError("probe exploded mid-connection")
+
+        monkeypatch.setattr(scanner_module, "probe_settings", exploding_probe)
+        report = scan_site(make_site(), include={"negotiation", "settings"})
+        assert [error.probe for error in report.errors] == ["settings"]
+        self.assert_freed(universe_refs, report)
+
+        assert collector_off.collect() == 0
+
+    def test_an_exception_through_scan_site_still_ends_the_universe(
+        self, collector_off, universe_refs
+    ):
+        from repro.net.backend import SimulatedBackend
+
+        class LaneAbort(BaseException):
+            """What the scheduler injects into a lane it is tearing down."""
+
+        class AbortingBackend(SimulatedBackend):
+            waits = 0
+
+            def run_until(self, predicate, timeout):
+                self.waits += 1
+                if self.waits == 4:
+                    raise LaneAbort
+                return super().run_until(predicate, timeout)
+
+        with pytest.raises(LaneAbort):
+            scan_site(make_site(), backend_factory=AbortingBackend)
+        assert [ref() for ref in universe_refs] == [None, None, None]
+        assert collector_off.collect() == 0
+
+    def test_lanes_leave_nothing_per_site_either(self, population, collector_off):
+        sites = population[:40]
+        reports = scan_population(sites, seed=7, concurrency=8, **chaos_options())
+        assert len(reports) == len(sites)
+        # The scheduler's own threads and events are a fixed handful; a
+        # universe was ~350 objects a site before the teardown.
+        assert collector_off.collect() <= 10 * len(sites)
+
+
+class TestNothingReadsATornDownObject:
+    """The report is complete before the teardown runs: it is the same
+    report, byte for byte, when the teardown does nothing."""
+
+    @staticmethod
+    def stored_rows(sites, **options):
+        from repro.scope.storage import ReportStore
+
+        with ReportStore() as store:
+            for index, site in enumerate(sites):
+                store.save("c", scan_site(site, seed=7 + index, **options))
+            return store.connection.execute(
+                "SELECT * FROM reports ORDER BY rowid"
+            ).fetchall()
+
+    def test_stored_documents_equal_those_of_a_scan_without_teardown(
+        self, population, monkeypatch
+    ):
+        from repro.net.transport import Network
+        from repro.servers.engine import H2Server
+
+        torn_down = [
+            self.stored_rows(population[:30], **chaos_options()),
+            self.stored_rows(population[:10]),
+        ]
+        closed = []
+        monkeypatch.setattr(Network, "close", lambda self: closed.append(self))
+        monkeypatch.setattr(H2Server, "close", lambda self: closed.append(self))
+        kept = [
+            self.stored_rows(population[:30], **chaos_options()),
+            self.stored_rows(population[:10]),
+        ]
+        assert len(closed) == 2 * 40  # the seam is the teardown's entry points
+        assert torn_down == kept
+        assert all(len(rows) == n for rows, n in zip(kept, (30, 10)))
+
+    def test_scan_virtual_time_is_the_clock_after_the_last_probe(
+        self, population, monkeypatch
+    ):
+        import repro.scope.scanner as scanner_module
+
+        real_probe_target = scanner_module.probe_target
+        clock = []
+
+        def timed_probe_target(session, domain, **kwargs):
+            try:
+                return real_probe_target(session, domain, **kwargs)
+            finally:
+                clock.append(session.now)
+
+        monkeypatch.setattr(scanner_module, "probe_target", timed_probe_target)
+        for index, site in enumerate(population[:20]):
+            report = scan_site(site, seed=7 + index, **chaos_options())
+            assert report.scan_virtual_time == clock.pop() > 0.0
