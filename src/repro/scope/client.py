@@ -502,7 +502,7 @@ class ScopeClient:
             ).encode()
         )
         self._wait(
-            lambda: b"\r\n\r\n" in bytes(self._raw_http1),
+            lambda: b"\r\n\r\n" in self._raw_http1,
             self._budget(timeout, "h2c upgrade"),
         )
         raw = bytes(self._raw_http1)

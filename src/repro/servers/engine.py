@@ -62,7 +62,10 @@ class _ResponseTask:
 
     stream_id: int
     headers: list[tuple[str, str]]
-    body: bytes
+    #: What the stream serves (``None``: a 404).  The task keeps no
+    #: octets: ``_send_chunk`` asks for each DATA frame's as it sends it.
+    resource: Resource | None
+    size: int
     offset: int = 0
     headers_sent: bool = False
     sent_empty_probe: bool = False
@@ -71,7 +74,7 @@ class _ResponseTask:
 
     @property
     def remaining(self) -> int:
-        return len(self.body) - self.offset
+        return self.size - self.offset
 
     @property
     def finished(self) -> bool:
@@ -150,7 +153,8 @@ class H2Server:
 
     @property
     def pending_response_bytes(self) -> int:
-        """Memory pinned by buffered responses across all connections."""
+        """Octets of accepted responses not yet sent, over all connections:
+        what a real server would be holding for its slow readers."""
         return sum(conn.pending_response_bytes for conn in self.connections)
 
     @property
@@ -215,7 +219,6 @@ class _ServerConnection:
         #: Streams whose request was accepted and whose response is not
         #: yet fully delivered — the MAX_CONCURRENT_STREAMS population.
         self._active_requests: set[int] = set()
-        self._arrival_counter = 0
         self._rr_last_arrival = 0
         self._page_path: str | None = None
         self.index = index
@@ -549,8 +552,10 @@ class _ServerConnection:
 
     @property
     def pending_response_bytes(self) -> int:
-        """Response bytes buffered awaiting flow-control window — the
-        memory a slow-read attacker pins (§V-D1's DoS observation)."""
+        """Response octets awaiting flow-control window — the memory a
+        slow-read attacker pins on a real server (§V-D1's DoS
+        observation).  A modeled figure, ``size - offset`` per task, not
+        a buffer: this engine makes each octet as the wire takes it."""
         return sum(task.remaining for task in self._tasks.values())
 
     def _ping_ack(self, payload: bytes) -> None:
@@ -621,16 +626,14 @@ class _ServerConnection:
         profile = self.profile
 
         if resource is None:
-            self._enqueue(stream_id, self._response_headers("404", None), b"")
+            self._enqueue(stream_id, self._response_headers("404", None), None)
         else:
             if profile.supports_push and conn.remote_settings.enable_push:
                 push_list = self._push_list(resource, path)
                 if push_list:
                     self._push_resources(stream_id, push_list)
             self._enqueue(
-                stream_id,
-                self._response_headers("200", resource),
-                resource.body(),
+                stream_id, self._response_headers("200", resource), resource
             )
         self._pump()
         self._flush()
@@ -669,7 +672,7 @@ class _ServerConnection:
                     promised_id, depends_on=parent_stream_id
                 )
             self._enqueue(
-                promised_id, self._response_headers("200", pushed), pushed.body()
+                promised_id, self._response_headers("200", pushed), pushed
             )
 
     def _response_headers(
@@ -711,18 +714,18 @@ class _ServerConnection:
         return headers
 
     def _enqueue(
-        self, stream_id: int, headers: list[tuple[str, str]], body: bytes
+        self, stream_id: int, headers: list[tuple[str, str]], resource: Resource | None
     ) -> None:
         # FCFS order is *request* order (stream ids are monotonic per
         # RFC 7540 §5.1.1), not response-generation order: a FCFS server
         # drains its accept queue in the order requests arrived, which
         # is what makes it deterministically fail Algorithm 1 rather
         # than passing by a lucky permutation.
-        self._arrival_counter += 1
         self._tasks[stream_id] = _ResponseTask(
             stream_id=stream_id,
             headers=headers,
-            body=body,
+            resource=resource,
+            size=max(0, resource.size) if resource is not None else 0,
             arrival_index=stream_id,
         )
         self._progress_at = self.sim.now
@@ -737,7 +740,6 @@ class _ServerConnection:
         conn = self.conn
         if conn is None or self.endpoint.closed:
             return
-        profile = self.profile
 
         progress = True
         while progress:
@@ -768,12 +770,12 @@ class _ServerConnection:
             stream = conn.streams.get(task.stream_id)
             if stream is None or stream.closed:
                 continue
-            if profile.flow_control_on_headers and task.body:
+            if profile.flow_control_on_headers and task.size:
                 # Misapplied flow control: HEADERS wait for windows the
                 # RFC says do not govern them.  The threshold separates
                 # the common zero-window variant from LiteSpeed's
                 # stricter one (§V-D1 vs §V-D2).
-                needed = min(profile.headers_hold_threshold, len(task.body))
+                needed = min(profile.headers_hold_threshold, task.size)
                 if (
                     stream.outbound_window.available < needed
                     or conn.outbound_window.available <= 0
@@ -782,7 +784,7 @@ class _ServerConnection:
             conn.send_headers(
                 task.stream_id,
                 task.headers,
-                end_stream=not task.body,
+                end_stream=not task.size,
             )
             task.headers_sent = True
             sent_any = True
@@ -915,8 +917,8 @@ class _ServerConnection:
             task.sent_empty_probe = True
             return False
 
-        chunk = task.body[task.offset : task.offset + chunk_len]
-        end = task.offset + chunk_len >= len(task.body)
+        chunk = task.resource.body_slice(task.offset, chunk_len)
+        end = task.offset + chunk_len >= task.size
         conn.send_data(task.stream_id, chunk, end_stream=end)
         task.offset += chunk_len
         self._progress_at = self.sim.now

@@ -29,12 +29,21 @@ class Resource:
     extra_headers: list[tuple[str, str]] = field(default_factory=list)
 
     def body(self) -> bytes:
-        """Deterministic pseudo-content of the declared size."""
-        if self.size <= 0:
+        """Deterministic pseudo-content of the declared size, whole: for
+        a wire that carries every octet at once (HTTP/1.1) and for tests."""
+        return self.body_slice(0, self.size)
+
+    def body_slice(self, offset: int, length: int) -> bytes:
+        """``body()[offset : offset + length]`` (``offset >= 0``) built
+        from the repeating pattern alone: a DATA frame's octets are made
+        when the wire takes them, and nothing of the body is kept."""
+        length = min(length, self.size - offset)
+        if length <= 0:
             return b""
         pattern = f"<{self.path}>".encode()
-        repeats = self.size // len(pattern) + 1
-        return (pattern * repeats)[: self.size]
+        start = offset % len(pattern)
+        repeats = (start + length) // len(pattern) + 1
+        return (pattern * repeats)[start : start + length]
 
 
 class Website:

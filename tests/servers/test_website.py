@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from repro.servers.website import (
     Resource,
     Website,
@@ -25,6 +27,55 @@ class TestResource:
 
     def test_zero_size_body(self):
         assert Resource("/empty", 0).body() == b""
+
+
+def whole_body(resource: Resource) -> bytes:
+    """``Resource.body`` as it read before ``body_slice`` defined it
+    (PR 19's parent, verbatim): the reference every slice is held to."""
+    if resource.size <= 0:
+        return b""
+    pattern = f"<{resource.path}>".encode()
+    repeats = resource.size // len(pattern) + 1
+    return (pattern * repeats)[: resource.size]
+
+
+class TestBodySlice:
+    @pytest.mark.parametrize("path", ["/x", "/big.bin", "/página/ü.bin"])
+    def test_slice_is_the_body(self, path):
+        period = len(f"<{path}>".encode())  # octets, not characters
+        sizes = (-5, 0, 1, period - 1, period + 1, 16_383, 16_384, 65_535, 1_000_000)
+        for size in sizes:
+            resource = Resource(path, size)
+            body = whole_body(resource)
+            assert resource.body() == body
+            offsets = {0, 1, period // 2, 3 * period + period // 2, size - 1, size, size + 7}
+            for offset in sorted(o for o in offsets if o >= 0):
+                for length in (0, 1, 16_384, size + 100):
+                    assert (
+                        resource.body_slice(offset, length)
+                        == body[offset : offset + length]
+                    ), (size, offset, length)
+
+    def test_consecutive_slices_join_to_the_body(self):
+        resource = Resource("/seam.bin", 100_003)
+        for step in (1_000, 16_383, 16_384):
+            parts = [
+                resource.body_slice(offset, step)
+                for offset in range(0, resource.size, step)
+            ]
+            assert b"".join(parts) == whole_body(resource)
+            assert len(parts[-1]) == resource.size % step
+
+    def test_body_unchanged_for_every_site_we_build(self):
+        sites = [default_website(), testbed_website()]
+        sites += [
+            random_website(random.Random(seed), push_capable=seed % 2 == 0)
+            for seed in range(50)
+        ]
+        for site in sites:
+            for path in site.paths():
+                resource = site.get(path)
+                assert resource.body() == whole_body(resource), path
 
 
 class TestWebsite:
