@@ -108,11 +108,6 @@ print(json.dumps({
 }))
 """
 
-# This benchmark deliberately oversubscribes (the workers>1 rows on a
-# small runner measure pure multiprocessing overhead); disable the
-# effective_workers cap so it keeps measuring what it says it does.
-os.environ["H2SCOPE_OVERSUBSCRIBE"] = "1"
-
 
 def _run_wide_point(width: int, n_sites: int) -> dict:
     """One wide-sweep point in a fresh subprocess (its own ru_maxrss)."""

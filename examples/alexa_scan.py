@@ -18,29 +18,17 @@ generate; the output extrapolates counts back to the paper's population
 
 import sys
 
-from repro.experiments import (
-    adoption,
-    flowcontrol_scan,
-    priority_scan,
-    push_scan,
-    settings_tables,
-    table4,
-)
+from repro.experiments import SCAN_SUMMARIES, run_experiment
 
 
 def main() -> None:
     n_sites = int(sys.argv[1]) if len(sys.argv) > 1 else 300
     experiment = int(sys.argv[2]) if len(sys.argv) > 2 else 1
 
-    for module in (
-        adoption,
-        table4,
-        settings_tables,
-        flowcontrol_scan,
-        priority_scan,
-        push_scan,
-    ):
-        result = module.run(experiment=experiment, n_sites=n_sites, seed=7)
+    for name in SCAN_SUMMARIES:
+        result = run_experiment(
+            name, experiment=experiment, n_sites=n_sites, seed=7
+        )
         print(result.text)
         print("=" * 72)
 

@@ -22,8 +22,13 @@ PROBES = frozenset({"negotiation"})
 def run(
     experiment: int = 1, n_sites: int = 400, seed: int = 7, workers: int = 1
 ) -> ExperimentResult:
+    _, reports, scale = population_scan(experiment, n_sites, seed, PROBES, workers=workers)
+    return summarize(reports, experiment, scale)
+
+
+def summarize(reports, experiment: int, scale: float) -> ExperimentResult:
+    """§V-B1's counts from one scan's reports (any scan that ran ``PROBES``)."""
     data = experiment_data(experiment)
-    sites, reports, scale = population_scan(experiment, n_sites, seed, PROBES, workers=workers)
 
     npn = sum(1 for r in reports if r.negotiation.npn_h2)
     alpn = sum(1 for r in reports if r.negotiation.alpn_h2)

@@ -59,21 +59,33 @@ def run(
         resilience=resilience,
         workers=workers,
     )
+    return summarize(reports, len(sites), experiment, seed, plan, resilience)
+
+
+def summarize(
+    reports,
+    total_sites: int,
+    experiment: int,
+    seed: int,
+    plan: FaultPlan | None,
+    resilience: ResilienceConfig,
+) -> ExperimentResult:
+    """The error taxonomy of one chaos scan's reports."""
     taxonomy = summarize_errors(reports)
 
     rescued = sum(1 for r in reports if r.retried and not r.failed)
     lines = [
-        f"Fault study — experiment {experiment}, {len(sites)} sites, "
+        f"Fault study — experiment {experiment}, {total_sites} sites, "
         f"seed {seed}",
         f"fault plan: {plan.spec if plan is not None else '(none)'}",
-        f"resilience: timeout={timeout}s retries={retries} "
+        f"resilience: timeout={resilience.timeout}s retries={resilience.retries} "
         "(virtual-time deadlines, exponential backoff)",
         "",
         format_error_taxonomy(taxonomy),
         "",
         f"  sites rescued by retry  {rescued} "
         "(transient failures, clean report after backoff)",
-        f"  reports produced        {len(reports)}/{len(sites)} "
+        f"  reports produced        {len(reports)}/{total_sites} "
         "(per-site isolation: one report per site, always)",
     ]
     return ExperimentResult(

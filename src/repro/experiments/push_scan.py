@@ -21,8 +21,13 @@ PROBES = frozenset({"negotiation", "push"})
 def run(
     experiment: int = 1, n_sites: int = 400, seed: int = 7, workers: int = 1
 ) -> ExperimentResult:
+    _, reports, scale = population_scan(experiment, n_sites, seed, PROBES, workers=workers)
+    return summarize(reports, experiment, scale)
+
+
+def summarize(reports, experiment: int, scale: float) -> ExperimentResult:
+    """§V-F's counts from one scan's reports (any scan that ran ``PROBES``)."""
     data = experiment_data(experiment)
-    sites, reports, scale = population_scan(experiment, n_sites, seed, PROBES, workers=workers)
     responsive = [r for r in reports if r.negotiation.headers_received]
 
     pushing = [r for r in responsive if r.push.push_received]

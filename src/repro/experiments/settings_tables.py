@@ -71,8 +71,13 @@ def _format_one(
 def run(
     experiment: int = 1, n_sites: int = 400, seed: int = 7, workers: int = 1
 ) -> ExperimentResult:
+    _, reports, scale = population_scan(experiment, n_sites, seed, PROBES, workers=workers)
+    return summarize(reports, experiment, scale)
+
+
+def summarize(reports, experiment: int, scale: float) -> ExperimentResult:
+    """Tables V–VII from one scan's reports (any scan that ran ``PROBES``)."""
     data = experiment_data(experiment)
-    sites, reports, scale = population_scan(experiment, n_sites, seed, PROBES, workers=workers)
 
     iws = _distribution(reports, IWS, absent_label="(default 65,535)")
     mfs = _distribution(reports, MFS, absent_label="(default 16,384)")

@@ -10,8 +10,6 @@ reproduction deviates from the paper; it should be empty.
 from __future__ import annotations
 
 from repro.analysis.tables import format_table
-from repro.net.clock import Simulation
-from repro.net.transport import Network
 from repro.scope.probes import (
     probe_hpack,
     probe_large_window_update,
@@ -26,7 +24,7 @@ from repro.scope.probes import (
     probe_zero_window_update,
 )
 from repro.scope.report import ErrorReaction, TinyWindowResult
-from repro.servers.site import Site, deploy_site
+from repro.servers.site import Site, deploy_testbed
 from repro.servers.vendors import VENDOR_FACTORIES
 from repro.servers.website import testbed_website
 from repro.experiments.common import ExperimentResult
@@ -157,14 +155,7 @@ TESTBED_SFRAME = 64
 
 def characterize_vendor(vendor: str, seed: int = 0) -> dict[str, str]:
     """Run every Table III probe against one vendor's testbed deployment."""
-    sim = Simulation()
-    network = Network(sim, seed=seed)
-    site = Site(
-        domain=f"{vendor}.testbed",
-        profile=VENDOR_FACTORIES[vendor](),
-        website=testbed_website(),
-    )
-    deploy_site(network, site)
+    network, site = deploy_testbed(vendor, seed)
     return matrix_cells(network, site.domain)
 
 
@@ -289,8 +280,6 @@ def characterize_vendor_socket(
 def _measure_socket(seed: int, timeout_scale: float) -> dict[str, dict[str, str]]:
     """Serve all six vendors on a loopback bridge and probe them."""
     from repro.servers.loopback import LoopbackBridge
-    from repro.servers.vendors import VENDOR_FACTORIES
-    from repro.servers.website import testbed_website
 
     with LoopbackBridge(seed=seed) as bridge:
         for vendor in VENDORS:

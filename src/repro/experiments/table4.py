@@ -36,8 +36,13 @@ FAMILY_LABELS = {
 def run(
     experiment: int = 1, n_sites: int = 400, seed: int = 7, workers: int = 1
 ) -> ExperimentResult:
+    _, reports, scale = population_scan(experiment, n_sites, seed, PROBES, workers=workers)
+    return summarize(reports, experiment, scale)
+
+
+def summarize(reports, experiment: int, scale: float) -> ExperimentResult:
+    """Table IV from one scan's reports (any scan that ran ``PROBES``)."""
     data = experiment_data(experiment)
-    sites, reports, scale = population_scan(experiment, n_sites, seed, PROBES, workers=workers)
 
     counts: Counter[str] = Counter()
     distinct_headers: set[str] = set()

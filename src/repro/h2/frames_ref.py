@@ -3,10 +3,9 @@
 This is the original copy-based frame codec, kept verbatim as the
 *reference implementation* for the zero-copy hot path in
 :mod:`repro.h2.frames`.  The differential tests
-(``tests/h2/test_frames_differential.py``) and the codec benchmark
-(``benchmarks/bench_codec.py``) drive both codecs over the fuzz corpus
-and require byte-identical wire output and identical error classes —
-so this module must stay a faithful, slow, obviously-correct
+(``tests/h2/test_frames_differential.py``) drive both codecs over the
+fuzz corpus and require byte-identical wire output and identical error
+classes — so this module must stay a faithful, slow, obviously-correct
 executable specification.  Do not optimize it.
 
 Every frame type is a small dataclass with a ``serialize_payload``

@@ -3,11 +3,11 @@
 This is the original per-bit tree-walk implementation, kept verbatim as
 the *reference codec* for the table-driven hot-path implementation in
 :mod:`repro.h2.hpack.huffman`.  The differential tests
-(``tests/h2/test_huffman_differential.py``) and the codec benchmark
-(``benchmarks/bench_codec.py``) run both codecs over the RFC Appendix C
-vectors and the fuzz corpus and require byte-identical outputs and
-identical error classes — so this module must stay a faithful, slow,
-obviously-correct executable specification.  Do not optimize it.
+(``tests/h2/test_huffman_differential.py``) run both codecs over the
+RFC Appendix C vectors and the fuzz corpus and require byte-identical
+outputs and identical error classes — so this module must stay a
+faithful, slow, obviously-correct executable specification.  Do not
+optimize it.
 
 The encoder packs per-symbol codes most-significant-bit first and pads
 the final partial octet with the most-significant bits of the EOS code

@@ -81,6 +81,21 @@ def _render_probe_report(report) -> str:
     return "\n".join(lines)
 
 
+def _open_store(path: str):
+    """Open the report database at ``path``, or say why not and return
+    None (the caller exits 2): a corrupt or newer-schema file is a usage
+    error, never a traceback."""
+    import sqlite3
+
+    from repro.scope.storage import ReportStore, SchemaVersionError
+
+    try:
+        return ReportStore(path)
+    except (SchemaVersionError, sqlite3.DatabaseError) as exc:
+        print(f"cannot open {path}: {exc}", file=sys.stderr)
+        return None
+
+
 #: Probes `h2scope probe` runs by default: everything except priority,
 #: whose Algorithm-1 objects (/prio/*.bin) only exist on generated
 #: population sites.
@@ -110,11 +125,8 @@ def _cmd_probe(args: argparse.Namespace) -> int:
         return 2
 
     if args.backend == "sim":
-        from repro.net.clock import Simulation
-        from repro.net.transport import Network
-        from repro.servers.site import Site, deploy_site
+        from repro.servers.site import deploy_testbed
         from repro.servers.vendors import VENDOR_FACTORIES
-        from repro.servers.website import testbed_website
 
         if args.vendor is None:
             print("--backend sim requires --vendor", file=sys.stderr)
@@ -122,15 +134,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
         if args.vendor not in VENDOR_FACTORIES:
             print(f"unknown vendor {args.vendor!r}", file=sys.stderr)
             return 2
-        sim = Simulation()
-        network = Network(sim, seed=args.seed)
-        site = Site(
-            domain=args.domain,
-            profile=VENDOR_FACTORIES[args.vendor](),
-            website=testbed_website(),
-        )
-        deploy_site(network, site)
-        backend = network
+        backend, _ = deploy_testbed(args.vendor, args.seed, args.domain)
     else:
         from repro.net.socket_backend import SocketBackend
 
@@ -175,15 +179,10 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Render stored per-frame timelines for one scanned site."""
-    import sqlite3
-
-    from repro.scope.storage import ReportStore, SchemaVersionError
     from repro.scope.trace import render_trace
 
-    try:
-        store = ReportStore(args.db)
-    except (SchemaVersionError, sqlite3.DatabaseError) as exc:
-        print(f"cannot open {args.db}: {exc}", file=sys.stderr)
+    store = _open_store(args.db)
+    if store is None:
         return 2
     with store:
         campaign = args.campaign
@@ -271,7 +270,6 @@ def _run_stored_campaign(
     or a corrupt database is a usage error, never a traceback.
     """
     import signal
-    import sqlite3
 
     from repro.scope.campaign import (
         CampaignError,
@@ -279,12 +277,9 @@ def _run_stored_campaign(
         CampaignJournal,
         ManifestMismatch,
     )
-    from repro.scope.storage import ReportStore, SchemaVersionError
 
-    try:
-        store = ReportStore(args.db)
-    except (SchemaVersionError, sqlite3.DatabaseError) as exc:
-        print(f"cannot open {args.db}: {exc}", file=sys.stderr)
+    store = _open_store(args.db)
+    if store is None:
         return 2
     try:  # make sure Ctrl-C raises KeyboardInterrupt even if inherited odd
         previous_handler = signal.signal(
@@ -332,42 +327,6 @@ def _run_stored_campaign(
     finally:
         if previous_handler is not None:
             signal.signal(signal.SIGINT, previous_handler)
-
-
-def _store_campaign(
-    args: argparse.Namespace,
-    campaign: str,
-    include,
-    fault_plan=None,
-    resilience=None,
-) -> int:
-    """Simulated-backend campaign over the generated population."""
-    from repro.population import PopulationConfig, make_population
-    from repro.scope.scanner import run_campaign
-
-    sites = make_population(
-        PopulationConfig(
-            experiment=args.experiment, n_sites=args.n_sites, seed=args.seed
-        )
-    )
-    return _run_stored_campaign(
-        args,
-        campaign,
-        lambda store: run_campaign(
-            sites,
-            store,
-            campaign,
-            include=include,
-            seed=args.seed,
-            fault_plan=fault_plan,
-            resilience=resilience,
-            resume=args.resume,
-            checkpoint_every=args.checkpoint_every,
-            workers=args.workers,
-            concurrency=args.concurrency,
-        ),
-        "virtual seconds",
-    )
 
 
 def _cmd_scan_live(args: argparse.Namespace) -> int:
@@ -435,6 +394,17 @@ def _cmd_scan_live(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    """Scan the generated population once, then print its summaries.
+
+    Any of ``--fault-plan`` / ``--timeout`` / ``--retries`` selects
+    chaos mode: fault injection plus deadline/retry execution, with the
+    fault study as the summary; without ``--fault-plan`` that is the
+    control condition (clean network, resilient execution).  With
+    ``--db`` the scan is a journaled campaign and the summaries are
+    computed from the database it leaves, so ``--resume`` prints the
+    tables of the finished campaign and an interrupted or refused one
+    prints none.
+    """
     if args.resume and not args.db:
         print("--resume requires --db (the journaled database)", file=sys.stderr)
         return 2
@@ -443,90 +413,83 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if args.targets is not None:
         print("--targets requires --backend socket", file=sys.stderr)
         return 2
-    if (
-        args.fault_plan is not None
-        or args.timeout is not None
-        or args.retries is not None
-    ):
-        return _cmd_scan_resilient(args)
 
-    if not args.resume:
-        from repro.experiments import (
-            adoption,
-            flowcontrol_scan,
-            priority_scan,
-            push_scan,
-            settings_tables,
-            table4,
+    from repro.experiments import SCAN_SUMMARIES, fault_study, load
+    from repro.population import PopulationConfig, make_population
+    from repro.scope.scanner import ALL_PROBES, run_campaign, scan_population
+
+    plan = resilience = None
+    chaos = not (
+        args.fault_plan is None and args.timeout is None and args.retries is None
+    )
+    if chaos:
+        from repro.net.faults import FaultPlan
+        from repro.scope.resilience import ResilienceConfig
+
+        if args.fault_plan is not None:
+            try:  # surface spec/JSON mistakes as a usage error, not a traceback
+                plan = FaultPlan.load(args.fault_plan, seed=args.seed)
+            except ValueError as exc:
+                print(f"bad --fault-plan: {exc}", file=sys.stderr)
+                return 2
+        resilience = ResilienceConfig(
+            timeout=12.0 if args.timeout is None else args.timeout,
+            retries=2 if args.retries is None else args.retries,
+        )
+        campaign = f"experiment-{args.experiment}-faults"
+        include = fault_study.PROBES
+    else:
+        summaries = [load(name) for name in SCAN_SUMMARIES]
+        campaign = f"experiment-{args.experiment}"
+        # The stored campaign keeps every probe "for further study"
+        # (§IV-B); a print-only scan runs just what the tables read.
+        include = (
+            ALL_PROBES
+            if args.db
+            else frozenset().union(*(module.PROBES for module in summaries))
         )
 
-        for module in (
-            adoption,
-            table4,
-            settings_tables,
-            flowcontrol_scan,
-            priority_scan,
-            push_scan,
-        ):
-            result = module.run(
-                experiment=args.experiment,
-                n_sites=args.n_sites,
-                seed=args.seed,
-                workers=args.workers,
+    config = PopulationConfig(
+        experiment=args.experiment, n_sites=args.n_sites, seed=args.seed
+    )
+    sites = make_population(config)
+
+    def print_summaries(reports) -> None:
+        if chaos:
+            result = fault_study.summarize(
+                reports, len(sites), args.experiment, args.seed, plan, resilience
             )
             print(result.text)
+            return
+        for module in summaries:
+            print(module.summarize(reports, args.experiment, config.scale).text)
             print("=" * 72)
 
-    if args.db:
-        from repro.scope.scanner import ALL_PROBES
+    scan = dict(
+        include=include,
+        seed=args.seed,
+        fault_plan=plan,
+        resilience=resilience,
+        workers=args.workers,
+    )
+    if not args.db:
+        print_summaries(scan_population(sites, **scan))
+        return 0
 
-        return _store_campaign(
-            args, f"experiment-{args.experiment}", include=ALL_PROBES
+    def run(store):
+        result = run_campaign(
+            sites,
+            store,
+            campaign,
+            resume=args.resume,
+            checkpoint_every=args.checkpoint_every,
+            concurrency=args.concurrency,
+            **scan,
         )
-    return 0
+        print_summaries(store.load_campaign(campaign))
+        return result
 
-
-def _cmd_scan_resilient(args: argparse.Namespace) -> int:
-    """Chaos-mode scan: fault injection + deadline/retry execution.
-
-    Triggered by any of ``--fault-plan`` / ``--timeout`` / ``--retries``;
-    without ``--fault-plan`` this is the control condition (clean
-    network, resilient execution).
-    """
-    from repro.experiments import fault_study
-    from repro.net.faults import FaultPlan
-    from repro.scope.resilience import ResilienceConfig
-
-    plan = None
-    if args.fault_plan is not None:
-        try:  # surface spec/JSON mistakes as a usage error, not a traceback
-            plan = FaultPlan.load(args.fault_plan, seed=args.seed)
-        except ValueError as exc:
-            print(f"bad --fault-plan: {exc}", file=sys.stderr)
-            return 2
-
-    timeout = 12.0 if args.timeout is None else args.timeout
-    retries = 2 if args.retries is None else args.retries
-    if not args.resume:
-        result = fault_study.run(
-            experiment=args.experiment,
-            n_sites=args.n_sites,
-            seed=args.seed,
-            fault_spec=args.fault_plan,
-            timeout=timeout,
-            retries=retries,
-            workers=args.workers,
-        )
-        print(result.text)
-    if args.db:
-        return _store_campaign(
-            args,
-            f"experiment-{args.experiment}-faults",
-            include=fault_study.PROBES,
-            fault_plan=plan,
-            resilience=ResilienceConfig(timeout=timeout, retries=retries),
-        )
-    return 0
+    return _run_stored_campaign(args, campaign, run, "virtual seconds")
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -561,15 +524,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
     """Summarize a journaled campaign database: manifest + status counts."""
-    import sqlite3
-
     from repro.scope.campaign import CampaignJournal
-    from repro.scope.storage import ReportStore, SchemaVersionError
 
-    try:
-        store = ReportStore(args.db)
-    except (SchemaVersionError, sqlite3.DatabaseError) as exc:
-        print(f"cannot open {args.db}: {exc}", file=sys.stderr)
+    store = _open_store(args.db)
+    if store is None:
         return 2
     with store:
         if args.verify:
@@ -632,28 +590,17 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_conformance(args: argparse.Namespace) -> int:
-    from repro.net.clock import Simulation
-    from repro.net.transport import Network
     from repro.scope.conformance import run_conformance
-    from repro.servers.site import Site, deploy_site
+    from repro.servers.site import deploy_testbed
     from repro.servers.vendors import VENDOR_FACTORIES
-    from repro.servers.website import testbed_website
 
     names = list(VENDOR_FACTORIES) if args.vendor == "all" else [args.vendor]
     unknown = [n for n in names if n not in VENDOR_FACTORIES]
     if unknown:
         print(f"unknown vendor(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
-    any_conformant = False
     for name in names:
-        sim = Simulation()
-        network = Network(sim, seed=args.seed)
-        site = Site(
-            domain=f"{name}.testbed",
-            profile=VENDOR_FACTORIES[name](),
-            website=testbed_website(),
-        )
-        deploy_site(network, site)
+        network, site = deploy_testbed(name, args.seed)
         report = run_conformance(
             network,
             site.domain,
@@ -661,73 +608,28 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
             multiplex_paths=[f"/large/{i}.bin" for i in range(3)],
         )
         print(report.summary())
-        any_conformant = any_conformant or report.fully_conformant
     return 0
 
 
-EXPERIMENT_RUNNERS = {
-    "table3": lambda args: __import__(
-        "repro.experiments.table3", fromlist=["run"]
-    ).run(seed=args.seed),
-    "adoption": lambda args: __import__(
-        "repro.experiments.adoption", fromlist=["run"]
-    ).run(args.experiment, args.n_sites, args.seed),
-    "table4": lambda args: __import__(
-        "repro.experiments.table4", fromlist=["run"]
-    ).run(args.experiment, args.n_sites, args.seed),
-    "settings": lambda args: __import__(
-        "repro.experiments.settings_tables", fromlist=["run"]
-    ).run(args.experiment, args.n_sites, args.seed),
-    "fig2": lambda args: __import__(
-        "repro.experiments.fig2", fromlist=["run"]
-    ).run(args.n_sites, args.seed),
-    "flowcontrol": lambda args: __import__(
-        "repro.experiments.flowcontrol_scan", fromlist=["run"]
-    ).run(args.experiment, args.n_sites, args.seed),
-    "priority": lambda args: __import__(
-        "repro.experiments.priority_scan", fromlist=["run"]
-    ).run(args.experiment, args.n_sites, args.seed),
-    "push": lambda args: __import__(
-        "repro.experiments.push_scan", fromlist=["run"]
-    ).run(args.experiment, args.n_sites, args.seed),
-    "fig3": lambda args: __import__(
-        "repro.experiments.fig3", fromlist=["run"]
-    ).run(visits=args.visits, seed=args.seed),
-    "fig45": lambda args: __import__(
-        "repro.experiments.fig45", fromlist=["run"]
-    ).run(args.experiment, args.n_sites, args.seed),
-    "fig6": lambda args: __import__(
-        "repro.experiments.fig6", fromlist=["run"]
-    ).run(seed=args.seed),
-    "attacks": lambda args: __import__(
-        "repro.experiments.attacks_study", fromlist=["run"]
-    ).run(seed=args.seed),
-    "lossy": lambda args: __import__(
-        "repro.experiments.lossy_ablation", fromlist=["run"]
-    ).run(seed=args.seed),
-    "dynamic-push": lambda args: __import__(
-        "repro.experiments.dynamic_push", fromlist=["run"]
-    ).run(seed=args.seed),
-    "longitudinal": lambda args: __import__(
-        "repro.experiments.longitudinal", fromlist=["run"]
-    ).run(n_sites=args.n_sites, seed=args.seed),
-    "faults": lambda args: __import__(
-        "repro.experiments.fault_study", fromlist=["run"]
-    ).run(args.experiment, args.n_sites, args.seed),
-}
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    names = list(EXPERIMENT_RUNNERS) if args.name == "all" else [args.name]
+    from repro.experiments import EXPERIMENTS, run_experiment
+
+    names = list(EXPERIMENTS) if args.name == "all" else [args.name]
     for name in names:
-        if name not in EXPERIMENT_RUNNERS:
+        if name not in EXPERIMENTS:
             print(
                 f"unknown experiment {name!r}; choose from "
-                f"{', '.join(EXPERIMENT_RUNNERS)} or 'all'",
+                f"{', '.join(EXPERIMENTS)} or 'all'",
                 file=sys.stderr,
             )
             return 2
-        result = EXPERIMENT_RUNNERS[name](args)
+        result = run_experiment(
+            name,
+            experiment=args.experiment,
+            n_sites=args.n_sites,
+            seed=args.seed,
+            visits=args.visits,
+        )
         print(result.text)
         print("=" * 72)
     return 0
@@ -837,6 +739,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.experiments import EXPERIMENTS
+
     parser = argparse.ArgumentParser(
         prog="h2scope",
         description="H2Scope reproduction: probe simulated HTTP/2 servers "
@@ -1185,9 +1089,7 @@ def build_parser() -> argparse.ArgumentParser:
     detect.set_defaults(func=_cmd_detect)
 
     experiment = sub.add_parser("experiment", help="run one table/figure by name")
-    experiment.add_argument("name", help="table3, adoption, table4, settings, "
-                            "fig2, flowcontrol, priority, push, fig3, fig45, "
-                            "fig6, faults, or 'all'")
+    experiment.add_argument("name", help=f"{', '.join(EXPERIMENTS)}, or 'all'")
     experiment.add_argument("--experiment", type=int, choices=(1, 2), default=1)
     experiment.add_argument("-n", "--n-sites", type=int, default=300)
     experiment.add_argument("--visits", type=int, default=10)
@@ -1200,15 +1102,15 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "workers", None) is not None:
         from repro.scope.parallel import effective_workers
 
-        capped = effective_workers(args.workers, warn=False)
-        if capped != args.workers:
+        capped = effective_workers(args.workers)
+        if capped < args.workers:
             print(
                 f"warning: --workers {args.workers} exceeds the available "
                 f"CPU count; using {capped} (oversubscribing a CPU-bound "
                 f"scan only slows it down)",
                 file=sys.stderr,
             )
-            args.workers = capped
+        args.workers = capped
     return args.func(args)
 
 

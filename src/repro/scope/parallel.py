@@ -63,7 +63,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
-import warnings
 from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -74,35 +73,19 @@ from repro.scope.report import ErrorClass, ScanError, SiteReport
 from repro.scope.resilience import ResilienceConfig, make_scan_error
 from repro.servers.site import Site
 
-#: Environment escape hatch: set to ``1`` to deliberately oversubscribe
-#: (determinism tests exercise multi-worker paths on single-core CI).
-OVERSUBSCRIBE_ENV = "H2SCOPE_OVERSUBSCRIBE"
 
-
-def effective_workers(requested: int, *, warn: bool = True) -> int:
+def effective_workers(requested: int) -> int:
     """Clamp a requested worker count to the machine's CPU count.
 
     BENCH_parallel_scan.json shows oversubscription is not just useless
     but actively harmful for this CPU-bound workload (8 workers on one
-    core collapse to ~0.3x serial throughput), so a request beyond
-    ``os.cpu_count()`` is capped with a :class:`RuntimeWarning` instead
-    of silently honoured.  Results are unaffected either way — reports
-    are byte-identical for any worker count.
+    core collapse to ~0.3x serial throughput).  This is applied once,
+    where the request arrives from outside (the CLI's ``--workers``);
+    :class:`ParallelCampaignRunner` runs the count it is given.
+    Results are unaffected either way — reports are byte-identical for
+    any worker count.
     """
-    requested = max(1, int(requested))
-    if os.environ.get(OVERSUBSCRIBE_ENV) == "1":
-        return requested
-    cpus = os.cpu_count() or 1
-    if requested > cpus:
-        if warn:
-            warnings.warn(
-                f"--workers {requested} exceeds the {cpus} available CPU(s); "
-                f"capping to {cpus} (set {OVERSUBSCRIBE_ENV}=1 to override)",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        return cpus
-    return requested
+    return min(max(1, int(requested)), os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -271,7 +254,7 @@ class ParallelCampaignRunner:
         concurrency: int = 1,
     ):
         self.sites = sites
-        self.workers = effective_workers(workers)
+        self.workers = max(1, int(workers))
         self.options = ScanOptions(
             include=tuple(sorted(include)) if include is not None else None,
             seed=seed,

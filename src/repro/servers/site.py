@@ -9,11 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.net.clock import Simulation
 from repro.net.faults import stable_seed
 from repro.net.transport import LinkProfile, Network
 from repro.servers.engine import H2Server
 from repro.servers.profiles import ServerProfile
-from repro.servers.website import Website, default_website
+from repro.servers.vendors import VENDOR_FACTORIES
+from repro.servers.website import Website, default_website, testbed_website
 
 
 @dataclass
@@ -57,3 +59,19 @@ def deploy_site(
     if clear_port is not None:
         server.install(host, clear_port, tls=False)
     return server
+
+
+def deploy_testbed(
+    vendor: str, seed: int = 0, domain: str | None = None
+) -> tuple[Network, Site]:
+    """A fresh simulated universe serving one Table III vendor's testbed
+    deployment (the large objects of §III-A1) at ``domain``, by default
+    ``{vendor}.testbed``."""
+    network = Network(Simulation(), seed=seed)
+    site = Site(
+        domain=domain or f"{vendor}.testbed",
+        profile=VENDOR_FACTORIES[vendor](),
+        website=testbed_website(),
+    )
+    deploy_site(network, site)
+    return network, site

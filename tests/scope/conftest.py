@@ -3,19 +3,6 @@
 import pytest
 
 from repro.net.clock import Simulation
-from repro.scope.parallel import OVERSUBSCRIBE_ENV
-
-
-@pytest.fixture(autouse=True)
-def _allow_oversubscription(monkeypatch):
-    """Let multi-worker tests really fork workers on single-core CI.
-
-    The workers cap (``effective_workers``) would silently serialize
-    every ``workers=2..4`` test on a 1-CPU runner, gutting the
-    coverage of the sharded path; the escape hatch is inherited by
-    CLI subprocesses too.
-    """
-    monkeypatch.setenv(OVERSUBSCRIBE_ENV, "1")
 from repro.net.transport import LinkProfile, Network
 from repro.servers.site import Site, deploy_site
 from repro.servers.vendors import VENDOR_FACTORIES

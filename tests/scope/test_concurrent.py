@@ -253,7 +253,7 @@ class TestConcurrentKillResume:
         proc = subprocess.run(
             [sys.executable, "-c", CONCURRENT_KILL_SCRIPT, str(db),
              str(cut), signame],
-            env={"PYTHONPATH": src, "H2SCOPE_OVERSUBSCRIBE": "1"},
+            env={"PYTHONPATH": src},
             timeout=120,
         )
         assert proc.returncode == expected_rc

@@ -18,7 +18,6 @@ import pytest
 from repro.net.faults import FaultPlan
 from repro.population.generator import PopulationConfig, make_population
 from repro.scope.parallel import (
-    OVERSUBSCRIBE_ENV,
     ParallelCampaignRunner,
     SiteTask,
     effective_workers,
@@ -284,45 +283,27 @@ class TestProgressAggregator:
 
 
 class TestWorkersCap:
-    """`effective_workers` clamps oversubscription (ISSUE 4 satellite)."""
+    """`effective_workers` clamps oversubscription once, at the CLI."""
 
-    def _uncapped_env(self, monkeypatch):
-        # The scope-wide autouse fixture sets the escape hatch so the
-        # determinism tests still fork on 1-core CI; undo it here to
-        # test the cap itself.
-        monkeypatch.delenv(OVERSUBSCRIBE_ENV, raising=False)
-
-    def test_request_beyond_cpu_count_is_capped_with_warning(self, monkeypatch):
-        self._uncapped_env(monkeypatch)
+    def test_request_beyond_cpu_count_is_capped(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        with pytest.warns(RuntimeWarning, match="capping to 2"):
-            assert effective_workers(8) == 2
+        assert effective_workers(8) == 2
 
     def test_request_within_cpu_count_passes_through(self, monkeypatch):
-        self._uncapped_env(monkeypatch)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         assert effective_workers(3) == 3
         assert effective_workers(4) == 4
 
-    def test_escape_hatch_disables_cap(self, monkeypatch):
-        monkeypatch.setenv(OVERSUBSCRIBE_ENV, "1")
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert effective_workers(8) == 8
-
-    def test_nonpositive_requests_become_one(self, monkeypatch):
-        self._uncapped_env(monkeypatch)
+    def test_nonpositive_requests_become_one(self):
         assert effective_workers(0) == 1
         assert effective_workers(-3) == 1
 
-    def test_runner_applies_cap(self, monkeypatch):
-        self._uncapped_env(monkeypatch)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        with pytest.warns(RuntimeWarning):
-            runner = ParallelCampaignRunner([], workers=16)
-        assert runner.workers == 2
+    def test_runner_runs_the_count_it_is_given(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert ParallelCampaignRunner([], workers=16).workers == 16
+        assert ParallelCampaignRunner([], workers=0).workers == 1
 
     def test_cli_pre_clamps_workers_with_stderr_notice(self, monkeypatch, capsys):
-        self._uncapped_env(monkeypatch)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         from repro.scope import cli
 

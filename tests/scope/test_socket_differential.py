@@ -11,8 +11,7 @@ abstraction must exclude.
 Wall-clock cost is dominated by the probes that wait out a timeout
 ("ignore" cells) and by window-limited transfers over the emulated
 20 ms link: roughly 2-8 s per vendor.  The whole matrix runs in well
-under a minute; CI gives it a generous timeout of its own in the
-loopback-integration job.
+under a minute, as part of tier-1.
 """
 
 import pytest

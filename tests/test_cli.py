@@ -23,6 +23,31 @@ def test_experiment_unknown_name(capsys):
     assert "unknown experiment" in capsys.readouterr().err
 
 
+def test_experiment_index_is_what_help_lists_and_run_accepts(capsys):
+    """One table: every name is in `experiment --help`, names a module
+    that imports and whose run() takes the listed parameters (nothing
+    is run), and that module has its row in DESIGN §3."""
+    import inspect
+    from pathlib import Path
+
+    from repro.experiments import EXPERIMENTS, SCAN_SUMMARIES, load
+
+    with pytest.raises(SystemExit):
+        main(["experiment", "--help"])
+    # argparse wraps the help at commas and hyphens; undo that.
+    listed = "".join(capsys.readouterr().out.split())
+    assert ",".join(EXPERIMENTS) + ",or'all'" in listed
+
+    design = (Path(__file__).parent.parent / "DESIGN.md").read_text()
+    index = design.split("## 3. Per-experiment index")[1].split("\n## ")[0]
+    for name, (module, parameters, _) in EXPERIMENTS.items():
+        accepted = inspect.signature(load(name).run).parameters
+        assert set(parameters) <= set(accepted), name
+        assert f"`experiments.{module}`" in index, name
+    for name in (*SCAN_SUMMARIES, "faults"):
+        assert callable(load(name).summarize), name
+
+
 def test_testbed_matches_paper(capsys):
     rc = main(["testbed"])
     out = capsys.readouterr().out
@@ -48,6 +73,51 @@ def test_scan_with_db_then_report(tmp_path, capsys):
     assert rc == 0
     assert "campaign experiment-1" in out
     assert "HPACK ratios" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "-n", "25"],
+        ["scan", "-n", "25", "--db", "{db}"],
+        ["scan", "-n", "30", "--fault-plan", "refuse:0.3x6", "--db", "{db}"],
+    ],
+    ids=["plain", "db", "chaos-db"],
+)
+def test_scan_scans_each_site_exactly_once(argv, tmp_path, capsys, monkeypatch):
+    from repro.experiments.common import clear_scan_cache
+    from repro.population import PopulationConfig, make_population
+    from repro.scope import scanner
+
+    clear_scan_cache()  # a warm summary cache must not hide a second scan
+    scanned = []
+    scan_site = scanner.scan_site
+
+    def counting(site, *args, **kwargs):
+        scanned.append(site.domain)
+        return scan_site(site, *args, **kwargs)
+
+    monkeypatch.setattr(scanner, "scan_site", counting)
+    assert main([arg.format(db=tmp_path / "scan.db") for arg in argv]) == 0
+    sites = make_population(
+        PopulationConfig(experiment=1, n_sites=int(argv[2]), seed=7)
+    )
+    assert sorted(scanned) == sorted(site.domain for site in sites)
+
+
+def test_scan_prints_what_each_summary_module_computes_alone(capsys):
+    """The six tables come from one scan over the union of their probe
+    sets; each module's own run() scans just its own.  Equal text pins
+    that a report section does not depend on which other probes ran."""
+    from repro.experiments import SCAN_SUMMARIES, load
+
+    assert main(["scan", "-n", "25"]) == 0
+    out = capsys.readouterr().out
+    assert out == "".join(
+        load(name).run(experiment=1, n_sites=25, seed=7).text
+        + "\n" + "=" * 72 + "\n"
+        for name in SCAN_SUMMARIES
+    )
 
 
 def test_report_on_empty_db(tmp_path, capsys):
@@ -213,10 +283,11 @@ def test_resume_mismatched_seed_is_usage_error_not_traceback(tmp_path, capsys):
         ["--seed", "8", "scan", "-n", "30", "--db", str(db), "--resume",
          "--fault-plan", "refuse:0.2x4", "--timeout", "8", "--retries", "0"]
     )
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert rc == 2
-    assert "cannot resume" in err
-    assert "seed" in err
+    assert "cannot resume" in captured.err
+    assert "seed" in captured.err
+    assert "Fault study" not in captured.out  # no tables of a refused run
 
 
 def test_resume_completes_interrupted_campaign(tmp_path, capsys):
@@ -228,6 +299,7 @@ def test_resume_completes_interrupted_campaign(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert rc == 0
+    assert "Fault study" in out  # the tables of the finished database
     assert "0 pending" in out
 
     from repro.scope.campaign import CampaignJournal
