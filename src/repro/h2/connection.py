@@ -105,7 +105,8 @@ class ConnectionConfig:
     auto_settings_ack: bool = True
     #: Automatically answer PING with PING+ACK.
     auto_ping_ack: bool = True
-    #: Automatically replenish inbound flow-control windows after DATA.
+    #: Automatically return inbound flow-control credit: one
+    #: WINDOW_UPDATE once half a window is used (``_return_credit``).
     auto_window_update: bool = True
     #: Reaction to a zero-increment WINDOW_UPDATE on a stream / the connection.
     on_zero_window_update_stream: Reaction = Reaction.RST_STREAM
@@ -248,8 +249,8 @@ class H2Connection:
         for identifier, value in settings.items():
             self.local_settings.set(identifier, value, validate=self.config.strict)
         frame = SettingsFrame(settings=[(int(k), int(v)) for k, v in settings.items()])
-        self._apply_local_settings(settings)
         self._send_frame(frame)
+        self._apply_local_settings(settings)
 
     def ack_settings(self) -> None:
         self._send_frame(SettingsFrame(flags=FrameFlag.ACK))
@@ -431,7 +432,13 @@ class H2Connection:
         self._inbound = buffer[consumed:] if consumed else buffer
         for frame in frames:
             self.frame_log.append(frame)
-            out.extend(self._dispatch(frame))
+            try:
+                out.extend(self._dispatch(frame))
+            except H2StreamError as exc:
+                # §5.4.2: a stream error ends that stream with
+                # RST_STREAM; the events before this frame and the
+                # frames behind it belong to other streams and stand.
+                self.send_rst_stream(exc.stream_id, exc.error_code)
         return out
 
     # -- frame dispatch ---------------------------------------------------
@@ -467,14 +474,27 @@ class H2Connection:
         if stream is None:
             raise ProtocolError(f"DATA on unopened stream {frame.stream_id}")
         end = frame.has_flag(FrameFlag.END_STREAM)
-        stream.receive_data(end_stream=end)
+        # §5.1: DATA that was in flight when we reset the stream is
+        # ignored, but it still used the connection window (§6.9).
+        ignored = stream.reset_sent
+        if not ignored:
+            stream.receive_data(end_stream=end)
         fc_len = frame.flow_controlled_length
         try:
             self.inbound_window.consume(fc_len)
-            stream.inbound_window.consume(fc_len)
+            if not ignored:
+                stream.inbound_window.consume(fc_len)
         except FlowControlError:
             self._terminate(ErrorCode.FLOW_CONTROL_ERROR)
             raise
+        if self.config.auto_window_update:
+            self._return_credit(0, self.inbound_window, DEFAULT_INITIAL_WINDOW_SIZE)
+            if not end and not stream.closed:
+                self._return_credit(
+                    frame.stream_id, stream.inbound_window, self._local_initial_window
+                )
+        if ignored:
+            return []
         events: list[ev.Event] = [
             ev.DataReceived(
                 stream_id=frame.stream_id,
@@ -483,14 +503,22 @@ class H2Connection:
                 end_stream=end,
             )
         ]
-        if self.config.auto_window_update and fc_len:
-            self.send_window_update(0, fc_len)
-            if not end and not stream.closed:
-                self.send_window_update(frame.stream_id, fc_len)
         if end:
             events.append(ev.StreamEnded(stream_id=frame.stream_id))
             self._retire_stream(frame.stream_id)
         return events
+
+    def _return_credit(
+        self, stream_id: int, window: FlowControlWindow, size: int
+    ) -> None:
+        """Return used flow-control credit in bulk, as nghttp2 does
+        (``nghttp2_should_send_window_update``): one WINDOW_UPDATE for
+        everything owed once half of the window of ``size`` is used,
+        nothing while the window stands above ``size`` (the application
+        raised it by hand)."""
+        owed = size - window.value
+        if owed >= max(1, size // 2):
+            self.send_window_update(stream_id, owed)
 
     def _handle_headers(self, frame: HeadersFrame) -> list[ev.Event]:
         if not frame.has_flag(FrameFlag.END_HEADERS):
@@ -537,6 +565,10 @@ class H2Connection:
         assert isinstance(first, HeadersFrame)
         end = first.has_flag(FrameFlag.END_STREAM)
         stream = self._get_or_create_stream(stream_id, peer_initiated=True)
+        if stream.reset_sent:
+            # §5.1: in flight when we reset the stream; the block went
+            # through the decoder above, so the table stays in step.
+            return []
         stream.receive_headers(end_stream=end)
 
         events: list[ev.Event] = []
@@ -731,6 +763,13 @@ class H2Connection:
                 for stream in self.streams.values():
                     if not stream.closed:
                         stream.inbound_window.adjust_initial(delta)
+                        # A smaller window has a smaller half: what is
+                        # owed may be due now, and no DATA frame will
+                        # come to say so if the peer's view went <= 0.
+                        if self.config.auto_window_update and stream.can_receive:
+                            self._return_credit(
+                                stream.stream_id, stream.inbound_window, value
+                            )
             elif identifier == SettingCode.HEADER_TABLE_SIZE:
                 self.decoder.set_max_allowed_table_size(value)
 

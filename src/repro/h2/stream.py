@@ -50,6 +50,9 @@ class Stream:
     )
     #: Error code if the stream was reset, else None.
     reset_code: int | None = None
+    #: True when *we* closed the stream with RST_STREAM: frames the peer
+    #: had in flight at that moment are ignored, not errors (§5.1).
+    reset_sent: bool = False
     #: True once we have sent (or received) complete request headers.
     headers_sent: bool = False
     headers_received: bool = False
@@ -93,6 +96,7 @@ class Stream:
                 f"cannot reset idle stream {self.stream_id}"
             )
         self.reset_code = error_code
+        self.reset_sent = True
         self.state = StreamState.CLOSED
 
     # -- receiving ------------------------------------------------------------

@@ -22,7 +22,7 @@ from functools import cached_property
 from repro.h2 import events as ev
 from repro.h2.connection import ConnectionConfig, H2Connection, Side
 from repro.h2.constants import ErrorCode, SettingCode
-from repro.h2.errors import H2ConnectionError, H2Error, H2StreamError
+from repro.h2.errors import H2ConnectionError, H2Error
 from repro.net.clock import Simulation
 from repro.net.tls import (
     H2,
@@ -363,13 +363,10 @@ class _ServerConnection:
         mark = len(self.conn.frame_log)
         try:
             events = self.conn.receive_bytes(data)
-        except H2StreamError as exc:
-            self.conn.send_rst_stream(exc.stream_id, exc.error_code)
-            self._flush()
-            return
         except H2Error as exc:
-            # Anything else protocol-fatal (including flow-control
-            # violations surfacing from the receive path) tears the
+            # A stream error was answered inside receive_bytes with
+            # RST_STREAM; anything that surfaces is protocol-fatal
+            # (including flow-control violations) and tears the
             # connection down; a serving process must never crash.
             if not self.conn.terminated:
                 self.conn.send_goaway(exc.error_code)

@@ -15,6 +15,8 @@ from repro.h2.frames import (
     DataFrame,
     PingFrame,
     PriorityData,
+    RstStreamFrame,
+    WindowUpdateFrame,
 )
 
 IWS = int(SettingCode.INITIAL_WINDOW_SIZE)
@@ -37,6 +39,11 @@ def pump(a: H2Connection, b: H2Connection, rounds: int = 12) -> list[ev.Event]:
         if not moved:
             break
     return events
+
+
+def pump_one_way(sender: H2Connection, receiver: H2Connection) -> list[ev.Event]:
+    """Deliver what ``sender`` has queued; ``receiver``'s answers stay queued."""
+    return receiver.receive_bytes(sender.data_to_send())
 
 
 @pytest.fixture
@@ -188,8 +195,20 @@ class TestFlowControlEnforcement:
         for _ in range(3):
             client.send_data(sid, chunk)
         pump(client, server)
-        # auto_window_update on the server grants the window back.
-        assert client.local_flow_available(sid) >= 3 * 16_384
+        # auto_window_update returns credit per half window (nghttp2's
+        # rule), not per DATA frame: after 49,152 octets the sender may
+        # always send at least half a window again, and that took at
+        # most one update for the connection and one for the stream.
+        assert client.local_flow_available(sid) > 65_535 // 2
+        updates = [
+            frame
+            for frame in server.sent_frame_log
+            if isinstance(frame, WindowUpdateFrame)
+        ]
+        scopes = [frame.stream_id for frame in updates]
+        assert scopes.count(0) <= 1
+        assert scopes.count(sid) <= 1
+        assert all(frame.window_increment > 0 for frame in updates)
 
     def test_peer_initial_window_applies_to_new_streams(self):
         client = H2Connection(ConnectionConfig(side=Side.CLIENT))
@@ -234,6 +253,86 @@ class TestFlowControlEnforcement:
             server.receive_bytes(client.data_to_send())
         # The server must have initiated teardown (GOAWAY queued).
         assert server.terminated
+
+
+class TestFramesOnClosedStreams:
+    """RFC 7540 §5.1 / §5.4.2: frames in flight when we reset a stream
+    are ignored; a stream error costs one stream, not the buffer."""
+
+    def answered_request(self, pair, body=b"y" * 1000):
+        """Stream 1 requested; its response is still in the server's
+        outbound buffer (in flight) when this returns."""
+        client, server = pair
+        first = client.next_stream_id()
+        client.send_headers(first, REQUEST, end_stream=True)
+        pump_one_way(client, server)
+        server.send_headers(first, [(":status", "200"), ("x-first", "1")])
+        server.send_data(first, body, end_stream=True)
+        return first
+
+    def test_late_frames_after_our_reset_do_not_swallow_the_next_stream(self, pair):
+        client, server = pair
+        first = self.answered_request(pair)
+        client.send_rst_stream(first)
+        second = client.next_stream_id()
+        client.send_headers(second, REQUEST, end_stream=True)
+        events = pump_one_way(client, server)
+        assert any(isinstance(e, ev.StreamReset) for e in events)
+        server.send_headers(second, [(":status", "200"), ("x-first", "1")])
+
+        # Late HEADERS + DATA of the reset stream and the next stream's
+        # HEADERS arrive coalesced, as TCP delivers them.
+        window_before = client.inbound_window.value
+        sent = len(client.sent_frame_log)
+        events = client.receive_bytes(server.data_to_send())
+        assert [type(e) for e in events] == [ev.HeadersReceived]
+        assert events[0].stream_id == second
+        # The ignored block still went through the HPACK decoder: the
+        # second response indexes what the first one inserted.
+        assert (b"x-first", b"1") in events[0].headers
+        # ... and the ignored DATA still used the connection window.
+        assert client.inbound_window.value == window_before - 1000
+        assert client.sent_frame_log[sent:] == []  # no error, no answer
+
+    def test_ignored_data_is_credited_to_the_connection_only(self, pair):
+        client, server = pair
+        first = self.answered_request(pair, body=b"y" * 16_384)
+        pump(client, server)
+        second = client.next_stream_id()
+        client.send_headers(second, REQUEST, end_stream=True)
+        pump(client, server)
+        server.send_headers(second, [(":status", "200")])
+        server.send_data(second, b"z" * 16_384)
+        client.send_rst_stream(second)
+        sent = len(client.sent_frame_log)
+        assert client.receive_bytes(server.data_to_send()) == []
+        updates = client.sent_frame_log[sent:]
+        # Half the connection window is used (one body heard, one
+        # ignored); the reset stream itself gets nothing back.
+        assert [(f.stream_id, f.window_increment) for f in updates] == [
+            (0, 2 * 16_384)
+        ]
+        assert client.inbound_window.value == 65_535
+
+    def test_stream_error_keeps_earlier_events_and_later_frames(self, pair):
+        client, server = pair
+        first = self.answered_request(pair)
+        pump(client, server)  # stream 1 ended normally on both sides
+        second = client.next_stream_id()
+        client.send_headers(second, REQUEST, end_stream=True)
+        pump_one_way(client, server)
+        server.send_ping(b"before!!")
+        server.send_raw_frame(DataFrame(stream_id=first, data=b"late"))
+        server.send_headers(second, [(":status", "200")], end_stream=True)
+        events = client.receive_bytes(server.data_to_send())
+        kinds = [type(e) for e in events]
+        assert kinds == [ev.PingReceived, ev.HeadersReceived, ev.StreamEnded]
+        resets = [
+            f for f in client.sent_frame_log if isinstance(f, RstStreamFrame)
+        ]
+        assert [(f.stream_id, f.error_code) for f in resets] == [
+            (first, int(ErrorCode.STREAM_CLOSED))
+        ]
 
 
 class TestWindowUpdateReactions:

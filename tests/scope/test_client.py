@@ -1,7 +1,7 @@
 """ScopeClient mechanics (connection setup, logging, waiting)."""
 
 from repro.h2 import events as ev
-from repro.h2.frames import HeadersFrame
+from repro.h2.frames import DataFrame, HeadersFrame
 from repro.net.clock import Simulation
 from repro.net.transport import LinkProfile, Network
 from repro.scope.client import ScopeClient
@@ -127,3 +127,31 @@ class TestLoggingAndInspection:
 
         client._on_data(serialize_frame(bogus))
         assert client.errors
+
+    def test_reset_with_data_in_flight_loses_no_later_event(self):
+        """RFC 7540 §5.1: the body the engine wrote with its HEADERS is
+        still arriving when we cancel; it is ignored, not an error that
+        takes the rest of the chunk with it."""
+        network = make_network()
+        client = ScopeClient(network, "probe.test", auto_window_update=True)
+        client.establish_h2()
+        first = client.request("/")
+        client.wait_for(lambda: client.headers_for(first) is not None)
+        client.send_rst_stream(first)
+        second = client.request("/")
+        client.wait_for(lambda: client.headers_for(second) is not None)
+        assert client.headers_for(second) is not None
+        client.wait_for(
+            lambda: any(
+                te.event.stream_id == second for te in client.events_of(ev.StreamEnded)
+            )
+        )
+        assert client.data_for(second)
+        assert client.errors == []
+        # The cancelled body was not heard, yet it was paid for.
+        arrived = sum(
+            len(tf.frame.data)
+            for tf in client.frames
+            if isinstance(tf.frame, DataFrame) and tf.frame.stream_id == first
+        )
+        assert arrived > len(client.data_for(first))

@@ -1,0 +1,69 @@
+"""Credit is returned per half window, not per DATA frame (DESIGN §8).
+
+A timing-free budget: a full-probe scan of each vendor site may send,
+on every connection that returns credit by itself, at most one
+connection and one stream WINDOW_UPDATE per half default window of DATA
+received (plus a constant).  Per-frame credit — two updates for every
+DATA frame, a third of a site's frames — breaks it by a factor; CI runs
+this test by name so that regression does not have to be read off a
+noisy throughput figure.
+"""
+
+import math
+
+from repro.h2.frames import DataFrame, WindowUpdateFrame
+from repro.net.backend import SimulatedBackend
+from repro.scope.scanner import probe_target
+from repro.scope.session import ProbeSession
+
+from tests.scope.conftest import DEPLETION_PATHS, TEST_PATHS, deploy_vendor
+
+HALF_WINDOW = 65_535 // 2
+
+
+class RecordingSession(ProbeSession):
+    """A session that remembers the clients it made."""
+
+    def __init__(self, backend):
+        super().__init__(backend)
+        self.clients = []
+
+    def client(self, domain, **kwargs):
+        client = super().client(domain, **kwargs)
+        self.clients.append(client)
+        return client
+
+
+def test_window_updates_stay_inside_the_half_window_budget(vendor):
+    network, domain = deploy_vendor(vendor)
+    session = RecordingSession(SimulatedBackend(network))
+    report = probe_target(
+        session,
+        domain,
+        priority_test_paths=TEST_PATHS,
+        priority_depletion_paths=DEPLETION_PATHS,
+    )
+    assert not report.errors
+    crediting = [
+        client.conn
+        for client in session.clients
+        if client.auto_window_update and client.conn is not None
+    ]
+    assert len(crediting) >= 3  # the fetch, push and HPACK connections
+    octets = 0
+    for conn in crediting:
+        received = sum(
+            frame.flow_controlled_length
+            for frame in conn.frame_log
+            if isinstance(frame, DataFrame)
+        )
+        updates = sum(
+            isinstance(frame, WindowUpdateFrame) for frame in conn.sent_frame_log
+        )
+        assert updates <= 2 + 2 * math.ceil(received / HALF_WINDOW), (
+            vendor,
+            received,
+            updates,
+        )
+        octets += received
+    assert octets > 2 * HALF_WINDOW  # the budget was exercised

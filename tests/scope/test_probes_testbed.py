@@ -194,6 +194,33 @@ class TestHpackRow:
         sizes = result.header_sizes
         assert result.ratio == pytest.approx(sum(sizes) / (sizes[0] * 4))
 
+    def test_announced_stream_limit_is_honoured(self):
+        """The population's ``site000063`` at seed 7: LiteSpeed
+        announcing MAX_CONCURRENT_STREAMS 1 and enforcing it.  Request
+        i+1 used to go out while body i was still open, was refused,
+        and the site fell out of Figs. 4-5 with one header size."""
+        from repro.h2.constants import SettingCode
+        from repro.net.clock import Simulation
+        from repro.net.transport import Network
+        from repro.servers.site import Site, deploy_site
+        from repro.servers.vendors import litespeed
+        from repro.servers.website import testbed_website
+
+        for limit in (1, 2):
+            network = Network(Simulation(), seed=2)
+            profile = litespeed()
+            profile.settings = {int(SettingCode.MAX_CONCURRENT_STREAMS): limit}
+            assert profile.enforce_max_concurrent
+            deploy_site(
+                network,
+                Site(domain="mcs.test", profile=profile, website=testbed_website()),
+            )
+            # An object larger than a window: its stream is still open
+            # when its HEADERS arrive (the site's front page is 110 kB).
+            result = probe_hpack(network, "mcs.test", path=TEST_PATHS[0])
+            assert len(result.header_sizes) == 8, limit
+            assert result.ratio is not None and result.ratio < 0.5, limit
+
 
 class TestPingRow:
     def test_all_vendors_answer_ping(self, vendor):
