@@ -18,8 +18,14 @@ Rules (all thresholds on :class:`DetectorConfig`):
 * ``zero-window-stall`` — a client announcing a tiny initial window
   that opens several streams and then keeps the connection alive past
   ``stall_window`` without granting window;
-* ``ping-flood`` / ``settings-flood`` / ``rst-flood`` — sliding-window
-  frame-rate thresholds.
+* ``ping-flood`` / ``settings-flood`` / ``rst-flood`` /
+  ``priority-churn`` — sliding-window frame-rate thresholds;
+* ``table-flood`` — a client announcing a SETTINGS_HEADER_TABLE_SIZE
+  no browser needs, which only buys it room in our encoder's table.
+
+The last two thresholds are module constants, not configuration: the
+benign corpus peaks at one PRIORITY frame a second and never announces
+a table size, so there is nothing to tune them against.
 
 Detection latency is inherently duration-bound: a benign probe with a
 small window is indistinguishable from a young zero-window stall, so
@@ -44,14 +50,22 @@ from repro.h2.frames import (
     FrameFlag,
     HeadersFrame,
     PingFrame,
+    PriorityFrame,
     RstStreamFrame,
     SettingsFrame,
     WindowUpdateFrame,
 )
 from repro.scope.trace import ConnectionTimeline
 
-#: SETTINGS_INITIAL_WINDOW_SIZE identifier.
+#: SETTINGS_HEADER_TABLE_SIZE and SETTINGS_INITIAL_WINDOW_SIZE identifiers.
+_HEADER_TABLE_SIZE = 1
 _INITIAL_WINDOW = 4
+#: An announced header table above this is a flood in preparation (the
+#: default is 4 096; browsers announce 65 536).
+_MAX_HEADER_TABLE_SIZE = 2**20
+#: More PRIORITY frames than this inside one ``rate_window`` is churn (a
+#: page load re-prioritises a handful of streams).
+_PRIORITY_RATE = 40
 
 
 @dataclass(frozen=True)
@@ -116,7 +130,9 @@ class ConnectionMonitor:
         self._tiny_window = False
         self._window_granted = False
         self._streams: set[int] = set()
-        self._rates: dict[str, list[float]] = {"ping": [], "settings": [], "rst": []}
+        self._rates: dict[str, list[float]] = {
+            kind: [] for kind in ("ping", "settings", "rst", "priority")
+        }
 
     # -- rule engine ---------------------------------------------------
 
@@ -194,11 +210,17 @@ class ConnectionMonitor:
             for ident, value in frame.settings:
                 if ident == _INITIAL_WINDOW and value <= cfg.tiny_window_threshold:
                     self._tiny_window = True
+                if ident == _HEADER_TABLE_SIZE and value > _MAX_HEADER_TABLE_SIZE:
+                    self._flag(
+                        at, "table_flood", f"announced a {value}-octet header table"
+                    )
             self._bump("settings", at, cfg.settings_rate, "settings_flood")
         elif isinstance(frame, PingFrame) and not frame.is_ack:
             self._bump("ping", at, cfg.ping_rate, "ping_flood")
         elif isinstance(frame, RstStreamFrame):
             self._bump("rst", at, cfg.rst_rate, "rst_churn")
+        elif isinstance(frame, PriorityFrame):
+            self._bump("priority", at, _PRIORITY_RATE, "priority_churn")
         elif isinstance(frame, WindowUpdateFrame):
             self._window_granted = True
         if isinstance(frame, (HeadersFrame, ContinuationFrame)):

@@ -1,32 +1,14 @@
-"""DoS attack studies and the slow-rate battery.
+"""DoS attacks on HTTP/2's new features, as one battery.
 
-The paper repeatedly flags that HTTP/2's new features are exploitable:
-
-* **flow control** — "an adversary could launch DoS attacks like
-  malicious TCP receiver by setting SETTINGS_INITIAL_WINDOW_SIZE to a
-  small value so that the server cannot quickly send out the response
-  frames and release the corresponding memory" (§V-D1, §VI point 2);
-* **priority** — "malicious clients may exploit this mechanism to
-  launch algorithmic complexity attacks (e.g., force the server to
-  frequently reconstruct the dependency tree)" (§VI point 3);
-* **header compression** — "setting SETTINGS_HEADER_TABLE_SIZE ... to a
-  large value, and then using randomly-generated headers to fill up the
-  table" (§VI point 5).
-
-Two generations live here behind one contract
-(:class:`~repro.attacks.base.AttackProfile` /
-:class:`~repro.attacks.base.AttackResult`):
-
-* the original §VI **resource studies** (slow-read, HPACK table flood,
-  priority churn) with their ad-hoc reports preserved in
-  ``AttackResult.details``;
-* the **slow-rate battery** (:mod:`repro.attacks.battery`) — slow
-  preface, CONTINUATION trickle, zero-window stall, PING/SETTINGS
-  floods, stream-reset churn — runnable against every vendor engine
-  over the simulated or loopback backend, with or without the engines'
-  abuse guards.
-
-``ATTACK_PROFILES`` indexes all of them by name.
+The paper's Discussion flags flow control, priority and header
+compression as exploitable (§V-D1, §VI points 2, 3, 5), and Tripathi's
+slow-HTTP/2 family holds connections open at no cost.  Each is an
+:class:`~repro.attacks.base.AttackProfile` in
+:data:`~repro.attacks.battery.BATTERY_PROFILES`, run by
+:func:`~repro.attacks.battery.run_attack` against every vendor engine
+(or a prepared :class:`~repro.servers.site.Site`) over the simulated or
+loopback backend, with or without the engines' abuse guards; see
+:mod:`repro.attacks.battery` for the nine behaviours.
 """
 
 from repro.attacks.base import AttackProfile, AttackResult
@@ -36,102 +18,12 @@ from repro.attacks.battery import (
     run_attack,
     run_battery,
 )
-from repro.attacks.priority_churn import (
-    PriorityChurnReport,
-    run_priority_churn_attack,
-)
-from repro.attacks.slow_read import SlowReadReport, run_slow_read_attack
-from repro.attacks.table_flood import TableFloodReport, run_table_flood_attack
-
-
-def _legacy_slow_read(**kwargs) -> AttackResult:
-    report = run_slow_read_attack(**kwargs)
-    result = AttackResult(
-        profile="slow_read",
-        vendor="generic",
-        duration=kwargs.get("duration", 10.0),
-        guards_enabled=kwargs.get("min_accepted_initial_window", 0) > 0,
-        connected=True,
-        evicted=report.connection_refused,
-        survived=not report.connection_refused,
-        peak_pinned_bytes=report.peak_pinned_bytes,
-        samples=list(report.pinned_bytes_over_time),
-        details=report,
-    )
-    result.held_seconds = result.duration if result.survived else 0.0
-    return result
-
-
-def _legacy_table_flood(**kwargs) -> AttackResult:
-    report = run_table_flood_attack(**kwargs)
-    return AttackResult(
-        profile="table_flood",
-        vendor="generic",
-        guards_enabled=kwargs.get("max_peer_header_table_size") is not None,
-        connected=True,
-        survived=True,
-        frames_sent=report.requests,
-        peak_hpack_bytes=report.peak_decoder_bytes,
-        samples=[(at, dec) for at, dec, _enc in report.table_bytes_over_time],
-        details=report,
-    )
-
-
-def _legacy_priority_churn(**kwargs) -> AttackResult:
-    report = run_priority_churn_attack(**kwargs)
-    return AttackResult(
-        profile="priority_churn",
-        vendor="generic",
-        guards_enabled=kwargs.get("max_tracked_streams", 1000) is not None,
-        connected=True,
-        survived=True,
-        frames_sent=report.frames_sent,
-        peak_stream_states=report.tracked_streams,
-        details=report,
-    )
-
-
-#: The §VI resource studies under the unified contract.
-LEGACY_PROFILES: dict[str, AttackProfile] = {
-    "slow_read": AttackProfile(
-        name="slow_read",
-        summary="tiny-window slow read pinning response buffers (§V-D1)",
-        kind="resource",
-        legacy_runner=_legacy_slow_read,
-    ),
-    "table_flood": AttackProfile(
-        name="table_flood",
-        summary="HPACK dynamic-table flood via huge announced size (§VI.5)",
-        kind="resource",
-        legacy_runner=_legacy_table_flood,
-    ),
-    "priority_churn": AttackProfile(
-        name="priority_churn",
-        summary="dependency-tree churn via PRIORITY spam (§VI.3)",
-        kind="resource",
-        legacy_runner=_legacy_priority_churn,
-    ),
-}
-
-#: Every attack in the package, battery and legacy, keyed by name.
-ATTACK_PROFILES: dict[str, AttackProfile] = {
-    **BATTERY_PROFILES,
-    **LEGACY_PROFILES,
-}
 
 __all__ = [
-    "ATTACK_PROFILES",
     "AttackProfile",
     "AttackResult",
     "BATTERY_PROFILES",
-    "LEGACY_PROFILES",
-    "PriorityChurnReport",
-    "SlowReadReport",
     "SurvivalMatrix",
-    "TableFloodReport",
     "run_attack",
     "run_battery",
-    "run_priority_churn_attack",
-    "run_slow_read_attack",
-    "run_table_flood_attack",
 ]

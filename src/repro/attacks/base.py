@@ -1,26 +1,17 @@
-"""The unified attack contract (ISSUE 7 satellite).
+"""The attack contract.
 
-Every attack in :mod:`repro.attacks` — the three §VI resource
-studies that predate the battery and the six slow-rate behaviour
-profiles — is described by one :class:`AttackProfile` and produces one
-:class:`AttackResult`, so the battery runner, the CLI and the corpus
-builder can treat them uniformly.
-
-Two kinds exist:
-
-* **battery** profiles carry a ``behaviour`` callable driven by
-  :func:`repro.attacks.battery.run_attack` against any vendor engine
-  on either transport backend;
-* **legacy** profiles wrap the original §VI study runners
-  (:func:`run_slow_read_attack` and friends) whose knobs predate the
-  vendor/backend axes; their ad-hoc reports ride along in
-  :attr:`AttackResult.details`.
+Every attack in :mod:`repro.attacks` is one :class:`AttackProfile` — a
+named client ``behaviour`` plus the SETTINGS it announces — driven by
+:func:`repro.attacks.battery.run_attack` against a vendor engine or a
+prepared :class:`~repro.servers.site.Site` on either transport backend,
+and produces one :class:`AttackResult`, so the battery runner, the CLI
+and the corpus builder treat all of them alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 
 @dataclass
@@ -56,12 +47,20 @@ class AttackResult:
     # -- resource peaks sampled on the server --------------------------
     peak_pinned_bytes: int = 0
     peak_stream_states: int = 0
+    #: Encoder + decoder dynamic tables; the two that follow split it
+    #: (the peer sizes the encoder's limit, the server its decoder's).
     peak_hpack_bytes: int = 0
+    peak_hpack_encoder_bytes: int = 0
+    peak_hpack_decoder_bytes: int = 0
     peak_assembly_bytes: int = 0
-    #: (elapsed_seconds, pinned_response_bytes) samples over the run.
-    samples: list[tuple[float, int]] = field(default_factory=list)
-    #: Legacy report object (the pre-battery attacks) or extra metrics.
-    details: Any = None
+    peak_priority_nodes: int = 0
+    peak_priority_depth: int = 0
+    #: Priority-tree mutations the server performed (monotone, so the
+    #: peak is the total).
+    peak_priority_operations: int = 0
+    #: (elapsed_seconds, {metric: value}) for every beat of the run;
+    #: the metrics are the ``peak_*`` fields' names without the prefix.
+    samples: list[tuple[float, dict[str, int]]] = field(default_factory=list)
     #: Server-side :class:`~repro.scope.trace.ConnectionTimeline`s when
     #: the run recorded frames (corpus building); never serialized.
     timelines: list = field(default_factory=list)
@@ -90,6 +89,11 @@ class AttackResult:
             "peak_stream_states": self.peak_stream_states,
             "peak_hpack_bytes": self.peak_hpack_bytes,
             "peak_assembly_bytes": self.peak_assembly_bytes,
+            "peak_hpack_encoder_bytes": self.peak_hpack_encoder_bytes,
+            "peak_hpack_decoder_bytes": self.peak_hpack_decoder_bytes,
+            "peak_priority_nodes": self.peak_priority_nodes,
+            "peak_priority_depth": self.peak_priority_depth,
+            "peak_priority_operations": self.peak_priority_operations,
         }
 
 
@@ -99,32 +103,14 @@ class AttackProfile:
 
     name: str
     summary: str
-    #: ``"slow-rate"`` (the battery family), ``"flood"`` (rate abuse)
-    #: or ``"resource"`` (the legacy §VI memory/CPU studies).
-    kind: str = "slow-rate"
-    #: Battery behaviour: drives an ``AttackRun`` (see battery module).
-    behaviour: Callable | None = None
+    #: ``"slow-rate"`` (hold a connection open), ``"flood"`` (rate
+    #: abuse) or ``"resource"`` (the §VI memory/CPU surfaces).
+    kind: str
+    #: Drives an ``AttackRun`` (see the battery module).
+    behaviour: Callable
     #: SETTINGS the attacking client announces.
     client_settings: dict[int, int] = field(default_factory=dict)
     auto_window_update: bool = False
     #: The engine guard knob expected to evict this attack, for the
-    #: survival matrix's deadline column (None = rate-window based).
+    #: survival matrix's deadline column (None = no knob covers it).
     guard_knob: str | None = None
-    #: Legacy runner returning an :class:`AttackResult` directly.
-    legacy_runner: Callable[..., AttackResult] | None = None
-
-    @property
-    def is_battery(self) -> bool:
-        return self.behaviour is not None
-
-    def run(self, vendor: str = "nginx", **kwargs) -> AttackResult:
-        """Run this attack; battery profiles accept the full axis set
-        (vendor/backend/guards/duration/seed), legacy ones their
-        original knobs."""
-        if self.behaviour is not None:
-            from repro.attacks.battery import run_attack
-
-            return run_attack(self, vendor, **kwargs)
-        assert self.legacy_runner is not None, self.name
-        kwargs.pop("vendor", None)
-        return self.legacy_runner(**kwargs)

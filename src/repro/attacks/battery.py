@@ -1,7 +1,7 @@
-"""The slow-HTTP/2 DoS battery (ISSUE 7 tentpole, after Tripathi's
-*Delays have Dangerous Ends*).
+"""The attack battery: one registry, one runner.
 
-Six client-side behaviour profiles model the slow-rate attack family:
+Nine client-side behaviour profiles.  Six model the slow-rate family
+(after Tripathi's *Delays have Dangerous Ends*):
 
 * ``slow_preface`` — complete the TLS hello, then drip the 24-byte h2
   connection preface one byte at a time, never finishing it;
@@ -15,9 +15,31 @@ Six client-side behaviour profiles model the slow-rate attack family:
 * ``rst_churn`` — open-and-immediately-reset request streams
   (rapid-reset), forcing allocation and teardown work per stream.
 
-Each profile runs against any vendor engine over the simulated backend
-or the loopback bridge, with abuse guards off (reproducing the 2016
-exposure) or with per-vendor hardened defaults
+Three are the surfaces the paper's Discussion names:
+
+* ``slow_read`` — "an adversary could launch DoS attacks like
+  malicious TCP receiver by setting SETTINGS_INITIAL_WINDOW_SIZE to a
+  small value so that the server cannot quickly send out the response
+  frames and release the corresponding memory" (§V-D1, §VI point 2):
+  the zero-window stall with a window of one octet.  The paper's
+  defence is a lower bound on the window a server accepts
+  (``ServerProfile.min_accepted_initial_window``);
+* ``table_flood`` — "setting SETTINGS_HEADER_TABLE_SIZE ... to a large
+  value, and then using randomly-generated headers to fill up the
+  table" (§VI point 5).  The server's *decoder* table is bounded by
+  its own setting whatever arrives; its *encoder* table's limit is the
+  attacker's announcement unless
+  ``ServerProfile.max_peer_header_table_size`` caps it;
+* ``priority_churn`` — "force the server to frequently reconstruct the
+  dependency tree" (§VI point 3): PRIORITY frames for streams that
+  never open build a deep chain, then exclusive moves relocate its
+  tail.  The defence bounds tracked priority state
+  (``ServerProfile.max_tracked_priority_streams``).
+
+Each profile runs against any vendor engine — or a prepared
+:class:`~repro.servers.site.Site` — over the simulated backend or the
+loopback bridge, with abuse guards off (reproducing the 2016 exposure)
+or with per-vendor hardened defaults
 (:data:`repro.servers.vendors.DEFAULT_GUARDS`).  :func:`run_battery`
 sweeps the profile × vendor grid into a :class:`SurvivalMatrix`; on
 the simulated backend the matrix is deterministic in the seed.
@@ -25,6 +47,8 @@ the simulated backend the matrix is deterministic in the seed.
 
 from __future__ import annotations
 
+import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.h2 import events as ev
@@ -55,7 +79,8 @@ from repro.attacks.base import AttackProfile, AttackResult
 DEFAULT_DURATION = 16.0
 
 
-def _attack_website(objects: int = 32, object_size: int = 120_000) -> Website:
+def attack_website(objects: int = 32, object_size: int = 120_000) -> Website:
+    """``objects`` large downloads at ``/victim/{i}.bin`` and a front page."""
     site = Website()
     for i in range(objects):
         site.add(
@@ -79,7 +104,8 @@ class AttackRun:
         result: AttackResult,
         duration: float,
         step: float,
-        sampler=None,
+        sampler,
+        seed: int = 0,
         knobs: dict | None = None,
     ):
         self.client = client
@@ -87,11 +113,10 @@ class AttackRun:
         self.duration = duration
         self.step = step
         self.sampler = sampler
+        self.seed = seed
         self.knobs = dict(knobs or {})
         self.started_at: float | None = None
         self.eviction_noticed_at: float | None = None
-        self.samples: list[tuple[float, int]] = []
-        self.peaks = {"pinned": 0, "streams": 0, "hpack": 0, "assembly": 0}
         self.bytes_sent = 0
 
     def knob(self, name: str, default):
@@ -148,27 +173,28 @@ class AttackRun:
             self.eviction_noticed_at = self.client.now
         self.sample()
 
+    def hold(self) -> None:
+        """Keep the connection open until the window ends or we are
+        evicted."""
+        while not self.over and not self.evicted:
+            self.tick(self.step)
+
     def sample(self) -> None:
-        if self.sampler is None:
-            return
         try:
             metrics = self.sampler()
         except RuntimeError:
             # Loopback sampling races the engine thread; skip the beat.
             return
-        for key in self.peaks:
-            self.peaks[key] = max(self.peaks[key], metrics.get(key, 0))
-        self.samples.append((round(self.elapsed, 4), metrics.get("pinned", 0)))
+        self.result.samples.append((round(self.elapsed, 4), metrics))
 
     def finish(self) -> None:
         """Fold the run's observations into the result."""
         result = self.result
         client = self.client
-        result.samples = self.samples
-        result.peak_pinned_bytes = self.peaks["pinned"]
-        result.peak_stream_states = self.peaks["streams"]
-        result.peak_hpack_bytes = self.peaks["hpack"]
-        result.peak_assembly_bytes = self.peaks["assembly"]
+        for _at, metrics in result.samples:
+            for key, value in metrics.items():
+                name = f"peak_{key}"
+                setattr(result, name, max(getattr(result, name), value))
         if client.conn is not None:
             result.frames_sent = len(client.conn.sent_frame_log)
         else:
@@ -270,8 +296,7 @@ def _behave_zero_window_stall(run: AttackRun) -> None:
     run.begin()
     for i in range(int(run.knob("streams", 16))):
         client.request(f"/victim/{i}.bin")
-    while not run.over and not run.evicted:
-        run.tick(run.step)
+    run.hold()
 
 
 def _behave_ping_flood(run: AttackRun) -> None:
@@ -333,7 +358,56 @@ def _behave_rst_churn(run: AttackRun) -> None:
         run.tick(burst / rate)
 
 
-#: The slow-rate battery, in matrix row order.
+def _behave_table_flood(run: AttackRun) -> None:
+    client = run.client
+    if not client.establish_h2():
+        return
+    run.begin()
+    rng = random.Random(run.seed)
+    for _ in range(int(run.knob("requests", 60))):
+        if run.over or run.evicted:
+            break
+        junk = [
+            (f"x-flood-{rng.getrandbits(48):012x}", f"{rng.getrandbits(256):064x}")
+            for _ in range(4)
+        ]
+        stream_id = client.request("/", extra_headers=junk)
+        client.wait_for(
+            lambda: any(
+                te.event.stream_id == stream_id
+                for te in client.events_of(ev.StreamEnded)
+            ),
+            timeout=5,
+        )
+        run.sample()
+    run.hold()
+
+
+def _behave_priority_churn(run: AttackRun) -> None:
+    client = run.client
+    if not client.establish_h2():
+        return
+    run.begin()
+    frames = int(run.knob("frames", 800))
+    # A maximally deep chain of idle streams: PRIORITY may name streams
+    # that never open, so the state is free to the attacker.
+    chain = [2 * i + 1 for i in range(frames // 2)]
+    for depends_on, stream_id in zip([0] + chain, chain):
+        client.send_priority(stream_id, depends_on=depends_on, weight=256)
+    # Then move the chain's tail to the root and back with exclusive
+    # flags, a restructure each, until the frame budget is spent.
+    tail = min(len(chain), frames // 4 or 1)
+    for index in range(frames - len(chain)):
+        client.send_priority(
+            chain[-(1 + index % tail)],
+            depends_on=0,
+            weight=1,
+            exclusive=index % 2 == 0,
+        )
+    run.hold()
+
+
+#: Every attack, in matrix row order.
 BATTERY_PROFILES: dict[str, AttackProfile] = {
     "slow_preface": AttackProfile(
         name="slow_preface",
@@ -378,6 +452,28 @@ BATTERY_PROFILES: dict[str, AttackProfile] = {
         behaviour=_behave_rst_churn,
         guard_knob="rst",
     ),
+    "slow_read": AttackProfile(
+        name="slow_read",
+        summary="one-octet windows pinning response buffers (§V-D1, §VI.2)",
+        kind="resource",
+        behaviour=_behave_zero_window_stall,
+        client_settings={4: 1},  # SETTINGS_INITIAL_WINDOW_SIZE
+        guard_knob="stall",
+    ),
+    "table_flood": AttackProfile(
+        name="table_flood",
+        summary="HPACK dynamic-table flood via huge announced size (§VI.5)",
+        kind="resource",
+        behaviour=_behave_table_flood,
+        client_settings={1: 2**24},  # SETTINGS_HEADER_TABLE_SIZE
+        auto_window_update=True,
+    ),
+    "priority_churn": AttackProfile(
+        name="priority_churn",
+        summary="dependency-tree churn via PRIORITY spam (§VI.3)",
+        kind="resource",
+        behaviour=_behave_priority_churn,
+    ),
 }
 
 
@@ -400,12 +496,20 @@ def _expected_deadline(
     return None
 
 
-def _sample_engine(server):
+def _sample_engine(server) -> dict[str, int]:
+    """One beat of server-side resource state; the keys are the
+    ``AttackResult.peak_*`` fields' names without the prefix."""
+    encoder, decoder = server.hpack_encoder_bytes, server.hpack_decoder_bytes
     return {
-        "pinned": server.pending_response_bytes,
-        "streams": server.tracked_stream_states,
-        "hpack": server.hpack_table_bytes,
-        "assembly": server.header_assembly_bytes,
+        "pinned_bytes": server.pending_response_bytes,
+        "stream_states": server.tracked_stream_states,
+        "hpack_bytes": encoder + decoder,
+        "hpack_encoder_bytes": encoder,
+        "hpack_decoder_bytes": decoder,
+        "assembly_bytes": server.header_assembly_bytes,
+        "priority_nodes": server.priority_tree_nodes,
+        "priority_depth": server.priority_tree_depth,
+        "priority_operations": server.priority_tree_operations,
     }
 
 
@@ -417,9 +521,33 @@ def _resolve_guards(guards, vendor: str) -> AbuseGuards:
     return guards
 
 
+@contextmanager
+def _serve_sim(site: Site, seed: int, record_frames: bool):
+    network = Network(Simulation(), seed=seed)
+    yield deploy_site(network, site, record_frames=record_frames), network
+
+
+@contextmanager
+def _serve_loopback(site: Site, seed: int, record_frames: bool):
+    # Imported lazily: the loopback bridge pulls in asyncio/threading
+    # machinery the simulated path never needs.
+    from repro.net.socket_backend import SocketBackend
+    from repro.servers.loopback import LoopbackBridge
+
+    with LoopbackBridge(seed=seed) as bridge:
+        bridge.serve(site, record_frames=record_frames)
+        with SocketBackend(resolver=bridge.resolver()) as backend:
+            yield bridge.engine(site.domain), backend
+
+
+#: How each backend serves the victim: a context manager yielding the
+#: engine to sample and the network a :class:`ScopeClient` dials.
+_SERVE = {"sim": _serve_sim, "loopback": _serve_loopback}
+
+
 def run_attack(
     profile: AttackProfile | str,
-    vendor: str = "nginx",
+    vendor: str | Site = "nginx",
     *,
     backend: str = "sim",
     guards: AbuseGuards | str | None = None,
@@ -429,110 +557,67 @@ def run_attack(
     record_frames: bool = False,
     knobs: dict | None = None,
 ) -> AttackResult:
-    """Run one battery profile against one vendor engine.
+    """Run one battery profile against one victim.
 
+    ``vendor`` names a vendor engine, deployed with the battery's
+    website and ``guards`` — an :class:`AbuseGuards`, ``"vendor"`` (that
+    vendor's hardened defaults) or ``None``/``"off"`` — or is a
+    :class:`Site`, attacked as it is: its own profile's guards and §VI
+    bounds, its own website and link (``guards`` is not consulted).
     ``backend`` is ``"sim"`` (discrete-event, deterministic in the
     seed) or ``"loopback"`` (real TCP via the PR 6 bridge, wall-clock).
-    ``guards`` is an :class:`AbuseGuards`, ``"vendor"`` (that vendor's
-    hardened defaults) or ``None``/``"off"``.
     """
     if isinstance(profile, str):
         profile = BATTERY_PROFILES[profile]
-    assert profile.behaviour is not None, f"{profile.name} is not a battery attack"
-    resolved = _resolve_guards(guards, vendor)
-    factory = VENDOR_FACTORIES.get(vendor) or POPULATION_FACTORIES[vendor]
-    vendor_profile = factory().clone(guards=resolved)
+    if backend not in _SERVE:
+        raise ValueError(f"unknown backend {backend!r}")
+    if isinstance(vendor, Site):
+        site, vendor = vendor, vendor.profile.name
+    else:
+        factory = VENDOR_FACTORIES.get(vendor) or POPULATION_FACTORIES[vendor]
+        site = Site(
+            domain=f"{vendor}.victim.test",
+            profile=factory().clone(guards=_resolve_guards(guards, vendor)),
+            website=attack_website(),
+            link=LinkProfile(rtt=0.02, bandwidth=50e6),
+        )
     result = AttackResult(
         profile=profile.name,
         vendor=vendor,
         backend=backend,
-        guards_enabled=resolved.any_enabled,
+        guards_enabled=site.profile.guards.any_enabled,
         duration=duration,
-        eviction_deadline=_expected_deadline(profile, resolved),
+        eviction_deadline=_expected_deadline(profile, site.profile.guards),
     )
-    domain = f"{vendor}.victim.test"
-    site = Site(
-        domain=domain,
-        profile=vendor_profile,
-        website=_attack_website(),
-        link=LinkProfile(rtt=0.02, bandwidth=50e6),
-    )
-    if backend == "sim":
-        _run_sim(profile, site, result, seed, duration, step, record_frames, knobs)
-    elif backend == "loopback":
-        _run_loopback(profile, site, result, seed, duration, step, knobs)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    return result
-
-
-def _run_sim(profile, site, result, seed, duration, step, record_frames, knobs):
-    sim = Simulation()
-    network = Network(sim, seed=seed)
-    server = deploy_site(network, site, record_frames=record_frames)
-    client = ScopeClient(
-        network,
-        site.domain,
-        settings=dict(profile.client_settings),
-        auto_window_update=profile.auto_window_update,
-    )
-    run = AttackRun(
-        client,
-        result,
-        duration=duration,
-        step=step,
-        sampler=lambda: _sample_engine(server),
-        knobs=knobs,
-    )
-    profile.behaviour(run)
-    # Drain in-flight bytes (a terminal GOAWAY trails the eviction by
-    # the guard linger + link delay) before folding the result.
-    client.wait_for(lambda: False, timeout=0.3)
-    run.finish()
-    client.close()
-    sim.run(until=sim.now + 0.5)
-    result.guard_reasons = [event.reason for event in server.guard_log]
-    if record_frames:
+    with _SERVE[backend](site, seed, record_frames) as (server, network):
+        client = ScopeClient(
+            network,
+            site.domain,
+            settings=dict(profile.client_settings),
+            auto_window_update=profile.auto_window_update,
+        )
+        run = AttackRun(
+            client,
+            result,
+            duration=duration,
+            step=step,
+            sampler=lambda: _sample_engine(server),
+            seed=seed,
+            knobs=knobs,
+        )
+        profile.behaviour(run)
+        # Drain in-flight bytes (a terminal GOAWAY trails the eviction by
+        # the guard linger + link delay) before folding the result.
+        client.wait_for(lambda: False, timeout=0.3)
+        run.finish()
+        client.close()
+        # The server stamps a timeline's end when it sees the close.
+        client.sleep(0.5)
+        result.guard_reasons = [event.reason for event in server.guard_log]
         for timeline in server.timelines:
             timeline.label = profile.name
         result.timelines = list(server.timelines)
-
-
-def _run_loopback(profile, site, result, seed, duration, step, knobs):
-    # Imported lazily: the loopback bridge pulls in asyncio/threading
-    # machinery the simulated path never needs.
-    from repro.net.socket_backend import SocketBackend
-    from repro.servers.loopback import LoopbackBridge
-
-    bridge = LoopbackBridge(seed=seed)
-    try:
-        bridge.serve(site)
-        engine = bridge.engine(site.domain)
-        backend = SocketBackend(resolver=bridge.resolver())
-        try:
-            client = ScopeClient(
-                backend,
-                site.domain,
-                settings=dict(profile.client_settings),
-                auto_window_update=profile.auto_window_update,
-            )
-            run = AttackRun(
-                client,
-                result,
-                duration=duration,
-                step=step,
-                sampler=lambda: _sample_engine(engine),
-                knobs=knobs,
-            )
-            profile.behaviour(run)
-            client.wait_for(lambda: False, timeout=0.3)
-            run.finish()
-            client.close()
-        finally:
-            backend.close()
-        result.guard_reasons = [event.reason for event in engine.guard_log]
-    finally:
-        bridge.close()
+    return result
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,7 @@ from repro.scope.trace import ConnectionTimeline
 from repro.servers.site import Site, deploy_site
 from repro.servers.vendors import VENDOR_FACTORIES
 
-from repro.attacks.battery import BATTERY_PROFILES, run_attack
+from repro.attacks.battery import run_battery
 
 #: Chaos spec for the faulty benign scans: resets during the hello,
 #: mid-response truncation and a recoverable stall.
@@ -70,21 +70,10 @@ def attack_timelines(
     duration: float = 16.0,
 ) -> list[ConnectionTimeline]:
     """Battery traffic, guards off, labelled with each profile's name."""
-    vendor_names = list(VENDOR_FACTORIES) if vendors is None else list(vendors)
-    profile_names = list(BATTERY_PROFILES) if profiles is None else list(profiles)
-    timelines: list[ConnectionTimeline] = []
-    for name in profile_names:
-        for vendor in vendor_names:
-            result = run_attack(
-                BATTERY_PROFILES[name],
-                vendor,
-                guards=None,
-                seed=seed,
-                duration=duration,
-                record_frames=True,
-            )
-            timelines.extend(result.timelines)
-    return timelines
+    matrix = run_battery(
+        vendors, profiles, seed=seed, duration=duration, record_frames=True
+    )
+    return [timeline for result in matrix.results for timeline in result.timelines]
 
 
 def build_corpus(

@@ -95,6 +95,14 @@ class PriorityTree:
             depth += 1
         return depth
 
+    def height(self) -> int:
+        """Depth of the deepest tracked stream (0 for an empty tree)."""
+        levels, frontier = 0, self._root.children
+        while frontier:
+            levels += 1
+            frontier = [child for node in frontier for child in node.children]
+        return levels
+
     def ancestors_of(self, stream_id: int) -> list[int]:
         """Proper ancestors, nearest first, ending with the root (0)."""
         node = self._node(stream_id)

@@ -225,6 +225,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``scan --concurrency`` when not given: the serial loop on the
+#: simulated backend (nothing the CLI prints reads the lanes' modeled
+#: makespan), the socket pool's width on the live one.
+_DEFAULT_CONCURRENCY = {"sim": 1, "socket": 8}
+
+
 def _resume_command(args: argparse.Namespace) -> str:
     """The exact command line that resumes this campaign."""
     live = args.backend == "socket"
@@ -253,7 +259,7 @@ def _resume_command(args: argparse.Namespace) -> str:
     option("--timeout", args.timeout)
     option("--retries", args.retries)
     option("--checkpoint-every", args.checkpoint_every, 25)
-    option("--concurrency", args.concurrency, 8)
+    option("--concurrency", args.concurrency, _DEFAULT_CONCURRENCY[args.backend])
     parts.append("--resume")
     return shlex.join(str(part) for part in parts)
 
@@ -408,6 +414,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if args.resume and not args.db:
         print("--resume requires --db (the journaled database)", file=sys.stderr)
         return 2
+    if args.concurrency is None:
+        args.concurrency = _DEFAULT_CONCURRENCY[args.backend]
     if args.backend == "socket":
         return _cmd_scan_live(args)
     if args.targets is not None:
@@ -636,16 +644,16 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
-    """Run the slow-rate battery and print the survival matrix."""
+    """Run the attack battery and print the survival matrix."""
     import json as _json
 
-    from repro.attacks import ATTACK_PROFILES, BATTERY_PROFILES, run_battery
+    from repro.attacks import BATTERY_PROFILES, run_battery
     from repro.servers.vendors import VENDOR_FACTORIES
 
-    if args.profile != "all" and args.profile not in ATTACK_PROFILES:
+    if args.profile != "all" and args.profile not in BATTERY_PROFILES:
         print(
             f"unknown attack profile {args.profile!r}; choose from "
-            f"{', '.join(sorted(ATTACK_PROFILES))} or 'all'",
+            f"{', '.join(sorted(BATTERY_PROFILES))} or 'all'",
             file=sys.stderr,
         )
         return 2
@@ -656,12 +664,6 @@ def _cmd_attack(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-
-    if args.profile in ATTACK_PROFILES and not ATTACK_PROFILES[args.profile].is_battery:
-        # Legacy §VI resource study: run with its own defaults.
-        result = ATTACK_PROFILES[args.profile].run(seed=args.seed)
-        print(_json.dumps(result.row(), indent=2))
-        return 0
 
     profiles = list(BATTERY_PROFILES) if args.profile == "all" else [args.profile]
     vendors = list(VENDOR_FACTORIES) if args.vendor == "all" else [args.vendor]
@@ -858,13 +860,14 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument(
         "--concurrency",
         type=int,
-        default=8,
+        default=None,
         metavar="N",
-        help="max in-flight probe sessions (default 8, floor 1): the "
-        "live pool size on the socket backend; on the simulated backend "
-        "with --workers 1, the single-loop interleaving width (ceiling "
-        "16384, at most 64 lanes mid-scan at once) — worker processes "
-        "scan serially.  Never changes simulated-scan bytes",
+        help="max in-flight probe sessions (floor 1): the live pool size "
+        "on the socket backend (default 8); on the simulated backend "
+        "with --workers 1, the single-loop interleaving width (default "
+        "1, the serial loop; ceiling 16384, at most 64 lanes mid-scan "
+        "at once) — worker processes scan serially.  Never changes "
+        "simulated-scan bytes",
     )
     scan.add_argument(
         "--per-host-gap",
@@ -980,14 +983,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     attack = sub.add_parser(
         "attack",
-        help="run the slow-HTTP/2 DoS battery against the vendor engines",
+        help="run the DoS attack battery against the vendor engines",
     )
     attack.add_argument(
         "--profile",
         default="all",
         help="battery profile (slow_preface, slow_headers, zero_window_stall, "
-        "ping_flood, settings_flood, rst_churn), a legacy study "
-        "(slow_read, table_flood, priority_churn), or 'all' (battery)",
+        "ping_flood, settings_flood, rst_churn, slow_read, table_flood, "
+        "priority_churn) or 'all'",
     )
     attack.add_argument(
         "--vendor",

@@ -163,39 +163,56 @@ class H2Server:
         return sum(1 for conn in self.connections if not conn.endpoint.closed)
 
     @property
+    def _h2_connections(self) -> list[H2Connection]:
+        return [conn.conn for conn in self.connections if conn.conn is not None]
+
+    @property
     def tracked_stream_states(self) -> int:
         """Stream-state objects alive across all h2 connections — what
         a reset-churn attacker inflates."""
-        return sum(
-            len(conn.conn.streams)
-            for conn in self.connections
-            if conn.conn is not None
-        )
+        return sum(len(conn.streams) for conn in self._h2_connections)
 
     @property
     def header_assembly_bytes(self) -> int:
         """Bytes pinned in open HEADERS→CONTINUATION assemblies — what
         the slow-HEADERS drip inflates."""
-        total = 0
-        for conn in self.connections:
-            if conn.conn is None:
-                continue
-            assembly = conn.conn._header_assembly
-            if assembly is not None:
-                total += sum(len(f.header_block) for f in assembly[1])
-        return total
+        return sum(
+            len(frame.header_block)
+            for conn in self._h2_connections
+            if conn._header_assembly is not None
+            for frame in conn._header_assembly[1]
+        )
 
     @property
-    def hpack_table_bytes(self) -> int:
-        """HPACK dynamic-table memory across all connections (both the
-        encoder table, whose limit the *peer* influences, and the
-        decoder table, bounded by our own SETTINGS_HEADER_TABLE_SIZE)."""
-        total = 0
-        for conn in self.connections:
-            if conn.conn is not None:
-                total += conn.conn.encoder.table.size
-                total += conn.conn.decoder.table.size
-        return total
+    def hpack_encoder_bytes(self) -> int:
+        """HPACK encoder dynamic-table memory, whose limit the *peer*
+        announces — what a table flood inflates (§VI point 5)."""
+        return sum(conn.encoder.table.size for conn in self._h2_connections)
+
+    @property
+    def hpack_decoder_bytes(self) -> int:
+        """HPACK decoder dynamic-table memory, bounded by our own
+        SETTINGS_HEADER_TABLE_SIZE whatever the peer sends."""
+        return sum(conn.decoder.table.size for conn in self._h2_connections)
+
+    @property
+    def priority_tree_nodes(self) -> int:
+        """Streams tracked in dependency trees — state a PRIORITY frame
+        creates for streams that never open (§VI point 3)."""
+        return sum(len(conn.priority_tree) for conn in self._h2_connections)
+
+    @property
+    def priority_tree_depth(self) -> int:
+        """Deepest dependency chain a scheduling decision may walk."""
+        return max(
+            (conn.priority_tree.height() for conn in self._h2_connections),
+            default=0,
+        )
+
+    @property
+    def priority_tree_operations(self) -> int:
+        """Tree mutations performed so far, over all connections."""
+        return sum(conn.priority_tree.operations for conn in self._h2_connections)
 
 
 class _ServerConnection:

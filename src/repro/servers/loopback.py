@@ -168,6 +168,7 @@ class _SiteRuntime:
         site: Site,
         seed: int,
         link_rtt: float,
+        record_frames: bool = False,
     ):
         self.loop = loop
         self.site = site
@@ -186,6 +187,7 @@ class _SiteRuntime:
             site.website,
             # Mirror deploy_site so both modes draw from the same RNGs.
             seed=stable_seed(seed, site.domain) & 0xFFFFFFFF,
+            record_frames=record_frames,
         )
         self._timer: asyncio.TimerHandle | None = None
         self._timer_due: float | None = None
@@ -325,16 +327,25 @@ class LoopbackBridge:
 
     # -- serving ----------------------------------------------------------
 
-    def serve(self, site: Site) -> dict[tuple[str, int], tuple[str, int]]:
+    def serve(
+        self, site: Site, record_frames: bool = False
+    ) -> dict[tuple[str, int], tuple[str, int]]:
         """Deploy ``site`` on two loopback listeners; returns its address
-        mapping ``{(domain, 443): (host, port), (domain, 80): ...}``."""
+        mapping ``{(domain, 443): (host, port), (domain, 80): ...}``.
+        ``record_frames`` is :func:`~repro.servers.site.deploy_site`'s."""
         if self._closed:
             raise RuntimeError("bridge is closed")
-        future = asyncio.run_coroutine_threadsafe(self._serve(site), self._loop)
+        future = asyncio.run_coroutine_threadsafe(
+            self._serve(site, record_frames), self._loop
+        )
         return future.result(timeout=30)
 
-    async def _serve(self, site: Site) -> dict[tuple[str, int], tuple[str, int]]:
-        runtime = _SiteRuntime(self._loop, site, self.seed, self.link_rtt)
+    async def _serve(
+        self, site: Site, record_frames: bool
+    ) -> dict[tuple[str, int], tuple[str, int]]:
+        runtime = _SiteRuntime(
+            self._loop, site, self.seed, self.link_rtt, record_frames
+        )
         self._runtimes[site.domain] = runtime
         mapping: dict[tuple[str, int], tuple[str, int]] = {}
         for probe_port, tls in ((443, True), (80, False)):

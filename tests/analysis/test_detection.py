@@ -12,6 +12,7 @@ from repro.h2.frames import (
     ContinuationFrame,
     HeadersFrame,
     PingFrame,
+    PriorityFrame,
     RstStreamFrame,
     SettingsFrame,
     WindowUpdateFrame,
@@ -139,6 +140,28 @@ class TestRateRules:
                 break
         assert verdict is not None and verdict.label == "settings_flood"
 
+    def test_priority_churn_over_limit(self):
+        monitor = ConnectionMonitor(opened_at=0.0)
+        verdicts = [
+            monitor.observe(0.1 + i * 0.001, PriorityFrame(stream_id=1 + 2 * i))
+            for i in range(41)
+        ]
+        assert verdicts[:40] == [None] * 40
+        assert verdicts[40].label == "priority_churn"
+
+    def test_a_page_load_of_priority_frames_stays_clean(self):
+        monitor = ConnectionMonitor(opened_at=0.0)
+        for i in range(200):  # 20/s, forever
+            frame = PriorityFrame(stream_id=1 + 2 * i)
+            assert monitor.observe(0.1 + i * 0.05, frame) is None
+
+    def test_announced_header_table_flags_only_when_huge(self):
+        browser = ConnectionMonitor(opened_at=0.0)
+        assert browser.observe(0.1, SettingsFrame(settings=[(1, 65_536)])) is None
+        flood = ConnectionMonitor(opened_at=0.0)
+        verdict = flood.observe(0.1, SettingsFrame(settings=[(1, 2**24)]))
+        assert (verdict.label, verdict.at) == ("table_flood", 0.1)
+
     def test_first_verdict_sticks(self):
         monitor = ConnectionMonitor(opened_at=0.0)
         for i in range(80):
@@ -223,7 +246,8 @@ class TestEndToEndFloors:
 
     def test_fast_profiles_all_detected(self):
         profiles = ["slow_preface", "slow_headers", "ping_flood",
-                    "settings_flood", "rst_churn"]
+                    "settings_flood", "rst_churn", "table_flood",
+                    "priority_churn"]
         timelines = attack_timelines(["nginx"], profiles, seed=3, duration=8.0)
         score = score_corpus(timelines)
         assert score.recall == 1.0, score.to_json()

@@ -1,9 +1,9 @@
-"""The slow-HTTP/2 battery (ISSUE 7): survival with guards off,
-bounded eviction with guards on, and seed determinism.
+"""The attack battery: survival with guards off, bounded eviction
+with guards on, and seed determinism.
 
-The full 6 x 6 guards-off grid takes tens of seconds of simulated
+The full 9 x 6 guards-off grid takes tens of seconds of simulated
 flooding, so tier-1 runs a representative slice; set
-``H2SCOPE_BATTERY_FULL=1`` (the CI attack-battery job does) for the
+``H2SCOPE_BATTERY_FULL=1`` (the CI full-matrix job does) for the
 complete matrix on both guard settings.
 """
 
@@ -11,12 +11,8 @@ import os
 
 import pytest
 
-from repro.attacks import (
-    ATTACK_PROFILES,
-    BATTERY_PROFILES,
-    run_attack,
-    run_battery,
-)
+import repro.attacks
+from repro.attacks import BATTERY_PROFILES, run_attack, run_battery
 from repro.h2.constants import ErrorCode
 from repro.servers.vendors import VENDOR_FACTORIES, vendor_guards
 
@@ -39,17 +35,37 @@ EXPECTED_REASON = {
 }
 
 
+#: Profiles a guard knob covers, i.e. that a hardened engine evicts
+#: before their work is done.
+GUARDED = [name for name in PROFILES if BATTERY_PROFILES[name].guard_knob]
+
+
 class TestContract:
     def test_battery_profiles_in_unified_registry(self):
+        assert len(PROFILES) == 9
+        assert PROFILES[:6] == [
+            "slow_preface", "slow_headers", "zero_window_stall",
+            "ping_flood", "settings_flood", "rst_churn",
+        ]  # fmt: skip
         for name, profile in BATTERY_PROFILES.items():
-            assert ATTACK_PROFILES[name] is profile
-            assert profile.is_battery
-            assert profile.guard_knob in EXPECTED_REASON
+            assert profile.name == name
+            assert callable(profile.behaviour)
+            assert profile.guard_knob in (None, *EXPECTED_REASON)
+        assert set(PROFILES) - set(GUARDED) == {"table_flood", "priority_churn"}
 
-    def test_legacy_profiles_share_the_registry(self):
+    def test_discussion_profiles_share_the_registry_and_the_runner(self):
+        # One registry, one runner: the package exports nothing else
+        # that runs an attack, and the §VI three take every axis.
+        runners = [
+            name
+            for name in repro.attacks.__all__
+            if name.startswith("run_") or name.endswith("_PROFILES")
+        ]
+        assert sorted(runners) == ["BATTERY_PROFILES", "run_attack", "run_battery"]
         for name in ("slow_read", "table_flood", "priority_churn"):
-            assert name in ATTACK_PROFILES
-            assert not ATTACK_PROFILES[name].is_battery
+            result = run_attack(name, "apache", guards="vendor", duration=2.0)
+            assert (result.profile, result.vendor) == (name, "apache")
+            assert result.connected and result.guards_enabled
 
 
 class TestGuardsOffSurvival:
@@ -82,7 +98,7 @@ class TestGuardsOffSurvival:
         # 16 stalled victims at 120 kB each, pinned behind zero windows.
         assert result.peak_pinned_bytes > 1_000_000
         # Still pinned at the end of the window: the server cannot free.
-        assert result.samples[-1][1] == result.peak_pinned_bytes
+        assert result.samples[-1][1]["pinned_bytes"] == result.peak_pinned_bytes
 
     def test_slow_headers_grows_assembly_state(self):
         result = run_attack("slow_headers", "nginx", duration=6.0)
@@ -91,10 +107,10 @@ class TestGuardsOffSurvival:
 
 
 class TestGuardsOnEviction:
-    """Every profile x vendor cell is evicted within its guard deadline
-    and sees the terminal GOAWAY(ENHANCE_YOUR_CALM)."""
+    """Every cell of a profile a guard knob covers is evicted within its
+    guard deadline and sees the terminal GOAWAY(ENHANCE_YOUR_CALM)."""
 
-    @pytest.mark.parametrize("profile", PROFILES)
+    @pytest.mark.parametrize("profile", GUARDED)
     @pytest.mark.parametrize(
         "vendor", VENDORS if FULL else ["nginx", "litespeed", "apache"]
     )
@@ -152,7 +168,7 @@ class TestLoopbackBackend:
 
     Wall-clock seconds per deadline, so tier-1 runs the two cheapest
     cells with scaled guards; the full loopback sweep rides the CI
-    attack-battery job via H2SCOPE_BATTERY_FULL.
+    full-matrix job via H2SCOPE_BATTERY_FULL.
     """
 
     def test_ping_flood_evicted_over_loopback(self):
@@ -187,7 +203,7 @@ class TestLoopbackBackend:
     def test_full_profile_sweep_over_loopback(self):
         matrix = run_battery(
             vendors=["nginx"],
-            profiles=PROFILES,
+            profiles=GUARDED,
             backend="loopback",
             guards="vendor",
             guard_scale=0.5,

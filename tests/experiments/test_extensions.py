@@ -1,5 +1,7 @@
 """Extension experiments from the paper's Discussion (§VI)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import attacks_study, dynamic_push, lossy_ablation
@@ -29,6 +31,9 @@ class TestAttacksStudy:
     def test_renders_table(self, result):
         assert "attack surface" in result.text
         assert "GOAWAY" in result.text
+        # The recorded study (seed 0), byte for byte.
+        recorded = Path(__file__).parents[2] / "benchmarks/results/attacks_study.txt"
+        assert result.text == recorded.read_text()
 
 
 class TestLossyAblation:

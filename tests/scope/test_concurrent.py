@@ -845,7 +845,7 @@ class TestWideWidthSoak:
             make_population,
         )
 
-        width = int(os.environ.get("H2SCOPE_WIDE_SOAK_WIDTH", "4096"))
+        width = 4096
         sites = make_population(
             PopulationConfig(n_sites=width + width // 8, seed=11)
         )
@@ -881,8 +881,8 @@ class TestMillionSiteSoak:
     def test_million_site_scan_within_budget(self):
         import time
 
-        total = int(os.environ.get("H2SCOPE_MILLION_SITES", "1000000"))
-        budget = float(os.environ.get("H2SCOPE_MILLION_BUDGET", "2700"))
+        total = 1_000_000
+        budget = 2700.0
         chunk_size = 50_000
         options = ScanOptions(
             include=("negotiation",), seed=3, fault_plan=None,

@@ -358,9 +358,7 @@ class TestHighConcurrencyPool:
 
     @pytest.fixture(scope="class")
     def highc_campaign(self, tmp_path_factory):
-        n_sites = int(
-            os.environ.get("H2SCOPE_FLEET_HIGHC_SITES", "96" if SOAK else "32")
-        )
+        n_sites = 96 if SOAK else 32
         plan = FleetPlan(
             sites=n_sites, seed=29, refuse=1, stall=1, unresolvable=1
         )

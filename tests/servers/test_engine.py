@@ -570,8 +570,16 @@ class TestBodyMadePerChunk:
         """``pending_response_bytes`` is a modeled figure (size - offset
         per task) and reads what the parent's buffered bodies read: 16
         objects of 100 000 octets, one octet of each sent."""
-        from repro.attacks import run_slow_read_attack
+        from repro.attacks import run_attack
+        from repro.experiments.attacks_study import slow_read_victim
 
-        report = run_slow_read_attack(streams=16, object_size=100_000, sframe=1)
-        assert report.peak_pinned_bytes == 16 * (100_000 - 1)
-        assert {pinned for _, pinned in report.pinned_bytes_over_time} == {1_599_984}
+        result = run_attack(
+            "slow_read",
+            slow_read_victim(16, 100_000),
+            duration=10.0,
+            knobs={"streams": 16},
+        )
+        assert result.peak_pinned_bytes == 16 * (100_000 - 1)
+        # From the first beat after the requests went out to the last.
+        pinned = [metrics["pinned_bytes"] for _, metrics in result.samples[1:]]
+        assert len(pinned) == 40 and set(pinned) == {1_599_984}

@@ -1,47 +1,66 @@
-"""DoS attack studies (paper §VI) and their defences."""
+"""The paper's §VI attack surfaces and their defences, through the one
+runner: ``run_attack`` on the study's ``Site`` victims."""
 
-from repro.attacks import (
-    run_priority_churn_attack,
-    run_slow_read_attack,
-    run_table_flood_attack,
+from dataclasses import replace
+
+from repro.attacks import BATTERY_PROFILES, run_attack
+from repro.experiments.attacks_study import (
+    priority_churn_victim,
+    slow_read_victim,
+    table_flood_victim,
 )
+
+
+def slow_read(streams, object_size, profile="slow_read", **defence):
+    return run_attack(
+        profile,
+        slow_read_victim(streams, object_size, **defence),
+        duration=10.0,
+        knobs={"streams": streams},
+    )
 
 
 class TestSlowRead:
     def test_attack_pins_server_memory(self):
-        report = run_slow_read_attack(streams=16, object_size=100_000, sframe=1)
+        result = slow_read(16, 100_000)
         # Nearly the entire response set is buffered behind 1-octet windows.
-        assert report.peak_pinned_bytes > 0.95 * report.theoretical_max
-        assert not report.connection_refused
+        assert result.peak_pinned_bytes > 0.95 * 16 * 100_000
+        assert result.survived and not result.goaway_observed
 
     def test_memory_stays_pinned_for_attack_duration(self):
-        report = run_slow_read_attack(streams=8, object_size=50_000, duration=10.0)
+        result = slow_read(8, 50_000)
         # The last sample is still pinned — the server cannot release it.
-        assert report.pinned_bytes_over_time[-1][1] > 0.9 * report.theoretical_max
+        at, metrics = result.samples[-1]
+        assert at >= 9.5
+        assert metrics["pinned_bytes"] > 0.9 * 8 * 50_000
 
     def test_window_lower_bound_defence(self):
-        report = run_slow_read_attack(
-            streams=16,
-            object_size=100_000,
-            sframe=1,
-            min_accepted_initial_window=1_024,
-        )
-        assert report.connection_refused
-        assert report.peak_pinned_bytes == 0
+        result = slow_read(16, 100_000, min_accepted_initial_window=1_024)
+        assert result.evicted and result.goaway_observed
+        assert result.peak_pinned_bytes == 0
 
     def test_legitimate_window_not_refused(self):
-        report = run_slow_read_attack(
-            streams=4,
-            object_size=10_000,
-            sframe=65_536,
-            min_accepted_initial_window=1_024,
+        polite = replace(
+            BATTERY_PROFILES["slow_read"], client_settings={4: 65_536}
         )
-        assert not report.connection_refused
+        result = slow_read(
+            4, 10_000, profile=polite, min_accepted_initial_window=1_024
+        )
+        assert result.survived and not result.goaway_observed
 
     def test_pinned_memory_scales_with_streams(self):
-        small = run_slow_read_attack(streams=4, object_size=100_000)
-        large = run_slow_read_attack(streams=16, object_size=100_000)
+        small = slow_read(4, 100_000)
+        large = slow_read(16, 100_000)
         assert large.peak_pinned_bytes > 3 * small.peak_pinned_bytes
+
+
+def table_flood(requests, **defence):
+    return run_attack(
+        "table_flood",
+        table_flood_victim(**defence),
+        duration=4.0,
+        knobs={"requests": requests},
+    )
 
 
 class TestTableFlood:
@@ -49,37 +68,45 @@ class TestTableFlood:
         # §V-C's explanation for why every server keeps the 4,096
         # default: the decoder table cannot exceed it no matter what
         # the attacker sends.
-        report = run_table_flood_attack(requests=80, server_table_size=4_096)
-        assert report.peak_decoder_bytes <= 4_096
+        result = table_flood(80)
+        assert 0 < result.peak_hpack_decoder_bytes <= 4_096
 
     def test_encoder_grows_without_cap(self):
-        report = run_table_flood_attack(requests=120)
-        assert report.peak_encoder_bytes > 2 * 4_096
+        assert table_flood(120).peak_hpack_encoder_bytes > 2 * 4_096
 
     def test_encoder_cap_defence(self):
-        report = run_table_flood_attack(
-            requests=120, max_peer_header_table_size=4_096
-        )
-        assert report.peak_encoder_bytes <= 4_096 + 128
+        result = table_flood(120, max_peer_header_table_size=4_096)
+        assert result.peak_hpack_encoder_bytes <= 4_096 + 128
 
     def test_growth_is_monotone_while_uncapped(self):
-        report = run_table_flood_attack(requests=60)
-        encoder_series = [enc for _, _, enc in report.table_bytes_over_time]
-        assert encoder_series == sorted(encoder_series)
+        result = table_flood(60)
+        series = [metrics["hpack_encoder_bytes"] for _, metrics in result.samples]
+        assert len(series) > 60 and series == sorted(series)
+        assert series[-1] == result.peak_hpack_encoder_bytes
+
+
+def priority_churn(frames, bound):
+    return run_attack(
+        "priority_churn",
+        priority_churn_victim(bound),
+        duration=4.0,
+        knobs={"frames": frames},
+    )
 
 
 class TestPriorityChurn:
     def test_unbounded_tree_grows_with_attack(self):
-        report = run_priority_churn_attack(frames=400, max_tracked_streams=100_000)
-        assert report.tracked_streams >= 190
-        assert report.max_depth >= 100
+        result = priority_churn(400, 100_000)
+        assert result.peak_priority_nodes >= 190
+        assert result.peak_priority_depth >= 100
 
     def test_bound_defence_caps_state(self):
-        report = run_priority_churn_attack(frames=400, max_tracked_streams=64)
-        assert report.tracked_streams <= 65
-        assert report.max_depth <= 65
+        result = priority_churn(400, 64)
+        assert result.peak_priority_nodes <= 65
+        assert result.peak_priority_depth <= 65
 
     def test_operations_accounted(self):
-        report = run_priority_churn_attack(frames=200, max_tracked_streams=1_000)
-        assert report.frames_sent == 200
-        assert report.tree_operations >= report.frames_sent * 0.9
+        result = priority_churn(200, 1_000)
+        # The PRIORITY frames plus the handshake's SETTINGS and ack.
+        assert 200 <= result.frames_sent <= 203
+        assert result.peak_priority_operations >= 200 * 0.9

@@ -377,11 +377,34 @@ def test_attack_unknown_profile(capsys):
     assert "unknown attack profile" in capsys.readouterr().err
 
 
-def test_attack_legacy_profile_prints_row(capsys):
-    rc = main(["attack", "--profile", "table_flood"])
+def test_attack_table_flood_renders_an_apache_cell(capsys):
+    rc = main(
+        ["attack", "--profile", "table_flood", "--vendor", "apache",
+         "--duration", "4"]
+    )
     out = capsys.readouterr().out
     assert rc == 0
-    assert '"profile": "table_flood"' in out
+    header, row = [line.split() for line in out.splitlines()[3:5]]
+    assert header == ["attack", "apache"]
+    assert row == ["table_flood", "held", "4.0s"]
+
+
+def test_attack_over_loopback_stores_its_timelines(tmp_path, capsys):
+    """``--db`` records on either backend: the loopback run is the sim
+    run's body behind another way of serving the victim."""
+    from repro.scope.storage import ReportStore
+
+    db = tmp_path / "loopback.sqlite"
+    rc = main(
+        ["attack", "--profile", "ping_flood", "--vendor", "nginx",
+         "--backend", "loopback", "--duration", "1", "--db", str(db)]
+    )
+    assert rc == 0
+    assert "stored labelled timelines" in capsys.readouterr().out
+    with ReportStore(db) as store:
+        timelines = store.load_timelines("attack")
+    assert len(timelines) >= 1
+    assert {timeline.label for timeline in timelines} == {"ping_flood"}
 
 
 def test_attack_db_then_detect(tmp_path, capsys):
