@@ -17,8 +17,7 @@ import sys
 from repro.analysis.pageload import render_waterfall, visit_page
 from repro.experiments import fig3
 from repro.experiments.fig3 import _build_push_site
-from repro.net import Network, Simulation
-from repro.servers.site import deploy_site
+from repro.servers.site import serve_site
 
 
 def show_waterfalls() -> None:
@@ -27,10 +26,8 @@ def show_waterfalls() -> None:
 
     site = _build_push_site("waterfall.example", random.Random(1))
     for enable_push in (False, True):
-        sim = Simulation()
-        network = Network(sim, seed=1)
-        deploy_site(network, site)
-        result = visit_page(network, site, enable_push=enable_push)
+        with serve_site(site, seed=1) as (backend, _):
+            result = visit_page(backend, site, enable_push=enable_push)
         print(f"waterfall with push {'on' if enable_push else 'off'} "
               f"(PLT {result.plt:.3f}s):")
         print(render_waterfall(result))

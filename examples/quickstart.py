@@ -14,40 +14,37 @@ Run with::
 """
 
 from repro.h2 import events as ev
-from repro.net import Network, Simulation
 from repro.scope import ScopeClient, scan_site
-from repro.servers import Site, deploy_site, vendors
+from repro.servers import Site, serve_site, vendors
 from repro.servers.website import testbed_website
 
 
 def manual_probe() -> None:
     """Drive one connection by hand: TLS, a request, and a PING."""
-    sim = Simulation()
-    network = Network(sim, seed=1)
     site = Site(
         domain="nginx.example",
         profile=vendors.nginx(),
         website=testbed_website(),
     )
-    deploy_site(network, site)
+    # A fresh simulated universe; it ends with the ``with`` block.
+    with serve_site(site, seed=1) as (backend, _):
+        client = ScopeClient(backend, "nginx.example", auto_window_update=True)
+        assert client.establish_h2()
+        print(f"negotiated {client.tls.chosen!r} via {client.tls.mechanism}")
 
-    client = ScopeClient(network, "nginx.example", auto_window_update=True)
-    assert client.establish_h2()
-    print(f"negotiated {client.tls.chosen!r} via {client.tls.mechanism}")
+        stream_id = client.request("/")
+        client.wait_for(lambda: client.headers_for(stream_id) is not None)
+        headers = dict(client.headers_for(stream_id).headers)
+        print(f"GET / -> :status={headers[b':status'].decode()}, "
+              f"server={headers[b'server'].decode()}")
 
-    stream_id = client.request("/")
-    client.wait_for(lambda: client.headers_for(stream_id) is not None)
-    headers = dict(client.headers_for(stream_id).headers)
-    print(f"GET / -> :status={headers[b':status'].decode()}, "
-          f"server={headers[b'server'].decode()}")
-
-    start = sim.now
-    client.send_ping(b"example!")
-    client.wait_for(
-        lambda: any(isinstance(te.event, ev.PingAckReceived) for te in client.events)
-    )
-    print(f"HTTP/2 PING round trip: {(sim.now - start) * 1000:.1f} ms")
-    client.close()
+        start = backend.now
+        client.send_ping(b"example!")
+        client.wait_for(
+            lambda: any(isinstance(te.event, ev.PingAckReceived) for te in client.events)
+        )
+        print(f"HTTP/2 PING round trip: {(backend.now - start) * 1000:.1f} ms")
+        client.close()
 
 
 def full_scan() -> None:

@@ -14,32 +14,23 @@ Run with::
 
 import sys
 
-from repro.net.clock import Simulation
-from repro.net.transport import Network
 from repro.scope.conformance import Verdict, run_conformance
-from repro.servers.site import Site, deploy_site
+from repro.scope.session import ProbeSession
+from repro.servers.site import deploy_testbed
 from repro.servers.vendors import VENDOR_FACTORIES
-from repro.servers.website import testbed_website
 
 
 def main() -> None:
     names = sys.argv[1:] or list(VENDOR_FACTORIES)
     failures_by_vendor = {}
     for name in names:
-        sim = Simulation()
-        network = Network(sim, seed=0)
-        site = Site(
-            domain=f"{name}.testbed",
-            profile=VENDOR_FACTORIES[name](),
-            website=testbed_website(),
-        )
-        deploy_site(network, site)
-        report = run_conformance(
-            network,
-            site.domain,
-            large_path="/large/0.bin",
-            multiplex_paths=[f"/large/{i}.bin" for i in range(3)],
-        )
+        with deploy_testbed(name) as (backend, site):
+            report = run_conformance(
+                ProbeSession(backend),
+                site.domain,
+                large_path="/large/0.bin",
+                multiplex_paths=[f"/large/{i}.bin" for i in range(3)],
+            )
         print(report.summary())
         failures_by_vendor[name] = sum(
             1 for r in report.results if r.verdict is Verdict.FAIL

@@ -17,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.pageload import visit_page
-from repro.net.clock import Simulation
 from repro.net.transport import Endpoint, Network
 from repro.net.tls import HTTP11, decode_server_hello, encode_client_hello
-from repro.servers.site import Site, deploy_site
+from repro.servers.site import Site, serve_site
 
 
 @dataclass
@@ -184,20 +183,16 @@ def sweep_loss_rates(
         h2_samples, h1_samples = [], []
         for repeat in range(repeats):
             site = site_factory(loss)
-            sim = Simulation()
-            network = Network(sim, seed=seed * 1000 + repeat)
-            deploy_site(network, site)
-            h2_samples.append(
-                visit_page(network, site, enable_push=False).plt
-            )
+            with serve_site(site, seed * 1000 + repeat) as (backend, _):
+                h2_samples.append(visit_page(backend, site, enable_push=False).plt)
 
             site = site_factory(loss)
-            sim = Simulation()
-            network = Network(sim, seed=seed * 1000 + repeat)
-            deploy_site(network, site)
-            h1_samples.append(
-                h1_parallel_visit(network, site, connections=h1_connections)
-            )
+            with serve_site(site, seed * 1000 + repeat) as (backend, _):
+                h1_samples.append(
+                    h1_parallel_visit(
+                        backend.network, site, connections=h1_connections
+                    )
+                )
         points.append(
             LossSweepPoint(
                 loss_rate=loss,

@@ -20,10 +20,9 @@ import random
 from dataclasses import dataclass, field
 
 from repro.h2 import events as ev
-from repro.net.clock import Simulation
-from repro.net.transport import Network
+from repro.net.backend import TransportBackend
 from repro.scope.client import ScopeClient
-from repro.servers.site import Site, deploy_site
+from repro.servers.site import Site, serve_site
 
 #: Simulated HTML parse delay before sub-resource requests go out.
 PARSE_DELAY = 0.004
@@ -92,7 +91,7 @@ class PageLoadStats:
 
 
 def visit_page(
-    network: Network,
+    backend: TransportBackend,
     site: Site,
     enable_push: bool,
     path: str = "/",
@@ -107,10 +106,9 @@ def visit_page(
     stream without a discovery round trip, a request upload, or
     server-side request processing.
     """
-    sim = network.sim
-    start = sim.now
+    start = backend.now
     client = ScopeClient(
-        network,
+        backend,
         site.domain,
         # Browsers announce large stream windows and immediately grow
         # the connection window (Chrome uses ~15 MB), so downloads are
@@ -126,7 +124,7 @@ def visit_page(
     client.send_window_update(0, 8 * 1024 * 1024)
 
     stream_to_path: dict[int, str] = {client.request(path): path}
-    start_times: dict[str, float] = {path: sim.now - start}
+    start_times: dict[str, float] = {path: backend.now - start}
     discovered: set[str] = {path}
     parsed_streams: set[int] = set()
     requested_paths: list[str] = []
@@ -148,14 +146,14 @@ def visit_page(
                     start_times.setdefault(promised_path, te.at - start)
         return promises
 
-    deadline = sim.now + timeout
-    while sim.now < deadline:
+    deadline = backend.now + timeout
+    while backend.now < deadline:
         # Parse eagerly: as soon as ANY tracked stream finishes, its
         # links fan out — browsers do not wait for a whole "wave".
         client.wait_for(
             lambda: (finished_streams() & set(stream_to_path)) - parsed_streams
             or set(stream_to_path) <= finished_streams(),
-            timeout=max(0.0, deadline - sim.now),
+            timeout=max(0.0, deadline - backend.now),
         )
         promises = promised_paths()
         for promised_path, promised_stream in promises.items():
@@ -180,16 +178,16 @@ def visit_page(
             if set(stream_to_path) <= finished_streams():
                 break
             continue
-        sim.run(until=sim.now + PARSE_DELAY)
+        backend.sleep(PARSE_DELAY)
         for link in new_links:
             if link in promises:
                 stream_to_path.setdefault(promises[link], link)
             else:
                 stream_to_path[client.request(link)] = link
-                start_times.setdefault(link, sim.now - start)
+                start_times.setdefault(link, backend.now - start)
                 requested_paths.append(link)
 
-    plt = sim.now - start
+    plt = backend.now - start
     end_times: dict[int, float] = {}
     for te in client.events:
         if isinstance(te.event, (ev.StreamEnded, ev.StreamReset)):
@@ -227,8 +225,6 @@ def measure_site(
     for mode_push in (True, False):
         samples = stats.with_push if mode_push else stats.without_push
         for visit_index in range(visits):
-            sim = Simulation()
-            network = Network(sim, seed=seed * 1000 + visit_index)
             perturbed = site.link
             factor = 1.0 + rng.uniform(-jitter, jitter)
             site_variant = Site(
@@ -243,6 +239,7 @@ def measure_site(
                 ),
                 truth=site.truth,
             )
-            deploy_site(network, site_variant)
-            samples.append(visit_page(network, site_variant, mode_push).plt)
+            universe = serve_site(site_variant, seed * 1000 + visit_index)
+            with universe as (backend, _):
+                samples.append(visit_page(backend, site_variant, mode_push).plt)
     return stats

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.net.clock import Simulation
-from repro.net.transport import Network
 from repro.scope.probes.ping import probe_ping
-from repro.servers.site import Site, deploy_site
+from repro.scope.session import ProbeSession
+from repro.servers.site import Site, serve_site
 
 
 @dataclass
@@ -49,10 +48,10 @@ def compare_rtt_methods(
     """Run the four estimators against every site (fresh universe each)."""
     comparison = RttComparison()
     for index, site in enumerate(sites):
-        sim = Simulation()
-        network = Network(sim, seed=seed + index)
-        deploy_site(network, site)
-        result = probe_ping(network, site.domain, samples=samples_per_site)
+        with serve_site(site, seed + index) as (backend, _):
+            result = probe_ping(
+                ProbeSession(backend), site.domain, samples=samples_per_site
+            )
         if result.h2_ping_rtt is not None:
             comparison.h2_ping.append(result.h2_ping_rtt * 1000)
         if result.icmp_rtt is not None:

@@ -59,11 +59,10 @@ from repro.h2.frames import (
     HeadersFrame,
     parse_frames,
 )
-from repro.net.clock import Simulation
-from repro.net.transport import LinkProfile, Network
+from repro.net.transport import LinkProfile
 from repro.scope.client import H2, ScopeClient
 from repro.servers.profiles import AbuseGuards
-from repro.servers.site import Site, deploy_site
+from repro.servers.site import Site, serve_site
 from repro.servers.vendors import (
     POPULATION_FACTORIES,
     VENDOR_FACTORIES,
@@ -522,12 +521,6 @@ def _resolve_guards(guards, vendor: str) -> AbuseGuards:
 
 
 @contextmanager
-def _serve_sim(site: Site, seed: int, record_frames: bool):
-    network = Network(Simulation(), seed=seed)
-    yield deploy_site(network, site, record_frames=record_frames), network
-
-
-@contextmanager
 def _serve_loopback(site: Site, seed: int, record_frames: bool):
     # Imported lazily: the loopback bridge pulls in asyncio/threading
     # machinery the simulated path never needs.
@@ -537,12 +530,13 @@ def _serve_loopback(site: Site, seed: int, record_frames: bool):
     with LoopbackBridge(seed=seed) as bridge:
         bridge.serve(site, record_frames=record_frames)
         with SocketBackend(resolver=bridge.resolver()) as backend:
-            yield bridge.engine(site.domain), backend
+            yield backend, bridge.engine(site.domain)
 
 
 #: How each backend serves the victim: a context manager yielding the
-#: engine to sample and the network a :class:`ScopeClient` dials.
-_SERVE = {"sim": _serve_sim, "loopback": _serve_loopback}
+#: transport backend a :class:`ScopeClient` dials and the engine to
+#: sample; the victim's universe ends with the ``with`` block.
+_SERVE = {"sim": serve_site, "loopback": _serve_loopback}
 
 
 def run_attack(
@@ -589,9 +583,9 @@ def run_attack(
         duration=duration,
         eviction_deadline=_expected_deadline(profile, site.profile.guards),
     )
-    with _SERVE[backend](site, seed, record_frames) as (server, network):
+    with _SERVE[backend](site, seed, record_frames) as (transport, server):
         client = ScopeClient(
-            network,
+            transport,
             site.domain,
             settings=dict(profile.client_settings),
             auto_window_update=profile.auto_window_update,

@@ -21,12 +21,11 @@ naive rule set flags it readily.
 
 from __future__ import annotations
 
-from repro.net.clock import Simulation
 from repro.net.faults import FaultPlan
-from repro.net.transport import Network
 from repro.scope.scanner import probe_target
+from repro.scope.session import ProbeSession
 from repro.scope.trace import ConnectionTimeline
-from repro.servers.site import Site, deploy_site
+from repro.servers.site import Site, serve_site
 from repro.servers.vendors import VENDOR_FACTORIES
 
 from repro.attacks.battery import run_battery
@@ -53,13 +52,13 @@ def benign_timelines(
     timelines: list[ConnectionTimeline] = []
     for vendor in names:
         for plan in plans:
-            sim = Simulation()
-            network = Network(sim, seed=seed, fault_plan=plan)
             site = Site(domain=f"{vendor}.corpus.test", profile=VENDOR_FACTORIES[vendor]())
-            server = deploy_site(network, site, record_frames=True)
-            probe_target(network, site.domain, seed=seed)
-            sim.run(until=sim.now + 1.0)
-            timelines.extend(server.timelines)
+            with serve_site(
+                site, seed, record_frames=True, fault_plan=plan
+            ) as (backend, server):
+                probe_target(ProbeSession(backend), site.domain, seed=seed)
+                backend.sleep(1.0)
+                timelines.extend(server.timelines)
     return timelines
 
 

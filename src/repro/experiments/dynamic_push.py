@@ -19,10 +19,9 @@ from __future__ import annotations
 from repro.analysis.pageload import visit_page
 from repro.analysis.tables import format_table
 from repro.experiments.common import ExperimentResult
-from repro.net.clock import Simulation
-from repro.net.transport import LinkProfile, Network
+from repro.net.transport import LinkProfile
 from repro.servers.profiles import ServerProfile
-from repro.servers.site import Site, deploy_site
+from repro.servers.site import Site, serve_site
 from repro.servers.website import Resource, Website
 
 
@@ -69,13 +68,11 @@ def _site(policy: str, supports_push: bool) -> Site:
 
 def _visit_series(site: Site, visits: int, seed: int) -> list[float]:
     """Sequential visits against ONE persistent server (it must learn)."""
-    sim = Simulation()
-    network = Network(sim, seed=seed)
-    deploy_site(network, site)
-    return [
-        visit_page(network, site, enable_push=site.profile.supports_push).plt
-        for _ in range(visits)
-    ]
+    with serve_site(site, seed) as (backend, _):
+        return [
+            visit_page(backend, site, enable_push=site.profile.supports_push).plt
+            for _ in range(visits)
+        ]
 
 
 def run(visits: int = 6, seed: int = 2) -> ExperimentResult:

@@ -24,6 +24,7 @@ from repro.scope.probes import (
     probe_zero_window_update,
 )
 from repro.scope.report import ErrorReaction, TinyWindowResult
+from repro.scope.session import ProbeSession
 from repro.servers.site import Site, deploy_testbed
 from repro.servers.vendors import VENDOR_FACTORIES
 from repro.servers.website import testbed_website
@@ -155,17 +156,15 @@ TESTBED_SFRAME = 64
 
 def characterize_vendor(vendor: str, seed: int = 0) -> dict[str, str]:
     """Run every Table III probe against one vendor's testbed deployment."""
-    network, site = deploy_testbed(vendor, seed)
-    return matrix_cells(network, site.domain)
+    with deploy_testbed(vendor, seed) as (backend, site):
+        return matrix_cells(ProbeSession(backend), site.domain)
 
 
-def matrix_cells(session, domain: str) -> dict[str, str]:
+def matrix_cells(session: ProbeSession, domain: str) -> dict[str, str]:
     """The Table III feature-matrix column for one target.
 
-    Backend-agnostic: ``session`` is anything the probes accept (a
-    :class:`~repro.scope.session.ProbeSession`, a transport backend, or
-    a simulated ``Network``), so the same cell computation runs against
-    the simulated testbed and against a real server — the socket-
+    Backend-agnostic: the session's backend decides whether the cells
+    come from the simulated testbed or from a real server — the socket-
     backend differential test compares the two verdict-for-verdict.
     The target must serve the testbed object layout (``/large/*.bin``,
     ``/medium/*.bin``); cells degrade to "no response" otherwise.
@@ -266,7 +265,6 @@ def characterize_vendor_socket(
     timeouts to loopback-appropriate waits).
     """
     from repro.net.socket_backend import SocketBackend
-    from repro.scope.session import ProbeSession
 
     backend = SocketBackend(
         resolver=bridge.resolver(), timeout_scale=timeout_scale

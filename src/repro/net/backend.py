@@ -19,8 +19,9 @@ Invariants every backend must uphold:
 * ``now`` is monotone non-decreasing and ``run_until`` never returns
   before the predicate is true or ``timeout`` clock-seconds elapsed.
 * ``probe_policy`` is a readable/writable slot the resilience layer
-  uses to publish the per-attempt deadline; for the simulated backend
-  it aliases ``Network.probe_policy`` so existing code keeps working.
+  uses to publish the per-attempt deadline.  It lives on the backend
+  object, so a client sees a probe's deadline only if it was made on
+  the same backend the resilience layer was handed.
 
 ``timeout_scale`` lets wall-clock backends shrink the probe timeouts
 that were tuned for simulated WAN latency (8 s waits are physics in the
@@ -45,8 +46,6 @@ class TransportBackend(ABC):
     #: The per-attempt policy slot (see module docstring); clients read
     #: it on every wait.
     probe_policy = None
-    #: ``as_session``'s wrapper for this backend, once asked for.
-    _session_cache = None
 
     # -- connections ------------------------------------------------------
 
@@ -123,35 +122,7 @@ class SimulatedBackend(TransportBackend):
     def sleep_until(self, when: float) -> None:
         self.sim.run(until=when)
 
-    # The resilience layer historically published the per-attempt policy
-    # on the Network; keep that slot authoritative so tests and tools
-    # inspecting ``network.probe_policy`` observe the same object.
-    @property
-    def probe_policy(self):
-        return self.network.probe_policy
-
-    @probe_policy.setter
-    def probe_policy(self, value) -> None:
-        self.network.probe_policy = value
-
     def icmp_rtt(self, domain: str, count: int = 1) -> float | None:
         session = icmp_ping(self.network, domain, count=count)
         return session.avg_rtt
 
-
-def as_backend(target) -> TransportBackend:
-    """Normalize a Network or a backend into a TransportBackend.
-
-    A plain simulated ``Network`` gets (and caches, so repeated probe
-    calls share one wrapper) a :class:`SimulatedBackend`.
-    """
-    if isinstance(target, TransportBackend):
-        return target
-    if isinstance(target, Network):
-        backend = target._backend_cache
-        if backend is None:
-            backend = target._backend_cache = SimulatedBackend(target)
-        return backend
-    raise TypeError(
-        f"expected a TransportBackend or Network, got {type(target).__name__}"
-    )

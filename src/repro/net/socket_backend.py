@@ -45,6 +45,14 @@ from repro.net.backend import TransportBackend
 _WAKEUP_CAP = 0.25
 
 
+def lookup(resolver, domain: str, port: int) -> tuple[str, int] | None:
+    """Ask a mapping or callable ``resolver`` (module docstring) for
+    ``(domain, port)``'s socket address; ``None`` is "no such host"."""
+    if callable(resolver):
+        return resolver(domain, port)
+    return resolver.get((domain, port))
+
+
 class LoopDriver:
     """One asyncio event loop on one thread, shared by many backends.
 
@@ -52,6 +60,7 @@ class LoopDriver:
     each session's ``run_until`` blocks on an event the loop signals
     when *that* backend has activity.  See the module docstring for the
     delivery contract (loop thread enqueues, session thread pumps).
+    The loopback bridge's listeners live on a driver of their own.
     """
 
     def __init__(self) -> None:
@@ -299,12 +308,9 @@ class SocketBackend(TransportBackend):
 
     def resolve(self, domain: str, port: int) -> tuple[str, int] | None:
         """Map a probe-level (domain, port) to a socket address."""
-        resolver = self._resolver
-        if resolver is None:
-            return (domain, port)
-        if callable(resolver):
-            return resolver(domain, port)
-        return resolver.get((domain, port))
+        if self._resolver is None:
+            return (domain, port)  # the OS resolves at connect time
+        return lookup(self._resolver, domain, port)
 
     # -- connections ------------------------------------------------------
 

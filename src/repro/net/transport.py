@@ -323,11 +323,6 @@ class Network:
         self.fault_session: FaultSession | None = (
             fault_plan.session() if fault_plan is not None else None
         )
-        #: Per-attempt probing policy (deadline, fault raising) set by
-        #: the resilience layer; clients consult it on every wait.
-        self.probe_policy = None
-        #: ``as_backend``'s wrapper for this network, once asked for.
-        self._backend_cache = None
 
     def close(self) -> None:
         """End the universe by cutting its back-edges (module docstring).
@@ -340,7 +335,6 @@ class Network:
             endpoint.closed = True
             endpoint.peer = endpoint.on_data = endpoint.on_close = None
         self._endpoints.clear()
-        self._backend_cache = None
 
     def add_host(self, name: str, profile: LinkProfile | None = None) -> Host:
         if name in self.hosts:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import shlex
 import sys
+from contextlib import ExitStack
 
 
 def _cmd_testbed(args: argparse.Namespace) -> int:
@@ -124,43 +125,42 @@ def _cmd_probe(args: argparse.Namespace) -> int:
         )
         return 2
 
-    if args.backend == "sim":
-        from repro.servers.site import deploy_testbed
-        from repro.servers.vendors import VENDOR_FACTORIES
-
-        if args.vendor is None:
-            print("--backend sim requires --vendor", file=sys.stderr)
-            return 2
-        if args.vendor not in VENDOR_FACTORIES:
-            print(f"unknown vendor {args.vendor!r}", file=sys.stderr)
-            return 2
-        backend, _ = deploy_testbed(args.vendor, args.seed, args.domain)
-    else:
-        from repro.net.socket_backend import SocketBackend
-
-        resolver = None
-        if args.target is not None:
-            try:
-                mapping = {(args.domain, 443): _parse_host_port(args.target)}
-                if args.clear_target is not None:
-                    mapping[(args.domain, 80)] = _parse_host_port(
-                        args.clear_target
-                    )
-            except ValueError as exc:
-                print(str(exc), file=sys.stderr)
-                return 2
-            resolver = mapping
-        backend = SocketBackend(
-            resolver=resolver, timeout_scale=args.timeout_scale
-        )
-
     trace = TraceRecorder()
-    session = ProbeSession(backend, trace=trace)
-    try:
-        report = probe_target(session, args.domain, include=include)
-    finally:
-        if args.backend == "socket":
-            backend.close()
+    with ExitStack() as stack:
+        if args.backend == "sim":
+            from repro.servers.site import deploy_testbed
+            from repro.servers.vendors import VENDOR_FACTORIES
+
+            if args.vendor is None:
+                print("--backend sim requires --vendor", file=sys.stderr)
+                return 2
+            if args.vendor not in VENDOR_FACTORIES:
+                print(f"unknown vendor {args.vendor!r}", file=sys.stderr)
+                return 2
+            backend, _ = stack.enter_context(
+                deploy_testbed(args.vendor, args.seed, args.domain)
+            )
+        else:
+            from repro.net.socket_backend import SocketBackend
+
+            resolver = None
+            if args.target is not None:
+                try:
+                    mapping = {(args.domain, 443): _parse_host_port(args.target)}
+                    if args.clear_target is not None:
+                        mapping[(args.domain, 80)] = _parse_host_port(
+                            args.clear_target
+                        )
+                except ValueError as exc:
+                    print(str(exc), file=sys.stderr)
+                    return 2
+                resolver = mapping
+            backend = stack.enter_context(
+                SocketBackend(resolver=resolver, timeout_scale=args.timeout_scale)
+            )
+        report = probe_target(
+            ProbeSession(backend, trace=trace), args.domain, include=include
+        )
 
     print(_render_probe_report(report))
     if args.db is not None:
@@ -599,6 +599,7 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
 
 def _cmd_conformance(args: argparse.Namespace) -> int:
     from repro.scope.conformance import run_conformance
+    from repro.scope.session import ProbeSession
     from repro.servers.site import deploy_testbed
     from repro.servers.vendors import VENDOR_FACTORIES
 
@@ -608,13 +609,13 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
         print(f"unknown vendor(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
     for name in names:
-        network, site = deploy_testbed(name, args.seed)
-        report = run_conformance(
-            network,
-            site.domain,
-            large_path="/large/0.bin",
-            multiplex_paths=[f"/large/{i}.bin" for i in range(3)],
-        )
+        with deploy_testbed(name, args.seed) as (backend, site):
+            report = run_conformance(
+                ProbeSession(backend),
+                site.domain,
+                large_path="/large/0.bin",
+                multiplex_paths=[f"/large/{i}.bin" for i in range(3)],
+            )
         print(report.summary())
     return 0
 

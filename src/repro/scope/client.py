@@ -12,9 +12,9 @@ The client is a sans-IO driver: all transport and clock access goes
 through a :class:`~repro.net.backend.TransportBackend`, so the same
 probe logic runs against the discrete-event simulator (the default,
 byte-identical to the pre-abstraction behavior) and against real
-asyncio TCP sockets with wall-clock deadlines.  For backward
-compatibility the constructor still accepts a plain simulated
-``Network`` and exposes ``.network`` / ``.sim`` when one backs it.
+asyncio TCP sockets with wall-clock deadlines.  The constructor takes
+that backend and nothing else; a simulated universe is reached as
+``SimulatedBackend(network)``.
 
 Every received event and frame is timestamped and logged; probes work
 from these logs.
@@ -28,7 +28,7 @@ from repro.h2 import events as ev
 from repro.h2.connection import ConnectionConfig, H2Connection, Side
 from repro.h2.errors import H2Error
 from repro.h2.frames import Frame, PriorityData
-from repro.net.backend import as_backend
+from repro.net.backend import TransportBackend
 from repro.net.tls import (
     H2,
     HTTP11,
@@ -82,7 +82,7 @@ class ScopeClient:
 
     def __init__(
         self,
-        network,
+        backend: TransportBackend,
         domain: str,
         port: int = 443,
         alpn: list[str] | None = None,
@@ -93,11 +93,7 @@ class ScopeClient:
         enable_push: bool | None = None,
         trace=None,
     ):
-        # ``network`` is a TransportBackend or a simulated Network.
-        self.backend = as_backend(network)
-        # Simulated-backend conveniences (None on wall-clock backends).
-        self.network = getattr(self.backend, "network", None)
-        self.sim = getattr(self.backend, "sim", None)
+        self.backend = backend
         self.domain = domain
         self.port = port
         self.alpn = [H2, HTTP11] if alpn is None else alpn
@@ -137,7 +133,9 @@ class ScopeClient:
         self.peer_closed = False
 
     # ------------------------------------------------------------------
-    # Resilience policy (deadlines + classified failures)
+    # Resilience policy (deadlines + classified failures): while the
+    # backend carries a ProbePolicy, failed handshakes raise ScanFaults
+    # instead of degrading silently.
     # ------------------------------------------------------------------
 
     def _clamp(self, timeout: float, what: str) -> float:
@@ -150,10 +148,6 @@ class ScopeClient:
     def _budget(self, timeout: float, what: str) -> float:
         """Scale a probe-level timeout to the backend, then clamp it."""
         return self._clamp(self.backend.scale(timeout), what)
-
-    def _raise_faults(self) -> bool:
-        policy: ProbePolicy | None = self.backend.probe_policy
-        return policy is not None and policy.raise_faults
 
     # ------------------------------------------------------------------
     # Clock
@@ -184,7 +178,7 @@ class ScopeClient:
             self._budget(timeout, "tcp connect"),
         )
         if not attempt.established:
-            if self._raise_faults():
+            if self.backend.probe_policy is not None:
                 # Wall-clock backends flag attempts that died in name
                 # resolution; report those as DNS, not refused, so the
                 # campaign layer can quarantine instead of retrying.
@@ -222,7 +216,7 @@ class ScopeClient:
             lambda: self._mode != "hello",
             self._budget(timeout, "tls hello"),
         )
-        if self._raise_faults():
+        if self.backend.probe_policy is not None:
             if self._mode == "reset":
                 raise ConnectionResetFault(
                     f"{self.domain}:{self.port}: reset during TLS hello"

@@ -32,7 +32,7 @@ from repro.scope.probes import (
     probe_zero_window_update,
 )
 from repro.scope.report import ErrorReaction, TinyWindowResult
-from repro.scope.session import ProbeSession, as_session
+from repro.scope.session import ProbeSession
 
 
 class Level(enum.Enum):
@@ -284,17 +284,12 @@ CHECKS: list[_Check] = [
 
 
 def run_conformance(
-    target,
+    session: ProbeSession,
     domain: str,
     large_path: str = "/big.bin",
     multiplex_paths: list[str] | None = None,
 ) -> ConformanceReport:
-    """Run the whole check suite against one target.
-
-    ``target`` is a :class:`~repro.scope.session.ProbeSession`, a
-    transport backend, or a simulated ``Network``.
-    """
-    session = as_session(target)
+    """Run the whole check suite against one target over ``session``."""
     report = ConformanceReport(domain=domain)
     ctx: dict = {"large_path": large_path, "multiplex_paths": multiplex_paths}
     for check in CHECKS:

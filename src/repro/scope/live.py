@@ -56,7 +56,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
-from repro.net.socket_backend import LoopDriver, SocketBackend
+from repro.net.socket_backend import LoopDriver, SocketBackend, lookup
 from repro.scope.campaign import CampaignResult, CampaignRun
 from repro.scope.parallel import SiteResult, SiteTask
 from repro.scope.report import ErrorClass, ScanError, SiteReport
@@ -251,10 +251,7 @@ class DnsStage:
                 raise DnsFault(f"{domain}: resolver returned no addresses")
             host, resolved_port = infos[0][4][:2]
             return (host, resolved_port)
-        if callable(resolver):
-            address = resolver(domain, port)
-        else:
-            address = resolver.get((domain, port))
+        address = lookup(resolver, domain, port)
         if address is None:
             raise DnsFault(f"{domain}:{port}: no address")
         return address

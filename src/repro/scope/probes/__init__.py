@@ -1,11 +1,9 @@
 """The H2Scope probe suite — one module per Section-III method.
 
 Every probe is a function taking a :class:`~repro.scope.session.
-ProbeSession` (or, for backward compatibility, anything
-:func:`~repro.scope.session.as_session` accepts — a transport backend
-or a simulated ``Network``) plus a target domain, and returning one of
-the typed results from :mod:`repro.scope.report`.  Probes open their
-own connections and leave the session reusable.
+ProbeSession` plus a target domain, and returning one of the typed
+results from :mod:`repro.scope.report`.  Probes open their own
+connections and leave the session reusable.
 
 Layering rule: probe modules never import :mod:`repro.net.transport`
 directly — all transport access goes through the session's backend.

@@ -20,20 +20,20 @@ from repro.h2 import events as ev
 from repro.h2.constants import MAX_WINDOW_SIZE, SettingCode
 from repro.scope.client import ScopeClient
 from repro.scope.report import ErrorReaction, TinyWindowResult
-from repro.scope.session import as_session
+from repro.scope.session import ProbeSession
 
 IWS = int(SettingCode.INITIAL_WINDOW_SIZE)
 
 
 def probe_tiny_window(
-    session,
+    session: ProbeSession,
     domain: str,
     sframe: int = 1,
     path: str = "/",
     timeout: float = 8.0,
 ) -> tuple[TinyWindowResult, int | None, bool]:
     """§III-B1.  Returns (category, first DATA size, headers_received)."""
-    client = as_session(session).client(domain, settings={IWS: sframe})
+    client = session.client(domain, settings={IWS: sframe})
     if not client.establish_h2(timeout=timeout):
         client.close()
         return TinyWindowResult.NO_RESPONSE, None, False
@@ -63,13 +63,13 @@ def probe_tiny_window(
 
 
 def probe_zero_window_headers(
-    session, domain: str, path: str = "/", timeout: float = 8.0
+    session: ProbeSession, domain: str, path: str = "/", timeout: float = 8.0
 ) -> bool | None:
     """§III-B2.  True iff HEADERS arrive while the window is zero.
 
     Returns None when HTTP/2 could not be established at all.
     """
-    client = as_session(session).client(domain, settings={IWS: 0})
+    client = session.client(domain, settings={IWS: 0})
     if not client.establish_h2(timeout=timeout):
         client.close()
         return None
@@ -88,7 +88,7 @@ def probe_zero_window_headers(
 
 
 def probe_zero_window_update(
-    session,
+    session: ProbeSession,
     domain: str,
     level: str = "stream",
     path: str = "/big.bin",
@@ -98,7 +98,7 @@ def probe_zero_window_update(
     # A one-octet window keeps the response stream alive and blocked,
     # so the server definitely still knows the stream when the bogus
     # update arrives.
-    client = as_session(session).client(domain, settings={IWS: 1})
+    client = session.client(domain, settings={IWS: 1})
     if not client.establish_h2(timeout=timeout):
         client.close()
         return None, b""
@@ -119,14 +119,14 @@ def probe_zero_window_update(
 
 
 def probe_large_window_update(
-    session,
+    session: ProbeSession,
     domain: str,
     level: str = "stream",
     path: str = "/big.bin",
     timeout: float = 8.0,
 ) -> ErrorReaction | None:
     """§III-B4: two WINDOW_UPDATEs whose sum exceeds 2^31-1."""
-    client = as_session(session).client(domain, settings={IWS: 1})
+    client = session.client(domain, settings={IWS: 1})
     if not client.establish_h2(timeout=timeout):
         client.close()
         return None

@@ -16,17 +16,16 @@ analysis layer, exactly as the paper filters them from Figs. 4-5.
 from __future__ import annotations
 
 from repro.scope.report import HpackResult
-from repro.scope.session import as_session
+from repro.scope.session import ProbeSession
 
 
 def probe_hpack(
-    session,
+    session: ProbeSession,
     domain: str,
     path: str = "/",
     repetitions: int = 8,
     timeout: float = 10.0,
 ) -> HpackResult:
-    session = as_session(session)
     result = HpackResult(requests=repetitions)
     client = session.client(domain, auto_window_update=True)
     if not client.establish_h2():

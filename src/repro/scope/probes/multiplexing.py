@@ -14,16 +14,15 @@ from __future__ import annotations
 
 from repro.h2 import events as ev
 from repro.scope.report import MultiplexingResult
-from repro.scope.session import as_session
+from repro.scope.session import ProbeSession
 
 
 def probe_multiplexing(
-    session,
+    session: ProbeSession,
     domain: str,
     paths: list[str],
     timeout: float = 120.0,
 ) -> MultiplexingResult:
-    session = as_session(session)
     result = MultiplexingResult(streams=len(paths))
     client = session.client(domain, auto_window_update=True)
     if not client.establish_h2():

@@ -13,11 +13,12 @@ from __future__ import annotations
 from repro.h2 import events as ev
 from repro.scope.client import H2, HTTP11
 from repro.scope.report import NegotiationResult
-from repro.scope.session import as_session
+from repro.scope.session import ProbeSession
 
 
-def probe_negotiation(session, domain: str, timeout: float = 8.0) -> NegotiationResult:
-    session = as_session(session)
+def probe_negotiation(
+    session: ProbeSession, domain: str, timeout: float = 8.0
+) -> NegotiationResult:
     result = NegotiationResult()
 
     # -- ALPN-only handshake ------------------------------------------------

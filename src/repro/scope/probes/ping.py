@@ -16,16 +16,15 @@ from __future__ import annotations
 from repro.h2 import events as ev
 from repro.scope.client import HTTP11
 from repro.scope.report import PingResult
-from repro.scope.session import as_session
+from repro.scope.session import ProbeSession
 
 
 def probe_ping(
-    session,
+    session: ProbeSession,
     domain: str,
     samples: int = 3,
     timeout: float = 8.0,
 ) -> PingResult:
-    session = as_session(session)
     result = PingResult()
 
     # -- HTTP/2 PING + TCP handshake RTT -----------------------------------

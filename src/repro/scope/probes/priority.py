@@ -31,7 +31,7 @@ from repro.h2.constants import MAX_WINDOW_SIZE, SettingCode
 from repro.h2.frames import PriorityData
 from repro.scope.client import ScopeClient
 from repro.scope.report import ErrorReaction, PriorityResult
-from repro.scope.session import as_session
+from repro.scope.session import ProbeSession
 
 IWS = int(SettingCode.INITIAL_WINDOW_SIZE)
 
@@ -50,7 +50,7 @@ class _PlantedStream:
 
 
 def probe_priority(
-    session,
+    session: ProbeSession,
     domain: str,
     test_paths: list[str],
     depletion_paths: list[str],
@@ -62,7 +62,6 @@ def probe_priority(
     ``depletion_paths`` supplies objects used to drain the connection
     window in step 1.
     """
-    session = as_session(session)
     result = PriorityResult()
     if len(test_paths) < len(LABELS):
         raise ValueError(f"need {len(LABELS)} test paths, got {len(test_paths)}")
@@ -220,7 +219,7 @@ def _follows_rules(order: list[str]) -> bool:
 
 
 def probe_self_dependency(
-    session,
+    session: ProbeSession,
     domain: str,
     path: str = "/big.bin",
     timeout: float = 8.0,
@@ -230,7 +229,7 @@ def probe_self_dependency(
     RFC 7540 prescribes a stream error (RST_STREAM); Table III shows
     servers also answer GOAWAY or ignore it.
     """
-    client = as_session(session).client(domain, settings={IWS: 1})
+    client = session.client(domain, settings={IWS: 1})
     if not client.establish_h2(timeout=timeout):
         client.close()
         return None

@@ -10,16 +10,15 @@ from __future__ import annotations
 
 from repro.h2 import events as ev
 from repro.scope.report import PushResult
-from repro.scope.session import as_session
+from repro.scope.session import ProbeSession
 
 
 def probe_push(
-    session,
+    session: ProbeSession,
     domain: str,
     pages: list[str] | None = None,
     timeout: float = 20.0,
 ) -> PushResult:
-    session = as_session(session)
     result = PushResult()
     pages = pages or ["/"]
     client = session.client(domain, enable_push=True, auto_window_update=True)

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from repro.h2 import events as ev
 from repro.scope.report import SettingsResult
-from repro.scope.session import as_session
+from repro.scope.session import ProbeSession
 
 
-def probe_settings(session, domain: str, timeout: float = 8.0) -> SettingsResult:
-    session = as_session(session)
+def probe_settings(
+    session: ProbeSession, domain: str, timeout: float = 8.0
+) -> SettingsResult:
     result = SettingsResult()
     client = session.client(domain)
     if not client.establish_h2(timeout=timeout):

@@ -26,7 +26,7 @@ import socket
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from repro.net.backend import as_backend
+from repro.net.backend import TransportBackend
 from repro.net.faults import stable_seed
 from repro.scope.report import ErrorClass, ScanError
 
@@ -135,12 +135,14 @@ class Deadline:
 
 @dataclass
 class ProbePolicy:
-    """Per-attempt policy the client reads off ``network.probe_policy``."""
+    """Per-attempt policy the client reads off ``backend.probe_policy``.
+
+    While one is published, connection-establishment failures raise
+    classified :class:`ScanFault` exceptions instead of degrading
+    silently.
+    """
 
     deadline: Deadline | None = None
-    #: When set, connection-establishment failures raise classified
-    #: :class:`ScanFault` exceptions instead of degrading silently.
-    raise_faults: bool = True
 
 
 @dataclass(frozen=True)
@@ -179,7 +181,7 @@ class ResilienceConfig:
 
 
 def run_resilient(
-    target,
+    backend: TransportBackend,
     probe: str,
     fn: Callable[[], None],
     config: ResilienceConfig,
@@ -187,12 +189,12 @@ def run_resilient(
 ) -> tuple[int, ScanError | None]:
     """Run one probe under a deadline, retrying transient failures.
 
-    ``target`` is a transport backend or a simulated ``Network``.
-    Returns ``(attempts, error)`` where ``error`` is None on success.
-    Backoff delays elapse on the backend's clock — on the simulated
-    backend retries are free in wall time and fully deterministic.
+    The policy is published on ``backend``, so ``fn`` must make its
+    clients on that same backend object.  Returns ``(attempts, error)``
+    where ``error`` is None on success.  Backoff delays elapse on the
+    backend's clock — on the simulated backend retries are free in wall
+    time and fully deterministic.
     """
-    backend = as_backend(target)
     rng = None  # the backoff jitter stream, built by the first retry
     attempts = 0
     try:

@@ -39,7 +39,7 @@ from repro.scope.resilience import (
     make_scan_error,
     run_resilient,
 )
-from repro.scope.session import ProbeSession, as_session
+from repro.scope.session import ProbeSession
 from repro.scope.storage import ReportStore
 from repro.servers.site import Site, deploy_site
 
@@ -148,7 +148,7 @@ class ProgressAggregator:
 
 
 def probe_target(
-    session,
+    session: ProbeSession,
     domain: str,
     include: Iterable[str] | None = None,
     seed: int = 0,
@@ -160,9 +160,8 @@ def probe_target(
 ) -> SiteReport:
     """Run the probe suite against one target over any backend.
 
-    This is the backend-agnostic core of :func:`scan_site`: ``session``
-    is a :class:`~repro.scope.session.ProbeSession` (or anything
-    ``as_session`` accepts), so the same suite runs against a simulated
+    This is the backend-agnostic core of :func:`scan_site`: the
+    session's backend decides whether the suite runs against a simulated
     universe or a real server over sockets.  ``known_paths``, when
     given, gates Algorithm 1 on the test objects actually existing on
     the target (the population scanner passes the site's website); when
@@ -171,7 +170,6 @@ def probe_target(
     probe's received frames are recorded under the probe's name.
     """
     include_set = _validate_include(include)
-    session = as_session(session)
     if report is None:
         report = SiteReport(domain=domain)
 

@@ -1,20 +1,17 @@
 """ProbeSession: the probe layer's handle on a transport backend.
 
-Probes used to take the simulated ``Network`` directly; they now take a
-:class:`ProbeSession`, which owns a
+Every probe takes a :class:`ProbeSession`, which owns one
 :class:`~repro.net.backend.TransportBackend` plus optional cross-probe
 state (a :class:`~repro.scope.trace.TraceRecorder`).  The session is
 the only object probes need: it creates clients, tells the time, and
-answers auxiliary measurements like ICMP RTT.
-
-:func:`as_session` keeps every public probe entry point backward
-compatible — a plain ``Network`` (or bare backend) is wrapped on the
-fly, so existing callers and tests keep working unchanged.
+answers auxiliary measurements like ICMP RTT.  Code that owns a
+simulated universe wraps its ``Network`` once, as
+``ProbeSession(SimulatedBackend(network))``.
 """
 
 from __future__ import annotations
 
-from repro.net.backend import as_backend
+from repro.net.backend import TransportBackend
 from repro.scope.client import ScopeClient
 from repro.scope.trace import TraceRecorder
 
@@ -22,8 +19,10 @@ from repro.scope.trace import TraceRecorder
 class ProbeSession:
     """One probing context over one transport backend."""
 
-    def __init__(self, backend, trace: TraceRecorder | None = None):
-        self.backend = as_backend(backend)
+    def __init__(
+        self, backend: TransportBackend, trace: TraceRecorder | None = None
+    ):
+        self.backend = backend
         self.trace = trace
 
     # -- client factory ---------------------------------------------------
@@ -60,14 +59,3 @@ class ProbeSession:
     def __exit__(self, *exc) -> None:
         self.close()
 
-
-def as_session(target) -> ProbeSession:
-    """Normalize a ProbeSession, TransportBackend or Network; the
-    wrapper is cached on the backend, so one target has one session."""
-    if isinstance(target, ProbeSession):
-        return target
-    backend = as_backend(target)
-    session = backend._session_cache
-    if session is None:
-        session = backend._session_cache = ProbeSession(backend)
-    return session

@@ -16,7 +16,7 @@ families (GSE, cloudflare-nginx, IdeaWebServer, Tengine/Aserver).
 from repro.servers.profiles import ServerProfile, TinyWindowBehavior
 from repro.servers.website import Resource, Website
 from repro.servers.engine import H2Server
-from repro.servers.site import Site, deploy_site
+from repro.servers.site import Site, deploy_site, serve_site
 from repro.servers.vendors import (
     apache,
     gse,
@@ -43,5 +43,6 @@ __all__ = [
     "litespeed",
     "nghttpd",
     "nginx",
+    "serve_site",
     "tengine",
 ]

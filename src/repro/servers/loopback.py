@@ -37,7 +37,8 @@ Two design points matter for fidelity:
   sequentially, so per-connection RNG draws (HPACK noise, jitter) come
   from the same generators in both modes.
 
-The bridge owns a daemon thread with its own asyncio loop; every
+The bridge hosts its listeners on a
+:class:`~repro.net.socket_backend.LoopDriver` of its own; every
 simulation touch happens on that loop, so no locking is needed.
 :meth:`LoopbackBridge.resolver` returns the ``{(domain, port):
 (host, port)}`` mapping :class:`~repro.net.socket_backend.SocketBackend`
@@ -47,18 +48,13 @@ uses to route simulated domains onto the loopback listeners.
 from __future__ import annotations
 
 import asyncio
-import threading
 from collections.abc import Callable
 
 from repro.net.clock import Simulation
 from repro.net.faults import stable_seed
+from repro.net.socket_backend import LoopDriver
 from repro.servers.engine import H2Server, _ServerConnection
 from repro.servers.site import Site
-
-#: Virtual-to-wall time ratio.  1.0 preserves the engines' concurrency
-#: behaviour exactly; the delays involved are milliseconds, so there is
-#: no need to compress them.
-TIME_SCALE = 1.0
 
 
 class _BridgeEndpoint:
@@ -239,7 +235,7 @@ class _SiteRuntime:
         """
         if self._running:
             return
-        wall_now = (self.loop.time() - self._epoch) / TIME_SCALE
+        wall_now = self.loop.time() - self._epoch
         if wall_now <= self.sim.now:
             return
         self._running = True
@@ -265,7 +261,7 @@ class _SiteRuntime:
             if self._timer_due is not None and self._timer_due <= due:
                 return  # already armed for this (or an earlier) event
             self._timer.cancel()
-        delay = max(0.0, (due - self.sim.now) * TIME_SCALE)
+        delay = max(0.0, due - self.sim.now)
         self._timer_due = due
         self._timer = self.loop.call_later(delay, self._fire, due)
 
@@ -311,19 +307,12 @@ class LoopbackBridge:
         #: concurrent responses overlap the way they do in the simulator
         #: (see module docstring); 20 ms is a good speed/fidelity spot.
         self.link_rtt = link_rtt
-        self._loop = asyncio.new_event_loop()
+        self._driver = LoopDriver()
+        self._loop = self._driver.loop
         self._runtimes: dict[str, _SiteRuntime] = {}
         self._servers: list[asyncio.AbstractServer] = []
         self._addresses: dict[tuple[str, int], tuple[str, int]] = {}
         self._closed = False
-        self._thread = threading.Thread(
-            target=self._run_loop, name="loopback-bridge", daemon=True
-        )
-        self._thread.start()
-
-    def _run_loop(self) -> None:
-        asyncio.set_event_loop(self._loop)
-        self._loop.run_forever()
 
     # -- serving ----------------------------------------------------------
 
@@ -379,9 +368,9 @@ class LoopbackBridge:
         self._closed = True
         future = asyncio.run_coroutine_threadsafe(self._shutdown(), self._loop)
         future.result(timeout=30)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=30)
-        self._loop.close()
+        # The driver gives the transport closes their slices, then
+        # closes the loop.
+        self._driver.close()
 
     async def _shutdown(self) -> None:
         for server in self._servers:
@@ -390,8 +379,6 @@ class LoopbackBridge:
             runtime.close()
         for server in self._servers:
             await server.wait_closed()
-        # One slice so transport.close() teardown callbacks run.
-        await asyncio.sleep(0)
 
     def __enter__(self) -> "LoopbackBridge":
         return self

@@ -7,10 +7,13 @@ network.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+from repro.net.backend import SimulatedBackend
 from repro.net.clock import Simulation
-from repro.net.faults import stable_seed
+from repro.net.faults import FaultPlan, stable_seed
 from repro.net.transport import LinkProfile, Network
 from repro.servers.engine import H2Server
 from repro.servers.profiles import ServerProfile
@@ -61,17 +64,37 @@ def deploy_site(
     return server
 
 
+@contextmanager
+def serve_site(
+    site: Site,
+    seed: int = 0,
+    record_frames: bool = False,
+    fault_plan: FaultPlan | None = None,
+) -> Iterator[tuple[SimulatedBackend, H2Server]]:
+    """A fresh simulated universe serving ``site``: yields the backend
+    a client dials and the engine, and ends — server and network closed,
+    so reference counts free it (DESIGN §8) — with the ``with`` block.
+    ``scan_site`` builds its own, to record a failed deployment."""
+    network = Network(Simulation(), seed=seed, fault_plan=fault_plan)
+    server = deploy_site(network, site, record_frames=record_frames)
+    try:
+        yield SimulatedBackend(network), server
+    finally:
+        server.close()
+        network.close()
+
+
+@contextmanager
 def deploy_testbed(
     vendor: str, seed: int = 0, domain: str | None = None
-) -> tuple[Network, Site]:
+) -> Iterator[tuple[SimulatedBackend, Site]]:
     """A fresh simulated universe serving one Table III vendor's testbed
     deployment (the large objects of §III-A1) at ``domain``, by default
-    ``{vendor}.testbed``."""
-    network = Network(Simulation(), seed=seed)
+    ``{vendor}.testbed``; it ends when the ``with`` block does."""
     site = Site(
         domain=domain or f"{vendor}.testbed",
         profile=VENDOR_FACTORIES[vendor](),
         website=testbed_website(),
     )
-    deploy_site(network, site)
-    return network, site
+    with serve_site(site, seed) as (backend, _):
+        yield backend, site

@@ -9,6 +9,7 @@ from repro.net.transport import LinkProfile, Network
 from repro.servers.profiles import ServerProfile
 from repro.servers.site import Site, deploy_site
 from repro.servers.website import Resource, Website
+from tests.conftest import sim_session
 
 
 def make_site(loss=0.0, rtt=0.08, bandwidth=4e6, assets=6):
@@ -66,7 +67,7 @@ class TestH1ParallelVisit:
         sim = Simulation()
         network = Network(sim, seed=2)
         deploy_site(network, site)
-        h2 = visit_page(network, site, enable_push=False).plt
+        h2 = visit_page(sim_session(network).backend, site, enable_push=False).plt
         assert h2 < h1
 
 

@@ -6,6 +6,7 @@ from repro.net.transport import LinkProfile, Network
 from repro.servers.profiles import ServerProfile
 from repro.servers.site import Site, deploy_site
 from repro.servers.website import Resource, Website
+from tests.conftest import sim_session
 
 
 def push_site(rtt=0.2, push_everything=True):
@@ -41,7 +42,7 @@ def run_visit(site, enable_push):
     sim = Simulation()
     network = Network(sim, seed=1)
     deploy_site(network, site)
-    return visit_page(network, site, enable_push=enable_push)
+    return visit_page(sim_session(network).backend, site, enable_push=enable_push)
 
 
 class TestVisit:

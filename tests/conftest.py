@@ -4,6 +4,17 @@ import gc
 
 import pytest
 
+from repro.net.backend import SimulatedBackend
+from repro.scope.session import ProbeSession
+
+
+def sim_session(network) -> ProbeSession:
+    """The probe layer's handle on a test's simulated universe: probes,
+    ``probe_target`` and ``run_conformance`` take it, ``.client(...)``
+    makes a :class:`ScopeClient` and ``.backend`` is what
+    ``run_resilient`` publishes its policy on."""
+    return ProbeSession(SimulatedBackend(network))
+
 
 @pytest.fixture
 def collector_off():

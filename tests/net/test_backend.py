@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from repro.net.backend import SimulatedBackend, TransportBackend, as_backend
+from repro.net.backend import SimulatedBackend, TransportBackend
 from repro.net.clock import Simulation
 from repro.net.socket_backend import SocketBackend
 from repro.net.transport import Network
@@ -18,29 +18,9 @@ def make_network(seed=0):
 
 
 class TestSimulatedBackend:
-    def test_as_backend_wraps_and_caches(self):
-        network, _ = make_network()
-        backend = as_backend(network)
-        assert isinstance(backend, SimulatedBackend)
-        assert as_backend(network) is backend  # cached on the instance
-        assert as_backend(backend) is backend  # passthrough
-
-    def test_closing_the_network_lets_go_of_the_cached_wrapper(self, collector_off):
-        import weakref
-
-        network, _ = make_network()
-        gone = weakref.ref(as_backend(network))  # network <-> wrapper
-        network.close()
-        assert gone() is None
-        assert collector_off.collect() == 0
-
-    def test_as_backend_rejects_other_types(self):
-        with pytest.raises(TypeError):
-            as_backend("example.com")
-
     def test_clock_delegates_to_simulation(self):
         network, sim = make_network()
-        backend = as_backend(network)
+        backend = SimulatedBackend(network)
         assert backend.now == sim.now
         backend.sleep(2.5)
         assert sim.now == pytest.approx(2.5)
@@ -49,7 +29,7 @@ class TestSimulatedBackend:
 
     def test_run_until_advances_virtual_time(self):
         network, sim = make_network()
-        backend = as_backend(network)
+        backend = SimulatedBackend(network)
         fired = []
         sim.call_later(1.0, fired.append, "x")
         assert backend.run_until(lambda: fired, timeout=5.0)
@@ -59,25 +39,26 @@ class TestSimulatedBackend:
 
     def test_timeout_scale_pinned_to_one(self):
         network, _ = make_network()
-        backend = as_backend(network)
+        backend = SimulatedBackend(network)
         assert backend.timeout_scale == 1.0
         assert backend.scale(8.0) == 8.0
 
-    def test_probe_policy_aliases_network_slot(self):
+    def test_probe_policy_is_the_backends_own_slot(self):
         network, _ = make_network()
-        backend = as_backend(network)
-        policy = ProbePolicy()
-        backend.probe_policy = policy
-        assert network.probe_policy is policy  # resilience tests read this
-        network.probe_policy = None
+        backend, second = SimulatedBackend(network), SimulatedBackend(network)
         assert backend.probe_policy is None
+        backend.probe_policy = ProbePolicy()
+        # A second wrapper of the same network does not see the policy:
+        # clients that must honour it come from the backend that has it.
+        assert second.probe_policy is None
+        assert not hasattr(network, "probe_policy")
 
     def test_connect_reaches_simulated_host(self):
         network, _ = make_network()
         host = network.add_host("origin.example")
         accepted = []
         host.listen(443, accepted.append)
-        backend = as_backend(network)
+        backend = SimulatedBackend(network)
         attempt = backend.connect("origin.example", 443)
         assert backend.run_until(
             lambda: attempt.established or attempt.refused, timeout=10.0
@@ -86,7 +67,7 @@ class TestSimulatedBackend:
 
     def test_context_manager(self):
         network, _ = make_network()
-        with as_backend(network) as backend:
+        with SimulatedBackend(network) as backend:
             assert isinstance(backend, TransportBackend)
 
 

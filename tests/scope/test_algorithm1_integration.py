@@ -12,11 +12,11 @@ from repro.h2.constants import MAX_WINDOW_SIZE
 from repro.h2.frames import PriorityData
 from repro.net.clock import Simulation
 from repro.net.transport import LinkProfile, Network
-from repro.scope.client import ScopeClient
 from repro.scope.probes.priority import INITIAL_CONNECTION_WINDOW
 from repro.servers.site import Site, deploy_site
 from repro.servers.vendors import h2o
 from repro.servers.website import testbed_website
+from tests.conftest import sim_session
 
 
 @pytest.fixture
@@ -30,8 +30,8 @@ def deployed():
         link=LinkProfile(rtt=0.02, bandwidth=50e6),
     )
     server = deploy_site(network, site)
-    client = ScopeClient(
-        network, "alg1.test", settings={4: MAX_WINDOW_SIZE}, auto_window_update=False
+    client = sim_session(network).client(
+        "alg1.test", settings={4: MAX_WINDOW_SIZE}, auto_window_update=False
     )
     assert client.establish_h2()
     return network, server, client
@@ -49,7 +49,7 @@ def plant_table_one(client):
                 depends_on=ids[parent] if parent else 0, weight=1
             ),
         )
-    client.sim.run(until=client.sim.now + 1.0)
+    client.backend.sleep(1.0)
     return ids
 
 
@@ -80,7 +80,7 @@ class TestTableIIReprioritisation:
         network, server, client = deployed
         ids = plant_table_one(client)
         client.send_priority(ids["A"], depends_on=ids["B"], weight=1, exclusive=True)
-        client.sim.run(until=client.sim.now + 1.0)
+        client.backend.sleep(1.0)
         tree = server_tree(server)
         assert tree.parent_of(ids["B"]) == 0
         assert tree.children_of(ids["B"]) == [ids["A"]]
@@ -94,7 +94,7 @@ class TestTableIIReprioritisation:
         network, server, client = deployed
         ids = plant_table_one(client)
         client.send_priority(ids["A"], depends_on=ids["B"], weight=1, exclusive=False)
-        client.sim.run(until=client.sim.now + 1.0)
+        client.backend.sleep(1.0)
         tree = server_tree(server)
         assert tree.parent_of(ids["B"]) == 0
         assert sorted(tree.children_of(ids["B"])) == sorted([ids["E"], ids["A"]])

@@ -4,10 +4,10 @@ from repro.h2 import events as ev
 from repro.h2.frames import DataFrame, HeadersFrame
 from repro.net.clock import Simulation
 from repro.net.transport import LinkProfile, Network
-from repro.scope.client import ScopeClient
 from repro.servers.profiles import ServerProfile
 from repro.servers.site import Site, deploy_site
 from repro.servers.website import default_website
+from tests.conftest import sim_session
 
 
 def make_network(profile=None, rtt=0.05):
@@ -26,25 +26,25 @@ def make_network(profile=None, rtt=0.05):
 class TestConnectionSetup:
     def test_connect_records_tcp_rtt(self):
         network = make_network(rtt=0.08)
-        client = ScopeClient(network, "probe.test")
+        client = sim_session(network).client("probe.test")
         assert client.connect()
         assert abs(client.tls.tcp_handshake_rtt - 0.08) < 0.005
 
     def test_connect_failure_to_unknown_host(self):
         network = make_network()
-        client = ScopeClient(network, "ghost.test")
+        client = sim_session(network).client("ghost.test")
         assert not client.connect(timeout=2)
 
     def test_establish_h2(self):
         network = make_network()
-        client = ScopeClient(network, "probe.test")
+        client = sim_session(network).client("probe.test")
         assert client.establish_h2()
         assert client.tls.chosen == "h2"
         assert client.events_of(ev.SettingsReceived)
 
     def test_alpn_only_client(self):
         network = make_network()
-        client = ScopeClient(network, "probe.test", offer_npn=False)
+        client = sim_session(network).client("probe.test", offer_npn=False)
         client.connect()
         tls = client.tls_handshake()
         assert tls.alpn_protocol == "h2"
@@ -52,7 +52,7 @@ class TestConnectionSetup:
 
     def test_npn_only_client(self):
         network = make_network()
-        client = ScopeClient(network, "probe.test", alpn=[])
+        client = sim_session(network).client("probe.test", alpn=[])
         client.connect()
         tls = client.tls_handshake()
         assert tls.alpn_protocol is None
@@ -63,14 +63,14 @@ class TestConnectionSetup:
 class TestLoggingAndInspection:
     def test_events_are_timestamped(self):
         network = make_network(rtt=0.1)
-        client = ScopeClient(network, "probe.test")
+        client = sim_session(network).client("probe.test")
         client.establish_h2()
         assert all(te.at >= 0 for te in client.events)
         assert client.events[0].at >= 0.1  # at least one RTT in
 
     def test_frames_logged_alongside_events(self):
         network = make_network()
-        client = ScopeClient(network, "probe.test")
+        client = sim_session(network).client("probe.test")
         client.establish_h2()
         sid = client.request("/style.css")
         client.wait_for(lambda: client.headers_for(sid) is not None)
@@ -78,7 +78,7 @@ class TestLoggingAndInspection:
 
     def test_data_for_concatenates_stream_payload(self):
         network = make_network()
-        client = ScopeClient(network, "probe.test", auto_window_update=True)
+        client = sim_session(network).client("probe.test", auto_window_update=True)
         client.establish_h2()
         sid = client.request("/style.css")
         client.wait_for(
@@ -91,7 +91,7 @@ class TestLoggingAndInspection:
 
     def test_stream_events_filter(self):
         network = make_network()
-        client = ScopeClient(network, "probe.test", auto_window_update=True)
+        client = sim_session(network).client("probe.test", auto_window_update=True)
         client.establish_h2()
         a = client.request("/logo.png")
         b = client.request("/style.css")
@@ -109,7 +109,7 @@ class TestLoggingAndInspection:
 
     def test_settle_returns_after_quiet_period(self):
         network = make_network()
-        client = ScopeClient(network, "probe.test")
+        client = sim_session(network).client("probe.test")
         client.establish_h2()
         before = network.sim.now
         client.settle(quiet_period=0.5, timeout=5)
@@ -117,7 +117,7 @@ class TestLoggingAndInspection:
 
     def test_errors_recorded_not_raised(self):
         network = make_network()
-        client = ScopeClient(network, "probe.test")
+        client = sim_session(network).client("probe.test")
         client.establish_h2()
         # Inject garbage that fails HPACK decoding: HEADERS referencing
         # an invalid index on a new stream.
@@ -133,7 +133,7 @@ class TestLoggingAndInspection:
         still arriving when we cancel; it is ignored, not an error that
         takes the rest of the chunk with it."""
         network = make_network()
-        client = ScopeClient(network, "probe.test", auto_window_update=True)
+        client = sim_session(network).client("probe.test", auto_window_update=True)
         client.establish_h2()
         first = client.request("/")
         client.wait_for(lambda: client.headers_for(first) is not None)

@@ -1,13 +1,14 @@
 """RFC conformance suite against the six vendor models."""
 
 from repro.scope.conformance import Level, Verdict, run_conformance
+from tests.conftest import sim_session
 from tests.scope.conftest import TEST_PATHS, deploy_vendor
 
 
 def run_vendor(vendor):
     network, domain = deploy_vendor(vendor)
     return run_conformance(
-        network,
+        sim_session(network),
         domain,
         large_path="/large/0.bin",
         multiplex_paths=TEST_PATHS[:3],
@@ -94,7 +95,9 @@ class TestReportShape:
 
     def test_skip_when_no_multiplex_paths(self):
         network, domain = deploy_vendor("h2o")
-        report = run_conformance(network, domain, large_path="/large/0.bin")
+        report = run_conformance(
+            sim_session(network), domain, large_path="/large/0.bin"
+        )
         v = {r.check_id: r.verdict for r in report.results}
         assert v["multiplexing"] is Verdict.SKIP
 
@@ -103,7 +106,7 @@ class TestReportShape:
         from repro.net.transport import Network
 
         network = Network(Simulation(), seed=1)
-        report = run_conformance(network, "nowhere.test")
+        report = run_conformance(sim_session(network), "nowhere.test")
         assert not report.fully_conformant
         assert all(
             r.verdict in (Verdict.FAIL, Verdict.SKIP) for r in report.results

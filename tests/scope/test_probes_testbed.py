@@ -23,23 +23,24 @@ from repro.scope.probes import (
 )
 from repro.scope.report import ErrorReaction, TinyWindowResult
 
+from tests.conftest import sim_session
 from tests.scope.conftest import DEPLETION_PATHS, TEST_PATHS, deploy_vendor
 
 
 class TestNegotiationRow:
     def test_alpn_supported_by_all(self, vendor):
         network, domain = deploy_vendor(vendor)
-        result = probe_negotiation(network, domain)
+        result = probe_negotiation(sim_session(network), domain)
         assert result.alpn_h2
 
     def test_npn_supported_except_apache(self, vendor):
         network, domain = deploy_vendor(vendor)
-        result = probe_negotiation(network, domain)
+        result = probe_negotiation(sim_session(network), domain)
         assert result.npn_h2 == (vendor != "apache")
 
     def test_headers_and_server_name(self, vendor):
         network, domain = deploy_vendor(vendor)
-        result = probe_negotiation(network, domain)
+        result = probe_negotiation(sim_session(network), domain)
         assert result.headers_received
         assert result.server_header is not None
 
@@ -47,12 +48,12 @@ class TestNegotiationRow:
 class TestMultiplexingRow:
     def test_all_vendors_interleave(self, vendor):
         network, domain = deploy_vendor(vendor)
-        result = probe_multiplexing(network, domain, TEST_PATHS[:4])
+        result = probe_multiplexing(sim_session(network), domain, TEST_PATHS[:4])
         assert result.interleaved
 
     def test_arrival_pattern_covers_all_streams(self, vendor):
         network, domain = deploy_vendor(vendor)
-        result = probe_multiplexing(network, domain, TEST_PATHS[:3])
+        result = probe_multiplexing(sim_session(network), domain, TEST_PATHS[:3])
         assert len(set(result.arrival_pattern)) == 3
 
 
@@ -61,20 +62,22 @@ class TestFlowControlRows:
         # Sframe=64 exceeds LiteSpeed's hold threshold, so even it replies.
         network, domain = deploy_vendor(vendor)
         category, size, _ = probe_tiny_window(
-            network, domain, sframe=64, path="/large/0.bin"
+            sim_session(network), domain, sframe=64, path="/large/0.bin"
         )
         assert category is TinyWindowResult.WINDOW_SIZED_DATA
         assert size == 64
 
     def test_litespeed_silent_at_one_octet(self):
         network, domain = deploy_vendor("litespeed")
-        category, _, headers = probe_tiny_window(network, domain, sframe=1)
+        category, _, headers = probe_tiny_window(sim_session(network), domain, sframe=1)
         assert category is TinyWindowResult.NO_RESPONSE
         assert not headers
 
     def test_zero_window_headers_compliance(self, vendor):
         network, domain = deploy_vendor(vendor)
-        compliant = probe_zero_window_headers(network, domain, path="/large/0.bin")
+        compliant = probe_zero_window_headers(
+            sim_session(network), domain, path="/large/0.bin"
+        )
         assert compliant == (vendor != "litespeed")
 
     ZERO_WU_STREAM = {
@@ -89,7 +92,7 @@ class TestFlowControlRows:
     def test_zero_window_update_on_stream(self, vendor):
         network, domain = deploy_vendor(vendor)
         reaction, _ = probe_zero_window_update(
-            network, domain, level="stream", path="/large/1.bin"
+            sim_session(network), domain, level="stream", path="/large/1.bin"
         )
         assert reaction is self.ZERO_WU_STREAM[vendor]
 
@@ -105,21 +108,21 @@ class TestFlowControlRows:
     def test_zero_window_update_on_connection(self, vendor):
         network, domain = deploy_vendor(vendor)
         reaction, _ = probe_zero_window_update(
-            network, domain, level="connection", path="/large/1.bin"
+            sim_session(network), domain, level="connection", path="/large/1.bin"
         )
         assert reaction is self.ZERO_WU_CONN[vendor]
 
     def test_large_window_update_stream_rst(self, vendor):
         network, domain = deploy_vendor(vendor)
         reaction = probe_large_window_update(
-            network, domain, level="stream", path="/large/2.bin"
+            sim_session(network), domain, level="stream", path="/large/2.bin"
         )
         assert reaction is ErrorReaction.RST_STREAM
 
     def test_large_window_update_connection_goaway(self, vendor):
         network, domain = deploy_vendor(vendor)
         reaction = probe_large_window_update(
-            network, domain, level="connection", path="/large/2.bin"
+            sim_session(network), domain, level="connection", path="/large/2.bin"
         )
         assert reaction is ErrorReaction.GOAWAY
 
@@ -129,12 +132,16 @@ class TestPriorityRows:
 
     def test_algorithm1(self, vendor):
         network, domain = deploy_vendor(vendor)
-        result = probe_priority(network, domain, TEST_PATHS, DEPLETION_PATHS)
+        result = probe_priority(
+            sim_session(network), domain, TEST_PATHS, DEPLETION_PATHS
+        )
         assert result.passes_algorithm1 == (vendor in self.PASSES)
 
     def test_strict_servers_pass_by_both_rules(self):
         network, domain = deploy_vendor("h2o")
-        result = probe_priority(network, domain, TEST_PATHS, DEPLETION_PATHS)
+        result = probe_priority(
+            sim_session(network), domain, TEST_PATHS, DEPLETION_PATHS
+        )
         assert result.follows_rules_by_first
         assert result.follows_rules_by_last
         assert result.follows_rules_by_both
@@ -143,7 +150,9 @@ class TestPriorityRows:
 
     def test_fcfs_server_serves_in_request_order(self):
         network, domain = deploy_vendor("nginx")
-        result = probe_priority(network, domain, TEST_PATHS, DEPLETION_PATHS)
+        result = probe_priority(
+            sim_session(network), domain, TEST_PATHS, DEPLETION_PATHS
+        )
         assert result.first_frame_order == ["A", "B", "C", "D", "E", "F"]
 
     SELF_DEP = {
@@ -157,7 +166,9 @@ class TestPriorityRows:
 
     def test_self_dependency(self, vendor):
         network, domain = deploy_vendor(vendor)
-        reaction = probe_self_dependency(network, domain, path="/large/3.bin")
+        reaction = probe_self_dependency(
+            sim_session(network), domain, path="/large/3.bin"
+        )
         assert reaction is self.SELF_DEP[vendor]
 
 
@@ -166,12 +177,12 @@ class TestPushRow:
 
     def test_push(self, vendor):
         network, domain = deploy_vendor(vendor)
-        result = probe_push(network, domain)
+        result = probe_push(sim_session(network), domain)
         assert result.push_received == (vendor in self.PUSHERS)
 
     def test_pushed_paths_resolve(self):
         network, domain = deploy_vendor("h2o")
-        result = probe_push(network, domain)
+        result = probe_push(sim_session(network), domain)
         assert set(result.promised_paths) == {"/style.css", "/app.js"}
 
 
@@ -179,18 +190,18 @@ class TestHpackRow:
     def test_nginx_lineage_ratio_is_one(self):
         for vendor in ("nginx", "tengine"):
             network, domain = deploy_vendor(vendor)
-            result = probe_hpack(network, domain)
+            result = probe_hpack(sim_session(network), domain)
             assert result.ratio == pytest.approx(1.0)
 
     def test_indexing_vendors_compress_well(self):
         for vendor in ("h2o", "nghttpd", "apache", "litespeed"):
             network, domain = deploy_vendor(vendor)
-            result = probe_hpack(network, domain)
+            result = probe_hpack(sim_session(network), domain)
             assert result.ratio < 0.5, vendor
 
     def test_ratio_uses_equation_1(self):
         network, domain = deploy_vendor("h2o")
-        result = probe_hpack(network, domain, repetitions=4)
+        result = probe_hpack(sim_session(network), domain, repetitions=4)
         sizes = result.header_sizes
         assert result.ratio == pytest.approx(sum(sizes) / (sizes[0] * 4))
 
@@ -217,7 +228,7 @@ class TestHpackRow:
             )
             # An object larger than a window: its stream is still open
             # when its HEADERS arrive (the site's front page is 110 kB).
-            result = probe_hpack(network, "mcs.test", path=TEST_PATHS[0])
+            result = probe_hpack(sim_session(network), "mcs.test", path=TEST_PATHS[0])
             assert len(result.header_sizes) == 8, limit
             assert result.ratio is not None and result.ratio < 0.5, limit
 
@@ -225,31 +236,31 @@ class TestHpackRow:
 class TestPingRow:
     def test_all_vendors_answer_ping(self, vendor):
         network, domain = deploy_vendor(vendor)
-        result = probe_ping(network, domain, samples=2)
+        result = probe_ping(sim_session(network), domain, samples=2)
         assert result.ping_supported
 
     def test_ping_close_to_tcp_and_icmp(self):
         network, domain = deploy_vendor("nginx")
-        result = probe_ping(network, domain, samples=2)
+        result = probe_ping(sim_session(network), domain, samples=2)
         assert result.h2_ping_rtt == pytest.approx(result.tcp_rtt, rel=0.05)
         assert result.h2_ping_rtt == pytest.approx(result.icmp_rtt, rel=0.05)
 
     def test_http1_estimate_inflated_by_processing(self):
         network, domain = deploy_vendor("apache")
-        result = probe_ping(network, domain, samples=2)
+        result = probe_ping(sim_session(network), domain, samples=2)
         assert result.http1_rtt > result.h2_ping_rtt * 1.1
 
 
 class TestSettingsProbe:
     def test_announced_settings_recorded(self, vendor):
         network, domain = deploy_vendor(vendor)
-        result = probe_settings(network, domain)
+        result = probe_settings(sim_session(network), domain)
         assert result.settings_frame_received
         assert result.announced  # every testbed vendor announces something
 
     def test_nginx_announces_zero_initial_window(self):
         network, domain = deploy_vendor("nginx")
-        result = probe_settings(network, domain)
+        result = probe_settings(sim_session(network), domain)
         assert result.announced[4] == 0
 
 
@@ -258,7 +269,7 @@ class TestH2cRow:
         # Default profiles serve cleartext HTTP/1.1 but decline the
         # Upgrade (the paper's probes all run over TLS).
         network, domain = deploy_vendor(vendor)
-        result = probe_negotiation(network, domain)
+        result = probe_negotiation(sim_session(network), domain)
         assert result.h2c_upgrade is False
 
     def test_h2c_enabled_profile_detected(self):
@@ -276,7 +287,7 @@ class TestH2cRow:
             website=testbed_website(),
         )
         deploy_site(network, site)
-        result = probe_negotiation(network, "h2c.testbed")
+        result = probe_negotiation(sim_session(network), "h2c.testbed")
         assert result.h2c_upgrade is True
         assert result.alpn_h2
 
@@ -292,7 +303,6 @@ class TestMaxConcurrentStreamsExercise:
         from repro.servers.site import Site, deploy_site
         from repro.servers.vendors import nginx
         from repro.servers.website import testbed_website
-        from repro.scope.client import ScopeClient
 
         sim = Simulation()
         network = Network(sim, seed=2)
@@ -302,7 +312,7 @@ class TestMaxConcurrentStreamsExercise:
         profile.processing_jitter = 0.0
         site = Site(domain="mcs.test", profile=profile, website=testbed_website())
         deploy_site(network, site)
-        client = ScopeClient(network, "mcs.test")
+        client = sim_session(network).client("mcs.test")
         assert client.establish_h2()
         return client
 

@@ -19,6 +19,7 @@ from repro.scope.resilience import (
     make_scan_error,
     run_resilient,
 )
+from tests.conftest import sim_session
 
 
 class TestClassification:
@@ -105,21 +106,22 @@ class TestRunResilient:
     def setup_method(self):
         self.sim = Simulation()
         self.network = Network(self.sim, seed=1)
+        self.backend = sim_session(self.network).backend
 
     def test_success_first_try(self):
         attempts, error = run_resilient(
-            self.network, "probe", lambda: None, ResilienceConfig()
+            self.backend, "probe", lambda: None, ResilienceConfig()
         )
         assert (attempts, error) == (1, None)
-        assert self.network.probe_policy is None  # policy cleared after run
+        assert self.backend.probe_policy is None  # policy cleared after run
 
     def test_policy_installed_during_attempts(self):
         seen = []
 
         def fn():
-            seen.append(self.network.probe_policy)
+            seen.append(self.backend.probe_policy)
 
-        run_resilient(self.network, "probe", fn, ResilienceConfig(timeout=7.0))
+        run_resilient(self.backend, "probe", fn, ResilienceConfig(timeout=7.0))
         assert len(seen) == 1
         assert seen[0].deadline is not None
         assert seen[0].deadline.remaining == 7.0
@@ -133,7 +135,7 @@ class TestRunResilient:
                 raise ConnectionRefusedFault("refused")
 
         attempts, error = run_resilient(
-            self.network, "probe", fn, ResilienceConfig(retries=2)
+            self.backend, "probe", fn, ResilienceConfig(retries=2)
         )
         assert attempts == 3
         assert error is None
@@ -145,7 +147,7 @@ class TestRunResilient:
             raise ConnectionResetFault("reset")
 
         attempts, error = run_resilient(
-            self.network, "settings", fn, ResilienceConfig(retries=2)
+            self.backend, "settings", fn, ResilienceConfig(retries=2)
         )
         assert attempts == 3  # 1 initial + 2 retries
         assert error is not None
@@ -161,7 +163,7 @@ class TestRunResilient:
             raise ProbeTimeout("stalled")
 
         attempts, error = run_resilient(
-            self.network, "probe", fn, ResilienceConfig(retries=5)
+            self.backend, "probe", fn, ResilienceConfig(retries=5)
         )
         assert attempts == 1 and len(calls) == 1
         assert error.error_class is ErrorClass.TIMEOUT
@@ -171,7 +173,7 @@ class TestRunResilient:
             raise TlsFault("corrupt hello")
 
         attempts, error = run_resilient(
-            self.network, "probe", fn, ResilienceConfig(retries=5)
+            self.backend, "probe", fn, ResilienceConfig(retries=5)
         )
         assert attempts == 1
         assert error.error_class is ErrorClass.FATAL
@@ -181,12 +183,12 @@ class TestRunResilient:
         deadlines = []
 
         def fn():
-            deadlines.append(self.network.probe_policy.deadline.at)
+            deadlines.append(self.backend.probe_policy.deadline.at)
             if len(deadlines) < 2:
                 raise ConnectionRefusedFault("refused")
 
         run_resilient(
-            self.network, "probe", fn, ResilienceConfig(timeout=5.0, retries=1)
+            self.backend, "probe", fn, ResilienceConfig(timeout=5.0, retries=1)
         )
         assert len(deadlines) == 2
         assert deadlines[1] > deadlines[0]  # re-anchored after backoff
@@ -199,7 +201,13 @@ class TestRunResilient:
                 times.append(sim.now)
                 raise ConnectionRefusedFault("refused")
 
-            run_resilient(network, "probe", fn, ResilienceConfig(retries=n), seed=5)
+            run_resilient(
+                sim_session(network).backend,
+                "probe",
+                fn,
+                ResilienceConfig(retries=n),
+                seed=5,
+            )
             return times
 
         run_a = failing_times(self.sim, self.network, 3)
@@ -217,7 +225,13 @@ class TestRunResilient:
                 times.append(sim.now)
                 raise ConnectionRefusedFault("refused")
 
-            run_resilient(network, probe, fn, ResilienceConfig(retries=2), seed=5)
+            run_resilient(
+                sim_session(network).backend,
+                probe,
+                fn,
+                ResilienceConfig(retries=2),
+                seed=5,
+            )
             return times
 
         assert attempt_times("negotiation") != attempt_times("settings")

@@ -335,6 +335,51 @@ class TestUniverseEndsWithTheCall:
         assert collector_off.collect() <= 10 * len(sites)
 
 
+class TestEveryUniverseEndsWithItsCall:
+    """The universes built outside ``scan_site`` — the Table III
+    testbed and the attack battery's victim — end with their call too."""
+
+    @pytest.fixture
+    def universe_refs(self, monkeypatch):
+        """Weak references to every Network and H2Server built during
+        the test, and to the Simulation each was built on."""
+        import weakref
+
+        from repro.net.transport import Network
+        from repro.servers.engine import H2Server
+
+        refs = []
+        for cls in (Network, H2Server):
+
+            def watched_init(self, sim, *args, _init=cls.__init__, **kwargs):
+                _init(self, sim, *args, **kwargs)
+                refs.extend([weakref.ref(self), weakref.ref(sim)])
+
+            monkeypatch.setattr(cls, "__init__", watched_init)
+        return refs
+
+    def test_characterize_vendor_ends_its_testbed(
+        self, collector_off, universe_refs
+    ):
+        from repro.experiments.table3 import characterize_vendor
+
+        cells = characterize_vendor("nginx")
+        assert cells["ALPN"] == "support"
+        assert len(universe_refs) == 4
+        assert [ref() for ref in universe_refs] == [None] * 4
+        assert collector_off.collect() == 0
+
+    def test_run_attack_ends_its_victim(self, collector_off, universe_refs):
+        from repro.attacks import run_attack
+
+        # Recorded timelines are what outlives the universe.
+        result = run_attack("ping_flood", "nginx", duration=2.0, record_frames=True)
+        assert result.connected and result.timelines
+        assert len(universe_refs) == 4
+        assert [ref() for ref in universe_refs] == [None] * 4
+        assert collector_off.collect() == 0
+
+
 class TestNothingReadsATornDownObject:
     """The report is complete before the teardown runs: it is the same
     report, byte for byte, when the teardown does nothing."""

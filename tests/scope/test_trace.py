@@ -18,7 +18,7 @@ from repro.h2.frames import (
     WindowUpdateFrame,
     serialize_frame,
 )
-from repro.scope.client import ScopeClient, TimedFrame
+from repro.scope.client import TimedFrame
 from repro.scope.session import ProbeSession
 from repro.scope.storage import ReportStore
 from repro.scope.trace import (
@@ -29,11 +29,13 @@ from repro.scope.trace import (
     encode_trace,
     render_trace,
 )
+from repro.net.backend import SimulatedBackend
 from repro.net.clock import Simulation
 from repro.net.transport import Network
 from repro.servers.profiles import ServerProfile
 from repro.servers.site import Site, deploy_site
 from repro.servers.website import default_website
+from tests.conftest import sim_session
 
 #: One of every frame type, exercising the odd corners: unknown frame
 #: types, GOAWAY debug data, unregistered SETTINGS identifiers and
@@ -143,7 +145,7 @@ class TestRenderTrace:
         network = Network(sim, seed=2)
         site = Site(domain="t.test", profile=ServerProfile(), website=default_website())
         deploy_site(network, site)
-        client = ScopeClient(network, "t.test", auto_window_update=True)
+        client = sim_session(network).client("t.test", auto_window_update=True)
         assert client.establish_h2()
         sid = client.request("/style.css")
         client.wait_for(lambda: client.headers_for(sid) is not None)
@@ -234,7 +236,7 @@ class TestTraceRecorder:
         )
         deploy_site(network, site)
         recorder = TraceRecorder()
-        session = ProbeSession(network, trace=recorder)
+        session = ProbeSession(SimulatedBackend(network), trace=recorder)
         recorder.begin("handshake")
         client = session.client("t.test")
         assert client.establish_h2()

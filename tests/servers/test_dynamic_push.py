@@ -6,6 +6,7 @@ from repro.net.transport import LinkProfile, Network
 from repro.servers.profiles import ServerProfile
 from repro.servers.site import Site, deploy_site
 from repro.servers.website import Resource, Website
+from tests.conftest import sim_session
 
 
 def make_site(policy="learned"):
@@ -33,48 +34,48 @@ def deploy(site):
     sim = Simulation()
     network = Network(sim, seed=9)
     server = deploy_site(network, site)
-    return network, server
+    return sim_session(network).backend, server
 
 
 class TestLearning:
     def test_first_visit_pushes_nothing(self):
         site = make_site()
-        network, server = deploy(site)
-        result = visit_page(network, site, enable_push=True)
+        backend, server = deploy(site)
+        result = visit_page(backend, site, enable_push=True)
         assert result.pushed_paths == []
 
     def test_second_visit_pushes_learned_followers(self):
         site = make_site()
-        network, server = deploy(site)
-        visit_page(network, site, enable_push=True)
-        second = visit_page(network, site, enable_push=True)
+        backend, server = deploy(site)
+        visit_page(backend, site, enable_push=True)
+        second = visit_page(backend, site, enable_push=True)
         assert set(second.pushed_paths) == {f"/a{i}.png" for i in range(4)}
         assert second.requested_paths == []
 
     def test_learning_reduces_plt(self):
         site = make_site()
-        network, server = deploy(site)
-        first = visit_page(network, site, enable_push=True).plt
-        second = visit_page(network, site, enable_push=True).plt
+        backend, server = deploy(site)
+        first = visit_page(backend, site, enable_push=True).plt
+        second = visit_page(backend, site, enable_push=True).plt
         assert second < first
 
     def test_follow_counts_recorded(self):
         site = make_site()
-        network, server = deploy(site)
-        visit_page(network, site, enable_push=True)
+        backend, server = deploy(site)
+        visit_page(backend, site, enable_push=True)
         assert set(server.follow_counts["/"]) == {f"/a{i}.png" for i in range(4)}
 
     def test_learned_push_limit_respected(self):
         site = make_site()
         site.profile.learned_push_limit = 2
-        network, server = deploy(site)
-        visit_page(network, site, enable_push=True)
-        second = visit_page(network, site, enable_push=True)
+        backend, server = deploy(site)
+        visit_page(backend, site, enable_push=True)
+        second = visit_page(backend, site, enable_push=True)
         assert len(second.pushed_paths) == 2
 
     def test_ranking_prefers_frequent_followers(self):
         site = make_site()
-        network, server = deploy(site)
+        backend, server = deploy(site)
         server.record_follow("/", "/hot.png")
         server.record_follow("/", "/hot.png")
         server.record_follow("/", "/cold.png")
@@ -83,7 +84,7 @@ class TestLearning:
 
     def test_static_policy_ignores_history(self):
         site = make_site(policy="static")
-        network, server = deploy(site)
-        visit_page(network, site, enable_push=True)
-        second = visit_page(network, site, enable_push=True)
+        backend, server = deploy(site)
+        visit_page(backend, site, enable_push=True)
+        second = visit_page(backend, site, enable_push=True)
         assert second.pushed_paths == []  # static manifest is empty

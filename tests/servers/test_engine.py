@@ -11,6 +11,7 @@ from repro.scope.client import ScopeClient
 from repro.servers.profiles import ServerProfile, TinyWindowBehavior
 from repro.servers.site import Site, deploy_site
 from repro.servers.website import Resource, Website, default_website
+from tests.conftest import sim_session
 
 IWS = int(SettingCode.INITIAL_WINDOW_SIZE)
 MCS = int(SettingCode.MAX_CONCURRENT_STREAMS)
@@ -31,7 +32,7 @@ def deploy(profile: ServerProfile, website: Website | None = None, seed: int = 0
 
 
 def connect(network, **client_kwargs) -> ScopeClient:
-    client = ScopeClient(network, "engine.test", **client_kwargs)
+    client = sim_session(network).client("engine.test", **client_kwargs)
     assert client.establish_h2()
     return client
 
@@ -328,7 +329,9 @@ class TestHpackBehaviour:
 class TestHttp1Fallback:
     def test_http1_get(self):
         network = deploy(ServerProfile())
-        client = ScopeClient(network, "engine.test", alpn=["http/1.1"], offer_npn=False)
+        client = sim_session(network).client(
+            "engine.test", alpn=["http/1.1"], offer_npn=False
+        )
         assert client.connect()
         client.tls_handshake()
         assert client.tls.chosen == "http/1.1"
@@ -337,7 +340,7 @@ class TestHttp1Fallback:
 
     def test_h1_only_server_rejects_h2(self):
         network = deploy(ServerProfile(supports_h2=False))
-        client = ScopeClient(network, "engine.test")
+        client = sim_session(network).client("engine.test")
         assert client.connect()
         tls = client.tls_handshake()
         assert tls.chosen == "http/1.1"
@@ -358,7 +361,7 @@ class TestResetAndTermination:
 
     def test_unresponsive_profile_stays_mute(self):
         network = deploy(ServerProfile(h2_unresponsive=True))
-        client = ScopeClient(network, "engine.test")
+        client = sim_session(network).client("engine.test")
         assert client.connect()
         client.tls_handshake()
         assert client.tls.chosen == "h2"
@@ -370,7 +373,7 @@ class TestResetAndTermination:
 
     def test_no_settings_profile(self):
         network = deploy(ServerProfile(send_settings_frame=False))
-        client = ScopeClient(network, "engine.test")
+        client = sim_session(network).client("engine.test")
         client.establish_h2(timeout=3)
         sid = client.request("/")
         client.wait_for(lambda: client.headers_for(sid) is not None)
@@ -560,7 +563,9 @@ class TestBodyMadePerChunk:
 
     def test_h2c_upgraded_stream_one_through_small_windows(self):
         network = deploy(ServerProfile(supports_h2c=True))
-        client = ScopeClient(network, "engine.test", port=80, settings={IWS: 1_000})
+        client = sim_session(network).client(
+            "engine.test", port=80, settings={IWS: 1_000}
+        )
         assert client.connect()
         assert client.upgrade_h2c("/style.css")
         body = default_website().get("/style.css").body()

@@ -12,6 +12,7 @@ from repro.servers.profiles import AbuseGuards
 from repro.servers.site import Site, deploy_site
 from repro.servers.vendors import VENDOR_FACTORIES, vendor_guards
 from repro.servers.website import Resource, Website, default_website
+from tests.conftest import sim_session
 
 IWS = int(SettingCode.INITIAL_WINDOW_SIZE)
 CALM = int(ErrorCode.ENHANCE_YOUR_CALM)
@@ -58,7 +59,7 @@ def assert_single_breach(client, server, reason: str) -> None:
 class TestDeadlineGuards:
     def test_preface_timeout_fires_once(self):
         network, server = deploy(AbuseGuards(preface_timeout=2.0))
-        client = ScopeClient(network, "guards.test")
+        client = sim_session(network).client("guards.test")
         assert client.connect()
         client.tls_handshake()
         # Never send a preface byte; the deadline must evict us.
@@ -77,7 +78,7 @@ class TestDeadlineGuards:
 
     def test_header_timeout_fires_once(self):
         network, server = deploy(AbuseGuards(header_timeout=1.5))
-        client = ScopeClient(network, "guards.test")
+        client = sim_session(network).client("guards.test")
         assert client.establish_h2()
         conn = client.conn
         block = conn.encoder.encode(
@@ -98,7 +99,7 @@ class TestDeadlineGuards:
 
     def test_idle_timeout_fires_once(self):
         network, server = deploy(AbuseGuards(idle_timeout=2.0))
-        client = ScopeClient(network, "guards.test")
+        client = sim_session(network).client("guards.test")
         assert client.establish_h2()
         client.wait_for(lambda: goaway_received(client) is not None, timeout=8.0)
         assert_single_breach(client, server, "idle-timeout")
@@ -110,7 +111,7 @@ class TestDeadlineGuards:
             AbuseGuards(stall_timeout=1.0, idle_timeout=2.0),
             website=stall_website(),
         )
-        client = ScopeClient(network, "guards.test", settings={IWS: 0})
+        client = sim_session(network).client("guards.test", settings={IWS: 0})
         assert client.establish_h2()
         client.request("/big.bin")
         client.wait_for(lambda: goaway_received(client) is not None, timeout=8.0)
@@ -124,7 +125,7 @@ class TestRateGuards:
         network, server = deploy(
             AbuseGuards(ping_rate_limit=10, rate_window=1.0)
         )
-        client = ScopeClient(network, "guards.test")
+        client = sim_session(network).client("guards.test")
         assert client.establish_h2()
         for i in range(30):
             client.conn.send_ping(i.to_bytes(8, "big"))
@@ -136,7 +137,7 @@ class TestRateGuards:
         network, server = deploy(
             AbuseGuards(settings_rate_limit=5, rate_window=1.0)
         )
-        client = ScopeClient(network, "guards.test")
+        client = sim_session(network).client("guards.test")
         assert client.establish_h2()
         for _ in range(12):
             client.conn.send_settings({})
@@ -146,7 +147,7 @@ class TestRateGuards:
 
     def test_rst_churn_limit_fires_once(self):
         network, server = deploy(AbuseGuards(rst_rate_limit=10, rate_window=1.0))
-        client = ScopeClient(network, "guards.test")
+        client = sim_session(network).client("guards.test")
         assert client.establish_h2()
         for _ in range(25):
             sid = client.conn.next_stream_id()
@@ -169,7 +170,7 @@ class TestRateGuards:
         network, server = deploy(
             AbuseGuards(ping_rate_limit=10, rate_window=1.0)
         )
-        client = ScopeClient(network, "guards.test")
+        client = sim_session(network).client("guards.test")
         assert client.establish_h2()
         # Three polite pings per second stays far under the limit.
         for i in range(9):
@@ -183,7 +184,7 @@ class TestRateGuards:
 class TestBenignTrafficUnscathed:
     def test_normal_request_completes_under_vendor_guards(self):
         network, server = deploy(vendor_guards("nginx"))
-        client = ScopeClient(network, "guards.test", auto_window_update=True)
+        client = sim_session(network).client("guards.test", auto_window_update=True)
         assert client.establish_h2()
         sid = client.request("/")
         client.wait_for(
@@ -201,7 +202,7 @@ class TestBenignTrafficUnscathed:
         # AbuseGuards() (every knob None) must leave even a lazy but
         # legitimate client alone.
         network, server = deploy(AbuseGuards())
-        client = ScopeClient(network, "guards.test")
+        client = sim_session(network).client("guards.test")
         assert client.establish_h2()
         client.wait_for(lambda: False, timeout=10.0)
         assert server.guard_log == []

@@ -3,10 +3,10 @@
 from repro.h2 import events as ev
 from repro.net.clock import Simulation
 from repro.net.transport import LinkProfile, Network
-from repro.scope.client import ScopeClient
 from repro.servers.profiles import ServerProfile
 from repro.servers.site import Site, deploy_site
 from repro.servers.website import default_website
+from tests.conftest import sim_session
 
 
 def make_client(supports_h2c: bool, **profile_kwargs):
@@ -19,7 +19,9 @@ def make_client(supports_h2c: bool, **profile_kwargs):
         link=LinkProfile(rtt=0.02, bandwidth=20e6),
     )
     deploy_site(network, site)
-    client = ScopeClient(network, "h2c.test", port=80, auto_window_update=True)
+    client = sim_session(network).client(
+        "h2c.test", port=80, auto_window_update=True
+    )
     assert client.connect()
     return client
 
@@ -59,9 +61,7 @@ class TestUpgrade:
         client.initial_settings[3] = 55  # MAX_CONCURRENT_STREAMS
         assert client.upgrade_h2c("/")
         # Give the server a moment, then inspect its view of our settings.
-        client.sim.run(until=client.sim.now + 0.5)
-        network = client.network
-        server_conns = []
+        client.backend.sleep(0.5)
         # Reach the engine through the deployed host's listener closure
         # is awkward; instead assert via behaviour: the upgrade worked
         # and our announced settings round-tripped into the preface.
@@ -84,6 +84,6 @@ class TestUpgrade:
             website=default_website(),
         )
         deploy_site(network, site)
-        tls_client = ScopeClient(network, "both.test", port=443)
+        tls_client = sim_session(network).client("both.test", port=443)
         assert tls_client.establish_h2()
         assert tls_client.tls.chosen == "h2"

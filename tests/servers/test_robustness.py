@@ -27,10 +27,10 @@ from repro.h2.frames import (
 )
 from repro.net.clock import Simulation
 from repro.net.transport import LinkProfile, Network
-from repro.scope.client import ScopeClient
 from repro.servers.profiles import ServerProfile
 from repro.servers.site import Site, deploy_site
 from repro.servers.website import default_website
+from tests.conftest import sim_session
 
 
 def fresh_server_endpoint(seed=0):
@@ -158,7 +158,7 @@ class TestAdversarialFrameSequences:
             website=default_website(),
         )
         deploy_site(network, site)
-        client = ScopeClient(network, "resilient.test", auto_window_update=True)
+        client = sim_session(network).client("resilient.test", auto_window_update=True)
         assert client.establish_h2()
         # Provoke a stream error: zero window update on a live stream.
         first = client.request("/big.bin")
@@ -180,7 +180,7 @@ class TestClientRobustness:
         network = Network(sim, seed=1)
         site = Site(domain="g.test", profile=ServerProfile(), website=default_website())
         deploy_site(network, site)
-        client = ScopeClient(network, "g.test")
+        client = sim_session(network).client("g.test")
         assert client.establish_h2()
         client._on_data(junk)  # errors recorded, never raised
         assert isinstance(client.errors, list)

@@ -8,10 +8,10 @@ from repro.h2 import events as ev
 from repro.h2.frames import PriorityData
 from repro.net.clock import Simulation
 from repro.net.transport import LinkProfile, Network
-from repro.scope.client import ScopeClient
 from repro.servers.profiles import ServerProfile
 from repro.servers.site import Site, deploy_site
 from repro.servers.website import Resource, Website
+from tests.conftest import sim_session
 
 
 def deploy(scheduler_mode: str, n_objects: int = 3, size: int = 120_000):
@@ -38,8 +38,7 @@ def download_all(network, priorities=None, n_objects: int = 3):
     # Default 65,535-octet windows with auto replenishment: the server
     # is paced by flow control, so concurrent tasks genuinely coexist
     # and the scheduler's choices are visible in the frame order.
-    client = ScopeClient(
-        network,
+    client = sim_session(network).client(
         "sched.test",
         auto_window_update=True,
     )
@@ -106,8 +105,8 @@ class TestStrict:
 
     def test_parent_shadows_child_completely(self):
         network = deploy("strict")
-        client = ScopeClient(
-            network, "sched.test", auto_window_update=True
+        client = sim_session(network).client(
+            "sched.test", auto_window_update=True
         )
         assert client.establish_h2()
         parent = client.request(
@@ -159,8 +158,8 @@ class TestWfq:
 
     def test_parent_bias_orders_chain_completion(self):
         network = deploy("wfq")
-        client = ScopeClient(
-            network, "sched.test", auto_window_update=True
+        client = sim_session(network).client(
+            "sched.test", auto_window_update=True
         )
         assert client.establish_h2()
         parent = client.request(
