@@ -5,16 +5,13 @@ scans) against every vendor engine, plus each battery attack profile
 with guards off — scores the real-time detector on it, and writes
 ``benchmarks/results/BENCH_detection.json``.
 
-That file is COMMITTED: it records the quality floor the detector must
-hold.  CI regenerates it on every push and runs
-``tools/detection_check.py`` against the committed copy, failing the
-build if precision, recall, or any profile's detection drops below the
-recorded floor (the ISSUE 7 acceptance bars: precision >= 0.95,
-recall >= 0.90).
+That file is COMMITTED.  The run itself asserts the floors (precision
+>= 0.95, recall >= 0.90) and that every profile is detected on every
+vendor; CI regenerates the file on every push and fails the build if it
+differs from the committed copy by a single byte.
 """
 
 import json
-import os
 
 from benchmarks.conftest import BENCH_SEED, RESULTS_DIR, run_once
 from repro.analysis.detection import score_corpus
@@ -27,7 +24,7 @@ MIN_RECALL = 0.90
 #: Attack window per battery cell, virtual seconds.  Long enough that
 #: every slow-rate profile crosses the detector's slowest rule
 #: (stall_window, 10 s) with margin.
-ATTACK_DURATION = float(os.environ.get("REPRO_BENCH_ATTACK_DURATION", "16.0"))
+ATTACK_DURATION = 16.0
 
 
 def bench_detection_scoring(benchmark):

@@ -4,36 +4,26 @@ A :class:`ConnectionMonitor` consumes one connection's inbound frames
 incrementally — the same schema-v3 ``(at, frame)`` stream the engines
 record into :class:`~repro.scope.trace.ConnectionTimeline` — and emits
 a :class:`Verdict` *mid-connection*, as soon as the evidence crosses a
-rule threshold.  The rules mirror the engine's abuse guards but are
-deliberately independent of them: the detector watches traffic, the
-guards enforce policy, and the scoring harness measures how well
-watching alone would have caught each battery profile.
+rule threshold.  Detection is defence: most rules are
+:mod:`repro.h2.abuse`, the core the server engine's abuse guards run
+live; only the thresholds differ (the guards' are the vendor's, these
+on :class:`DetectorConfig` are ours).
 
-Rules (all thresholds on :class:`DetectorConfig`):
-
-* ``slow-preface`` — an h2 connection whose preface is still
-  incomplete ``preface_deadline`` seconds after it opened;
-* ``slow-headers`` — a header block (HEADERS … CONTINUATION) still
-  unterminated ``header_deadline`` seconds after it started;
-* ``zero-window-stall`` — a client announcing a tiny initial window
+* ``slow_preface`` / ``slow_headers`` / ``ping_flood`` /
+  ``settings_flood`` / ``rst_churn`` / ``priority_churn`` — the core's
+  preface and header-block deadlines and sliding-window frame rates;
+* ``zero_window_stall`` — a client announcing a tiny initial window
   that opens several streams and then keeps the connection alive past
-  ``stall_window`` without granting window;
-* ``ping-flood`` / ``settings-flood`` / ``rst-flood`` /
-  ``priority-churn`` — sliding-window frame-rate thresholds;
-* ``table-flood`` — a client announcing a SETTINGS_HEADER_TABLE_SIZE
+  ``stall_window`` without granting window.  A benign probe with a
+  small window looks like a young stall, so ``stall_window`` exceeds
+  the probe suite's longest wait (8 s; the default is 10 s);
+* ``table_flood`` — a client announcing a SETTINGS_HEADER_TABLE_SIZE
   no browser needs, which only buys it room in our encoder's table.
 
-The last two thresholds are module constants, not configuration: the
-benign corpus peaks at one PRIORITY frame a second and never announces
-a table size, so there is nothing to tune them against.
-
-Detection latency is inherently duration-bound: a benign probe with a
-small window is indistinguishable from a young zero-window stall, so
-``stall_window`` must exceed the longest benign probe budget (the
-probe suite's default wait is 8 s; the default here is 10 s).  The
-stall rule additionally requires ``stall_min_streams`` concurrent
-streams — memory amplification needs many stalled responses, while
-the probe suite's tiny-window measurement stalls exactly one.
+The PRIORITY rate and the table size are module constants, not
+configuration: the benign corpus peaks at one PRIORITY frame a second
+and never announces a table size, so there is nothing to tune them
+against.
 
 :func:`score_corpus` evaluates the detector on labelled timelines —
 benign chaos-campaign traffic vs each battery profile — reporting
@@ -44,17 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.h2.frames import (
-    ContinuationFrame,
-    Frame,
-    FrameFlag,
-    HeadersFrame,
-    PingFrame,
-    PriorityFrame,
-    RstStreamFrame,
-    SettingsFrame,
-    WindowUpdateFrame,
-)
+from repro.h2.abuse import AbuseRules, AbuseVerdict
+from repro.h2.frames import Frame, HeadersFrame, SettingsFrame, WindowUpdateFrame
 from repro.scope.trace import ConnectionTimeline
 
 #: SETTINGS_HEADER_TABLE_SIZE and SETTINGS_INITIAL_WINDOW_SIZE identifiers.
@@ -66,6 +47,15 @@ _MAX_HEADER_TABLE_SIZE = 2**20
 #: More PRIORITY frames than this inside one ``rate_window`` is churn (a
 #: page load re-prioritises a handful of streams).
 _PRIORITY_RATE = 40
+#: The label of each rule core verdict.
+_LABELS = {
+    "preface-timeout": "slow_preface",
+    "header-timeout": "slow_headers",
+    "ping-flood": "ping_flood",
+    "settings-flood": "settings_flood",
+    "rst-flood": "rst_churn",
+    "priority-flood": "priority_churn",
+}
 
 
 @dataclass(frozen=True)
@@ -120,57 +110,55 @@ class ConnectionMonitor:
         config: DetectorConfig | None = None,
         protocol: str = "h2",
     ):
-        self.config = config or DetectorConfig()
-        self.protocol = protocol
+        self.config = cfg = config or DetectorConfig()
         self.opened_at = opened_at
         self.verdict: Verdict | None = None
-        self._preface_done = not protocol.startswith("h2")
-        self._first_frame_at: float | None = None
-        self._assembly_started: float | None = None
+        self._rules = AbuseRules(
+            opened_at,
+            preface=cfg.preface_deadline,
+            header=cfg.header_deadline,
+            window=cfg.rate_window,
+            ping=cfg.ping_rate,
+            settings=cfg.settings_rate,
+            rst=cfg.rst_rate,
+            priority=_PRIORITY_RATE,
+        )
+        if not protocol.startswith("h2"):
+            self._rules.preface_done()
         self._tiny_window = False
         self._window_granted = False
         self._streams: set[int] = set()
-        self._rates: dict[str, list[float]] = {
-            kind: [] for kind in ("ping", "settings", "rst", "priority")
-        }
-
-    # -- rule engine ---------------------------------------------------
 
     def _flag(self, at: float, label: str, reason: str) -> None:
         if self.verdict is None:
             self.verdict = Verdict(at=at, label=label, reason=reason)
 
+    def _adopt(self, found: AbuseVerdict | None) -> None:
+        """Take the rule core's verdict under this detector's label."""
+        if found is not None:
+            reason = found.rule
+            if found.count:
+                reason += f": {found.count} frames in {self.config.rate_window:g}s"
+            self._flag(found.at, _LABELS[found.rule], reason)
+
     def tick(self, at: float) -> Verdict | None:
         """Evaluate time-based rules at clock ``at`` (no frame).
 
         Verdicts are stamped at the instant the threshold was crossed,
-        not at the polling instant: a live monitor arms a timer per
-        deadline, so its detection latency is the deadline itself, no
-        matter how often replay happens to call :meth:`tick`.
+        not at the polling instant: the server engine runs the same
+        rules live with one timer at the next deadline, so replay finds
+        the instant it would have evicted at, however often it ticks.
         """
         if self.verdict is not None:
             return self.verdict
+        self._adopt(self._rules.tick(at))
         cfg = self.config
-        if not self._preface_done and at - self.opened_at >= cfg.preface_deadline:
-            self._flag(
-                self.opened_at + cfg.preface_deadline,
-                "slow_preface",
-                f"preface incomplete after {cfg.preface_deadline:g}s",
-            )
-        elif (
-            self._assembly_started is not None
-            and at - self._assembly_started >= cfg.header_deadline
-        ):
-            self._flag(
-                self._assembly_started + cfg.header_deadline,
-                "slow_headers",
-                f"header block open after {cfg.header_deadline:g}s",
-            )
-        elif (
-            self._tiny_window
+        if (
+            self.verdict is None
+            and self._tiny_window
             and not self._window_granted
             and len(self._streams) >= cfg.stall_min_streams
-            and at - self.opened_at >= cfg.stall_window
+            and at >= self.opened_at + cfg.stall_window
         ):
             self._flag(
                 self.opened_at + cfg.stall_window,
@@ -178,19 +166,6 @@ class ConnectionMonitor:
                 f"tiny window, no grants for {cfg.stall_window:g}s",
             )
         return self.verdict
-
-    def _bump(self, kind: str, at: float, limit: int, label: str) -> None:
-        window = self._rates[kind]
-        window.append(at)
-        horizon = at - self.config.rate_window
-        while window and window[0] < horizon:
-            window.pop(0)
-        if len(window) > limit:
-            self._flag(
-                at,
-                label,
-                f"{len(window)} {kind} frames in {self.config.rate_window:g}s",
-            )
 
     def observe(self, at: float, frame: Frame) -> Verdict | None:
         """Feed one inbound frame; returns the verdict once reached."""
@@ -201,11 +176,6 @@ class ConnectionMonitor:
         if self.verdict is not None:
             return self.verdict
         cfg = self.config
-        if self._first_frame_at is None:
-            self._first_frame_at = at
-            # Frames only parse after the preface completes, so the
-            # first one is proof of a finished preface.
-            self._preface_done = True
         if isinstance(frame, SettingsFrame) and not frame.is_ack:
             for ident, value in frame.settings:
                 if ident == _INITIAL_WINDOW and value <= cfg.tiny_window_threshold:
@@ -214,22 +184,11 @@ class ConnectionMonitor:
                     self._flag(
                         at, "table_flood", f"announced a {value}-octet header table"
                     )
-            self._bump("settings", at, cfg.settings_rate, "settings_flood")
-        elif isinstance(frame, PingFrame) and not frame.is_ack:
-            self._bump("ping", at, cfg.ping_rate, "ping_flood")
-        elif isinstance(frame, RstStreamFrame):
-            self._bump("rst", at, cfg.rst_rate, "rst_churn")
-        elif isinstance(frame, PriorityFrame):
-            self._bump("priority", at, _PRIORITY_RATE, "priority_churn")
         elif isinstance(frame, WindowUpdateFrame):
             self._window_granted = True
-        if isinstance(frame, (HeadersFrame, ContinuationFrame)):
-            if isinstance(frame, HeadersFrame):
-                self._streams.add(frame.stream_id)
-            if frame.flags & FrameFlag.END_HEADERS:
-                self._assembly_started = None
-            elif self._assembly_started is None:
-                self._assembly_started = at
+        elif isinstance(frame, HeadersFrame):
+            self._streams.add(frame.stream_id)
+        self._adopt(self._rules.observe(at, frame))
         return self.verdict
 
 
@@ -239,8 +198,8 @@ def analyze_timeline(
     """Replay one recorded connection through a monitor.
 
     Evaluates time rules over the inter-frame gaps and once more at the
-    connection's end, exactly as a live monitor polling alongside the
-    traffic would.
+    connection's end; a verdict lands on its threshold instant, where
+    the engine's guard timer would have fired.
     """
     monitor = ConnectionMonitor(
         timeline.opened_at, config=config, protocol=timeline.protocol

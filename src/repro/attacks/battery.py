@@ -480,19 +480,13 @@ def _expected_deadline(
     profile: AttackProfile, guards: AbuseGuards
 ) -> float | None:
     """The guard deadline this attack should be evicted within."""
-    if not guards.any_enabled:
-        return None
     knob = profile.guard_knob
-    if knob == "preface":
-        return guards.preface_timeout
-    if knob == "header":
-        return guards.header_timeout
-    if knob == "stall":
-        return guards.stall_timeout
+    if knob is None or not guards.any_enabled:
+        return None
     if knob in ("ping", "settings", "rst"):
         # Rate breaches trip within one window of sustained flooding.
         return guards.rate_window
-    return None
+    return getattr(guards, f"{knob}_timeout")
 
 
 def _sample_engine(server) -> dict[str, int]:
@@ -719,13 +713,9 @@ def run_battery(
     )
     for name in profile_names:
         for vendor in vendor_names:
-            guard_config: AbuseGuards | None
-            if guards == "vendor":
-                guard_config = vendor_guards(vendor)
-                if guard_scale != 1.0:
-                    guard_config = guard_config.scaled(guard_scale)
-            else:
-                guard_config = None
+            guard_config = vendor_guards(vendor) if guards == "vendor" else None
+            if guard_config is not None and guard_scale != 1.0:
+                guard_config = guard_config.scaled(guard_scale)
             matrix.results.append(
                 run_attack(
                     BATTERY_PROFILES[name],

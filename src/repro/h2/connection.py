@@ -215,9 +215,6 @@ class H2Connection:
         self._outbound.clear()
         return out
 
-    def has_data_to_send(self) -> bool:
-        return bool(self._outbound)
-
     def upgrade_stream(self) -> int:
         """Install stream 1 after an HTTP/1.1 Upgrade: h2c (RFC 7540 §3.2).
 

@@ -143,11 +143,3 @@ class SelfDependencyDetected(Event):
 
     stream_id: int = 0
     reaction: str = "ignore"
-
-
-@dataclass
-class ConnectionTerminated(Event):
-    """This endpoint sent GOAWAY and will accept no new streams."""
-
-    error_code: int = 0
-    last_stream_id: int = 0

@@ -81,19 +81,3 @@ class FlowControlWindow:
         if self._value + delta > MAX_WINDOW_SIZE:
             raise FlowControlError("initial window adjustment overflows 2^31-1")
         self._value += delta
-
-
-class ConnectionWindows:
-    """Bundles the two windows of one direction of one scope pair.
-
-    ``outbound`` limits what *we* may send; ``inbound`` is the window we
-    granted the peer.
-    """
-
-    def __init__(
-        self,
-        outbound_initial: int = DEFAULT_INITIAL_WINDOW_SIZE,
-        inbound_initial: int = DEFAULT_INITIAL_WINDOW_SIZE,
-    ):
-        self.outbound = FlowControlWindow(outbound_initial)
-        self.inbound = FlowControlWindow(inbound_initial)

@@ -268,9 +268,6 @@ class Host:
     def listener(self, port: int) -> Callable[[Endpoint], None] | None:
         return self._listeners.get(port)
 
-    def close_port(self, port: int) -> None:
-        self._listeners.pop(port, None)
-
 
 class ConnectAttempt:
     """Pending TCP connect; resolves after the simulated handshake."""

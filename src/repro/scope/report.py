@@ -90,12 +90,6 @@ class SettingsResult:
     settings_frame_received: bool = False
     announced: dict[int, int] = field(default_factory=dict)
 
-    def value_or_null(self, identifier: int) -> int | None:
-        """The announced value, or None when no SETTINGS arrived."""
-        if not self.settings_frame_received:
-            return None
-        return self.announced.get(identifier)
-
 
 @dataclass
 class MultiplexingResult:

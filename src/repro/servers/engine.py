@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from repro.h2 import events as ev
+from repro.h2.abuse import AbuseRules
 from repro.h2.connection import ConnectionConfig, H2Connection, Side
 from repro.h2.constants import ErrorCode, SettingCode
 from repro.h2.errors import H2ConnectionError, H2Error
@@ -32,7 +33,6 @@ from repro.net.tls import (
     encode_server_hello,
     negotiate_alpn,
 )
-from repro.h2.frames import PingFrame, RstStreamFrame, SettingsFrame
 from repro.net.transport import Endpoint, Host
 from repro.servers.profiles import ServerProfile, TinyWindowBehavior
 from repro.servers.website import Resource, Website
@@ -244,20 +244,28 @@ class _ServerConnection:
         # Timers are armed ONLY for enabled knobs: an all-off guard
         # config must leave the simulation's event schedule untouched
         # (the determinism contract the pinned campaign hashes rely on).
-        self.guards = server.profile.guards
+        self.guards = guards = server.profile.guards
         self._guard_reason: str | None = None
-        self._opened_at = self.sim.now
         self._last_inbound = self.sim.now
         self._progress_at = self.sim.now
-        self._h1_requests = 0
-        self._assembly_started: float | None = None
         self._stall_check_armed = False
-        self._rate_counts: dict[str, int] = {}
-        self._rate_window_start: dict[str, float] = {}
-        if self.guards.preface_timeout is not None:
-            self.sim.call_later(self.guards.preface_timeout, self._check_preface)
-        if self.guards.idle_timeout is not None:
-            self.sim.call_later(self.guards.idle_timeout, self._check_idle)
+        #: The preface, header and rate rules (the detector's core), and
+        #: the deadline its one timer is armed for.
+        self._rules: AbuseRules | None = None
+        self._rules_due: float | None = None
+        if guards.any_enabled:
+            self._rules = AbuseRules(
+                self.sim.now,
+                preface=guards.preface_timeout,
+                header=guards.header_timeout,
+                window=guards.rate_window,
+                ping=guards.ping_rate_limit,
+                settings=guards.settings_rate_limit,
+                rst=guards.rst_rate_limit,
+            )
+            self._enforce_rules()
+        if guards.idle_timeout is not None:
+            self.sim.call_later(guards.idle_timeout, self._check_idle)
 
         # -- frame-timeline recording ----------------------------------
         self.timeline = None
@@ -346,6 +354,9 @@ class _ServerConnection:
             self.mode = "h2-mute"
             if self.timeline is not None:
                 self.timeline.protocol = "h2-mute"
+            if self._rules is not None:
+                # It reads nothing more, so it waits for no preface.
+                self._rules.preface_done()
             return
         settings = dict(profile.settings)
         config = ConnectionConfig(
@@ -403,79 +414,40 @@ class _ServerConnection:
     def _observe_frames(self, mark: int) -> None:
         """Timeline recording + guard accounting for newly parsed frames."""
         assert self.conn is not None
-        guards = self.guards
-        if self.timeline is None and not guards.any_enabled:
+        rules = self._rules
+        if self.timeline is None and rules is None:
             return
         arrived = self.conn.frame_log[mark:]
+        now = self.sim.now
         if self.timeline is not None and arrived:
             from repro.scope.trace import TracedFrame
 
-            now = self.sim.now
             self.timeline.frames.extend(
                 TracedFrame(at=now, frame=frame) for frame in arrived
             )
-        if not guards.any_enabled:
-            return
-        for frame in arrived:
-            if isinstance(frame, PingFrame) and not frame.is_ack:
-                self._bump_rate("ping", guards.ping_rate_limit)
-            elif isinstance(frame, SettingsFrame) and not frame.is_ack:
-                self._bump_rate("settings", guards.settings_rate_limit)
-            elif isinstance(frame, RstStreamFrame):
-                self._bump_rate("rst", guards.rst_rate_limit)
-        self._note_assembly()
+        if rules is not None:
+            for frame in arrived:
+                rules.observe(now, frame)
+            self._enforce_rules()
 
     # -- abuse guards ------------------------------------------------------
 
-    def _bump_rate(self, kind: str, limit: int | None) -> None:
-        if limit is None or self._guard_reason is not None:
+    def _enforce_rules(self, fired: float | None = None) -> None:
+        """Evict on the rule core's verdict, else keep its one timer armed
+        at the next deadline; ``fired`` is the deadline a timer fired for."""
+        rules = self._rules
+        if fired is not None:
+            if fired != self._rules_due:
+                return  # a later arming superseded this timer
+            self._rules_due = None
+            rules.tick(fired)
+        if rules.verdict is not None:
+            self._trip_guard(rules.verdict.rule)
             return
-        now = self.sim.now
-        start = self._rate_window_start.get(kind)
-        if start is None or now - start > self.guards.rate_window:
-            self._rate_window_start[kind] = now
-            self._rate_counts[kind] = 0
-        self._rate_counts[kind] += 1
-        if self._rate_counts[kind] > limit:
-            self._trip_guard(f"{kind}-flood")
-
-    def _note_assembly(self) -> None:
-        """Track HEADERS→CONTINUATION assembly age for the drip guard."""
-        if self.guards.header_timeout is None or self.conn is None:
-            return
-        if self.conn._header_assembly is None:
-            self._assembly_started = None
-        elif self._assembly_started is None:
-            self._assembly_started = self.sim.now
-            self.sim.call_later(
-                self.guards.header_timeout, self._check_assembly, self.sim.now
-            )
-
-    def _check_assembly(self, started: float) -> None:
-        if self.endpoint.closed or self._guard_reason is not None:
-            return
-        if (
-            self.conn is not None
-            and self.conn._header_assembly is not None
-            and self._assembly_started == started
-        ):
-            self._trip_guard("header-timeout")
-
-    def _check_preface(self) -> None:
-        """Handshake deadline: a complete h2 preface (or an HTTP/1.1
-        request) must have arrived by now."""
-        if self.endpoint.closed or self._guard_reason is not None:
-            return
-        if self.mode == "hello":
-            self._trip_guard("preface-timeout")
-            return
-        if self.mode == "h2":
-            assert self.conn is not None
-            if self.conn._preface_pending:
-                self._trip_guard("preface-timeout")
-            return
-        if self.mode == "http1" and self._h1_requests == 0:
-            self._trip_guard("preface-timeout")
+        due = rules.due()
+        if due is not None and due != self._rules_due:
+            self._rules_due = due
+            self.sim.call_at(due, self._enforce_rules, due)
 
     def _check_idle(self) -> None:
         if self.endpoint.closed or self._guard_reason is not None:
@@ -958,7 +930,8 @@ class _ServerConnection:
         lines = raw.split(b"\r\n")
         if not lines or not lines[0]:
             return
-        self._h1_requests += 1
+        if self._rules is not None:
+            self._rules.preface_done()
         parts = lines[0].split()
         path = parts[1].decode("latin-1") if len(parts) >= 2 else "/"
         headers = {}

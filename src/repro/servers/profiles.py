@@ -9,7 +9,7 @@ defaults are the RFC-compliant behaviours.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from repro.h2.connection import Reaction
 from repro.h2.constants import SettingCode
@@ -23,9 +23,11 @@ class AbuseGuards:
     Every knob is off (``None``) by default: the 2016 servers the paper
     measured held attack connections forever, and the battery's
     guards-off runs must reproduce that exposure byte-for-byte.  When a
-    knob is enabled the engine arms the corresponding deadline or rate
-    counter and, on breach, sends one terminal
-    GOAWAY(ENHANCE_YOUR_CALM) and closes the connection.
+    knob is enabled the engine enforces it and, on breach, sends one
+    terminal GOAWAY(ENHANCE_YOUR_CALM) and closes the connection.  The
+    preface, header and rate knobs are thresholds of
+    :mod:`repro.h2.abuse`, the rule core the detector replays too; its
+    rate limits count in a sliding window.
 
     Timers are only scheduled for enabled knobs, so an all-default
     guard config leaves the engine's event schedule — and therefore
@@ -44,54 +46,45 @@ class AbuseGuards:
     #: Seconds a queued response may sit without the peer's windows
     #: letting any byte out.  Defeats the zero-window read stall.
     stall_timeout: float | None = None
-    #: Maximum non-ack PINGs per :attr:`rate_window`.
+    #: Maximum non-ack PINGs in any sliding :attr:`rate_window`.
     ping_rate_limit: int | None = None
-    #: Maximum non-ack SETTINGS per :attr:`rate_window`.
+    #: Maximum non-ack SETTINGS in any sliding :attr:`rate_window`.
     settings_rate_limit: int | None = None
-    #: Maximum RST_STREAMs per :attr:`rate_window` (rapid-reset churn).
+    #: Maximum RST_STREAMs (rapid-reset churn) in any sliding :attr:`rate_window`.
     rst_rate_limit: int | None = None
-    #: Width of the rate-limit windows, seconds.
+    #: Width of the sliding rate-limit windows, seconds.
     rate_window: float = 1.0
 
     @property
     def any_enabled(self) -> bool:
-        return not (
-            self.preface_timeout is None
-            and self.header_timeout is None
-            and self.idle_timeout is None
-            and self.stall_timeout is None
-            and self.ping_rate_limit is None
-            and self.settings_rate_limit is None
-            and self.rst_rate_limit is None
+        return any(
+            getattr(self, knob.name) is not None
+            for knob in fields(self)
+            if knob.name != "rate_window"
         )
 
     def clone(self, **overrides) -> "AbuseGuards":
         return replace(self, **overrides)
 
     def scaled(self, factor: float) -> "AbuseGuards":
-        """Shrink every deadline by ``factor`` (rate limits unchanged).
+        """Shrink every deadline, the rate window and the rate limits
+        (to no fewer than 3) by ``factor``.
 
         Loopback battery runs pay wall-clock seconds per deadline; the
         scaled copy keeps the per-vendor *shape* while the test stays
         fast.
         """
 
-        def _scale(value: float | None) -> float | None:
-            return None if value is None else value * factor
-
-        def _scale_limit(value: int | None) -> int | None:
-            return None if value is None else max(3, int(value * factor))
+        def _scale(name: str, value: float | None) -> float | None:
+            if value is None:
+                return None
+            if name.endswith("_limit"):
+                return max(3, int(value * factor))
+            return value * factor
 
         return replace(
             self,
-            preface_timeout=_scale(self.preface_timeout),
-            header_timeout=_scale(self.header_timeout),
-            idle_timeout=_scale(self.idle_timeout),
-            stall_timeout=_scale(self.stall_timeout),
-            ping_rate_limit=_scale_limit(self.ping_rate_limit),
-            settings_rate_limit=_scale_limit(self.settings_rate_limit),
-            rst_rate_limit=_scale_limit(self.rst_rate_limit),
-            rate_window=self.rate_window * factor,
+            **{k.name: _scale(k.name, getattr(self, k.name)) for k in fields(self)},
         )
 
 

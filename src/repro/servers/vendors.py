@@ -183,7 +183,7 @@ def tengine_aserver() -> ServerProfile:
 #: Per-vendor hardened abuse-guard defaults (ISSUE 7).  None of the
 #: 2016 builds in Table III shipped these, so they are NOT part of the
 #: vendor factories above — the battery (and any caller that wants a
-#: hardened engine) applies them explicitly via :func:`hardened`.  The
+#: hardened engine) applies them explicitly via :func:`vendor_guards`.  The
 #: knobs loosely mirror the defences the vendors later grew (nginx's
 #: client_header_timeout lineage, Apache's mod_reqtimeout, nghttp2's
 #: rapid-reset mitigation), scaled to testbed seconds and deliberately
@@ -246,29 +246,14 @@ DEFAULT_GUARDS: dict[str, AbuseGuards] = {
     ),
 }
 
-#: Fallback guard set for profiles without a vendor-specific entry.
-GENERIC_GUARDS = AbuseGuards(
-    preface_timeout=4.0,
-    header_timeout=4.0,
-    idle_timeout=10.0,
-    stall_timeout=8.0,
-    ping_rate_limit=80,
-    settings_rate_limit=30,
-    rst_rate_limit=150,
-)
+#: Fallback guard set for profiles without a vendor-specific entry: the
+#: h2o set, mid-range on every knob.
+GENERIC_GUARDS = DEFAULT_GUARDS["h2o"]
 
 
 def vendor_guards(name: str) -> AbuseGuards:
     """The hardened default guard set for a vendor (generic fallback)."""
     return DEFAULT_GUARDS.get(name, GENERIC_GUARDS)
-
-
-def hardened(profile: ServerProfile, scale: float = 1.0) -> ServerProfile:
-    """A copy of ``profile`` with its vendor's default guards enabled."""
-    guards = vendor_guards(profile.name)
-    if scale != 1.0:
-        guards = guards.scaled(scale)
-    return profile.clone(guards=guards)
 
 
 #: The six testbed servers, keyed by profile name (Table III order).

@@ -1,11 +1,14 @@
 """Real-time slow-rate detection: rule units, replay, corpus scoring."""
 
+import pytest
+
 from repro.analysis.detection import (
     ConnectionMonitor,
     DetectorConfig,
     analyze_timeline,
     score_corpus,
 )
+from repro.attacks import run_battery
 from repro.attacks.corpus import attack_timelines, benign_timelines
 from repro.h2.constants import FrameFlag
 from repro.h2.frames import (
@@ -18,6 +21,8 @@ from repro.h2.frames import (
     WindowUpdateFrame,
 )
 from repro.scope.trace import ConnectionTimeline, TracedFrame
+from repro.servers.profiles import AbuseGuards
+from repro.servers.vendors import VENDOR_FACTORIES, vendor_guards
 
 IWS = 4  # SETTINGS_INITIAL_WINDOW_SIZE
 
@@ -192,6 +197,49 @@ class TestReplay:
             ],
         )
         assert analyze_timeline(timeline) is None
+
+
+def detector_from(guards: AbuseGuards) -> DetectorConfig:
+    """A detector with a vendor's guard thresholds for the shared rules."""
+    return DetectorConfig(
+        preface_deadline=guards.preface_timeout,
+        header_deadline=guards.header_timeout,
+        ping_rate=guards.ping_rate_limit,
+        settings_rate=guards.settings_rate_limit,
+        rst_rate=guards.rst_rate_limit,
+        rate_window=guards.rate_window,
+    )
+
+
+class TestGuardsAgreeWithDetector:
+    """The engine's guards run the detector's rules: replaying a
+    guards-on battery timeline with that vendor's thresholds finds the
+    engine's reason at the very instant the engine evicted."""
+
+    #: The engine's guard reason for each profile both layers judge.
+    SHARED = {
+        "slow_preface": "preface-timeout",
+        "slow_headers": "header-timeout",
+        "ping_flood": "ping-flood",
+        "settings_flood": "settings-flood",
+        "rst_churn": "rst-flood",
+    }
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_replay_evicts_where_the_engine_did(self, seed):
+        matrix = run_battery(
+            profiles=list(self.SHARED), guards="vendor", seed=seed, record_frames=True
+        )
+        assert len(matrix.results) == len(self.SHARED) * len(VENDOR_FACTORIES)
+        for result in matrix.results:
+            cell = (result.profile, result.vendor)
+            assert result.guard_reasons == [self.SHARED[result.profile]], cell
+            [timeline] = result.timelines
+            config = detector_from(vendor_guards(result.vendor))
+            verdict = analyze_timeline(timeline, config)
+            assert verdict is not None, cell
+            assert verdict.label == result.profile, cell
+            assert verdict.at == timeline.closed_at, cell
 
 
 class TestCorpusScoring:

@@ -166,6 +166,22 @@ class TestRateGuards:
         client.wait_for(lambda: goaway_received(client) is not None, timeout=4.0)
         assert_single_breach(client, server, "rst-flood")
 
+    def test_burst_across_a_window_boundary_trips(self):
+        # 1 PING, then 9 at ~0.95 s and 10 at ~1.02 s: 19 inside the last
+        # second, though a window restarted at 1 s would count only 10.
+        network, server = deploy(AbuseGuards(ping_rate_limit=10, rate_window=1.0))
+        client = sim_session(network).client("guards.test")
+        assert client.establish_h2()
+        sequence = 0
+        for count, pause in ((1, 0.95), (9, 0.07), (10, 0.0)):
+            for _ in range(count):
+                client.conn.send_ping(sequence.to_bytes(8, "big"))
+                sequence += 1
+            client.flush()
+            client.wait_for(lambda: False, timeout=pause)
+        client.wait_for(lambda: goaway_received(client) is not None, timeout=4.0)
+        assert_single_breach(client, server, "ping-flood")
+
     def test_rates_below_limit_never_trip(self):
         network, server = deploy(
             AbuseGuards(ping_rate_limit=10, rate_window=1.0)
