@@ -48,7 +48,7 @@ from repro.net.faults import (
 MSS = 1460
 
 
-@dataclass
+@dataclass(slots=True)
 class LinkProfile:
     """Path characteristics from the measurement client to one host."""
 

@@ -23,7 +23,7 @@ family HPACK policies).  Every planted choice is recorded in
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.h2.connection import Reaction
 from repro.h2.constants import SettingCode
@@ -42,6 +42,18 @@ MHLS = int(SettingCode.MAX_HEADER_LIST_SIZE)
 #: Paths the scanner's Algorithm 1 run expects on every generated site.
 PRIORITY_TEST_PATHS = [f"/prio/{label}.bin" for label in "abcdef"]
 PRIORITY_DEPLETION_PATHS = [f"/prio/deplete{i}.bin" for i in range(4)]
+#: The objects Algorithm 1 needs: six labelled test objects plus window-
+#: depletion objects (§III-C's testbed preparation, available on every
+#: site here because we control the origin).  They are identical on
+#: every site, so every site's website adds these same records.
+PRIORITY_RESOURCES = tuple(
+    Resource(path, 40_000, "application/octet-stream") for path in PRIORITY_TEST_PATHS
+) + tuple(
+    Resource(path, 30_000, "application/octet-stream")
+    for path in PRIORITY_DEPLETION_PATHS
+)
+#: The one page every negotiation-only (mute) site holds.
+MUTE_FRONT_PAGE = Resource("/", 1_000)
 
 #: Families whose nginx lineage means responses are not HPACK-indexed.
 NGINX_LINEAGE = {"nginx", "tengine", "tengine-aserver", "cloudflare-nginx"}
@@ -157,7 +169,7 @@ def _apply_rare_quotas(
 def _add_push_manifest(site: Site) -> None:
     front = site.website.get("/")
     if front is not None and not front.push:
-        front.push.extend(front.links[:3])
+        site.website.add(replace(front, push=front.links[:3]))
 
 
 # ----------------------------------------------------------------------
@@ -200,7 +212,7 @@ def _make_unresponsive_site(
     return Site(
         domain=f"mute{index:06d}.{data.label}.alexa",
         profile=profile,
-        website=Website([Resource("/", 1_000)]),
+        website=Website([MUTE_FRONT_PAGE]),
         link=_sample_link(rng),
         truth=truth,
     )
@@ -407,13 +419,8 @@ def _sample_hpack(
 
 def _make_website(rng: random.Random, cookie_prob: float = 0.25) -> Website:
     website = random_website(rng, cookie_prob=cookie_prob)
-    # Objects Algorithm 1 needs: six labelled test objects plus window-
-    # depletion objects (§III-C's testbed preparation, available on every
-    # site here because we control the origin).
-    for path in PRIORITY_TEST_PATHS:
-        website.add(Resource(path, 40_000, "application/octet-stream"))
-    for path in PRIORITY_DEPLETION_PATHS:
-        website.add(Resource(path, 30_000, "application/octet-stream"))
+    for resource in PRIORITY_RESOURCES:
+        website.add(resource)
     return website
 
 

@@ -16,7 +16,7 @@ from repro.h2.constants import SettingCode
 from repro.h2.hpack.encoder import IndexingPolicy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AbuseGuards:
     """Connection-robustness countermeasures (the slow-HTTP/2 defences).
 
@@ -57,11 +57,7 @@ class AbuseGuards:
 
     @property
     def any_enabled(self) -> bool:
-        return any(
-            getattr(self, knob.name) is not None
-            for knob in fields(self)
-            if knob.name != "rate_window"
-        )
+        return any(getattr(self, knob) is not None for knob in _GUARD_KNOBS)
 
     def clone(self, **overrides) -> "AbuseGuards":
         return replace(self, **overrides)
@@ -88,6 +84,13 @@ class AbuseGuards:
         )
 
 
+#: Every :class:`AbuseGuards` knob that switches a guard on (all fields but
+#: the window width), read once here rather than on every connection.
+_GUARD_KNOBS = tuple(
+    knob.name for knob in fields(AbuseGuards) if knob.name != "rate_window"
+)
+
+
 class TinyWindowBehavior(enum.Enum):
     """What the server does when a stream's send window is very small.
 
@@ -104,7 +107,7 @@ class TinyWindowBehavior(enum.Enum):
     SILENT = "silent"
 
 
-@dataclass
+@dataclass(slots=True)
 class ServerProfile:
     """Behavioural configuration of one simulated HTTP/2 server."""
 
@@ -230,7 +233,8 @@ class ServerProfile:
     #: 2016 deployments had none of these, and the guards-off engine
     #: must stay byte-identical to the pre-guard behaviour.  Per-vendor
     #: hardened defaults live in :data:`repro.servers.vendors.DEFAULT_GUARDS`.
-    guards: AbuseGuards = field(default_factory=AbuseGuards)
+    #: The default is one shared all-off value; guards are immutable.
+    guards: AbuseGuards = AbuseGuards()
 
     # -- timing -------------------------------------------------------------------
     #: Mean per-request application processing delay in seconds.  This

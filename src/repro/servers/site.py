@@ -21,7 +21,7 @@ from repro.servers.vendors import VENDOR_FACTORIES
 from repro.servers.website import Website, default_website, testbed_website
 
 
-@dataclass
+@dataclass(slots=True)
 class Site:
     """One deployable origin."""
 

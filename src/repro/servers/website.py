@@ -10,23 +10,25 @@ configured push lists — Section VI).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Resource:
-    """One addressable object on a site."""
+    """One addressable object on a site: an immutable value, so one
+    record may sit on any number of sites (DESIGN §8)."""
 
     path: str
     size: int
     content_type: str = "text/html"
     #: Paths of sub-resources referenced by this document (HTML only).
-    links: list[str] = field(default_factory=list)
+    links: tuple[str, ...] = ()
     #: Paths the server pushes when this resource is requested
     #: (used only when the server profile supports push).
-    push: list[str] = field(default_factory=list)
+    push: tuple[str, ...] = ()
     #: Extra response headers, e.g. cookies (affects HPACK ratios).
-    extra_headers: list[tuple[str, str]] = field(default_factory=list)
+    extra_headers: tuple[tuple[str, str], ...] = ()
 
     def body(self) -> bytes:
         """Deterministic pseudo-content of the declared size, whole: for
@@ -48,6 +50,8 @@ class Resource:
 
 class Website:
     """A site's resource tree."""
+
+    __slots__ = ("_resources",)
 
     def __init__(self, resources: list[Resource] | None = None):
         self._resources: dict[str, Resource] = {}
@@ -86,11 +90,11 @@ def default_website() -> Website:
             "/",
             30_000,
             "text/html",
-            links=[a.path for a in assets],
-            push=["/style.css", "/app.js"],
+            links=tuple(a.path for a in assets),
+            push=("/style.css", "/app.js"),
         )
     )
-    site.add(Resource("/about.html", 22_000, "text/html", links=["/style.css"]))
+    site.add(Resource("/about.html", 22_000, "text/html", links=("/style.css",)))
     site.add(Resource("/big.bin", 1_000_000, "application/octet-stream"))
     return site
 
@@ -116,11 +120,11 @@ def testbed_website(object_size: int = 400_000, objects: int = 8) -> Website:
             "/",
             8_000,
             "text/html",
-            links=["/style.css", "/app.js"] + paths,
-            push=["/style.css", "/app.js"],
+            links=("/style.css", "/app.js", *paths),
+            push=("/style.css", "/app.js"),
         )
     )
-    site.add(Resource("/push.html", 10_000, "text/html", push=["/large/0.bin"]))
+    site.add(Resource("/push.html", 10_000, "text/html", push=("/large/0.bin",)))
     return site
 
 
@@ -149,19 +153,22 @@ def random_website(
             ]
         )
         ext, ctype, (lo, hi) = kind
-        assets.append(Resource(f"/asset{i}.{ext}", rng.randint(lo, hi), ctype))
+        # Interned: every site names its assets from the same few dozen paths.
+        path = sys.intern(f"/asset{i}.{ext}")
+        assets.append(Resource(path, rng.randint(lo, hi), ctype))
     for asset in assets:
         site.add(asset)
-    pushed = [a.path for a in assets[:3]] if push_capable else []
-    extra = []
+    links = tuple(asset.path for asset in assets)
+    pushed = links[:3] if push_capable else ()
+    extra = ()
     if rng.random() < cookie_prob:
-        extra.append(("set-cookie", f"session={rng.getrandbits(64):x}; Path=/"))
+        extra = (("set-cookie", f"session={rng.getrandbits(64):x}; Path=/"),)
     site.add(
         Resource(
             "/",
             rng.randint(5_000, 120_000),
             "text/html",
-            links=[a.path for a in assets],
+            links=links,
             push=pushed,
             extra_headers=extra,
         )

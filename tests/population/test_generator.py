@@ -1,6 +1,10 @@
 """Population generator: planted marginals and structural guarantees."""
 
 import collections
+import dataclasses
+import enum
+import hashlib
+import json
 
 import pytest
 
@@ -11,8 +15,41 @@ from repro.population.generator import (
     PRIORITY_TEST_PATHS,
 )
 from repro.servers.profiles import TinyWindowBehavior
+from repro.servers.website import Website
 
 IWS = int(SettingCode.INITIAL_WINDOW_SIZE)
+
+#: sha256 of ``_canonical(make_population(PopulationConfig(n_sites=300,
+#: seed=7)))``: every field of every record the generator emits.
+POPULATION_SHA256 = "99eda048a9d80d4c8b812eeeb24c9cbbc31a1e87f3c38d72f59fc3551bf5a7de"
+
+
+def _canonical(value):
+    """A JSON-ready rendering that sees values only: lists and tuples
+    both render as lists, dicts as ordered pairs, enums by value, bytes
+    as hex, a website as its records in path order."""
+    if dataclasses.is_dataclass(value):
+        return [type(value).__name__] + [
+            [f.name, _canonical(getattr(value, f.name))]
+            for f in dataclasses.fields(value)
+        ]
+    if isinstance(value, Website):
+        return [[path, _canonical(value.get(path))] for path in value.paths()]
+    if isinstance(value, enum.Enum):
+        return _canonical(value.value)
+    if isinstance(value, dict):
+        return [[_canonical(k), _canonical(v)] for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [_canonical(item) for item in value]
+    if isinstance(value, bytes):
+        return value.hex()
+    return value
+
+
+def test_population_values_are_pinned():
+    sites = make_population(PopulationConfig(n_sites=300, seed=7))
+    rendering = json.dumps(_canonical(sites), separators=(",", ":"))
+    assert hashlib.sha256(rendering.encode()).hexdigest() == POPULATION_SHA256
 
 
 @pytest.fixture(scope="module")

@@ -131,7 +131,7 @@ class TestFactories:
     def test_cookie_probability_zero_means_no_cookies(self):
         for seed in range(10):
             site = random_website(random.Random(seed), cookie_prob=0.0)
-            assert site.get("/").extra_headers == []
+            assert site.get("/").extra_headers == ()
 
     def test_push_capable_front_page(self):
         site = random_website(random.Random(1), push_capable=True)
