@@ -566,6 +566,18 @@ class H2Connection:
             # §5.1: in flight when we reset the stream; the block went
             # through the decoder above, so the table stays in step.
             return []
+        if self.side is Side.SERVER and stream.headers_received and stream.can_receive:
+            # A second block on a request stream is trailers (§8.1):
+            # they must end the stream, or the request is malformed
+            # (§8.1.2.6), a stream error answered with RST_STREAM.
+            if not end:
+                raise H2StreamError(
+                    f"trailers without END_STREAM on stream {stream_id}",
+                    stream_id=stream_id,
+                )
+            stream.receive_headers(end_stream=True)
+            self._retire_stream(stream_id)
+            return [ev.StreamEnded(stream_id=stream_id)]
         stream.receive_headers(end_stream=end)
 
         events: list[ev.Event] = []

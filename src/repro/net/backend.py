@@ -6,7 +6,7 @@ waiting — and never touches a transport directly.  This module defines
 that contract (:class:`TransportBackend`) and the default
 implementation backed by the discrete-event simulator
 (:class:`SimulatedBackend`).  A wall-clock implementation over real
-asyncio TCP sockets lives in :mod:`repro.net.socket_backend`.
+TCP sockets lives in :mod:`repro.net.socket_backend`.
 
 Invariants every backend must uphold:
 

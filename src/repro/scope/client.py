@@ -196,8 +196,8 @@ class ScopeClient:
         self.endpoint.on_data = self._on_data
         self.endpoint.on_close = self._on_close
         # Bytes the server sent before on_data was attached (a server
-        # that speaks first, or a shared-loop pump delivering connect
-        # completion and first segment together) sit in the endpoint's
+        # that speaks first, read in the wait that completed the
+        # connect or one after it) sit in the endpoint's
         # receive buffer: drain them into the limbo path now instead of
         # stranding them.  The simulator never has any (no time passes
         # between completion and attach), so sim bytes are unaffected.

@@ -8,14 +8,13 @@ real connection synchronously; this module is the campaign layer that
 makes it survive (and be survivable by) a population:
 
 * a **bounded pool**: ``concurrency`` worker threads, each driving one
-  in-flight :class:`~repro.scope.session.ProbeSession`.  Every
-  session's sockets multiplex onto ONE asyncio loop hosted by a
-  :class:`~repro.net.socket_backend.LoopDriver`, and each session
-  blocks on its backend's wakeup event between deliveries — the
-  single-loop design that scales to ~1k in-flight sessions.  Probes are
-  synchronous sans-IO drivers whose wall-clock time is dominated by
-  network waits, so the exact probe code the simulator runs is reused
-  unchanged (the determinism contract stays untouched);
+  in-flight :class:`~repro.scope.session.ProbeSession` on a backend of
+  its own.  A session's thread serves its own sockets inside its waits
+  (one selector per backend), so no loop thread sits between a session
+  and its sockets.  Probes are synchronous sans-IO drivers whose
+  wall-clock time is dominated by network waits, so the exact probe
+  code the simulator runs is reused unchanged (the determinism contract
+  stays untouched);
 * a **politeness layer**: per-host serialization with a minimum
   inter-contact gap (:class:`HostPoliteness`) plus a global
   token-bucket contact-rate limiter (:class:`TokenBucket`), installed
@@ -56,7 +55,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
-from repro.net.socket_backend import LoopDriver, SocketBackend, lookup
+from repro.net.socket_backend import SocketBackend, lookup
 from repro.scope.campaign import CampaignResult, CampaignRun
 from repro.scope.parallel import SiteResult, SiteTask
 from repro.scope.report import ErrorClass, ScanError, SiteReport
@@ -438,8 +437,6 @@ class _LivePool:
         self._busy_hosts: set[str] = set()
         self._completions: queue.Queue = queue.Queue()
         self._workers: list[threading.Thread] = []
-        #: The one asyncio loop every session's sockets share.
-        self._loop_driver: LoopDriver | None = None
 
     # -- politeness gate (installed on every backend) ----------------------
 
@@ -476,7 +473,6 @@ class _LivePool:
             timeout_scale=self.config.timeout_scale,
             connect_timeout=self.config.connect_timeout,
             gate=self._gate,
-            driver=self._loop_driver,
         )
         started = time.monotonic()
         try:
@@ -530,7 +526,6 @@ class _LivePool:
         if not scan_tasks:
             return
 
-        self._loop_driver = LoopDriver()
         self._pending.extend(scan_tasks)
         self._workers = [
             threading.Thread(
@@ -558,9 +553,6 @@ class _LivePool:
             # In-flight sessions are deadline-bounded; join so no
             # daemon thread outlives the campaign.
             worker.join(timeout=60)
-        if self._loop_driver is not None:
-            self._loop_driver.close()
-            self._loop_driver = None
 
 
 def run_live_campaign(

@@ -3,7 +3,7 @@
 The testbed engines (:class:`~repro.servers.engine.H2Server`) are pure
 sans-IO state machines driven by a discrete-event
 :class:`~repro.net.clock.Simulation`.  This module puts them on the
-other end of *real* asyncio sockets so the socket transport backend
+other end of *real* TCP sockets so the socket transport backend
 (:mod:`repro.net.socket_backend`) can be exercised end-to-end: the
 differential test probes ``nginx.testbed`` & co. over 127.0.0.1 and
 asserts the feature matrix matches the simulated one cell-for-cell.
@@ -37,39 +37,80 @@ Two design points matter for fidelity:
   sequentially, so per-connection RNG draws (HPACK noise, jitter) come
   from the same generators in both modes.
 
-The bridge hosts its listeners on a
-:class:`~repro.net.socket_backend.LoopDriver` of its own; every
-simulation touch happens on that loop, so no locking is needed.
-:meth:`LoopbackBridge.resolver` returns the ``{(domain, port):
-(host, port)}`` mapping :class:`~repro.net.socket_backend.SocketBackend`
-uses to route simulated domains onto the loopback listeners.
+The bridge serves its listeners and the connections they accept with
+``add_reader`` / ``add_writer`` on a :class:`LoopDriver`, one asyncio
+loop on a thread of its own; every socket and simulation touch happens
+on that loop, so no locking is needed.  The probing side shares
+nothing with it: a :class:`~repro.net.socket_backend.SocketBackend`
+serves its own sockets on the probing thread.
+:meth:`LoopbackBridge.resolver` returns the ``{(domain, port): (host,
+port)}`` mapping the backend uses to route simulated domains onto the
+loopback listeners.
+
+A connection ends the way a simulated universe does (DESIGN §8): once
+its close has been delivered to the engine, the endpoint drops the
+engine's handlers, and its socket is already closed and dropped, so
+reference counting frees the engine connection and the endpoint
+without the cyclic collector.  (An asyncio transport would not go:
+it holds a bound method of itself.)
 """
 
 from __future__ import annotations
 
 import asyncio
+import socket
+import threading
 from collections.abc import Callable
 
 from repro.net.clock import Simulation
 from repro.net.faults import stable_seed
-from repro.net.socket_backend import LoopDriver
 from repro.servers.engine import H2Server, _ServerConnection
 from repro.servers.site import Site
+
+#: Most bytes one readable socket yields in one pass.
+_RECV_SIZE = 1 << 16
+
+
+class LoopDriver:
+    """One asyncio event loop on a thread of its own, for the bridge's
+    listeners and every connection they accept."""
+
+    def __init__(self) -> None:
+        self.loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(
+            target=self._run, name="h2scope-loop", daemon=True
+        )
+        self._thread.start()
+
+    def _run(self) -> None:
+        try:
+            self.loop.run_forever()
+        finally:
+            self.loop.close()
+
+    def close(self) -> None:
+        """Stop the loop once the callbacks queued before this call have
+        run, and release it (idempotent)."""
+        if self.loop.is_closed():
+            return
+        self.loop.call_soon_threadsafe(self.loop.stop)
+        self._thread.join(timeout=10.0)
 
 
 class _BridgeEndpoint:
     """Server end of a real TCP connection, duck-typing ``Endpoint``.
 
     The engine's ``_ServerConnection`` attaches its ``on_data`` /
-    ``on_close`` handlers here and calls :meth:`send` to answer; all of
-    it runs on the bridge's event loop.  Both directions are charged a
-    one-way link delay through the site's simulation (see the module
-    docstring), so the engine observes request bytes ``delay`` virtual
-    seconds after they hit the socket and response bytes hit the
-    socket ``delay`` seconds after the engine emits them.
+    ``on_close`` handlers here and calls :meth:`send` to answer; the
+    socket is read and written on the bridge's loop, and all of it runs
+    there.  Both directions are charged a one-way link delay through
+    the site's simulation (see the module docstring), so the engine
+    observes request bytes ``delay`` virtual seconds after they hit the
+    socket and response bytes hit the socket ``delay`` seconds after the
+    engine emits them.
     """
 
-    def __init__(self, runtime: "_SiteRuntime", label: str):
+    def __init__(self, runtime: "_SiteRuntime", label: str, sock: socket.socket):
         self.runtime = runtime
         self.label = label
         self.on_data: Callable[[bytes], None] | None = None
@@ -78,7 +119,11 @@ class _BridgeEndpoint:
         self.bytes_sent = 0
         self.bytes_received = 0
         self._recv_buffer = bytearray()
-        self._transport: asyncio.Transport | None = None
+        self._sock: socket.socket | None = sock
+        #: Bytes the kernel has not taken yet; the socket closes once
+        #: they are gone if ``_closing``.
+        self._outbox = bytearray()
+        self._closing = False
 
     # -- engine-facing side ------------------------------------------------
 
@@ -104,14 +149,56 @@ class _BridgeEndpoint:
     # -- socket-facing side ------------------------------------------------
 
     def _write_out(self, data: bytes) -> None:
-        if self._transport is not None and not self._transport.is_closing():
-            self._transport.write(data)
+        if self._sock is None or self._closing:
+            return
+        if self._outbox:
+            self._outbox += data  # behind bytes already waiting
+            return
+        try:
+            sent = self._sock.send(data)
+        except BlockingIOError:
+            sent = 0
+        except OSError:
+            self._lost()
+            return
+        if sent < len(data):
+            self._outbox += data[sent:]
+            self.runtime.loop.add_writer(self._sock, self._flush)
+
+    def _flush(self) -> None:
+        try:
+            sent = self._sock.send(self._outbox)
+        except BlockingIOError:
+            return
+        except OSError:
+            self._lost()
+            return
+        del self._outbox[:sent]
+        if not self._outbox:
+            self.runtime.loop.remove_writer(self._sock)
+            if self._closing:
+                self._lost()
 
     def _close_out(self) -> None:
-        if self._transport is not None:
-            self._transport.close()
+        """The engine's close reaches the socket: stop reading, and
+        close once the bytes before it are written."""
+        if self._sock is None:
+            return
+        self._closing = True
+        self.runtime.loop.remove_reader(self._sock)
+        if not self._outbox:
+            self._lost()
 
-    def _feed(self, data: bytes) -> None:
+    def _readable(self) -> None:
+        try:
+            data = self._sock.recv(_RECV_SIZE)
+        except BlockingIOError:
+            return
+        except OSError:
+            data = b""
+        if not data:
+            self._lost()
+            return
         self.bytes_received += len(data)
         self.runtime.after_delay(self._deliver, data)
 
@@ -121,38 +208,25 @@ class _BridgeEndpoint:
         else:
             self._recv_buffer.extend(data)
 
-    def _peer_closed(self) -> None:
+    def _lost(self) -> None:
+        """The connection is over, whichever side ended it: close the
+        socket, and hand the engine the close one link delay out, behind
+        the bytes that came before it."""
+        sock, self._sock = self._sock, None
+        self.runtime.loop.remove_reader(sock)
+        self.runtime.loop.remove_writer(sock)
+        sock.close()
+        self.runtime.release(self)
         self.runtime.after_delay(self._deliver_close)
 
     def _deliver_close(self) -> None:
-        if self.closed:
-            return
+        on_close = None if self.closed else self.on_close
         self.closed = True
-        if self.on_close is not None:
-            self.on_close()
-
-
-class _ServerProtocol(asyncio.Protocol):
-    """Feeds one :class:`_BridgeEndpoint` and kicks the site runtime."""
-
-    def __init__(self, runtime: "_SiteRuntime", tls: bool):
-        self.runtime = runtime
-        self.tls = tls
-        self.endpoint: _BridgeEndpoint | None = None
-
-    def connection_made(self, transport) -> None:
-        self.endpoint = self.runtime.accept(transport, tls=self.tls)
-
-    def data_received(self, data: bytes) -> None:
-        assert self.endpoint is not None
-        self.endpoint._feed(data)
-        self.runtime.kick()
-
-    def connection_lost(self, exc) -> None:
-        if self.endpoint is not None:
-            self.endpoint._peer_closed()
-            self.runtime.release(self.endpoint)
-        self.runtime.kick()
+        # Nothing is delivered after this: cut the engine <-> endpoint
+        # edges (module docstring).
+        self.on_data = self.on_close = None
+        if on_close is not None:
+            on_close()
 
 
 class _SiteRuntime:
@@ -188,22 +262,29 @@ class _SiteRuntime:
         self._timer: asyncio.TimerHandle | None = None
         self._timer_due: float | None = None
         self._running = False
-        #: Connections whose transport is still up, by endpoint: a fleet
+        #: Connections whose socket is still open, by endpoint: a fleet
         #: serves many campaigns, and none may outlive its sockets.
         self.endpoints: dict[_BridgeEndpoint, _ServerConnection] = {}
         #: Connections ever accepted: the next one's engine index (an
         #: input of its RNG seed, so it must not restart when some leave).
         self._accepted = 0
 
-    def accept(self, transport: asyncio.Transport, tls: bool) -> _BridgeEndpoint:
-        """Wrap a fresh TCP connection in an engine connection."""
+    def accept(self, listener: socket.socket, tls: bool) -> None:
+        """Wrap the connection waiting on ``listener`` in an engine
+        connection and start reading it."""
+        try:
+            sock, _ = listener.accept()
+        except OSError:  # gone before we got to it
+            return
+        sock.setblocking(False)
+        # As asyncio's transports do: no Nagle delay on small frames.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         # Anchor the virtual clock first: the connection's guard timers
         # are armed relative to ``sim.now``, which may trail the wall if
         # the site has been idle.
         self._sync()
         kind = "tls" if tls else "clear"
-        endpoint = _BridgeEndpoint(self, f"{self.site.domain}:{kind}")
-        endpoint._transport = transport
+        endpoint = _BridgeEndpoint(self, f"{self.site.domain}:{kind}", sock)
         # Same construction as H2Server._accept_tls/_accept_clear.
         conn = _ServerConnection(
             self.server, endpoint, index=self._accepted, tls=tls
@@ -211,11 +292,11 @@ class _SiteRuntime:
         self._accepted += 1
         self.endpoints[endpoint] = conn
         self.server.connections.append(conn)
+        self.loop.add_reader(sock, endpoint._readable)
         self.kick()
-        return endpoint
 
     def release(self, endpoint: _BridgeEndpoint) -> None:
-        """Forget a connection whose transport is lost.  Events already
+        """Forget a connection whose socket is closed.  Events already
         queued for it (the engine's ``on_close``, one link delay out)
         hold their own references."""
         conn = self.endpoints.pop(endpoint, None)
@@ -276,11 +357,11 @@ class _SiteRuntime:
         self.kick()
 
     def close(self) -> None:
+        for endpoint in list(self.endpoints):
+            endpoint._lost()
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        for endpoint in list(self.endpoints):
-            endpoint._close_out()
 
 
 class LoopbackBridge:
@@ -310,7 +391,7 @@ class LoopbackBridge:
         self._driver = LoopDriver()
         self._loop = self._driver.loop
         self._runtimes: dict[str, _SiteRuntime] = {}
-        self._servers: list[asyncio.AbstractServer] = []
+        self._listeners: list[socket.socket] = []
         self._addresses: dict[tuple[str, int], tuple[str, int]] = {}
         self._closed = False
 
@@ -324,26 +405,20 @@ class LoopbackBridge:
         ``record_frames`` is :func:`~repro.servers.site.deploy_site`'s."""
         if self._closed:
             raise RuntimeError("bridge is closed")
-        future = asyncio.run_coroutine_threadsafe(
-            self._serve(site, record_frames), self._loop
-        )
-        return future.result(timeout=30)
-
-    async def _serve(
-        self, site: Site, record_frames: bool
-    ) -> dict[tuple[str, int], tuple[str, int]]:
         runtime = _SiteRuntime(
             self._loop, site, self.seed, self.link_rtt, record_frames
         )
         self._runtimes[site.domain] = runtime
         mapping: dict[tuple[str, int], tuple[str, int]] = {}
         for probe_port, tls in ((443, True), (80, False)):
-            server = await self._loop.create_server(
-                lambda tls=tls: _ServerProtocol(runtime, tls), "127.0.0.1", 0
+            listener = socket.create_server(("127.0.0.1", 0), backlog=100)
+            listener.setblocking(False)
+            self._listeners.append(listener)
+            # Connects before the loop runs this wait in the backlog.
+            self._loop.call_soon_threadsafe(
+                self._loop.add_reader, listener, runtime.accept, listener, tls
             )
-            self._servers.append(server)
-            host, port = server.sockets[0].getsockname()[:2]
-            mapping[(site.domain, probe_port)] = (host, port)
+            mapping[(site.domain, probe_port)] = listener.getsockname()[:2]
         self._addresses.update(mapping)
         return mapping
 
@@ -366,19 +441,16 @@ class LoopbackBridge:
         if self._closed:
             return
         self._closed = True
-        future = asyncio.run_coroutine_threadsafe(self._shutdown(), self._loop)
-        future.result(timeout=30)
-        # The driver gives the transport closes their slices, then
-        # closes the loop.
+        # Queued ahead of the driver's stop, so it runs on the loop first.
+        self._loop.call_soon_threadsafe(self._shutdown)
         self._driver.close()
 
-    async def _shutdown(self) -> None:
-        for server in self._servers:
-            server.close()
+    def _shutdown(self) -> None:
+        for listener in self._listeners:
+            self._loop.remove_reader(listener)
+            listener.close()
         for runtime in self._runtimes.values():
             runtime.close()
-        for server in self._servers:
-            await server.wait_closed()
 
     def __enter__(self) -> "LoopbackBridge":
         return self

@@ -119,6 +119,42 @@ class TestRequestResponse:
         assert data.data == b"hello"
         assert any(isinstance(e, ev.StreamEnded) for e in events)
 
+    def test_trailers_end_a_request_stream_without_a_second_request(self, pair):
+        client, server = pair
+        sid = client.next_stream_id()
+        client.send_headers(sid, REQUEST)
+        client.send_headers(sid, [("x-checksum", "abc")], end_stream=True)
+        events = pump_one_way(client, server)
+        assert [type(e) for e in events] == [ev.HeadersReceived, ev.StreamEnded]
+        assert not server.streams[sid].can_receive
+
+    def test_trailers_without_end_stream_reset_the_stream(self, pair):
+        client, server = pair
+        sid = client.next_stream_id()
+        client.send_headers(sid, REQUEST)
+        client.send_headers(sid, [("x-checksum", "abc")])
+        events = pump_one_way(client, server)
+        assert [type(e) for e in events] == [ev.HeadersReceived]
+        resets = [e for e in pump(client, server) if isinstance(e, ev.StreamReset)]
+        assert [(e.stream_id, e.error_code) for e in resets] == [
+            (sid, ErrorCode.PROTOCOL_ERROR)
+        ]
+
+    def test_response_stream_accepts_informational_then_final_headers(self, pair):
+        client, server = pair
+        sid = client.next_stream_id()
+        client.send_headers(sid, REQUEST, end_stream=True)
+        pump(client, server)
+        server.send_headers(sid, [(":status", "100")])
+        server.send_headers(sid, [(":status", "200")], end_stream=True)
+        events = pump_one_way(server, client)
+        statuses = [
+            dict(e.headers)[b":status"]
+            for e in events
+            if isinstance(e, ev.HeadersReceived)
+        ]
+        assert statuses == [b"100", b"200"]
+
     def test_large_header_block_fragments_into_continuation(self, pair):
         client, server = pair
         sid = client.next_stream_id()

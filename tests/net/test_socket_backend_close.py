@@ -1,10 +1,10 @@
-"""ISSUE 6 satellite: SocketBackend.close() must be airtight.
+"""SocketBackend.close() must be airtight, and a backend owns nothing
+but its sockets.
 
 Closing a backend mid-campaign — including while a connect attempt is
-still in flight — must cancel the pending asyncio tasks (no "Task was
-destroyed but it is pending!" through asyncio's logger), close every
-file descriptor the backend opened, and leave every outstanding
-``SocketConnectAttempt`` in a terminal state.
+still in flight — must log nothing through asyncio, close every file
+descriptor the backend opened (its selector's among them), and leave
+every outstanding ``SocketConnectAttempt`` in a terminal state.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import warnings
 
 import pytest
 
-from repro.net.socket_backend import LoopDriver, SocketBackend
+from repro.net.socket_backend import SocketBackend
 
 
 def open_fds() -> int:
@@ -115,54 +115,48 @@ class TestCloseWithInflightConnects:
         assert attempt.refused
 
 
-def loop_threads() -> list[threading.Thread]:
-    return [t for t in threading.enumerate() if t.name == "h2scope-loop"]
-
-
 class TestLoopOwnership:
-    """One loop mode: a backend either starts (and must release) its own
-    LoopDriver, or borrows one it must leave running."""
+    """A backend starts no thread and leaves no fd; closing one backend
+    leaves another usable."""
 
-    def test_driverless_backend_releases_its_loop_thread_and_fds(self):
+    def test_starts_no_thread_and_leaves_no_fd(self):
         server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         server.bind(("127.0.0.1", 0))
         server.listen(8)
         try:
             gc.collect()
-            fds, threads = open_fds(), len(loop_threads())
+            fds, threads = open_fds(), threading.active_count()
             backend = SocketBackend(
                 resolver={("own.example", 443): server.getsockname()[:2]}
             )
-            assert len(loop_threads()) == threads + 1
             attempt = backend.connect("own.example", 443)
             assert backend.run_until(lambda: attempt.established, timeout=5.0)
+            assert threading.active_count() == threads
             backend.close()
-            backend.close()  # idempotent: the driver is already gone
-            gc.collect()
-            assert len(loop_threads()) == threads
+            backend.close()  # idempotent
+            # Released by close() itself, not by a collection.
             assert open_fds() <= fds
+            assert attempt.endpoint.closed
         finally:
             server.close()
 
-    def test_closing_one_backend_leaves_a_shared_driver_running(self):
+    def test_closing_one_leaves_another_usable(self):
         server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         server.bind(("127.0.0.1", 0))
         server.listen(8)
         resolver = {("shared.example", 443): server.getsockname()[:2]}
         try:
-            with LoopDriver() as driver:
-                first = SocketBackend(resolver=resolver, driver=driver)
-                second = SocketBackend(resolver=resolver, driver=driver)
-                try:
-                    attempt = first.connect("shared.example", 443)
-                    assert first.run_until(lambda: attempt.established, 5.0)
-                    first.close()
-                    assert driver._thread.is_alive()
-                    assert not driver.loop.is_closed()
-                    attempt = second.connect("shared.example", 443)
-                    assert second.run_until(lambda: attempt.established, 5.0)
-                finally:
-                    second.close()
-            assert not driver._thread.is_alive()
+            first = SocketBackend(resolver=resolver)
+            second = SocketBackend(resolver=resolver)
+            try:
+                attempt = first.connect("shared.example", 443)
+                assert first.run_until(lambda: attempt.established, 5.0)
+                first.close()
+                attempt = second.connect("shared.example", 443)
+                assert second.run_until(lambda: attempt.established, 5.0)
+                attempt.endpoint.send(b"still here")
+                assert attempt.endpoint.bytes_sent == 10
+            finally:
+                second.close()
         finally:
             server.close()

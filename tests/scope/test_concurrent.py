@@ -19,7 +19,6 @@ import heapq
 import json
 import math
 import os
-import socketserver
 import subprocess
 import sys
 import threading
@@ -33,7 +32,6 @@ from hypothesis import strategies as st
 import repro
 from repro.net.backend import SimulatedBackend, TransportBackend
 from repro.net.clock import Simulation
-from repro.net.socket_backend import LoopDriver
 from repro.net.transport import Network
 from repro.scope.campaign import CampaignInterrupted
 import repro.scope.concurrent as concurrent_module
@@ -765,69 +763,6 @@ class TestSharedStateHazards:
         finally:
             encoder_module._STRING_CACHE.clear()
             encoder_module._STRING_CACHE.update(original)
-
-
-class _GreetingHandler(socketserver.BaseRequestHandler):
-    """Sends a greeting immediately on accept, then echoes one line."""
-
-    def handle(self):
-        self.request.sendall(b"server-speaks-first\n")
-        data = self.request.recv(4096)
-        if data:
-            self.request.sendall(b"echo:" + data)
-
-
-class TestSharedLoopDelivery:
-    """SocketBackend in shared-loop mode: callbacks fire on the probing
-    thread (never the loop thread), and bytes that raced ahead of the
-    on_data attach are recoverable via drain()."""
-
-    def test_callbacks_on_session_thread_and_no_lost_bytes(self):
-        server = socketserver.TCPServer(("127.0.0.1", 0), _GreetingHandler)
-        port = server.server_address[1]
-        server_thread = threading.Thread(
-            target=server.serve_forever, daemon=True
-        )
-        server_thread.start()
-        try:
-            with LoopDriver() as driver:
-                from repro.net.socket_backend import SocketBackend
-
-                backend = SocketBackend(driver=driver)
-                loop_thread_ident = driver.loop._thread_id
-                session_ident = threading.get_ident()
-                try:
-                    attempt = backend.connect("127.0.0.1", port)
-                    assert backend.run_until(
-                        lambda: attempt.established or attempt.refused, 10.0
-                    )
-                    endpoint = attempt.endpoint
-                    chunks, idents = [], []
-
-                    def on_data(data):
-                        chunks.append(data)
-                        idents.append(threading.get_ident())
-
-                    endpoint.on_data = on_data
-                    # The greeting may have been pumped before on_data
-                    # was attached; drain() must hand it back.
-                    early = endpoint.drain()
-                    endpoint.send(b"ping\n")
-                    assert backend.run_until(
-                        lambda: b"echo:" in early + b"".join(chunks), 10.0
-                    )
-                    received = early + b"".join(chunks)
-                    assert b"server-speaks-first\n" in received
-                    assert b"echo:ping\n" in received
-                    assert idents, "no callback ever fired"
-                    assert set(idents) == {session_ident}
-                    assert loop_thread_ident not in idents
-                finally:
-                    backend.close()
-            assert not driver._thread.is_alive()
-        finally:
-            server.shutdown()
-            server.server_close()
 
 
 @pytest.mark.skipif(

@@ -7,10 +7,10 @@ GOAWAY, RST or ignore; it must not raise.
 """
 
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.h2 import events as ev
-from repro.h2.constants import CONNECTION_PREFACE
+from repro.h2.constants import CONNECTION_PREFACE, ErrorCode, FrameFlag
 from repro.h2.frames import (
     ContinuationFrame,
     DataFrame,
@@ -23,8 +23,10 @@ from repro.h2.frames import (
     RstStreamFrame,
     SettingsFrame,
     WindowUpdateFrame,
+    parse_frames,
     serialize_frame,
 )
+from repro.h2.hpack.encoder import Encoder
 from repro.net.clock import Simulation
 from repro.net.transport import LinkProfile, Network
 from repro.servers.profiles import ServerProfile
@@ -133,9 +135,23 @@ _fuzz_frame = st.one_of(
 )
 
 
+#: A second END_HEADERS block on a request stream, without and with
+#: END_STREAM: the engine used to answer both blocks, and its second
+#: response raised StreamClosedError out of the simulation.
+_SECOND_BLOCK = FrameFlag.END_HEADERS
+_TRAILERS = FrameFlag.END_HEADERS | FrameFlag.END_STREAM
+
+
 class TestAdversarialFrameSequences:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(_fuzz_frame, min_size=1, max_size=12))
+    @example([HeadersFrame(stream_id=1, flags=_SECOND_BLOCK)] * 2)
+    @example(
+        [
+            HeadersFrame(stream_id=1, flags=_SECOND_BLOCK),
+            HeadersFrame(stream_id=1, flags=_TRAILERS),
+        ]
+    )
     def test_any_frame_sequence_survives(self, frames):
         sim, endpoint, received = fresh_server_endpoint()
         endpoint.send(CONNECTION_PREFACE)
@@ -170,6 +186,46 @@ class TestAdversarialFrameSequences:
         second = client.request("/style.css")
         client.wait_for(lambda: client.headers_for(second) is not None)
         assert client.headers_for(second) is not None
+
+
+class TestSecondHeaderBlockOnARequestStream:
+    """RFC 7540 §8.1: a second header block on a request stream is
+    trailers.  With END_STREAM they end the stream and the request is
+    answered once; without it the request is malformed (§8.1.2.6) and
+    the stream is reset with PROTOCOL_ERROR instead of answered."""
+
+    @staticmethod
+    def stream_one_replies(second_flags) -> list:
+        sim, endpoint, received = fresh_server_endpoint()
+        endpoint.send(CONNECTION_PREFACE)
+        endpoint.send(serialize_frame(SettingsFrame()))
+        request = Encoder().encode(
+            [(":method", "GET"), (":scheme", "https"), (":path", "/"),
+             (":authority", "fuzz.test")]
+        )
+        for block, flags in ((request, _SECOND_BLOCK), (b"", second_flags)):
+            endpoint.send(
+                serialize_frame(
+                    HeadersFrame(stream_id=1, header_block=block, flags=flags)
+                )
+            )
+        sim.run(until=sim.now + 2.0)  # must not raise
+        frames, _ = parse_frames(bytes(received))
+        return [
+            frame
+            for frame in frames
+            if frame.stream_id == 1
+            and isinstance(frame, (HeadersFrame, RstStreamFrame))
+        ]
+
+    def test_trailers_end_the_stream_and_are_answered_once(self):
+        replies = self.stream_one_replies(_TRAILERS)
+        assert [type(frame) for frame in replies] == [HeadersFrame]
+
+    def test_second_block_without_end_stream_resets_the_stream(self):
+        replies = self.stream_one_replies(_SECOND_BLOCK)
+        assert [type(frame) for frame in replies] == [RstStreamFrame]
+        assert replies[0].error_code == ErrorCode.PROTOCOL_ERROR
 
 
 class TestClientRobustness:
