@@ -225,12 +225,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-#: ``scan --concurrency`` when not given: the serial loop on the
-#: simulated backend (nothing the CLI prints reads the lanes' modeled
-#: makespan), the socket pool's width on the live one.
-_DEFAULT_CONCURRENCY = {"sim": 1, "socket": 8}
-
-
 def _resume_command(args: argparse.Namespace) -> str:
     """The exact command line that resumes this campaign."""
     live = args.backend == "socket"
@@ -259,7 +253,7 @@ def _resume_command(args: argparse.Namespace) -> str:
     option("--timeout", args.timeout)
     option("--retries", args.retries)
     option("--checkpoint-every", args.checkpoint_every, 25)
-    option("--concurrency", args.concurrency, _DEFAULT_CONCURRENCY[args.backend])
+    option("--concurrency", args.concurrency)  # socket only; None on sim
     parts.append("--resume")
     return shlex.join(str(part) for part in parts)
 
@@ -376,7 +370,9 @@ def _cmd_scan_live(args: argparse.Namespace) -> int:
         retries=2 if args.retries is None else args.retries,
     )
     config = LiveConfig(
-        concurrency=args.concurrency,
+        concurrency=(
+            LiveConfig.concurrency if args.concurrency is None else args.concurrency
+        ),
         per_host_gap=args.per_host_gap,
         rate=args.rate,
         burst=args.burst,
@@ -414,13 +410,12 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if args.resume and not args.db:
         print("--resume requires --db (the journaled database)", file=sys.stderr)
         return 2
-    if args.concurrency is None:
-        args.concurrency = _DEFAULT_CONCURRENCY[args.backend]
     if args.backend == "socket":
         return _cmd_scan_live(args)
-    if args.targets is not None:
-        print("--targets requires --backend socket", file=sys.stderr)
-        return 2
+    for flag in ("targets", "concurrency"):
+        if getattr(args, flag) is not None:
+            print(f"--{flag} requires --backend socket", file=sys.stderr)
+            return 2
 
     from repro.experiments import SCAN_SUMMARIES, fault_study, load
     from repro.population import PopulationConfig, make_population
@@ -491,7 +486,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             campaign,
             resume=args.resume,
             checkpoint_every=args.checkpoint_every,
-            concurrency=args.concurrency,
             **scan,
         )
         print_summaries(store.load_campaign(campaign))
@@ -863,12 +857,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="max in-flight probe sessions (floor 1): the live pool size "
-        "on the socket backend (default 8); on the simulated backend "
-        "with --workers 1, the single-loop interleaving width (default "
-        "1, the serial loop; ceiling 16384, at most 64 lanes mid-scan "
-        "at once) — worker processes scan serially.  Never changes "
-        "simulated-scan bytes",
+        help="socket backend: max in-flight probe sessions, the live pool "
+        "size (default 8, floor 1); simulated scans use --workers",
     )
     scan.add_argument(
         "--per-host-gap",

@@ -37,9 +37,7 @@ advances when every lane with an earlier wake-up has run**.  The
 deterministic policy always grants the lane with the minimal
 ``(wake_time, admission_index)``; because ties are broken by admission
 index, the schedule (and thus the completion order) is a pure function
-of the task list.  A seeded-random policy is also provided: it grants a
-uniformly random lane one event step per grant, which the fuzz battery
-uses to prove that *no* interleaving can change a single report byte.
+of the task list.
 
 The slice optimisation matters: a full park/resume handoff costs two
 Event round-trips, so a lane only parks when another lane's wake time
@@ -82,11 +80,13 @@ Two costs used to bound the usable width at ~1k:
   function of the task list, just with starts deferred until a runner
   frees.
 
-Where it runs: :mod:`repro.scope.parallel` calls this scheduler on its
-in-process path (``workers <= 1``), where the modeled makespan it
-produces can be read.  Worker processes scan one site per message,
-serially: processes buy wall clock, lanes buy modeled makespan, and the
-two do not nest.
+Where it runs: only ``run_campaign(concurrency=N)`` with ``N > 1``
+reaches this scheduler, through :mod:`repro.scope.parallel`'s in-process
+path (``workers <= 1``); the ``sim_chaos_c64`` benchmark workload is
+that call.  Worker processes scan one site per message, serially, and
+the CLI's ``--concurrency`` is the socket backend's pool width: on the
+simulated backend it is refused, because nothing the CLI prints reads
+the modeled makespan lanes produce.
 """
 
 from __future__ import annotations
@@ -99,7 +99,6 @@ import warnings
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from random import Random
 
 from repro.net.backend import SimulatedBackend
 from repro.scope.report import SiteReport
@@ -111,12 +110,13 @@ _INFINITY = float("inf")
 #: 8 MiB would reserve gigabytes of address space for nothing.
 LANE_STACK_BYTES = 1 << 20
 
-#: Default size of the lane-runner recycling pool: how many lanes may
-#: be mid-scan (thread + universe resident) at once.  Admitted lanes
-#: beyond the pool wait as queue records until a runner frees.
+#: Size of the lane-runner recycling pool: how many lanes may be
+#: mid-scan (thread + universe resident) at once.  Admitted lanes beyond
+#: the pool wait as queue records until a runner frees.  Read when a
+#: scheduler is built, so tests shrink it with ``monkeypatch``.
 LANE_POOL_SIZE = 64
 
-#: Hard ceiling on ``--concurrency``.  Beyond 16k lanes per worker the
+#: Hard ceiling on ``run_campaign(concurrency=)``.  Beyond 16k lanes the
 #: admission window stops buying modeled makespan on any realistic
 #: population (the longest site dominates) while per-lane bookkeeping
 #: keeps growing; requests above it are clamped with a warning.
@@ -160,10 +160,9 @@ class ConcurrencyMetrics:
 
     ``virtual_makespan`` is the campaign's end-to-end *global* virtual
     time: what the wall-clock duration becomes once the waits are real
-    network waits instead of simulated ones.  ``sites / makespan`` is
-    the modeled scan throughput the benchmark sweep records alongside
-    honest wall throughput (interleaving cannot shrink CPU time, but it
-    collapses wait time — which is what dominates a real campaign).
+    network waits instead of simulated ones.  It is a property of the
+    simulated population, modeled seconds, never a wall-clock rate
+    (interleaving cannot shrink CPU time, only overlap virtual waits).
     """
 
     concurrency: int = 1
@@ -532,10 +531,8 @@ class InterleavedScheduler:
         options,
         *,
         concurrency: int,
-        policy_seed: int | None = None,
         metrics: ConcurrencyMetrics | None = None,
         grant_policy: str = "heap",
-        lane_pool_size: int | None = None,
     ):
         self.sites = sites
         self.tasks = list(tasks)
@@ -543,7 +540,7 @@ class InterleavedScheduler:
         concurrency = max(1, int(concurrency))
         if concurrency > MAX_CONCURRENCY:
             warnings.warn(
-                "--concurrency exceeds the 16384-lane ceiling; clamping "
+                "concurrency exceeds the 16384-lane ceiling; clamping "
                 "(wider admission windows stop buying modeled makespan)",
                 RuntimeWarning,
                 stacklevel=2,
@@ -552,19 +549,13 @@ class InterleavedScheduler:
         self.concurrency = concurrency
         self.metrics = metrics if metrics is not None else ConcurrencyMetrics()
         self.metrics.concurrency = self.concurrency
-        self._rng = Random(policy_seed) if policy_seed is not None else None
         if grant_policy == "heap":
             self._policy = _HeapPolicy()
         elif grant_policy == "linear":
             self._policy = _LinearPolicy()
         else:
             raise ValueError(f"unknown grant policy {grant_policy!r}")
-        pool_size = LANE_POOL_SIZE if lane_pool_size is None else lane_pool_size
-        if self._rng is not None:
-            # The fuzz policy parks on every advance and needs every
-            # lane resumable at any instant: a runner per admitted lane.
-            pool_size = max(pool_size, concurrency)
-        self._pool = _LanePool(pool_size, self._lane_main)
+        self._pool = _LanePool(LANE_POOL_SIZE, self._lane_main)
         self._quantum = _HORIZON_QUANTUM
         self._baton = threading.Event()
         self._next_index = 0
@@ -642,9 +633,6 @@ class InterleavedScheduler:
     def run(self) -> Iterator:
         from repro.scope.parallel import SiteResult
 
-        if self._rng is not None:
-            yield from self._run_fuzz()
-            return
         backlog = deque(self.tasks)
         fresh: deque[_Lane] = deque()
         in_flight: set[_Lane] = set()
@@ -737,56 +725,6 @@ class InterleavedScheduler:
             metrics.virtual_makespan = makespan
             self._teardown(in_flight)
 
-    def _run_fuzz(self) -> Iterator:
-        """Seeded-random scheduling: one event step per grant, a runner
-        per lane, uniform pick over every in-flight lane — maximal
-        interleaving randomness for the byte-stability battery."""
-        from repro.scope.parallel import SiteResult
-
-        rng = self._rng
-        backlog = deque(self.tasks)
-        active: list[_Lane] = []
-        metrics = self.metrics
-        baton = self._baton
-        global_now = 0.0
-        try:
-            while backlog or active:
-                while backlog and len(active) < self.concurrency:
-                    lane = self._admit(backlog.popleft(), global_now)
-                    active.append(lane)
-                if len(active) > metrics.high_water:
-                    metrics.high_water = len(active)
-                lane = active[rng.randrange(len(active))]
-                if lane.position > global_now:
-                    global_now = lane.position
-                # Park at every advance: the next step always yields.
-                lane.horizon_g = -_INFINITY
-                lane.horizon_index = -1
-                baton.clear()
-                if not lane.started:
-                    started_now = 1 + sum(
-                        1 for entry in active if entry.started
-                    )
-                    if started_now > metrics.resident_high_water:
-                        metrics.resident_high_water = started_now
-                    self._start_lane(lane, started_now)
-                else:
-                    lane.resume.set()
-                baton.wait()
-                metrics.handoffs += 1
-                if lane.finished:
-                    active.remove(lane)
-                    metrics.completed += 1
-                    if lane.position > global_now:
-                        global_now = lane.position
-                    if lane.position > metrics.virtual_makespan:
-                        metrics.virtual_makespan = lane.position
-                    if lane.failure is not None:
-                        raise lane.failure
-                    yield SiteResult(lane.task, lane.report)
-        finally:
-            self._teardown(active)
-
 
 def scan_interleaved(
     sites,
@@ -794,16 +732,13 @@ def scan_interleaved(
     options,
     *,
     concurrency: int | None = None,
-    policy_seed: int | None = None,
     metrics: ConcurrencyMetrics | None = None,
     grant_policy: str = "heap",
-    lane_pool_size: int | None = None,
 ) -> Iterator:
     """Scan ``tasks`` with up to ``concurrency`` interleaved sessions.
 
     Yields :class:`~repro.scope.parallel.SiteResult` in completion
-    order (deterministic for the default policy; seeded-random for the
-    fuzz battery's ``policy_seed``).  ``concurrency`` defaults to
+    order, a pure function of the task list.  ``concurrency`` defaults to
     ``options.concurrency`` and is clamped to :data:`MAX_CONCURRENCY`
     (16384 lanes).  With one task or ``concurrency <= 1`` the scheduler
     machinery is bypassed entirely — the plain serial loop is both
@@ -812,8 +747,7 @@ def scan_interleaved(
     ``grant_policy`` selects the deterministic grant arithmetic:
     ``"heap"`` (O(log n), default) or ``"linear"`` (the retained PR 8
     reference) — the two are decision-identical, which the test battery
-    proves.  ``lane_pool_size`` bounds how many lanes are mid-scan at
-    once (``None`` = :data:`LANE_POOL_SIZE`).
+    proves.  At most :data:`LANE_POOL_SIZE` lanes are mid-scan at once.
     """
     from repro.scope.parallel import SiteResult, _scan_one
 
@@ -821,7 +755,7 @@ def scan_interleaved(
     if concurrency is None:
         concurrency = getattr(options, "concurrency", 1)
     concurrency = max(1, int(concurrency))
-    if (concurrency <= 1 or len(tasks) <= 1) and policy_seed is None:
+    if concurrency <= 1 or len(tasks) <= 1:
         if metrics is not None:
             metrics.concurrency = concurrency
             metrics.admitted = metrics.completed = len(tasks)
@@ -842,9 +776,7 @@ def scan_interleaved(
         tasks,
         options,
         concurrency=concurrency,
-        policy_seed=policy_seed,
         metrics=metrics,
         grant_policy=grant_policy,
-        lane_pool_size=lane_pool_size,
     )
     yield from scheduler.run()

@@ -46,10 +46,11 @@ Architecture (one campaign, ``workers`` > 1)::
   :class:`~repro.scope.campaign.CampaignInterrupted` as usual.
 
 ``workers <= 1`` (or a single task) runs everything in-process with no
-multiprocessing machinery at all — through the in-process interleaving
-scheduler (:mod:`repro.scope.concurrent`) when ``concurrency > 1``, else
-the plain serial loop that is both the fast path for small populations
-and the serial baseline the determinism tests diff against.
+multiprocessing machinery at all: the plain serial loop that is both
+the fast path for small populations and the serial baseline the
+determinism tests diff against — or, only when ``run_campaign`` was
+given ``concurrency > 1``, the interleaving scheduler
+(:mod:`repro.scope.concurrent`).
 
 The two knobs buy different things and do not nest: processes buy wall
 clock, lanes buy *modeled* makespan (``ConcurrencyMetrics``), which only

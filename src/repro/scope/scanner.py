@@ -344,20 +344,13 @@ def scan_population(
     progress: Callable[[ScanProgress], None] | None = None,
     fault_plan: FaultPlan | None = None,
     resilience: ResilienceConfig | None = None,
-    concurrency: int = 1,
 ) -> list[SiteReport]:
     """Scan every site; ``workers`` > 1 shards across processes, each
-    scanning serially (processes buy wall clock), otherwise
-    ``concurrency`` > 1 keeps that many sessions in flight in this
-    process (:mod:`repro.scope.concurrent`; lanes buy modeled makespan).
-    ``concurrency`` is clamped to the scheduler's 16384-lane ceiling;
-    within it, only ``LANE_POOL_SIZE`` lanes are ever mid-scan at once,
-    so memory stays O(pool) regardless of the admission width.
+    scanning serially (processes buy wall clock).
 
     Sites are independent simulations seeded by ``(seed + index)``, so
-    neither ordering, sharding nor interleaving can affect results:
-    reports come back in input order and are byte-identical for any
-    worker count and any concurrency level.
+    neither ordering nor sharding can affect results: reports come back
+    in input order and are byte-identical for any worker count.
     Per-site isolation is total: any exception a site's setup or scan
     raises becomes an error-bearing :class:`SiteReport` instead of
     aborting the scan.  ``progress`` receives one order-independent
@@ -375,7 +368,6 @@ def scan_population(
         seed=seed,
         fault_plan=fault_plan,
         resilience=resilience,
-        concurrency=concurrency,
     )
     tasks = [
         SiteTask(position=index, site_index=index, domain=site.domain)
@@ -419,14 +411,13 @@ def run_campaign(
     ``workers`` > 1 shards the pending sites across that many scan
     processes (:mod:`repro.scope.parallel`), each scanning serially:
     processes buy wall clock.  Otherwise ``concurrency`` > 1 keeps that
-    many sessions in flight in this process
-    (:mod:`repro.scope.concurrent`; clamped to 16384 lanes, of which at
-    most the lane pool is mid-scan at once): lanes buy modeled
-    makespan.  Either way this process stays the sole SQLite
-    writer and journals completions in todo order, so the stored bytes
-    are identical for any worker count, concurrency level, kill point
-    and fault plan — and neither knob is part of the manifest, so a
-    campaign may be resumed with different values.
+    many sessions in flight in this process as interleaved lanes
+    (:mod:`repro.scope.concurrent`), which buy only a modeled makespan;
+    no other entry point reaches them.  Either way this process stays
+    the sole SQLite writer and journals completions in todo order, so
+    the stored bytes are identical for any worker count, concurrency
+    level, kill point and fault plan — and neither knob is part of the
+    manifest, so a campaign may be resumed with different values.
 
     Failed sites are retried across resumes until ``max_site_attempts``
     is exhausted, then quarantined (the circuit breaker): their last

@@ -326,10 +326,18 @@ class TestUniverseEndsWithTheCall:
         assert [ref() for ref in universe_refs] == [None, None, None]
         assert collector_off.collect() == 0
 
-    def test_lanes_leave_nothing_per_site_either(self, population, collector_off):
+    def test_lanes_leave_nothing_per_site_either(
+        self, population, collector_off, tmp_path
+    ):
+        from repro.scope.scanner import run_campaign
+        from repro.scope.storage import ReportStore
+
         sites = population[:40]
-        reports = scan_population(sites, seed=7, concurrency=8, **chaos_options())
-        assert len(reports) == len(sites)
+        with ReportStore(tmp_path / "lanes.db") as store:
+            result = run_campaign(
+                sites, store, "lanes", seed=7, concurrency=8, **chaos_options()
+            )
+        assert result.scanned == len(sites)
         # The scheduler's own threads and events are a fixed handful; a
         # universe was ~350 objects a site before the teardown.
         assert collector_off.collect() <= 10 * len(sites)

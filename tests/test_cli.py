@@ -191,6 +191,19 @@ def test_scan_bad_fault_plan_is_usage_error(capsys):
     assert "explode" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--targets", "targets.txt"), ("--concurrency", "4")]
+)
+def test_socket_only_flags_are_refused_on_sim(flag, value, capsys):
+    """Simulated scans widen with --workers; the live pool's width and
+    its target list are usage errors there, refused before any scan."""
+    rc = main(["scan", "-n", "20", flag, value])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert f"{flag} requires --backend socket" in captured.err
+    assert captured.out == ""
+
+
 def half_finished_journal(db):
     """A campaign interrupted mid-flight: done + failed + pending rows."""
     import pytest
@@ -319,7 +332,7 @@ def test_resume_completes_interrupted_campaign(tmp_path, capsys):
             ["--seed", "7", "scan", "-n", "12", "--db", "{dir}/sim scan.db",
              "--fault-plan", "stall(30):0.05,refuse:0.1x2", "--timeout", "8",
              "--retries", "0", "--checkpoint-every", "5", "--workers", "2",
-             "--concurrency", "16", "--resume"],
+             "--resume"],
         ),
         (
             "repro.scope.live.run_live_campaign",

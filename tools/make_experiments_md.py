@@ -1,14 +1,22 @@
 #!/usr/bin/env python
-"""Regenerate EXPERIMENTS.md from the archived benchmark outputs.
+"""Regenerate the paper sections of EXPERIMENTS.md from the archived
+benchmark outputs.
 
 Run after ``pytest benchmarks/ --benchmark-only`` (which writes the
 rendered table/figure reproductions into ``benchmarks/results/``)::
 
-    python tools/make_experiments_md.py
+    python tools/make_experiments_md.py [PATH]
+
+Only the generated prefix is rewritten: everything from the first
+``## `` heading this script does not write (the hand-kept studies and
+per-change records) is carried over unchanged.  ``PATH`` defaults to the
+repository's EXPERIMENTS.md.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -144,7 +152,8 @@ by `pytest benchmarks/ --benchmark-only` (population scale: 400
 HEADERS-returning sites per experiment, seed 7; tune with
 `REPRO_BENCH_SITES` / `REPRO_BENCH_SEED` / `REPRO_BENCH_VISITS`).  The
 rendered outputs are archived under `benchmarks/results/` on every run;
-regenerate this file with `python tools/make_experiments_md.py`.
+regenerate the sections up to "Slow-HTTP/2 battery" with
+`python tools/make_experiments_md.py`, which keeps the rest as it is.
 
 **Reading the numbers.** Absolute counts are extrapolated from the bench
 scale back to the paper's population (the `measured (scaled)` columns);
@@ -163,7 +172,8 @@ sampled from the result being reproduced.
 """
 
 
-def main() -> None:
+def render() -> str:
+    """The generated prefix: the header and one section per benchmark."""
     out = [HEADER]
     for title, bench, files, verdict in SECTIONS + EXTENSION_SECTIONS:
         out.append(f"## {title}\n")
@@ -176,10 +186,24 @@ def main() -> None:
             out.append("```")
             out.append(path.read_text().rstrip())
             out.append("```\n")
-    target = ROOT / "EXPERIMENTS.md"
-    target.write_text("\n".join(out))
+    return "\n".join(out)
+
+
+def kept_suffix(text: str) -> str:
+    """``text`` from its first ``## `` heading that ``render`` does not write."""
+    generated = {f"## {title}" for title, *_ in SECTIONS + EXTENSION_SECTIONS}
+    for heading in re.finditer(r"^## .*$", text, re.MULTILINE):
+        if heading.group() not in generated:
+            return text[heading.start():]
+    return ""
+
+
+def main(argv: list[str]) -> None:
+    target = Path(argv[0]) if argv else ROOT / "EXPERIMENTS.md"
+    kept = kept_suffix(target.read_text()) if target.exists() else ""
+    target.write_text(render() + ("\n" + kept if kept else ""))
     print(f"wrote {target} ({len(target.read_text().splitlines())} lines)")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
