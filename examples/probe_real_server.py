@@ -65,18 +65,9 @@ def print_matrix_row(domain: str, cells: dict[str, str]) -> None:
 def probe_address(
     domain: str, host: str, port: int, timeout_scale: float
 ) -> dict[str, str]:
-    def resolve(name: str, target_port: int):
-        if name != domain:
-            return None
-        if target_port == 443:
-            return (host, port)
-        if target_port == 80:
-            # Best-effort cleartext guess for the h2c-upgrade probe;
-            # a refused connection degrades to "no support".
-            return (host, 80)
-        return None
-
-    backend = SocketBackend(resolver=resolve, timeout_scale=timeout_scale)
+    backend = SocketBackend(
+        resolver={(domain, 443): (host, port)}, timeout_scale=timeout_scale
+    )
     try:
         return matrix_cells(ProbeSession(backend), domain)
     finally:

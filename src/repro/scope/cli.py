@@ -41,8 +41,7 @@ def _render_probe_report(report) -> str:
     neg = report.negotiation
     lines.append(
         f"  negotiation: tcp={neg.tcp_connected} alpn_h2={neg.alpn_h2} "
-        f"npn_h2={neg.npn_h2} h2c={neg.h2c_upgrade} "
-        f"server={neg.server_header!r}"
+        f"npn_h2={neg.npn_h2} server={neg.server_header!r}"
     )
     if report.settings.settings_frame_received:
         pairs = ", ".join(
@@ -107,9 +106,8 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     """Probe one target over a chosen transport backend.
 
     ``--backend sim`` deploys a vendor engine in a fresh simulation;
-    ``--backend socket`` opens real TCP connections — to ``--target``
-    (and ``--clear-target`` for the h2c path), or straight to the
-    domain's real address when no target mapping is given.
+    ``--backend socket`` opens real TCP connections — to ``--target``,
+    or straight to the domain's real address when none is given.
     """
     from repro.scope.scanner import ALL_PROBES, probe_target
     from repro.scope.session import ProbeSession
@@ -146,15 +144,10 @@ def _cmd_probe(args: argparse.Namespace) -> int:
             resolver = None
             if args.target is not None:
                 try:
-                    mapping = {(args.domain, 443): _parse_host_port(args.target)}
-                    if args.clear_target is not None:
-                        mapping[(args.domain, 80)] = _parse_host_port(
-                            args.clear_target
-                        )
+                    resolver = {(args.domain, 443): _parse_host_port(args.target)}
                 except ValueError as exc:
                     print(str(exc), file=sys.stderr)
                     return 2
-                resolver = mapping
             backend = stack.enter_context(
                 SocketBackend(resolver=resolver, timeout_scale=args.timeout_scale)
             )
@@ -780,12 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="HOST:PORT",
         help="socket backend: address serving the TLS-side listener "
         "(defaults to the domain itself on port 443)",
-    )
-    probe.add_argument(
-        "--clear-target",
-        default=None,
-        metavar="HOST:PORT",
-        help="socket backend: cleartext listener for the h2c upgrade path",
     )
     probe.add_argument(
         "--include",

@@ -121,11 +121,12 @@ class ScopeClient:
         self._mode = "idle"
         #: Bytes that arrived while no parser was live: before the TLS
         #: hello started ("idle") or between hello completion and the
-        #: protocol engine attaching ("negotiated").  The simulator
-        #: never hits these windows (no time passes inside them), but a
-        #: real TCP stack may coalesce the server hello with the first
-        #: protocol bytes into one segment, and a server can speak
-        #: before our hello; they are replayed when the mode settles.
+        #: protocol engine attaching ("negotiated"): the negotiation
+        #: probe holds a negotiated connection through a second
+        #: handshake before attaching, a real TCP stack may coalesce
+        #: the server hello with the first protocol bytes into one
+        #: segment, and a server can speak before our hello.  They are
+        #: replayed when the mode settles.
         self._limbo_buffer = bytearray()
         self._raw_http1 = bytearray()
         self._http1_response_at: float | None = None
@@ -236,12 +237,16 @@ class ScopeClient:
         self.tls_handshake(timeout=timeout)
         if self.tls.chosen != H2:
             return False
+        self.speak_h2(timeout=timeout)
+        return True
+
+    def speak_h2(self, timeout: float = DEFAULT_TIMEOUT) -> None:
+        """On a connection whose hello chose h2: :meth:`start_h2`, then
+        wait for the server's SETTINGS (or silence)."""
         self.start_h2()
-        # Wait for the server's SETTINGS (or silence).
         self.wait_for(
             lambda: ev.SettingsReceived in self._events_by_type, timeout=timeout
         )
-        return True
 
     def start_h2(self) -> None:
         """Attach the HTTP/2 engine and send preface + our SETTINGS."""

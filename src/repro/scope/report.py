@@ -70,9 +70,6 @@ class NegotiationResult:
     tcp_connected: bool = False
     alpn_h2: bool = False
     npn_h2: bool = False
-    #: §IV-A's unencrypted path: HTTP/1.1 Upgrade: h2c accepted on
-    #: port 80 (None = no cleartext listener reachable).
-    h2c_upgrade: bool | None = None
     headers_received: bool = False
     server_header: str | None = None
     tcp_handshake_rtt: float | None = None

@@ -37,6 +37,24 @@ now honours an announced MAX_CONCURRENT_STREAMS, which fills in the
 is not in this digest: the campaign runs no HPACK probe.  The value
 before ISSUE 22 was
 ``64b0a5829a8474e2fe3b2fdd84b79ed25d642b4ff1ed5f1b3112ea5f412bd2b5``.
+
+Re-pinned a third time when the negotiation probe went from four
+connections to two: the HEADERS fetch runs on the handshake that chose
+h2, and the port-80 h2c step is gone with ``NegotiationResult``'s
+``h2c_upgrade`` key.  Every later connection of a site has an index two
+(or one) lower, and the fault draw, the link's loss stream and the
+engine's per-connection stream are keyed by that index, so the campaign
+is another realisation of the same plan.  Diffed report by report
+against the parent, all 47 reports differ: ``negotiation.h2c_upgrade``
+is gone from 47; ``scan_virtual_time`` moved in 34; ``errors`` in 25
+(33 errors on 32 sites -> 30 on 30); ``ping`` fields in 25
+(``http1_rtt`` 25, ``h2_ping_rtt`` 21, ``icmp_rtt`` 20, ``tcp_rtt`` 17,
+``ping_supported`` 11); ``probe_attempts`` in 15 (``ping``),
+13 (``settings``) and 7 (``negotiation``); ``settings`` in 14; the
+``negotiation`` verdicts in 9 (HEADERS sites 24 -> 31) and its
+``tcp_handshake_rtt`` in 10 (6 newly connected, 4 in the last digit).  Connections opened fell
+286 -> 205; no probe attempt was added (129 both).  The value before
+was ``d6440240f8f893758e94243de48b5c498ec43368f2c8d1ea6980f57cd1b9a1ef``.
 """
 
 import hashlib
@@ -52,7 +70,7 @@ from repro.scope.storage import _encode
 #: the campaign actually scans a few more).  Same probe set, fault plan
 #: and resilience policy as the full 350-site differential in
 #: ISSUE 5's acceptance run — shrunk so this stays in the default suite.
-PINNED_SHA256 = "d6440240f8f893758e94243de48b5c498ec43368f2c8d1ea6980f57cd1b9a1ef"
+PINNED_SHA256 = "08bd7e20be9cb198b3c3a80929831cd4b4359afd37d982eacb42a173e1c3b85e"
 
 CHAOS_SPEC = (
     "refuse:0.1x6,reset:0.06x4,stall(30):0.05,blackhole:0.04,"

@@ -45,6 +45,52 @@ class TestNegotiationRow:
         assert result.server_header is not None
 
 
+class TestNegotiationCostsTwoConnections:
+    """The HEADERS fetch rides on the handshake that chose h2, so a
+    fault-free short-probe scan spends two connections on negotiation."""
+
+    @pytest.mark.parametrize(
+        "alpn, npn", [(True, True), (False, True)], ids=["alpn-h2", "npn-only"]
+    )
+    def test_negotiation_opens_two_connections(self, monkeypatch, alpn, npn):
+        from repro.net.transport import Network
+        from repro.scope import scanner
+        from repro.servers.site import Site
+        from repro.servers.vendors import nginx
+        from repro.servers.website import testbed_website
+
+        connects = []
+        real_connect = Network.connect
+        real_probe = scanner.probe_negotiation
+
+        def connect(self, *args, **kwargs):
+            connects.append(args)
+            return real_connect(self, *args, **kwargs)
+
+        during = []
+
+        def probe(session, domain):
+            before = len(connects)
+            result = real_probe(session, domain)
+            during.append(len(connects) - before)
+            return result
+
+        monkeypatch.setattr(Network, "connect", connect)
+        monkeypatch.setattr(scanner, "probe_negotiation", probe)
+        site = Site(
+            domain="two.testbed",
+            profile=nginx().clone(supports_alpn=alpn, supports_npn=npn),
+            website=testbed_website(),
+        )
+        report = scanner.scan_site(
+            site, include={"negotiation", "settings", "ping"}, seed=7
+        )
+        assert (report.negotiation.alpn_h2, report.negotiation.npn_h2) == (alpn, npn)
+        assert report.negotiation.headers_received
+        assert not report.errors
+        assert during == [2]
+
+
 class TestMultiplexingRow:
     def test_all_vendors_interleave(self, vendor):
         network, domain = deploy_vendor(vendor)
@@ -265,12 +311,20 @@ class TestSettingsProbe:
 
 
 class TestH2cRow:
+    """The campaign no longer probes h2c (no profile enables it); the
+    client's Upgrade path is checked against the testbed directly."""
+
+    @staticmethod
+    def upgrade(network, domain):
+        client = sim_session(network).client(domain, port=80)
+        assert client.connect()
+        return client.upgrade_h2c("/")
+
     def test_testbed_vendors_decline_h2c_by_default(self, vendor):
         # Default profiles serve cleartext HTTP/1.1 but decline the
         # Upgrade (the paper's probes all run over TLS).
         network, domain = deploy_vendor(vendor)
-        result = probe_negotiation(sim_session(network), domain)
-        assert result.h2c_upgrade is False
+        assert self.upgrade(network, domain) is False
 
     def test_h2c_enabled_profile_detected(self):
         from repro.net.clock import Simulation
@@ -287,9 +341,8 @@ class TestH2cRow:
             website=testbed_website(),
         )
         deploy_site(network, site)
-        result = probe_negotiation(sim_session(network), "h2c.testbed")
-        assert result.h2c_upgrade is True
-        assert result.alpn_h2
+        assert self.upgrade(network, "h2c.testbed") is True
+        assert probe_negotiation(sim_session(network), "h2c.testbed").alpn_h2
 
 
 class TestMaxConcurrentStreamsExercise:
