@@ -345,30 +345,6 @@ class LiveScanMetrics:
         with self._lock:
             self.in_flight -= 1
 
-    # -- invariant helpers (used by tests and the fleet soak) -------------
-
-    def min_host_gap(self) -> float | None:
-        """Smallest observed gap between consecutive same-host contacts."""
-        last: dict[str, float] = {}
-        smallest: float | None = None
-        for host, at in self.contacts:
-            if host in last:
-                gap = at - last[host]
-                smallest = gap if smallest is None else min(smallest, gap)
-            last[host] = at
-        return smallest
-
-    def max_rate(self, window: float = 1.0) -> float:
-        """Highest grant count observed in any sliding ``window``."""
-        grants = sorted(self.rate_grants)
-        best = 0
-        lo = 0
-        for hi, at in enumerate(grants):
-            while at - grants[lo] > window:
-                lo += 1
-            best = max(best, hi - lo + 1)
-        return best
-
 
 @dataclass(frozen=True)
 class LiveConfig:

@@ -15,12 +15,20 @@ Two design points matter for fidelity:
   virtual processing delays (~12 ms) would elapse "instantly", so each
   response would complete before the next request arrived and
   multiplexing/priority verdicts would flip.  Instead a
-  :class:`_SiteRuntime` maps virtual delays onto asyncio timers 1:1
-  (virtual second = wall second): whenever the simulation has a due
-  event, one ``call_later`` fires at its wall-clock due time, runs the
+  :class:`_SiteRuntime` maps virtual time onto the wall 1:1 (virtual
+  second = wall second) from one anchor, the wall instant of virtual
+  t=0: whenever the simulation has a due event, one ``call_at`` is
+  armed at the anchor plus the event's virtual time, runs the
   simulation up to exactly that instant, and re-arms for the next
-  event.  Engine delays are small (0.5–20 ms), so the wall cost is
-  negligible while concurrency behaviour is preserved.
+  event.  Each timer is armed from the anchor, never from the last
+  event's (already late) firing, so lateness does not carry down a
+  chain of link and processing delays.  The loop's poll waits whole
+  milliseconds, rounded up, so timers are armed half of that grain
+  early to centre the error; the virtual clock may then run that far
+  ahead of the wall.  The simulation still runs its events in virtual
+  order, so ordering is unchanged.  Engine delays are small
+  (0.5–20 ms), so the wall cost is negligible while concurrency
+  behaviour is preserved.
 
 * **Link latency.**  On bare loopback the client's WINDOW_UPDATEs
   return in microseconds, so the first response can stream to
@@ -69,6 +77,10 @@ from repro.servers.site import Site
 
 #: Most bytes one readable socket yields in one pass.
 _RECV_SIZE = 1 << 16
+#: Resolution of the loop's timers: epoll waits whole milliseconds,
+#: rounded up, so a timer fires up to one grain after its instant.
+#: Timers are armed half a grain early to centre that error on zero.
+_TIMER_GRAIN = 1e-3
 
 
 class LoopDriver:
@@ -244,8 +256,9 @@ class _SiteRuntime:
         self.site = site
         self.delay = link_rtt / 2.0  # one-way, charged per direction
         self.sim = Simulation()
-        #: Wall instant corresponding to virtual t=0.  The virtual clock
-        #: is re-anchored to this on every external stimulus (see
+        #: Wall instant corresponding to virtual t=0.  Every timer is
+        #: armed from it (:meth:`kick`), and the virtual clock is
+        #: re-anchored to it on every external stimulus (see
         #: :meth:`_sync`): without it the simulation's ``now`` lags the
         #: wall whenever the event queue is sparse, and long timers —
         #: the engines' abuse-guard deadlines — would recede by that lag
@@ -310,9 +323,11 @@ class _SiteRuntime:
 
         Virtual events due before that instant run now (their wall
         timers would have fired by now anyway, modulo scheduler slop);
-        events further out keep their armed timers.  Never called while
-        the simulation is mid-run: there ``sim.now`` is the executing
-        event's own timestamp and must not jump.
+        events further out keep their armed timers.  A timer fires up
+        to half a grain early, so the virtual clock may be that far
+        ahead of the wall; then there is nothing to run.  Never called
+        while the simulation is mid-run: there ``sim.now`` is the
+        executing event's own timestamp and must not jump.
         """
         if self._running:
             return
@@ -342,9 +357,12 @@ class _SiteRuntime:
             if self._timer_due is not None and self._timer_due <= due:
                 return  # already armed for this (or an earlier) event
             self._timer.cancel()
-        delay = max(0.0, due - self.sim.now)
         self._timer_due = due
-        self._timer = self.loop.call_later(delay, self._fire, due)
+        # From the anchor, not from sim.now: that is the last event's
+        # instant, and the last event ran late (module docstring).
+        self._timer = self.loop.call_at(
+            self._epoch + due - _TIMER_GRAIN / 2, self._fire, due
+        )
 
     def _fire(self, due: float) -> None:
         self._timer = None

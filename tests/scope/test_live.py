@@ -28,6 +28,7 @@ from repro.scope.live import (
 from repro.scope.report import SiteReport
 from repro.scope.resilience import DnsFault, ResilienceConfig
 from repro.scope.storage import ReportStore
+from tests.support.live import max_rate, min_host_gap
 
 
 class FakeTime:
@@ -119,10 +120,10 @@ class TestLiveScanMetrics:
         metrics.contacts.extend(
             [("a", 0.0), ("b", 0.1), ("a", 2.0), ("a", 3.5)]
         )
-        assert metrics.min_host_gap() == pytest.approx(1.5)
+        assert min_host_gap(metrics.contacts) == pytest.approx(1.5)
         metrics.rate_grants.extend([0.0, 0.2, 0.4, 1.5, 1.6])
-        assert metrics.max_rate(window=1.0) == 3
-        assert LiveScanMetrics().min_host_gap() is None
+        assert max_rate(metrics.rate_grants, window=1.0) == 3
+        assert min_host_gap(LiveScanMetrics().contacts) is None
 
 
 class TestDnsStage:

@@ -61,6 +61,7 @@ from repro.servers.fleet import (
     FleetPlan,
     LoopbackFleet,
 )
+from tests.support.live import max_rate, min_host_gap
 
 SOAK = os.environ.get("H2SCOPE_FLEET_SOAK") == "1"
 
@@ -217,7 +218,7 @@ class TestPoolAndPolitenessInvariants:
     def test_no_host_contacted_twice_within_gap(self, fleet_campaign):
         metrics = fleet_campaign["metrics"]
         assert metrics.contacts  # probes really contacted hosts
-        smallest = metrics.min_host_gap()
+        smallest = min_host_gap(metrics.contacts)
         if smallest is not None:  # None: no host needed two contacts
             assert smallest >= PER_HOST_GAP - 1e-3
 
@@ -228,7 +229,7 @@ class TestPoolAndPolitenessInvariants:
         assert metrics.rate_grants  # the bucket really arbitrated
         # Token-bucket guarantee: grants in any 1s window never exceed
         # burst + rate (plus the closed-interval fencepost).
-        assert metrics.max_rate(window=1.0) <= BURST + RATE + 1
+        assert max_rate(metrics.rate_grants, window=1.0) <= BURST + RATE + 1
 
     def test_every_contact_paid_a_token(self, fleet_campaign):
         metrics = fleet_campaign["metrics"]
@@ -453,10 +454,13 @@ class TestHighConcurrencyPool:
         assert metrics.concurrency_high_water > 1
         assert metrics.in_flight == 0  # drained completely
         assert len(metrics.rate_grants) == len(metrics.contacts)
-        smallest = metrics.min_host_gap()
+        smallest = min_host_gap(metrics.contacts)
         if smallest is not None:
             assert smallest >= PER_HOST_GAP - 1e-3
-        assert metrics.max_rate(window=1.0) <= self.BURST + self.RATE + 1
+        assert (
+            max_rate(metrics.rate_grants, window=1.0)
+            <= self.BURST + self.RATE + 1
+        )
 
     def test_every_site_reached_a_terminal_state(self, highc_campaign):
         statuses = highc_campaign["statuses"]

@@ -1,11 +1,13 @@
 """The loopback bridge: simulated engines behind real TCP sockets."""
 
+import time
+
 import pytest
 
 from repro.h2 import events as ev
 from repro.net.socket_backend import SocketBackend
 from repro.scope.session import ProbeSession
-from repro.servers.loopback import LoopbackBridge
+from repro.servers.loopback import _TIMER_GRAIN, LoopbackBridge, _SiteRuntime
 from repro.servers.site import Site
 from repro.servers.vendors import VENDOR_FACTORIES
 from repro.servers.website import testbed_website
@@ -86,11 +88,16 @@ def test_handshake_rtt_reflects_emulated_link(bridge):
     session = make_session(bridge)
     client = session.client("h2o.testbed")
     try:
-        assert client.establish_h2()
+        assert client.connect()
+        started = time.monotonic()
+        client.tls_handshake()
+        elapsed = time.monotonic() - started
+        assert client.tls.chosen == "h2"
         # The TLS hello round trip crosses the emulated link twice, so
-        # the observed wall time must be at least the configured RTT.
-        frames = client.frames
-        assert frames, "server frames should have arrived"
+        # the observed wall time must be at least the configured RTT,
+        # less the half grain the bridge's timers fire early by at
+        # each crossing.  A lower bound only: a loaded host is slower.
+        assert elapsed >= bridge.link_rtt - _TIMER_GRAIN
     finally:
         client.close()
         session.close()
@@ -117,3 +124,92 @@ def test_serve_after_close_refused():
             Site(domain="x.testbed", profile=VENDOR_FACTORIES["nginx"]())
         )
     bridge.close()  # idempotent
+
+
+class _Timer:
+    """What :class:`_LoopStub` hands back for an armed callback."""
+
+    def __init__(self, when, callback, args):
+        self.when = when
+        self.callback = callback
+        self.args = args
+        self.cancelled = False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class _LoopStub:
+    """Just enough of an asyncio loop for a :class:`_SiteRuntime`: it
+    records the timers armed on it instead of running them, and its
+    clock reads whatever the test sets."""
+
+    def __init__(self, now):
+        self.now = now
+        self.timers = []
+
+    def time(self):
+        return self.now
+
+    def call_at(self, when, callback, *args):
+        timer = _Timer(when, callback, args)
+        self.timers.append(timer)
+        return timer
+
+    def call_later(self, delay, callback, *args):
+        # As asyncio's own, so that a timer armed relative to the
+        # clock fails on its instant rather than on a missing method.
+        return self.call_at(self.now + delay, callback, *args)
+
+    def next_timer(self):
+        armed = [t for t in self.timers if not t.cancelled]
+        if not armed:
+            return None
+        timer = min(armed, key=lambda t: t.when)
+        self.timers.remove(timer)
+        return timer
+
+
+@pytest.mark.parametrize("lag", [0.0, 0.0013, 0.0064])
+def test_timers_are_armed_at_their_wall_clock_time(lag):
+    """Each event of a link -> processing -> link chain is armed at the
+    wall instant of its virtual time, half a grain early, however late
+    the timer before it fired: lateness does not compound."""
+    epoch = 100.0
+    loop = _LoopStub(now=epoch)
+    runtime = _SiteRuntime(
+        loop,
+        Site(domain="pacing.testbed", profile=VENDOR_FACTORIES["nginx"]()),
+        seed=0,
+        link_rtt=0.002,
+    )
+    sim = runtime.sim
+    processing = 0.012
+    hops = []  # the virtual instant each hop's event ran at
+
+    def response_reaches_socket():
+        hops.append(sim.now)
+
+    def engine_answers():
+        hops.append(sim.now)
+        runtime.after_delay(response_reaches_socket)
+
+    def request_reaches_engine():
+        hops.append(sim.now)
+        sim.call_later(processing, engine_answers)
+
+    runtime.after_delay(request_reaches_engine)
+    fired = []
+    while (timer := loop.next_timer()) is not None:
+        fired.append(timer)
+        loop.now = timer.when + lag  # every timer fires ``lag`` late
+        timer.callback(*timer.args)
+
+    delay = runtime.delay
+    assert hops == pytest.approx(
+        [delay, delay + processing, 2 * delay + processing]
+    )
+    assert [t.args[0] for t in fired] == pytest.approx(hops)
+    assert [t.when for t in fired] == pytest.approx(
+        [epoch + due - _TIMER_GRAIN / 2 for due in hops], abs=1e-9
+    )
