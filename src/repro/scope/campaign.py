@@ -372,8 +372,10 @@ class CampaignJournal:
 class CampaignRun:
     """One journaled pass over a campaign: the loop every backend shares.
 
-    Construction validates the manifest (``begin`` for a fresh run,
-    ``resume`` otherwise) and lists the work still owed as
+    Construction refuses a domain listed twice (reports are keyed by
+    ``(campaign, domain)``, so the second would overwrite the first),
+    validates the manifest (``begin`` for a fresh run, ``resume``
+    otherwise) and lists the work still owed as
     :attr:`tasks`, in todo order.  The caller scans those tasks however
     its backend does and hands the results to :meth:`drive`, which
     classifies, batches, checkpoints and reports progress — so a
@@ -398,6 +400,14 @@ class CampaignRun:
         # which ``import repro.scope`` alone should not pay for.
         from repro.scope.parallel import SiteTask
 
+        seen: set[str] = set()
+        for domain in domains:
+            if domain in seen:
+                raise CampaignError(
+                    f"campaign {campaign!r} lists {domain!r} twice; "
+                    f"each domain is scanned and stored once"
+                )
+            seen.add(domain)
         self.journal = CampaignJournal(store)
         self.campaign = campaign
         self.total = len(domains)

@@ -125,6 +125,12 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 
     trace = TraceRecorder()
     with ExitStack() as stack:
+        store = None
+        if args.db is not None:  # a bad file fails before any probe
+            store = _open_store(args.db)
+            if store is None:
+                return 2
+            stack.enter_context(store)
         if args.backend == "sim":
             from repro.servers.site import deploy_testbed
             from repro.servers.vendors import VENDOR_FACTORIES
@@ -154,19 +160,15 @@ def _cmd_probe(args: argparse.Namespace) -> int:
         report = probe_target(
             ProbeSession(backend, trace=trace), args.domain, include=include
         )
-
-    print(_render_probe_report(report))
-    if args.db is not None:
-        from repro.scope.storage import ReportStore
-
-        with ReportStore(args.db) as store:
+        print(_render_probe_report(report))
+        if store is not None:
             store.save(args.campaign, report)
             store.save_traces(args.campaign, args.domain, trace.traces)
-        frames = sum(len(t) for t in trace.traces.values())
-        print(
-            f"stored report + {len(trace.traces)} probe traces "
-            f"({frames} frames) under campaign {args.campaign!r} in {args.db}"
-        )
+            frames = sum(len(t) for t in trace.traces.values())
+            print(
+                f"stored report + {len(trace.traces)} probe traces "
+                f"({frames} frames) under campaign {args.campaign!r} in {args.db}"
+            )
     return 0 if not report.failed else 1
 
 
@@ -490,9 +492,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     """Summarize a stored scan database (the paper's 'further study')."""
     from repro.analysis.tables import format_table
-    from repro.scope.storage import ReportStore
 
-    with ReportStore(args.db) as store:
+    store = _open_store(args.db)
+    if store is None:
+        return 2
+    with store:
         campaigns = store.campaigns()
         if not campaigns:
             print(f"{args.db}: no campaigns stored")
@@ -655,31 +659,35 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
     profiles = list(BATTERY_PROFILES) if args.profile == "all" else [args.profile]
     vendors = list(VENDOR_FACTORIES) if args.vendor == "all" else [args.vendor]
-    matrix = run_battery(
-        vendors=vendors,
-        profiles=profiles,
-        backend=args.backend,
-        guards=args.guards,
-        seed=args.seed,
-        duration=args.duration,
-        guard_scale=args.guard_scale,
-        record_frames=args.db is not None,
-    )
-    if args.json:
-        print(_json.dumps(matrix.to_json(), indent=2))
-    else:
-        print(matrix.render())
-    if args.db is not None:
-        from repro.scope.storage import ReportStore
-
-        with ReportStore(args.db) as store:
+    with ExitStack() as stack:
+        store = None
+        if args.db is not None:  # a bad file fails before any attack
+            store = _open_store(args.db)
+            if store is None:
+                return 2
+            stack.enter_context(store)
+        matrix = run_battery(
+            vendors=vendors,
+            profiles=profiles,
+            backend=args.backend,
+            guards=args.guards,
+            seed=args.seed,
+            duration=args.duration,
+            guard_scale=args.guard_scale,
+            record_frames=args.db is not None,
+        )
+        if args.json:
+            print(_json.dumps(matrix.to_json(), indent=2))
+        else:
+            print(matrix.render())
+        if store is not None:
             for result in matrix.results:
                 store.save_timelines(
                     args.campaign,
                     f"{result.vendor}.{result.profile}",
                     result.timelines,
                 )
-        print(f"stored labelled timelines in {args.db} ({args.campaign})")
+            print(f"stored labelled timelines in {args.db} ({args.campaign})")
     return 0
 
 
@@ -691,9 +699,10 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
     config = DetectorConfig(stall_window=args.stall_window)
     if args.db is not None:
-        from repro.scope.storage import ReportStore
-
-        with ReportStore(args.db) as store:
+        store = _open_store(args.db)
+        if store is None:
+            return 2
+        with store:
             timelines = store.load_timelines(args.campaign)
         if not timelines:
             print(

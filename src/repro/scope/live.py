@@ -7,34 +7,36 @@ reset mid-handshake, and hosts that must not be hammered.  PR 5's
 real connection synchronously; this module is the campaign layer that
 makes it survive (and be survivable by) a population:
 
-* a **bounded pool**: ``concurrency`` worker threads, each driving one
-  in-flight :class:`~repro.scope.session.ProbeSession` on a backend of
-  its own.  A session's thread serves its own sockets inside its waits
-  (one selector per backend), so no loop thread sits between a session
-  and its sockets.  Probes are synchronous sans-IO drivers whose
+* a **bounded pool**: a standard-library ``ThreadPoolExecutor`` of
+  ``min(concurrency, sites)`` threads, each driving one in-flight
+  :class:`~repro.scope.session.ProbeSession` on a backend of its own.
+  A session's thread serves its own sockets inside its waits (one
+  selector per backend), so no loop thread sits between a session and
+  its sockets.  Probes are synchronous sans-IO drivers whose
   wall-clock time is dominated by network waits, so the exact probe
   code the simulator runs is reused unchanged (the determinism contract
-  stays untouched);
+  stays untouched).  The journal refuses a domain listed twice, so no
+  two sessions ever probe one site;
 * a **politeness layer**: per-host serialization with a minimum
   inter-contact gap (:class:`HostPoliteness`) plus a global
   token-bucket contact-rate limiter (:class:`TokenBucket`), installed
   as the backend's connect ``gate`` so *every* TCP connect — including
   retry reconnects — pays the toll;
 * a **DNS stage** (:class:`DnsStage`): a concurrent resolver pool with
-  positive and negative caching that runs ahead of probing, maps
-  resolution failures onto :class:`~repro.scope.resilience.DnsFault`
-  (``ErrorClass.DNS``), and quarantines unresolvable sites immediately
-  — no connect attempts, no retry budget spent;
+  positive and negative caching that resolves every site's port 443
+  ahead of probing, maps resolution failures onto
+  :class:`~repro.scope.resilience.DnsFault` (``ErrorClass.DNS``), and
+  quarantines unresolvable sites immediately — no connect attempts, no
+  retry budget spent;
 * **durability identical to the simulated path**: the very same
   journaled loop (:class:`~repro.scope.campaign.CampaignRun`), so
   ``--resume`` after a crash or SIGKILL skips completed sites and
   retries failed ones exactly as a simulated campaign does.  The one
   deliberate difference: results arrive — and checkpoints are written —
-  in *completion* order
-  rather than todo order — live wall-clock results are not
-  byte-deterministic anyway, and completion order means a crash loses
-  at most one unflushed batch instead of everything behind a stalled
-  head-of-line site.
+  in *completion* order (``as_completed``) rather than todo order —
+  live wall-clock results are not byte-deterministic anyway, and
+  completion order means a crash loses at most one unflushed batch
+  instead of everything behind a stalled head-of-line site.
 
 Every invariant the pool promises is observable via
 :class:`LiveScanMetrics`: in-flight high-water mark (never above
@@ -47,12 +49,10 @@ stalls and dead resolvers.
 
 from __future__ import annotations
 
-import queue
 import socket
 import threading
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field
 
 from repro.net.socket_backend import SocketBackend, lookup
@@ -275,36 +275,25 @@ class DnsStage:
 
     # -- the pre-probe stage ----------------------------------------------
 
-    def resolve_all(
-        self, domains, ports: tuple[int, ...] = (443, 80)
-    ) -> dict[str, DnsFault | None]:
-        """Resolve every domain concurrently ahead of probing.
+    def resolve_all(self, domains) -> dict[str, DnsFault | None]:
+        """Resolve every domain's port 443 concurrently ahead of probing.
 
         Returns ``{domain: None}`` for resolvable sites and
         ``{domain: DnsFault}`` for ones the campaign must quarantine.
-        A domain fails only if its *primary* (first listed) port has no
-        address; secondary ports are warmed opportunistically so the
-        probe phase never blocks on DNS.
+        Campaign probes dial port 443 only; a backend that needs another
+        port resolves it on demand through :meth:`resolve`.
         """
         domains = list(dict.fromkeys(domains))  # stable de-dup
         results: dict[str, DnsFault | None] = {}
         if not domains:
             return results
-        primary = ports[0]
 
         def one(domain: str) -> DnsFault | None:
-            fault = None
             try:
-                self.resolve(domain, primary)
+                self.resolve(domain)
             except DnsFault as exc:
-                fault = exc
-            else:
-                for port in ports[1:]:
-                    try:
-                        self.resolve(domain, port)
-                    except DnsFault:
-                        pass  # secondary listener may legitimately miss
-            return fault
+                return exc
+            return None
 
         workers = min(self.workers, len(domains))
         with ThreadPoolExecutor(
@@ -407,12 +396,7 @@ class _LivePool:
         if config.rate is not None:
             self.bucket = TokenBucket(config.rate, config.burst)
             self.bucket.grants = metrics.rate_grants
-        self._stop = threading.Event()
-        self._sched_lock = threading.Lock()
-        self._pending: deque[SiteTask] = deque()
-        self._busy_hosts: set[str] = set()
-        self._completions: queue.Queue = queue.Queue()
-        self._workers: list[threading.Thread] = []
+        self._executor: ThreadPoolExecutor | None = None
 
     # -- politeness gate (installed on every backend) ----------------------
 
@@ -424,25 +408,9 @@ class _LivePool:
         finally:
             self.politeness.commit(domain)
 
-    # -- worker side -------------------------------------------------------
+    # -- one session -------------------------------------------------------
 
-    def _next_task(self):
-        """Claim the next task whose host is idle (or None when done)."""
-        while not self._stop.is_set():
-            with self._sched_lock:
-                if not self._pending:
-                    return None
-                for index, task in enumerate(self._pending):
-                    if task.domain not in self._busy_hosts:
-                        del self._pending[index]
-                        self._busy_hosts.add(task.domain)
-                        return task
-            # Every remaining task's host has an in-flight session
-            # (per-host serialization); wait for one to drain.
-            time.sleep(0.01)
-        return None
-
-    def _scan_one(self, task: SiteTask) -> SiteReport:
+    def _scan_one(self, task: SiteTask) -> SiteResult:
         report = SiteReport(domain=task.domain)
         backend = SocketBackend(
             resolver=self.dns.resolve,
@@ -450,6 +418,7 @@ class _LivePool:
             connect_timeout=self.config.connect_timeout,
             gate=self._gate,
         )
+        self.metrics.session_started()
         started = time.monotonic()
         try:
             probe_target(
@@ -460,29 +429,16 @@ class _LivePool:
                 resilience=self.resilience,
                 report=report,
             )
-        except Exception as exc:  # noqa: BLE001 - a driver bug must not
-            # kill the worker thread; record it like any probe failure.
+        except Exception as exc:  # noqa: BLE001 - a driver bug is recorded
+            # like any probe failure, not raised into the campaign.
             report.errors.append(make_scan_error("live", exc))
         finally:
             # Live scans have no virtual clock: wall seconds spent on
             # this site stand in, feeding the journal and the ETA.
             report.scan_virtual_time = time.monotonic() - started
             backend.close()
-        return report
-
-    def _worker(self) -> None:
-        while True:
-            task = self._next_task()
-            if task is None:
-                return
-            self.metrics.session_started()
-            try:
-                report = self._scan_one(task)
-            finally:
-                self.metrics.session_finished()
-                with self._sched_lock:
-                    self._busy_hosts.discard(task.domain)
-            self._completions.put(SiteResult(task, report))
+            self.metrics.session_finished()
+        return SiteResult(task, report)
 
     # -- the results -------------------------------------------------------
 
@@ -502,33 +458,22 @@ class _LivePool:
         if not scan_tasks:
             return
 
-        self._pending.extend(scan_tasks)
-        self._workers = [
-            threading.Thread(
-                target=self._worker, name=f"h2scope-live-{i}", daemon=True
-            )
-            for i in range(min(self.concurrency, len(scan_tasks)))
-        ]
-        for worker in self._workers:
-            worker.start()
-        received = 0
-        while received < len(scan_tasks):
-            try:
-                result = self._completions.get(timeout=0.25)
-            except queue.Empty:
-                if not any(w.is_alive() for w in self._workers):
-                    break  # defensive: pool died, don't spin forever
-                continue
-            received += 1
-            yield result
+        self._executor = ThreadPoolExecutor(
+            max_workers=min(self.concurrency, len(scan_tasks)),
+            thread_name_prefix="h2scope-live",
+        )
+        # The futures list is not bound to a name: as_completed lets go
+        # of each future (and the report it holds) once it is yielded.
+        for future in as_completed(
+            [self._executor.submit(self._scan_one, task) for task in scan_tasks]
+        ):
+            yield future.result()
 
     def close(self) -> None:
-        """Stop claiming tasks and wait the in-flight sessions out."""
-        self._stop.set()
-        for worker in self._workers:
-            # In-flight sessions are deadline-bounded; join so no
-            # daemon thread outlives the campaign.
-            worker.join(timeout=60)
+        """Drop the queued sites and wait the in-flight sessions out
+        (each is deadline-bounded), so no thread outlives the campaign."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
 
 
 def run_live_campaign(

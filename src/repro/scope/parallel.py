@@ -74,6 +74,10 @@ from repro.scope.report import ErrorClass, ScanError, SiteReport
 from repro.scope.resilience import ResilienceConfig, make_scan_error
 from repro.servers.site import Site
 
+#: Seconds the parent waits on the result pipes before it checks for
+#: dead workers.
+POLL_INTERVAL = 0.2
+
 
 def effective_workers(requested: int) -> int:
     """Clamp a requested worker count to the machine's CPU count.
@@ -251,7 +255,6 @@ class ParallelCampaignRunner:
         fault_plan: FaultPlan | None = None,
         resilience: ResilienceConfig | None = None,
         max_worker_crashes: int = 3,
-        poll_interval: float = 0.2,
         concurrency: int = 1,
     ):
         self.sites = sites
@@ -264,7 +267,6 @@ class ParallelCampaignRunner:
             concurrency=concurrency,
         )
         self.max_worker_crashes = max(1, int(max_worker_crashes))
-        self.poll_interval = poll_interval
 
     # -- iteration ---------------------------------------------------------
 
@@ -321,9 +323,7 @@ class ParallelCampaignRunner:
                 by_conn = {
                     worker.result_conn: worker for worker in workers.values()
                 }
-                readable = _connection_wait(
-                    list(by_conn), timeout=self.poll_interval
-                )
+                readable = _connection_wait(list(by_conn), timeout=POLL_INTERVAL)
                 if not readable:
                     for result in self._reap(ctx, workers, backlog, crashes):
                         done += 1

@@ -97,56 +97,6 @@ class ScanProgress:
         return self.virtual_seconds / self.done * self.remaining
 
 
-class ProgressAggregator:
-    """Order-independent progress accounting for sharded scans.
-
-    Parallel workers complete sites in whatever order the scheduler
-    produces, so ticks must be derived from *counters over completion
-    events*, never from the index of the most recent result (the old
-    serial assumption).  Feeding the same set of reports in any order
-    yields the same final :class:`ScanProgress`, and every intermediate
-    tick carries correct done/error/quarantine counts and a
-    virtual-time ETA extrapolated from the per-site mean.
-    """
-
-    def __init__(
-        self,
-        total: int,
-        done: int = 0,
-        errors: int = 0,
-        quarantined: int = 0,
-        dns_failures: int = 0,
-        virtual_seconds: float = 0.0,
-    ):
-        self.total = total
-        self.done = done
-        self.errors = errors
-        self.quarantined = quarantined
-        self.dns_failures = dns_failures
-        self.virtual_seconds = virtual_seconds
-
-    def record(self, report: SiteReport, quarantined: bool = False) -> None:
-        """Fold one completed site in; callable in any completion order."""
-        self.done += 1
-        if report.failed:
-            self.errors += 1
-        if quarantined:
-            self.quarantined += 1
-        if report_has_dns_error(report):
-            self.dns_failures += 1
-        self.virtual_seconds += report.scan_virtual_time
-
-    def snapshot(self) -> ScanProgress:
-        return ScanProgress(
-            done=self.done,
-            total=self.total,
-            errors=self.errors,
-            quarantined=self.quarantined,
-            dns_failures=self.dns_failures,
-            virtual_seconds=self.virtual_seconds,
-        )
-
-
 def probe_target(
     session: ProbeSession,
     domain: str,
@@ -341,7 +291,6 @@ def scan_population(
     include: Iterable[str] | None = None,
     seed: int = 0,
     workers: int = 1,
-    progress: Callable[[ScanProgress], None] | None = None,
     fault_plan: FaultPlan | None = None,
     resilience: ResilienceConfig | None = None,
 ) -> list[SiteReport]:
@@ -353,10 +302,7 @@ def scan_population(
     in input order and are byte-identical for any worker count.
     Per-site isolation is total: any exception a site's setup or scan
     raises becomes an error-bearing :class:`SiteReport` instead of
-    aborting the scan.  ``progress`` receives one order-independent
-    :class:`ScanProgress` tick per completed site (in completion order,
-    which under sharding is not input order) carrying error counts and
-    a virtual-time ETA alongside ``(done, total)``.
+    aborting the scan.
     """
     _validate_include(include)  # a caller bug, not a per-site failure
     from repro.scope.parallel import ParallelCampaignRunner, SiteTask
@@ -374,12 +320,8 @@ def scan_population(
         for index, site in enumerate(sites)
     ]
     reports: list[SiteReport | None] = [None] * len(sites)
-    tracker = ProgressAggregator(total=len(sites))
     for result in runner.iter_unordered(tasks):
         reports[result.task.site_index] = result.report
-        tracker.record(result.report)
-        if progress is not None:
-            progress(tracker.snapshot())
     return reports  # type: ignore[return-value] - every slot is filled
 
 

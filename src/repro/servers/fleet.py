@@ -52,9 +52,6 @@ STALL = "stall"
 BLACKHOLE = "blackhole"
 UNRESOLVABLE = "unresolvable"
 
-#: Probe-level ports every fleet target is mapped on (TLS-sim + clear).
-FLEET_PORTS = (443, 80)
-
 
 @dataclass(frozen=True)
 class FleetPlan:
@@ -147,17 +144,14 @@ class LoopbackFleet:
             kind = self.faults[site.domain]
             if kind == HEALTHY:
                 self._mapping.update(self.bridge.serve(site))
+            # Faulty sites map only port 443, the one campaign probes dial.
             elif kind == REFUSE:
-                self._map_to(site.domain, self._refusing_address)
+                self._mapping[(site.domain, 443)] = self._refusing_address()
             elif kind == STALL:
-                self._map_to(site.domain, self._stalling_address)
+                self._mapping[(site.domain, 443)] = self._stalling_address()
             elif kind == BLACKHOLE:
-                self._map_to(site.domain, self._blackholed_address)
+                self._mapping[(site.domain, 443)] = self._blackholed_address()
             # UNRESOLVABLE: no mapping entries at all.
-
-    def _map_to(self, domain: str, make_address) -> None:
-        for port in FLEET_PORTS:
-            self._mapping[(domain, port)] = make_address()
 
     def _refusing_address(self) -> tuple[str, int]:
         """A loopback port that RSTs every connect: bound, not listening.

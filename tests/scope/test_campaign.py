@@ -8,6 +8,7 @@ universe isolation (seed + site_index) makes this provable.
 
 import json
 import os
+import re
 import sqlite3
 
 import pytest
@@ -397,6 +398,22 @@ class TestManifestGuards:
                     sites, store, "camp", include={"negotiation"}, seed=3,
                     resume=True,
                 )
+
+    def test_a_domain_listed_twice_is_refused_before_the_journal(
+        self, tmp_path
+    ):
+        """Reports are keyed by ``(campaign, domain)``: a repeat would
+        journal two sites done but store one report."""
+        sites = population(3)
+        repeated = sites[1].domain
+        with ReportStore(tmp_path / "twice.db") as store:
+            with pytest.raises(CampaignError, match=re.escape(f"{repeated!r} twice")):
+                run_campaign(
+                    sites + [sites[1]], store, "camp", include={"negotiation"},
+                    seed=3,
+                )
+            assert CampaignJournal(store).campaigns() == []
+            assert store.count("camp") == 0
 
     def test_manifest_roundtrips_through_json(self):
         manifest = CampaignManifest(

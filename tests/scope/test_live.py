@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.scope.campaign import (
+    CampaignError,
     CampaignJournal,
     ManifestMismatch,
     SiteStatus,
@@ -161,6 +162,17 @@ class TestDnsStage:
         assert results["tls-only.example"] is None
         assert isinstance(results["gone.example"], DnsFault)
 
+    def test_resolve_all_makes_one_lookup_per_domain(self):
+        calls = []
+
+        def resolver(domain, port):
+            calls.append((domain, port))
+            return None if domain == "gone.example" else ("127.0.0.1", 1)
+
+        dns = DnsStage(resolver=resolver)
+        dns.resolve_all(["full.example", "gone.example", "full.example"])
+        assert sorted(calls) == [("full.example", 443), ("gone.example", 443)]
+
     def test_system_resolver_negative(self):
         dns = DnsStage()  # .invalid is reserved: can never resolve
         with pytest.raises(DnsFault):
@@ -237,6 +249,17 @@ class TestLiveCampaignDnsQuarantine:
             result = self.run(store, resume=True)
             assert result.scanned == 0
             assert result.skipped == len(self.DOMAINS)
+
+    def test_a_domain_listed_twice_is_refused_before_the_journal(
+        self, tmp_path
+    ):
+        with ReportStore(tmp_path / "twice.db") as store:
+            with pytest.raises(CampaignError, match="'b.dead.example' twice"):
+                run_live_campaign(
+                    self.DOMAINS + ["b.dead.example"], store, "twice",
+                    resolver={},
+                )
+            assert CampaignJournal(store).campaigns() == []
 
     def test_resume_refuses_mismatched_manifest(self, tmp_path):
         with ReportStore(tmp_path / "dnsq.db") as store:

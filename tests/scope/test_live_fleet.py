@@ -32,6 +32,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import weakref
 from pathlib import Path
@@ -39,7 +40,7 @@ from pathlib import Path
 import pytest
 
 from repro.net.socket_backend import SocketBackend, SocketEndpoint
-from repro.scope.campaign import CampaignJournal, SiteStatus
+from repro.scope.campaign import CampaignInterrupted, CampaignJournal, SiteStatus
 from repro.scope.client import ScopeClient
 from repro.scope.live import (
     LiveConfig,
@@ -587,3 +588,45 @@ class TestKillResumeConvergence:
         assert resumed["verdicts"].keys() == baseline["verdicts"].keys()
         for domain, verdict in baseline["verdicts"].items():
             assert resumed["verdicts"][domain] == verdict, domain
+
+
+class TestInterruptedLiveCampaign:
+    """A Ctrl-C midway (here raised from the progress callback) flushes
+    the journal, ends the pool's threads and resumes to the verdicts an
+    uninterrupted campaign reaches."""
+
+    def test_interrupt_then_resume_matches_an_uninterrupted_run(self, tmp_path):
+        def interrupt(progress):
+            if progress.done >= 4:
+                raise KeyboardInterrupt
+
+        with ReportStore(tmp_path / "baseline.db") as store:
+            baseline = run_kill_campaign(store, resume=False)
+
+        with ReportStore(tmp_path / "interrupted.db") as store:
+            with LoopbackFleet(KILL_PLAN) as fleet:
+                with pytest.raises(CampaignInterrupted) as excinfo:
+                    run_live_campaign(
+                        fleet.domains,
+                        store,
+                        "kill",
+                        seed=KILL_PLAN.seed,
+                        include=KILL_INCLUDE,
+                        resilience=ResilienceConfig(timeout=40.0, retries=1),
+                        config=LiveConfig(
+                            concurrency=4, timeout_scale=0.15, connect_timeout=1.0
+                        ),
+                        resolver=fleet.resolver(),
+                        max_site_attempts=1,
+                        checkpoint_every=2,
+                        progress=interrupt,
+                    )
+            assert excinfo.value.remaining > 0
+            assert [
+                thread.name
+                for thread in threading.enumerate()
+                if thread.name.startswith("h2scope-live")
+            ] == []
+            resumed = run_kill_campaign(store, resume=True)
+
+        assert resumed == baseline

@@ -22,10 +22,8 @@ from repro.scope.parallel import (
     SiteTask,
     effective_workers,
 )
-from repro.scope.report import SiteReport
-from repro.scope.resilience import ResilienceConfig, make_scan_error
+from repro.scope.resilience import ResilienceConfig
 from repro.scope.scanner import (
-    ProgressAggregator,
     run_campaign,
     scan_population,
 )
@@ -208,70 +206,6 @@ class TestWorkerCrashRecovery:
         assert not any(
             r.report.failed for d, r in by_domain.items() if d != victim
         )
-
-
-class TestProgressAggregator:
-    def make_reports(self):
-        reports = []
-        for index in range(6):
-            report = SiteReport(domain=f"s{index}.test")
-            report.scan_virtual_time = float(index + 1)
-            if index % 3 == 0:
-                report.errors.append(
-                    make_scan_error("settings", RuntimeError("boom"))
-                )
-            reports.append(report)
-        return reports
-
-    def feed(self, reports, quarantined=()):
-        tracker = ProgressAggregator(total=len(reports))
-        for report in reports:
-            tracker.record(report, quarantined=report.domain in quarantined)
-        return tracker.snapshot()
-
-    def test_final_tick_is_order_independent(self):
-        reports = self.make_reports()
-        forward = self.feed(reports)
-        backward = self.feed(list(reversed(reports)))
-        rotated = self.feed(reports[3:] + reports[:3])
-        assert forward == backward == rotated
-        assert forward.done == forward.total == 6
-        assert forward.errors == 2
-        assert forward.virtual_seconds == 21.0
-        assert forward.eta_virtual_seconds == 0.0
-
-    def test_intermediate_ticks_extrapolate_eta_from_mean(self):
-        reports = self.make_reports()
-        tracker = ProgressAggregator(total=len(reports))
-        for report in reversed(reports):  # worst case: reverse order
-            tracker.record(report)
-        tick = tracker.snapshot()
-        assert tick.done == 6 and tick.remaining == 0
-        half = ProgressAggregator(total=6)
-        for report in reports[:3]:
-            half.record(report)
-        tick = half.snapshot()
-        assert tick.remaining == 3
-        assert tick.eta_virtual_seconds == pytest.approx(
-            tick.virtual_seconds / 3 * 3
-        )
-
-    def test_quarantine_counted_wherever_it_lands(self):
-        reports = self.make_reports()
-        a = self.feed(reports, quarantined={"s0.test"})
-        b = self.feed(list(reversed(reports)), quarantined={"s0.test"})
-        assert a.quarantined == b.quarantined == 1
-
-    def test_resume_seeds_prior_counts(self):
-        tracker = ProgressAggregator(
-            total=10, done=4, errors=1, quarantined=1, virtual_seconds=8.0
-        )
-        report = SiteReport(domain="next.test")
-        report.scan_virtual_time = 2.0
-        tracker.record(report)
-        tick = tracker.snapshot()
-        assert (tick.done, tick.errors, tick.quarantined) == (5, 1, 1)
-        assert tick.virtual_seconds == 10.0
 
 
 class TestWorkersCap:

@@ -83,29 +83,6 @@ class TestScanPopulation:
         reports = scan_population(sites, include={"negotiation"})
         assert [r.domain for r in reports] == [f"s{i}.test" for i in range(3)]
 
-    def test_progress_callback(self):
-        sites = [make_site(domain=f"s{i}.test") for i in range(5)]
-        seen = []
-        scan_population(
-            sites,
-            include={"negotiation"},
-            workers=2,
-            progress=seen.append,
-        )
-        # One tick per completed site, done counts monotone regardless
-        # of which worker finished which site in what order.
-        assert [tick.done for tick in seen] == [1, 2, 3, 4, 5]
-        last = seen[-1]
-        assert (last.done, last.total) == (5, 5)
-        assert last.errors == 0
-        assert last.quarantined == 0
-        assert last.virtual_seconds > 0
-        assert last.eta_virtual_seconds == 0.0
-        # Mid-scan ticks extrapolate a virtual-time ETA from the mean.
-        mid = seen[2]
-        assert mid.remaining == 2
-        assert mid.eta_virtual_seconds > 0
-
     def test_sites_isolated_from_each_other(self):
         # Same domain twice: would collide if they shared a network.
         sites = [make_site(domain="same.test"), make_site(domain="same.test")]

@@ -373,6 +373,40 @@ def test_printed_resume_command_round_trips(
     assert vars(parser.parse_args(resume_argv)) == vars(parser.parse_args(argv))
 
 
+def test_socket_scan_refuses_a_target_listed_twice(tmp_path, capsys):
+    targets = tmp_path / "targets.txt"
+    targets.write_text("a.invalid\nb.invalid\na.invalid\n")
+    rc = main(
+        ["scan", "--backend", "socket", "--targets", str(targets),
+         "--db", str(tmp_path / "live.db")]
+    )
+    assert rc == 2
+    assert "'a.invalid' twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "{db}"],
+        ["detect", "--db", "{db}"],
+        ["probe", "--backend", "sim", "--vendor", "nginx", "--db", "{db}",
+         "example.com"],
+        ["attack", "--profile", "ping_flood", "--vendor", "nginx",
+         "--duration", "1", "--db", "{db}"],
+    ],
+    ids=["report", "detect", "probe", "attack"],
+)
+def test_a_file_that_is_no_database_is_refused_before_any_work(
+    argv, tmp_path, capsys
+):
+    db = tmp_path / "notes.db"
+    db.write_text("not a database\n" * 64)
+    assert main([arg.format(db=db) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert f"cannot open {db}" in captured.err
+    assert captured.out == ""  # nothing was probed, attacked or read
+
+
 def test_attack_battery_matrix(capsys):
     rc = main(
         ["attack", "--profile", "ping_flood", "--vendor", "nginx",
