@@ -21,8 +21,10 @@ CI grep check):
   header is back-patched with ``struct.pack_into`` once the length is
   known.  No intermediate payload ``bytes`` object exists.
 
-The original copy-based codec is preserved in
-:mod:`repro.h2.frames_ref`; differential tests pin this module to it.
+libnghttp2, the framing layer the paper's H2Scope was built on, is the
+reference: ``tests/h2/test_frames_differential.py`` checks what each
+side reads of the other's frames, and how each ends a connection on
+mutated ones.
 
 The codec is deliberately *symmetric and permissive at the edges*: it
 can serialize frames that violate protocol rules (zero-increment

@@ -438,16 +438,6 @@ class ScopeClient:
     def events_of(self, event_type) -> list[TimedEvent]:
         return list(self._events_by_type.get(event_type, ()))
 
-    def stream_events(self, stream_id: int, event_type=None) -> list[TimedEvent]:
-        out = []
-        for te in self.events:
-            if getattr(te.event, "stream_id", None) != stream_id:
-                continue
-            if event_type is not None and not isinstance(te.event, event_type):
-                continue
-            out.append(te)
-        return out
-
     def headers_for(self, stream_id: int) -> ev.HeadersReceived | None:
         for te in self.events_of(ev.HeadersReceived):
             if te.event.stream_id == stream_id:

@@ -57,8 +57,9 @@ Two costs used to bound the usable width at ~1k:
   ``(position, index)`` with lazy invalidation (:class:`_HeapPolicy`):
   ``pick`` is the heap top, the horizon is the second-best entry, both
   O(log n) amortised.  The PR 8 linear arithmetic is retained verbatim
-  as :class:`_LinearPolicy` (the ``huffman_ref`` idiom) and the test
-  battery asserts decision-for-decision equality between the two.
+  as :class:`_LinearPolicy`, an executable reference kept beside the
+  fast path, and the test battery asserts decision-for-decision
+  equality between the two.
 
 * **A stack per mid-scan lane.**  A mid-scan lane's continuation is
   its thread stack — that cannot be recycled without native stack
@@ -336,10 +337,10 @@ class _LinearPolicy:
     """PR 8's grant arithmetic, verbatim: two O(n) scans per handoff.
 
     Retained as the executable reference the heap policy is proved
-    against (the ``huffman_ref`` idiom): ``peek`` is a full min-scan
-    over the started lanes, ``best_other`` a second scan excluding the
-    granted lane.  Selectable via ``grant_policy="linear"`` so whole
-    campaigns can be run decision-for-decision against the heap.
+    against: ``peek`` is a full min-scan over the started lanes,
+    ``best_other`` a second scan excluding the granted lane.  Selectable
+    via ``grant_policy="linear"`` so whole campaigns can be run
+    decision-for-decision against the heap.
     """
 
     __slots__ = ("lanes",)

@@ -293,16 +293,6 @@ class ReportStore:
         with self._db:
             self.stage(campaign, report)
 
-    def save_many(self, campaign: str, reports: list[SiteReport]) -> None:
-        """Write all reports in ONE transaction.
-
-        Atomic (a crash mid-flush leaves no partial batch) and much
-        faster than per-row commits: one fsync instead of ``len(reports)``.
-        """
-        with self._db:
-            for report in reports:
-                self.stage(campaign, report)
-
     # -- traces -----------------------------------------------------------
 
     def stage_trace(

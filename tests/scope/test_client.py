@@ -103,7 +103,11 @@ class TestLoggingAndInspection:
             }
             >= {a, b}
         )
-        only_a = client.stream_events(a, ev.DataReceived)
+        only_a = [
+            te
+            for te in client.events
+            if isinstance(te.event, ev.DataReceived) and te.event.stream_id == a
+        ]
         assert only_a
         assert all(te.event.stream_id == a for te in only_a)
 

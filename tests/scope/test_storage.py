@@ -222,14 +222,18 @@ class TestStorageHardening:
             store.connection.execute("SELECT COUNT(*) FROM campaign_sites")
             assert store.verify() == []
 
-    def test_save_many_is_one_atomic_transaction(self, tmp_path):
+    def test_transaction_is_atomic(self, tmp_path):
         # A poisoned batch must roll back wholesale: no partial flush.
         good = [self.make_report(f"s{i}.test") for i in range(3)]
         with ReportStore(tmp_path / "atomic.db") as store:
             with pytest.raises(Exception):
-                store.save_many("exp1", good + [object()])
+                with store.transaction():
+                    for report in good + [object()]:
+                        store.stage("exp1", report)
             assert store.count("exp1") == 0
-            store.save_many("exp1", good)
+            with store.transaction():
+                for report in good:
+                    store.stage("exp1", report)
             assert store.count("exp1") == 3
 
     def test_verify_clean_database(self, tmp_path):
@@ -246,9 +250,9 @@ class TestStorageHardening:
 
         path = tmp_path / "trunc.db"
         with ReportStore(path) as store:
-            store.save_many(
-                "exp1", [self.make_report(f"s{i}.test") for i in range(80)]
-            )
+            with store.transaction():
+                for i in range(80):
+                    store.stage("exp1", self.make_report(f"s{i}.test"))
             # Fold the WAL back into the main file so truncating the
             # database file is guaranteed to destroy committed pages.
             store.connection.execute("PRAGMA wal_checkpoint(TRUNCATE)")
