@@ -1,5 +1,19 @@
 """HPACK header-block decoder (RFC 7541 §3, §6).
 
+:meth:`Decoder.decode` walks a block in one loop.  The common shapes
+cost no helper call: a one-octet index (7-, 6- or 4-bit prefix) is read
+in place, a static entry comes from a module tuple of ``(name, value,
+size)``, and a dynamic one straight from the table's entry dict.  A
+multi-octet integer falls back to :func:`decode_integer`, and every
+index outside the static table goes through :meth:`Decoder._entry`,
+which raises the out-of-range errors.
+
+Huffman string literals are memoised module-wide (:data:`_HUFFMAN_CACHE`),
+the mirror of the encoder's ``_STRING_CACHE``: the memo maps encoded
+octets to decoded ones, so it is value-pure and safe to share between
+threads, and it is bounded and cleared when full.  A string that fails
+to decode raises before it is stored.
+
 Decoding errors are always connection-fatal
 (:class:`~repro.h2.errors.HpackDecodingError` → COMPRESSION_ERROR)
 because a failed decode desynchronizes the two endpoints' dynamic
@@ -12,7 +26,14 @@ from repro.h2.errors import HpackDecodingError
 from repro.h2.hpack import huffman
 from repro.h2.hpack.integer import decode_integer
 from repro.h2.hpack.static_table import STATIC_TABLE, STATIC_TABLE_LENGTH
-from repro.h2.hpack.table import DynamicTable, HeaderField
+from repro.h2.hpack.table import ENTRY_OVERHEAD, DynamicTable
+
+#: The static table as ``(name, value, size)``, the dynamic table's shape.
+_STATIC = tuple((field.name, field.value, field.size) for field in STATIC_TABLE)
+
+#: Shared memo of Huffman string literals: encoded octets -> decoded.
+_HUFFMAN_CACHE: dict[bytes, bytes] = {}
+_HUFFMAN_CACHE_MAX = 512
 
 
 class Decoder:
@@ -33,93 +54,78 @@ class Decoder:
     def decode(self, data: bytes) -> list[tuple[bytes, bytes]]:
         """Decode one complete header block into (name, value) pairs."""
         headers: list[tuple[bytes, bytes]] = []
+        limit = self.max_header_list_size
         list_size = 0
         offset = 0
+        end = len(data)
         seen_field = False
-        while offset < len(data):
+        while offset < end:
             octet = data[offset]
             if octet & 0x80:
-                field, offset = self._decode_indexed(data, offset)
-            elif octet & 0x40:
-                field, offset = self._decode_literal(data, offset, 6, index=True)
-            elif octet & 0x20:
+                # Indexed Header Field (§6.1).
+                index = octet & 0x7F
+                if index == 0x7F:
+                    index, offset = decode_integer(data, offset, 7)
+                else:
+                    offset += 1
+                if 0 < index <= STATIC_TABLE_LENGTH:
+                    name, value, size = _STATIC[index - 1]
+                else:
+                    name, value, size = self._entry(index)
+            elif (octet & 0xE0) == 0x20:
+                # Dynamic Table Size Update (§6.3).
                 if seen_field:
                     raise HpackDecodingError(
                         "dynamic table size update after header field"
                     )
-                offset = self._decode_size_update(data, offset)
+                new_size, offset = decode_integer(data, offset, 5)
+                if new_size > self.max_allowed_table_size:
+                    raise HpackDecodingError(
+                        f"table size update {new_size} exceeds allowed "
+                        f"{self.max_allowed_table_size}"
+                    )
+                self.table.resize(new_size)
                 continue
             else:
-                # 0x10 (never indexed) and 0x00 (without indexing) share
-                # the 4-bit prefix layout.
-                field, offset = self._decode_literal(data, offset, 4, index=False)
+                # Literals (§6.2): 0x40 with incremental indexing on a
+                # 6-bit prefix; 0x10 (never indexed) and 0x00 (without
+                # indexing) share the 4-bit layout.
+                indexing = octet & 0x40
+                mask = 0x3F if indexing else 0x0F
+                index = octet & mask
+                if index == mask:
+                    index, offset = decode_integer(
+                        data, offset, 6 if indexing else 4
+                    )
+                else:
+                    offset += 1
+                if not index:
+                    name, offset = _decode_string(data, offset, end)
+                elif index <= STATIC_TABLE_LENGTH:
+                    name = _STATIC[index - 1][0]
+                else:
+                    name = self._entry(index)[0]
+                value, offset = _decode_string(data, offset, end)
+                size = len(name) + len(value) + ENTRY_OVERHEAD
+                if indexing:
+                    self.table.insert(name, value, size)
             seen_field = True
-            list_size += field.size
-            if (
-                self.max_header_list_size is not None
-                and list_size > self.max_header_list_size
-            ):
-                raise HpackDecodingError(
-                    f"header list exceeds limit of {self.max_header_list_size}"
-                )
-            headers.append((field.name, field.value))
+            list_size += size
+            if limit is not None and list_size > limit:
+                raise HpackDecodingError(f"header list exceeds limit of {limit}")
+            headers.append((name, value))
         return headers
 
-    # -- representations ------------------------------------------------
-
-    def _decode_indexed(self, data: bytes, offset: int) -> tuple[HeaderField, int]:
-        index, offset = decode_integer(data, offset, 7)
-        return self._lookup(index), offset
-
-    def _decode_literal(
-        self, data: bytes, offset: int, prefix_bits: int, index: bool
-    ) -> tuple[HeaderField, int]:
-        name_index, offset = decode_integer(data, offset, prefix_bits)
-        if name_index:
-            name = self._lookup(name_index).name
-        else:
-            name, offset = self._decode_string(data, offset)
-        value, offset = self._decode_string(data, offset)
-        field = HeaderField(name, value)
-        if index:
-            self.table.add(field)
-        return field, offset
-
-    def _decode_size_update(self, data: bytes, offset: int) -> int:
-        new_size, offset = decode_integer(data, offset, 5)
-        if new_size > self.max_allowed_table_size:
-            raise HpackDecodingError(
-                f"table size update {new_size} exceeds allowed "
-                f"{self.max_allowed_table_size}"
-            )
-        self.table.resize(new_size)
-        return offset
-
-    def _decode_string(self, data: bytes, offset: int) -> tuple[bytes, int]:
-        if offset >= len(data):
-            raise HpackDecodingError("truncated string: missing length")
-        huffman_encoded = bool(data[offset] & 0x80)
-        length, offset = decode_integer(data, offset, 7)
-        end = offset + length
-        if end > len(data):
-            raise HpackDecodingError("truncated string: body shorter than length")
-        raw = data[offset:end]
-        if huffman_encoded:
-            raw = huffman.decode(raw)
-        return raw, end
-
-    # -- table addressing -------------------------------------------------
-
-    def _lookup(self, index: int) -> HeaderField:
-        """Resolve a 1-based wire index to a header field."""
+    def _entry(self, index: int) -> tuple[bytes, bytes, int]:
+        """Resolve a wire index outside the static table to ``(name,
+        value, size)``; the loop reads static entries itself."""
         if index <= 0:
             raise HpackDecodingError("index 0 is not a valid header field index")
-        if index <= STATIC_TABLE_LENGTH:
-            return STATIC_TABLE[index - 1]
+        entries = self.table._entries
         dyn_index = index - STATIC_TABLE_LENGTH - 1
-        if dyn_index >= len(self.table):
+        if dyn_index >= len(entries):
             raise HpackDecodingError(f"index {index} beyond dynamic table")
-        return self.table.get(dyn_index)
+        return entries[self.table._serial - dyn_index]
 
     # -- settings hooks ---------------------------------------------------
 
@@ -132,3 +138,28 @@ class Decoder:
         self.max_allowed_table_size = size
         if self.table.max_size > size:
             self.table.resize(size)
+
+
+def _decode_string(data: bytes, offset: int, end: int) -> tuple[bytes, int]:
+    """Read one string literal (§5.2) at ``offset`` of a block ``end`` long."""
+    if offset >= end:
+        raise HpackDecodingError("truncated string: missing length")
+    octet = data[offset]
+    length = octet & 0x7F
+    if length == 0x7F:
+        length, offset = decode_integer(data, offset, 7)
+    else:
+        offset += 1
+    stop = offset + length
+    if stop > end:
+        raise HpackDecodingError("truncated string: body shorter than length")
+    raw = data[offset:stop]
+    if octet & 0x80:
+        decoded = _HUFFMAN_CACHE.get(raw)
+        if decoded is None:
+            decoded = huffman.decode(raw)
+            if len(_HUFFMAN_CACHE) >= _HUFFMAN_CACHE_MAX:
+                _HUFFMAN_CACHE.clear()
+            _HUFFMAN_CACHE[raw] = decoded
+        raw = decoded
+    return raw, stop

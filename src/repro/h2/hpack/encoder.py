@@ -7,6 +7,18 @@ degree of freedom: Nginx and Tengine do not insert **response** header
 fields into the dynamic table (Section V-G), so every response header
 block has the same size and their compression ratio ``r`` is ~1, while
 GSE/LiteSpeed index aggressively and reach ``r`` < 0.3.
+
+:meth:`Encoder.encode` serializes a block in one loop.  A field that
+fully matches the static table or the dynamic table's ``(name, value)``
+index is one index octet; a literal takes its name index from
+``STATIC_NAME_INDEX`` or the table's name index, and its strings from
+:meth:`Encoder._encode_string`.  Two module-wide memos are shared by
+every encoder, and so by every thread that drives one: lowercased header
+names (:data:`_NAME_CACHE`) and encoded string literals
+(:data:`_STRING_CACHE`).  Each maps a key to one answer only, so a race
+can cost a recomputation but never a wrong byte, and each is bounded and
+cleared when full.  :func:`normalize_headers` is the plain statement of
+the name/value coercion the loop inlines.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ from repro.h2.hpack.static_table import (
     STATIC_NAME_INDEX,
     STATIC_TABLE_LENGTH,
 )
-from repro.h2.hpack.table import DynamicTable, HeaderField
+from repro.h2.hpack.table import ENTRY_OVERHEAD, DynamicTable
 
 HeaderLike = tuple[bytes | str, bytes | str]
 
@@ -47,6 +59,17 @@ class IndexingPolicy(enum.Enum):
 
 #: Header names that a careful encoder refuses to index (§7.1.3 advice).
 SENSITIVE_NAMES = frozenset({b"authorization", b"proxy-authorization", b"set-cookie"})
+
+#: Wire index of the newest dynamic-table entry.
+_DYNAMIC_BASE = STATIC_TABLE_LENGTH + 1
+
+#: Shared memo of lowercased header names, keyed by the caller's name
+#: object (str or bytes).  Names come from a fixed vocabulary — values
+#: such as ``:authority`` and ``:path`` differ per site and are not
+#: memoised — and a key maps to one answer only, so the memo is
+#: value-pure and safe across threads; it is cleared when full.
+_NAME_CACHE: dict[bytes | str, bytes] = {}
+_NAME_CACHE_MAX = 512
 
 
 def _to_bytes(value: bytes | str) -> bytes:
@@ -96,52 +119,75 @@ class Encoder:
     ) -> bytes:
         """Serialize ``headers`` into one header block fragment."""
         policy = policy or self.default_policy
+        # Literal layout (§6.2): name-index prefix bits and pattern.
+        if policy is IndexingPolicy.INDEX:
+            policy_bits, policy_pattern = 6, 0x40
+        elif policy is IndexingPolicy.NO_INDEX:
+            policy_bits, policy_pattern = 4, 0x00
+        elif policy is IndexingPolicy.NEVER_INDEX:
+            policy_bits, policy_pattern = 4, 0x10
+        else:
+            raise HpackEncodingError(f"unknown indexing policy {policy!r}")
         out = bytearray()
         for new_size in self._pending_size_updates:
-            out.extend(self._encode_size_update(new_size))
+            encoded = encode_integer(new_size, 5)
+            encoded[0] |= 0x20
+            out += encoded
         self._pending_size_updates.clear()
 
-        for name, value in normalize_headers(headers):
-            field_policy = policy
-            if name in SENSITIVE_NAMES and policy is IndexingPolicy.INDEX:
-                field_policy = IndexingPolicy.NEVER_INDEX
-            out.extend(self._encode_field(name, value, field_policy))
-        return bytes(out)
+        table = self.table
+        fields = table._fields
+        names = table._names
+        encode_string = self._encode_string
+        for name, value in headers:
+            lowered = _NAME_CACHE.get(name)
+            if lowered is None:
+                lowered = _to_bytes(name).lower()
+                if len(_NAME_CACHE) >= _NAME_CACHE_MAX:
+                    _NAME_CACHE.clear()
+                _NAME_CACHE[name] = lowered
+            name = lowered
+            if isinstance(value, str):
+                value = value.encode()
 
-    # -- representations ------------------------------------------------
+            # Indexed Header Field (§6.1): a full match is one integer.
+            key = (name, value)
+            index = STATIC_FIELD_INDEX.get(key)
+            if index is None:
+                serial = fields.get(key)
+                if serial is not None:
+                    index = _DYNAMIC_BASE + table._serial - serial
+            if index is not None:
+                if index < 0x7F:
+                    out.append(0x80 | index)
+                else:
+                    encoded = encode_integer(index, 7)
+                    encoded[0] |= 0x80
+                    out += encoded
+                continue
 
-    def _encode_field(
-        self, name: bytes, value: bytes, policy: IndexingPolicy
-    ) -> bytearray:
-        full_index = self._find_full(name, value)
-        if full_index is not None:
-            # Indexed Header Field (§6.1): single integer, 1-prefix.
-            encoded = encode_integer(full_index, 7)
-            encoded[0] |= 0x80
-            return encoded
-
-        name_index = self._find_name(name)
-        if policy is IndexingPolicy.INDEX:
-            prefix_bits, pattern = 6, 0x40
-            self.table.add(HeaderField(name, value))
-        elif policy is IndexingPolicy.NO_INDEX:
-            prefix_bits, pattern = 4, 0x00
-        elif policy is IndexingPolicy.NEVER_INDEX:
-            prefix_bits, pattern = 4, 0x10
-        else:  # pragma: no cover - exhaustive enum
-            raise HpackEncodingError(f"unknown indexing policy {policy!r}")
-
-        encoded = encode_integer(name_index or 0, prefix_bits)
-        encoded[0] |= pattern
-        if not name_index:
-            encoded.extend(self._encode_string(name))
-        encoded.extend(self._encode_string(value))
-        return encoded
-
-    def _encode_size_update(self, new_size: int) -> bytearray:
-        encoded = encode_integer(new_size, 5)
-        encoded[0] |= 0x20
-        return encoded
+            # Literal (§6.2), its name indexed if either table has it.
+            prefix_bits, pattern = policy_bits, policy_pattern
+            if pattern == 0x40 and name in SENSITIVE_NAMES:
+                prefix_bits, pattern = 4, 0x10  # never indexed
+            index = STATIC_NAME_INDEX.get(name)
+            if index is None:
+                serial = names.get(name)
+                if serial is not None:
+                    index = _DYNAMIC_BASE + table._serial - serial
+            if index is None:
+                out.append(pattern)
+                out += encode_string(name)
+            elif index < (1 << prefix_bits) - 1:
+                out.append(pattern | index)
+            else:
+                encoded = encode_integer(index, prefix_bits)
+                encoded[0] |= pattern
+                out += encoded
+            out += encode_string(value)
+            if pattern == 0x40:
+                table.insert(name, value, len(name) + len(value) + ENTRY_OVERHEAD)
+        return bytes(out)  # copy ok: the block leaves as immutable bytes
 
     def _encode_string(self, data: bytes) -> bytes:
         """Encode one string literal (§5.2), Huffman only when it wins.
@@ -172,23 +218,3 @@ class Encoder:
             _STRING_CACHE.clear()
         _STRING_CACHE[key] = result
         return result
-
-    # -- table search ---------------------------------------------------
-
-    def _find_full(self, name: bytes, value: bytes) -> int | None:
-        static = STATIC_FIELD_INDEX.get((name, value))
-        if static is not None:
-            return static
-        dyn_full, _ = self.table.find(name, value)
-        if dyn_full is not None:
-            return STATIC_TABLE_LENGTH + 1 + dyn_full
-        return None
-
-    def _find_name(self, name: bytes) -> int | None:
-        static = STATIC_NAME_INDEX.get(name)
-        if static is not None:
-            return static
-        _, dyn_name = self.table.find(name, b"")
-        if dyn_name is not None:
-            return STATIC_TABLE_LENGTH + 1 + dyn_name
-        return None

@@ -1,6 +1,6 @@
 """Static guard: no accidental ``bytes(...)`` copies on the hot path.
 
-The zero-copy contract of the framing/transport hot path is easy to
+The zero-copy contract of the framing/HPACK/transport hot path is easy to
 break silently — one innocent ``bytes(view)`` reintroduces a per-frame
 allocation and no functional test notices.  This test parses the hot
 modules and fails if a ``bytes(...)`` call (or a ``memoryview`` →
@@ -41,6 +41,8 @@ HOT_FUNCTIONS = {
         "H2Connection.receive_bytes",
         "H2Connection._send_frame",
     },
+    SRC / "h2" / "hpack" / "decoder.py": {"Decoder.decode"},
+    SRC / "h2" / "hpack" / "encoder.py": {"Encoder.encode"},
     SRC / "net" / "transport.py": {
         "Endpoint.send",
         "Endpoint._deliver_to_peer",

@@ -1,9 +1,14 @@
 """HPACK encoder/decoder (RFC 7541 §6, Appendix C sequences)."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.h2.errors import HpackDecodingError
+from repro.h2.hpack import decoder as decoder_module
+from repro.h2.hpack import encoder as encoder_module
 from repro.h2.hpack import huffman
 from repro.h2.hpack.decoder import Decoder
 from repro.h2.hpack.encoder import Encoder, IndexingPolicy
@@ -245,3 +250,190 @@ class TestStringLiteralFallback:
         for i in range(encoder_module._STRING_CACHE_MAX + 10):
             enc._encode_string(b"x-%d" % i)
         assert len(encoder_module._STRING_CACHE) <= encoder_module._STRING_CACHE_MAX
+
+
+class TestDecoderErrorMessages:
+    """Every malformed shape raises the same class and message it always
+    has: the one-pass loop changed how a block is walked, not what a
+    broken block is called."""
+
+    @pytest.mark.parametrize(
+        "block,message",
+        [
+            (bytes([0x80]), "index 0 is not a valid header field index"),
+            (bytes([0xFF, 0x20]), "index 159 beyond dynamic table"),
+            (bytes([0x7F, 0x01, 0x01, 0x61]), "index 64 beyond dynamic table"),
+            (bytes([0x0F, 0x30, 0x01, 0x61]), "index 63 beyond dynamic table"),
+            (bytes([0xFF, 0x80]), "truncated integer: missing continuation"),
+            (bytes([0x00, 0x7F]), "truncated integer: missing continuation"),
+            (bytes([0x40]), "truncated string: missing length"),
+            (bytes([0x40, 0x01, 0x61]), "truncated string: missing length"),
+            (
+                bytes([0x40, 0x05, 0x61, 0x62]),
+                "truncated string: body shorter than length",
+            ),
+            (bytes([0x82, 0x20]), "dynamic table size update after header field"),
+            (
+                bytes([0x3F, 0xE2, 0x7F]),
+                "table size update 16385 exceeds allowed 4096",
+            ),
+            (
+                bytes([0x00, 0x01, 0x61, 0x84, 0xFF, 0xFF, 0xFF, 0xFF]),
+                "EOS symbol decoded in Huffman string",
+            ),
+            (
+                bytes([0x00, 0x01, 0x61, 0x81, 0x18]),
+                "Huffman padding is not EOS prefix",
+            ),
+            (
+                bytes([0x00, 0x01, 0x61, 0x82, 0x1F, 0xFF]),
+                "Huffman padding longer than 7 bits",
+            ),
+        ],
+        ids=[
+            "index-zero",
+            "multi-octet-index-past-table",
+            "literal-name-index-past-table-6bit",
+            "literal-name-index-past-table-4bit",
+            "truncated-index-continuation",
+            "truncated-length-continuation",
+            "truncated-name-length",
+            "truncated-value-length",
+            "truncated-string-body",
+            "size-update-after-field",
+            "size-update-above-allowed",
+            "huffman-eos",
+            "huffman-zero-padding",
+            "huffman-long-padding",
+        ],
+    )
+    def test_class_and_message(self, block, message):
+        with pytest.raises(HpackDecodingError) as caught:
+            Decoder().decode(block)
+        assert type(caught.value) is HpackDecodingError
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "encoded", [b"\xff\xff\xff\xff", b"\x18", b"\x1f\xff"]
+    )
+    def test_failed_huffman_string_is_never_memoised(self, encoded):
+        block = bytes([0x00, 0x01, 0x61, 0x80 | len(encoded)]) + encoded
+        for _ in range(2):
+            with pytest.raises(HpackDecodingError):
+                Decoder().decode(block)
+            assert encoded not in decoder_module._HUFFMAN_CACHE
+
+    def test_list_size_limit_is_inclusive(self):
+        def block(value_length):
+            return (
+                bytes([0x00, 30]) + b"a" * 30 + bytes([value_length])
+                + b"b" * value_length
+            )
+
+        # 30 + 30 + 32 = 92 octets: at the limit passes, one more fails.
+        decoded = Decoder(max_header_list_size=92).decode(block(30))
+        assert decoded == [(b"a" * 30, b"b" * 30)]
+        with pytest.raises(HpackDecodingError) as caught:
+            Decoder(max_header_list_size=92).decode(block(31))
+        assert str(caught.value) == "header list exceeds limit of 92"
+
+
+def _on_six_threads(work, per_thread):
+    """Run ``work(slot, i)`` for ``i < per_thread`` on six real threads
+    released together, switching every microsecond; return each
+    thread's list of answers."""
+    results = [None] * 6
+    barrier = threading.Barrier(len(results))
+
+    def run(slot):
+        barrier.wait()
+        results[slot] = [work(slot, i) for i in range(per_thread)]
+
+    threads = [
+        threading.Thread(target=run, args=(slot,)) for slot in range(len(results))
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads), "hammer thread hung"
+    assert all(got is not None for got in results), "hammer thread died"
+    return results
+
+
+@pytest.fixture
+def empty_memos():
+    """Start from empty module-wide memos and put them back afterwards."""
+    memos = [
+        encoder_module._STRING_CACHE,
+        encoder_module._NAME_CACHE,
+        decoder_module._HUFFMAN_CACHE,
+    ]
+    saved = [dict(memo) for memo in memos]
+    for memo in memos:
+        memo.clear()
+    yield memos
+    for memo, contents in zip(memos, saved):
+        memo.clear()
+        memo.update(contents)
+
+
+class TestSharedMemos:
+    """Every encoder and decoder shares the module-wide memos, and live
+    sessions and the loopback bridge drive them from several threads."""
+
+    def test_encoder_string_cache_is_value_pure_under_threads(self, empty_memos):
+        """Hammer each memo from six real threads across its eviction
+        boundary, interleaving shared hot keys with per-thread cold
+        ones: every answer must equal a fresh single-threaded one (a
+        value-pure memo lets a race waste work, never corrupt output)."""
+
+        def string(slot, i):
+            data = b"text/html" if i % 7 == 0 else b"s%d-%d" % (slot, i)
+            return data, Encoder()._encode_string(data)
+
+        def name(slot, i):
+            field = ("Content-Type" if i % 7 == 0 else "X-S%d-%d" % (slot, i), "v")
+            return field, Encoder(default_policy=IndexingPolicy.NO_INDEX).encode(
+                [field]
+            )
+
+        blocks = {}
+        for slot in range(6):
+            for i in range(decoder_module._HUFFMAN_CACHE_MAX // 2):
+                value = b"text/html" if i % 7 == 0 else b"s%d-%d-value" % (slot, i)
+                blocks[value] = Encoder(default_policy=IndexingPolicy.NO_INDEX).encode(
+                    [(b"x-k", value)]
+                )
+
+        # The values go out Huffman-coded, so decoding them uses the memo.
+        hot = huffman.encode(b"text/html")
+        assert blocks[b"text/html"].endswith(bytes([0x80 | len(hot)]) + hot)
+
+        def huffman_value(slot, i):
+            value = b"text/html" if i % 7 == 0 else b"s%d-%d-value" % (slot, i)
+            return value, Decoder().decode(blocks[value])
+
+        string_got = _on_six_threads(string, encoder_module._STRING_CACHE_MAX // 2)
+        name_got = _on_six_threads(name, encoder_module._NAME_CACHE_MAX // 2)
+        huffman_got = _on_six_threads(
+            huffman_value, decoder_module._HUFFMAN_CACHE_MAX // 2
+        )
+
+        for memo in empty_memos:
+            memo.clear()
+        for got in string_got:
+            for data, encoded in got:
+                assert encoded == Encoder()._encode_string(data)
+        for got in name_got:
+            for field, block in got:
+                fresh = Encoder(default_policy=IndexingPolicy.NO_INDEX)
+                assert block == fresh.encode([field])
+        for got in huffman_got:
+            for value, headers in got:
+                assert headers == [(b"x-k", value)]

@@ -1,7 +1,7 @@
 """HPACK static and dynamic tables (RFC 7541 §2.3, §4, Appendix A)."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.h2.hpack.static_table import (
     STATIC_FIELD_INDEX,
@@ -138,3 +138,78 @@ class TestDynamicTable:
             table.add(HeaderField(name, value))
             assert table.size <= max_size
             assert table.size == sum(f.size for f in table)
+
+
+class _ScanTable:
+    """The linear-scan table the index replaced, as the reference."""
+
+    def __init__(self, max_size):
+        self.entries, self.size, self.max_size = [], 0, max_size
+
+    def evict_to_fit(self, incoming):
+        while self.entries and self.size + incoming > self.max_size:
+            self.size -= self.entries.pop().size
+
+    def add(self, field):
+        self.evict_to_fit(field.size)
+        if field.size <= self.max_size:
+            self.entries.insert(0, field)
+            self.size += field.size
+
+    def resize(self, max_size):
+        self.max_size = max_size
+        self.evict_to_fit(0)
+
+    def find(self, name, value):
+        name_match = None
+        for i, field in enumerate(self.entries):
+            if field.name == name:
+                if name_match is None:
+                    name_match = i
+                if field.value == value:
+                    return i, name_match
+        return None, name_match
+
+
+_NAMES = [b"a", b"b", b"cc"]
+_VALUES = [b"", b"1", b"22", b"x" * 90]
+_table_op = st.one_of(
+    st.tuples(st.just("add"), st.sampled_from(_NAMES), st.sampled_from(_VALUES)),
+    st.tuples(st.just("resize"), st.sampled_from([0, 40, 70, 110, 200, 4096])),
+    st.tuples(st.just("find"), st.sampled_from(_NAMES), st.sampled_from(_VALUES)),
+    st.tuples(st.just("get"), st.integers(0, 6)),
+)
+
+
+class TestIndexAgreesWithScan:
+    """The dict index answers every question the old linear scan did.
+
+    The small alphabet makes duplicate (name, value) pairs common, an
+    ``x * 90`` value makes entries larger than the small sizes, and a
+    resize to 0 and back empties the table mid-sequence.  A stale index
+    key (eviction without the serial guard) diverges here."""
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 300), st.lists(_table_op, max_size=40))
+    def test_every_step_matches_the_reference(self, max_size, ops):
+        table, reference = DynamicTable(max_size), _ScanTable(max_size)
+        for op in ops:
+            if op[0] == "add":
+                table.add(HeaderField(op[1], op[2]))
+                reference.add(HeaderField(op[1], op[2]))
+            elif op[0] == "resize":
+                table.resize(op[1])
+                reference.resize(op[1])
+            elif op[0] == "find":
+                assert table.find(op[1], op[2]) == reference.find(op[1], op[2])
+            elif op[1] < len(reference.entries):
+                assert table.get(op[1]) == reference.entries[op[1]]
+            else:
+                with pytest.raises(IndexError):
+                    table.get(op[1])
+            assert len(table) == len(reference.entries)
+            assert table.size == reference.size
+            assert list(table) == reference.entries
+            for name in _NAMES:
+                for value in _VALUES:
+                    assert table.find(name, value) == reference.find(name, value)

@@ -636,9 +636,9 @@ class _StubBackend(TransportBackend):
 
 
 class TestSharedStateHazards:
-    """Regression tests for the latent hazards the single-loop work
-    surfaced: bytes arriving before the client attached its callbacks,
-    and the module-wide encoder string cache under real threads."""
+    """Regression test for a latent hazard the single-loop work
+    surfaced: bytes arriving before the client attached its callbacks.
+    (The HPACK memos' thread test lives in tests/h2/test_hpack_codec.py.)"""
 
     def test_server_speaks_first_bytes_reach_limbo(self):
         """Bytes already buffered at connect() must be drained into the
@@ -655,50 +655,3 @@ class TestSharedStateHazards:
         # The replayed pre-hello garbage is a malformed server hello.
         assert client._mode == "failed"
         assert outcome.connected is False
-
-    def test_encoder_string_cache_is_value_pure_under_threads(self):
-        """The module-wide hot-string cache is shared by every in-flight
-        session.  Hammer it from real threads across the eviction
-        boundary: every cached answer must equal a fresh single-threaded
-        encoding (the cache is value-pure, so races can only waste
-        work, never corrupt output)."""
-        from repro.h2.hpack import encoder as encoder_module
-        from repro.h2.hpack.encoder import Encoder
-
-        original = dict(encoder_module._STRING_CACHE)
-        encoder_module._STRING_CACHE.clear()
-        try:
-            per_thread = encoder_module._STRING_CACHE_MAX // 2
-            results = [None] * 6
-            barrier = threading.Barrier(len(results))
-
-            def hammer(slot):
-                enc = Encoder()
-                got = []
-                barrier.wait()
-                for i in range(per_thread):
-                    # Interleave shared hot strings with per-thread
-                    # cold ones so eviction keeps firing.
-                    data = (
-                        b"text/html" if i % 7 == 0
-                        else b"s%d-%d" % (slot, i)
-                    )
-                    got.append((data, enc._encode_string(data)))
-                results[slot] = got
-
-            threads = [
-                threading.Thread(target=hammer, args=(slot,))
-                for slot in range(len(results))
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            reference = Encoder()
-            for got in results:
-                assert got is not None, "hammer thread died"
-                for data, encoded in got:
-                    assert encoded == reference._encode_string(data)
-        finally:
-            encoder_module._STRING_CACHE.clear()
-            encoder_module._STRING_CACHE.update(original)
