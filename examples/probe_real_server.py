@@ -32,8 +32,8 @@ import argparse
 import socket
 import sys
 
-from repro.experiments.table3 import ROWS, matrix_cells
 from repro.net.socket_backend import SocketBackend
+from repro.scope.conformance import ROWS, matrix_cells
 from repro.scope.session import ProbeSession
 
 
@@ -56,10 +56,10 @@ def reachable(host: str, port: int, timeout: float = 3.0) -> bool:
 
 
 def print_matrix_row(domain: str, cells: dict[str, str]) -> None:
-    width = max(len(row) for row in ROWS)
+    width = max(len(row.label) for row in ROWS)
     print(f"\nTable III feature-matrix column for {domain}:")
     for row in ROWS:
-        print(f"  {row:<{width}}  {cells.get(row, '-')}")
+        print(f"  {row.label:<{width}}  {cells.get(row.label, '-')}")
 
 
 def probe_address(

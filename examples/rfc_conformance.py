@@ -20,17 +20,16 @@ from repro.servers.site import deploy_testbed
 from repro.servers.vendors import VENDOR_FACTORIES
 
 
-def main() -> None:
+def main() -> int:
     names = sys.argv[1:] or list(VENDOR_FACTORIES)
+    unknown = [n for n in names if n not in VENDOR_FACTORIES]
+    if unknown:
+        print(f"unknown vendor(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
     failures_by_vendor = {}
     for name in names:
         with deploy_testbed(name) as (backend, site):
-            report = run_conformance(
-                ProbeSession(backend),
-                site.domain,
-                large_path="/large/0.bin",
-                multiplex_paths=[f"/large/{i}.bin" for i in range(3)],
-            )
+            report = run_conformance(ProbeSession(backend), site.domain)
         print(report.summary())
         failures_by_vendor[name] = sum(
             1 for r in report.results if r.verdict is Verdict.FAIL
@@ -40,7 +39,8 @@ def main() -> None:
     print("conformance ranking (fewest failed checks first):")
     for name, failures in ranking:
         print(f"  {name:10s} {failures} failed check(s)")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -122,8 +122,6 @@ class ConnectionConfig:
     #: HPACK indexing policy for header blocks we *send*.  Nginx/Tengine
     #: behaviour (no response indexing) is IndexingPolicy.NO_INDEX.
     hpack_send_policy: IndexingPolicy = IndexingPolicy.INDEX
-    #: Use Huffman coding for header strings we send.
-    hpack_huffman: bool = True
     #: SETTINGS announced during connection setup ({identifier: value}).
     initial_settings: dict[int, int] = dataclass_field(default_factory=dict)
     #: Bound on tracked priority-tree nodes (the anti-churn defence the
@@ -147,10 +145,7 @@ class H2Connection:
         self.local_settings = SettingsMap(self.config.initial_settings)
         self.remote_settings = SettingsMap()
 
-        self.encoder = Encoder(
-            use_huffman=self.config.hpack_huffman,
-            default_policy=self.config.hpack_send_policy,
-        )
+        self.encoder = Encoder(default_policy=self.config.hpack_send_policy)
         self.decoder = Decoder(
             max_header_table_size=self.local_settings.header_table_size
         )

@@ -601,12 +601,7 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
         return 2
     for name in names:
         with deploy_testbed(name, args.seed) as (backend, site):
-            report = run_conformance(
-                ProbeSession(backend),
-                site.domain,
-                large_path="/large/0.bin",
-                multiplex_paths=[f"/large/{i}.bin" for i in range(3)],
-            )
+            report = run_conformance(ProbeSession(backend), site.domain)
         print(report.summary())
     return 0
 

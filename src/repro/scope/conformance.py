@@ -1,17 +1,19 @@
 """RFC 7540 conformance checking — H2Scope as an h2spec-style tester.
 
-Table III is, at heart, a conformance report; this module formalizes
-it: every check carries the RFC section it tests, a requirement level
-(MUST / SHOULD / feature), runs one focused probe against a target, and
-returns a typed verdict.  ``run_conformance`` executes the whole suite
-against one site and produces a report with a compliance score, which
-is how the paper's "not all implementations strictly follow RFC 7540"
-becomes a per-server, per-requirement statement.
+Table III is, at heart, a conformance report, and this module is the
+only place a probe result becomes an RFC verdict.  :data:`ROWS` is the
+table's row list: each row carries the "RFC 7540" column's cell, and
+every row the RFC requires something of also carries the section, the
+requirement level (MUST / SHOULD / feature) and the id of the check
+that judges it.  :func:`matrix_cells` measures one target's column;
+:meth:`Row.judge` turns a cell into a verdict, and
+``experiments.table3`` scores the paper's matrix with the same rows.
 
-The checks deliberately reuse the Section III probes where one exists;
-a few additional protocol details (PING payload echo, SETTINGS
-acknowledgement, GOAWAY last-stream-id sanity) get their own minimal
-probes here.
+:func:`run_conformance` measures the column once, judges every scored
+row, then runs the three checks Table III has no row for (SETTINGS
+after the preface, SETTINGS acknowledgement, the concurrency floor).
+Its report is how the paper's "not all implementations strictly follow
+RFC 7540" becomes a per-server, per-requirement statement.
 """
 
 from __future__ import annotations
@@ -22,9 +24,13 @@ from dataclasses import dataclass, field
 
 from repro.h2 import events as ev
 from repro.scope.probes import (
+    probe_hpack,
     probe_large_window_update,
     probe_multiplexing,
     probe_negotiation,
+    probe_ping,
+    probe_priority,
+    probe_push,
     probe_self_dependency,
     probe_settings,
     probe_tiny_window,
@@ -40,13 +46,193 @@ class Level(enum.Enum):
 
     MUST = "MUST"
     SHOULD = "SHOULD"
-    FEATURE = "feature"  # optional capability (push, NPN, ...)
+    FEATURE = "feature"  # optional capability (push, HPACK indexing, ...)
 
 
 class Verdict(enum.Enum):
     PASS = "pass"
     FAIL = "fail"
-    SKIP = "skip"  # prerequisite missing (e.g. no large objects)
+    SKIP = "skip"  # prerequisite missing (e.g. h2 not negotiated)
+
+
+@dataclass(frozen=True)
+class Row:
+    """One Table III row and, if the RFC requires it, the check judging it."""
+
+    label: str
+    #: The row's cell in Table III's "RFC 7540" column.
+    requirement: str
+    #: None for a row the RFC does not require (NPN): it is not scored.
+    level: Level | None = None
+    section: str = ""
+    check_id: str = ""
+    description: str = ""
+    #: Report detail for a PASS and for a FAIL; ``{cell}`` is the
+    #: measured cell.
+    passed: str = ""
+    failed: str = ""
+
+    def judge(self, cells: dict[str, str]) -> tuple[Verdict, str]:
+        """PASS when the measured cell is the RFC's, FAIL otherwise; every
+        row but ALPN is SKIP when neither ALPN nor NPN negotiated h2."""
+        if self.label != "ALPN" and "support" not in (cells["ALPN"], cells["NPN"]):
+            return Verdict.SKIP, "h2 not established"
+        cell = cells[self.label]
+        if cell == self.requirement:
+            return Verdict.PASS, self.passed.format(cell=cell)
+        return Verdict.FAIL, self.failed.format(cell=cell)
+
+
+#: Table III's rows in the paper's order.
+ROWS: tuple[Row, ...] = (
+    Row("ALPN", "support", Level.MUST, "§3.3", "tls-alpn",
+        "HTTP/2 over TLS negotiated via ALPN",
+        "h2 selected via ALPN", "server did not negotiate h2 via ALPN"),
+    Row("NPN", "does not require"),
+    Row("Request Multiplexing", "support", Level.FEATURE, "§5", "multiplexing",
+        "concurrent requests are multiplexed",
+        "responses interleaved across streams", "responses strictly sequential"),
+    Row("Flow Control on DATA Frames", "yes", Level.MUST, "§6.9.1",
+        "flow-control-data", "DATA frames respect the flow-control window",
+        "DATA frames sized to the announced window",
+        "DATA frames not sized to the announced window"),
+    Row("Flow Control on HEADERS Frames", "no", Level.MUST, "§6.9",
+        "headers-exempt", "HEADERS frames are not flow-controlled",
+        "HEADERS returned while the window was zero",
+        "HEADERS withheld behind flow control"),
+    Row("Zero Window Update on stream", "RST_STREAM", Level.MUST, "§6.9",
+        "zero-window-update",
+        "zero WINDOW_UPDATE increment treated as a stream error",
+        "zero increment answered with {cell}",
+        "zero increment answered with {cell}"),
+    Row("Zero Window Update on connection", "GOAWAY", Level.MUST, "§6.9",
+        "zero-window-update-connection",
+        "zero connection WINDOW_UPDATE increment treated as a connection error",
+        "zero connection increment answered with {cell}",
+        "zero connection increment answered with {cell}"),
+    Row("Large Window Update (Connection)", "GOAWAY", Level.MUST, "§6.9.1",
+        "overflow-connection",
+        "connection window overflow terminates the connection",
+        "connection overflow answered with {cell}",
+        "connection overflow answered with {cell}"),
+    Row("Large Window Update (Stream)", "RST_STREAM", Level.MUST, "§6.9.1",
+        "overflow-stream", "stream window overflow terminates the stream",
+        "overflow terminated the stream", "stream overflow answered with {cell}"),
+    Row("Server Push", "yes", Level.FEATURE, "§8.2", "server-push",
+        "server push offered", "PUSH_PROMISE received", "no PUSH_PROMISE"),
+    Row("Priority Mechanism Testing (Algorithm 1)", "pass", Level.SHOULD,
+        "§5.3.1", "priority", "responses follow the dependency tree (Algorithm 1)",
+        "responses completed in dependency order",
+        "responses ignored the dependency tree"),
+    Row("Self-dependent Stream", "RST_STREAM", Level.MUST, "§5.3.1",
+        "self-dependency", "self-dependent PRIORITY treated as a stream error",
+        "self-dependency treated as a stream error",
+        "self-dependency answered with {cell}"),
+    # RFC 7541 lets an encoder never index; like the paper, the suite
+    # reads a ratio near 1 (support*) as defeating the feature.
+    Row("Header Compression", "support", Level.FEATURE, "§4.3",
+        "header-compression", "repeated response headers are indexed",
+        "repeated response headers shrink",
+        "repeated response headers did not shrink ({cell})"),
+    Row("HTTP/2 PING", "support", Level.MUST, "§6.7", "ping-echo",
+        "PING answered with identical payload",
+        "PING echoed with identical payload",
+        "no PING acknowledgement with the sent payload"),
+)
+
+#: The rows the RFC requires something of: one check each.
+SCORED_ROWS = tuple(row for row in ROWS if row.level is not None)
+
+
+#: Sframe used for the DATA-frame flow-control row.  Larger than
+#: LiteSpeed's HEADERS-hold threshold so every vendor responds (the
+#: population experiment separately probes Sframe=1, §V-D1).
+TESTBED_SFRAME = 64
+
+
+def matrix_cells(session: ProbeSession, domain: str) -> dict[str, str]:
+    """The Table III feature-matrix column for one target.
+
+    Backend-agnostic: the session's backend decides whether the cells
+    come from the simulated testbed or from a real server — the socket-
+    backend differential test compares the two verdict-for-verdict.
+    The target must serve the testbed object layout (``/large/*.bin``,
+    ``/medium/*.bin``); cells degrade to "no response" otherwise.
+    """
+    cells: dict[str, str] = {}
+
+    negotiation = probe_negotiation(session, domain)
+    cells["ALPN"] = "support" if negotiation.alpn_h2 else "no support"
+    cells["NPN"] = "support" if negotiation.npn_h2 else "no support"
+
+    multiplexing = probe_multiplexing(
+        session, domain, [f"/large/{i}.bin" for i in range(4)]
+    )
+    cells["Request Multiplexing"] = (
+        "support" if multiplexing.interleaved else "no support"
+    )
+
+    tiny, first_size, _ = probe_tiny_window(
+        session, domain, sframe=TESTBED_SFRAME, path="/large/1.bin"
+    )
+    cells["Flow Control on DATA Frames"] = (
+        "yes"
+        if tiny is TinyWindowResult.WINDOW_SIZED_DATA and first_size == TESTBED_SFRAME
+        else "no"
+    )
+
+    headers_ok = probe_zero_window_headers(session, domain, path="/large/2.bin")
+    cells["Flow Control on HEADERS Frames"] = "no" if headers_ok else "yes"
+
+    reaction, _ = probe_zero_window_update(
+        session, domain, level="stream", path="/large/3.bin"
+    )
+    cells["Zero Window Update on stream"] = _reaction_cell(reaction)
+    reaction, _ = probe_zero_window_update(
+        session, domain, level="connection", path="/large/3.bin"
+    )
+    cells["Zero Window Update on connection"] = _reaction_cell(reaction)
+
+    reaction = probe_large_window_update(
+        session, domain, level="connection", path="/large/4.bin"
+    )
+    cells["Large Window Update (Connection)"] = _reaction_cell(reaction)
+    reaction = probe_large_window_update(
+        session, domain, level="stream", path="/large/4.bin"
+    )
+    cells["Large Window Update (Stream)"] = _reaction_cell(reaction)
+
+    push = probe_push(session, domain)
+    cells["Server Push"] = "yes" if push.push_received else "no"
+
+    priority = probe_priority(
+        session,
+        domain,
+        test_paths=[f"/large/{i}.bin" for i in range(6)],
+        depletion_paths=[f"/medium/{i}.bin" for i in range(4)],
+    )
+    cells["Priority Mechanism Testing (Algorithm 1)"] = (
+        "pass" if priority.passes_algorithm1 else "fail"
+    )
+
+    selfdep = probe_self_dependency(session, domain, path="/large/5.bin")
+    cells["Self-dependent Stream"] = _reaction_cell(selfdep)
+
+    hpack = probe_hpack(session, domain, path="/")
+    if hpack.ratio is None:
+        cells["Header Compression"] = "no support"
+    elif hpack.ratio >= 0.95:
+        cells["Header Compression"] = "support*"
+    else:
+        cells["Header Compression"] = "support"
+
+    ping = probe_ping(session, domain, samples=1)
+    cells["HTTP/2 PING"] = "support" if ping.ping_supported else "no support"
+    return cells
+
+
+def _reaction_cell(reaction: ErrorReaction | None) -> str:
+    return "no response" if reaction is None else reaction.value
 
 
 @dataclass
@@ -63,6 +249,9 @@ class CheckResult:
 class ConformanceReport:
     domain: str
     results: list[CheckResult] = field(default_factory=list)
+    #: The Table III column the row checks were judged from (empty when
+    #: measuring it raised).
+    cells: dict[str, str] = field(default_factory=dict)
 
     def _count(self, verdict: Verdict, level: Level | None = None) -> int:
         return sum(
@@ -101,32 +290,25 @@ class ConformanceReport:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Check:
+    """A check Table III has no row for: it runs its own probe."""
+
     check_id: str
     section: str
     level: Level
     description: str
-    run: Callable[["ProbeSession", str, dict], tuple[Verdict, str]]
+    run: Callable[[ProbeSession, str], tuple[Verdict, str]]
 
 
-def _check_alpn(session, domain, ctx):
-    negotiation = probe_negotiation(session, domain)
-    ctx["negotiation"] = negotiation
-    if negotiation.alpn_h2:
-        return Verdict.PASS, "h2 selected via ALPN"
-    return Verdict.FAIL, "server did not negotiate h2 via ALPN"
-
-
-def _check_settings_frame(session, domain, ctx):
+def _check_preface_settings(session, domain):
     settings = probe_settings(session, domain)
-    ctx["settings"] = settings
     if settings.settings_frame_received:
         return Verdict.PASS, f"announced {len(settings.announced)} parameters"
     return Verdict.FAIL, "no SETTINGS frame after the connection preface"
 
 
-def _check_settings_ack(session, domain, ctx):
+def _check_settings_ack(session, domain):
     client = session.client(domain)
     try:
         if not client.establish_h2():
@@ -144,92 +326,8 @@ def _check_settings_ack(session, domain, ctx):
         client.close()
 
 
-def _check_ping_echo(session, domain, ctx):
-    client = session.client(domain)
-    try:
-        if not client.establish_h2():
-            return Verdict.SKIP, "h2 not established"
-        payload = b"\x01\x02\x03\x04conf"
-        client.send_ping(payload)
-        client.wait_for(
-            lambda: any(
-                isinstance(te.event, ev.PingAckReceived) for te in client.events
-            ),
-            timeout=5,
-        )
-        acks = [
-            te.event
-            for te in client.events
-            if isinstance(te.event, ev.PingAckReceived)
-        ]
-        if not acks:
-            return Verdict.FAIL, "no PING acknowledgement"
-        if acks[0].payload != payload:
-            return Verdict.FAIL, "PING ack payload differs from request"
-        return Verdict.PASS, "PING echoed with identical payload"
-    finally:
-        client.close()
-
-
-def _check_flow_control_data(session, domain, ctx):
-    path = ctx.get("large_path", "/big.bin")
-    category, size, _ = probe_tiny_window(session, domain, sframe=64, path=path)
-    if category is TinyWindowResult.WINDOW_SIZED_DATA and size == 64:
-        return Verdict.PASS, "DATA frames sized to the announced window"
-    return Verdict.FAIL, f"observed {category.value} (first size {size})"
-
-
-def _check_headers_not_flow_controlled(session, domain, ctx):
-    compliant = probe_zero_window_headers(
-        session, domain, path=ctx.get("large_path", "/big.bin")
-    )
-    if compliant is None:
-        return Verdict.SKIP, "h2 not established"
-    if compliant:
-        return Verdict.PASS, "HEADERS returned while the window was zero"
-    return Verdict.FAIL, "HEADERS withheld behind flow control"
-
-
-def _check_zero_window_update(session, domain, ctx):
-    reaction, _ = probe_zero_window_update(
-        session, domain, level="stream", path=ctx.get("large_path", "/big.bin")
-    )
-    if reaction is ErrorReaction.RST_STREAM:
-        return Verdict.PASS, "zero increment answered with RST_STREAM"
-    return Verdict.FAIL, f"zero increment answered with {reaction.value}"
-
-
-def _check_window_overflow_stream(session, domain, ctx):
-    reaction = probe_large_window_update(
-        session, domain, level="stream", path=ctx.get("large_path", "/big.bin")
-    )
-    if reaction is ErrorReaction.RST_STREAM:
-        return Verdict.PASS, "overflow terminated the stream"
-    if reaction is ErrorReaction.GOAWAY:
-        return Verdict.PASS, "overflow terminated the connection"
-    return Verdict.FAIL, "window overflow went unanswered"
-
-
-def _check_window_overflow_connection(session, domain, ctx):
-    reaction = probe_large_window_update(
-        session, domain, level="connection", path=ctx.get("large_path", "/big.bin")
-    )
-    if reaction is ErrorReaction.GOAWAY:
-        return Verdict.PASS, "connection overflow answered with GOAWAY"
-    return Verdict.FAIL, f"connection overflow answered with {reaction.value}"
-
-
-def _check_self_dependency(session, domain, ctx):
-    reaction = probe_self_dependency(
-        session, domain, path=ctx.get("large_path", "/big.bin")
-    )
-    if reaction is ErrorReaction.RST_STREAM:
-        return Verdict.PASS, "self-dependency treated as a stream error"
-    return Verdict.FAIL, f"self-dependency answered with {reaction.value}"
-
-
-def _check_max_concurrent_floor(session, domain, ctx):
-    settings = ctx.get("settings") or probe_settings(session, domain)
+def _check_concurrent_floor(session, domain):
+    settings = probe_settings(session, domain)
     value = settings.announced.get(3)
     if not settings.settings_frame_received:
         return Verdict.SKIP, "no SETTINGS frame"
@@ -240,71 +338,54 @@ def _check_max_concurrent_floor(session, domain, ctx):
     return Verdict.FAIL, f"announced {value} (< the recommended 100)"
 
 
-def _check_multiplexing(session, domain, ctx):
-    paths = ctx.get("multiplex_paths")
-    if not paths:
-        return Verdict.SKIP, "no large objects available"
-    result = probe_multiplexing(session, domain, paths)
-    if result.interleaved:
-        return Verdict.PASS, "responses interleaved across streams"
-    return Verdict.FAIL, "responses strictly sequential"
-
-
-CHECKS: list[_Check] = [
-    _Check("tls-alpn", "§3.3", Level.MUST,
-           "HTTP/2 over TLS negotiated via ALPN", _check_alpn),
+_CHECKS = (
     _Check("preface-settings", "§3.5", Level.MUST,
-           "SETTINGS frame follows the connection preface", _check_settings_frame),
+           "SETTINGS frame follows the connection preface", _check_preface_settings),
     _Check("settings-ack", "§6.5.3", Level.MUST,
            "peer SETTINGS acknowledged", _check_settings_ack),
-    _Check("ping-echo", "§6.7", Level.MUST,
-           "PING answered with identical payload", _check_ping_echo),
-    _Check("flow-control-data", "§6.9.1", Level.MUST,
-           "DATA frames respect the flow-control window", _check_flow_control_data),
-    _Check("headers-exempt", "§6.9", Level.MUST,
-           "HEADERS frames are not flow-controlled",
-           _check_headers_not_flow_controlled),
-    _Check("zero-window-update", "§6.9", Level.MUST,
-           "zero WINDOW_UPDATE increment treated as a stream error",
-           _check_zero_window_update),
-    _Check("overflow-stream", "§6.9.1", Level.MUST,
-           "stream window overflow terminates stream or connection",
-           _check_window_overflow_stream),
-    _Check("overflow-connection", "§6.9.1", Level.MUST,
-           "connection window overflow terminates the connection",
-           _check_window_overflow_connection),
-    _Check("self-dependency", "§5.3.1", Level.MUST,
-           "self-dependent PRIORITY treated as a stream error",
-           _check_self_dependency),
     _Check("concurrent-floor", "§6.5.2", Level.SHOULD,
-           "MAX_CONCURRENT_STREAMS not below 100", _check_max_concurrent_floor),
-    _Check("multiplexing", "§5", Level.FEATURE,
-           "concurrent requests are multiplexed", _check_multiplexing),
-]
+           "MAX_CONCURRENT_STREAMS not below 100", _check_concurrent_floor),
+)
+
+#: The report's line order: the twelve checks that predate the row
+#: table keep their places, and each row added since sits beside its kin.
+REPORT_ORDER = (
+    "tls-alpn", "preface-settings", "settings-ack", "ping-echo",
+    "flow-control-data", "headers-exempt", "zero-window-update",
+    "zero-window-update-connection", "overflow-stream", "overflow-connection",
+    "self-dependency", "priority", "concurrent-floor", "multiplexing",
+    "server-push", "header-compression",
+)
 
 
-def run_conformance(
-    session: ProbeSession,
-    domain: str,
-    large_path: str = "/big.bin",
-    multiplex_paths: list[str] | None = None,
-) -> ConformanceReport:
-    """Run the whole check suite against one target over ``session``."""
+def _crashed(exc: Exception) -> tuple[Verdict, str]:
+    return Verdict.SKIP, f"{type(exc).__name__}: {exc}"
+
+
+def run_conformance(session: ProbeSession, domain: str) -> ConformanceReport:
+    """Run the whole suite against one target over ``session``.
+
+    The target must serve the testbed object layout that
+    :func:`matrix_cells` reads.  A probe that raises skips the checks
+    that read it (a checker must not crash).
+    """
     report = ConformanceReport(domain=domain)
-    ctx: dict = {"large_path": large_path, "multiplex_paths": multiplex_paths}
-    for check in CHECKS:
+    try:
+        report.cells = matrix_cells(session, domain)
+        outcomes = {row: row.judge(report.cells) for row in SCORED_ROWS}
+    except Exception as exc:  # noqa: BLE001 - a checker must not crash
+        outcomes = dict.fromkeys(SCORED_ROWS, _crashed(exc))
+    for check in _CHECKS:
         try:
-            verdict, detail = check.run(session, domain, ctx)
+            outcomes[check] = check.run(session, domain)
         except Exception as exc:  # noqa: BLE001 - a checker must not crash
-            verdict, detail = Verdict.SKIP, f"{type(exc).__name__}: {exc}"
-        report.results.append(
-            CheckResult(
-                check_id=check.check_id,
-                section=check.section,
-                level=check.level,
-                description=check.description,
-                verdict=verdict,
-                detail=detail,
-            )
-        )
+            outcomes[check] = _crashed(exc)
+    report.results = sorted(
+        (
+            CheckResult(check.check_id, check.section, check.level,
+                        check.description, *outcome)
+            for check, outcome in outcomes.items()
+        ),
+        key=lambda result: REPORT_ORDER.index(result.check_id),
+    )
     return report

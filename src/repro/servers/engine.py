@@ -22,7 +22,7 @@ from functools import cached_property
 from repro.h2 import events as ev
 from repro.h2.abuse import AbuseRules
 from repro.h2.connection import ConnectionConfig, H2Connection, Side
-from repro.h2.constants import ErrorCode, SettingCode
+from repro.h2.constants import DEFAULT_INITIAL_WINDOW_SIZE, ErrorCode, SettingCode
 from repro.h2.errors import H2ConnectionError, H2Error
 from repro.net.clock import Simulation
 from repro.net.tls import (
@@ -45,6 +45,15 @@ CHUNK_LIMIT = 16_384
 #: Seconds a guard-evicted connection lingers between its terminal
 #: GOAWAY and the FIN, so the frame outruns the close on slow links.
 GUARD_CLOSE_LINGER = 0.05
+#: Increment of the WINDOW_UPDATEs with which an announce-zero server
+#: (Nginx, §V-C) reopens the connection window and each stream's.
+WINDOW_UPDATE_GRANT = DEFAULT_INITIAL_WINDOW_SIZE
+#: PING turnaround, seconds: handled on the protocol fast path, before
+#: request processing (the RFC says PING responses *should* get higher
+#: priority than anything else).
+PING_DELAY = 0.0002
+#: Maximum resources pushed per response under the learned push policy.
+LEARNED_PUSH_LIMIT = 8
 
 
 @dataclass
@@ -119,10 +128,10 @@ class H2Server:
         """Most-requested followers of ``page``, most frequent first."""
         counts = self.follow_counts.get(page, {})
         ranked = sorted(counts, key=lambda path: (-counts[path], path))
-        return ranked[: self.profile.learned_push_limit]
+        return ranked[:LEARNED_PUSH_LIMIT]
 
     def _make_tls_config(self) -> TlsServerConfig:
-        protos = [H2, HTTP11] if self.profile.supports_h2 else [HTTP11]
+        protos = [H2, HTTP11]
         return TlsServerConfig(
             alpn_protocols=protos if self.profile.supports_alpn else None,
             npn_protocols=protos if self.profile.supports_npn else None,
@@ -332,7 +341,7 @@ class _ServerConnection:
                 if proto in npn_list:
                     chosen = proto
                     break
-        if chosen == H2 and self.profile.supports_h2:
+        if chosen == H2:
             self._start_h2()
         else:
             self.mode = "http1"
@@ -373,7 +382,6 @@ class _ServerConnection:
             max_tracked_priority_streams=profile.max_tracked_priority_streams,
             zero_window_update_debug=profile.zero_window_update_debug,
             hpack_send_policy=profile.indexing_policy,
-            hpack_huffman=profile.hpack_huffman,
             initial_settings=settings,
             max_peer_header_table_size=profile.max_peer_header_table_size,
         )
@@ -383,7 +391,7 @@ class _ServerConnection:
             # Nginx quirk (§V-C): announce INITIAL_WINDOW_SIZE 0, then
             # immediately re-open the connection window; per-stream
             # windows are granted as streams arrive.
-            self.conn.send_window_update(0, profile.window_update_grant)
+            self.conn.send_window_update(0, WINDOW_UPDATE_GRANT)
         self._flush()
 
     def _feed_h2(self, data: bytes) -> None:
@@ -511,7 +519,7 @@ class _ServerConnection:
             handler(self, event)
 
     def _schedule_ping_ack(self, event: ev.PingReceived) -> None:
-        self.sim.call_later(self.profile.ping_delay, self._ping_ack, event.payload)
+        self.sim.call_later(PING_DELAY, self._ping_ack, event.payload)
 
     def _forget_stream(self, event: ev.StreamReset) -> None:
         self._tasks.pop(event.stream_id, None)
@@ -561,17 +569,14 @@ class _ServerConnection:
         if profile.announce_zero_then_window_update:
             announced = profile.settings.get(int(SettingCode.INITIAL_WINDOW_SIZE))
             if announced == 0:
-                self.conn.send_window_update(
-                    event.stream_id, profile.window_update_grant
-                )
+                self.conn.send_window_update(event.stream_id, WINDOW_UPDATE_GRANT)
 
-        if profile.enforce_max_concurrent:
-            limit = self.conn.local_settings.max_concurrent_streams
-            if limit is not None and len(self._active_requests) + 1 > limit:
-                self.conn.send_rst_stream(
-                    event.stream_id, int(ErrorCode.REFUSED_STREAM)
-                )
-                return
+        # Past MAX_CONCURRENT_STREAMS the stream is refused with
+        # RST_STREAM(REFUSED_STREAM), as Nginx and Tengine do (§V-A).
+        limit = self.conn.local_settings.max_concurrent_streams
+        if limit is not None and len(self._active_requests) + 1 > limit:
+            self.conn.send_rst_stream(event.stream_id, int(ErrorCode.REFUSED_STREAM))
+            return
         self._active_requests.add(event.stream_id)
 
         headers = {name: value for name, value in event.headers}

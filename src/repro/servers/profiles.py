@@ -119,8 +119,6 @@ class ServerProfile:
     # -- TLS negotiation (§IV-A, Table III rows ALPN/NPN) -----------------
     supports_alpn: bool = True
     supports_npn: bool = True
-    #: Whether the server speaks HTTP/2 at all.
-    supports_h2: bool = True
     #: Cleartext HTTP/1.1 "Upgrade: h2c" support (§IV-A's unencrypted
     #: path; RFC 7540 §3.2).  Off by default — the paper scans over TLS.
     supports_h2c: bool = False
@@ -144,8 +142,6 @@ class ServerProfile:
     #: §V-B: thousands of sites negotiate h2 via ALPN/NPN but never
     #: return HEADERS (the gap between negotiation and HEADERS counts).
     h2_unresponsive: bool = False
-    #: Increment used by the quirk above (per stream and connection).
-    window_update_grant: int = 2**16 - 1
 
     # -- flow control (Table III, §V-D) ------------------------------------
     #: LiteSpeed quirk: apply flow control to HEADERS frames too, i.e.
@@ -205,14 +201,11 @@ class ServerProfile:
     #: clients request after each page and pushes the most likely
     #: followers on later visits.
     push_policy: str = "static"
-    #: Maximum resources pushed per response under the learned policy.
-    learned_push_limit: int = 8
 
     # -- HPACK (Table III, §V-G) ----------------------------------------------
     #: Nginx/Tengine quirk: response header fields are not added to the
     #: dynamic table, so repeated responses never shrink (ratio r ~ 1).
     hpack_index_responses: bool = True
-    hpack_huffman: bool = True
     #: §V-G: a few sites insert a fresh cookie into every response,
     #: making later header blocks *larger* than the first (r > 1); the
     #: paper filters those out of Figs. 4-5.
@@ -222,11 +215,6 @@ class ServerProfile:
     #: ratio CDF between the perfect ~1/H and the ratio-1 extremes, as
     #: the population in Figs. 4-5 spreads.
     response_header_noise: float = 0.0
-
-    # -- concurrency (§V-A last paragraph) -------------------------------------
-    #: When the peer exceeds MAX_CONCURRENT_STREAMS the engine refuses
-    #: the stream with RST_STREAM(REFUSED_STREAM), as Nginx/Tengine do.
-    enforce_max_concurrent: bool = True
 
     # -- robustness countermeasures (ISSUE 7) -----------------------------------
     #: Abuse-guard configuration.  All-off by default: the measured
@@ -242,10 +230,6 @@ class ServerProfile:
     #: estimates in Fig. 6.
     processing_delay: float = 0.012
     processing_jitter: float = 0.006
-    #: PING turnaround: handled on the protocol fast path, before
-    #: request processing (the RFC says PING responses *should* get
-    #: higher priority than anything else).
-    ping_delay: float = 0.0002
 
     def clone(self, **overrides) -> "ServerProfile":
         """A copy with some fields replaced (used by the population)."""

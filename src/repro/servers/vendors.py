@@ -1,7 +1,7 @@
 """The six server implementations of Table III, as behaviour profiles.
 
 Each factory transcribes one column of Table III plus the Section V-A
-observations (window quirks, concurrency enforcement, HPACK indexing).
+observations (window quirks, HPACK indexing).
 Population-only server families seen in Table IV (GSE, cloudflare-nginx,
 IdeaWebServer) are modelled here too so the Alexa-scale experiments can
 mix them in.
@@ -42,7 +42,6 @@ def nginx() -> ServerProfile:
         # §V-G: Nginx only indexes request headers; responses never
         # shrink, so its compression ratio is ~1.
         hpack_index_responses=False,
-        enforce_max_concurrent=True,
     )
 
 

@@ -44,7 +44,7 @@ class TestTable3:
         measured = result.data["measured"]
         assert set(measured) == set(table3.VENDORS)
         for cells in measured.values():
-            assert set(cells) == set(table3.ROWS)
+            assert set(cells) == {row.label for row in table3.ROWS}
 
     def test_text_renders_matrix(self, result):
         assert "Nginx" in result.text

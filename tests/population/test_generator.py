@@ -21,7 +21,7 @@ IWS = int(SettingCode.INITIAL_WINDOW_SIZE)
 
 #: sha256 of ``_canonical(make_population(PopulationConfig(n_sites=300,
 #: seed=7)))``: every field of every record the generator emits.
-POPULATION_SHA256 = "99eda048a9d80d4c8b812eeeb24c9cbbc31a1e87f3c38d72f59fc3551bf5a7de"
+POPULATION_SHA256 = "b408219794e70fea5e37eca51e6e1215b91732d2e545e4ff64f516a817ace33a"
 
 
 def _canonical(value):

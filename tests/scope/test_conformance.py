@@ -1,18 +1,34 @@
 """RFC conformance suite against the six vendor models."""
 
-from repro.scope.conformance import Level, Verdict, run_conformance
+from repro.experiments.table3 import PAPER_TABLE3
+from repro.h2.connection import Reaction
+from repro.net.clock import Simulation
+from repro.net.transport import Network
+from repro.scope.conformance import (
+    REPORT_ORDER,
+    ROWS,
+    SCORED_ROWS,
+    Level,
+    Verdict,
+    run_conformance,
+)
+from repro.scope.session import ProbeSession
+from repro.servers.profiles import ServerProfile
+from repro.servers.site import Site, serve_site
+from repro.servers.website import testbed_website
 from tests.conftest import sim_session
-from tests.scope.conftest import TEST_PATHS, deploy_vendor
+from tests.scope.conftest import deploy_vendor
 
 
 def run_vendor(vendor):
     network, domain = deploy_vendor(vendor)
-    return run_conformance(
-        sim_session(network),
-        domain,
-        large_path="/large/0.bin",
-        multiplex_paths=TEST_PATHS[:3],
-    )
+    return run_conformance(sim_session(network), domain)
+
+
+def run_profile(profile):
+    site = Site(domain="custom.testbed", profile=profile, website=testbed_website())
+    with serve_site(site) as (backend, _):
+        return run_conformance(ProbeSession(backend), site.domain)
 
 
 def verdicts(report):
@@ -72,6 +88,21 @@ class TestVendorConformance:
         v = verdicts(run_vendor(vendor))
         assert v["concurrent-floor"] is Verdict.PASS
 
+    def test_row_checks_read_the_papers_cells(self, vendor):
+        # Table III's cell against its RFC column decides every row check.
+        v = verdicts(run_vendor(vendor))
+        for row in SCORED_ROWS:
+            expected = PAPER_TABLE3[row.label][vendor] == row.requirement
+            assert (v[row.check_id] is Verdict.PASS) == expected, row.label
+
+
+class TestRules:
+    def test_stream_overflow_needs_rst_stream(self):
+        # RFC 7540 §6.9.1: a stream's overflow is a stream error.
+        report = run_profile(ServerProfile(on_window_overflow_stream=Reaction.GOAWAY))
+        assert report.cells["Large Window Update (Stream)"] == "GOAWAY"
+        assert verdicts(report)["overflow-stream"] is Verdict.FAIL
+
 
 class TestReportShape:
     def test_every_check_has_rfc_section(self):
@@ -93,18 +124,23 @@ class TestReportShape:
             [m for m in musts if m.verdict is not Verdict.SKIP]
         )
 
-    def test_skip_when_no_multiplex_paths(self):
-        network, domain = deploy_vendor("h2o")
-        report = run_conformance(
-            sim_session(network), domain, large_path="/large/0.bin"
-        )
-        v = {r.check_id: r.verdict for r in report.results}
-        assert v["multiplexing"] is Verdict.SKIP
+    def test_one_check_per_scored_row(self):
+        report = run_vendor("h2o")
+        ids = [r.check_id for r in report.results]
+        assert ids == list(REPORT_ORDER)
+        assert len(ROWS) == 14 and len(SCORED_ROWS) == 13
+        assert {row.check_id for row in SCORED_ROWS} <= set(ids)
+        assert len(ids) == len(SCORED_ROWS) + 3
+
+    def test_skip_when_h2_not_negotiated(self):
+        # The population's model of a site without h2: no ALPN, no NPN.
+        report = run_profile(ServerProfile(supports_alpn=False, supports_npn=False))
+        v = verdicts(report)
+        assert v["tls-alpn"] is Verdict.FAIL
+        for row in SCORED_ROWS[1:]:
+            assert v[row.check_id] is Verdict.SKIP, row.check_id
 
     def test_unreachable_target_all_skip_or_fail(self):
-        from repro.net.clock import Simulation
-        from repro.net.transport import Network
-
         network = Network(Simulation(), seed=1)
         report = run_conformance(sim_session(network), "nowhere.test")
         assert not report.fully_conformant

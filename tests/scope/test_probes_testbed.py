@@ -267,7 +267,6 @@ class TestHpackRow:
             network = Network(Simulation(), seed=2)
             profile = litespeed()
             profile.settings = {int(SettingCode.MAX_CONCURRENT_STREAMS): limit}
-            assert profile.enforce_max_concurrent
             deploy_site(
                 network,
                 Site(domain="mcs.test", profile=profile, website=testbed_website()),

@@ -43,7 +43,9 @@ class TestScanSite:
             scan_site(make_site(), include={"negotiation", "frobnicate"})
 
     def test_non_h2_site_short_circuits(self):
-        report = scan_site(make_site(profile=ServerProfile(supports_h2=False)))
+        report = scan_site(make_site(
+            profile=ServerProfile(supports_alpn=False, supports_npn=False)
+        ))
         assert not report.speaks_h2
         assert report.flow_control.tiny_window is None
 

@@ -3,6 +3,7 @@
 from repro.analysis.pageload import visit_page
 from repro.net.clock import Simulation
 from repro.net.transport import LinkProfile, Network
+from repro.servers import engine
 from repro.servers.profiles import ServerProfile
 from repro.servers.site import Site, deploy_site
 from repro.servers.website import Resource, Website
@@ -65,9 +66,9 @@ class TestLearning:
         visit_page(backend, site, enable_push=True)
         assert set(server.follow_counts["/"]) == {f"/a{i}.png" for i in range(4)}
 
-    def test_learned_push_limit_respected(self):
+    def test_learned_push_limit_respected(self, monkeypatch):
+        monkeypatch.setattr(engine, "LEARNED_PUSH_LIMIT", 2)
         site = make_site()
-        site.profile.learned_push_limit = 2
         backend, server = deploy(site)
         visit_page(backend, site, enable_push=True)
         second = visit_page(backend, site, enable_push=True)

@@ -107,7 +107,6 @@ class TestMaxConcurrent:
     def test_excess_stream_refused(self):
         profile = ServerProfile(
             settings={MCS: 2, IWS: 65_536},
-            enforce_max_concurrent=True,
             # Slow responses keep the first streams occupied.
             processing_delay=0.5,
             processing_jitter=0.0,
@@ -127,7 +126,7 @@ class TestMaxConcurrent:
         assert resets[0].error_code == int(ErrorCode.REFUSED_STREAM)
 
     def test_zero_limit_refuses_everything(self):
-        profile = ServerProfile(settings={MCS: 0}, enforce_max_concurrent=True)
+        profile = ServerProfile(settings={MCS: 0})
         network = deploy(profile)
         client = connect(network)
         sid = client.request("/")
@@ -339,11 +338,13 @@ class TestHttp1Fallback:
         assert interval is not None and interval > 0
 
     def test_h1_only_server_rejects_h2(self):
-        network = deploy(ServerProfile(supports_h2=False))
+        network = deploy(ServerProfile(supports_alpn=False, supports_npn=False))
         client = sim_session(network).client("engine.test")
         assert client.connect()
         tls = client.tls_handshake()
-        assert tls.chosen == "http/1.1"
+        # Neither extension: nothing is negotiated and HTTP/1.1 is implied.
+        assert tls.chosen is None
+        assert client.http1_get("/style.css") is not None
 
 
 class TestResetAndTermination:

@@ -124,7 +124,6 @@ class TestQuirkDetails:
 
     def test_nginx_max_concurrent_enforced(self):
         profile = nginx()
-        assert profile.enforce_max_concurrent
         assert profile.settings[int(SettingCode.MAX_CONCURRENT_STREAMS)] == 128
 
     def test_clone_does_not_mutate_original(self):
