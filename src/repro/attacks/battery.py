@@ -195,7 +195,7 @@ class AttackRun:
                 name = f"peak_{key}"
                 setattr(result, name, max(getattr(result, name), value))
         if client.conn is not None:
-            result.frames_sent = len(client.conn.sent_frame_log)
+            result.frames_sent = client.conn.frames_sent
         else:
             result.frames_sent = self.bytes_sent
         if self.started_at is None:

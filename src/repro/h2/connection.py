@@ -101,8 +101,6 @@ class ConnectionConfig:
     side: Side = Side.CLIENT
     #: Reject protocol-violating *sends* (probes set this to False).
     strict: bool = True
-    #: Automatically ACK peer SETTINGS frames.
-    auto_settings_ack: bool = True
     #: Automatically answer PING with PING+ACK.
     auto_ping_ack: bool = True
     #: Automatically return inbound flow-control credit: one
@@ -169,10 +167,13 @@ class H2Connection:
         self._received_goaway = False
         #: CONTINUATION assembly state: (stream_id, frames, kind) or None.
         self._header_assembly: tuple[int, list[Frame], str] | None = None
-        #: Frames received, in order, for tooling that inspects raw frames.
-        self.frame_log: list[Frame] = []
-        #: Frames sent, for symmetry.
-        self.sent_frame_log: list[Frame] = []
+        #: The frames the last :meth:`receive_bytes` call dispatched, a
+        #: frame whose dispatch raised included; each call starts a new
+        #: list.  The connection keeps no frame history (DESIGN §8):
+        #: a caller that records frames takes them from here.
+        self.received: list[Frame] = []
+        #: Frames sent so far (a count, not a log).
+        self.frames_sent = 0
 
     @cached_property
     def priority_tree(self) -> PriorityTree:
@@ -404,7 +405,10 @@ class H2Connection:
     # ------------------------------------------------------------------
 
     def receive_bytes(self, data: bytes) -> list[ev.Event]:
-        """Feed inbound bytes; returns the events they produced."""
+        """Feed inbound bytes; returns the events they produced and
+        leaves the frames they carried in :attr:`received`."""
+        received: list[Frame] = []
+        self.received = received
         self._inbound += data
         out: list[ev.Event] = []
 
@@ -423,7 +427,7 @@ class H2Connection:
         )
         self._inbound = buffer[consumed:] if consumed else buffer
         for frame in frames:
-            self.frame_log.append(frame)
+            received.append(frame)
             try:
                 out.extend(self._dispatch(frame))
             except H2StreamError as exc:
@@ -649,8 +653,7 @@ class H2Connection:
                 raise H2ConnectionError(
                     str(exc), error_code=ErrorCode.FLOW_CONTROL_ERROR
                 ) from exc
-        if self.config.auto_settings_ack:
-            self.ack_settings()
+        self.ack_settings()
         return [ev.SettingsReceived(settings=list(frame.settings))]
 
     def _handle_push_promise(self, frame: PushPromiseFrame) -> list[ev.Event]:
@@ -853,7 +856,7 @@ class H2Connection:
     # ------------------------------------------------------------------
 
     def _send_frame(self, frame: Frame) -> None:
-        self.sent_frame_log.append(frame)
+        self.frames_sent += 1
         serialize_frame_into(frame, self._outbound)
 
     def _send_header_block(

@@ -109,15 +109,3 @@ SETTING_DEFAULTS: dict[SettingCode, int | None] = {
 CONNECTION_FRAME_TYPES = frozenset(
     {FrameType.SETTINGS, FrameType.PING, FrameType.GOAWAY, FrameType.WINDOW_UPDATE}
 )
-
-#: Frame types that must NOT appear on stream 0.
-STREAM_ONLY_FRAME_TYPES = frozenset(
-    {
-        FrameType.DATA,
-        FrameType.HEADERS,
-        FrameType.PRIORITY,
-        FrameType.RST_STREAM,
-        FrameType.PUSH_PROMISE,
-        FrameType.CONTINUATION,
-    }
-)

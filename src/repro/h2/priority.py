@@ -34,6 +34,12 @@ from repro.h2.constants import DEFAULT_WEIGHT, MAX_WEIGHT, MIN_WEIGHT
 from repro.h2.errors import H2StreamError, ProtocolError
 
 
+#: The share of its subtree's bandwidth a ready stream keeps under the
+#: soft scheduler (``allocation(shadowing=False)``); ready descendants
+#: share the rest.
+PARENT_BIAS = 0.75
+
+
 class SelfDependencyError(H2StreamError):
     """A stream was made to depend on itself (RFC 7540 §5.3.1)."""
 
@@ -218,7 +224,7 @@ class PriorityTree:
     # -- scheduling ---------------------------------------------------------
 
     def allocation(
-        self, ready: set[int], shadowing: bool = True, parent_bias: float = 0.75
+        self, ready: set[int], shadowing: bool = True
     ) -> dict[int, float]:
         """Fractional bandwidth shares for the ``ready`` streams.
 
@@ -233,7 +239,7 @@ class PriorityTree:
         * subtrees without ready streams get nothing.
 
         With ``shadowing=False`` the scheduler is a softer weighted fair
-        queue: a ready stream keeps ``parent_bias`` of its subtree's
+        queue: a ready stream keeps :data:`PARENT_BIAS` of its subtree's
         share and cedes the rest to ready descendants.  Every ready
         stream starts immediately, but ancestors still *finish* first —
         the §V-E1 population behaviour where far more sites satisfy the
@@ -246,7 +252,7 @@ class PriorityTree:
         if shadowing:
             self._allocate(self._root, 1.0, ready, shares)
         else:
-            self._allocate_soft(self._root, 1.0, ready, shares, parent_bias)
+            self._allocate_soft(self._root, 1.0, ready, shares)
         return shares
 
     def _allocate_soft(
@@ -255,7 +261,6 @@ class PriorityTree:
         share: float,
         ready: set[int],
         shares: dict[int, float],
-        parent_bias: float,
     ) -> None:
         live_children = [
             child for child in node.children if self._subtree_has_ready(child, ready)
@@ -263,8 +268,8 @@ class PriorityTree:
         child_share = share
         if node.stream_id != 0 and node.stream_id in ready:
             if live_children:
-                shares[node.stream_id] = share * parent_bias
-                child_share = share * (1.0 - parent_bias)
+                shares[node.stream_id] = share * PARENT_BIAS
+                child_share = share * (1.0 - PARENT_BIAS)
             else:
                 shares[node.stream_id] = share
                 child_share = 0.0
@@ -273,11 +278,7 @@ class PriorityTree:
         total_weight = sum(child.weight for child in live_children)
         for child in live_children:
             self._allocate_soft(
-                child,
-                child_share * child.weight / total_weight,
-                ready,
-                shares,
-                parent_bias,
+                child, child_share * child.weight / total_weight, ready, shares
             )
 
     def unshadowed(self, ready: set[int]) -> list[int]:

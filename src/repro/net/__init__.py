@@ -21,10 +21,9 @@ experiment twice produces byte-identical traces.
 from repro.net.clock import Simulation
 from repro.net.faults import FaultKind, FaultPlan, FaultRule
 from repro.net.transport import Host, LinkProfile, Network
-from repro.net.tls import AlpnResult, TlsServerConfig, negotiate_tls
+from repro.net.tls import TlsServerConfig
 
 __all__ = [
-    "AlpnResult",
     "FaultKind",
     "FaultPlan",
     "FaultRule",
@@ -33,5 +32,4 @@ __all__ = [
     "Network",
     "Simulation",
     "TlsServerConfig",
-    "negotiate_tls",
 ]

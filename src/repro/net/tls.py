@@ -18,12 +18,16 @@ the measurements and is modelled as a one-RTT exchange.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 #: Canonical protocol identifiers.
 H2 = "h2"
 HTTP11 = "http/1.1"
 SPDY3 = "spdy/3.1"
+
+#: The order H2Scope picks from a server's NPN advertisement.
+NPN_PREFERENCES = (H2, HTTP11)
 
 
 @dataclass
@@ -45,24 +49,6 @@ class TlsServerConfig:
         return self.npn_protocols is not None
 
 
-@dataclass
-class AlpnResult:
-    """Outcome of one TLS handshake's protocol negotiation."""
-
-    #: Protocol chosen via ALPN (None if not negotiated).
-    alpn_protocol: str | None = None
-    #: Protocol chosen via NPN (None if not negotiated).
-    npn_protocol: str | None = None
-    #: The mechanism that produced ``protocol`` ("alpn", "npn" or None).
-    mechanism: str | None = None
-
-    @property
-    def protocol(self) -> str | None:
-        if self.alpn_protocol is not None:
-            return self.alpn_protocol
-        return self.npn_protocol
-
-
 def negotiate_alpn(
     client_protocols: list[str], server: TlsServerConfig
 ) -> str | None:
@@ -80,17 +66,20 @@ def negotiate_alpn(
 
 
 def negotiate_npn(
-    client_protocols: list[str], server: TlsServerConfig
+    preferences: Sequence[str], advertised: list[str] | None
 ) -> str | None:
     """NPN: the server advertises, the *client* picks.
 
-    The client selects the first of its preferences present in the
-    server's advertisement.
+    The client selects the first of its ``preferences`` present in the
+    server's ``advertised`` list; no advertisement (a server without
+    NPN) or no overlap yields None.  This is the one NPN rule: the
+    client picks with it, and the engine runs it with the same
+    preferences to anticipate that pick (DESIGN §9).
     """
-    if server.npn_protocols is None:
+    if advertised is None:
         return None
-    for candidate in client_protocols:
-        if candidate in server.npn_protocols:
+    for candidate in preferences:
+        if candidate in advertised:
             return candidate
     return None
 
@@ -106,8 +95,6 @@ def negotiate_npn(
 #
 # ``-`` denotes an absent extension.  Encryption itself is not modelled
 # (it does not affect any measured quantity).
-
-HELLO_TERMINATOR = b"\n"
 
 
 def encode_client_hello(
@@ -151,25 +138,3 @@ def decode_server_hello(line: bytes) -> tuple[str | None, list[str] | None]:
     alpn = None if fields.get("alpn", "-") == "-" else fields["alpn"]
     npn = None if fields.get("npn", "-") == "-" else fields["npn"].split(",")
     return alpn, npn
-
-
-def negotiate_tls(
-    server: TlsServerConfig,
-    client_alpn: list[str] | None = None,
-    client_npn: list[str] | None = None,
-) -> AlpnResult:
-    """Run both negotiations as H2Scope does (§IV-A).
-
-    ALPN takes precedence when both succeed, mirroring real stacks
-    (ALPN is replacing NPN for security reasons, as the paper notes).
-    """
-    result = AlpnResult()
-    if client_alpn:
-        result.alpn_protocol = negotiate_alpn(client_alpn, server)
-    if client_npn:
-        result.npn_protocol = negotiate_npn(client_npn, server)
-    if result.alpn_protocol is not None:
-        result.mechanism = "alpn"
-    elif result.npn_protocol is not None:
-        result.mechanism = "npn"
-    return result

@@ -102,6 +102,22 @@ def _open_store(path: str):
 DEFAULT_PROBE_INCLUDE = "negotiation,settings,flow_control,push,hpack,ping"
 
 
+def _pick(what: str, name: str, known, *, allow_all: bool = True) -> list[str] | None:
+    """``[name]``, or every known name for ``'all'``; None after printing
+    the refusal, for the caller to exit 2 on."""
+    known = list(known)
+    if allow_all and name == "all":
+        return known
+    if name in known:
+        return [name]
+    also = " or 'all'" if allow_all else ""
+    print(
+        f"unknown {what} {name!r}; choose from {', '.join(known)}{also}",
+        file=sys.stderr,
+    )
+    return None
+
+
 def _cmd_probe(args: argparse.Namespace) -> int:
     """Probe one target over a chosen transport backend.
 
@@ -138,8 +154,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
             if args.vendor is None:
                 print("--backend sim requires --vendor", file=sys.stderr)
                 return 2
-            if args.vendor not in VENDOR_FACTORIES:
-                print(f"unknown vendor {args.vendor!r}", file=sys.stderr)
+            if _pick("vendor", args.vendor, VENDOR_FACTORIES, allow_all=False) is None:
                 return 2
             backend, _ = stack.enter_context(
                 deploy_testbed(args.vendor, args.seed, args.domain)
@@ -594,10 +609,8 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
     from repro.servers.site import deploy_testbed
     from repro.servers.vendors import VENDOR_FACTORIES
 
-    names = list(VENDOR_FACTORIES) if args.vendor == "all" else [args.vendor]
-    unknown = [n for n in names if n not in VENDOR_FACTORIES]
-    if unknown:
-        print(f"unknown vendor(s): {', '.join(unknown)}", file=sys.stderr)
+    names = _pick("vendor", args.vendor, VENDOR_FACTORIES)
+    if names is None:
         return 2
     for name in names:
         with deploy_testbed(name, args.seed) as (backend, site):
@@ -609,15 +622,10 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.experiments import EXPERIMENTS, run_experiment
 
-    names = list(EXPERIMENTS) if args.name == "all" else [args.name]
+    names = _pick("experiment", args.name, EXPERIMENTS)
+    if names is None:
+        return 2
     for name in names:
-        if name not in EXPERIMENTS:
-            print(
-                f"unknown experiment {name!r}; choose from "
-                f"{', '.join(EXPERIMENTS)} or 'all'",
-                file=sys.stderr,
-            )
-            return 2
         result = run_experiment(
             name,
             experiment=args.experiment,
@@ -637,23 +645,10 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     from repro.attacks import BATTERY_PROFILES, run_battery
     from repro.servers.vendors import VENDOR_FACTORIES
 
-    if args.profile != "all" and args.profile not in BATTERY_PROFILES:
-        print(
-            f"unknown attack profile {args.profile!r}; choose from "
-            f"{', '.join(sorted(BATTERY_PROFILES))} or 'all'",
-            file=sys.stderr,
-        )
+    profiles = _pick("attack profile", args.profile, BATTERY_PROFILES)
+    vendors = _pick("vendor", args.vendor, VENDOR_FACTORIES)
+    if profiles is None or vendors is None:
         return 2
-    if args.vendor != "all" and args.vendor not in VENDOR_FACTORIES:
-        print(
-            f"unknown vendor {args.vendor!r}; choose from "
-            f"{', '.join(VENDOR_FACTORIES)} or 'all'",
-            file=sys.stderr,
-        )
-        return 2
-
-    profiles = list(BATTERY_PROFILES) if args.profile == "all" else [args.profile]
-    vendors = list(VENDOR_FACTORIES) if args.vendor == "all" else [args.vendor]
     with ExitStack() as stack:
         store = None
         if args.db is not None:  # a bad file fails before any attack
@@ -708,8 +703,11 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             return 2
     else:
         from repro.attacks.corpus import build_corpus
+        from repro.servers.vendors import VENDOR_FACTORIES
 
-        vendors = None if args.vendor == "all" else [args.vendor]
+        vendors = _pick("vendor", args.vendor, VENDOR_FACTORIES)
+        if vendors is None:
+            return 2
         timelines = build_corpus(
             vendors=vendors, seed=args.seed, duration=args.duration
         )

@@ -16,8 +16,12 @@ asyncio TCP sockets with wall-clock deadlines.  The constructor takes
 that backend and nothing else; a simulated universe is reached as
 ``SimulatedBackend(network)``.
 
-Every received event and frame is timestamped and logged; probes work
-from these logs.
+Every received event is timestamped and logged; probes work from that
+log.  Frames are not kept: the connection leaves each call's frames in
+:attr:`~repro.h2.connection.H2Connection.received`, and the client
+passes them to the session's
+:class:`~repro.scope.trace.TraceRecorder`, when it has one, which keeps
+them only while a probe has asked for its trace.
 """
 
 from __future__ import annotations
@@ -27,19 +31,21 @@ from dataclasses import dataclass
 from repro.h2 import events as ev
 from repro.h2.connection import ConnectionConfig, H2Connection, Side
 from repro.h2.errors import H2Error
-from repro.h2.frames import Frame, PriorityData
+from repro.h2.frames import PriorityData
 from repro.net.backend import TransportBackend
 from repro.net.tls import (
     H2,
     HTTP11,
+    NPN_PREFERENCES,
     decode_server_hello,
     encode_client_hello,
+    negotiate_npn,
 )
 
 # Probe modules compare negotiated protocols against these tokens; they
 # import them from here so the probe layer never touches repro.net.*
 # directly (enforced by tests/scope/test_probe_layering.py).
-__all__ = ["H2", "HTTP11", "ScopeClient", "TimedEvent", "TimedFrame", "DEFAULT_TIMEOUT"]
+__all__ = ["H2", "HTTP11", "ScopeClient", "TimedEvent", "DEFAULT_TIMEOUT"]
 from repro.scope.resilience import (
     ConnectionRefusedFault,
     ConnectionResetFault,
@@ -62,12 +68,6 @@ class TimedEvent:
 
 
 @dataclass
-class TimedFrame:
-    at: float
-    frame: Frame
-
-
-@dataclass
 class TlsOutcome:
     connected: bool = False
     alpn_protocol: str | None = None
@@ -87,7 +87,6 @@ class ScopeClient:
         port: int = 443,
         alpn: list[str] | None = None,
         offer_npn: bool = True,
-        npn_prefs: list[str] | None = None,
         settings: dict[int, int] | None = None,
         auto_window_update: bool = False,
         enable_push: bool | None = None,
@@ -98,9 +97,6 @@ class ScopeClient:
         self.port = port
         self.alpn = [H2, HTTP11] if alpn is None else alpn
         self.offer_npn = offer_npn
-        #: Client-side preference list for NPN selection (NPN lets the
-        #: *client* choose from the server's advertisement).
-        self.npn_prefs = [H2, HTTP11] if npn_prefs is None else npn_prefs
         self.initial_settings = dict(settings or {})
         if enable_push is not None:
             self.initial_settings[2] = int(enable_push)
@@ -115,8 +111,6 @@ class ScopeClient:
         #: so a wait predicate does not rescan the whole log after
         #: every clock event.
         self._events_by_type: dict[type, list[TimedEvent]] = {}
-        self.frames: list[TimedFrame] = []
-        self.errors: list[str] = []
         self._hello_buffer = b""
         self._mode = "idle"
         #: Bytes that arrived while no parser was live: before the TLS
@@ -253,7 +247,6 @@ class ScopeClient:
         config = ConnectionConfig(
             side=Side.CLIENT,
             strict=False,
-            auto_settings_ack=True,
             auto_ping_ack=True,
             auto_window_update=self.auto_window_update,
             initial_settings=self.initial_settings,
@@ -299,16 +292,16 @@ class ScopeClient:
             return
         if self._mode != "h2" or self.conn is None:
             return
-        frame_count = len(self.conn.frame_log)
         try:
             produced = self.conn.receive_bytes(data)
-        except H2Error as exc:
-            self.errors.append(f"{type(exc).__name__}: {exc}")
+        except H2Error:
+            # A connection error in the peer's bytes: the chunk's events
+            # are lost, the frames it carried still reach the trace, and
+            # the probe reads whatever the server does next.
             produced = []
         now = self.backend.now
-        for frame in self.conn.frame_log[frame_count:]:
-            self.frames.append(TimedFrame(at=now, frame=frame))
-            if self._trace is not None:
+        if self._trace is not None:
+            for frame in self.conn.received:
                 self._trace.record(now, frame)
         by_type = self._events_by_type
         for event in produced:
@@ -327,18 +320,12 @@ class ScopeClient:
         try:
             alpn_choice, npn_list = decode_server_hello(line)
         except ValueError:
-            self.errors.append("malformed server hello")
             self._mode = "failed"
             return
         outcome = self.tls
         outcome.connected = True
         outcome.alpn_protocol = alpn_choice
-        if npn_list is not None:
-            # NPN: the client picks from the server's advertisement.
-            for proto in self.npn_prefs:
-                if proto in npn_list:
-                    outcome.npn_protocol = proto
-                    break
+        outcome.npn_protocol = negotiate_npn(NPN_PREFERENCES, npn_list)
         if outcome.alpn_protocol is not None:
             outcome.chosen = outcome.alpn_protocol
             outcome.mechanism = "alpn"

@@ -170,7 +170,6 @@ class SiteReport:
     domain: str = ""
     negotiation: NegotiationResult = field(default_factory=NegotiationResult)
     settings: SettingsResult = field(default_factory=SettingsResult)
-    multiplexing: MultiplexingResult | None = None
     flow_control: FlowControlResult = field(default_factory=FlowControlResult)
     priority: PriorityResult = field(default_factory=PriorityResult)
     push: PushResult = field(default_factory=PushResult)

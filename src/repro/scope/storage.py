@@ -26,7 +26,6 @@ from repro.scope.report import (
     ErrorReaction,
     FlowControlResult,
     HpackResult,
-    MultiplexingResult,
     NegotiationResult,
     PingResult,
     PriorityResult,
@@ -171,7 +170,6 @@ def _rebuild(cls, data: dict):
 _NESTED = {
     (SiteReport, "negotiation"): NegotiationResult,
     (SiteReport, "settings"): SettingsResult,
-    (SiteReport, "multiplexing"): MultiplexingResult,
     (SiteReport, "flow_control"): FlowControlResult,
     (SiteReport, "priority"): PriorityResult,
     (SiteReport, "push"): PushResult,

@@ -1,8 +1,10 @@
 """Frame-trace rendering, recording and persistence.
 
-H2Scope keeps a timestamped log of every frame sent and received
-(:attr:`~repro.scope.client.ScopeClient.frames`); this module renders
-those logs the way protocol people read them::
+Nothing in H2Scope keeps a frame history by default: a connection hands
+the frames of each ``receive_bytes`` call to its caller and forgets
+them (DESIGN §8).  A frame becomes a :class:`TracedFrame` only where a
+caller asked for one, and this module renders such traces the way
+protocol people read them::
 
     [  0.050] < SETTINGS  len=18  MAX_CONCURRENT_STREAMS=128 ...
     [  0.051] > HEADERS   stream=1 end_stream end_headers  len=33
@@ -152,7 +154,7 @@ def describe_frame(frame: Frame) -> str:
 
 
 def render_trace(timed_frames: Iterable, direction: str = "<") -> str:
-    """Render a list of :class:`~repro.scope.client.TimedFrame` objects."""
+    """Render a list of :class:`TracedFrame` objects."""
     lines = []
     for timed in timed_frames:
         lines.append(f"[{timed.at:9.4f}] {direction} {describe_frame(timed.frame)}")
@@ -166,7 +168,10 @@ def render_trace(timed_frames: Iterable, direction: str = "<") -> str:
 
 @dataclass
 class TracedFrame:
-    """A (timestamp, frame) pair independent of the client's log type."""
+    """A frame with the time it was observed: the one ``(at, frame)``
+    record.  One is made only where a caller asked for it: a
+    :class:`TraceRecorder` inside a named probe, or an engine built with
+    ``record_frames=True`` (:class:`ConnectionTimeline`)."""
 
     at: float
     frame: Frame
@@ -178,7 +183,9 @@ class TraceRecorder:
     A recorder travels with a :class:`~repro.scope.session.ProbeSession`;
     the scanner calls :meth:`begin` before each probe and every
     :class:`~repro.scope.client.ScopeClient` the session creates feeds
-    :meth:`record` as frames arrive.  Frames observed outside a named
+    :meth:`record` the frames each
+    :meth:`~repro.h2.connection.H2Connection.receive_bytes` call
+    dispatched.  Frames observed outside a named
     probe (``begin`` not called) are dropped — recording is strictly
     opt-in per probe.
 

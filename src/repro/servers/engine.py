@@ -24,14 +24,17 @@ from repro.h2.abuse import AbuseRules
 from repro.h2.connection import ConnectionConfig, H2Connection, Side
 from repro.h2.constants import DEFAULT_INITIAL_WINDOW_SIZE, ErrorCode, SettingCode
 from repro.h2.errors import H2ConnectionError, H2Error
+from repro.h2.frames import Frame
 from repro.net.clock import Simulation
 from repro.net.tls import (
     H2,
     HTTP11,
+    NPN_PREFERENCES,
     TlsServerConfig,
     decode_client_hello,
     encode_server_hello,
     negotiate_alpn,
+    negotiate_npn,
 )
 from repro.net.transport import Endpoint, Host
 from repro.servers.profiles import ServerProfile, TinyWindowBehavior
@@ -332,15 +335,9 @@ class _ServerConnection:
         npn_list = tls.npn_protocols if npn_offered else None
         self.endpoint.send(encode_server_hello(alpn_choice, npn_list))
 
-        # The client's NPN selection mirrors ours: it picks the first of
-        # its preferences we advertise.  We anticipate the result so we
+        # Anticipate the client's NPN pick (the one rule, DESIGN §9) to
         # know which protocol engine to attach.
-        chosen = alpn_choice
-        if chosen is None and npn_list:
-            for proto in client_alpn or [H2, HTTP11]:
-                if proto in npn_list:
-                    chosen = proto
-                    break
+        chosen = alpn_choice or negotiate_npn(NPN_PREFERENCES, npn_list)
         if chosen == H2:
             self._start_h2()
         else:
@@ -371,7 +368,6 @@ class _ServerConnection:
         config = ConnectionConfig(
             side=Side.SERVER,
             strict=True,
-            auto_settings_ack=True,
             auto_ping_ack=False,  # handled on the timed fast path below
             auto_window_update=True,
             on_zero_window_update_stream=profile.on_zero_window_update_stream,
@@ -396,7 +392,6 @@ class _ServerConnection:
 
     def _feed_h2(self, data: bytes) -> None:
         assert self.conn is not None
-        mark = len(self.conn.frame_log)
         try:
             events = self.conn.receive_bytes(data)
         except H2Error as exc:
@@ -411,7 +406,7 @@ class _ServerConnection:
         finally:
             # Frames parsed before an error still count: recording and
             # guard accounting must see everything the peer sent.
-            self._observe_frames(mark)
+            self._observe_frames(self.conn.received)
         if self._guard_reason is not None:
             return
         for event in events:
@@ -419,13 +414,11 @@ class _ServerConnection:
         self._pump()
         self._flush()
 
-    def _observe_frames(self, mark: int) -> None:
+    def _observe_frames(self, arrived: list[Frame]) -> None:
         """Timeline recording + guard accounting for newly parsed frames."""
-        assert self.conn is not None
         rules = self._rules
         if self.timeline is None and rules is None:
             return
-        arrived = self.conn.frame_log[mark:]
         now = self.sim.now
         if self.timeline is not None and arrived:
             from repro.scope.trace import TracedFrame

@@ -17,7 +17,6 @@ MCS = int(SettingCode.MAX_CONCURRENT_STREAMS)
 IWS = int(SettingCode.INITIAL_WINDOW_SIZE)
 MFS = int(SettingCode.MAX_FRAME_SIZE)
 MHLS = int(SettingCode.MAX_HEADER_LIST_SIZE)
-HTS = int(SettingCode.HEADER_TABLE_SIZE)
 
 
 def nginx() -> ServerProfile:

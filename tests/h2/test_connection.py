@@ -19,6 +19,8 @@ from repro.h2.frames import (
     WindowUpdateFrame,
 )
 
+from tests.support.frames import FrameTap
+
 IWS = int(SettingCode.INITIAL_WINDOW_SIZE)
 MCS = int(SettingCode.MAX_CONCURRENT_STREAMS)
 
@@ -159,10 +161,11 @@ class TestRequestResponse:
         client, server = pair
         sid = client.next_stream_id()
         big = [(f"x-h{i}", "v" * 500) for i in range(60)]
+        tap = FrameTap(client)
         client.send_headers(sid, REQUEST + big, end_stream=True)
         from repro.h2.frames import ContinuationFrame, HeadersFrame
 
-        sent_types = [type(f) for f in client.sent_frame_log]
+        sent_types = [type(f) for f in tap.sent]
         assert ContinuationFrame in sent_types
         events = pump(client, server)
         headers = next(e for e in events if isinstance(e, ev.HeadersReceived))
@@ -225,6 +228,7 @@ class TestFlowControlEnforcement:
 
     def test_window_update_replenishes(self, pair):
         client, server = pair
+        server_tap = FrameTap(server)
         sid = client.next_stream_id()
         client.send_headers(sid, REQUEST)
         chunk = b"x" * 16_384
@@ -238,7 +242,7 @@ class TestFlowControlEnforcement:
         assert client.local_flow_available(sid) > 65_535 // 2
         updates = [
             frame
-            for frame in server.sent_frame_log
+            for frame in server_tap.sent
             if isinstance(frame, WindowUpdateFrame)
         ]
         scopes = [frame.stream_id for frame in updates]
@@ -319,7 +323,7 @@ class TestFramesOnClosedStreams:
         # Late HEADERS + DATA of the reset stream and the next stream's
         # HEADERS arrive coalesced, as TCP delivers them.
         window_before = client.inbound_window.value
-        sent = len(client.sent_frame_log)
+        tap = FrameTap(client)
         events = client.receive_bytes(server.data_to_send())
         assert [type(e) for e in events] == [ev.HeadersReceived]
         assert events[0].stream_id == second
@@ -328,7 +332,7 @@ class TestFramesOnClosedStreams:
         assert (b"x-first", b"1") in events[0].headers
         # ... and the ignored DATA still used the connection window.
         assert client.inbound_window.value == window_before - 1000
-        assert client.sent_frame_log[sent:] == []  # no error, no answer
+        assert tap.sent == []  # no error, no answer
 
     def test_ignored_data_is_credited_to_the_connection_only(self, pair):
         client, server = pair
@@ -340,9 +344,9 @@ class TestFramesOnClosedStreams:
         server.send_headers(second, [(":status", "200")])
         server.send_data(second, b"z" * 16_384)
         client.send_rst_stream(second)
-        sent = len(client.sent_frame_log)
+        tap = FrameTap(client)
         assert client.receive_bytes(server.data_to_send()) == []
-        updates = client.sent_frame_log[sent:]
+        updates = tap.sent
         # Half the connection window is used (one body heard, one
         # ignored); the reset stream itself gets nothing back.
         assert [(f.stream_id, f.window_increment) for f in updates] == [
@@ -352,6 +356,7 @@ class TestFramesOnClosedStreams:
 
     def test_stream_error_keeps_earlier_events_and_later_frames(self, pair):
         client, server = pair
+        tap = FrameTap(client)
         first = self.answered_request(pair)
         pump(client, server)  # stream 1 ended normally on both sides
         second = client.next_stream_id()
@@ -364,7 +369,7 @@ class TestFramesOnClosedStreams:
         kinds = [type(e) for e in events]
         assert kinds == [ev.PingReceived, ev.HeadersReceived, ev.StreamEnded]
         resets = [
-            f for f in client.sent_frame_log if isinstance(f, RstStreamFrame)
+            f for f in tap.sent if isinstance(f, RstStreamFrame)
         ]
         assert [(f.stream_id, f.error_code) for f in resets] == [
             (first, int(ErrorCode.STREAM_CLOSED))
@@ -592,12 +597,24 @@ class TestAccounting:
         pump(client, server)
         assert server.open_peer_initiated_streams() == 3
 
-    def test_frame_logs_record_traffic(self, pair):
+    def test_received_and_frames_sent_account_for_traffic(self, pair):
         client, server = pair
+        before = client.frames_sent
         client.send_ping()
-        pump(client, server)
-        assert any(isinstance(f, PingFrame) for f in client.sent_frame_log)
-        assert any(isinstance(f, PingFrame) for f in server.frame_log)
+        assert client.frames_sent == before + 1
+        server.receive_bytes(client.data_to_send())
+        assert [type(f) for f in server.received] == [PingFrame]
+        # Each call leaves its own frames; the connection keeps no history.
+        server.receive_bytes(b"")
+        assert server.received == []
+
+    def test_received_keeps_the_frame_whose_dispatch_raised(self, pair):
+        client, server = pair
+        client.send_raw_frame(PingFrame(stream_id=1))  # PING must be on stream 0
+        client.send_ping()
+        with pytest.raises(ProtocolError):
+            server.receive_bytes(client.data_to_send())
+        assert [f.stream_id for f in server.received] == [1]
 
 
 class TestUpgradeStream:

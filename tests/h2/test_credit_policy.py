@@ -27,6 +27,8 @@ from repro.h2.frames import (
 )
 from repro.h2.hpack.encoder import Encoder
 
+from tests.support.frames import FrameTap
+
 IWS = int(SettingCode.INITIAL_WINDOW_SIZE)
 WINDOWS = [0, 1, 2, 3, 65_535, MAX_WINDOW_SIZE]
 STREAMS = (1, 3)
@@ -50,6 +52,7 @@ class Exchange:
         self.receiver = H2Connection(
             ConnectionConfig(side=Side.CLIENT, initial_settings={IWS: initial})
         )
+        self.tap = FrameTap(self.receiver)
         self.receiver.initiate()
         for sid in STREAMS:
             assert self.receiver.next_stream_id() == sid
@@ -59,7 +62,7 @@ class Exchange:
         self.credit = {0: DEFAULT_INITIAL_WINDOW_SIZE, **{s: initial for s in STREAMS}}
         #: What our windows must read: initial + increments - consumed.
         self.expected = dict(self.credit)
-        self.read = 0  # frames of sent_frame_log the peer has seen
+        self.read = 0  # frames of tap.sent the peer has seen
         self.peer_reads()
         encoder = Encoder()
         wire = serialize_frame(SettingsFrame())
@@ -80,7 +83,7 @@ class Exchange:
         return self.receiver.streams[sid].inbound_window
 
     def peer_reads(self) -> None:
-        for frame in self.receiver.sent_frame_log[self.read :]:
+        for frame in self.tap.sent[self.read :]:
             if isinstance(frame, WindowUpdateFrame):
                 assert 0 < frame.window_increment <= MAX_WINDOW_SIZE
                 self.credit[frame.stream_id] += frame.window_increment
@@ -93,7 +96,7 @@ class Exchange:
                             self.credit[sid] += value - self.size
                             self.expected[sid] += value - self.size
                         self.size = value
-        self.read = len(self.receiver.sent_frame_log)
+        self.read = len(self.tap.sent)
 
     def check_books(self) -> None:
         for sid in (0, *STREAMS):
@@ -204,7 +207,7 @@ def test_a_peer_that_sends_on_credit_delivers_the_whole_body(window, body):
     exchange.check_books()
     updates = [
         frame.stream_id
-        for frame in exchange.receiver.sent_frame_log
+        for frame in exchange.tap.sent
         if isinstance(frame, WindowUpdateFrame)
     ]
     # Bulk, not per frame: a half window or more comes back each time.
@@ -216,7 +219,7 @@ def test_no_stream_credit_after_end_stream():
     exchange = Exchange(65_535)
     frame = DataFrame(stream_id=1, flags=FrameFlag.END_STREAM, data=b"x" * 40_000)
     exchange.receiver.local_settings.set(int(SettingCode.MAX_FRAME_SIZE), 65_536)
-    sent = len(exchange.receiver.sent_frame_log)
+    sent = len(exchange.tap.sent)
     exchange.receiver.receive_bytes(serialize_frame(frame))
-    updates = exchange.receiver.sent_frame_log[sent:]
+    updates = exchange.tap.sent[sent:]
     assert [(f.stream_id, f.window_increment) for f in updates] == [(0, 40_000)]

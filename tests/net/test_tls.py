@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.h2.events import SettingsReceived
+from repro.net.clock import Simulation
 from repro.net.tls import (
     H2,
     HTTP11,
@@ -13,8 +15,12 @@ from repro.net.tls import (
     encode_server_hello,
     negotiate_alpn,
     negotiate_npn,
-    negotiate_tls,
 )
+from repro.net.transport import Network
+from repro.servers.profiles import ServerProfile
+from repro.servers.site import Site, deploy_site
+from repro.servers.website import default_website
+from tests.conftest import sim_session
 
 
 class TestAlpn:
@@ -39,43 +45,57 @@ class TestAlpn:
 class TestNpn:
     def test_client_preference_wins(self):
         # NPN: the server advertises, the client picks.
-        server = TlsServerConfig(npn_protocols=[HTTP11, H2])
-        assert negotiate_npn([H2, HTTP11], server) == H2
+        assert negotiate_npn([H2, HTTP11], [HTTP11, H2]) == H2
 
     def test_server_without_npn(self):
-        server = TlsServerConfig(npn_protocols=None)
-        assert negotiate_npn([H2], server) is None
+        assert negotiate_npn([H2], None) is None
 
     def test_no_overlap(self):
-        server = TlsServerConfig(npn_protocols=[SPDY3])
-        assert negotiate_npn([H2, HTTP11], server) is None
+        assert negotiate_npn([H2, HTTP11], [SPDY3]) is None
+
+
+def hello(profile: ServerProfile, **client_options):
+    """One ScopeClient hello against an engine serving ``profile``."""
+    network = Network(Simulation(), seed=1)
+    deploy_site(
+        network,
+        Site(domain="tls.test", profile=profile, website=default_website()),
+    )
+    client = sim_session(network).client("tls.test", **client_options)
+    assert client.connect()
+    client.tls_handshake()
+    return client
 
 
 class TestCombined:
+    """Both mechanisms in one hello, the way H2Scope offers them, from
+    a ScopeClient against the engine: the client picks, and the engine
+    attaches the protocol it anticipated with the same rule."""
+
     def test_alpn_takes_precedence(self):
-        server = TlsServerConfig()
-        result = negotiate_tls(server, client_alpn=[H2], client_npn=[HTTP11])
-        assert result.protocol == H2
-        assert result.mechanism == "alpn"
+        client = hello(ServerProfile())
+        assert client.tls.chosen == H2
+        assert client.tls.mechanism == "alpn"
 
     def test_npn_fallback_when_no_alpn(self):
         # The paper: >100 server types "just speak NPN" (pre-1.0.2 OpenSSL).
-        server = TlsServerConfig(alpn_protocols=None)
-        result = negotiate_tls(server, client_alpn=[H2], client_npn=[H2])
-        assert result.protocol == H2
-        assert result.mechanism == "npn"
+        client = hello(ServerProfile(supports_alpn=False))
+        assert client.tls.chosen == H2
+        assert client.tls.mechanism == "npn"
+        # The engine anticipated that pick: it answers the preface with
+        # its SETTINGS instead of waiting for an HTTP/1.1 request.
+        client.speak_h2()
+        assert client.events_of(SettingsReceived)
 
     def test_apache_has_no_npn(self):
-        server = TlsServerConfig(npn_protocols=None)
-        result = negotiate_tls(server, client_alpn=None, client_npn=[H2])
-        assert result.protocol is None
-        assert result.mechanism is None
+        client = hello(ServerProfile(supports_npn=False), alpn=[])
+        assert client.tls.chosen is None
+        assert client.tls.mechanism is None
 
     def test_both_mechanisms_recorded_independently(self):
-        server = TlsServerConfig()
-        result = negotiate_tls(server, client_alpn=[H2], client_npn=[H2])
-        assert result.alpn_protocol == H2
-        assert result.npn_protocol == H2
+        client = hello(ServerProfile())
+        assert client.tls.alpn_protocol == H2
+        assert client.tls.npn_protocol == H2
 
 
 class TestWireCodec:

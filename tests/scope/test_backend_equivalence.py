@@ -55,6 +55,14 @@ is gone from 47; ``scan_virtual_time`` moved in 34; ``errors`` in 25
 ``tcp_handshake_rtt`` in 10 (6 newly connected, 4 in the last digit).  Connections opened fell
 286 -> 205; no probe attempt was added (129 both).  The value before
 was ``d6440240f8f893758e94243de48b5c498ec43368f2c8d1ea6980f57cd1b9a1ef``.
+
+Re-pinned a fourth time when ``SiteReport.multiplexing`` left the
+report: no scan path ever filled it, so every document carried
+``"multiplexing": null``.  The check: the parent tree's 47 documents of
+this campaign, each with its ``multiplexing`` key deleted and hashed as
+:func:`campaign_digest` hashes them, give the new value; as they are,
+they give the old one.  No other byte moved.  The value before was
+``08bd7e20be9cb198b3c3a80929831cd4b4359afd37d982eacb42a173e1c3b85e``.
 """
 
 import hashlib
@@ -70,7 +78,7 @@ from repro.scope.storage import _encode
 #: the campaign actually scans a few more).  Same probe set, fault plan
 #: and resilience policy as the full 350-site differential in
 #: ISSUE 5's acceptance run — shrunk so this stays in the default suite.
-PINNED_SHA256 = "08bd7e20be9cb198b3c3a80929831cd4b4359afd37d982eacb42a173e1c3b85e"
+PINNED_SHA256 = "00c69cb9b4d9439a491aabcb9cab7965f7ae6c6a04ae7dcea435c11e06d05626"
 
 CHAOS_SPEC = (
     "refuse:0.1x6,reset:0.06x4,stall(30):0.05,blackhole:0.04,"

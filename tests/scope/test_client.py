@@ -7,7 +7,9 @@ from repro.net.transport import LinkProfile, Network
 from repro.servers.profiles import ServerProfile
 from repro.servers.site import Site, deploy_site
 from repro.servers.website import default_website
+from repro.scope.trace import TraceRecorder
 from tests.conftest import sim_session
+from tests.support.frames import tap_connections
 
 
 def make_network(profile=None, rtt=0.05):
@@ -70,11 +72,23 @@ class TestLoggingAndInspection:
 
     def test_frames_logged_alongside_events(self):
         network = make_network()
-        client = sim_session(network).client("probe.test")
+        recorder = TraceRecorder()
+        recorder.begin("fetch")
+        client = sim_session(network).client("probe.test", trace=recorder)
         client.establish_h2()
         sid = client.request("/style.css")
         client.wait_for(lambda: client.headers_for(sid) is not None)
-        assert any(isinstance(tf.frame, HeadersFrame) for tf in client.frames)
+        [headers] = [
+            tf
+            for tf in recorder.traces["fetch"]
+            if isinstance(tf.frame, HeadersFrame) and tf.frame.stream_id == sid
+        ]
+        # Stamped with the same clock reading as the event it produced.
+        [event] = [
+            te for te in client.events_of(ev.HeadersReceived)
+            if te.event.stream_id == sid
+        ]
+        assert headers.at == event.at
 
     def test_data_for_concatenates_stream_payload(self):
         network = make_network()
@@ -121,24 +135,31 @@ class TestLoggingAndInspection:
 
     def test_errors_recorded_not_raised(self):
         network = make_network()
-        client = sim_session(network).client("probe.test")
-        client.establish_h2()
         # Inject garbage that fails HPACK decoding: HEADERS referencing
         # an invalid index on a new stream.
-        server_conn = network.hosts["probe.test"]  # just to assert setup
         bogus = HeadersFrame(stream_id=9, flags=4, header_block=b"\xff\xff\xff")
         from repro.h2.frames import serialize_frame
 
-        client._on_data(serialize_frame(bogus))
-        assert client.errors
+        with tap_connections() as taps:
+            client = sim_session(network).client("probe.test")
+            client.establish_h2()
+            client._on_data(serialize_frame(bogus))  # does not raise
+        tap = taps[client.conn]
+        assert len(tap.errors) == 1  # the connection did raise ...
+        assert tap.received[-1].stream_id == 9  # ... on the bogus frame
+        assert client.headers_for(9) is None
 
     def test_reset_with_data_in_flight_loses_no_later_event(self):
         """RFC 7540 §5.1: the body the engine wrote with its HEADERS is
         still arriving when we cancel; it is ignored, not an error that
         takes the rest of the chunk with it."""
         network = make_network()
-        client = sim_session(network).client("probe.test", auto_window_update=True)
-        client.establish_h2()
+        with tap_connections() as taps:
+            client = sim_session(network).client(
+                "probe.test", auto_window_update=True
+            )
+            client.establish_h2()
+        tap = taps[client.conn]
         first = client.request("/")
         client.wait_for(lambda: client.headers_for(first) is not None)
         client.send_rst_stream(first)
@@ -151,11 +172,11 @@ class TestLoggingAndInspection:
             )
         )
         assert client.data_for(second)
-        assert client.errors == []
+        assert tap.errors == []
         # The cancelled body was not heard, yet it was paid for.
         arrived = sum(
-            len(tf.frame.data)
-            for tf in client.frames
-            if isinstance(tf.frame, DataFrame) and tf.frame.stream_id == first
+            len(frame.data)
+            for frame in tap.received
+            if isinstance(frame, DataFrame) and frame.stream_id == first
         )
         assert arrived > len(client.data_for(first))

@@ -17,6 +17,7 @@ from repro.scope.scanner import probe_target
 from repro.scope.session import ProbeSession
 
 from tests.scope.conftest import DEPLETION_PATHS, TEST_PATHS, deploy_vendor
+from tests.support.frames import tap_connections
 
 HALF_WINDOW = 65_535 // 2
 
@@ -37,29 +38,28 @@ class RecordingSession(ProbeSession):
 def test_window_updates_stay_inside_the_half_window_budget(vendor):
     network, domain = deploy_vendor(vendor)
     session = RecordingSession(SimulatedBackend(network))
-    report = probe_target(
-        session,
-        domain,
-        priority_test_paths=TEST_PATHS,
-        priority_depletion_paths=DEPLETION_PATHS,
-    )
+    with tap_connections() as taps:
+        report = probe_target(
+            session,
+            domain,
+            priority_test_paths=TEST_PATHS,
+            priority_depletion_paths=DEPLETION_PATHS,
+        )
     assert not report.errors
     crediting = [
-        client.conn
+        taps[client.conn]
         for client in session.clients
         if client.auto_window_update and client.conn is not None
     ]
     assert len(crediting) >= 3  # the fetch, push and HPACK connections
     octets = 0
-    for conn in crediting:
+    for tap in crediting:
         received = sum(
             frame.flow_controlled_length
-            for frame in conn.frame_log
+            for frame in tap.received
             if isinstance(frame, DataFrame)
         )
-        updates = sum(
-            isinstance(frame, WindowUpdateFrame) for frame in conn.sent_frame_log
-        )
+        updates = sum(isinstance(frame, WindowUpdateFrame) for frame in tap.sent)
         assert updates <= 2 + 2 * math.ceil(received / HALF_WINDOW), (
             vendor,
             received,

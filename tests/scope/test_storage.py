@@ -82,7 +82,9 @@ class TestRoundTrip:
 
     def test_document_with_a_retired_key_still_loads(self, scanned_report, tmp_path):
         # Databases written while negotiation probed h2c carry
-        # ``negotiation.h2c_upgrade``; loading ignores keys it does not know.
+        # ``negotiation.h2c_upgrade``, and those written while reports
+        # had a ``multiplexing`` field carry ``"multiplexing": null``;
+        # loading ignores keys it does not know.
         import sqlite3
 
         path = tmp_path / "old.sqlite"
@@ -91,6 +93,7 @@ class TestRoundTrip:
         db = sqlite3.connect(path)
         document = json.loads(db.execute("SELECT document FROM reports").fetchone()[0])
         document["negotiation"]["h2c_upgrade"] = False
+        document["multiplexing"] = None
         with db:
             db.execute("UPDATE reports SET document = ?", (json.dumps(document),))
         db.close()
@@ -98,6 +101,7 @@ class TestRoundTrip:
             loaded = store.load("exp1", "store.test")
         assert loaded.negotiation == scanned_report.negotiation
         assert not hasattr(loaded.negotiation, "h2c_upgrade")
+        assert loaded == scanned_report
 
     def test_on_disk_persistence(self, scanned_report, tmp_path):
         path = tmp_path / "scan.sqlite"
@@ -485,7 +489,6 @@ def populated_instances():
         domain="encode.test",
         negotiation=negotiation,
         settings=settings,
-        multiplexing=multiplexing,
         flow_control=flow_control,
         priority=priority,
         push=push,

@@ -18,7 +18,6 @@ from repro.h2.frames import (
     WindowUpdateFrame,
     serialize_frame,
 )
-from repro.scope.client import TimedFrame
 from repro.scope.session import ProbeSession
 from repro.scope.storage import ReportStore
 from repro.scope.trace import (
@@ -36,6 +35,7 @@ from repro.servers.profiles import ServerProfile
 from repro.servers.site import Site, deploy_site
 from repro.servers.website import default_website
 from tests.conftest import sim_session
+from tests.support.frames import tap_connections
 
 #: One of every frame type, exercising the odd corners: unknown frame
 #: types, GOAWAY debug data, unregistered SETTINGS identifiers and
@@ -129,8 +129,8 @@ class TestDescribeFrame:
 class TestRenderTrace:
     def test_renders_timestamps_and_direction(self):
         frames = [
-            TimedFrame(at=0.05, frame=PingFrame()),
-            TimedFrame(at=1.25, frame=SettingsFrame()),
+            TracedFrame(at=0.05, frame=PingFrame()),
+            TracedFrame(at=1.25, frame=SettingsFrame()),
         ]
         out = render_trace(frames, direction=">")
         lines = out.splitlines()
@@ -145,11 +145,15 @@ class TestRenderTrace:
         network = Network(sim, seed=2)
         site = Site(domain="t.test", profile=ServerProfile(), website=default_website())
         deploy_site(network, site)
-        client = sim_session(network).client("t.test", auto_window_update=True)
+        recorder = TraceRecorder()
+        recorder.begin("fetch")
+        client = sim_session(network).client(
+            "t.test", auto_window_update=True, trace=recorder
+        )
         assert client.establish_h2()
         sid = client.request("/style.css")
         client.wait_for(lambda: client.headers_for(sid) is not None)
-        out = render_trace(client.frames)
+        out = render_trace(recorder.traces["fetch"])
         assert "SETTINGS" in out
         assert "HEADERS" in out
 
@@ -238,14 +242,16 @@ class TestTraceRecorder:
         recorder = TraceRecorder()
         session = ProbeSession(SimulatedBackend(network), trace=recorder)
         recorder.begin("handshake")
-        client = session.client("t.test")
-        assert client.establish_h2()
+        with tap_connections() as taps:
+            client = session.client("t.test")
+            assert client.establish_h2()
         recorder.end()
         client.close()
         frames = recorder.traces["handshake"]
         assert frames, "received frames should have been recorded"
         assert render_trace(frames)  # and they render
-        assert render_trace(frames) == render_trace(client.frames)
+        # Exactly the frames the connection dispatched, in order.
+        assert [tf.frame for tf in frames] == taps[client.conn].received
 
 
 class TestTraceStorage:

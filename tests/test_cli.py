@@ -480,3 +480,30 @@ def test_detect_empty_db(tmp_path, capsys):
     rc = main(["detect", "--db", str(db)])
     assert rc == 2
     assert "no stored connection timelines" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["detect", "--vendor", "nope"], "vendor"),
+        (["attack", "--vendor", "nope"], "vendor"),
+        (["conformance", "nope"], "vendor"),
+        (["experiment", "nope"], "experiment"),
+    ],
+    ids=["detect", "attack", "conformance", "experiment"],
+)
+def test_unknown_name_exits_2_with_the_choices(argv, what, capsys):
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"unknown {what} 'nope'; choose from " in err
+    assert err.rstrip().endswith("or 'all'")
+    assert "Traceback" not in err
+
+
+def test_probe_unknown_vendor_offers_no_all(capsys):
+    rc = main(["probe", "--backend", "sim", "--vendor", "nope", "x.test"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "unknown vendor 'nope'; choose from nginx" in err
+    assert "'all'" not in err
