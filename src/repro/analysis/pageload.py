@@ -208,16 +208,15 @@ def visit_page(
     )
 
 
-def measure_site(
-    site: Site,
-    visits: int = 30,
-    seed: int = 0,
-    jitter: float = 0.15,
-) -> PageLoadStats:
+#: Each visit scales the path RTT by a factor drawn from 1 ± this.
+RTT_JITTER = 0.15
+
+
+def measure_site(site: Site, visits: int = 30, seed: int = 0) -> PageLoadStats:
     """Fig. 3's per-site experiment: ``visits`` loads, push on and off.
 
-    Each visit perturbs the path RTT slightly (±``jitter``) the way
-    repeated real-world visits see varying conditions.
+    Each visit perturbs the path RTT slightly (±:data:`RTT_JITTER`) the
+    way repeated real-world visits see varying conditions.
     """
     rng = random.Random((seed, site.domain).__str__())
     stats = PageLoadStats(domain=site.domain)
@@ -226,7 +225,7 @@ def measure_site(
         samples = stats.with_push if mode_push else stats.without_push
         for visit_index in range(visits):
             perturbed = site.link
-            factor = 1.0 + rng.uniform(-jitter, jitter)
+            factor = 1.0 + rng.uniform(-RTT_JITTER, RTT_JITTER)
             site_variant = Site(
                 domain=site.domain,
                 profile=site.profile,
@@ -235,7 +234,6 @@ def measure_site(
                     rtt=base_rtt * factor,
                     bandwidth=perturbed.bandwidth,
                     loss_rate=perturbed.loss_rate,
-                    jitter=perturbed.jitter,
                 ),
                 truth=site.truth,
             )

@@ -33,37 +33,28 @@ def population_scan(
     n_sites: int,
     seed: int,
     include: frozenset[str],
-    include_unresponsive: bool = True,
     fault_plan: FaultPlan | None = None,
     resilience: ResilienceConfig | None = None,
-    workers: int = 1,
 ) -> tuple[list[Site], list[SiteReport], float]:
     """Generate + scan a population once per (experiment, size, probes).
 
     Returns ``(sites, reports, scale)`` where ``scale`` converts
     generated-site counts into paper-population counts.  ``fault_plan``
     and ``resilience`` switch the scan into chaos mode: deterministic
-    fault injection plus deadline/retry execution.  ``workers`` shards
-    the scan across processes; it is deliberately *not* part of the
-    cache key, because reports are byte-identical for any worker count
-    (the determinism contract of :mod:`repro.scope.parallel`).
+    fault injection plus deadline/retry execution.  The scan is serial;
+    ``h2scope scan --workers`` shards through
+    :func:`~repro.scope.scanner.scan_population` itself.
     """
     key = (
         experiment,
         n_sites,
         seed,
         include,
-        include_unresponsive,
         fault_plan.cache_key if fault_plan is not None else None,
         resilience,
     )
     if key not in _SCAN_CACHE:
-        config = PopulationConfig(
-            experiment=experiment,
-            n_sites=n_sites,
-            seed=seed,
-            include_unresponsive=include_unresponsive,
-        )
+        config = PopulationConfig(experiment=experiment, n_sites=n_sites, seed=seed)
         sites = make_population(config)
         reports = scan_population(
             sites,
@@ -71,7 +62,6 @@ def population_scan(
             seed=seed,
             fault_plan=fault_plan,
             resilience=resilience,
-            workers=workers,
         )
         _SCAN_CACHE[key] = (sites, reports, config.scale)
     return _SCAN_CACHE[key]

@@ -31,35 +31,18 @@ DEFAULT_PLAN_SPEC = (
 #: deadline math is identical for the rest).
 PROBES = frozenset({"negotiation", "settings", "ping"})
 
+#: The study's per-probe budget and retries; ``h2scope scan`` in chaos
+#: mode starts from the same values.
+RESILIENCE = ResilienceConfig(timeout=12.0, retries=2)
 
-def run(
-    experiment: int = 1,
-    n_sites: int = 300,
-    seed: int = 7,
-    fault_spec: str | None = DEFAULT_PLAN_SPEC,
-    timeout: float = 12.0,
-    retries: int = 2,
-    workers: int = 1,
-) -> ExperimentResult:
-    """Scan ``n_sites`` with injected faults; summarize the taxonomy.
 
-    ``fault_spec=None`` runs a fault-free scan under the same resilience
-    machinery (the control condition: zero failure fraction expected).
-    """
-    plan = (
-        FaultPlan.load(fault_spec, seed=seed) if fault_spec is not None else None
-    )
-    resilience = ResilienceConfig(timeout=timeout, retries=retries)
+def run(experiment: int = 1, n_sites: int = 300, seed: int = 7) -> ExperimentResult:
+    """Scan ``n_sites`` with injected faults; summarize the taxonomy."""
+    plan = FaultPlan.load(DEFAULT_PLAN_SPEC, seed=seed)
     sites, reports, _ = population_scan(
-        experiment,
-        n_sites,
-        seed,
-        PROBES,
-        fault_plan=plan,
-        resilience=resilience,
-        workers=workers,
+        experiment, n_sites, seed, PROBES, fault_plan=plan, resilience=RESILIENCE
     )
-    return summarize(reports, len(sites), experiment, seed, plan, resilience)
+    return summarize(reports, len(sites), experiment, seed, plan, RESILIENCE)
 
 
 def summarize(

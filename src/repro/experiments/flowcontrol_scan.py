@@ -22,10 +22,8 @@ from repro.scope.report import ErrorReaction, TinyWindowResult
 PROBES = frozenset({"negotiation", "flow_control"})
 
 
-def run(
-    experiment: int = 1, n_sites: int = 400, seed: int = 7, workers: int = 1
-) -> ExperimentResult:
-    _, reports, scale = population_scan(experiment, n_sites, seed, PROBES, workers=workers)
+def run(experiment: int = 1, n_sites: int = 400, seed: int = 7) -> ExperimentResult:
+    _, reports, scale = population_scan(experiment, n_sites, seed, PROBES)
     return summarize(reports, experiment, scale)
 
 

@@ -68,10 +68,8 @@ def _format_one(
     return format_table(["value", "paper", "measured (scaled)"], rows, title=title)
 
 
-def run(
-    experiment: int = 1, n_sites: int = 400, seed: int = 7, workers: int = 1
-) -> ExperimentResult:
-    _, reports, scale = population_scan(experiment, n_sites, seed, PROBES, workers=workers)
+def run(experiment: int = 1, n_sites: int = 400, seed: int = 7) -> ExperimentResult:
+    _, reports, scale = population_scan(experiment, n_sites, seed, PROBES)
     return summarize(reports, experiment, scale)
 
 

@@ -33,10 +33,8 @@ FAMILY_LABELS = {
 }
 
 
-def run(
-    experiment: int = 1, n_sites: int = 400, seed: int = 7, workers: int = 1
-) -> ExperimentResult:
-    _, reports, scale = population_scan(experiment, n_sites, seed, PROBES, workers=workers)
+def run(experiment: int = 1, n_sites: int = 400, seed: int = 7) -> ExperimentResult:
+    _, reports, scale = population_scan(experiment, n_sites, seed, PROBES)
     return summarize(reports, experiment, scale)
 
 

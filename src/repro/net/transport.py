@@ -55,7 +55,6 @@ class LinkProfile:
     rtt: float = 0.05  # seconds, round trip
     bandwidth: float = 10e6  # bytes per second, each direction
     loss_rate: float = 0.0  # probability a segment needs retransmission
-    jitter: float = 0.0  # uniform +/- jitter applied per chunk (seconds)
 
     #: Extra delay charged per retransmitted segment.  A real RTO is at
     #: least max(200ms, rtt); we use rtt + 0.2s as a plain approximation.
@@ -118,9 +117,9 @@ class Endpoint:
 
     @cached_property
     def _rng(self) -> random.Random:
-        """Loss and jitter draws, built — seed included — on first use:
-        on a clean link no draw is ever observable, so the hash, the
-        Random instance and its costly seeding are skipped entirely."""
+        """Loss draws, built — seed included — on first use: on a clean
+        link no draw is ever observable, so the hash, the Random
+        instance and its costly seeding are skipped entirely."""
         # stable_seed, not hash(): string hashing is randomized per
         # process, and a resumed campaign must replay a site's original
         # universe from a fresh process bit-for-bit.
@@ -169,24 +168,21 @@ class Endpoint:
         # probability loss_rate, each costing one RTO of extra delay.
         # The stall is per-connection: other connections keep using the
         # link while this one waits for its retransmission timer.
-        # On a clean link (no loss, no jitter) every draw's outcome is
+        # On a clean link (``loss_rate == 0``) every draw's outcome is
         # discarded, so the whole block — and the RNG — is skipped; on
-        # a lossy or jittery link the draw order matches the original
+        # a lossy link the draw order matches the original
         # implementation exactly, bit for bit.
         profile = self._profile
         arrival = start + serialize
-        jitter = 0.0
-        if profile.loss_rate or profile.jitter:
+        if profile.loss_rate:
             rng = self._rng
             segments = max(1, (len(data) + MSS - 1) // MSS)
             retransmissions = sum(
                 1 for _ in range(segments) if rng.random() < profile.loss_rate
             )
             arrival += retransmissions * profile.rto()
-            if profile.jitter:
-                jitter = max(0.0, rng.uniform(-profile.jitter, profile.jitter))
         self._stall_until = arrival
-        arrival = arrival + self._one_way_delay + jitter + fault_delay
+        arrival = arrival + self._one_way_delay + fault_delay
         self._sim.call_at(arrival, self._deliver_to_peer, data)
         if close_peer:
             # Truncated close: the peer observes FIN/RST right after the
@@ -379,9 +375,8 @@ class Network:
                 self.sim.call_later(profile.rtt, attempt._complete, None)
                 return attempt
 
-        # Both ends draw loss and jitter from the same per-connection
-        # stream; parallel connections to one host contend for its
-        # access link.
+        # Both ends draw loss from the same per-connection stream;
+        # parallel connections to one host contend for its access link.
         rng_key = (self.seed, server_name, port, self._connection_counter)
         client_end = Endpoint(
             self.sim, (server_name, port, True), profile, server.uplink, rng_key

@@ -32,16 +32,19 @@ from repro.population.distributions import ExperimentData, experiment_data
 from repro.servers.profiles import ServerProfile, TinyWindowBehavior
 from repro.servers.site import Site
 from repro.servers.vendors import POPULATION_FACTORIES
-from repro.servers.website import Resource, Website, random_website
+from repro.servers.website import (
+    PRIORITY_DEPLETION_PATHS,
+    PRIORITY_TEST_PATHS,
+    Resource,
+    Website,
+    random_website,
+)
 
 MCS = int(SettingCode.MAX_CONCURRENT_STREAMS)
 IWS = int(SettingCode.INITIAL_WINDOW_SIZE)
 MFS = int(SettingCode.MAX_FRAME_SIZE)
 MHLS = int(SettingCode.MAX_HEADER_LIST_SIZE)
 
-#: Paths the scanner's Algorithm 1 run expects on every generated site.
-PRIORITY_TEST_PATHS = [f"/prio/{label}.bin" for label in "abcdef"]
-PRIORITY_DEPLETION_PATHS = [f"/prio/deplete{i}.bin" for i in range(4)]
 #: The objects Algorithm 1 needs: six labelled test objects plus window-
 #: depletion objects (§III-C's testbed preparation, available on every
 #: site here because we control the origin).  They are identical on

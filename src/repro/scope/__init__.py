@@ -29,7 +29,7 @@ from repro.scope.campaign import (
 )
 from repro.scope.client import ScopeClient
 from repro.scope.report import ScanError, SiteReport, summarize_errors
-from repro.scope.resilience import BackoffPolicy, ResilienceConfig
+from repro.scope.resilience import ResilienceConfig
 from repro.scope.scanner import (
     ScanProgress,
     run_campaign,
@@ -38,7 +38,6 @@ from repro.scope.scanner import (
 )
 
 __all__ = [
-    "BackoffPolicy",
     "CampaignInterrupted",
     "CampaignJournal",
     "CampaignManifest",

@@ -445,9 +445,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             except ValueError as exc:
                 print(f"bad --fault-plan: {exc}", file=sys.stderr)
                 return 2
+        default = fault_study.RESILIENCE
         resilience = ResilienceConfig(
-            timeout=12.0 if args.timeout is None else args.timeout,
-            retries=2 if args.retries is None else args.retries,
+            timeout=default.timeout if args.timeout is None else args.timeout,
+            retries=default.retries if args.retries is None else args.retries,
         )
         campaign = f"experiment-{args.experiment}-faults"
         include = fault_study.PROBES

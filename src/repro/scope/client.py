@@ -45,7 +45,7 @@ from repro.net.tls import (
 # Probe modules compare negotiated protocols against these tokens; they
 # import them from here so the probe layer never touches repro.net.*
 # directly (enforced by tests/scope/test_probe_layering.py).
-__all__ = ["H2", "HTTP11", "ScopeClient", "TimedEvent", "DEFAULT_TIMEOUT"]
+__all__ = ["H2", "HTTP11", "ScopeClient", "TimedEvent", "DEFAULT_TIMEOUT", "BULK_TIMEOUT"]
 from repro.scope.resilience import (
     ConnectionRefusedFault,
     ConnectionResetFault,
@@ -57,6 +57,8 @@ from repro.scope.resilience import (
 
 #: Default budget (backend clock-seconds) for a server-reaction wait.
 DEFAULT_TIMEOUT = 8.0
+#: Budget for a wait that drains large objects (Algorithm 1, multiplexing).
+BULK_TIMEOUT = 120.0
 
 
 @dataclass

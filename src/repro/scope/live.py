@@ -17,11 +17,13 @@ makes it survive (and be survivable by) a population:
   code the simulator runs is reused unchanged (the determinism contract
   stays untouched).  The journal refuses a domain listed twice, so no
   two sessions ever probe one site;
-* a **politeness layer**: per-host serialization with a minimum
-  inter-contact gap (:class:`HostPoliteness`) plus a global
-  token-bucket contact-rate limiter (:class:`TokenBucket`), installed
-  as the backend's connect ``gate`` so *every* TCP connect — including
-  retry reconnects — pays the toll;
+* a **politeness layer**: each site's backend gets a connect ``gate``
+  of its own (:class:`SiteGate`) holding the site's last contact
+  instant for the minimum inter-contact gap, and every gate draws from
+  one global token-bucket contact-rate limiter (:class:`TokenBucket`),
+  so *every* TCP connect — including retry reconnects — pays the toll.
+  The politeness state is one instant per site in flight and one
+  bucket: nothing grows with the sites or connections of a campaign;
 * a **DNS stage** (:class:`DnsStage`): a concurrent resolver pool with
   positive and negative caching that resolves every site's port 443
   ahead of probing, maps resolution failures onto
@@ -38,13 +40,13 @@ makes it survive (and be survivable by) a population:
   completion order means a crash loses at most one unflushed batch
   instead of everything behind a stalled head-of-line site.
 
-Every invariant the pool promises is observable via
-:class:`LiveScanMetrics`: in-flight high-water mark (never above
-``concurrency``), the per-host contact log (consecutive contacts to a
-host are ``per_host_gap`` apart), and the token-grant log (global
-contact rate bounded by ``rate`` with ``burst`` slack) — the fleet
-tests assert all three while fault-injected workers hit refusals,
-stalls and dead resolvers.
+The pool's in-flight high-water mark (never above ``concurrency``) is
+observable via :class:`LiveScanMetrics`.  The politeness guarantees —
+consecutive contacts to a host are ``per_host_gap`` apart, and the
+global contact rate is bounded by ``rate`` with ``burst`` slack — are
+kept by the gates and the bucket, and the fleet tests observe them by
+tapping the gates from outside while fault-injected workers hit
+refusals, stalls and dead resolvers.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ def verdict_view(report) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Politeness: token bucket + per-host gap
+# Politeness: token bucket + per-site gate
 # ---------------------------------------------------------------------------
 
 
@@ -114,8 +116,7 @@ class TokenBucket:
     ``burst``; each contact costs one token, and :meth:`acquire` blocks
     the calling worker until one is available.  Guarantee: the number
     of grants inside any window of ``w`` seconds never exceeds
-    ``burst + rate * w``.  Grant timestamps are kept in :attr:`grants`
-    so tests can assert exactly that.
+    ``burst + rate * w``.
     """
 
     def __init__(
@@ -134,12 +135,10 @@ class TokenBucket:
         self._lock = threading.Lock()
         self._tokens = self.burst
         self._last = clock()
-        #: Grant timestamps (monotonic seconds), for invariant checks.
-        self.grants: list[float] = []
 
     def acquire(self) -> float:
-        """Block until a token is free; returns seconds spent waiting."""
-        start = self._clock()
+        """Block until a token is free; returns the clock instant of the
+        grant."""
         while True:
             with self._lock:
                 now = self._clock()
@@ -151,65 +150,48 @@ class TokenBucket:
                 # rate 5 can land at 0.99999999999999998 tokens).
                 if self._tokens >= 1.0 - 1e-9:
                     self._tokens = max(0.0, self._tokens - 1.0)
-                    self.grants.append(now)
-                    return now - start
+                    return now
                 shortfall = (1.0 - self._tokens) / self.rate
             # Floor the wait so the clock always advances, even when the
             # shortfall rounds below the clock's resolution.
             self._sleep(max(shortfall, 1e-6))
 
 
-class _HostSlot:
-    __slots__ = ("lock", "last")
+class SiteGate:
+    """One site's connect gate: the per-host gap, then the global rate.
 
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.last: float | None = None
-
-
-class HostPoliteness:
-    """Per-host contact serialization with a minimum inter-contact gap.
-
-    A *contact* is one TCP connection attempt.  :meth:`acquire` blocks
-    until the caller holds the host's slot (contacts to one host never
-    overlap) and the previous contact is at least ``gap`` seconds old;
-    :meth:`commit` stamps the contact time and releases the slot.  The
-    stamp happens at commit — after the global rate limiter has also
-    granted a token — so the recorded time is the moment the connect
-    actually starts.
+    A *contact* is one TCP connection attempt.  Calling the gate sleeps
+    until the site's previous contact is at least ``gap`` seconds old,
+    then takes a token from the shared ``bucket`` (when there is one),
+    and stamps the contact at that instant, the moment the connect
+    starts.  Each site's backend has a gate of its own: the journal
+    refuses a domain listed twice and a site's probes run in sequence
+    on one session thread, so a gate is never entered twice at once and
+    contacts to one host never overlap.
     """
 
-    def __init__(self, gap: float, clock=time.monotonic, sleep=time.sleep):
+    __slots__ = ("gap", "bucket", "last", "_clock", "_sleep")
+
+    def __init__(
+        self,
+        gap: float,
+        bucket: TokenBucket | None = None,
+        clock=time.monotonic,
+        sleep=time.sleep,
+    ):
         self.gap = max(0.0, float(gap))
+        self.bucket = bucket
         self._clock = clock
         self._sleep = sleep
-        self._lock = threading.Lock()
-        self._hosts: dict[str, _HostSlot] = {}
-        #: ``(host, monotonic_time)`` per contact, in commit order.
-        self.contacts: list[tuple[str, float]] = []
+        #: Clock instant of the site's latest contact.
+        self.last: float | None = None
 
-    def _slot(self, host: str) -> _HostSlot:
-        with self._lock:
-            slot = self._hosts.get(host)
-            if slot is None:
-                slot = self._hosts[host] = _HostSlot()
-            return slot
-
-    def acquire(self, host: str) -> None:
-        slot = self._slot(host)
-        slot.lock.acquire()
-        if slot.last is not None and self.gap > 0:
-            wait = slot.last + self.gap - self._clock()
+    def __call__(self, domain: str, port: int) -> None:
+        if self.last is not None and self.gap > 0:
+            wait = self.last + self.gap - self._clock()
             if wait > 0:
                 self._sleep(wait)
-
-    def commit(self, host: str) -> None:
-        slot = self._slot(host)
-        now = self._clock()
-        slot.last = now
-        with self._lock:
-            self.contacts.append((host, now))
-        slot.lock.release()
+        self.last = self._clock() if self.bucket is None else self.bucket.acquire()
 
 
 # ---------------------------------------------------------------------------
@@ -305,21 +287,19 @@ class DnsStage:
 
 
 # ---------------------------------------------------------------------------
-# Metrics: observable pool/politeness invariants
+# Metrics: the pool's counters
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class LiveScanMetrics:
-    """Counters and logs the invariant tests assert against."""
+    """The pool's counters: sessions in flight and their high-water
+    mark, sessions started, and sites quarantined by the DNS stage."""
 
     in_flight: int = 0
     concurrency_high_water: int = 0
     sessions: int = 0
     dns_quarantined: int = 0
-    #: Shared with :class:`HostPoliteness` / :class:`TokenBucket`.
-    contacts: list[tuple[str, float]] = field(default_factory=list)
-    rate_grants: list[float] = field(default_factory=list)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def session_started(self) -> None:
@@ -390,23 +370,10 @@ class _LivePool:
         self.concurrency = max(1, int(config.concurrency))
         self.metrics = metrics
         self.dns = DnsStage(resolver=resolver, workers=config.dns_workers)
-        self.politeness = HostPoliteness(config.per_host_gap)
-        self.politeness.contacts = metrics.contacts
         self.bucket: TokenBucket | None = None
         if config.rate is not None:
             self.bucket = TokenBucket(config.rate, config.burst)
-            self.bucket.grants = metrics.rate_grants
         self._executor: ThreadPoolExecutor | None = None
-
-    # -- politeness gate (installed on every backend) ----------------------
-
-    def _gate(self, domain: str, port: int) -> None:
-        self.politeness.acquire(domain)
-        try:
-            if self.bucket is not None:
-                self.bucket.acquire()
-        finally:
-            self.politeness.commit(domain)
 
     # -- one session -------------------------------------------------------
 
@@ -416,7 +383,7 @@ class _LivePool:
             resolver=self.dns.resolve,
             timeout_scale=self.config.timeout_scale,
             connect_timeout=self.config.connect_timeout,
-            gate=self._gate,
+            gate=SiteGate(self.config.per_host_gap, self.bucket),
         )
         self.metrics.session_started()
         started = time.monotonic()

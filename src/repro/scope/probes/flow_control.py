@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.h2 import events as ev
 from repro.h2.constants import MAX_WINDOW_SIZE, SettingCode
-from repro.scope.client import ScopeClient
+from repro.scope.client import DEFAULT_TIMEOUT, ScopeClient
 from repro.scope.report import ErrorReaction, TinyWindowResult
 from repro.scope.session import ProbeSession
 
@@ -30,11 +30,10 @@ def probe_tiny_window(
     domain: str,
     sframe: int = 1,
     path: str = "/",
-    timeout: float = 8.0,
 ) -> tuple[TinyWindowResult, int | None, bool]:
     """§III-B1.  Returns (category, first DATA size, headers_received)."""
     client = session.client(domain, settings={IWS: sframe})
-    if not client.establish_h2(timeout=timeout):
+    if not client.establish_h2():
         client.close()
         return TinyWindowResult.NO_RESPONSE, None, False
 
@@ -43,8 +42,7 @@ def probe_tiny_window(
         lambda: any(
             te.event.stream_id == stream_id
             for te in client.events_of(ev.DataReceived)
-        ),
-        timeout=timeout,
+        )
     )
     data_events = [
         te
@@ -63,20 +61,18 @@ def probe_tiny_window(
 
 
 def probe_zero_window_headers(
-    session: ProbeSession, domain: str, path: str = "/", timeout: float = 8.0
+    session: ProbeSession, domain: str, path: str = "/"
 ) -> bool | None:
     """§III-B2.  True iff HEADERS arrive while the window is zero.
 
     Returns None when HTTP/2 could not be established at all.
     """
     client = session.client(domain, settings={IWS: 0})
-    if not client.establish_h2(timeout=timeout):
+    if not client.establish_h2():
         client.close()
         return None
     stream_id = client.request(path)
-    client.wait_for(
-        lambda: client.headers_for(stream_id) is not None, timeout=timeout
-    )
+    client.wait_for(lambda: client.headers_for(stream_id) is not None)
     headers = client.headers_for(stream_id) is not None
     got_data = any(
         te.event.stream_id == stream_id and te.event.data
@@ -92,25 +88,25 @@ def probe_zero_window_update(
     domain: str,
     level: str = "stream",
     path: str = "/big.bin",
-    timeout: float = 8.0,
 ) -> tuple[ErrorReaction | None, bytes]:
     """§III-B3.  Returns (reaction, GOAWAY debug data if any)."""
     # A one-octet window keeps the response stream alive and blocked,
     # so the server definitely still knows the stream when the bogus
     # update arrives.
     client = session.client(domain, settings={IWS: 1})
-    if not client.establish_h2(timeout=timeout):
+    if not client.establish_h2():
         client.close()
         return None, b""
     stream_id = client.request(path)
     client.wait_for(
-        lambda: client.headers_for(stream_id) is not None, timeout=timeout / 2
+        lambda: client.headers_for(stream_id) is not None,
+        timeout=DEFAULT_TIMEOUT / 2,
     )
 
     target = 0 if level == "connection" else stream_id
     client.send_window_update(target, 0)
 
-    reaction = _await_reaction(client, stream_id, timeout)
+    reaction = _await_reaction(client, stream_id)
     debug = b""
     for te in client.events_of(ev.GoAwayReceived):
         debug = te.event.debug_data
@@ -123,16 +119,16 @@ def probe_large_window_update(
     domain: str,
     level: str = "stream",
     path: str = "/big.bin",
-    timeout: float = 8.0,
 ) -> ErrorReaction | None:
     """§III-B4: two WINDOW_UPDATEs whose sum exceeds 2^31-1."""
     client = session.client(domain, settings={IWS: 1})
-    if not client.establish_h2(timeout=timeout):
+    if not client.establish_h2():
         client.close()
         return None
     stream_id = client.request(path)
     client.wait_for(
-        lambda: client.headers_for(stream_id) is not None, timeout=timeout / 2
+        lambda: client.headers_for(stream_id) is not None,
+        timeout=DEFAULT_TIMEOUT / 2,
     )
 
     target = 0 if level == "connection" else stream_id
@@ -144,15 +140,13 @@ def probe_large_window_update(
     client.conn.send_window_update(target, half)
     client.flush()
 
-    reaction = _await_reaction(client, stream_id, timeout)
+    reaction = _await_reaction(client, stream_id)
     client.close()
     return reaction
 
 
-def _await_reaction(
-    client: ScopeClient, stream_id: int, timeout: float
-) -> ErrorReaction:
-    """Wait for RST_STREAM / GOAWAY; silence within ``timeout`` = ignore."""
+def _await_reaction(client: ScopeClient, stream_id: int) -> ErrorReaction:
+    """Wait for RST_STREAM / GOAWAY; silence within the wait = ignore."""
 
     def saw_reaction() -> bool:
         return bool(client.events_of(ev.GoAwayReceived)) or any(
@@ -160,7 +154,7 @@ def _await_reaction(
             for te in client.events_of(ev.StreamReset)
         )
 
-    client.wait_for(saw_reaction, timeout=timeout)
+    client.wait_for(saw_reaction)
     for te in client.events:
         if isinstance(te.event, ev.StreamReset) and te.event.stream_id == stream_id:
             return ErrorReaction.RST_STREAM

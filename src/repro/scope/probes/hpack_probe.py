@@ -18,13 +18,15 @@ from __future__ import annotations
 from repro.scope.report import HpackResult
 from repro.scope.session import ProbeSession
 
+#: Budget (backend clock-seconds) for each response's HEADERS.
+HPACK_TIMEOUT = 10.0
+
 
 def probe_hpack(
     session: ProbeSession,
     domain: str,
     path: str = "/",
     repetitions: int = 8,
-    timeout: float = 10.0,
 ) -> HpackResult:
     result = HpackResult(requests=repetitions)
     client = session.client(domain, auto_window_update=True)
@@ -38,7 +40,8 @@ def probe_hpack(
     for _ in range(repetitions):
         stream_id = client.request(path)
         client.wait_for(
-            lambda: client.headers_for(stream_id) is not None, timeout=timeout
+            lambda: client.headers_for(stream_id) is not None,
+            timeout=HPACK_TIMEOUT,
         )
         event = client.headers_for(stream_id)
         if event is None:

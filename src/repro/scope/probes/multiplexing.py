@@ -13,6 +13,7 @@ the caller supplies paths to large objects.
 from __future__ import annotations
 
 from repro.h2 import events as ev
+from repro.scope.client import BULK_TIMEOUT
 from repro.scope.report import MultiplexingResult
 from repro.scope.session import ProbeSession
 
@@ -21,7 +22,6 @@ def probe_multiplexing(
     session: ProbeSession,
     domain: str,
     paths: list[str],
-    timeout: float = 120.0,
 ) -> MultiplexingResult:
     result = MultiplexingResult(streams=len(paths))
     client = session.client(domain, auto_window_update=True)
@@ -44,7 +44,7 @@ def probe_multiplexing(
             te.event.stream_id
             for te in client.events_of(ev.StreamEnded)
         },
-        timeout=timeout,
+        timeout=BULK_TIMEOUT,
     )
 
     pattern = [

@@ -19,9 +19,7 @@ from repro.scope.report import NegotiationResult
 from repro.scope.session import ProbeSession
 
 
-def probe_negotiation(
-    session: ProbeSession, domain: str, timeout: float = 8.0
-) -> NegotiationResult:
+def probe_negotiation(session: ProbeSession, domain: str) -> NegotiationResult:
     result = NegotiationResult()
     alpn_client = session.client(
         domain, alpn=[H2, HTTP11], offer_npn=False, auto_window_update=True
@@ -31,18 +29,18 @@ def probe_negotiation(
     )
     try:
         # -- ALPN-only handshake --------------------------------------------
-        if not alpn_client.connect(timeout=timeout):
+        if not alpn_client.connect():
             return result
         result.tcp_connected = True
-        tls = alpn_client.tls_handshake(timeout=timeout)
+        tls = alpn_client.tls_handshake()
         result.tcp_handshake_rtt = tls.tcp_handshake_rtt
         result.alpn_h2 = tls.alpn_protocol == H2
         if not result.alpn_h2:
             alpn_client.close()
 
         # -- NPN-only handshake ---------------------------------------------
-        if npn_client.connect(timeout=timeout):
-            npn = npn_client.tls_handshake(timeout=timeout)
+        if npn_client.connect():
+            npn = npn_client.tls_handshake()
             result.npn_h2 = npn.npn_protocol == H2
 
         # -- fetch / over HTTP/2 on the connection that chose it -------------
@@ -53,11 +51,9 @@ def probe_negotiation(
             fetch = npn_client
         else:
             return result
-        fetch.speak_h2(timeout=timeout)
+        fetch.speak_h2()
         stream_id = fetch.request("/")
-        fetch.wait_for(
-            lambda: fetch.headers_for(stream_id) is not None, timeout=timeout
-        )
+        fetch.wait_for(lambda: fetch.headers_for(stream_id) is not None)
         headers_event = fetch.headers_for(stream_id)
         if headers_event is not None:
             result.headers_received = True
@@ -70,8 +66,7 @@ def probe_negotiation(
             lambda: any(
                 te.event.stream_id == stream_id
                 for te in fetch.events_of(ev.StreamEnded)
-            ),
-            timeout=timeout,
+            )
         )
         return result
     finally:

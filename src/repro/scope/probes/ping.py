@@ -23,13 +23,12 @@ def probe_ping(
     session: ProbeSession,
     domain: str,
     samples: int = 3,
-    timeout: float = 8.0,
 ) -> PingResult:
     result = PingResult()
 
     # -- HTTP/2 PING + TCP handshake RTT -----------------------------------
     client = session.client(domain)
-    if client.establish_h2(timeout=timeout):
+    if client.establish_h2():
         result.tcp_rtt = client.tls.tcp_handshake_rtt
         rtts: list[float] = []
         for i in range(samples):
@@ -43,7 +42,7 @@ def probe_ping(
                         return te.at
                 return None
 
-            if client.wait_for(lambda: ack_time() is not None, timeout=timeout):
+            if client.wait_for(lambda: ack_time() is not None):
                 rtts.append(ack_time() - start)
         if rtts:
             result.ping_supported = True
@@ -55,12 +54,12 @@ def probe_ping(
 
     # -- HTTP/1.1 request ---------------------------------------------------------
     h1 = session.client(domain, alpn=[HTTP11], offer_npn=False)
-    if h1.connect(timeout=timeout):
-        tls = h1.tls_handshake(timeout=timeout)
+    if h1.connect():
+        tls = h1.tls_handshake()
         if tls.connected:
             h1_rtts = []
             for _ in range(samples):
-                interval = h1.http1_get("/", timeout=timeout)
+                interval = h1.http1_get("/")
                 if interval is not None:
                     h1_rtts.append(interval)
             if h1_rtts:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from repro.h2 import events as ev
 from repro.h2.constants import MAX_WINDOW_SIZE, SettingCode
 from repro.h2.frames import PriorityData
-from repro.scope.client import ScopeClient
+from repro.scope.client import BULK_TIMEOUT, DEFAULT_TIMEOUT, ScopeClient
 from repro.scope.report import ErrorReaction, PriorityResult
 from repro.scope.session import ProbeSession
 
@@ -54,7 +54,6 @@ def probe_priority(
     domain: str,
     test_paths: list[str],
     depletion_paths: list[str],
-    timeout: float = 120.0,
 ) -> PriorityResult:
     """Run Algorithm 1 against ``domain``.
 
@@ -77,7 +76,7 @@ def probe_priority(
         return result
 
     # Step 1b: drain the 65,535-octet connection window.
-    drained = _deplete_connection_window(client, depletion_paths, timeout)
+    drained = _deplete_connection_window(client, depletion_paths)
     if not drained:
         client.close()
         return result
@@ -107,7 +106,7 @@ def probe_priority(
     client.wait_for(
         lambda: planted_ids
         <= {te.event.stream_id for te in client.events_of(ev.StreamEnded)},
-        timeout=timeout,
+        timeout=BULK_TIMEOUT,
     )
 
     # Analyse DATA-frame order.
@@ -136,7 +135,7 @@ def probe_priority(
 
 
 def _deplete_connection_window(
-    client: ScopeClient, depletion_paths: list[str], timeout: float
+    client: ScopeClient, depletion_paths: list[str]
 ) -> bool:
     """§III-C step 1: download until 65,535 octets have been received.
 
@@ -161,7 +160,7 @@ def _deplete_connection_window(
         client.wait_for(
             lambda: consumed() >= INITIAL_CONNECTION_WINDOW
             or _stalled(client, depletion_ids),
-            timeout=timeout / 4,
+            timeout=BULK_TIMEOUT / 4,
         )
         received = consumed()
         if received >= INITIAL_CONNECTION_WINDOW:
@@ -222,7 +221,6 @@ def probe_self_dependency(
     session: ProbeSession,
     domain: str,
     path: str = "/big.bin",
-    timeout: float = 8.0,
 ) -> ErrorReaction | None:
     """§III-C2: PRIORITY frame making a stream depend on itself.
 
@@ -230,12 +228,13 @@ def probe_self_dependency(
     servers also answer GOAWAY or ignore it.
     """
     client = session.client(domain, settings={IWS: 1})
-    if not client.establish_h2(timeout=timeout):
+    if not client.establish_h2():
         client.close()
         return None
     stream_id = client.request(path)
     client.wait_for(
-        lambda: client.headers_for(stream_id) is not None, timeout=timeout / 2
+        lambda: client.headers_for(stream_id) is not None,
+        timeout=DEFAULT_TIMEOUT / 2,
     )
     client.send_priority(stream_id, depends_on=stream_id, weight=16)
 
@@ -245,7 +244,7 @@ def probe_self_dependency(
             for te in client.events_of(ev.StreamReset)
         )
 
-    client.wait_for(saw_reaction, timeout=timeout)
+    client.wait_for(saw_reaction)
     reaction = ErrorReaction.IGNORE
     for te in client.events:
         if isinstance(te.event, ev.StreamReset) and te.event.stream_id == stream_id:

@@ -1,9 +1,9 @@
 """Server-push probe (§III-D, results in §V-F).
 
 Push is optional, so the probe first announces SETTINGS_ENABLE_PUSH=1,
-then browses pages; receipt of any PUSH_PROMISE frame means the server
-pushes.  The paper browsed the front page (only six sites pushed in the
-first experiment) and other URLs (nothing pushed).
+then fetches the front page; receipt of any PUSH_PROMISE frame means
+the server pushes.  The paper browsed the front page (only six sites
+pushed in the first experiment) and other URLs (nothing pushed).
 """
 
 from __future__ import annotations
@@ -12,31 +12,27 @@ from repro.h2 import events as ev
 from repro.scope.report import PushResult
 from repro.scope.session import ProbeSession
 
+#: Budget (backend clock-seconds) for the page and for the pushes to settle.
+PUSH_TIMEOUT = 20.0
 
-def probe_push(
-    session: ProbeSession,
-    domain: str,
-    pages: list[str] | None = None,
-    timeout: float = 20.0,
-) -> PushResult:
+
+def probe_push(session: ProbeSession, domain: str) -> PushResult:
     result = PushResult()
-    pages = pages or ["/"]
     client = session.client(domain, enable_push=True, auto_window_update=True)
     if not client.establish_h2():
         client.close()
         return result
 
-    for page in pages:
-        stream_id = client.request(page)
-        client.wait_for(
-            lambda: any(
-                te.event.stream_id == stream_id
-                for te in client.events_of(ev.StreamEnded)
-            ),
-            timeout=timeout,
-        )
+    stream_id = client.request("/")
+    client.wait_for(
+        lambda: any(
+            te.event.stream_id == stream_id
+            for te in client.events_of(ev.StreamEnded)
+        ),
+        timeout=PUSH_TIMEOUT,
+    )
     # Allow promised streams to finish delivering.
-    client.settle(quiet_period=0.5, timeout=timeout)
+    client.settle(quiet_period=0.5, timeout=PUSH_TIMEOUT)
 
     for te in client.events_of(ev.PushPromiseReceived):
         result.push_received = True

@@ -12,12 +12,10 @@ from repro.scope.report import SettingsResult
 from repro.scope.session import ProbeSession
 
 
-def probe_settings(
-    session: ProbeSession, domain: str, timeout: float = 8.0
-) -> SettingsResult:
+def probe_settings(session: ProbeSession, domain: str) -> SettingsResult:
     result = SettingsResult()
     client = session.client(domain)
-    if not client.establish_h2(timeout=timeout):
+    if not client.establish_h2():
         client.close()
         return result
 

@@ -13,10 +13,10 @@ scanner-side half of the fault story (the injection half lives in
 * a typed failure taxonomy (:class:`ScanFault` and subclasses) mapping
   onto :class:`~repro.scope.report.ErrorClass` — transient failures are
   retried, timeouts and fatal failures are not;
-* :class:`BackoffPolicy`, exponential backoff with deterministic
-  seed-driven jitter (same seed → byte-identical delay schedule);
 * :func:`run_resilient`, the per-probe execution harness used by
-  :mod:`repro.scope.scanner`.
+  :mod:`repro.scope.scanner`, which backs off exponentially between
+  retries with deterministic seed-driven jitter (same seed →
+  byte-identical delay schedule).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 import socket
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.net.backend import TransportBackend
 from repro.net.faults import stable_seed
@@ -145,27 +145,16 @@ class ProbePolicy:
     deadline: Deadline | None = None
 
 
-@dataclass(frozen=True)
-class BackoffPolicy:
-    """Exponential backoff with deterministic jitter."""
-
-    base: float = 0.5
-    factor: float = 2.0
-    max_delay: float = 8.0
-    #: Additive jitter as a fraction of the raw delay, drawn uniformly
-    #: from ``[0, jitter * delay)`` with a seeded RNG.
-    jitter: float = 0.1
-
-    def delay(self, attempt: int, rng: random.Random) -> float:
-        raw = min(self.max_delay, self.base * self.factor**attempt)
-        if self.jitter:
-            raw += rng.random() * self.jitter * raw
-        return raw
-
-    def schedule(self, attempts: int, seed: int = 0) -> list[float]:
-        """The full delay sequence for ``attempts`` retries of one seed."""
-        rng = random.Random(seed)
-        return [self.delay(index, rng) for index in range(attempts)]
+#: Backoff before retry ``n`` (from 0): ``BACKOFF_BASE * BACKOFF_FACTOR**n``
+#: seconds, capped at ``BACKOFF_MAX``, plus jitter drawn uniformly from
+#: ``[0, BACKOFF_JITTER * delay)`` with a seeded RNG.  Backoff elapses on
+#: the backend clock, so on the simulated backend these numbers reach
+#: ``scan_virtual_time``; they are constants, so the campaign manifest,
+#: which records every input that changes stored bytes, need not name them.
+BACKOFF_BASE = 0.5
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX = 8.0
+BACKOFF_JITTER = 0.1
 
 
 @dataclass(frozen=True)
@@ -177,7 +166,6 @@ class ResilienceConfig:
     timeout: float = 20.0
     #: How many times a transient failure is retried.
     retries: int = 2
-    backoff: BackoffPolicy = field(default_factory=BackoffPolicy)
 
 
 def run_resilient(
@@ -212,7 +200,9 @@ def run_resilient(
                     return attempts, make_scan_error(probe, exc, attempts)
                 if rng is None:
                     rng = random.Random(stable_seed(seed, probe, "backoff"))
-                delay = config.backoff.delay(attempts - 1, rng)
+                retry = attempts - 1
+                delay = min(BACKOFF_MAX, BACKOFF_BASE * BACKOFF_FACTOR**retry)
+                delay += rng.random() * BACKOFF_JITTER * delay
                 backend.sleep(backend.scale(delay))
     finally:
         backend.probe_policy = None

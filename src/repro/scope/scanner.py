@@ -42,16 +42,12 @@ from repro.scope.resilience import (
 from repro.scope.session import ProbeSession
 from repro.scope.storage import ReportStore
 from repro.servers.site import Site, deploy_site
+from repro.servers.website import PRIORITY_DEPLETION_PATHS, PRIORITY_TEST_PATHS
 
 #: Probe groups a scan can include.
 ALL_PROBES = frozenset(
     {"negotiation", "settings", "flow_control", "priority", "push", "hpack", "ping"}
 )
-
-#: Default object paths for Algorithm 1 against population sites; the
-#: generator guarantees these exist on every generated site.
-PRIORITY_TEST_PATHS = [f"/prio/{label}.bin" for label in "abcdef"]
-PRIORITY_DEPLETION_PATHS = [f"/prio/deplete{i}.bin" for i in range(4)]
 
 
 def _validate_include(include: Iterable[str] | None) -> set[str]:

@@ -34,19 +34,20 @@ class Site:
     truth: dict = field(default_factory=dict)
 
 
+#: The site's TLS port and its cleartext HTTP/1.1 port (which serves
+#: Upgrade: h2c when the profile supports it).
+TLS_PORT = 443
+CLEAR_PORT = 80
+
+
 def deploy_site(
-    network: Network,
-    site: Site,
-    port: int = 443,
-    clear_port: int | None = 80,
-    record_frames: bool = False,
+    network: Network, site: Site, record_frames: bool = False
 ) -> H2Server:
     """Create the site's host and attach an engine; returns the server.
 
-    The TLS listener goes on ``port``; a cleartext HTTP/1.1 listener
-    (serving Upgrade: h2c when the profile supports it) goes on
-    ``clear_port`` unless that is None.  ``record_frames`` turns on the
-    engine's per-connection inbound-frame timelines (detector corpora).
+    The engine listens on :data:`TLS_PORT` and :data:`CLEAR_PORT`.
+    ``record_frames`` turns on the engine's per-connection inbound-frame
+    timelines (detector corpora).
     """
     host = network.add_host(site.domain, site.link)
     server = H2Server(
@@ -58,9 +59,8 @@ def deploy_site(
         seed=stable_seed(network.seed, site.domain) & 0xFFFFFFFF,
         record_frames=record_frames,
     )
-    server.install(host, port, tls=True)
-    if clear_port is not None:
-        server.install(host, clear_port, tls=False)
+    server.install(host, TLS_PORT, tls=True)
+    server.install(host, CLEAR_PORT, tls=False)
     return server
 
 

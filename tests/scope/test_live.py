@@ -9,6 +9,9 @@ resume — lives in ``tests/scope/test_live_fleet.py``.
 
 from __future__ import annotations
 
+import gc
+import types
+
 import pytest
 
 from repro.scope.campaign import (
@@ -19,9 +22,9 @@ from repro.scope.campaign import (
 )
 from repro.scope.live import (
     DnsStage,
-    HostPoliteness,
     LiveConfig,
     LiveScanMetrics,
+    SiteGate,
     TokenBucket,
     run_live_campaign,
     verdict_view,
@@ -29,7 +32,7 @@ from repro.scope.live import (
 from repro.scope.report import SiteReport
 from repro.scope.resilience import DnsFault, ResilienceConfig
 from repro.scope.storage import ReportStore
-from tests.support.live import max_rate, min_host_gap
+from tests.support.live import contact_tap, max_rate, min_host_gap
 
 
 class FakeTime:
@@ -53,17 +56,15 @@ class TestTokenBucket:
     def test_burst_is_granted_instantly_then_rate_limits(self):
         fake = FakeTime()
         bucket = TokenBucket(rate=2.0, burst=3.0, clock=fake.clock, sleep=fake.sleep)
-        waits = [bucket.acquire() for _ in range(3)]
-        assert waits == [0.0, 0.0, 0.0]  # the burst is free
+        grants = [bucket.acquire() for _ in range(3)]
+        assert grants == [0.0, 0.0, 0.0]  # the burst is free
         assert bucket.acquire() == pytest.approx(0.5)  # then 1/rate each
-        assert bucket.acquire() == pytest.approx(0.5)
+        assert bucket.acquire() == pytest.approx(1.0)
 
     def test_grants_in_any_window_bounded_by_burst_plus_rate(self):
         fake = FakeTime()
         bucket = TokenBucket(rate=5.0, burst=2.0, clock=fake.clock, sleep=fake.sleep)
-        for _ in range(40):
-            bucket.acquire()
-        grants = bucket.grants
+        grants = [bucket.acquire() for _ in range(40)]
         window = 1.0
         for i, start in enumerate(grants):
             inside = [g for g in grants[i:] if g - start <= window]
@@ -74,36 +75,79 @@ class TestTokenBucket:
         bucket = TokenBucket(rate=10.0, burst=2.0, clock=fake.clock, sleep=fake.sleep)
         bucket.acquire()
         fake.sleep(100.0)  # a long lull must not bank 1000 tokens
-        assert bucket.acquire() == 0.0
-        assert bucket.acquire() == 0.0
-        assert bucket.acquire() == pytest.approx(0.1)
+        assert bucket.acquire() == 100.0
+        assert bucket.acquire() == 100.0
+        assert bucket.acquire() == pytest.approx(100.1)
+
+
+def _reachable(*roots) -> int:
+    """How many objects the roots keep alive (classes, modules and
+    callables, which every instance shares, are not counted)."""
+    shared = (type, types.ModuleType, types.FunctionType,
+              types.BuiltinFunctionType, types.MethodType)
+    seen, stack = set(), list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, shared):
+            continue
+        seen.add(id(obj))
+        stack.extend(gc.get_referents(obj))
+    return len(seen)
 
 
 class TestHostPoliteness:
+    """Each site's :class:`SiteGate` keeps the per-host gap."""
+
     def test_gap_enforced_between_contacts_to_one_host(self):
         fake = FakeTime()
-        polite = HostPoliteness(gap=1.5, clock=fake.clock, sleep=fake.sleep)
+        gate = SiteGate(1.5, clock=fake.clock, sleep=fake.sleep)
+        times = []
         for _ in range(3):
-            polite.acquire("a.example")
-            polite.commit("a.example")
-        times = [at for _, at in polite.contacts]
+            gate("a.example", 443)
+            times.append(gate.last)
         assert times == [0.0, 1.5, 3.0]
 
     def test_distinct_hosts_do_not_wait_on_each_other(self):
         fake = FakeTime()
-        polite = HostPoliteness(gap=10.0, clock=fake.clock, sleep=fake.sleep)
-        polite.acquire("a.example")
-        polite.commit("a.example")
-        polite.acquire("b.example")
-        polite.commit("b.example")
-        assert [at for _, at in polite.contacts] == [0.0, 0.0]
+        first = SiteGate(10.0, clock=fake.clock, sleep=fake.sleep)
+        second = SiteGate(10.0, clock=fake.clock, sleep=fake.sleep)
+        first("a.example", 443)
+        second("b.example", 443)
+        assert (first.last, second.last) == (0.0, 0.0)
 
     def test_zero_gap_still_records_contacts(self):
         fake = FakeTime()
-        polite = HostPoliteness(gap=0.0, clock=fake.clock, sleep=fake.sleep)
-        polite.acquire("a.example")
-        polite.commit("a.example")
-        assert polite.contacts == [("a.example", 0.0)]
+        fake.now = 4.0
+        gate = SiteGate(0.0, clock=fake.clock, sleep=fake.sleep)
+        gate("a.example", 443)
+        assert gate.last == 4.0
+
+    def test_contact_is_stamped_at_the_token_grant(self):
+        fake = FakeTime()
+        bucket = TokenBucket(rate=1.0, burst=1.0, clock=fake.clock, sleep=fake.sleep)
+        gate = SiteGate(0.25, bucket, clock=fake.clock, sleep=fake.sleep)
+        gate("a.example", 443)
+        gate("a.example", 80)  # the gap is paid, then the token's wait
+        assert gate.last == pytest.approx(1.0)
+
+    def test_politeness_state_does_not_grow_with_sites_or_contacts(self):
+        """A campaign keeps one instant per site in flight and one
+        bucket: no per-contact record, no per-domain entry."""
+        fake = FakeTime()
+        bucket = TokenBucket(rate=50.0, burst=5.0, clock=fake.clock, sleep=fake.sleep)
+
+        def campaign(sites: int, contacts: int) -> tuple[int, int]:
+            gates = []
+            for index in range(sites):
+                gate = SiteGate(0.2, bucket, clock=fake.clock, sleep=fake.sleep)
+                for port in (443, 80) * (contacts // 2):
+                    gate(f"site{index}.example", port)
+                gates.append(gate)
+            return _reachable(bucket), max(_reachable(gate) for gate in gates)
+
+        small = campaign(sites=2, contacts=2)
+        large = campaign(sites=400, contacts=30)
+        assert large == small
 
 
 class TestLiveScanMetrics:
@@ -117,14 +161,10 @@ class TestLiveScanMetrics:
         assert metrics.sessions == 3
 
     def test_min_host_gap_and_max_rate_helpers(self):
-        metrics = LiveScanMetrics()
-        metrics.contacts.extend(
-            [("a", 0.0), ("b", 0.1), ("a", 2.0), ("a", 3.5)]
-        )
-        assert min_host_gap(metrics.contacts) == pytest.approx(1.5)
-        metrics.rate_grants.extend([0.0, 0.2, 0.4, 1.5, 1.6])
-        assert max_rate(metrics.rate_grants, window=1.0) == 3
-        assert min_host_gap(LiveScanMetrics().contacts) is None
+        contacts = [("a", 0.0), ("b", 0.1), ("a", 2.0), ("a", 3.5)]
+        assert min_host_gap(contacts) == pytest.approx(1.5)
+        assert max_rate([0.0, 0.2, 0.4, 1.5, 1.6], window=1.0) == 3
+        assert min_host_gap([]) is None
 
 
 class TestDnsStage:
@@ -224,7 +264,7 @@ class TestLiveCampaignDnsQuarantine:
     def test_unresolvable_sites_quarantined_without_connects(self, tmp_path):
         metrics = LiveScanMetrics()
         ticks = []
-        with ReportStore(tmp_path / "dnsq.db") as store:
+        with ReportStore(tmp_path / "dnsq.db") as store, contact_tap() as tap:
             result = self.run(store, metrics=metrics, progress=ticks.append)
             journal = CampaignJournal(store)
             statuses = journal.statuses("dnsq")
@@ -239,7 +279,7 @@ class TestLiveCampaignDnsQuarantine:
         assert result.counts["quarantined"] == len(self.DOMAINS)
         assert metrics.dns_quarantined == len(self.DOMAINS)
         assert metrics.sessions == 0  # not a single probe session ran
-        assert metrics.contacts == []  # and not a single TCP contact
+        assert tap.contacts == []  # and not a single TCP contact
         assert ticks[-1].dns_failures == len(self.DOMAINS)
         assert ticks[-1].done == len(self.DOMAINS)
 

@@ -62,7 +62,7 @@ from repro.servers.fleet import (
     FleetPlan,
     LoopbackFleet,
 )
-from tests.support.live import max_rate, min_host_gap
+from tests.support.live import contact_tap, max_rate, min_host_gap
 
 SOAK = os.environ.get("H2SCOPE_FLEET_SOAK") == "1"
 
@@ -111,24 +111,25 @@ def fleet_campaign(tmp_path_factory):
     ticks = []
     with LoopbackFleet(plan) as fleet:
         with ReportStore(db) as store:
-            result = run_live_campaign(
-                fleet.domains,
-                store,
-                "fleet",
-                seed=plan.seed,
-                resilience=RESILIENCE,
-                config=LiveConfig(
-                    concurrency=concurrency,
-                    per_host_gap=PER_HOST_GAP,
-                    rate=RATE,
-                    burst=BURST,
-                    timeout_scale=TIMEOUT_SCALE,
-                    connect_timeout=1.0,
-                ),
-                resolver=fleet.resolver(),
-                metrics=metrics,
-                progress=ticks.append,
-            )
+            with contact_tap() as tap:
+                result = run_live_campaign(
+                    fleet.domains,
+                    store,
+                    "fleet",
+                    seed=plan.seed,
+                    resilience=RESILIENCE,
+                    config=LiveConfig(
+                        concurrency=concurrency,
+                        per_host_gap=PER_HOST_GAP,
+                        rate=RATE,
+                        burst=BURST,
+                        timeout_scale=TIMEOUT_SCALE,
+                        connect_timeout=1.0,
+                    ),
+                    resolver=fleet.resolver(),
+                    metrics=metrics,
+                    progress=ticks.append,
+                )
             journal = CampaignJournal(store)
             yield {
                 "plan": plan,
@@ -137,6 +138,7 @@ def fleet_campaign(tmp_path_factory):
                 "store": store,
                 "result": result,
                 "metrics": metrics,
+                "tap": tap,
                 "ticks": ticks,
                 "statuses": journal.statuses("fleet"),
                 "dns_failures": journal.dns_failures("fleet"),
@@ -217,24 +219,24 @@ class TestPoolAndPolitenessInvariants:
         assert metrics.in_flight == 0  # the pool drained completely
 
     def test_no_host_contacted_twice_within_gap(self, fleet_campaign):
-        metrics = fleet_campaign["metrics"]
-        assert metrics.contacts  # probes really contacted hosts
-        smallest = min_host_gap(metrics.contacts)
+        tap = fleet_campaign["tap"]
+        assert tap.contacts  # probes really contacted hosts
+        smallest = min_host_gap(tap.contacts)
         if smallest is not None:  # None: no host needed two contacts
             assert smallest >= PER_HOST_GAP - 1e-3
 
     def test_global_contact_rate_bounded_by_token_bucket(
         self, fleet_campaign
     ):
-        metrics = fleet_campaign["metrics"]
-        assert metrics.rate_grants  # the bucket really arbitrated
+        tap = fleet_campaign["tap"]
+        assert tap.grants  # the bucket really arbitrated
         # Token-bucket guarantee: grants in any 1s window never exceed
         # burst + rate (plus the closed-interval fencepost).
-        assert max_rate(metrics.rate_grants, window=1.0) <= BURST + RATE + 1
+        assert max_rate(tap.grants, window=1.0) <= BURST + RATE + 1
 
     def test_every_contact_paid_a_token(self, fleet_campaign):
-        metrics = fleet_campaign["metrics"]
-        assert len(metrics.rate_grants) == len(metrics.contacts)
+        tap = fleet_campaign["tap"]
+        assert len(tap.grants) == len(tap.contacts)
 
 
 class TestConcurrencyFloor:
@@ -420,30 +422,32 @@ class TestHighConcurrencyPool:
         metrics = LiveScanMetrics()
         with LoopbackFleet(plan) as fleet:
             with ReportStore(db) as store:
-                run_live_campaign(
-                    fleet.domains,
-                    store,
-                    "highc",
-                    seed=plan.seed,
-                    include=self.INCLUDE,
-                    resilience=RESILIENCE,
-                    config=LiveConfig(
-                        concurrency=self.HIGHC,
-                        per_host_gap=PER_HOST_GAP,
-                        rate=self.RATE,
-                        burst=self.BURST,
-                        timeout_scale=self.SCALE,
-                        connect_timeout=1.0,
-                    ),
-                    resolver=fleet.resolver(),
-                    metrics=metrics,
-                )
+                with contact_tap() as tap:
+                    run_live_campaign(
+                        fleet.domains,
+                        store,
+                        "highc",
+                        seed=plan.seed,
+                        include=self.INCLUDE,
+                        resilience=RESILIENCE,
+                        config=LiveConfig(
+                            concurrency=self.HIGHC,
+                            per_host_gap=PER_HOST_GAP,
+                            rate=self.RATE,
+                            burst=self.BURST,
+                            timeout_scale=self.SCALE,
+                            connect_timeout=1.0,
+                        ),
+                        resolver=fleet.resolver(),
+                        metrics=metrics,
+                    )
                 journal = CampaignJournal(store)
                 yield {
                     "plan": plan,
                     "fleet": fleet,
                     "store": store,
                     "metrics": metrics,
+                    "tap": tap,
                     "statuses": journal.statuses("highc"),
                 }
 
@@ -454,12 +458,13 @@ class TestHighConcurrencyPool:
         # pool, so overlap should reach well past a serial trickle.
         assert metrics.concurrency_high_water > 1
         assert metrics.in_flight == 0  # drained completely
-        assert len(metrics.rate_grants) == len(metrics.contacts)
-        smallest = min_host_gap(metrics.contacts)
+        tap = highc_campaign["tap"]
+        assert len(tap.grants) == len(tap.contacts)
+        smallest = min_host_gap(tap.contacts)
         if smallest is not None:
             assert smallest >= PER_HOST_GAP - 1e-3
         assert (
-            max_rate(metrics.rate_grants, window=1.0)
+            max_rate(tap.grants, window=1.0)
             <= self.BURST + self.RATE + 1
         )
 

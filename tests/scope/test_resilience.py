@@ -6,7 +6,6 @@ from repro.net.clock import Simulation
 from repro.net.transport import Network
 from repro.scope.report import ErrorClass
 from repro.scope.resilience import (
-    BackoffPolicy,
     ConnectionRefusedFault,
     ConnectionResetFault,
     Deadline,
@@ -78,28 +77,47 @@ class TestDeadline:
             assert classify_exception(exc) is ErrorClass.TIMEOUT
 
 
+def backoff_delays(probe: str, seed: int, retries: int) -> list[float]:
+    """The delays run_resilient sleeps between ``retries`` + 1 refused
+    attempts of ``probe``."""
+    backend = sim_session(Network(Simulation(), seed=1)).backend
+    delays = []
+    backend.sleep = delays.append
+
+    def fn():
+        raise ConnectionRefusedFault("refused")
+
+    run_resilient(backend, probe, fn, ResilienceConfig(retries=retries), seed=seed)
+    return delays
+
+
 class TestBackoffPolicy:
+    #: 0.5 s doubling, capped at 8 s, plus up to 10 % jitter drawn from
+    #: ``stable_seed(13, "negotiation", "backoff")``, in this order.
+    PINNED = [
+        0.5269750602709635,
+        1.0337426391531153,
+        2.068437395065445,
+        4.318198505494012,
+        8.74131058167771,
+        8.363982277094973,
+    ]
+
+    def test_delays_are_pinned_for_one_seed(self):
+        assert backoff_delays("negotiation", 13, 6) == self.PINNED
+
     def test_schedule_deterministic_for_same_seed(self):
-        policy = BackoffPolicy()
-        assert policy.schedule(6, seed=13) == policy.schedule(6, seed=13)
-
-    def test_schedule_differs_across_seeds(self):
-        policy = BackoffPolicy()
-        assert policy.schedule(6, seed=13) != policy.schedule(6, seed=14)
-
-    def test_exponential_growth_without_jitter(self):
-        policy = BackoffPolicy(base=1.0, factor=2.0, max_delay=100.0, jitter=0.0)
-        assert policy.schedule(4) == [1.0, 2.0, 4.0, 8.0]
-
-    def test_max_delay_caps_growth(self):
-        policy = BackoffPolicy(base=1.0, factor=10.0, max_delay=5.0, jitter=0.0)
-        assert policy.schedule(3) == [1.0, 5.0, 5.0]
+        assert backoff_delays("negotiation", 13, 6) == backoff_delays(
+            "negotiation", 13, 6
+        )
 
     def test_jitter_is_additive_and_bounded(self):
-        policy = BackoffPolicy(base=1.0, factor=2.0, max_delay=100.0, jitter=0.5)
-        for attempt, delay in enumerate(policy.schedule(5, seed=3)):
-            raw = min(100.0, 1.0 * 2.0**attempt)
-            assert raw <= delay < raw * 1.5
+        for retry, delay in enumerate(self.PINNED):
+            raw = min(8.0, 0.5 * 2.0**retry)
+            assert raw <= delay < raw * 1.1
+
+    def test_schedule_differs_across_seeds(self):
+        assert backoff_delays("negotiation", 14, 6) != self.PINNED
 
 
 class TestRunResilient:
