@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 from repro.h2 import events as ev
 from repro.h2.connection import ConnectionConfig, H2Connection, Side
+from repro.h2.constants import SettingCode
 from repro.h2.errors import H2Error
 from repro.h2.frames import PriorityData
 from repro.net.backend import TransportBackend
@@ -45,7 +46,7 @@ from repro.net.tls import (
 # Probe modules compare negotiated protocols against these tokens; they
 # import them from here so the probe layer never touches repro.net.*
 # directly (enforced by tests/scope/test_probe_layering.py).
-__all__ = ["H2", "HTTP11", "ScopeClient", "TimedEvent", "DEFAULT_TIMEOUT", "BULK_TIMEOUT"]
+__all__ = ["H2", "HTTP11", "ScopeClient", "TimedEvent", "DEFAULT_TIMEOUT", "BULK_TIMEOUT", "HEADERS_ONLY_WINDOW", "IWS"]
 from repro.scope.resilience import (
     ConnectionRefusedFault,
     ConnectionResetFault,
@@ -59,6 +60,13 @@ from repro.scope.resilience import (
 DEFAULT_TIMEOUT = 8.0
 #: Budget for a wait that drains large objects (Algorithm 1, multiplexing).
 BULK_TIMEOUT = 120.0
+#: The SETTINGS_INITIAL_WINDOW_SIZE identifier, as a ``settings=`` key.
+IWS = int(SettingCode.INITIAL_WINDOW_SIZE)
+#: The IWS a probe that reads header blocks only (HPACK, push) announces
+#: and never returns: the most DATA a server sends a stream.  Not below
+#: LiteSpeed's 16-octet HEADERS hold nor a hardened server's 1 024-octet
+#: slow-read bound (DESIGN §8).
+HEADERS_ONLY_WINDOW = 1_024
 
 
 @dataclass

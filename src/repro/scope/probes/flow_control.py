@@ -17,12 +17,10 @@ Four sub-probes:
 from __future__ import annotations
 
 from repro.h2 import events as ev
-from repro.h2.constants import MAX_WINDOW_SIZE, SettingCode
-from repro.scope.client import DEFAULT_TIMEOUT, ScopeClient
+from repro.h2.constants import MAX_WINDOW_SIZE
+from repro.scope.client import DEFAULT_TIMEOUT, IWS, ScopeClient
 from repro.scope.report import ErrorReaction, TinyWindowResult
 from repro.scope.session import ProbeSession
-
-IWS = int(SettingCode.INITIAL_WINDOW_SIZE)
 
 
 def probe_tiny_window(

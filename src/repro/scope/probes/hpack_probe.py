@@ -15,6 +15,7 @@ analysis layer, exactly as the paper filters them from Figs. 4-5.
 
 from __future__ import annotations
 
+from repro.scope.client import HEADERS_ONLY_WINDOW, IWS
 from repro.scope.report import HpackResult
 from repro.scope.session import ProbeSession
 
@@ -29,7 +30,7 @@ def probe_hpack(
     repetitions: int = 8,
 ) -> HpackResult:
     result = HpackResult(requests=repetitions)
-    client = session.client(domain, auto_window_update=True)
+    client = session.client(domain, settings={IWS: HEADERS_ONLY_WINDOW})
     if not client.establish_h2():
         client.close()
         return result
@@ -47,8 +48,8 @@ def probe_hpack(
         if event is None:
             break
         sizes.append(event.encoded_size)
-        # Only the header block is measured: cancel the body, so at
-        # most one stream is open when the next request goes out.
+        # Only the header block is measured: the window holds the body
+        # back; cancel it, so at most one stream is open for the next.
         if not conn.streams[stream_id].closed:
             client.send_rst_stream(stream_id)
 

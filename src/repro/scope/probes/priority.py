@@ -27,13 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.h2 import events as ev
-from repro.h2.constants import MAX_WINDOW_SIZE, SettingCode
+from repro.h2.constants import MAX_WINDOW_SIZE
 from repro.h2.frames import PriorityData
-from repro.scope.client import BULK_TIMEOUT, DEFAULT_TIMEOUT, ScopeClient
+from repro.scope.client import BULK_TIMEOUT, DEFAULT_TIMEOUT, IWS, ScopeClient
 from repro.scope.report import ErrorReaction, PriorityResult
 from repro.scope.session import ProbeSession
-
-IWS = int(SettingCode.INITIAL_WINDOW_SIZE)
 
 #: The initial connection-level window of RFC 7540 §6.9.1.
 INITIAL_CONNECTION_WINDOW = 65_535

@@ -9,6 +9,7 @@ pushed in the first experiment) and other URLs (nothing pushed).
 from __future__ import annotations
 
 from repro.h2 import events as ev
+from repro.scope.client import HEADERS_ONLY_WINDOW, IWS
 from repro.scope.report import PushResult
 from repro.scope.session import ProbeSession
 
@@ -18,20 +19,19 @@ PUSH_TIMEOUT = 20.0
 
 def probe_push(session: ProbeSession, domain: str) -> PushResult:
     result = PushResult()
-    client = session.client(domain, enable_push=True, auto_window_update=True)
+    client = session.client(
+        domain, settings={IWS: HEADERS_ONLY_WINDOW}, enable_push=True
+    )
     if not client.establish_h2():
         client.close()
         return result
 
+    # Promises precede the page's HEADERS (RFC 7540 §8.2.1); the window
+    # holds every body, and the settle still counts a late promise.
     stream_id = client.request("/")
     client.wait_for(
-        lambda: any(
-            te.event.stream_id == stream_id
-            for te in client.events_of(ev.StreamEnded)
-        ),
-        timeout=PUSH_TIMEOUT,
+        lambda: client.headers_for(stream_id) is not None, timeout=PUSH_TIMEOUT
     )
-    # Allow promised streams to finish delivering.
     client.settle(quiet_period=0.5, timeout=PUSH_TIMEOUT)
 
     for te in client.events_of(ev.PushPromiseReceived):

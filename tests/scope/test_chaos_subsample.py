@@ -10,9 +10,10 @@ are a subsample of the planted distributions under any keying.
 
 import pytest
 
+from repro.experiments import fault_study
 from repro.net.faults import FaultPlan
 from repro.population.generator import PopulationConfig, make_population
-from repro.scope.scanner import scan_population
+from repro.scope.scanner import scan_population, scan_site
 from tests.scope.test_parallel import CHAOS_SPEC, PROBES, RESILIENCE
 
 
@@ -77,3 +78,30 @@ def test_no_site_leaves_the_headers_population_without_an_error(chaos_and_clean)
         and "negotiation" not in failed_probes(chaos)
     ]
     assert silent == []
+
+
+def mute_site_verdicts(resilience=None):
+    """``(alpn_h2, npn_h2, headers_received)`` of the first site that
+    negotiates h2 and then never answers (§V-B's gap), seed 7."""
+    sites = make_population(PopulationConfig(n_sites=40, seed=7))
+    mute = next(site for site in sites if site.profile.h2_unresponsive)
+    report = scan_site(mute, include={"negotiation"}, seed=7, resilience=resilience)
+    result = report.negotiation
+    return result.alpn_h2, result.npn_h2, result.headers_received
+
+
+def test_mute_site_negotiates_h2_and_sends_no_headers():
+    assert mute_site_verdicts() == (True, True, False)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known, recorded in ROADMAP item 6(a): the fetch waits 8 s for "
+    "SETTINGS and 8 s for HEADERS, which spends the 12 s per-attempt "
+    "deadline, so its wait for the body raises DeadlineExceeded and the "
+    "report keeps alpn_h2 = npn_h2 = False; the fix is the fetch's "
+    "header-only read, after 6(d)",
+)
+def test_mute_site_keeps_its_negotiation_verdict_under_resilience():
+    resilient = mute_site_verdicts(resilience=fault_study.RESILIENCE)
+    assert resilient == mute_site_verdicts()

@@ -1,0 +1,63 @@
+"""The HPACK and push probes read header blocks only (DESIGN §8).
+
+Each announces SETTINGS_INITIAL_WINDOW_SIZE = ``HEADERS_ONLY_WINDOW``
+and returns no credit, so a server sends each stream at most that many
+DATA octets.  The window changes the bytes on the wire and not the
+measurements: the results below are the ones both probes gave when they
+read every body in full.
+"""
+
+import pytest
+
+from repro.h2.connection import Side
+from repro.h2.frames import DataFrame, WindowUpdateFrame
+from repro.net.backend import SimulatedBackend
+from repro.scope.client import HEADERS_ONLY_WINDOW
+from repro.scope.probes import probe_hpack, probe_push
+from repro.scope.session import ProbeSession
+
+from tests.scope.conftest import deploy_vendor
+from tests.support.frames import tap_connections
+
+PUSHED = ["/style.css", "/app.js"]
+
+#: vendor -> (header_sizes, ratio, push_received, promised_paths), as
+#: measured with the default window and every body read.
+MEASURED = {
+    "apache": ([62] + [6] * 7, 0.20967741935483872, True, PUSHED),
+    "h2o": ([59] + [6] * 7, 0.21398305084745764, True, PUSHED),
+    "litespeed": ([59] + [6] * 7, 0.21398305084745764, False, []),
+    "nghttpd": ([68] + [6] * 7, 0.20220588235294118, True, PUSHED),
+    "nginx": ([66] * 8, 1.0, False, []),
+    "tengine": ([67] * 8, 1.0, False, []),
+}
+
+
+def assert_headers_only(taps):
+    clients = [tap for conn, tap in taps.items() if conn.config.side is Side.CLIENT]
+    assert len(clients) == 1
+    (tap,) = clients
+    per_stream: dict[int, int] = {}
+    for frame in tap.received:
+        if isinstance(frame, DataFrame):
+            per_stream[frame.stream_id] = (
+                per_stream.get(frame.stream_id, 0) + frame.flow_controlled_length
+            )
+    assert per_stream, "the server sent no DATA at all"
+    assert max(per_stream.values()) <= HEADERS_ONLY_WINDOW, per_stream
+    assert not any(isinstance(frame, WindowUpdateFrame) for frame in tap.sent)
+
+
+@pytest.mark.parametrize("vendor", sorted(MEASURED))
+def test_header_only_probes_hold_bodies_and_measure_the_same(vendor):
+    sizes, ratio, pushes, promised = MEASURED[vendor]
+    network, domain = deploy_vendor(vendor)
+    session = ProbeSession(SimulatedBackend(network))
+    with tap_connections() as taps:
+        hpack = probe_hpack(session, domain)
+    assert_headers_only(taps)
+    with tap_connections() as taps:
+        push = probe_push(session, domain)
+    assert_headers_only(taps)
+    assert (hpack.header_sizes, hpack.ratio) == (sizes, ratio)
+    assert (push.push_received, push.promised_paths) == (pushes, promised)
