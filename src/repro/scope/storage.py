@@ -7,7 +7,11 @@ structure to re-run the Section-V analyses offline.
 
 Reports serialize to a JSON document plus indexed columns for the
 fields every analysis groups by (server family, h2 support, HEADERS
-receipt).  The store is append-friendly: scanning campaigns at
+receipt).  A document leaves out each probe result the scan did not
+fill in: a result equal to its empty default is not stored, and loading
+fills every absent field with that default, so a short-probe campaign
+does not store the empty flow-control, priority, push and HPACK objects
+of every site.  The store is append-friendly: scanning campaigns at
 different times into one database reproduces the paper's two-experiment
 longitudinal design.
 """
@@ -181,6 +185,19 @@ _NESTED_LISTS = {
     (SiteReport, "errors"): ScanError,
 }
 
+#: Each probe result's encoding when no probe filled it in.
+_EMPTY = {name: _encode(cls()) for (_, name), cls in _NESTED.items()}
+
+
+def _document(report: SiteReport) -> dict:
+    """``_encode(report)`` without the probe results equal to their empty
+    default; ``_rebuild`` restores them."""
+    document = _encode(report)
+    for name, empty in _EMPTY.items():
+        if document[name] == empty:
+            del document[name]
+    return document
+
 
 class ReportStore:
     """A SQLite database of scan reports, grouped into campaigns.
@@ -270,7 +287,7 @@ class ReportStore:
         The caller owns the transaction; the campaign journal uses this
         to write a checkpoint's reports and status rows atomically.
         """
-        document = json.dumps(_encode(report))
+        document = json.dumps(_document(report))
         self._db.execute(
             "INSERT OR REPLACE INTO reports "
             "(campaign, domain, server_header, speaks_h2, headers_received, "
