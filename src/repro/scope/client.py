@@ -62,10 +62,10 @@ DEFAULT_TIMEOUT = 8.0
 BULK_TIMEOUT = 120.0
 #: The SETTINGS_INITIAL_WINDOW_SIZE identifier, as a ``settings=`` key.
 IWS = int(SettingCode.INITIAL_WINDOW_SIZE)
-#: The IWS a probe that reads header blocks only (HPACK, push) announces
-#: and never returns: the most DATA a server sends a stream.  Not below
-#: LiteSpeed's 16-octet HEADERS hold nor a hardened server's 1 024-octet
-#: slow-read bound (DESIGN §8).
+#: The IWS a probe that reads header blocks only (negotiation, HPACK,
+#: push) announces and never returns: the most DATA a server sends a
+#: stream.  Not below LiteSpeed's 16-octet HEADERS hold nor a hardened
+#: server's 1 024-octet slow-read bound (DESIGN §8).
 HEADERS_ONLY_WINDOW = 1_024
 
 

@@ -9,23 +9,31 @@ received" populations) along with the ``server`` header used for
 Table IV.  Which one fetches is what a single hello offering both
 mechanisms would have chosen: ALPN's choice wins, and NPN decides only
 when ALPN chose nothing.
+
+The fetch reads the response HEADERS only.  Both clients announce
+SETTINGS_INITIAL_WINDOW_SIZE = ``HEADERS_ONLY_WINDOW`` and return no
+credit, so a server sends the page at most that many DATA octets, and
+the probe returns once the HEADERS are in (DESIGN §8).  A site that
+negotiates h2 and never answers costs one HEADERS wait, not a body wait
+as well, so a per-attempt deadline does not erase its negotiation
+verdict.
 """
 
 from __future__ import annotations
 
-from repro.h2 import events as ev
-from repro.scope.client import H2, HTTP11
+from repro.scope.client import H2, HEADERS_ONLY_WINDOW, HTTP11, IWS
 from repro.scope.report import NegotiationResult
 from repro.scope.session import ProbeSession
 
 
 def probe_negotiation(session: ProbeSession, domain: str) -> NegotiationResult:
     result = NegotiationResult()
+    settings = {IWS: HEADERS_ONLY_WINDOW}
     alpn_client = session.client(
-        domain, alpn=[H2, HTTP11], offer_npn=False, auto_window_update=True
+        domain, alpn=[H2, HTTP11], offer_npn=False, settings=settings
     )
     npn_client = session.client(
-        domain, alpn=[], offer_npn=True, auto_window_update=True
+        domain, alpn=[], offer_npn=True, settings=settings
     )
     try:
         # -- ALPN-only handshake --------------------------------------------
@@ -61,13 +69,6 @@ def probe_negotiation(session: ProbeSession, domain: str) -> NegotiationResult:
                 if name == b"server":
                     result.server_header = value.decode("latin-1")
                     break
-        # Let the body finish so the connection winds down cleanly.
-        fetch.wait_for(
-            lambda: any(
-                te.event.stream_id == stream_id
-                for te in fetch.events_of(ev.StreamEnded)
-            )
-        )
         return result
     finally:
         # Every way out, a failed wait included, leaves both closed.

@@ -63,6 +63,28 @@ this campaign, each with its ``multiplexing`` key deleted and hashed as
 :func:`campaign_digest` hashes them, give the new value; as they are,
 they give the old one.  No other byte moved.  The value before was
 ``08bd7e20be9cb198b3c3a80929831cd4b4359afd37d982eacb42a173e1c3b85e``.
+
+Re-pinned a fifth time when the negotiation fetch stopped at HEADERS:
+both negotiation clients announce ``HEADERS_ONLY_WINDOW`` and return no
+credit, and the wait for the page's END_STREAM is gone.  A site that
+negotiates h2 and never answers (``h2_unresponsive``) used to spend the
+10 s per-attempt deadline on the SETTINGS and HEADERS waits, so the body
+wait raised ``DeadlineExceeded`` and the failed attempt left an empty
+negotiation result; now the HEADERS wait ends at the deadline and the
+handshakes' verdicts stand.  Diffed report by report against the
+parent, 37 of the 47 reports differ.  ``scan_virtual_time`` moved in
+all 37, the 31 HEADERS sites among them, whose front page is no longer
+downloaded.  The other changes are on the 5 ``mute…`` sites: ``negotiation`` now reads
+``tcp_connected`` and ``alpn_h2`` on 5 and ``npn_h2`` on 4 (ALPN h2
+sites 23 -> 28), with their ``tcp_handshake_rtt``; the
+``negotiation`` ``DeadlineExceeded`` error is gone from all 5, which
+now go on to ``settings`` (equal results; one took 2 attempts) and
+``ping`` (4 ``DeadlineExceeded``, 1 ``ProbeTimeout``), so
+``probe_attempts`` gains both keys and the error total stays 30.
+``ping`` fields moved on 11 other sites, by at most 1.9e-15 relative
+(the probe reads its clock at other instants).  No other key moved.
+The value before was
+``00c69cb9b4d9439a491aabcb9cab7965f7ae6c6a04ae7dcea435c11e06d05626``.
 """
 
 import hashlib
@@ -78,7 +100,7 @@ from repro.scope.storage import _encode
 #: the campaign actually scans a few more).  Same probe set, fault plan
 #: and resilience policy as the full 350-site differential in
 #: ISSUE 5's acceptance run — shrunk so this stays in the default suite.
-PINNED_SHA256 = "00c69cb9b4d9439a491aabcb9cab7965f7ae6c6a04ae7dcea435c11e06d05626"
+PINNED_SHA256 = "7e72b814211813949e6c90de133bf3142b8d90d50f4dcf1f5ae8e89e61d6310c"
 
 CHAOS_SPEC = (
     "refuse:0.1x6,reset:0.06x4,stall(30):0.05,blackhole:0.04,"

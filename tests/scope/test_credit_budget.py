@@ -7,9 +7,10 @@ at most one connection and one stream WINDOW_UPDATE per half default
 window of DATA received (plus a constant).  Per-frame credit — two
 updates for every DATA frame, a third of a site's frames — breaks it by
 a factor; CI runs this test by name so that regression does not have to
-be read off a noisy throughput figure.  The HPACK and push probes return
-no credit at all (they hold bodies with ``HEADERS_ONLY_WINDOW``), so the
-test's own client is what carries the budget past two half windows.
+be read off a noisy throughput figure.  The negotiation, HPACK and push
+probes return no credit at all (they hold bodies with
+``HEADERS_ONLY_WINDOW``), so the test's own client is the one crediting
+connection, and it carries the budget past two half windows.
 """
 
 import math
@@ -65,7 +66,9 @@ def test_window_updates_stay_inside_the_half_window_budget(vendor):
         for client in session.clients
         if client.auto_window_update and client.conn is not None
     ]
-    assert len(crediting) >= 2  # the negotiation fetch and the test's client
+    # No scan probe returns credit by itself any more: the test's own
+    # client is the only crediting connection, and it carries the budget.
+    assert len(crediting) == 1
     octets = 0
     for tap in crediting:
         received = sum(

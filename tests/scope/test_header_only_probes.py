@@ -1,10 +1,11 @@
-"""The HPACK and push probes read header blocks only (DESIGN §8).
+"""The negotiation, HPACK and push probes read header blocks only
+(DESIGN §8).
 
 Each announces SETTINGS_INITIAL_WINDOW_SIZE = ``HEADERS_ONLY_WINDOW``
 and returns no credit, so a server sends each stream at most that many
 DATA octets.  The window changes the bytes on the wire and not the
-measurements: the results below are the ones both probes gave when they
-read every body in full.
+measurements: the results below are the ones the three probes gave when
+they read every body in full.
 """
 
 import pytest
@@ -13,7 +14,7 @@ from repro.h2.connection import Side
 from repro.h2.frames import DataFrame, WindowUpdateFrame
 from repro.net.backend import SimulatedBackend
 from repro.scope.client import HEADERS_ONLY_WINDOW
-from repro.scope.probes import probe_hpack, probe_push
+from repro.scope.probes import probe_hpack, probe_negotiation, probe_push
 from repro.scope.session import ProbeSession
 
 from tests.scope.conftest import deploy_vendor
@@ -30,6 +31,17 @@ MEASURED = {
     "nghttpd": ([68] + [6] * 7, 0.20220588235294118, True, PUSHED),
     "nginx": ([66] * 8, 1.0, False, []),
     "tengine": ([67] * 8, 1.0, False, []),
+}
+
+#: vendor -> (alpn_h2, npn_h2, headers_received, server_header), as
+#: measured while the negotiation fetch read the page to its END_STREAM.
+NEGOTIATED = {
+    "apache": (True, False, True, "Apache/2.4.23"),
+    "h2o": (True, True, True, "h2o/1.6.2"),
+    "litespeed": (True, True, True, "LiteSpeed"),
+    "nghttpd": (True, True, True, "nghttpd nghttp2/1.12.0"),
+    "nginx": (True, True, True, "nginx/1.9.15"),
+    "tengine": (True, True, True, "Tengine/2.1.2"),
 }
 
 
@@ -61,3 +73,18 @@ def test_header_only_probes_hold_bodies_and_measure_the_same(vendor):
     assert_headers_only(taps)
     assert (hpack.header_sizes, hpack.ratio) == (sizes, ratio)
     assert (push.push_received, push.promised_paths) == (pushes, promised)
+
+
+@pytest.mark.parametrize("vendor", sorted(NEGOTIATED))
+def test_negotiation_fetch_holds_the_body_and_measures_the_same(vendor):
+    network, domain = deploy_vendor(vendor)
+    session = ProbeSession(SimulatedBackend(network))
+    with tap_connections() as taps:
+        result = probe_negotiation(session, domain)
+    assert_headers_only(taps)
+    assert (
+        result.alpn_h2,
+        result.npn_h2,
+        result.headers_received,
+        result.server_header,
+    ) == NEGOTIATED[vendor]
