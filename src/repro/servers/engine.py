@@ -17,7 +17,6 @@ from __future__ import annotations
 import base64
 import random
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.h2 import events as ev
 from repro.h2.abuse import AbuseRules
@@ -26,6 +25,7 @@ from repro.h2.constants import DEFAULT_INITIAL_WINDOW_SIZE, ErrorCode, SettingCo
 from repro.h2.errors import H2ConnectionError, H2Error
 from repro.h2.frames import Frame
 from repro.net.clock import Simulation
+from repro.net.faults import stable_seed
 from repro.net.tls import (
     H2,
     HTTP11,
@@ -121,6 +121,19 @@ class H2Server:
         self.timelines: list = []
         #: Every abuse-guard breach, in firing order.
         self.guard_log: list[GuardEvent] = []
+        #: One random stream per request path, built on first use: see
+        #: :meth:`path_rng`.
+        self._path_rngs: dict[str, random.Random] = {}
+
+    def path_rng(self, path: str) -> random.Random:
+        """The stream a response to ``path`` draws its processing delay,
+        cookie token and header noise from.  It is keyed by the site and
+        the path alone, so a draw does not depend on which connection
+        carried the request, nor on how many came before it."""
+        rng = self._path_rngs.get(path)
+        if rng is None:
+            rng = self._path_rngs[path] = random.Random(stable_seed(self.seed, path))
+        return rng
 
     def record_follow(self, page: str, follower: str) -> None:
         """Learn that ``follower`` was requested after ``page``."""
@@ -295,12 +308,6 @@ class _ServerConnection:
         pending = endpoint.drain()
         if pending:
             self._on_data(pending)
-
-    @cached_property
-    def _rng(self) -> random.Random:
-        """Processing jitter, cookies and header noise; built by the
-        first request (most connections never carry one)."""
-        return random.Random(hash((self.server.seed, self.index, 0x5EED)))
 
     # ------------------------------------------------------------------
     # TLS hello
@@ -585,7 +592,9 @@ class _ServerConnection:
         resource = self.server.website.get(path)
         delay = max(
             0.0005,
-            self._rng.gauss(profile.processing_delay, profile.processing_jitter),
+            self.server.path_rng(path).gauss(
+                profile.processing_delay, profile.processing_jitter
+            ),
         )
         self.sim.call_later(delay, self._respond, event.stream_id, resource, path)
 
@@ -610,14 +619,14 @@ class _ServerConnection:
         profile = self.profile
 
         if resource is None:
-            self._enqueue(stream_id, self._response_headers("404", None), None)
+            self._enqueue(stream_id, self._response_headers("404", None, path), None)
         else:
             if profile.supports_push and conn.remote_settings.enable_push:
                 push_list = self._push_list(resource, path)
                 if push_list:
                     self._push_resources(stream_id, push_list)
             self._enqueue(
-                stream_id, self._response_headers("200", resource), resource
+                stream_id, self._response_headers("200", resource, path), resource
             )
         self._pump()
         self._flush()
@@ -656,12 +665,13 @@ class _ServerConnection:
                     promised_id, depends_on=parent_stream_id
                 )
             self._enqueue(
-                promised_id, self._response_headers("200", pushed), pushed
+                promised_id, self._response_headers("200", pushed, push_path), pushed
             )
 
     def _response_headers(
-        self, status: str, resource: Resource | None
+        self, status: str, resource: Resource | None, path: str
     ) -> list[tuple[str, str]]:
+        rng = self.server.path_rng
         headers = [
             (":status", status),
             ("server", self.profile.server_header),
@@ -680,7 +690,7 @@ class _ServerConnection:
             self._cookie_counter = getattr(self, "_cookie_counter", 0) + 1
             if self._cookie_counter >= 2:
                 token = "".join(
-                    f"{self._rng.getrandbits(64):016x}" for _ in range(10)
+                    f"{rng(path).getrandbits(64):016x}" for _ in range(10)
                 )
                 headers.append(
                     (
@@ -690,11 +700,11 @@ class _ServerConnection:
                 )
         if (
             self.profile.response_header_noise
-            and self._rng.random() < self.profile.response_header_noise
+            and rng(path).random() < self.profile.response_header_noise
         ):
             # A unique, unindexable value (request ids, trace tokens):
             # keeps repeated header blocks from collapsing to indices.
-            headers.append(("x-request-id", f"{self._rng.getrandbits(96):024x}"))
+            headers.append(("x-request-id", f"{rng(path).getrandbits(96):024x}"))
         return headers
 
     def _enqueue(
@@ -948,7 +958,7 @@ class _ServerConnection:
         resource = self.server.website.get(path)
         delay = max(
             0.0005,
-            self._rng.gauss(
+            self.server.path_rng(path).gauss(
                 self.profile.processing_delay, self.profile.processing_jitter
             ),
         )
@@ -983,7 +993,7 @@ class _ServerConnection:
         resource = self.server.website.get(path)
         delay = max(
             0.0005,
-            self._rng.gauss(
+            self.server.path_rng(path).gauss(
                 self.profile.processing_delay, self.profile.processing_jitter
             ),
         )

@@ -41,9 +41,10 @@ Two design points matter for fidelity:
 
 * **Seeding.**  Each site's engine is seeded exactly like
   :func:`~repro.servers.site.deploy_site`
-  (``stable_seed(seed, domain) & 0xFFFFFFFF``), and probes run
-  sequentially, so per-connection RNG draws (HPACK noise, jitter) come
-  from the same generators in both modes.
+  (``stable_seed(seed, domain) & 0xFFFFFFFF``), and the engine keys
+  each response's draws (processing jitter, cookies, header noise) by
+  the request path alone, so both modes draw the same values whichever
+  connection carries a request.
 
 The bridge serves its listeners and the connections they accept with
 ``add_reader`` / ``add_writer`` on a :class:`LoopDriver`, one asyncio
@@ -278,8 +279,9 @@ class _SiteRuntime:
         #: Connections whose socket is still open, by endpoint: a fleet
         #: serves many campaigns, and none may outlive its sockets.
         self.endpoints: dict[_BridgeEndpoint, _ServerConnection] = {}
-        #: Connections ever accepted: the next one's engine index (an
-        #: input of its RNG seed, so it must not restart when some leave).
+        #: Connections ever accepted: the next one's engine index (the
+        #: guard log's connection number, so it must not restart when
+        #: some leave).
         self._accepted = 0
 
     def accept(self, listener: socket.socket, tls: bool) -> None:

@@ -85,6 +85,19 @@ now go on to ``settings`` (equal results; one took 2 attempts) and
 (the probe reads its clock at other instants).  No other key moved.
 The value before was
 ``00c69cb9b4d9439a491aabcb9cab7965f7ae6c6a04ae7dcea435c11e06d05626``.
+
+Re-pinned a sixth time when the engine stopped keying its random stream
+by the connection's accept index: each response's processing delay,
+cookie token and header noise now come from a stream keyed by the site
+and the request path (``H2Server.path_rng``).  Diffed report by report
+against the parent, 32 of the 47 reports differ: ``ping.http1_rtt``
+moved in 22 (by up to 17 % relative: the three HTTP/1.1 requests draw
+other processing delays) and ``scan_virtual_time`` in all 32.  The
+other ``ping`` fields moved in the last digits only (``h2_ping_rtt`` 3,
+``tcp_rtt`` 3, ``icmp_rtt`` 2, at most 6e-15 relative: the probe reads
+its clock at other instants).  No verdict, error or attempt count
+moved.  The value before was
+``7e72b814211813949e6c90de133bf3142b8d90d50f4dcf1f5ae8e89e61d6310c``.
 """
 
 import hashlib
@@ -100,7 +113,7 @@ from repro.scope.storage import _encode
 #: the campaign actually scans a few more).  Same probe set, fault plan
 #: and resilience policy as the full 350-site differential in
 #: ISSUE 5's acceptance run — shrunk so this stays in the default suite.
-PINNED_SHA256 = "7e72b814211813949e6c90de133bf3142b8d90d50f4dcf1f5ae8e89e61d6310c"
+PINNED_SHA256 = "153c9cef7e5565a75d22e12fb23fd338f6a33c17c30c5ac05c64146179b163fa"
 
 CHAOS_SPEC = (
     "refuse:0.1x6,reset:0.06x4,stall(30):0.05,blackhole:0.04,"

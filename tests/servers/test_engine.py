@@ -5,6 +5,7 @@ import pytest
 from repro.h2 import events as ev
 from repro.h2.connection import Reaction
 from repro.h2.constants import ErrorCode, SettingCode
+from repro.h2.frames import HeadersFrame
 from repro.net.clock import Simulation
 from repro.net.transport import LinkProfile, Network
 from repro.scope.client import ScopeClient
@@ -14,18 +15,24 @@ from repro.servers.website import Resource, Website, default_website
 from tests.conftest import sim_session
 
 IWS = int(SettingCode.INITIAL_WINDOW_SIZE)
+HTS = int(SettingCode.HEADER_TABLE_SIZE)
 MCS = int(SettingCode.MAX_CONCURRENT_STREAMS)
 MFS = int(SettingCode.MAX_FRAME_SIZE)
 
 
-def deploy(profile: ServerProfile, website: Website | None = None, seed: int = 0):
+def deploy(
+    profile: ServerProfile,
+    website: Website | None = None,
+    seed: int = 0,
+    bandwidth: float = 50e6,
+):
     sim = Simulation()
     network = Network(sim, seed=seed)
     site = Site(
         domain="engine.test",
         profile=profile,
         website=website or default_website(),
-        link=LinkProfile(rtt=0.02, bandwidth=50e6),
+        link=LinkProfile(rtt=0.02, bandwidth=bandwidth),
     )
     deploy_site(network, site)
     return network
@@ -323,6 +330,68 @@ class TestHpackBehaviour:
         # Fresh cookies keep later blocks at least as big as the first
         # indexed repeat would be — ratio ends up above 1 in Eq. 1 terms.
         assert sum(sizes) / (sizes[0] * 3) > 1.0
+
+
+class _HeaderBlocks(list):
+    """A client trace sink that keeps each received header block."""
+
+    def record(self, at, frame):
+        if isinstance(frame, HeadersFrame):
+            self.append(bytes(frame.header_block))
+
+
+class TestDrawsFollowThePath:
+    """Each response draws its processing delay and header noise from a
+    stream keyed by the site and the request path (DESIGN §8), so the
+    same requests draw the same values however they are spread over
+    connections."""
+
+    PATHS = ["/", "/style.css", "/", "/missing", "/app.js", "/style.css", "/"]
+
+    def serve(self, groups):
+        """Send ``groups`` of requests, one connection per group, each
+        request after the previous response's HEADERS; returns each
+        response's request-to-HEADERS interval and header block."""
+        # An unbounded link: a request's serialization, which depends on
+        # the client's HPACK state, must not show in the interval.
+        network = deploy(
+            ServerProfile(response_header_noise=1.0), seed=5, bandwidth=1e15
+        )
+        intervals, blocks = [], []
+        for group in groups:
+            sink = _HeaderBlocks()
+            # A zero-size dynamic table makes a block a function of its
+            # header list, and a zero window keeps the link idle.
+            client = connect(
+                network, settings={HTS: 0, IWS: 0}, enable_push=False, trace=sink
+            )
+            for path in group:
+                sent = client.now
+                sid = client.request(path)
+                assert client.wait_for(lambda: client.headers_for(sid) is not None)
+                intervals.append(
+                    next(
+                        te.at
+                        for te in client.events_of(ev.HeadersReceived)
+                        if te.event.stream_id == sid
+                    )
+                    - sent
+                )
+                client.send_rst_stream(sid)
+            client.close()
+            # Each connection's first block opens with the table size
+            # update that HEADER_TABLE_SIZE = 0 asks for (RFC 7541 §4.2).
+            assert sink[0][:1] == b"\x20"
+            blocks.extend([sink[0][1:], *sink[1:]])
+        return intervals, blocks
+
+    def test_one_connection_or_three_draw_the_same(self):
+        one = self.serve([self.PATHS])
+        three = self.serve([self.PATHS[:2], self.PATHS[2:5], self.PATHS[5:]])
+        assert three[0] == pytest.approx(one[0], abs=1e-9)
+        assert three[1] == one[1]
+        # Every block carries a request id of its own.
+        assert len(set(one[1])) == len(self.PATHS)
 
 
 class TestHttp1Fallback:
