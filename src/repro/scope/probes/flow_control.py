@@ -12,6 +12,13 @@ Four sub-probes:
    classify the reaction (RST_STREAM / GOAWAY / ignore).
 4. **Large window update** — overflow the window past 2^31-1 with two
    updates and classify the reaction.
+
+A scan runs the three stream-scoped sub-probes (1, and 3 and 4 at
+stream level) in that order on one connection announcing a one-octet
+window, a :class:`SharedConnection`: each reads its own stream and a
+GOAWAY that arrives during it, nothing the connection carried before.
+Sub-probe 2 and the connection-level 3 and 4 read the connection's
+initial SETTINGS or its window, and each keeps a connection of its own.
 """
 
 from __future__ import annotations
@@ -23,36 +30,94 @@ from repro.scope.report import ErrorReaction, TinyWindowResult
 from repro.scope.session import ProbeSession
 
 
+class SharedConnection:
+    """One connection announcing ``window`` that sub-probes take turns on.
+
+    :meth:`acquire` hands out the open connection unless the server
+    ended it (GOAWAY or close), and opens a fresh one otherwise, so a
+    server that answers a sub-probe with GOAWAY costs the connections
+    it always did.  :meth:`release` cancels a sub-probe's stream unless
+    the server ended it, so no stream outlives its sub-probe.
+    """
+
+    def __init__(self, session: ProbeSession, domain: str, window: int = 1):
+        self.session = session
+        self.domain = domain
+        self.window = window
+        self.client: ScopeClient | None = None
+
+    def acquire(self) -> tuple[ScopeClient, int] | None:
+        """The connection for the next sub-probe, and the index in its
+        ``events`` where the sub-probe's own begin (0 on a fresh one);
+        None when HTTP/2 could not be established."""
+        client = self.client
+        if client is not None:
+            assert client.conn is not None
+            if not (client.peer_closed or client.conn.terminated):
+                return client, len(client.events)
+            self.close()
+        client = self.session.client(self.domain, settings={IWS: self.window})
+        if not client.establish_h2():
+            client.close()
+            return None
+        self.client = client
+        return client, 0
+
+    def release(self, stream_id: int) -> None:
+        """End a sub-probe: cancel its stream unless the server did."""
+        client = self.client
+        assert client is not None and client.conn is not None
+        stream = client.conn.streams.get(stream_id)
+        if stream is not None and not stream.closed and not client.peer_closed:
+            client.send_rst_stream(stream_id)
+
+    def close(self) -> None:
+        if self.client is not None:
+            self.client.close()
+            self.client = None
+
+    def __enter__(self) -> SharedConnection:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 def probe_tiny_window(
     session: ProbeSession,
     domain: str,
     sframe: int = 1,
     path: str = "/",
+    shared: SharedConnection | None = None,
 ) -> tuple[TinyWindowResult, int | None, bool]:
-    """§III-B1.  Returns (category, first DATA size, headers_received)."""
-    client = session.client(domain, settings={IWS: sframe})
-    if not client.establish_h2():
-        client.close()
+    """§III-B1.  Returns (category, first DATA size, headers_received).
+
+    Runs on ``shared`` when given (its window is ``sframe``), else on a
+    connection of its own.
+    """
+    assert shared is None or shared.window == sframe
+    link = shared or SharedConnection(session, domain, window=sframe)
+    turn = link.acquire()
+    if turn is None:
         return TinyWindowResult.NO_RESPONSE, None, False
 
+    client = turn[0]
     stream_id = client.request(path)
-    client.wait_for(
-        lambda: any(
-            te.event.stream_id == stream_id
-            for te in client.events_of(ev.DataReceived)
-        )
-    )
-    data_events = [
-        te
-        for te in client.events_of(ev.DataReceived)
-        if te.event.stream_id == stream_id
-    ]
-    headers_received = client.headers_for(stream_id) is not None
-    client.close()
 
-    if not data_events:
+    def first_data() -> ev.DataReceived | None:
+        for te in client.events_of(ev.DataReceived):
+            if te.event.stream_id == stream_id:
+                return te.event
+        return None
+
+    client.wait_for(lambda: first_data() is not None)
+    data = first_data()
+    headers_received = client.headers_for(stream_id) is not None
+    _finish(link, shared, stream_id)
+
+    if data is None:
         return TinyWindowResult.NO_RESPONSE, None, headers_received
-    first_size = len(data_events[0].event.data)
+    first_size = len(data.data)
     if first_size == 0:
         return TinyWindowResult.ZERO_LENGTH_DATA, 0, headers_received
     return TinyWindowResult.WINDOW_SIZED_DATA, first_size, headers_received
@@ -86,29 +151,28 @@ def probe_zero_window_update(
     domain: str,
     level: str = "stream",
     path: str = "/big.bin",
+    shared: SharedConnection | None = None,
 ) -> tuple[ErrorReaction | None, bytes]:
-    """§III-B3.  Returns (reaction, GOAWAY debug data if any)."""
+    """§III-B3.  Returns (reaction, GOAWAY debug data if any).
+
+    A stream-level probe runs on ``shared`` when given.
+    """
     # A one-octet window keeps the response stream alive and blocked,
     # so the server definitely still knows the stream when the bogus
     # update arrives.
-    client = session.client(domain, settings={IWS: 1})
-    if not client.establish_h2():
-        client.close()
+    client, link, since, stream_id = _blocked_stream(session, domain, path, shared)
+    if client is None:
         return None, b""
-    stream_id = client.request(path)
-    client.wait_for(
-        lambda: client.headers_for(stream_id) is not None,
-        timeout=DEFAULT_TIMEOUT / 2,
-    )
 
     target = 0 if level == "connection" else stream_id
     client.send_window_update(target, 0)
 
-    reaction = _await_reaction(client, stream_id)
+    reaction = await_reaction(client, stream_id, since)
     debug = b""
-    for te in client.events_of(ev.GoAwayReceived):
-        debug = te.event.debug_data
-    client.close()
+    for te in client.events[since:]:
+        if isinstance(te.event, ev.GoAwayReceived):
+            debug = te.event.debug_data
+    _finish(link, shared, stream_id)
     return reaction, debug
 
 
@@ -117,17 +181,15 @@ def probe_large_window_update(
     domain: str,
     level: str = "stream",
     path: str = "/big.bin",
+    shared: SharedConnection | None = None,
 ) -> ErrorReaction | None:
-    """§III-B4: two WINDOW_UPDATEs whose sum exceeds 2^31-1."""
-    client = session.client(domain, settings={IWS: 1})
-    if not client.establish_h2():
-        client.close()
+    """§III-B4: two WINDOW_UPDATEs whose sum exceeds 2^31-1.
+
+    A stream-level probe runs on ``shared`` when given.
+    """
+    client, link, since, stream_id = _blocked_stream(session, domain, path, shared)
+    if client is None:
         return None
-    stream_id = client.request(path)
-    client.wait_for(
-        lambda: client.headers_for(stream_id) is not None,
-        timeout=DEFAULT_TIMEOUT / 2,
-    )
 
     target = 0 if level == "connection" else stream_id
     half = MAX_WINDOW_SIZE // 2 + 1
@@ -138,24 +200,63 @@ def probe_large_window_update(
     client.conn.send_window_update(target, half)
     client.flush()
 
-    reaction = _await_reaction(client, stream_id)
-    client.close()
+    reaction = await_reaction(client, stream_id, since)
+    _finish(link, shared, stream_id)
     return reaction
 
 
-def _await_reaction(client: ScopeClient, stream_id: int) -> ErrorReaction:
-    """Wait for RST_STREAM / GOAWAY; silence within the wait = ignore."""
+def _blocked_stream(
+    session: ProbeSession,
+    domain: str,
+    path: str,
+    shared: SharedConnection | None,
+) -> tuple[ScopeClient | None, SharedConnection, int, int]:
+    """Open a stream behind a one-octet window and wait for its HEADERS.
 
-    def saw_reaction() -> bool:
-        return bool(client.events_of(ev.GoAwayReceived)) or any(
-            te.event.stream_id == stream_id
-            for te in client.events_of(ev.StreamReset)
-        )
+    Returns the client (None when HTTP/2 could not be established), the
+    connection it is on, the index in ``client.events`` where this
+    sub-probe's events begin, and the stream id.
+    """
+    assert shared is None or shared.window == 1
+    link = shared or SharedConnection(session, domain, window=1)
+    turn = link.acquire()
+    if turn is None:
+        return None, link, 0, 0
+    client, since = turn
+    stream_id = client.request(path)
+    client.wait_for(
+        lambda: client.headers_for(stream_id) is not None,
+        timeout=DEFAULT_TIMEOUT / 2,
+    )
+    return client, link, since, stream_id
 
-    client.wait_for(saw_reaction)
-    for te in client.events:
-        if isinstance(te.event, ev.StreamReset) and te.event.stream_id == stream_id:
-            return ErrorReaction.RST_STREAM
-        if isinstance(te.event, ev.GoAwayReceived):
-            return ErrorReaction.GOAWAY
-    return ErrorReaction.IGNORE
+
+def _finish(
+    link: SharedConnection, shared: SharedConnection | None, stream_id: int
+) -> None:
+    """A shared connection stays open for the next sub-probe; one of
+    the sub-probe's own is closed."""
+    if shared is None:
+        link.close()
+    else:
+        link.release(stream_id)
+
+
+def await_reaction(
+    client: ScopeClient, stream_id: int, since: int = 0
+) -> ErrorReaction:
+    """Wait for RST_STREAM on ``stream_id`` or a GOAWAY, reading only
+    the events from ``client.events[since]`` on; silence within the
+    wait = ignore."""
+
+    def reaction() -> ErrorReaction | None:
+        for te in client.events[since:]:
+            event = te.event
+            if isinstance(event, ev.StreamReset) and event.stream_id == stream_id:
+                return ErrorReaction.RST_STREAM
+            if isinstance(event, ev.GoAwayReceived):
+                return ErrorReaction.GOAWAY
+        return None
+
+    client.wait_for(lambda: reaction() is not None)
+    return reaction() or ErrorReaction.IGNORE

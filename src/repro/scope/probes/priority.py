@@ -30,6 +30,7 @@ from repro.h2 import events as ev
 from repro.h2.constants import MAX_WINDOW_SIZE
 from repro.h2.frames import PriorityData
 from repro.scope.client import BULK_TIMEOUT, DEFAULT_TIMEOUT, IWS, ScopeClient
+from repro.scope.probes.flow_control import await_reaction
 from repro.scope.report import ErrorReaction, PriorityResult
 from repro.scope.session import ProbeSession
 
@@ -235,21 +236,6 @@ def probe_self_dependency(
         timeout=DEFAULT_TIMEOUT / 2,
     )
     client.send_priority(stream_id, depends_on=stream_id, weight=16)
-
-    def saw_reaction() -> bool:
-        return bool(client.events_of(ev.GoAwayReceived)) or any(
-            te.event.stream_id == stream_id
-            for te in client.events_of(ev.StreamReset)
-        )
-
-    client.wait_for(saw_reaction)
-    reaction = ErrorReaction.IGNORE
-    for te in client.events:
-        if isinstance(te.event, ev.StreamReset) and te.event.stream_id == stream_id:
-            reaction = ErrorReaction.RST_STREAM
-            break
-        if isinstance(te.event, ev.GoAwayReceived):
-            reaction = ErrorReaction.GOAWAY
-            break
+    reaction = await_reaction(client, stream_id)
     client.close()
     return reaction

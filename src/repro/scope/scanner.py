@@ -33,6 +33,7 @@ from repro.scope.probes import (
     probe_zero_window_headers,
     probe_zero_window_update,
 )
+from repro.scope.probes.flow_control import SharedConnection
 from repro.scope.report import ErrorClass, SiteReport
 from repro.scope.resilience import (
     ResilienceConfig,
@@ -160,20 +161,25 @@ def probe_target(
 
         def run_flow_control() -> None:
             fc = report.flow_control
-            fc.tiny_window, fc.first_data_size, _ = probe_tiny_window(
-                session, domain, sframe=1
-            )
+            # The stream-scoped sub-probes take turns on one connection
+            # (DESIGN §8); the others read connection state.
+            with SharedConnection(session, domain) as shared:
+                fc.tiny_window, fc.first_data_size, _ = probe_tiny_window(
+                    session, domain, shared=shared
+                )
+                fc.zero_update_stream, fc.zero_update_debug_data = (
+                    probe_zero_window_update(
+                        session, domain, level="stream", shared=shared
+                    )
+                )
+                fc.large_update_stream = probe_large_window_update(
+                    session, domain, level="stream", shared=shared
+                )
             fc.headers_with_zero_window = probe_zero_window_headers(
                 session, domain
             )
-            fc.zero_update_stream, fc.zero_update_debug_data = (
-                probe_zero_window_update(session, domain, level="stream")
-            )
             fc.zero_update_connection, _ = probe_zero_window_update(
                 session, domain, level="connection"
-            )
-            fc.large_update_stream = probe_large_window_update(
-                session, domain, level="stream"
             )
             fc.large_update_connection = probe_large_window_update(
                 session, domain, level="connection"

@@ -91,6 +91,87 @@ class TestNegotiationCostsTwoConnections:
         assert during == [2]
 
 
+class TestFlowControlConnectionBudget:
+    """The three stream-scoped flow-control sub-probes take turns on one
+    connection (DESIGN §8), so ``flow_control`` opens four connections,
+    and five on a server that answers the stream-level zero update with
+    GOAWAY: the next sub-probe then opens a fresh one.  The verdicts are
+    the ones each sub-probe read on a connection of its own."""
+
+    RST, AWAY, IGN = ErrorReaction.RST_STREAM, ErrorReaction.GOAWAY, ErrorReaction.IGNORE
+    SIZED, SILENT = TinyWindowResult.WINDOW_SIZED_DATA, TinyWindowResult.NO_RESPONSE
+    #: vendor -> (connections, tiny_window, first_data_size,
+    #: headers_with_zero_window, zero_update_stream, zero_update_connection,
+    #: large_update_stream, large_update_connection)
+    EXPECTED = {
+        "apache": (5, SIZED, 1, True, AWAY, AWAY, RST, AWAY),
+        "h2o": (4, SIZED, 1, True, RST, AWAY, RST, AWAY),
+        "litespeed": (4, SILENT, None, False, RST, AWAY, RST, AWAY),
+        "nghttpd": (5, SIZED, 1, True, AWAY, AWAY, RST, AWAY),
+        "nginx": (4, SIZED, 1, True, IGN, IGN, RST, AWAY),
+        "tengine": (4, SIZED, 1, True, IGN, IGN, RST, AWAY),
+    }
+
+    def test_flow_control_connections_and_verdicts(self, monkeypatch, vendor):
+        from repro.net.transport import Network
+        from repro.scope import scanner
+        from repro.servers.site import Site
+        from repro.servers.vendors import VENDOR_FACTORIES
+        from repro.servers.website import default_website
+
+        connects = []
+        real_connect = Network.connect
+
+        def connect(self, *args, **kwargs):
+            connects.append(args)
+            return real_connect(self, *args, **kwargs)
+
+        monkeypatch.setattr(Network, "connect", connect)
+        site = Site(
+            domain=f"{vendor}.testbed",
+            profile=VENDOR_FACTORIES[vendor](),
+            website=default_website(),
+        )
+        report = scanner.scan_site(site, include={"flow_control"}, seed=7)
+        fc = report.flow_control
+        assert not report.errors
+        assert (
+            len(connects),
+            fc.tiny_window,
+            fc.first_data_size,
+            fc.headers_with_zero_window,
+            fc.zero_update_stream,
+            fc.zero_update_connection,
+            fc.large_update_stream,
+            fc.large_update_connection,
+        ) == self.EXPECTED[vendor]
+        assert fc.zero_update_debug_data == b""
+
+    def test_a_one_stream_server_answers_every_turn(self):
+        """Each sub-probe cancels its stream before the next opens one, so
+        a server that allows one concurrent stream (like ``site000063``
+        of the seed-7 ``sim_clean_full`` population) reads each request
+        as it would on a connection of its own, not as one too many."""
+        from repro.h2.connection import Reaction
+        from repro.scope import scanner
+        from repro.servers.site import Site
+        from repro.servers.vendors import VENDOR_FACTORIES
+        from repro.servers.website import default_website
+
+        litespeed = VENDOR_FACTORIES["litespeed"]()
+        profile = litespeed.clone(
+            settings={**litespeed.settings, 3: 1},  # MAX_CONCURRENT_STREAMS
+            on_zero_window_update_stream=Reaction.IGNORE,
+        )
+        site = Site(domain="one.testbed", profile=profile, website=default_website())
+        fc = scanner.scan_site(site, include={"flow_control"}, seed=7).flow_control
+        assert (fc.tiny_window, fc.zero_update_stream, fc.large_update_stream) == (
+            self.SILENT,
+            self.IGN,
+            self.RST,
+        )
+
+
 class TestMultiplexingRow:
     def test_all_vendors_interleave(self, vendor):
         network, domain = deploy_vendor(vendor)
