@@ -416,6 +416,13 @@ class _ServerConnection:
             self._observe_frames(self.conn.received)
         if self._guard_reason is not None:
             return
+        # A stream the connection reset by itself (a stream error such as
+        # a window overflow, answered inside receive_bytes) gives its
+        # MAX_CONCURRENT_STREAMS slot back, as one the peer reset does.
+        streams = self.conn.streams
+        self._active_requests.difference_update(
+            [sid for sid in self._active_requests if streams[sid].closed]
+        )
         for event in events:
             self._handle_event(event)
         self._pump()

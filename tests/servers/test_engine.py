@@ -132,6 +132,42 @@ class TestMaxConcurrent:
         assert resets[0].stream_id == sids[-1]
         assert resets[0].error_code == int(ErrorCode.REFUSED_STREAM)
 
+    def test_a_stream_the_engine_reset_gives_its_slot_back(self):
+        """LiteSpeed allowing one stream (the profile of ``site000063``
+        in the seed-7 population): the stream a window overflow made the
+        engine reset with RST_STREAM(FLOW_CONTROL_ERROR) no longer holds
+        the only slot, so the next request is answered, not refused."""
+        from repro.servers.vendors import litespeed
+
+        profile = litespeed()
+        profile = profile.clone(settings={**profile.settings, MCS: 1})
+        client = connect(deploy(profile))
+        first = client.request("/big.bin")
+        client.wait_for(lambda: client.headers_for(first) is not None)
+        half = 2**30 + 1  # two of these overflow any window
+        client.conn.send_window_update(first, half)
+        client.conn.send_window_update(first, half)
+        client.flush()
+
+        def resets(stream_id):
+            return [
+                te.event.error_code
+                for te in client.events_of(ev.StreamReset)
+                if te.event.stream_id == stream_id
+            ]
+
+        client.wait_for(lambda: resets(first))
+        assert resets(first) == [int(ErrorCode.FLOW_CONTROL_ERROR)]
+        # Stream 1's DATA spent the connection window; LiteSpeed holds
+        # HEADERS behind it, so return the credit first.
+        client.send_window_update(0, 1_000_000)
+        second = client.request("/")
+        client.wait_for(
+            lambda: client.headers_for(second) is not None or resets(second)
+        )
+        assert resets(second) == []
+        assert dict(client.headers_for(second).headers)[b":status"] == b"200"
+
     def test_zero_limit_refuses_everything(self):
         profile = ServerProfile(settings={MCS: 0})
         network = deploy(profile)
