@@ -13,7 +13,8 @@ on :class:`DetectorConfig` are ours).
   ``settings_flood`` / ``rst_churn`` / ``priority_churn`` — the core's
   preface and header-block deadlines and sliding-window frame rates;
 * ``zero_window_stall`` — a client announcing a tiny initial window
-  that opens several streams and then keeps the connection alive past
+  that holds several streams open (a stream it cancelled with
+  RST_STREAM no longer counts) and keeps the connection alive past
   ``stall_window`` without granting window.  A benign probe with a
   small window looks like a young stall, so ``stall_window`` exceeds
   the probe suite's longest wait (8 s; the default is 10 s);
@@ -35,7 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.h2.abuse import AbuseRules, AbuseVerdict
-from repro.h2.frames import Frame, HeadersFrame, SettingsFrame, WindowUpdateFrame
+from repro.h2.frames import (
+    Frame,
+    HeadersFrame,
+    RstStreamFrame,
+    SettingsFrame,
+    WindowUpdateFrame,
+)
 from repro.scope.trace import ConnectionTimeline
 
 #: SETTINGS_HEADER_TABLE_SIZE and SETTINGS_INITIAL_WINDOW_SIZE identifiers.
@@ -188,6 +195,10 @@ class ConnectionMonitor:
             self._window_granted = True
         elif isinstance(frame, HeadersFrame):
             self._streams.add(frame.stream_id)
+        elif isinstance(frame, RstStreamFrame):
+            # A cancelled stream pins nothing.  The END_STREAM of a GET
+            # ends only the client's half: its response is still held.
+            self._streams.discard(frame.stream_id)
         self._adopt(self._rules.observe(at, frame))
         return self.verdict
 

@@ -96,6 +96,16 @@ class TestStallRule:
         assert verdict.label == "zero_window_stall"
         assert verdict.at == 10.0
 
+    def test_cancelled_streams_are_not_held(self):
+        # The probe suite's shared flow-control connection: each
+        # sub-probe cancels its stream before the next opens one.
+        monitor = ConnectionMonitor(opened_at=0.0, config=self.config())
+        monitor.observe(0.1, tiny_settings())
+        monitor.observe(0.2, headers(1))
+        monitor.observe(8.0, RstStreamFrame(stream_id=1, error_code=8))
+        monitor.observe(8.1, headers(3))
+        assert monitor.tick(30.0) is None
+
     def test_window_grant_suppresses(self):
         monitor = ConnectionMonitor(opened_at=0.0, config=self.config())
         monitor.observe(0.1, tiny_settings())
@@ -289,6 +299,14 @@ class TestEndToEndFloors:
     def test_benign_probe_traffic_clean(self):
         timelines = benign_timelines(vendors=["nginx"], seed=3)
         assert timelines
+        score = score_corpus(timelines)
+        assert score.false_positives == 0, score.to_json()
+
+    def test_litespeed_shared_flow_control_connection_clean(self):
+        # LiteSpeed sends nothing at a one-octet window, so its shared
+        # flow-control connection idles past ``stall_window`` with two
+        # streams seen, one of them cancelled.
+        timelines = benign_timelines(vendors=["litespeed"], seed=7, chaos=False)
         score = score_corpus(timelines)
         assert score.false_positives == 0, score.to_json()
 
