@@ -125,18 +125,15 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     ``--backend socket`` opens real TCP connections — to ``--target``,
     or straight to the domain's real address when none is given.
     """
-    from repro.scope.scanner import ALL_PROBES, probe_target
+    from repro.scope.scanner import _validate_include, probe_target
     from repro.scope.session import ProbeSession
     from repro.scope.trace import TraceRecorder
 
     include = {p.strip() for p in args.include.split(",") if p.strip()}
-    unknown = include - ALL_PROBES
-    if unknown:
-        print(
-            f"unknown probes: {', '.join(sorted(unknown))} "
-            f"(choose from {', '.join(sorted(ALL_PROBES))})",
-            file=sys.stderr,
-        )
+    try:  # an unknown name or a missing dependency is a usage error
+        _validate_include(include)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
 
     trace = TraceRecorder()

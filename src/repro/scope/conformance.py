@@ -12,6 +12,8 @@ that judges it.  :func:`matrix_cells` measures one target's column;
 :func:`run_conformance` measures the column once, judges every scored
 row, then runs the three checks Table III has no row for (SETTINGS
 after the preface, SETTINGS acknowledgement, the concurrency floor).
+The two SETTINGS checks judge the frame the column's negotiation fetch
+received; only the acknowledgement check opens a connection.
 Its report is how the paper's "not all implementations strictly follow
 RFC 7540" becomes a per-server, per-requirement statement.
 """
@@ -32,12 +34,11 @@ from repro.scope.probes import (
     probe_priority,
     probe_push,
     probe_self_dependency,
-    probe_settings,
     probe_tiny_window,
     probe_zero_window_headers,
     probe_zero_window_update,
 )
-from repro.scope.report import ErrorReaction, TinyWindowResult
+from repro.scope.report import ErrorReaction, SettingsResult, TinyWindowResult
 from repro.scope.session import ProbeSession
 
 
@@ -159,9 +160,17 @@ def matrix_cells(session: ProbeSession, domain: str) -> dict[str, str]:
     The target must serve the testbed object layout (``/large/*.bin``,
     ``/medium/*.bin``); cells degrade to "no response" otherwise.
     """
+    return _measure(session, domain, ConformanceReport(domain=domain))
+
+
+def _measure(
+    session: ProbeSession, domain: str, report: ConformanceReport
+) -> dict[str, str]:
+    """:func:`matrix_cells`, keeping the SETTINGS its negotiation fetch
+    received in ``report.settings`` as soon as they are in."""
     cells: dict[str, str] = {}
 
-    negotiation = probe_negotiation(session, domain)
+    negotiation, report.settings = probe_negotiation(session, domain)
     cells["ALPN"] = "support" if negotiation.alpn_h2 else "no support"
     cells["NPN"] = "support" if negotiation.npn_h2 else "no support"
 
@@ -252,6 +261,9 @@ class ConformanceReport:
     #: The Table III column the row checks were judged from (empty when
     #: measuring it raised).
     cells: dict[str, str] = field(default_factory=dict)
+    #: The SETTINGS the column's negotiation fetch received (None when
+    #: the negotiation probe raised).
+    settings: SettingsResult | None = None
 
     def _count(self, verdict: Verdict, level: Level | None = None) -> int:
         return sum(
@@ -292,23 +304,28 @@ class ConformanceReport:
 
 @dataclass(frozen=True)
 class _Check:
-    """A check Table III has no row for: it runs its own probe."""
+    """A check Table III has no row for.  It is given the session, the
+    domain and the SETTINGS the column measured."""
 
     check_id: str
     section: str
     level: Level
     description: str
-    run: Callable[[ProbeSession, str], tuple[Verdict, str]]
+    run: Callable[[ProbeSession, str, SettingsResult | None], tuple[Verdict, str]]
 
 
-def _check_preface_settings(session, domain):
-    settings = probe_settings(session, domain)
+_NOT_MEASURED = (Verdict.SKIP, "the negotiation probe raised")
+
+
+def _check_preface_settings(session, domain, settings):
+    if settings is None:
+        return _NOT_MEASURED
     if settings.settings_frame_received:
         return Verdict.PASS, f"announced {len(settings.announced)} parameters"
     return Verdict.FAIL, "no SETTINGS frame after the connection preface"
 
 
-def _check_settings_ack(session, domain):
+def _check_settings_ack(session, domain, settings):
     client = session.client(domain)
     try:
         if not client.establish_h2():
@@ -326,8 +343,9 @@ def _check_settings_ack(session, domain):
         client.close()
 
 
-def _check_concurrent_floor(session, domain):
-    settings = probe_settings(session, domain)
+def _check_concurrent_floor(session, domain, settings):
+    if settings is None:
+        return _NOT_MEASURED
     value = settings.announced.get(3)
     if not settings.settings_frame_received:
         return Verdict.SKIP, "no SETTINGS frame"
@@ -371,13 +389,13 @@ def run_conformance(session: ProbeSession, domain: str) -> ConformanceReport:
     """
     report = ConformanceReport(domain=domain)
     try:
-        report.cells = matrix_cells(session, domain)
+        report.cells = _measure(session, domain, report)
         outcomes = {row: row.judge(report.cells) for row in SCORED_ROWS}
     except Exception as exc:  # noqa: BLE001 - a checker must not crash
         outcomes = dict.fromkeys(SCORED_ROWS, _crashed(exc))
     for check in _CHECKS:
         try:
-            outcomes[check] = check.run(session, domain)
+            outcomes[check] = check.run(session, domain, report.settings)
         except Exception as exc:  # noqa: BLE001 - a checker must not crash
             outcomes[check] = _crashed(exc)
     report.results = sorted(

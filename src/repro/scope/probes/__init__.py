@@ -3,7 +3,9 @@
 Every probe is a function taking a :class:`~repro.scope.session.
 ProbeSession` plus a target domain, and returning one of the typed
 results from :mod:`repro.scope.report`.  Probes open their own
-connections and leave the session reusable.
+connections and leave the session reusable.  The one exception is
+:func:`probe_settings`, which reads the SETTINGS a client received;
+:func:`probe_negotiation` calls it on its fetch connection.
 
 Layering rule: probe modules never import :mod:`repro.net.transport`
 directly — all transport access goes through the session's backend.

@@ -8,7 +8,10 @@ a HEADERS frame comes back (the paper's 44,390 / 64,299 "HEADERS
 received" populations) along with the ``server`` header used for
 Table IV.  Which one fetches is what a single hello offering both
 mechanisms would have chosen: ALPN's choice wins, and NPN decides only
-when ALPN chose nothing.
+when ALPN chose nothing.  That connection has also received the
+server's SETTINGS frame, which ``speak_h2`` waits for before the
+request goes out, so the settings probe reads it there and the scan
+opens no connection of its own for it (DESIGN §8).
 
 The fetch reads the response HEADERS only.  Both clients announce
 SETTINGS_INITIAL_WINDOW_SIZE = ``HEADERS_ONLY_WINDOW`` and return no
@@ -22,12 +25,18 @@ verdict.
 from __future__ import annotations
 
 from repro.scope.client import H2, HEADERS_ONLY_WINDOW, HTTP11, IWS
-from repro.scope.report import NegotiationResult
+from repro.scope.probes.settings_probe import probe_settings
+from repro.scope.report import NegotiationResult, SettingsResult
 from repro.scope.session import ProbeSession
 
 
-def probe_negotiation(session: ProbeSession, domain: str) -> NegotiationResult:
+def probe_negotiation(
+    session: ProbeSession, domain: str
+) -> tuple[NegotiationResult, SettingsResult]:
+    """The negotiation verdicts, and the SETTINGS the fetch connection
+    received (empty when no hello chose h2, so nothing was fetched)."""
     result = NegotiationResult()
+    settings_result = SettingsResult()
     settings = {IWS: HEADERS_ONLY_WINDOW}
     alpn_client = session.client(
         domain, alpn=[H2, HTTP11], offer_npn=False, settings=settings
@@ -38,7 +47,7 @@ def probe_negotiation(session: ProbeSession, domain: str) -> NegotiationResult:
     try:
         # -- ALPN-only handshake --------------------------------------------
         if not alpn_client.connect():
-            return result
+            return result, settings_result
         result.tcp_connected = True
         tls = alpn_client.tls_handshake()
         result.tcp_handshake_rtt = tls.tcp_handshake_rtt
@@ -58,8 +67,9 @@ def probe_negotiation(session: ProbeSession, domain: str) -> NegotiationResult:
         elif alpn_client.tls.alpn_protocol is None and result.npn_h2:
             fetch = npn_client
         else:
-            return result
+            return result, settings_result
         fetch.speak_h2()
+        settings_result = probe_settings(fetch)
         stream_id = fetch.request("/")
         fetch.wait_for(lambda: fetch.headers_for(stream_id) is not None)
         headers_event = fetch.headers_for(stream_id)
@@ -69,7 +79,7 @@ def probe_negotiation(session: ProbeSession, domain: str) -> NegotiationResult:
                 if name == b"server":
                     result.server_header = value.decode("latin-1")
                     break
-        return result
+        return result, settings_result
     finally:
         # Every way out, a failed wait included, leaves both closed.
         alpn_client.close()

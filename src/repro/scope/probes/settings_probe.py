@@ -3,22 +3,22 @@
 Records exactly which parameters the server's SETTINGS frame announced.
 Sites that never send SETTINGS populate the paper's NULL rows; defined
 parameters left unannounced fall into the "default"/"unlimited" rows.
+
+The probe opens no connection of its own.  It reads the SETTINGS a
+client has received, and the negotiation fetch calls it right after
+``speak_h2`` has waited for them, on the connection the combined-hello
+rule picks (DESIGN §8).
 """
 
 from __future__ import annotations
 
 from repro.h2 import events as ev
+from repro.scope.client import ScopeClient
 from repro.scope.report import SettingsResult
-from repro.scope.session import ProbeSession
 
 
-def probe_settings(session: ProbeSession, domain: str) -> SettingsResult:
+def probe_settings(client: ScopeClient) -> SettingsResult:
     result = SettingsResult()
-    client = session.client(domain)
-    if not client.establish_h2():
-        client.close()
-        return result
-
     frames = client.events_of(ev.SettingsReceived)
     if frames:
         result.settings_frame_received = True
@@ -26,5 +26,4 @@ def probe_settings(session: ProbeSession, domain: str) -> SettingsResult:
         for timed in frames:
             for identifier, value in timed.event.settings:
                 result.announced[identifier] = value
-    client.close()
     return result

@@ -28,7 +28,6 @@ from repro.scope.probes import (
     probe_priority,
     probe_push,
     probe_self_dependency,
-    probe_settings,
     probe_tiny_window,
     probe_zero_window_headers,
     probe_zero_window_update,
@@ -55,7 +54,13 @@ def _validate_include(include: Iterable[str] | None) -> set[str]:
     include_set = set(include) if include is not None else set(ALL_PROBES)
     unknown = include_set - ALL_PROBES
     if unknown:
-        raise ValueError(f"unknown probes: {sorted(unknown)}")
+        raise ValueError(
+            f"unknown probes: {', '.join(sorted(unknown))} "
+            f"(choose from {', '.join(sorted(ALL_PROBES))})"
+        )
+    if "settings" in include_set and "negotiation" not in include_set:
+        # The settings are read on the negotiation fetch's connection.
+        raise ValueError("probe 'settings' needs probe 'negotiation'")
     return include_set
 
 
@@ -142,20 +147,18 @@ def probe_target(
                 trace.end()
 
     if "negotiation" in include_set:
-        guarded(
-            "negotiation",
-            lambda: setattr(
-                report, "negotiation", probe_negotiation(session, domain)
-            ),
-        )
+
+        def run_negotiation() -> None:
+            # The fetch connection's SETTINGS are the settings probe's
+            # reading (DESIGN §8): it opens no connection of its own.
+            negotiation, settings = probe_negotiation(session, domain)
+            report.negotiation = negotiation
+            if "settings" in include_set:
+                report.settings = settings
+
+        guarded("negotiation", run_negotiation)
         if not report.speaks_h2:
             return report
-
-    if "settings" in include_set:
-        guarded(
-            "settings",
-            lambda: setattr(report, "settings", probe_settings(session, domain)),
-        )
 
     if "flow_control" in include_set:
 

@@ -98,6 +98,25 @@ other ``ping`` fields moved in the last digits only (``h2_ping_rtt`` 3,
 its clock at other instants).  No verdict, error or attempt count
 moved.  The value before was
 ``7e72b814211813949e6c90de133bf3142b8d90d50f4dcf1f5ae8e89e61d6310c``.
+
+Re-pinned a seventh time when the settings probe stopped opening a
+connection: it reads the SETTINGS the negotiation fetch received, inside
+the ``negotiation`` attempt, so ``settings`` has no attempt or error of
+its own.  Every later connection of a site has an index one lower, and
+the fault draw and the link's loss stream are keyed by that index, so
+``ping`` sees another realisation of the same plan.  Diffed report by
+report against the parent, 37 of the 47 reports differ:
+``probe_attempts.settings`` is gone from all 37 and ``scan_virtual_time``
+moved in all 37; ``settings`` now reads a SETTINGS frame on 5 sites
+whose own settings connection a fault had hit (27 -> 32 sites), and
+equals the parent's on every site that had one; the 5 ``settings``
+errors are gone and ``errors`` moved in 14 (30 errors -> 26: ping 15 ->
+16, negotiation 10 on both); the ``ping`` fields moved in 22
+(``http1_rtt`` 22, ``h2_ping_rtt`` 19, ``icmp_rtt`` 17, ``tcp_rtt`` 17,
+``ping_supported`` 11, 22 -> 21 sites) and ``probe_attempts.ping`` in 7.
+No ``negotiation`` key moved.  Connections opened fell 216 -> 174 and
+probe attempts 140 -> 100.  The value before was
+``153c9cef7e5565a75d22e12fb23fd338f6a33c17c30c5ac05c64146179b163fa``.
 """
 
 import hashlib
@@ -113,7 +132,7 @@ from repro.scope.storage import _encode
 #: the campaign actually scans a few more).  Same probe set, fault plan
 #: and resilience policy as the full 350-site differential in
 #: ISSUE 5's acceptance run — shrunk so this stays in the default suite.
-PINNED_SHA256 = "153c9cef7e5565a75d22e12fb23fd338f6a33c17c30c5ac05c64146179b163fa"
+PINNED_SHA256 = "1cc12260597ab25c9168c94b6e50a01f11fe687ee81a3edb2604af313a44b3ad"
 
 CHAOS_SPEC = (
     "refuse:0.1x6,reset:0.06x4,stall(30):0.05,blackhole:0.04,"

@@ -80,7 +80,7 @@ def test_negotiation_fetch_holds_the_body_and_measures_the_same(vendor):
     network, domain = deploy_vendor(vendor)
     session = ProbeSession(SimulatedBackend(network))
     with tap_connections() as taps:
-        result = probe_negotiation(session, domain)
+        result, _ = probe_negotiation(session, domain)
     assert_headers_only(taps)
     assert (
         result.alpn_h2,

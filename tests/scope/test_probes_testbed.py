@@ -16,7 +16,6 @@ from repro.scope.probes import (
     probe_priority,
     probe_push,
     probe_self_dependency,
-    probe_settings,
     probe_tiny_window,
     probe_zero_window_headers,
     probe_zero_window_update,
@@ -30,29 +29,31 @@ from tests.scope.conftest import DEPLETION_PATHS, TEST_PATHS, deploy_vendor
 class TestNegotiationRow:
     def test_alpn_supported_by_all(self, vendor):
         network, domain = deploy_vendor(vendor)
-        result = probe_negotiation(sim_session(network), domain)
+        result, _ = probe_negotiation(sim_session(network), domain)
         assert result.alpn_h2
 
     def test_npn_supported_except_apache(self, vendor):
         network, domain = deploy_vendor(vendor)
-        result = probe_negotiation(sim_session(network), domain)
+        result, _ = probe_negotiation(sim_session(network), domain)
         assert result.npn_h2 == (vendor != "apache")
 
     def test_headers_and_server_name(self, vendor):
         network, domain = deploy_vendor(vendor)
-        result = probe_negotiation(sim_session(network), domain)
+        result, _ = probe_negotiation(sim_session(network), domain)
         assert result.headers_received
         assert result.server_header is not None
 
 
-class TestNegotiationCostsTwoConnections:
-    """The HEADERS fetch rides on the handshake that chose h2, so a
-    fault-free short-probe scan spends two connections on negotiation."""
+class TestShortProbeConnectionBudget:
+    """The settings probe reads the SETTINGS the negotiation fetch
+    received, on the handshake that chose h2 (DESIGN §8), so a
+    fault-free short-probe scan opens two connections for negotiation
+    and settings together, and two for ping: four a site."""
 
     @pytest.mark.parametrize(
         "alpn, npn", [(True, True), (False, True)], ids=["alpn-h2", "npn-only"]
     )
-    def test_negotiation_opens_two_connections(self, monkeypatch, alpn, npn):
+    def test_four_connections(self, monkeypatch, alpn, npn):
         from repro.net.transport import Network
         from repro.scope import scanner
         from repro.servers.site import Site
@@ -61,24 +62,14 @@ class TestNegotiationCostsTwoConnections:
 
         connects = []
         real_connect = Network.connect
-        real_probe = scanner.probe_negotiation
 
         def connect(self, *args, **kwargs):
             connects.append(args)
             return real_connect(self, *args, **kwargs)
 
-        during = []
-
-        def probe(session, domain):
-            before = len(connects)
-            result = real_probe(session, domain)
-            during.append(len(connects) - before)
-            return result
-
         monkeypatch.setattr(Network, "connect", connect)
-        monkeypatch.setattr(scanner, "probe_negotiation", probe)
         site = Site(
-            domain="two.testbed",
+            domain="four.testbed",
             profile=nginx().clone(supports_alpn=alpn, supports_npn=npn),
             website=testbed_website(),
         )
@@ -87,8 +78,10 @@ class TestNegotiationCostsTwoConnections:
         )
         assert (report.negotiation.alpn_h2, report.negotiation.npn_h2) == (alpn, npn)
         assert report.negotiation.headers_received
+        assert report.settings.announced == {3: 128, 4: 0, 5: 16384}
+        assert report.ping.ping_supported
         assert not report.errors
-        assert during == [2]
+        assert len(connects) == 4
 
 
 class TestFlowControlConnectionBudget:
@@ -378,16 +371,47 @@ class TestPingRow:
 
 
 class TestSettingsProbe:
+    """The settings the negotiation fetch reads, as the settings probe
+    read them on a connection of its own (literals from before it was
+    folded into the fetch)."""
+
+    ANNOUNCED = {
+        "apache": {3: 100, 4: 65535, 5: 16384, 6: 16384},
+        "h2o": {3: 100, 4: 16777216, 5: 16384},
+        "litespeed": {3: 100, 4: 65536, 5: 16384, 6: 16384},
+        "nghttpd": {3: 100, 4: 65535, 5: 16384},
+        "nginx": {3: 128, 4: 0, 5: 16384},
+        "tengine": {3: 128, 4: 0, 5: 16384},
+    }
+
     def test_announced_settings_recorded(self, vendor):
         network, domain = deploy_vendor(vendor)
-        result = probe_settings(sim_session(network), domain)
+        _, result = probe_negotiation(sim_session(network), domain)
         assert result.settings_frame_received
-        assert result.announced  # every testbed vendor announces something
+        assert result.announced == self.ANNOUNCED[vendor]
 
     def test_nginx_announces_zero_initial_window(self):
         network, domain = deploy_vendor("nginx")
-        result = probe_settings(sim_session(network), domain)
+        _, result = probe_negotiation(sim_session(network), domain)
         assert result.announced[4] == 0
+
+    def test_no_fetch_reads_no_settings(self):
+        from repro.net.clock import Simulation
+        from repro.net.transport import Network
+        from repro.servers.site import Site, deploy_site
+        from repro.servers.vendors import nginx
+        from repro.servers.website import testbed_website
+
+        network = Network(Simulation(), seed=1)
+        site = Site(
+            domain="h1.testbed",
+            profile=nginx().clone(supports_alpn=False, supports_npn=False),
+            website=testbed_website(),
+        )
+        deploy_site(network, site)
+        negotiation, result = probe_negotiation(sim_session(network), site.domain)
+        assert negotiation.tcp_connected and not negotiation.alpn_h2
+        assert not result.settings_frame_received and result.announced == {}
 
 
 class TestH2cRow:
@@ -422,7 +446,7 @@ class TestH2cRow:
         )
         deploy_site(network, site)
         assert self.upgrade(network, "h2c.testbed") is True
-        assert probe_negotiation(sim_session(network), "h2c.testbed").alpn_h2
+        assert probe_negotiation(sim_session(network), "h2c.testbed")[0].alpn_h2
 
 
 class TestMaxConcurrentStreamsExercise:

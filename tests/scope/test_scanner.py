@@ -42,6 +42,11 @@ class TestScanSite:
         with pytest.raises(ValueError):
             scan_site(make_site(), include={"negotiation", "frobnicate"})
 
+    def test_settings_without_negotiation_names_the_missing_group(self):
+        # The settings are read on the negotiation fetch's connection.
+        with pytest.raises(ValueError, match="'negotiation'"):
+            scan_site(make_site(), include={"settings", "ping"})
+
     def test_non_h2_site_short_circuits(self):
         report = scan_site(make_site(
             profile=ServerProfile(supports_alpn=False, supports_npn=False)
@@ -145,10 +150,13 @@ class TestResilientScan:
 
         report = scan_site(
             make_site(),
-            include={"negotiation", "settings"},
+            include={"negotiation", "settings", "ping"},
             resilience=ResilienceConfig(),
         )
-        assert report.probe_attempts == {"negotiation": 1, "settings": 1}
+        # The settings are read on the negotiation fetch: no attempt of
+        # their own.
+        assert report.probe_attempts == {"negotiation": 1, "ping": 1}
+        assert report.settings.settings_frame_received
         assert not report.failed and not report.retried
 
     def test_capped_refusals_are_rescued_by_retry(self):
@@ -276,9 +284,9 @@ class TestUniverseEndsWithTheCall:
             client.tls_handshake()  # a live connection, events still queued
             raise RuntimeError("probe exploded mid-connection")
 
-        monkeypatch.setattr(scanner_module, "probe_settings", exploding_probe)
-        report = scan_site(make_site(), include={"negotiation", "settings"})
-        assert [error.probe for error in report.errors] == ["settings"]
+        monkeypatch.setattr(scanner_module, "probe_ping", exploding_probe)
+        report = scan_site(make_site(), include={"negotiation", "ping"})
+        assert [error.probe for error in report.errors] == ["ping"]
         self.assert_freed(universe_refs, report)
 
         assert collector_off.collect() == 0

@@ -507,3 +507,23 @@ def test_probe_unknown_vendor_offers_no_all(capsys):
     assert rc == 2
     assert "unknown vendor 'nope'; choose from nginx" in err
     assert "'all'" not in err
+
+
+def test_probe_settings_without_negotiation_names_the_missing_group(capsys):
+    rc = main(
+        ["probe", "--backend", "sim", "--vendor", "nginx", "--include",
+         "settings,ping", "x.test"]
+    )
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "probe 'settings' needs probe 'negotiation'\n"
+    assert captured.out == ""
+
+
+def test_scan_takes_no_include(capsys):
+    # A scan's probe groups follow from its summaries (or --db); only
+    # ``probe`` takes ``--include``.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["scan", "--include", "settings"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --include settings" in capsys.readouterr().err
