@@ -147,3 +147,23 @@ class TestReportShape:
         assert all(
             r.verdict in (Verdict.FAIL, Verdict.SKIP) for r in report.results
         )
+
+    def test_settings_checks_skip_when_negotiation_raised(self, monkeypatch):
+        # The SETTINGS checks judge what the column's negotiation read;
+        # with nothing read they skip instead of failing the server.
+        import repro.scope.conformance as conformance_module
+
+        def exploding_negotiation(session, domain):
+            raise RuntimeError("negotiation exploded")
+
+        monkeypatch.setattr(
+            conformance_module, "probe_negotiation", exploding_negotiation
+        )
+        network, domain = deploy_vendor("nginx")
+        report = run_conformance(sim_session(network), domain)
+        v = verdicts(report)
+        assert report.settings is None
+        for check_id in ("preface-settings", "concurrent-floor"):
+            assert v[check_id] is Verdict.SKIP, check_id
+        assert v["settings-ack"] is Verdict.PASS
+        assert v["tls-alpn"] is Verdict.SKIP  # the column crashed
