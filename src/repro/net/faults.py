@@ -163,7 +163,7 @@ class FaultState:
             if len(data) <= budget:
                 return data, 0.0, False
             self.tripped = True
-            tail = bytes(self.rng.randrange(256) for _ in range(len(data) - budget))
+            tail = self.rng.randbytes(len(data) - budget)
             return data[:budget] + tail, 0.0, False
 
         if self.kind is FaultKind.BLACKHOLE:

@@ -303,6 +303,13 @@ class TestRuleMatching:
 # CHAOS_PAYLOADS had 8 entries, the first "daa1dd26…" (now the first of
 # PARENT_PAYLOADS); CORRUPT_KINDS was "HH...", "H.GGH", "GH..G", "GG..H"
 # with 12 payloads, the first "ac455256a1524845…".
+#
+# Re-pinned a second time when a GARBAGE fault began drawing its tail in
+# one ``rng.randbytes(n)`` call in place of one ``rng.randrange(256)`` per
+# octet (a page-sized tail cost a generator step per octet).  Only the
+# GARBAGE payloads moved: the kinds and every HELLO_CORRUPT payload are
+# as they were.  The four GARBAGE rows of ``PARENT_PAYLOADS`` read
+# "daa1dd26…", "a94b4bcc…", "7b77ed3a…" and "750b5eb7…" before.
 
 #: That file's six-rule spec, and one in which both payload faults occur.
 CHAOS_SPEC = (
@@ -344,16 +351,16 @@ CHAOS_KINDS = [
     ".R....R........",
 ]
 CHAOS_PAYLOADS = [
-    "51f3f772501971dbfb65895a7459ee399dc5218b70e6a5349f6510506d2f6ed3",
-    "c9841365b978f6f1228c01bcde92444bc11c84f51b92fed0a17753b735946e8d",
-    "45fb5a91b4d96e61811b2a6b5bd1934bd39ef0415c4bcb05912ec5baf038403c",
-    "45c7d8ee47bae7444208b6a592bf545f6272613fba2f4d3dbcfc09ddc1936845",
-    "a9e04b1417bdcdac021cf4d29df6807c1249846a4f28a8b4a582583d5aa9e77a",
-    "453069f636c81068409b97e8adfd8a8700c1e2eed4a1e3eebd53dc19c0a53687",
-    "1510f02d675b8c8d31d7c08618be470fb26370bbf06468a54913e1cc0dfffe95",
-    "4be3418ef459b145365917761c4bf182be0b1001d178892d7daa32c45242720f",
-    "e0f70bcb943166df7bcd329c52646379d5bfea35d8e7588687fac735ba15c1c4",
-    "a2a49d2b981f0258d91d2b38352b21422b656cebeecb1130b80b521acad0d0a4",
+    "c875d1289d99ec797b07817bd1e74ae988cb583995976e28434ef20cc54ec138",
+    "b3847fc10ecebfc9d4b8cd6414eb72a3555a3c421a7c5aa858acc50996cd8432",
+    "cc2f96229b0e99f6dee9299d1e59a49d1e48a1f0136f70f5279c14a2873bdd7d",
+    "5869bb8fd6abf7cbcf2975a2c4b637dee50e1d91eb23ef8a91e635d6cf5bac22",
+    "cb0ec8e2997e825473713870d498f6ded831819e04edf925c996c089b8a33f0a",
+    "6a18cc950bf3a4227aef5418343db5d27d5bfd347597249e41f02c7b5f61f994",
+    "bdbd05d18c4ae19cb64faac80f61a3bc6849b5c90080f5f9bafe71861a4f9f0a",
+    "52cfd02569c61ac5ea1179e79bd8c8c83b3988bcc1dfaa7124648f20cccb1e47",
+    "c7fe7a8f0cc57c7082e370b021f9ba7b58adc705f233ccb4f996926527f53a4a",
+    "79215f512ff358525138d1cd8434c44e02fbf8151cde304cc148b10f4c720801",
 ]
 CORRUPT_KINDS = [
     "G....",
@@ -362,27 +369,28 @@ CORRUPT_KINDS = [
     "..GHH",
 ]
 CORRUPT_PAYLOADS = [
-    "112ecdc9e979661dcee248f5239012a2a6c9b21910443b90c68fbeffeae2a9b0",
+    "4944d4081fe65f176732e766da4e97e14a561498ec7da3b0adc0a164437ed674",
     "ac455256455248454c4c9f20616c706e3d6832206e706e6968322c687474702f",
     "ac455256455248454c4cf120616c706e3d6832206e706e3d68322c307474702f",
     "ac455256455248714c4c4f20616c706e3d9632206e706e3d68322c687474702f",
-    "8e7e1015a0a949ef3bdc44371187e742d450f4c58b86c205fc7a80f1577eaa87",
-    "9334c7475fb156d961db82efb575e0259c7543d7430903fdfcc17ccec2634262",
+    "14371f47f5b27b3f22620c0867f42085202dc90a535aaff928705bf47e732788",
+    "6545f849bb8662ef368949a1320b6c1ac49c8b6346a67da4abde8b23cbe8e29c",
     "ac45e756455248454c4c4f20616c706e3d6832206e706e3d68322c687474702f",
     "ac45474b455248454c4c4f20616cca6e3d6832206e706e3d68322c6874747099",
 ]
 
-#: ``(kind, payload key, first 32 payload octets)`` recorded on the
-#: parent of ISSUE 17 by constructing the ``FaultState`` directly.
+#: ``(kind, payload key, first 32 payload octets)``, recorded by
+#: constructing the ``FaultState`` directly (GARBAGE rows: one
+#: ``randbytes`` tail; HELLO_CORRUPT rows: unchanged since first pinned).
 PARENT_PAYLOADS = [
     (FaultKind.GARBAGE, (5, "payload", 5, "site000001.first.alexa", 443, 8),
-     "daa1dd26019f8b65adfcac4020eb7f0095913f6bb84b2428104f82e1c9174a51"),
+     "dd59a5fdfa6062bee567d6ae54716ae468c071e7bcf7d2895f30316d2eaee0d8"),
     (FaultKind.GARBAGE, (5, "payload", 1, "site000001.first.alexa", 443, 8),
-     "a94b4bcc2aa8f61d19dfcd0d7efd678273bfe262625ab1fe2c7e1acc7305eb3c"),
+     "cda211e9f88d7ab965228d5466f5942529aa95c7d7e7872521e49d926c411566"),
     (FaultKind.GARBAGE, (0, "payload", 0, "a.test", 443, 1),
-     "7b77ed3a49fdd102446ac56fb2f30fc5f55b4bef971da70ac2bdc02b5cfeaf87"),
+     "629a2ee7fc2cd5c91d79b73d2213e03bdb827ce42c1f9276658ec2e08f890b1d"),
     (FaultKind.GARBAGE, (7, "payload", 9, "b.example", 8443, 12),
-     "750b5eb7c6880da4b4301d0d1a3a71401c2e5de746bceea7aae3f3634959d320"),
+     "841d8b3a48ddc805670d182fe65804fa6bc3879419258c5b79cc85e3dd69c9ed"),
     (FaultKind.HELLO_CORRUPT, (5, "payload", 0, "site000000.first.alexa", 443, 1),
      "ac455256a1524845c54c2da561a1706e3d6832206e706e3d68322c683b74702f"),
     (FaultKind.HELLO_CORRUPT, (5, "payload", 0, "site000000.first.alexa", 443, 2),
