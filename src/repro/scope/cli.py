@@ -83,8 +83,8 @@ def _render_probe_report(report) -> str:
 
 def _open_store(path: str):
     """Open the report database at ``path``, or say why not and return
-    None (the caller exits 2): a corrupt or newer-schema file is a usage
-    error, never a traceback."""
+    None (the caller exits 2): a corrupt file, or one of another schema
+    version, is a usage error, never a traceback."""
     import sqlite3
 
     from repro.scope.storage import ReportStore, SchemaVersionError

@@ -232,12 +232,9 @@ def summarize_errors(reports: list["SiteReport"]) -> ErrorTaxonomy:
             taxonomy.retried_sites += 1
         for error in report.errors:
             taxonomy.total_errors += 1
-            if isinstance(error, ScanError):
-                class_key = error.error_class.value
-                exception_key = error.exception or "unknown"
-                probe_key = error.probe or "unknown"
-            else:  # legacy bare-string records
-                class_key, exception_key, probe_key = "fatal", "unknown", "unknown"
+            class_key = error.error_class.value
+            exception_key = error.exception or "unknown"
+            probe_key = error.probe or "unknown"
             taxonomy.by_class[class_key] = taxonomy.by_class.get(class_key, 0) + 1
             taxonomy.by_exception[exception_key] = (
                 taxonomy.by_exception.get(exception_key, 0) + 1

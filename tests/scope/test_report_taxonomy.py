@@ -82,13 +82,6 @@ class TestSummarizeErrors:
         assert taxonomy.failure_fraction == 0.0
         assert taxonomy.retry_fraction == 0.0
 
-    def test_legacy_string_errors_bucketed_as_fatal_unknown(self):
-        reports = [report_with("old.test", errors=["negotiation: boom"])]
-        taxonomy = summarize_errors(reports)
-        assert taxonomy.by_class == {"fatal": 1}
-        assert taxonomy.by_exception == {"unknown": 1}
-        assert taxonomy.by_probe == {"unknown": 1}
-
 
 class TestFormatting:
     def test_renders_counts_sorted_by_frequency(self):

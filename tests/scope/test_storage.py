@@ -257,12 +257,12 @@ class TestStorageHardening:
         with pytest.raises(SchemaVersionError, match="newer than this tool"):
             ReportStore(path)
 
-    def test_v1_database_migrates_in_place(self, tmp_path):
-        # A PR-1-era file has the reports table but no version stamp and
-        # no journal tables; opening it must migrate, not refuse.
+    def test_unstamped_v1_database_refused(self, tmp_path):
+        # The unstamped, reports-only layout (version 1): no program
+        # writes it, so opening it is refused, not migrated.
         import sqlite3
 
-        from repro.scope.storage import SCHEMA_VERSION
+        from repro.scope.storage import SchemaVersionError
 
         path = tmp_path / "v1.db"
         db = sqlite3.connect(path)
@@ -275,13 +275,12 @@ class TestStorageHardening:
                 "document TEXT NOT NULL, UNIQUE (campaign, domain))"
             )
         db.close()
-        with ReportStore(path) as store:
-            version = store.connection.execute(
-                "SELECT MAX(version) FROM schema_version"
-            ).fetchone()[0]
-            assert version == SCHEMA_VERSION
-            store.connection.execute("SELECT COUNT(*) FROM campaign_sites")
-            assert store.verify() == []
+        with pytest.raises(SchemaVersionError, match="schema version 1 is older"):
+            ReportStore(path)
+        db = sqlite3.connect(path)
+        tables = {row[0] for row in db.execute("SELECT name FROM sqlite_master")}
+        db.close()
+        assert "schema_version" not in tables  # refused before any write
 
     def test_transaction_is_atomic(self, tmp_path):
         # A poisoned batch must roll back wholesale: no partial flush.
@@ -414,26 +413,14 @@ class TestScanErrorRoundTrip:
         assert loaded.errors[0].error_class is ErrorClass.TRANSIENT
         assert loaded.probe_attempts == {"negotiation": 3, "settings": 1}
 
-    def test_legacy_string_errors_survive(self):
-        # Documents written before the taxonomy stored bare strings.
-        import json
 
-        from repro.scope.storage import _encode, _rebuild
-
-        document = _encode(SiteReport(domain="old.test"))
-        document["errors"] = ["negotiation: something broke"]
-        rebuilt = _rebuild(SiteReport, json.loads(json.dumps(document)))
-        assert rebuilt.errors == ["negotiation: something broke"]
-
-
-class TestTimelineSchemaMigration:
-    def test_v3_traces_table_gains_label_column(self, tmp_path):
-        # A PR-era-v3 file has a traces table without the label column;
-        # opening it must ALTER in place, then store labelled timelines.
+class TestOlderSchemaRefused:
+    def test_v3_database_refused(self, tmp_path):
+        # A v3 file has a traces table without the label column; no
+        # program writes one, so opening it is refused, not altered.
         import sqlite3
 
-        from repro.scope.storage import SCHEMA_VERSION
-        from repro.scope.trace import ConnectionTimeline
+        from repro.scope.storage import SchemaVersionError
 
         path = tmp_path / "v3.db"
         db = sqlite3.connect(path)
@@ -443,32 +430,15 @@ class TestTimelineSchemaMigration:
                 "domain TEXT NOT NULL, probe TEXT NOT NULL, "
                 "document TEXT NOT NULL, PRIMARY KEY (campaign, domain, probe))"
             )
-            db.execute(
-                "INSERT INTO traces VALUES ('old', 'a.test', 'negotiation', '[]')"
-            )
             db.execute("CREATE TABLE schema_version (version INTEGER NOT NULL)")
             db.execute("INSERT INTO schema_version (version) VALUES (3)")
         db.close()
-        with ReportStore(path) as store:
-            version = store.connection.execute(
-                "SELECT MAX(version) FROM schema_version"
-            ).fetchone()[0]
-            assert version == SCHEMA_VERSION
-            columns = [
-                row[1]
-                for row in store.connection.execute("PRAGMA table_info(traces)")
-            ]
-            assert "label" in columns
-            # Pre-migration rows read back label-free...
-            assert store.load_trace("old", "a.test", "negotiation") == []
-            # ...and the new timeline API works on the migrated table.
-            store.save_timelines(
-                "atk",
-                "nginx.ping_flood",
-                [ConnectionTimeline(opened_at=0.0, closed_at=1.0, label="ping_flood")],
-            )
-            assert store.timeline_labels("atk") == {"ping_flood": 1}
-            assert len(store.load_timelines("atk")) == 1
+        with pytest.raises(SchemaVersionError, match="schema version 3 is older"):
+            ReportStore(path)
+        db = sqlite3.connect(path)
+        columns = [row[1] for row in db.execute("PRAGMA table_info(traces)")]
+        db.close()
+        assert "label" not in columns
 
 
 # -- _encode's fast path against the recursion it replaced (ISSUE 16) ------
