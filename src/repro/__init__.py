@@ -27,26 +27,4 @@ Quickstart::
     print(report.flow_control.zero_update_stream)   # ErrorReaction.IGNORE
 """
 
-from repro.h2 import H2Connection, ConnectionConfig, Side
-from repro.net import Network, Simulation
-from repro.scope import ScopeClient, SiteReport, scan_population, scan_site
-from repro.servers import H2Server, ServerProfile, Site, Website, deploy_site
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "ConnectionConfig",
-    "H2Connection",
-    "H2Server",
-    "Network",
-    "ScopeClient",
-    "ServerProfile",
-    "Side",
-    "Simulation",
-    "Site",
-    "SiteReport",
-    "Website",
-    "deploy_site",
-    "scan_population",
-    "scan_site",
-]

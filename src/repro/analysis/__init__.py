@@ -5,8 +5,3 @@ paper's tables and figures: empirical CDFs (Figs. 2, 4, 5, 6), count
 tables (Tables IV-VII, Sections V-B/D/E/F) and the page-load-time
 comparison (Fig. 3).
 """
-
-from repro.analysis.cdf import Cdf, render_cdf_ascii
-from repro.analysis.tables import format_table
-
-__all__ = ["Cdf", "format_table", "render_cdf_ascii"]

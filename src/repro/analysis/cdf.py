@@ -58,16 +58,19 @@ class Cdf:
         return lo / len(self.values)
 
 
+#: Columns and rows of an ASCII CDF plot's area.
+PLOT_WIDTH, PLOT_HEIGHT = 64, 16
+
+
 def render_cdf_ascii(
     series: dict[str, Sequence[float]],
-    width: int = 64,
-    height: int = 16,
     x_label: str = "",
     log_x: bool = False,
     x_min: float | None = None,
     x_max: float | None = None,
 ) -> str:
     """Render several CDFs as an ASCII plot (one marker per series)."""
+    width, height = PLOT_WIDTH, PLOT_HEIGHT
     markers = "*o+x#@%&"
     cleaned = {name: sorted(vals) for name, vals in series.items() if vals}
     if not cleaned:

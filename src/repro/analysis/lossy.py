@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from repro.analysis.pageload import visit_page
 from repro.net.transport import Endpoint, Network
 from repro.net.tls import HTTP11, decode_server_hello, encode_client_hello
-from repro.servers.site import Site, serve_site
+from repro.servers.site import TLS_PORT, Site, serve_site
 
 
 @dataclass
@@ -37,11 +37,10 @@ class LossSweepPoint:
 class _Http1Fetcher:
     """One persistent HTTP/1.1 connection working through a path queue."""
 
-    def __init__(self, network: Network, domain: str, port: int = 443):
+    def __init__(self, network: Network, domain: str):
         self.network = network
         self.sim = network.sim
         self.domain = domain
-        self.port = port
         self.endpoint: Endpoint | None = None
         self.queue: list[str] = []
         self.fetched: dict[str, bytes] = {}
@@ -50,7 +49,7 @@ class _Http1Fetcher:
         self._ready = False
 
     def start(self) -> None:
-        attempt = self.network.connect(self.domain, self.port)
+        attempt = self.network.connect(self.domain, TLS_PORT)
 
         def on_tcp(endpoint: Endpoint) -> None:
             self.endpoint = endpoint
@@ -106,14 +105,17 @@ class _Http1Fetcher:
             self._next()
 
 
+#: Budget (virtual seconds) for a whole HTTP/1.1 page load.
+H1_VISIT_TIMEOUT = 240.0
+
+
 def h1_parallel_visit(
     network: Network,
     site: Site,
     connections: int = 6,
-    path: str = "/",
-    timeout: float = 240.0,
 ) -> float:
-    """Load a page over ``connections`` parallel HTTP/1.1 connections.
+    """Load the front page ``/`` over ``connections`` parallel HTTP/1.1
+    connections, within :data:`H1_VISIT_TIMEOUT` virtual seconds.
 
     Models browser behaviour: the HTML comes first on one connection,
     discovered sub-resources are distributed round-robin across the
@@ -126,12 +128,12 @@ def h1_parallel_visit(
     for fetcher in fetchers:
         fetcher.start()
 
-    fetchers[0].enqueue(path)
-    discovered = {path}
+    fetchers[0].enqueue("/")
+    discovered = {"/"}
     parsed: set[str] = set()
     rr = 0
 
-    deadline = start + timeout
+    deadline = start + H1_VISIT_TIMEOUT
     while sim.now < deadline:
         sim.run_until(
             lambda: all(f.idle for f in fetchers) or sim.now >= deadline,

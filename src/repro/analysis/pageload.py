@@ -41,8 +41,16 @@ class VisitResult:
     timeline: dict[str, tuple[float, float]] = field(default_factory=dict)
 
 
-def render_waterfall(result: VisitResult, width: int = 56) -> str:
+#: Columns of a waterfall's bar area.
+WATERFALL_WIDTH = 56
+#: Budget (virtual seconds) for a visit's handshake, and again for its
+#: downloads.
+VISIT_TIMEOUT = 120.0
+
+
+def render_waterfall(result: VisitResult) -> str:
     """ASCII waterfall of one visit (one bar per resource)."""
+    width = WATERFALL_WIDTH
     if not result.timeline:
         return "(empty timeline)\n"
     total = max(end for _, end in result.timeline.values()) or 1.0
@@ -94,10 +102,8 @@ def visit_page(
     backend: TransportBackend,
     site: Site,
     enable_push: bool,
-    path: str = "/",
-    timeout: float = 120.0,
 ) -> VisitResult:
-    """One navigation; returns the page-load time.
+    """One navigation of the front page ``/``; returns the page-load time.
 
     Resources are discovered in *waves*: the HTML must arrive and be
     parsed before its sub-resources can be requested, and container
@@ -117,15 +123,15 @@ def visit_page(
         auto_window_update=True,
         enable_push=enable_push,
     )
-    if not client.establish_h2(timeout=timeout):
+    if not client.establish_h2(timeout=VISIT_TIMEOUT):
         client.close()
         raise RuntimeError(f"{site.domain}: could not establish HTTP/2")
     assert client.conn is not None
     client.send_window_update(0, 8 * 1024 * 1024)
 
-    stream_to_path: dict[int, str] = {client.request(path): path}
-    start_times: dict[str, float] = {path: backend.now - start}
-    discovered: set[str] = {path}
+    stream_to_path: dict[int, str] = {client.request("/"): "/"}
+    start_times: dict[str, float] = {"/": backend.now - start}
+    discovered: set[str] = {"/"}
     parsed_streams: set[int] = set()
     requested_paths: list[str] = []
 
@@ -146,7 +152,7 @@ def visit_page(
                     start_times.setdefault(promised_path, te.at - start)
         return promises
 
-    deadline = backend.now + timeout
+    deadline = backend.now + VISIT_TIMEOUT
     while backend.now < deadline:
         # Parse eagerly: as soon as ANY tracked stream finishes, its
         # links fan out — browsers do not wait for a whole "wave".

@@ -11,19 +11,7 @@ loopback backend, with or without the engines' abuse guards; see
 :mod:`repro.attacks.battery` for the nine behaviours.
 """
 
-from repro.attacks.base import AttackProfile, AttackResult
-from repro.attacks.battery import (
-    BATTERY_PROFILES,
-    SurvivalMatrix,
-    run_attack,
-    run_battery,
-)
+from repro.attacks.base import AttackResult
+from repro.attacks.battery import BATTERY_PROFILES, run_attack, run_battery
 
-__all__ = [
-    "AttackProfile",
-    "AttackResult",
-    "BATTERY_PROFILES",
-    "SurvivalMatrix",
-    "run_attack",
-    "run_battery",
-]
+__all__ = ["AttackResult", "BATTERY_PROFILES", "run_attack", "run_battery"]

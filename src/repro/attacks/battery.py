@@ -76,6 +76,8 @@ from repro.attacks.base import AttackProfile, AttackResult
 #: guard deadline (max 12 s) falls inside it with room to observe the
 #: eviction, and that a guards-off run demonstrably *holds*.
 DEFAULT_DURATION = 16.0
+#: Seconds between two samples of the victim's engine metrics.
+SAMPLE_STEP = 0.25
 
 
 def attack_website(objects: int = 32, object_size: int = 120_000) -> Website:
@@ -102,7 +104,6 @@ class AttackRun:
         client: ScopeClient,
         result: AttackResult,
         duration: float,
-        step: float,
         sampler,
         seed: int = 0,
         knobs: dict | None = None,
@@ -110,7 +111,6 @@ class AttackRun:
         self.client = client
         self.result = result
         self.duration = duration
-        self.step = step
         self.sampler = sampler
         self.seed = seed
         self.knobs = dict(knobs or {})
@@ -176,7 +176,7 @@ class AttackRun:
         """Keep the connection open until the window ends or we are
         evicted."""
         while not self.over and not self.evicted:
-            self.tick(self.step)
+            self.tick(SAMPLE_STEP)
 
     def sample(self) -> None:
         try:
@@ -541,7 +541,6 @@ def run_attack(
     guards: AbuseGuards | str | None = None,
     seed: int = 0,
     duration: float = DEFAULT_DURATION,
-    step: float = 0.25,
     record_frames: bool = False,
     knobs: dict | None = None,
 ) -> AttackResult:
@@ -588,7 +587,6 @@ def run_attack(
             client,
             result,
             duration=duration,
-            step=step,
             sampler=lambda: _sample_engine(server),
             seed=seed,
             knobs=knobs,

@@ -18,16 +18,9 @@ from __future__ import annotations
 
 from importlib import import_module
 
-from repro.experiments.common import ExperimentResult, population_scan
+from repro.experiments.common import ExperimentResult
 
-__all__ = [
-    "EXPERIMENTS",
-    "ExperimentResult",
-    "SCAN_SUMMARIES",
-    "load",
-    "population_scan",
-    "run_experiment",
-]
+__all__ = ["EXPERIMENTS", "SCAN_SUMMARIES", "load", "run_experiment"]
 
 _SCAN = ("experiment", "n_sites", "seed")
 

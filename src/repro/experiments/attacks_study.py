@@ -25,16 +25,14 @@ def _victim(domain: str, website: Website, link: LinkProfile, **profile) -> Site
     return Site(domain, ServerProfile(processing_jitter=0.0, **profile), website, link)
 
 
-def slow_read_victim(
-    streams: int = STREAMS, object_size: int = OBJECT_SIZE, **defence
-) -> Site:
-    """``streams`` large objects behind a server that accepts that many
-    concurrent streams; ``defence`` sets the window lower bound."""
+def slow_read_victim(**defence) -> Site:
+    """:data:`STREAMS` large objects behind a server that accepts that
+    many concurrent streams; ``defence`` sets the window lower bound."""
     return _victim(
         "victim.test",
-        attack_website(streams, object_size),
+        attack_website(STREAMS, OBJECT_SIZE),
         LinkProfile(rtt=0.03, bandwidth=50e6),
-        settings={3: max(128, streams + 8), 4: 65_536, 5: 16_384},
+        settings={3: max(128, STREAMS + 8), 4: 65_536, 5: 16_384},
         processing_delay=0.002,
         **defence,
     )

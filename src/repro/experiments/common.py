@@ -67,10 +67,6 @@ def population_scan(
     return _SCAN_CACHE[key]
 
 
-def clear_scan_cache() -> None:
-    _SCAN_CACHE.clear()
-
-
 #: Map an observed Server header onto the paper's family names.
 def classify_server_header(header: str | None) -> str:
     if not header:

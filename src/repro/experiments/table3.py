@@ -100,22 +100,24 @@ def characterize_vendor(vendor: str, seed: int = 0) -> dict[str, str]:
         return matrix_cells(ProbeSession(backend), site.domain)
 
 
-def characterize_vendor_socket(
-    vendor: str, bridge, timeout_scale: float = 0.15
-) -> dict[str, str]:
+#: Factor on the simulation-tuned probe timeouts over loopback sockets.
+SOCKET_TIMEOUT_SCALE = 0.15
+
+
+def characterize_vendor_socket(vendor: str, bridge) -> dict[str, str]:
     """Table III column for one vendor probed over real loopback sockets.
 
     ``bridge`` is a :class:`~repro.servers.loopback.LoopbackBridge`
     already serving ``{vendor}.testbed``.  Runs the same
     :func:`matrix_cells` suite as the simulated path, just over a
     :class:`~repro.net.socket_backend.SocketBackend` with wall-clock
-    deadlines (``timeout_scale`` shrinks the simulation-tuned probe
-    timeouts to loopback-appropriate waits).
+    deadlines (:data:`SOCKET_TIMEOUT_SCALE` shrinks the simulation-tuned
+    probe timeouts to loopback-appropriate waits).
     """
     from repro.net.socket_backend import SocketBackend
 
     backend = SocketBackend(
-        resolver=bridge.resolver(), timeout_scale=timeout_scale
+        resolver=bridge.resolver(), timeout_scale=SOCKET_TIMEOUT_SCALE
     )
     try:
         return matrix_cells(ProbeSession(backend), f"{vendor}.testbed")
@@ -123,7 +125,7 @@ def characterize_vendor_socket(
         backend.close()
 
 
-def _measure_socket(seed: int, timeout_scale: float) -> dict[str, dict[str, str]]:
+def _measure_socket(seed: int) -> dict[str, dict[str, str]]:
     """Serve all six vendors on a loopback bridge and probe them."""
     from repro.servers.loopback import LoopbackBridge
 
@@ -137,16 +139,12 @@ def _measure_socket(seed: int, timeout_scale: float) -> dict[str, dict[str, str]
                 )
             )
         return {
-            vendor: characterize_vendor_socket(
-                vendor, bridge, timeout_scale=timeout_scale
-            )
+            vendor: characterize_vendor_socket(vendor, bridge)
             for vendor in VENDORS
         }
 
 
-def run(
-    seed: int = 0, backend: str = "sim", timeout_scale: float = 0.15
-) -> ExperimentResult:
+def run(seed: int = 0, backend: str = "sim") -> ExperimentResult:
     """Reproduce Table III and diff it against the paper.
 
     ``backend="socket"`` runs the probes over real loopback TCP sockets
@@ -155,7 +153,7 @@ def run(
     come out identical either way.
     """
     if backend == "socket":
-        measured = _measure_socket(seed, timeout_scale)
+        measured = _measure_socket(seed)
     elif backend == "sim":
         measured = {
             vendor: characterize_vendor(vendor, seed=seed) for vendor in VENDORS

@@ -8,80 +8,6 @@ HTTP/2 wire protocol used by both sides of the reproduction:
 * the simulated servers (:mod:`repro.servers`) use it as a real protocol
   engine, layering vendor-specific behaviour quirks on top.
 
-The public surface re-exported here is the stable API; the submodules
-are importable directly for lower-level access.
+The package re-exports nothing: each name is imported from the
+submodule that defines it.
 """
-
-from repro.h2.constants import (
-    CONNECTION_PREFACE,
-    DEFAULT_INITIAL_WINDOW_SIZE,
-    DEFAULT_MAX_FRAME_SIZE,
-    ErrorCode,
-    FrameFlag,
-    FrameType,
-    MAX_WINDOW_SIZE,
-    SettingCode,
-)
-from repro.h2.errors import (
-    FlowControlError,
-    FrameSizeError,
-    H2ConnectionError,
-    H2Error,
-    H2StreamError,
-    HpackDecodingError,
-    ProtocolError,
-)
-from repro.h2.frames import (
-    ContinuationFrame,
-    DataFrame,
-    Frame,
-    GoAwayFrame,
-    HeadersFrame,
-    PingFrame,
-    PriorityFrame,
-    PushPromiseFrame,
-    RstStreamFrame,
-    SettingsFrame,
-    WindowUpdateFrame,
-    parse_frames,
-    serialize_frame,
-)
-from repro.h2.connection import ConnectionConfig, H2Connection, Side
-from repro.h2.priority import PriorityTree
-from repro.h2.flow_control import FlowControlWindow
-
-__all__ = [
-    "CONNECTION_PREFACE",
-    "ConnectionConfig",
-    "ContinuationFrame",
-    "DataFrame",
-    "DEFAULT_INITIAL_WINDOW_SIZE",
-    "DEFAULT_MAX_FRAME_SIZE",
-    "ErrorCode",
-    "FlowControlError",
-    "FlowControlWindow",
-    "Frame",
-    "FrameFlag",
-    "FrameSizeError",
-    "FrameType",
-    "GoAwayFrame",
-    "H2Connection",
-    "H2ConnectionError",
-    "H2Error",
-    "H2StreamError",
-    "HeadersFrame",
-    "HpackDecodingError",
-    "MAX_WINDOW_SIZE",
-    "PingFrame",
-    "PriorityFrame",
-    "PriorityTree",
-    "ProtocolError",
-    "PushPromiseFrame",
-    "RstStreamFrame",
-    "SettingCode",
-    "SettingsFrame",
-    "Side",
-    "WindowUpdateFrame",
-    "parse_frames",
-    "serialize_frame",
-]

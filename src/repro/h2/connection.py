@@ -254,7 +254,6 @@ class H2Connection:
         headers: list[tuple[bytes | str, bytes | str]],
         end_stream: bool = False,
         priority: PriorityData | None = None,
-        policy: IndexingPolicy | None = None,
     ) -> None:
         """Send a header block, fragmenting into CONTINUATION as needed."""
         stream = self._get_or_create_stream(stream_id)
@@ -265,7 +264,7 @@ class H2Connection:
                 stream.send_headers(end_stream=end_stream)
             except (H2StreamError, H2ConnectionError):
                 pass
-        block = self.encoder.encode(headers, policy=policy)
+        block = self.encoder.encode(headers)
         self._send_header_block(stream_id, block, end_stream, priority)
 
     def send_data(
@@ -273,7 +272,6 @@ class H2Connection:
         stream_id: int,
         data: bytes,
         end_stream: bool = False,
-        pad_length: int | None = None,
     ) -> None:
         """Send one DATA frame; the caller must respect windows/framing.
 
@@ -285,7 +283,6 @@ class H2Connection:
             stream_id=stream_id,
             flags=FrameFlag.END_STREAM if end_stream else FrameFlag.NONE,
             data=data,
-            pad_length=pad_length,
         )
         fc_len = frame.flow_controlled_length
         if self.config.strict:
@@ -807,22 +804,6 @@ class H2Connection:
         stream = self.streams.get(stream_id)
         if stream is not None and stream.closed:
             self.priority_tree.remove(stream_id)
-
-    def open_peer_initiated_streams(self) -> int:
-        """How many peer-initiated streams are currently not closed."""
-        peer_parity = 1 if self.side is Side.SERVER else 0
-        return sum(
-            1
-            for stream in self.streams.values()
-            if stream.stream_id % 2 == peer_parity and not stream.closed
-        )
-
-    def local_flow_available(self, stream_id: int) -> int:
-        """Octets of DATA we may send on ``stream_id`` right now."""
-        stream = self.streams.get(stream_id)
-        if stream is None:
-            return self.outbound_window.available
-        return min(stream.outbound_window.available, self.outbound_window.available)
 
     # ------------------------------------------------------------------
     # Reactions and teardown

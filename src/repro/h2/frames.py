@@ -542,19 +542,6 @@ def serialize_frame(frame: Frame) -> bytes:
     return bytes(out)
 
 
-def parse_frame_header(data) -> tuple[int, int, FrameFlag, int]:
-    """Parse a 9-octet frame header into (length, type, flags, stream_id)."""
-    if len(data) < FRAME_HEADER_LENGTH:
-        raise FrameSizeError("frame header truncated")
-    length_hi, length_lo, frame_type, flag_bits, raw_sid = _HEADER.unpack_from(data, 0)
-    return (
-        (length_hi << 8) | length_lo,
-        frame_type,
-        _FLAG_CACHE[flag_bits],
-        raw_sid & MAX_STREAM_ID,
-    )
-
-
 def parse_frames_view(
     view, max_frame_size: int | None = None
 ) -> tuple[list[Frame], int]:
@@ -609,9 +596,7 @@ def parse_frames_view(
     return frames, offset
 
 
-def parse_frames(
-    buffer, max_frame_size: int | None = None
-) -> tuple[list[Frame], bytes]:
+def parse_frames(buffer) -> tuple[list[Frame], bytes]:
     """Parse as many complete frames as ``buffer`` holds.
 
     Returns ``(frames, remainder)`` where ``remainder`` is the unparsed
@@ -621,5 +606,5 @@ def parse_frames(
     tail).
     """
     view = memoryview(buffer)
-    frames, consumed = parse_frames_view(view, max_frame_size)
+    frames, consumed = parse_frames_view(view)
     return frames, bytes(view[consumed:])

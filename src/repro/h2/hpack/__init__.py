@@ -19,17 +19,3 @@ Layout:
 libnghttp2 is the outside reference for every byte the codec writes or
 reads (``tests/h2/test_huffman_differential.py``).
 """
-
-from repro.h2.hpack.encoder import Encoder, IndexingPolicy
-from repro.h2.hpack.decoder import Decoder
-from repro.h2.hpack.table import DynamicTable, HeaderField
-from repro.h2.hpack.static_table import STATIC_TABLE
-
-__all__ = [
-    "Decoder",
-    "DynamicTable",
-    "Encoder",
-    "HeaderField",
-    "IndexingPolicy",
-    "STATIC_TABLE",
-]

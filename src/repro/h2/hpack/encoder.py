@@ -17,14 +17,13 @@ every encoder, and so by every thread that drives one: lowercased header
 names (:data:`_NAME_CACHE`) and encoded string literals
 (:data:`_STRING_CACHE`).  Each maps a key to one answer only, so a race
 can cost a recomputation but never a wrong byte, and each is bounded and
-cleared when full.  :func:`normalize_headers` is the plain statement of
-the name/value coercion the loop inlines.
+cleared when full.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from repro.h2.errors import HpackEncodingError
 from repro.h2.hpack import huffman
@@ -78,14 +77,6 @@ def _to_bytes(value: bytes | str) -> bytes:
     return value
 
 
-def normalize_headers(headers: Iterable[HeaderLike]) -> list[tuple[bytes, bytes]]:
-    """Coerce str/bytes header pairs into lowercase-name byte pairs."""
-    out = []
-    for name, value in headers:
-        out.append((_to_bytes(name).lower(), _to_bytes(value)))
-    return out
-
-
 class Encoder:
     """One endpoint's HPACK encoding context."""
 
@@ -115,10 +106,9 @@ class Encoder:
     def encode(
         self,
         headers: Sequence[HeaderLike],
-        policy: IndexingPolicy | None = None,
     ) -> bytes:
         """Serialize ``headers`` into one header block fragment."""
-        policy = policy or self.default_policy
+        policy = self.default_policy
         # Literal layout (§6.2): name-index prefix bits and pattern.
         if policy is IndexingPolicy.INDEX:
             policy_bits, policy_pattern = 6, 0x40

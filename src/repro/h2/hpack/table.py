@@ -114,20 +114,6 @@ class DynamicTable:
         name, value, _ = self._entries[self._serial - index]
         return HeaderField(name, value)
 
-    def find(self, name: bytes, value: bytes) -> tuple[int | None, int | None]:
-        """Search the table.
-
-        Returns ``(full_match, name_match)`` as 0-based dynamic indices
-        (either may be ``None``).  The most recent match wins, matching
-        the behaviour of common encoder implementations.
-        """
-        full = self._fields.get((name, value))
-        named = self._names.get(name)
-        return (
-            None if full is None else self._serial - full,
-            None if named is None else self._serial - named,
-        )
-
     def _evict_to_fit(self, incoming: int) -> None:
         entries = self._entries
         fields = self._fields

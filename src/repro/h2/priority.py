@@ -82,17 +82,6 @@ class PriorityTree:
     def __len__(self) -> int:
         return len(self._nodes) - 1  # exclude the virtual root
 
-    def parent_of(self, stream_id: int) -> int:
-        node = self._node(stream_id)
-        assert node.parent is not None
-        return node.parent.stream_id
-
-    def children_of(self, stream_id: int) -> list[int]:
-        return [child.stream_id for child in self._node(stream_id).children]
-
-    def weight_of(self, stream_id: int) -> int:
-        return self._node(stream_id).weight
-
     def depth_of(self, stream_id: int) -> int:
         node = self._node(stream_id)
         depth = 0
@@ -108,15 +97,6 @@ class PriorityTree:
             levels += 1
             frontier = [child for node in frontier for child in node.children]
         return levels
-
-    def ancestors_of(self, stream_id: int) -> list[int]:
-        """Proper ancestors, nearest first, ending with the root (0)."""
-        node = self._node(stream_id)
-        out = []
-        while node.parent is not None:
-            node = node.parent
-            out.append(node.stream_id)
-        return out
 
     # -- mutations ---------------------------------------------------------
 
@@ -280,12 +260,6 @@ class PriorityTree:
             self._allocate_soft(
                 child, child_share * child.weight / total_weight, ready, shares
             )
-
-    def unshadowed(self, ready: set[int]) -> list[int]:
-        """Ready streams whose allocation is positive, sorted by share desc."""
-        shares = self.allocation(ready)
-        positive = [(share, -sid) for sid, share in shares.items() if share > 0]
-        return [-negsid for _, negsid in sorted(positive, reverse=True)]
 
     def _allocate(
         self,

@@ -11,7 +11,6 @@ the paper's "NULL" rows are sites whose SETTINGS omitted the item.
 from __future__ import annotations
 
 from repro.h2.constants import (
-    DEFAULT_INITIAL_WINDOW_SIZE,
     DEFAULT_MAX_FRAME_SIZE,
     MAX_ALLOWED_FRAME_SIZE,
     MAX_WINDOW_SIZE,
@@ -87,11 +86,6 @@ class SettingsMap:
     @property
     def max_concurrent_streams(self) -> int | None:
         return self.get(SettingCode.MAX_CONCURRENT_STREAMS)
-
-    @property
-    def initial_window_size(self) -> int:
-        value = self.get(SettingCode.INITIAL_WINDOW_SIZE)
-        return DEFAULT_INITIAL_WINDOW_SIZE if value is None else value
 
     @property
     def max_frame_size(self) -> int:

@@ -17,19 +17,3 @@ provides the stand-in: a deterministic discrete-event simulation with
 Determinism: all randomness flows from seeds; running the same
 experiment twice produces byte-identical traces.
 """
-
-from repro.net.clock import Simulation
-from repro.net.faults import FaultKind, FaultPlan, FaultRule
-from repro.net.transport import Host, LinkProfile, Network
-from repro.net.tls import TlsServerConfig
-
-__all__ = [
-    "FaultKind",
-    "FaultPlan",
-    "FaultRule",
-    "Host",
-    "LinkProfile",
-    "Network",
-    "Simulation",
-    "TlsServerConfig",
-]

@@ -33,6 +33,10 @@ from collections.abc import Callable
 #: they outnumber the live ones (checked in ``Simulation._on_cancel``).
 _MIN_STALE_TO_COMPACT = 64
 
+#: Events one ``run``/``run_until`` call may process before it decides
+#: the simulation is running away (a callback rescheduling itself).
+MAX_EVENTS = 10_000_000
+
 
 class Timer:
     """Handle for a scheduled callback; supports cancellation."""
@@ -136,10 +140,10 @@ class Simulation:
             return True
         return False
 
-    def run(self, until: float | None = None, max_events: int = 10_000_000) -> None:
+    def run(self, until: float | None = None) -> None:
         """Run until the queue drains or the clock reaches ``until``."""
         queue = self._queue
-        for _ in range(max_events):
+        for _ in range(MAX_EVENTS):
             peek = self._peek_time()
             if peek is None:
                 if until is not None and until > self.now:
@@ -154,13 +158,12 @@ class Simulation:
             self.now = when
             timer.callback(*timer.args)
             self._processed += 1
-        raise RuntimeError(f"simulation exceeded {max_events} events")
+        raise RuntimeError(f"simulation exceeded {MAX_EVENTS} events")
 
     def run_until(
         self,
         predicate: Callable[[], bool],
         timeout: float = 60.0,
-        max_events: int = 10_000_000,
     ) -> bool:
         """Run until ``predicate()`` is true; returns whether it became true.
 
@@ -174,7 +177,7 @@ class Simulation:
         if predicate():
             return True
         queue = self._queue
-        for _ in range(max_events):
+        for _ in range(MAX_EVENTS):
             peek = self._peek_time()
             if peek is None or peek > deadline:
                 if deadline == self.now:
@@ -189,7 +192,7 @@ class Simulation:
             self._processed += 1
             if predicate():
                 return True
-        raise RuntimeError(f"simulation exceeded {max_events} events")
+        raise RuntimeError(f"simulation exceeded {MAX_EVENTS} events")
 
     def next_event_time(self) -> float | None:
         """Timestamp of the earliest live event, or None when idle.

@@ -20,10 +20,6 @@ class PingResult:
     target: str
     rtt: float | None = None  # None == host unreachable
 
-    @property
-    def reachable(self) -> bool:
-        return self.rtt is not None
-
 
 @dataclass
 class PingSession:
@@ -35,10 +31,6 @@ class PingSession:
     @property
     def rtts(self) -> list[float]:
         return [r.rtt for r in self.results if r.rtt is not None]
-
-    @property
-    def min_rtt(self) -> float | None:
-        return min(self.rtts, default=None)
 
     @property
     def avg_rtt(self) -> float | None:

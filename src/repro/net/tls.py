@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 #: Canonical protocol identifiers.
 H2 = "h2"
 HTTP11 = "http/1.1"
-SPDY3 = "spdy/3.1"
 
 #: The order H2Scope picks from a server's NPN advertisement.
 NPN_PREFERENCES = (H2, HTTP11)

@@ -14,19 +14,6 @@ that reproduces a table is simultaneously a correctness check of the
 measurement methodology.
 """
 
-from repro.population.distributions import (
-    EXPERIMENT_1,
-    EXPERIMENT_2,
-    ExperimentData,
-    experiment_data,
-)
 from repro.population.generator import PopulationConfig, make_population
 
-__all__ = [
-    "EXPERIMENT_1",
-    "EXPERIMENT_2",
-    "ExperimentData",
-    "PopulationConfig",
-    "experiment_data",
-    "make_population",
-]
+__all__ = ["PopulationConfig", "make_population"]

@@ -19,38 +19,7 @@ server's reaction.
   manifests, per-site status rows, checkpoint/resume, quarantine.
 """
 
-from repro.scope.campaign import (
-    CampaignInterrupted,
-    CampaignJournal,
-    CampaignManifest,
-    CampaignResult,
-    ManifestMismatch,
-    SiteStatus,
-)
 from repro.scope.client import ScopeClient
-from repro.scope.report import ScanError, SiteReport, summarize_errors
-from repro.scope.resilience import ResilienceConfig
-from repro.scope.scanner import (
-    ScanProgress,
-    run_campaign,
-    scan_population,
-    scan_site,
-)
+from repro.scope.scanner import scan_site
 
-__all__ = [
-    "CampaignInterrupted",
-    "CampaignJournal",
-    "CampaignManifest",
-    "CampaignResult",
-    "ManifestMismatch",
-    "ResilienceConfig",
-    "ScanError",
-    "ScanProgress",
-    "ScopeClient",
-    "SiteReport",
-    "SiteStatus",
-    "run_campaign",
-    "scan_population",
-    "scan_site",
-    "summarize_errors",
-]
+__all__ = ["ScopeClient", "scan_site"]

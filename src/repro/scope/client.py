@@ -358,7 +358,6 @@ class ScopeClient:
     def request(
         self,
         path: str = "/",
-        end_stream: bool = True,
         priority: PriorityData | None = None,
         extra_headers: list[tuple[str, str]] | None = None,
     ) -> int:
@@ -374,7 +373,7 @@ class ScopeClient:
         ]
         headers.extend(extra_headers or [])
         self.conn.send_headers(
-            stream_id, headers, end_stream=end_stream, priority=priority
+            stream_id, headers, end_stream=True, priority=priority
         )
         self.flush()
         return stream_id
@@ -441,13 +440,6 @@ class ScopeClient:
                 return te.event
         return None
 
-    def data_for(self, stream_id: int) -> bytes:
-        return b"".join(
-            te.event.data
-            for te in self.events_of(ev.DataReceived)
-            if te.event.stream_id == stream_id
-        )
-
     def close(self) -> None:
         if self.endpoint is not None and not self.endpoint.closed:
             self.endpoint.close()
@@ -503,7 +495,7 @@ class ScopeClient:
             self._on_data(rest)
         return True
 
-    def http1_get(self, path: str = "/", timeout: float = DEFAULT_TIMEOUT) -> float | None:
+    def http1_get(self, path: str = "/") -> float | None:
         """Issue an HTTP/1.1 GET; returns request→first-byte interval."""
         assert self.endpoint is not None
         self._mode = "http1"
@@ -516,7 +508,7 @@ class ScopeClient:
         )
         self._wait(
             lambda: self._http1_response_at is not None,
-            self._budget(timeout, "http/1.1 response"),
+            self._budget(DEFAULT_TIMEOUT, "http/1.1 response"),
         )
         if self._http1_response_at is None:
             return None

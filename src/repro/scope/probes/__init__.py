@@ -13,7 +13,6 @@ A CI grep enforces this.
 """
 
 from repro.scope.probes.negotiation import probe_negotiation
-from repro.scope.probes.settings_probe import probe_settings
 from repro.scope.probes.multiplexing import probe_multiplexing
 from repro.scope.probes.flow_control import (
     probe_large_window_update,
@@ -35,7 +34,6 @@ __all__ = [
     "probe_priority",
     "probe_push",
     "probe_self_dependency",
-    "probe_settings",
     "probe_tiny_window",
     "probe_zero_window_headers",
     "probe_zero_window_update",

@@ -21,15 +21,16 @@ from repro.scope.session import ProbeSession
 
 #: Budget (backend clock-seconds) for each response's HEADERS.
 HPACK_TIMEOUT = 10.0
+#: Requests whose header blocks Eq. 1 compares.
+REPETITIONS = 8
 
 
 def probe_hpack(
     session: ProbeSession,
     domain: str,
     path: str = "/",
-    repetitions: int = 8,
 ) -> HpackResult:
-    result = HpackResult(requests=repetitions)
+    result = HpackResult(requests=REPETITIONS)
     client = session.client(domain, settings={IWS: HEADERS_ONLY_WINDOW})
     if not client.establish_h2():
         client.close()
@@ -38,7 +39,7 @@ def probe_hpack(
     assert conn is not None
 
     sizes: list[int] = []
-    for _ in range(repetitions):
+    for _ in range(REPETITIONS):
         stream_id = client.request(path)
         client.wait_for(
             lambda: client.headers_for(stream_id) is not None,
@@ -55,6 +56,6 @@ def probe_hpack(
 
     client.close()
     result.header_sizes = sizes
-    if len(sizes) == repetitions and sizes[0] > 0:
-        result.ratio = sum(sizes) / (sizes[0] * repetitions)
+    if len(sizes) == REPETITIONS and sizes[0] > 0:
+        result.ratio = sum(sizes) / (sizes[0] * REPETITIONS)
     return result

@@ -117,10 +117,6 @@ class Deadline:
     def remaining(self) -> float:
         return self.at - self.clock.now
 
-    @property
-    def expired(self) -> bool:
-        return self.remaining <= 0
-
     def clamp(self, timeout: float, *what: str) -> float:
         """Bound ``timeout`` by the budget; raise once it is spent.
 

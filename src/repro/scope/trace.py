@@ -153,11 +153,12 @@ def describe_frame(frame: Frame) -> str:
     return repr(frame)  # pragma: no cover - exhaustive above
 
 
-def render_trace(timed_frames: Iterable, direction: str = "<") -> str:
-    """Render a list of :class:`TracedFrame` objects."""
+def render_trace(timed_frames: Iterable) -> str:
+    """Render a list of :class:`TracedFrame` objects, each marked ``<``
+    (received: traces record inbound frames)."""
     lines = []
     for timed in timed_frames:
-        lines.append(f"[{timed.at:9.4f}] {direction} {describe_frame(timed.frame)}")
+        lines.append(f"[{timed.at:9.4f}] < {describe_frame(timed.frame)}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

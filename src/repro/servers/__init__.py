@@ -13,36 +13,6 @@ paper examines (Nginx 1.9.15, LiteSpeed 5.0.11, H2O 1.6.2, nghttpd
 families (GSE, cloudflare-nginx, IdeaWebServer, Tengine/Aserver).
 """
 
-from repro.servers.profiles import ServerProfile, TinyWindowBehavior
-from repro.servers.website import Resource, Website
-from repro.servers.engine import H2Server
-from repro.servers.site import Site, deploy_site, serve_site
-from repro.servers.vendors import (
-    apache,
-    gse,
-    h2o,
-    litespeed,
-    nghttpd,
-    nginx,
-    tengine,
-    VENDOR_FACTORIES,
-)
+from repro.servers.site import Site, serve_site
 
-__all__ = [
-    "H2Server",
-    "Resource",
-    "ServerProfile",
-    "Site",
-    "TinyWindowBehavior",
-    "VENDOR_FACTORIES",
-    "Website",
-    "apache",
-    "deploy_site",
-    "gse",
-    "h2o",
-    "litespeed",
-    "nghttpd",
-    "nginx",
-    "serve_site",
-    "tengine",
-]
+__all__ = ["Site", "serve_site"]

@@ -204,17 +204,6 @@ class LoopbackFleet:
         """The ``(domain, port) -> (host, port)`` map for the campaign."""
         return dict(self._mapping)
 
-    def healthy_sites(self) -> list[Site]:
-        """The sites a live campaign should produce real verdicts for."""
-        return [
-            site for site in self.sites if self.faults[site.domain] == HEALTHY
-        ]
-
-    def domains_with(self, kind: str) -> list[str]:
-        return [
-            domain for domain in self.domains if self.faults[domain] == kind
-        ]
-
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:

@@ -106,7 +106,11 @@ def default_website() -> Website:
     return site
 
 
-def testbed_website(object_size: int = 400_000, objects: int = 8) -> Website:
+#: The testbed's large objects: how many, and octets each.
+TESTBED_OBJECTS, TESTBED_OBJECT_SIZE = 8, 400_000
+
+
+def testbed_website() -> Website:
     """The paper's testbed content: several *large* objects.
 
     §III-A1: the multiplexing probe only works against servers hosting
@@ -114,9 +118,9 @@ def testbed_website(object_size: int = 400_000, objects: int = 8) -> Website:
     observed), so the authors place large files on their testbed server.
     """
     site = Website()
-    paths = [f"/large/{i}.bin" for i in range(objects)]
+    paths = [f"/large/{i}.bin" for i in range(TESTBED_OBJECTS)]
     for path in paths:
-        site.add(Resource(path, object_size, "application/octet-stream"))
+        site.add(Resource(path, TESTBED_OBJECT_SIZE, "application/octet-stream"))
     # Medium objects used by the priority probe's window-depletion step.
     for i in range(16):
         site.add(Resource(f"/medium/{i}.bin", 60_000, "application/octet-stream"))
@@ -137,7 +141,6 @@ def testbed_website(object_size: int = 400_000, objects: int = 8) -> Website:
 
 def random_website(
     rng: random.Random,
-    push_capable: bool = False,
     cookie_prob: float = 0.2,
 ) -> Website:
     """A randomly sized site for population experiments.
@@ -166,7 +169,6 @@ def random_website(
     for asset in assets:
         site.add(asset)
     links = tuple(asset.path for asset in assets)
-    pushed = links[:3] if push_capable else ()
     extra = ()
     if rng.random() < cookie_prob:
         extra = (("set-cookie", f"session={rng.getrandbits(64):x}; Path=/"),)
@@ -176,7 +178,6 @@ def random_website(
             rng.randint(5_000, 120_000),
             "text/html",
             links=links,
-            push=pushed,
             extra_headers=extra,
         )
     )

@@ -19,7 +19,7 @@ from repro.experiments import (
     table3,
     table4,
 )
-from repro.experiments.common import clear_scan_cache
+from tests.support.readers import clear_scan_cache
 
 N_SITES = 150
 SEED = 17

@@ -20,6 +20,12 @@ from repro.h2.frames import (
 )
 
 from tests.support.frames import FrameTap
+from tests.support.readers import (
+    local_flow_available,
+    open_peer_initiated_streams,
+    parent_of,
+    weight_of,
+)
 
 IWS = int(SettingCode.INITIAL_WINDOW_SIZE)
 MCS = int(SettingCode.MAX_CONCURRENT_STREAMS)
@@ -239,7 +245,7 @@ class TestFlowControlEnforcement:
         # rule), not per DATA frame: after 49,152 octets the sender may
         # always send at least half a window again, and that took at
         # most one update for the connection and one for the stream.
-        assert client.local_flow_available(sid) > 65_535 // 2
+        assert local_flow_available(client, sid) > 65_535 // 2
         updates = [
             frame
             for frame in server_tap.sent
@@ -453,7 +459,7 @@ class TestPriorityHandling:
             priority=PriorityData(depends_on=0, weight=99),
         )
         pump(client, server)
-        assert server.priority_tree.weight_of(sid) == 99
+        assert weight_of(server.priority_tree, sid) == 99
 
     def test_priority_frame_reprioritizes(self, pair):
         client, server = pair
@@ -463,7 +469,7 @@ class TestPriorityHandling:
         client.send_headers(b, REQUEST)
         client.send_priority(b, depends_on=a, weight=10)
         pump(client, server)
-        assert server.priority_tree.parent_of(b) == a
+        assert parent_of(server.priority_tree, b) == a
 
     def test_self_dependency_default_rst(self):
         client = H2Connection(ConnectionConfig(side=Side.CLIENT, strict=False))
@@ -595,7 +601,7 @@ class TestAccounting:
             sid = client.next_stream_id()
             client.send_headers(sid, REQUEST)
         pump(client, server)
-        assert server.open_peer_initiated_streams() == 3
+        assert open_peer_initiated_streams(server) == 3
 
     def test_received_and_frames_sent_account_for_traffic(self, pair):
         client, server = pair

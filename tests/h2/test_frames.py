@@ -18,10 +18,11 @@ from repro.h2.frames import (
     SettingsFrame,
     UnknownFrame,
     WindowUpdateFrame,
-    parse_frame_header,
     parse_frames,
+    parse_frames_view,
     serialize_frame,
 )
+from tests.support.readers import parse_frame_header
 
 
 def roundtrip(frame):
@@ -374,7 +375,7 @@ class TestStreamParsing:
     def test_max_frame_size_enforced(self):
         wire = serialize_frame(DataFrame(stream_id=1, data=b"x" * 100))
         with pytest.raises(FrameSizeError):
-            parse_frames(wire, max_frame_size=50)
+            parse_frames_view(memoryview(wire), 50)
 
     def test_oversized_serialize_rejected(self):
         with pytest.raises(FrameSizeError):

@@ -62,8 +62,8 @@ from repro.h2.frames import (
     RstStreamFrame,
     SettingsFrame,
     WindowUpdateFrame,
-    parse_frame_header,
     parse_frames,
+    parse_frames_view,
     serialize_frame,
     serialize_frame_into,
 )
@@ -72,6 +72,7 @@ from repro.h2.hpack.encoder import Encoder
 
 from tests.h2.test_fuzz_roundtrip import FRAME_SEED, random_frame
 from tests.support.nghttp2 import ServerSession, error_frames, libraries
+from tests.support.readers import parse_frame_header
 
 pytestmark = pytest.mark.skipif(not libraries(), reason="no libnghttp2 loads")
 
@@ -557,7 +558,7 @@ def codec_outcome(frame: bytes):
     """Our frame layer at the server's SETTINGS_MAX_FRAME_SIZE:
     ``(outcome, (class, message))``, or ``(None, None)`` if it parses."""
     try:
-        parse_frames(frame, max_frame_size=DEFAULT_MAX_FRAME_SIZE)
+        parse_frames_view(memoryview(frame), DEFAULT_MAX_FRAME_SIZE)
     except (FrameSizeError, ProtocolError) as exc:
         return ("GOAWAY", int(exc.error_code)), (type(exc).__name__, str(exc))
     return None, None

@@ -34,11 +34,13 @@ from repro.h2.frames import (
     UnknownFrame,
     WindowUpdateFrame,
     parse_frames,
+    parse_frames_view,
     serialize_frame,
 )
 from repro.h2.hpack.decoder import Decoder
-from repro.h2.hpack.encoder import Encoder, IndexingPolicy, normalize_headers
+from repro.h2.hpack.encoder import Encoder, IndexingPolicy
 from repro.h2.hpack.integer import decode_integer, encode_integer
+from tests.support.readers import normalize_headers
 
 FRAME_SEED = 0x48545450  # "HTTP"
 HPACK_SEED = 0x68325363  # "h2Sc"
@@ -171,7 +173,7 @@ class TestFrameRoundTrip:
         frame = DataFrame(stream_id=1, data=b"x" * 100)
         wire = serialize_frame(frame)
         with pytest.raises(FrameSizeError):
-            parse_frames(wire, max_frame_size=99)
+            parse_frames_view(memoryview(wire), 99)
 
     def test_weight_out_of_range_refused_at_serialize(self):
         with pytest.raises(ProtocolError):

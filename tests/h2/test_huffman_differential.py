@@ -28,11 +28,12 @@ from hypothesis import given, settings, strategies as st
 from repro.h2.errors import HpackDecodingError
 from repro.h2.hpack import huffman
 from repro.h2.hpack.decoder import Decoder
-from repro.h2.hpack.encoder import Encoder, IndexingPolicy, normalize_headers
+from repro.h2.hpack.encoder import Encoder, IndexingPolicy
 from repro.h2.hpack.integer import decode_integer, encode_integer
 
 from tests.h2.test_huffman import RFC_VECTORS
 from tests.support.nghttp2 import Deflater, Inflater, Nghttp2Error, libraries
+from tests.support.readers import normalize_headers
 
 pytestmark = pytest.mark.skipif(not libraries(), reason="no libnghttp2 loads")
 
@@ -247,7 +248,8 @@ class TestHpackBothWays:
                 if table_size is not None:
                     encoder.header_table_size = table_size
                     inflater.change_table_size(table_size)
-                block = encoder.encode(headers, policy)
+                encoder.default_policy = policy
+                block = encoder.encode(headers)
                 assert inflater.inflate(block) == normalize_headers(headers), ng
                 assert inflater.dynamic_table_size == encoder.table.size, ng
 

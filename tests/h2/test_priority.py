@@ -5,6 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.h2.errors import ProtocolError
 from repro.h2.priority import PriorityTree, SelfDependencyError
+from tests.support.readers import (
+    ancestors_of,
+    children_of,
+    parent_of,
+    unshadowed,
+    weight_of,
+)
 
 
 def build_paper_tree() -> tuple[PriorityTree, dict[str, int]]:
@@ -24,20 +31,20 @@ class TestInsert:
     def test_default_parent_is_root(self):
         tree = PriorityTree()
         tree.insert(1)
-        assert tree.parent_of(1) == 0
+        assert parent_of(tree, 1) == 0
 
     def test_dependency_chain(self):
         tree, ids = build_paper_tree()
-        assert tree.parent_of(ids["E"]) == ids["B"]
-        assert tree.parent_of(ids["B"]) == ids["A"]
-        assert tree.parent_of(ids["A"]) == 0
+        assert parent_of(tree, ids["E"]) == ids["B"]
+        assert parent_of(tree, ids["B"]) == ids["A"]
+        assert parent_of(tree, ids["A"]) == 0
         assert tree.depth_of(ids["E"]) == 3
 
     def test_unknown_parent_attaches_to_root(self):
         # §5.3.1: dependency on a stream not in the tree -> root.
         tree = PriorityTree()
         tree.insert(5, depends_on=99)
-        assert tree.parent_of(5) == 0
+        assert parent_of(tree, 5) == 0
 
     def test_duplicate_insert_rejected(self):
         tree = PriorityTree()
@@ -61,75 +68,75 @@ class TestInsert:
         tree.insert(1)
         tree.insert(3)
         tree.insert(5, depends_on=0, exclusive=True)
-        assert tree.parent_of(5) == 0
-        assert sorted(tree.children_of(5)) == [1, 3]
-        assert tree.children_of(0) == [5]
+        assert parent_of(tree, 5) == 0
+        assert sorted(children_of(tree, 5)) == [1, 3]
+        assert children_of(tree, 0) == [5]
 
     def test_ancestors(self):
         tree, ids = build_paper_tree()
-        assert tree.ancestors_of(ids["E"]) == [ids["B"], ids["A"], 0]
+        assert ancestors_of(tree, ids["E"]) == [ids["B"], ids["A"], 0]
 
 
 class TestReprioritize:
     def test_simple_move(self):
         tree, ids = build_paper_tree()
         tree.reprioritize(ids["E"], depends_on=ids["C"], weight=1)
-        assert tree.parent_of(ids["E"]) == ids["C"]
-        assert tree.children_of(ids["B"]) == []
+        assert parent_of(tree, ids["E"]) == ids["C"]
+        assert children_of(tree, ids["B"]) == []
 
     def test_weight_change(self):
         tree, ids = build_paper_tree()
         tree.reprioritize(ids["B"], depends_on=ids["A"], weight=200)
-        assert tree.weight_of(ids["B"]) == 200
+        assert weight_of(tree, ids["B"]) == 200
 
     def test_unknown_stream_is_inserted(self):
         tree = PriorityTree()
         tree.reprioritize(7, depends_on=0, weight=42)
         assert 7 in tree
-        assert tree.weight_of(7) == 42
+        assert weight_of(tree, 7) == 42
 
     def test_section_533_descendant_move_non_exclusive(self):
         """Moving A under its own descendant D hoists D first (§5.3.3)."""
         tree, ids = build_paper_tree()
         tree.reprioritize(ids["A"], depends_on=ids["D"], weight=16, exclusive=False)
-        assert tree.parent_of(ids["D"]) == 0
-        assert tree.parent_of(ids["A"]) == ids["D"]
+        assert parent_of(tree, ids["D"]) == 0
+        assert parent_of(tree, ids["A"]) == ids["D"]
         # F stays with D; B and C stay with A.
-        assert sorted(tree.children_of(ids["D"])) == sorted([ids["F"], ids["A"]])
-        assert sorted(tree.children_of(ids["A"])) == sorted([ids["B"], ids["C"]])
+        assert sorted(children_of(tree, ids["D"])) == sorted([ids["F"], ids["A"]])
+        assert sorted(children_of(tree, ids["A"])) == sorted([ids["B"], ids["C"]])
 
     def test_section_533_descendant_move_exclusive(self):
         """The paper's Fig. 1 sub-figure (2): exclusive move of A under B."""
         tree, ids = build_paper_tree()
         tree.reprioritize(ids["A"], depends_on=ids["B"], weight=1, exclusive=True)
         # B is hoisted to A's old parent (the root)...
-        assert tree.parent_of(ids["B"]) == 0
+        assert parent_of(tree, ids["B"]) == 0
         # ...A becomes B's only child and adopts B's children (E).
-        assert tree.children_of(ids["B"]) == [ids["A"]]
-        assert sorted(tree.children_of(ids["A"])) == sorted(
+        assert children_of(tree, ids["B"]) == [ids["A"]]
+        assert sorted(children_of(tree, ids["A"])) == sorted(
             [ids["C"], ids["D"], ids["E"]]
         )
-        assert tree.parent_of(ids["F"]) == ids["D"]
+        assert parent_of(tree, ids["F"]) == ids["D"]
 
     def test_fig1_non_exclusive_variant(self):
         """The paper's Fig. 1 sub-figure (3): same move, exclusive=False."""
         tree, ids = build_paper_tree()
         tree.reprioritize(ids["A"], depends_on=ids["B"], weight=1, exclusive=False)
-        assert tree.parent_of(ids["B"]) == 0
-        assert sorted(tree.children_of(ids["B"])) == sorted([ids["E"], ids["A"]])
-        assert sorted(tree.children_of(ids["A"])) == sorted([ids["C"], ids["D"]])
+        assert parent_of(tree, ids["B"]) == 0
+        assert sorted(children_of(tree, ids["B"])) == sorted([ids["E"], ids["A"]])
+        assert sorted(children_of(tree, ids["A"])) == sorted([ids["C"], ids["D"]])
 
     def test_algorithm1_reprioritisation_sequence(self):
         """The exact PRIORITY frames the probe sends (D -> A -> {B,C,F})."""
         tree, ids = build_paper_tree()
         tree.reprioritize(ids["A"], depends_on=ids["D"], weight=16, exclusive=True)
         tree.reprioritize(ids["E"], depends_on=ids["C"], weight=16, exclusive=False)
-        assert tree.parent_of(ids["D"]) == 0
-        assert tree.children_of(ids["D"]) == [ids["A"]]
-        assert sorted(tree.children_of(ids["A"])) == sorted(
+        assert parent_of(tree, ids["D"]) == 0
+        assert children_of(tree, ids["D"]) == [ids["A"]]
+        assert sorted(children_of(tree, ids["A"])) == sorted(
             [ids["B"], ids["C"], ids["F"]]
         )
-        assert tree.children_of(ids["C"]) == [ids["E"]]
+        assert children_of(tree, ids["C"]) == [ids["E"]]
 
     def test_self_dependency_raises(self):
         tree, ids = build_paper_tree()
@@ -141,7 +148,7 @@ class TestRemove:
     def test_children_move_to_grandparent(self):
         tree, ids = build_paper_tree()
         tree.remove(ids["B"])
-        assert tree.parent_of(ids["E"]) == ids["A"]
+        assert parent_of(tree, ids["E"]) == ids["A"]
         assert ids["B"] not in tree
 
     def test_removed_weight_redistributed(self):
@@ -151,8 +158,8 @@ class TestRemove:
         tree.insert(5, 1, weight=30)
         tree.remove(1)
         # Children split the parent's 100 in a 1:3 ratio.
-        assert tree.weight_of(3) == 25
-        assert tree.weight_of(5) == 75
+        assert weight_of(tree, 3) == 25
+        assert weight_of(tree, 5) == 75
 
     def test_remove_unknown_is_noop(self):
         tree = PriorityTree()
@@ -197,7 +204,7 @@ class TestAllocation:
         tree = PriorityTree()
         tree.insert(1, 0, weight=200)
         tree.insert(3, 0, weight=10)
-        assert tree.unshadowed({1, 3}) == [1, 3]
+        assert unshadowed(tree, {1, 3}) == [1, 3]
 
     def test_soft_allocation_gives_everyone_a_share(self):
         tree, ids = build_paper_tree()
@@ -260,7 +267,7 @@ class TestInvariants:
             for stream_id in list(tree._nodes):
                 if stream_id == 0:
                     continue
-                ancestors = tree.ancestors_of(stream_id)
+                ancestors = ancestors_of(tree, stream_id)
                 assert ancestors[-1] == 0
                 assert stream_id not in ancestors
                 assert len(ancestors) == len(set(ancestors))

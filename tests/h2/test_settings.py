@@ -12,6 +12,7 @@ from repro.h2.constants import (
 )
 from repro.h2.errors import FlowControlError, ProtocolError
 from repro.h2.settings import SettingsMap, validate_setting
+from tests.support.readers import initial_window_size
 
 
 class TestDefaults:
@@ -20,7 +21,7 @@ class TestDefaults:
         assert settings.header_table_size == 4096
         assert settings.enable_push is True
         assert settings.max_concurrent_streams is None  # unlimited
-        assert settings.initial_window_size == 65_535
+        assert initial_window_size(settings) == 65_535
         assert settings.max_frame_size == 16_384
         assert settings.max_header_list_size is None  # unlimited
 
@@ -30,7 +31,7 @@ class TestDefaults:
 
     def test_explicit_overrides_default(self):
         settings = SettingsMap({int(SettingCode.INITIAL_WINDOW_SIZE): 0})
-        assert settings.initial_window_size == 0
+        assert initial_window_size(settings) == 0
         assert settings.announced(SettingCode.INITIAL_WINDOW_SIZE) == 0
 
     def test_unknown_identifier_returns_none(self):
@@ -136,4 +137,4 @@ class TestIntLookupsAgreeWithTheEnumVersion:
         settings = SettingsMap({SettingCode.MAX_FRAME_SIZE: 20_000, 4: 7})
         assert settings.get(5) == settings.get(SettingCode.MAX_FRAME_SIZE) == 20_000
         assert settings.max_frame_size == 20_000
-        assert settings.get(SettingCode.INITIAL_WINDOW_SIZE) == settings.initial_window_size == 7
+        assert settings.get(SettingCode.INITIAL_WINDOW_SIZE) == initial_window_size(settings) == 7

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.net import clock
 from repro.net.clock import Simulation
 
 
@@ -115,7 +116,8 @@ class TestRunVariants:
         sim.run()
         assert sim.processed_events == 4
 
-    def test_runaway_guard(self):
+    def test_runaway_guard(self, monkeypatch):
+        monkeypatch.setattr(clock, "MAX_EVENTS", 100)
         sim = Simulation()
 
         def forever():
@@ -123,7 +125,7 @@ class TestRunVariants:
 
         sim.call_later(0.0, forever)
         with pytest.raises(RuntimeError):
-            sim.run(max_events=100)
+            sim.run()
 
 
 class TestEventAccounting:

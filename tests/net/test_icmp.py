@@ -22,7 +22,7 @@ def test_multiple_samples():
     session = icmp_ping(network, "target.example", count=4)
     assert len(session.rtts) == 4
     assert session.avg_rtt == pytest.approx(0.05, abs=0.001)
-    assert session.min_rtt <= session.avg_rtt
+    assert min(session.rtts) <= session.avg_rtt
 
 
 def test_unknown_host_unreachable():
@@ -31,7 +31,7 @@ def test_unknown_host_unreachable():
     session = icmp_ping(network, "ghost.example", count=2)
     assert session.rtts == []
     assert session.avg_rtt is None
-    assert all(not r.reachable for r in session.results)
+    assert all(r.rtt is None for r in session.results)
 
 
 def test_kernel_turnaround_is_small():

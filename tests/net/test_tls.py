@@ -7,7 +7,6 @@ from repro.net.clock import Simulation
 from repro.net.tls import (
     H2,
     HTTP11,
-    SPDY3,
     TlsServerConfig,
     decode_client_hello,
     decode_server_hello,
@@ -21,6 +20,9 @@ from repro.servers.profiles import ServerProfile
 from repro.servers.site import Site, deploy_site
 from repro.servers.website import default_website
 from tests.conftest import sim_session
+
+#: A protocol token neither side offers.
+SPDY3 = "spdy/3.1"
 
 
 class TestAlpn:

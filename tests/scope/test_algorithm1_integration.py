@@ -17,6 +17,7 @@ from repro.servers.site import Site, deploy_site
 from repro.servers.vendors import h2o
 from repro.servers.website import testbed_website
 from tests.conftest import sim_session
+from tests.support.readers import children_of, data_for, parent_of, weight_of
 
 
 @pytest.fixture
@@ -64,14 +65,14 @@ class TestTableIPlanting:
         network, server, client = deployed
         ids = plant_table_one(client)
         tree = server_tree(server)
-        assert tree.parent_of(ids["A"]) == 0
-        assert sorted(tree.children_of(ids["A"])) == sorted(
+        assert parent_of(tree, ids["A"]) == 0
+        assert sorted(children_of(tree, ids["A"])) == sorted(
             [ids["B"], ids["C"], ids["D"]]
         )
-        assert tree.children_of(ids["B"]) == [ids["E"]]
-        assert tree.children_of(ids["D"]) == [ids["F"]]
+        assert children_of(tree, ids["B"]) == [ids["E"]]
+        assert children_of(tree, ids["D"]) == [ids["F"]]
         for label in "ABCDEF":
-            assert tree.weight_of(ids[label]) == 1
+            assert weight_of(tree, ids[label]) == 1
 
 
 class TestTableIIReprioritisation:
@@ -82,12 +83,12 @@ class TestTableIIReprioritisation:
         client.send_priority(ids["A"], depends_on=ids["B"], weight=1, exclusive=True)
         client.backend.sleep(1.0)
         tree = server_tree(server)
-        assert tree.parent_of(ids["B"]) == 0
-        assert tree.children_of(ids["B"]) == [ids["A"]]
-        assert sorted(tree.children_of(ids["A"])) == sorted(
+        assert parent_of(tree, ids["B"]) == 0
+        assert children_of(tree, ids["B"]) == [ids["A"]]
+        assert sorted(children_of(tree, ids["A"])) == sorted(
             [ids["C"], ids["D"], ids["E"]]
         )
-        assert tree.children_of(ids["D"]) == [ids["F"]]
+        assert children_of(tree, ids["D"]) == [ids["F"]]
 
     def test_non_exclusive_priority_frame_gives_fig1_tree_3(self, deployed):
         """Table II row 2: A depends on B, non-exclusive -> Fig. 1 (3)."""
@@ -96,9 +97,9 @@ class TestTableIIReprioritisation:
         client.send_priority(ids["A"], depends_on=ids["B"], weight=1, exclusive=False)
         client.backend.sleep(1.0)
         tree = server_tree(server)
-        assert tree.parent_of(ids["B"]) == 0
-        assert sorted(tree.children_of(ids["B"])) == sorted([ids["E"], ids["A"]])
-        assert sorted(tree.children_of(ids["A"])) == sorted([ids["C"], ids["D"]])
+        assert parent_of(tree, ids["B"]) == 0
+        assert sorted(children_of(tree, ids["B"])) == sorted([ids["E"], ids["A"]])
+        assert sorted(children_of(tree, ids["A"])) == sorted([ids["C"], ids["D"]])
 
 
 class TestWindowDepletionMechanism:
@@ -123,7 +124,7 @@ class TestWindowDepletionMechanism:
         # Another request cannot receive anything either.
         other = client.request("/large/1.bin")
         network.sim.run(until=network.sim.now + 2.0)
-        assert client.data_for(other) == b""
+        assert data_for(client, other) == b""
 
     def test_window_update_releases_everything(self, deployed):
         network, server, client = deployed
@@ -137,4 +138,4 @@ class TestWindowDepletionMechanism:
             ),
             timeout=60,
         )
-        assert len(client.data_for(sid)) == testbed_website().get("/large/0.bin").size
+        assert len(data_for(client, sid)) == testbed_website().get("/large/0.bin").size

@@ -10,6 +10,7 @@ from repro.servers.website import default_website
 from repro.scope.trace import TraceRecorder
 from tests.conftest import sim_session
 from tests.support.frames import tap_connections
+from tests.support.readers import data_for
 
 
 def make_network(profile=None, rtt=0.05):
@@ -101,7 +102,7 @@ class TestLoggingAndInspection:
                 for te in client.events
             )
         )
-        assert client.data_for(sid) == default_website().get("/style.css").body()
+        assert data_for(client, sid) == default_website().get("/style.css").body()
 
     def test_stream_events_filter(self):
         network = make_network()
@@ -171,7 +172,7 @@ class TestLoggingAndInspection:
                 te.event.stream_id == second for te in client.events_of(ev.StreamEnded)
             )
         )
-        assert client.data_for(second)
+        assert data_for(client, second)
         assert tap.errors == []
         # The cancelled body was not heard, yet it was paid for.
         arrived = sum(
@@ -179,4 +180,4 @@ class TestLoggingAndInspection:
             for frame in tap.received
             if isinstance(frame, DataFrame) and frame.stream_id == first
         )
-        assert arrived > len(client.data_for(first))
+        assert arrived > len(data_for(client, first))

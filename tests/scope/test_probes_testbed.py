@@ -20,6 +20,7 @@ from repro.scope.probes import (
     probe_zero_window_headers,
     probe_zero_window_update,
 )
+from repro.scope.probes.hpack_probe import REPETITIONS
 from repro.scope.report import ErrorReaction, TinyWindowResult
 
 from tests.conftest import sim_session
@@ -321,9 +322,10 @@ class TestHpackRow:
 
     def test_ratio_uses_equation_1(self):
         network, domain = deploy_vendor("h2o")
-        result = probe_hpack(sim_session(network), domain, repetitions=4)
+        result = probe_hpack(sim_session(network), domain)
         sizes = result.header_sizes
-        assert result.ratio == pytest.approx(sum(sizes) / (sizes[0] * 4))
+        assert len(sizes) == REPETITIONS
+        assert result.ratio == pytest.approx(sum(sizes) / (sizes[0] * REPETITIONS))
 
     def test_announced_stream_limit_is_honoured(self):
         """The population's ``site000063`` at seed 7: LiteSpeed

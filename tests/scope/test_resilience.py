@@ -61,9 +61,9 @@ class TestDeadline:
     def test_expires_as_virtual_time_advances(self):
         sim = Simulation()
         deadline = Deadline(sim, 5.0)
-        assert not deadline.expired
+        assert deadline.remaining > 0
         sim.run(until=6.0)
-        assert deadline.expired
+        assert deadline.remaining <= 0
         with pytest.raises(DeadlineExceeded):
             deadline.clamp(1.0, "settle")
 

@@ -46,7 +46,7 @@ def bridge():
 @pytest.mark.parametrize("vendor", VENDORS)
 def test_loopback_matrix_matches_simulated(bridge, vendor):
     expected = characterize_vendor(vendor, seed=SEED)
-    got = characterize_vendor_socket(vendor, bridge, timeout_scale=0.15)
+    got = characterize_vendor_socket(vendor, bridge)
     mismatches = {
         row: (expected[row], got.get(row))
         for row in expected

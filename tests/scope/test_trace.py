@@ -36,6 +36,7 @@ from repro.servers.site import Site, deploy_site
 from repro.servers.website import default_website
 from tests.conftest import sim_session
 from tests.support.frames import tap_connections
+from tests.support.readers import timeline_labels, timelines_of
 
 #: One of every frame type, exercising the odd corners: unknown frame
 #: types, GOAWAY debug data, unregistered SETTINGS identifiers and
@@ -132,9 +133,9 @@ class TestRenderTrace:
             TracedFrame(at=0.05, frame=PingFrame()),
             TracedFrame(at=1.25, frame=SettingsFrame()),
         ]
-        out = render_trace(frames, direction=">")
+        out = render_trace(frames)
         lines = out.splitlines()
-        assert lines[0].startswith("[   0.0500] >")
+        assert lines[0].startswith("[   0.0500] <")
         assert "SETTINGS" in lines[1]
 
     def test_empty_trace(self):
@@ -351,9 +352,9 @@ class TestTimelineRoundTrip:
             assert len(restored) == 1
             assert restored[0].label == "slow_headers"
             assert restored[0].frames == timeline.frames
-            assert store.load_timelines("atk", "nginx.slow_headers")
-            assert store.load_timelines("atk", "other") == []
-            assert store.timeline_labels("atk") == {
+            assert timelines_of(store, "atk", "nginx.slow_headers")
+            assert timelines_of(store, "atk", "other") == []
+            assert timeline_labels(store, "atk") == {
                 None: 1,
                 "slow_headers": 1,
             }

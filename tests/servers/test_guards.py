@@ -13,6 +13,7 @@ from repro.servers.site import Site, deploy_site
 from repro.servers.vendors import VENDOR_FACTORIES, vendor_guards
 from repro.servers.website import Resource, Website, default_website
 from tests.conftest import sim_session
+from tests.support.readers import data_for, open_connections
 
 IWS = int(SettingCode.INITIAL_WINDOW_SIZE)
 CALM = int(ErrorCode.ENHANCE_YOUR_CALM)
@@ -53,7 +54,7 @@ def assert_single_breach(client, server, reason: str) -> None:
     assert goaway.debug_data == reason.encode()
     client.wait_for(lambda: client.peer_closed, timeout=2.0)
     assert client.peer_closed
-    assert server.open_connections == 0
+    assert open_connections(server) == 0
 
 
 class TestDeadlineGuards:
@@ -74,7 +75,7 @@ class TestDeadlineGuards:
         assert goaways[0].error_code == CALM
         assert goaways[0].debug_data == b"preface-timeout"
         assert client.peer_closed
-        assert server.open_connections == 0
+        assert open_connections(server) == 0
 
     def test_header_timeout_fires_once(self):
         network, server = deploy(AbuseGuards(header_timeout=1.5))
@@ -210,7 +211,7 @@ class TestBenignTrafficUnscathed:
                 for te in client.events
             )
         )
-        assert client.data_for(sid) == default_website().get("/").body()
+        assert data_for(client, sid) == default_website().get("/").body()
         assert server.guard_log == []
         assert not client.peer_closed
 

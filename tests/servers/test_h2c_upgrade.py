@@ -7,6 +7,7 @@ from repro.servers.profiles import ServerProfile
 from repro.servers.site import Site, deploy_site
 from repro.servers.website import default_website
 from tests.conftest import sim_session
+from tests.support.readers import data_for
 
 
 def make_client(supports_h2c: bool, **profile_kwargs):
@@ -41,7 +42,7 @@ class TestUpgrade:
                 for te in client.events
             )
         )
-        assert client.data_for(1) == default_website().get("/style.css").body()
+        assert data_for(client, 1) == default_website().get("/style.css").body()
         assert dict(client.headers_for(1).headers)[b":status"] == b"200"
 
     def test_subsequent_requests_use_odd_streams_from_three(self):

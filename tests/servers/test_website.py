@@ -69,7 +69,7 @@ class TestBodySlice:
     def test_body_unchanged_for_every_site_we_build(self):
         sites = [default_website(), testbed_website()]
         sites += [
-            random_website(random.Random(seed), push_capable=seed % 2 == 0)
+            random_website(random.Random(seed))
             for seed in range(50)
         ]
         for site in sites:
@@ -107,7 +107,7 @@ class TestFactories:
 
     def test_testbed_website_has_large_objects(self):
         # §III-A1: the multiplexing probe needs large objects.
-        site = testbed_website(object_size=400_000, objects=8)
+        site = testbed_website()
         for i in range(8):
             assert site.get(f"/large/{i}.bin").size == 400_000
 
@@ -133,6 +133,3 @@ class TestFactories:
             site = random_website(random.Random(seed), cookie_prob=0.0)
             assert site.get("/").extra_headers == ()
 
-    def test_push_capable_front_page(self):
-        site = random_website(random.Random(1), push_capable=True)
-        assert site.get("/").push

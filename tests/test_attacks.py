@@ -4,6 +4,7 @@ runner: ``run_attack`` on the study's ``Site`` victims."""
 from dataclasses import replace
 
 from repro.attacks import BATTERY_PROFILES, run_attack
+from repro.attacks.battery import attack_website
 from repro.experiments.attacks_study import (
     priority_churn_victim,
     slow_read_victim,
@@ -11,10 +12,17 @@ from repro.experiments.attacks_study import (
 )
 
 
+def slow_read_site(streams, object_size, **defence):
+    """The study's slow-read victim serving ``streams`` objects of
+    ``object_size`` octets (it accepts 128 streams either way)."""
+    site = slow_read_victim(**defence)
+    return replace(site, website=attack_website(streams, object_size))
+
+
 def slow_read(streams, object_size, profile="slow_read", **defence):
     return run_attack(
         profile,
-        slow_read_victim(streams, object_size, **defence),
+        slow_read_site(streams, object_size, **defence),
         duration=10.0,
         knobs={"streams": streams},
     )
