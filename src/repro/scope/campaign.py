@@ -369,6 +369,11 @@ class CampaignJournal:
                 )
 
 
+#: Scans a failing site gets, across resumes, before it is quarantined
+#: (the circuit breaker).
+MAX_SITE_ATTEMPTS = 3
+
+
 class CampaignRun:
     """One journaled pass over a campaign: the loop every backend shares.
 
@@ -394,7 +399,6 @@ class CampaignRun:
         fault_plan: FaultPlan | None,
         resilience: ResilienceConfig | None,
         resume: bool,
-        max_site_attempts: int,
     ):
         # Not at module level: parallel.py brings in multiprocessing,
         # which ``import repro.scope`` alone should not pay for.
@@ -411,15 +415,16 @@ class CampaignRun:
         self.journal = CampaignJournal(store)
         self.campaign = campaign
         self.total = len(domains)
-        self.max_site_attempts = max_site_attempts
+        # Read here, not at import: a test may narrow the budget.
+        self.max_site_attempts = MAX_SITE_ATTEMPTS
         manifest = CampaignManifest.build(
             campaign, domains, include, seed, fault_plan, resilience
         )
         if resume:
-            self.journal.resume(manifest, max_site_attempts)
+            self.journal.resume(manifest, self.max_site_attempts)
         else:
             self.journal.begin(manifest, domains)
-        todo = self.journal.pending(campaign, max_site_attempts)
+        todo = self.journal.pending(campaign, self.max_site_attempts)
         self.tasks = [
             SiteTask(position, site_index, domain, prior_attempts)
             for position, (site_index, domain, prior_attempts, _) in enumerate(todo)

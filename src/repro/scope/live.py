@@ -452,7 +452,6 @@ def run_live_campaign(
     resilience: ResilienceConfig | None = None,
     resume: bool = False,
     checkpoint_every: int = 25,
-    max_site_attempts: int = 3,
     config: LiveConfig | None = None,
     resolver=None,
     progress=None,
@@ -483,7 +482,6 @@ def run_live_campaign(
         None,
         resilience,
         resume,
-        max_site_attempts,
     )
     pool = _LivePool(
         include_set,
