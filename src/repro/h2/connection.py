@@ -198,7 +198,12 @@ class H2Connection:
         if self.side is Side.CLIENT:
             self._outbound.extend(CONNECTION_PREFACE)
         if send_settings:
-            self.send_settings(self.local_settings.as_dict())
+            # Validated when the SettingsMap was built: announce as is.
+            settings = self.local_settings.as_dict()
+            self._send_frame(
+                SettingsFrame(settings=[(k, int(v)) for k, v in settings.items()])
+            )
+            self._apply_local_settings(settings)
 
     # ------------------------------------------------------------------
     # Outbound API

@@ -7,8 +7,6 @@ Event timestamps are floats in seconds.
 The scheduler sits on every packet's path, so its per-event cost is
 kept deliberately low:
 
-* ``pending_events`` is an O(1) counter maintained on schedule/cancel,
-  not a scan of the heap;
 * cancelled timers stay in the heap and are discarded lazily when they
   surface — the heap is only rebuilt (asyncio-style) once cancelled
   entries are both numerous and the majority;
@@ -50,7 +48,7 @@ class Timer:
         self.cancelled = False
         #: Owning simulation while the timer sits in its queue; cleared
         #: when the timer fires or its heap entry is discarded, so late
-        #: ``cancel()`` calls don't corrupt the live-event accounting.
+        #: ``cancel()`` calls don't corrupt the stale-entry accounting.
         self._sim = sim
 
     def cancel(self) -> None:
@@ -70,7 +68,6 @@ class Simulation:
         self._queue: list[tuple[float, int, Timer]] = []
         self._sequence = itertools.count()
         self._processed = 0
-        self._live = 0  # scheduled and not cancelled
         self._stale = 0  # cancelled entries still sitting in the heap
 
     # -- scheduling -------------------------------------------------------
@@ -81,7 +78,6 @@ class Simulation:
             raise ValueError(f"cannot schedule in the past ({when} < {self.now})")
         timer = Timer(when, callback, args, self)
         heapq.heappush(self._queue, (when, next(self._sequence), timer))
-        self._live += 1
         return timer
 
     def call_later(self, delay: float, callback: Callable, *args) -> Timer:
@@ -91,7 +87,6 @@ class Simulation:
         return self.call_at(self.now + delay, callback, *args)
 
     def _on_cancel(self) -> None:
-        self._live -= 1
         self._stale += 1
         if (
             self._stale > _MIN_STALE_TO_COMPACT
@@ -111,13 +106,9 @@ class Simulation:
         for _, _, timer in self._queue:
             timer._sim = None
         self._queue.clear()
-        self._live = self._stale = 0
+        self._stale = 0
 
     # -- execution ---------------------------------------------------------
-
-    @property
-    def pending_events(self) -> int:
-        return self._live
 
     @property
     def processed_events(self) -> int:
@@ -133,7 +124,6 @@ class Simulation:
                 continue
             assert when >= self.now, "event queue went backwards"
             timer._sim = None
-            self._live -= 1
             self.now = when
             timer.callback(*timer.args)
             self._processed += 1
@@ -154,7 +144,6 @@ class Simulation:
                 return
             when, _, timer = heapq.heappop(queue)
             timer._sim = None
-            self._live -= 1
             self.now = when
             timer.callback(*timer.args)
             self._processed += 1
@@ -186,7 +175,6 @@ class Simulation:
                 return predicate()
             when, _, timer = heapq.heappop(queue)
             timer._sim = None
-            self._live -= 1
             self.now = when
             timer.callback(*timer.args)
             self._processed += 1
@@ -217,7 +205,6 @@ class Simulation:
         """
         when, _, timer = heapq.heappop(self._queue)
         timer._sim = None
-        self._live -= 1
         self.now = when
         timer.callback(*timer.args)
         self._processed += 1

@@ -49,7 +49,7 @@ class TlsServerConfig:
 
 
 def negotiate_alpn(
-    client_protocols: list[str], server: TlsServerConfig
+    client_protocols: Sequence[str], server: TlsServerConfig
 ) -> str | None:
     """RFC 7301 §3.2: the server picks from the client's list.
 
@@ -65,7 +65,7 @@ def negotiate_alpn(
 
 
 def negotiate_npn(
-    preferences: Sequence[str], advertised: list[str] | None
+    preferences: Sequence[str], advertised: Sequence[str] | None
 ) -> str | None:
     """NPN: the server advertises, the *client* picks.
 
@@ -94,6 +94,17 @@ def negotiate_npn(
 #
 # ``-`` denotes an absent extension.  Encryption itself is not modelled
 # (it does not affect any measured quantity).
+#
+# Every connection decodes one hello a side, from a handful of distinct
+# lines, so the decoders are memoised like the HPACK string memos: a
+# decode is a pure function of its line, its answer is made of tuples
+# that no caller can mutate, a line that fails to decode raises before
+# it is stored, and a memo is cleared when full.
+
+#: Decoded hello records, one memo a side: line -> answer.
+_CLIENT_HELLOS: dict[bytes, tuple[tuple[str, ...], bool]] = {}
+_SERVER_HELLOS: dict[bytes, tuple[str | None, tuple[str, ...] | None]] = {}
+_HELLO_CACHE_MAX = 64
 
 
 def encode_client_hello(
@@ -116,11 +127,20 @@ def _hello_fields(line: bytes, side: str) -> dict[str, str]:
     return fields
 
 
-def decode_client_hello(line: bytes) -> tuple[list[str], bool]:
+def decode_client_hello(line: bytes) -> tuple[tuple[str, ...], bool]:
     """Returns (client_alpn_protocols, npn_offered)."""
-    fields = _hello_fields(line, "client")
-    alpn = [] if fields.get("alpn", "-") == "-" else fields["alpn"].split(",")
-    return alpn, fields.get("npn", "0") == "1"
+    decoded = _CLIENT_HELLOS.get(line)
+    if decoded is None:
+        fields = _hello_fields(line, "client")
+        alpn = fields.get("alpn", "-")
+        decoded = (
+            () if alpn == "-" else tuple(alpn.split(",")),
+            fields.get("npn", "0") == "1",
+        )
+        if len(_CLIENT_HELLOS) >= _HELLO_CACHE_MAX:
+            _CLIENT_HELLOS.clear()
+        _CLIENT_HELLOS[line] = decoded
+    return decoded
 
 
 def encode_server_hello(
@@ -131,9 +151,20 @@ def encode_server_hello(
     return f"SERVERHELLO alpn={alpn_part} npn={npn_part}\n".encode()
 
 
-def decode_server_hello(line: bytes) -> tuple[str | None, list[str] | None]:
+def decode_server_hello(
+    line: bytes,
+) -> tuple[str | None, tuple[str, ...] | None]:
     """Returns (alpn_choice, npn_advertised_protocols)."""
-    fields = _hello_fields(line, "server")
-    alpn = None if fields.get("alpn", "-") == "-" else fields["alpn"]
-    npn = None if fields.get("npn", "-") == "-" else fields["npn"].split(",")
-    return alpn, npn
+    decoded = _SERVER_HELLOS.get(line)
+    if decoded is None:
+        fields = _hello_fields(line, "server")
+        alpn = fields.get("alpn", "-")
+        npn = fields.get("npn", "-")
+        decoded = (
+            None if alpn == "-" else alpn,
+            None if npn == "-" else tuple(npn.split(",")),
+        )
+        if len(_SERVER_HELLOS) >= _HELLO_CACHE_MAX:
+            _SERVER_HELLOS.clear()
+        _SERVER_HELLOS[line] = decoded
+    return decoded

@@ -104,19 +104,19 @@ class TestWireCodec:
     def test_client_hello_roundtrip(self):
         line = encode_client_hello([H2, HTTP11], npn_offered=True)
         alpn, npn = decode_client_hello(line)
-        assert alpn == [H2, HTTP11]
+        assert alpn == (H2, HTTP11)
         assert npn is True
 
     def test_client_hello_without_alpn(self):
         alpn, npn = decode_client_hello(encode_client_hello(None, False))
-        assert alpn == []
+        assert alpn == ()
         assert npn is False
 
     def test_server_hello_roundtrip(self):
         line = encode_server_hello(H2, [H2, HTTP11])
         choice, npn = decode_server_hello(line)
         assert choice == H2
-        assert npn == [H2, HTTP11]
+        assert npn == (H2, HTTP11)
 
     def test_server_hello_nothing_negotiated(self):
         choice, npn = decode_server_hello(encode_server_hello(None, None))

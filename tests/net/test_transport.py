@@ -4,6 +4,7 @@ import pytest
 
 from repro.net.clock import Simulation
 from repro.net.transport import LinkProfile, Network
+from tests.support.readers import pending_events
 
 
 @pytest.fixture
@@ -238,7 +239,7 @@ class TestNetworkClose:
         assert network.closed
         with pytest.raises(RuntimeError, match="closed network"):
             network.connect("srv.example", 443)
-        assert sim.pending_events == 0  # no "refused after 0 s" was queued
+        assert pending_events(sim) == 0  # no "refused after 0 s" was queued
 
     def test_close_unlinks_and_closes_every_endpoint(self, sim):
         network, accepted = make_server(sim)
@@ -249,7 +250,7 @@ class TestNetworkClose:
             end.on_data = end.on_close = lambda *args: None
         ends[0].send(b"in flight when the universe ends")
         network.close()
-        assert sim.pending_events == 0
+        assert pending_events(sim) == 0
         assert network.hosts == {}
         for end in ends:
             assert end.closed
@@ -257,14 +258,14 @@ class TestNetworkClose:
             with pytest.raises(ConnectionError):
                 end.send(b"x")
             end.close()  # stays a no-op ...
-        assert sim.pending_events == 0  # ... that schedules nothing
+        assert pending_events(sim) == 0  # ... that schedules nothing
 
     def test_close_is_idempotent(self, sim):
         network, _ = make_server(sim)
         network.connect("srv.example", 443)
         network.close()
         network.close()
-        assert sim.pending_events == 0
+        assert pending_events(sim) == 0
         assert network.closed
 
     def test_close_frees_the_universe_by_reference_count(self, sim, collector_off):

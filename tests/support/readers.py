@@ -119,8 +119,9 @@ def unshadowed(tree: PriorityTree, ready: set[int]) -> list[int]:
 
 
 def pending_events(sim) -> int:
-    """Live (not cancelled) events in a ``Simulation``'s queue."""
-    return sim._live
+    """Live (not cancelled) events in a ``Simulation``'s queue: its heap
+    entries whose timer was not cancelled (the clock keeps no count)."""
+    return sum(1 for _, _, timer in sim._queue if not timer.cancelled)
 
 
 # -- scope -------------------------------------------------------------------

@@ -26,10 +26,6 @@ DEFINITIONS_WITHOUT_USER = {
         "the only integrity check that reports a truncated or overwritten "
         "file instead of raising (ROADMAP 9)"
     ),
-    "src/repro/net/clock.py:Simulation.pending_events": (
-        "the O(1) live-event count the clock keeps on every schedule and "
-        "cancel; taking the counter out edits the event loop's hot path"
-    ),
 }
 
 
