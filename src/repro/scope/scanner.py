@@ -157,8 +157,12 @@ def probe_target(
 
         def run_flow_control() -> None:
             fc = report.flow_control
-            # The stream-scoped sub-probes take turns on one connection
-            # (DESIGN §8); the others read connection state.
+            # The zero-window HEADERS probe announces a window of its own;
+            # the other five take turns on one connection, the
+            # connection-level updates last (DESIGN §8).
+            fc.headers_with_zero_window = probe_zero_window_headers(
+                session, domain
+            )
             with SharedConnection(session, domain) as shared:
                 fc.tiny_window, fc.first_data_size, _ = probe_tiny_window(
                     session, domain, shared=shared
@@ -171,15 +175,12 @@ def probe_target(
                 fc.large_update_stream = probe_large_window_update(
                     session, domain, level="stream", shared=shared
                 )
-            fc.headers_with_zero_window = probe_zero_window_headers(
-                session, domain
-            )
-            fc.zero_update_connection, _ = probe_zero_window_update(
-                session, domain, level="connection"
-            )
-            fc.large_update_connection = probe_large_window_update(
-                session, domain, level="connection"
-            )
+                fc.zero_update_connection, _ = probe_zero_window_update(
+                    session, domain, level="connection", shared=shared
+                )
+                fc.large_update_connection = probe_large_window_update(
+                    session, domain, level="connection", shared=shared
+                )
 
         guarded("flow_control", run_flow_control)
 

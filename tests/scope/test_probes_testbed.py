@@ -86,11 +86,15 @@ class TestShortProbeConnectionBudget:
 
 
 class TestFlowControlConnectionBudget:
-    """The three stream-scoped flow-control sub-probes take turns on one
-    connection (DESIGN §8), so ``flow_control`` opens four connections,
-    and five on a server that answers the stream-level zero update with
-    GOAWAY: the next sub-probe then opens a fresh one.  The verdicts are
-    the ones each sub-probe read on a connection of its own."""
+    """Five flow-control sub-probes take turns on one connection, the
+    connection-level zero and large updates last, and the zero-window
+    HEADERS probe keeps its own (DESIGN §8).  A GOAWAY makes the next
+    turn open a fresh connection, so ``flow_control`` opens two
+    connections on a server that answers neither zero update with
+    GOAWAY (nginx, tengine), three on one that answers only the
+    connection-level one with it (h2o, litespeed) and four on one that
+    answers both (apache, nghttpd).  The verdicts are the ones each
+    sub-probe read on a connection of its own."""
 
     RST, AWAY, IGN = ErrorReaction.RST_STREAM, ErrorReaction.GOAWAY, ErrorReaction.IGNORE
     SIZED, SILENT = TinyWindowResult.WINDOW_SIZED_DATA, TinyWindowResult.NO_RESPONSE
@@ -98,12 +102,12 @@ class TestFlowControlConnectionBudget:
     #: headers_with_zero_window, zero_update_stream, zero_update_connection,
     #: large_update_stream, large_update_connection)
     EXPECTED = {
-        "apache": (5, SIZED, 1, True, AWAY, AWAY, RST, AWAY),
-        "h2o": (4, SIZED, 1, True, RST, AWAY, RST, AWAY),
-        "litespeed": (4, SILENT, None, False, RST, AWAY, RST, AWAY),
-        "nghttpd": (5, SIZED, 1, True, AWAY, AWAY, RST, AWAY),
-        "nginx": (4, SIZED, 1, True, IGN, IGN, RST, AWAY),
-        "tengine": (4, SIZED, 1, True, IGN, IGN, RST, AWAY),
+        "apache": (4, SIZED, 1, True, AWAY, AWAY, RST, AWAY),
+        "h2o": (3, SIZED, 1, True, RST, AWAY, RST, AWAY),
+        "litespeed": (3, SILENT, None, False, RST, AWAY, RST, AWAY),
+        "nghttpd": (4, SIZED, 1, True, AWAY, AWAY, RST, AWAY),
+        "nginx": (2, SIZED, 1, True, IGN, IGN, RST, AWAY),
+        "tengine": (2, SIZED, 1, True, IGN, IGN, RST, AWAY),
     }
 
     def test_flow_control_connections_and_verdicts(self, monkeypatch, vendor):
@@ -145,7 +149,9 @@ class TestFlowControlConnectionBudget:
         """Each sub-probe cancels its stream before the next opens one, so
         a server that allows one concurrent stream (like ``site000063``
         of the seed-7 ``sim_clean_full`` population) reads each request
-        as it would on a connection of its own, not as one too many."""
+        as it would on a connection of its own, not as one too many.  The
+        connection-level zero update follows a stream the engine reset
+        itself (the large stream-level update), whose slot came back."""
         from repro.h2.connection import Reaction
         from repro.scope import scanner
         from repro.servers.site import Site
@@ -159,11 +165,13 @@ class TestFlowControlConnectionBudget:
         )
         site = Site(domain="one.testbed", profile=profile, website=default_website())
         fc = scanner.scan_site(site, include={"flow_control"}, seed=7).flow_control
-        assert (fc.tiny_window, fc.zero_update_stream, fc.large_update_stream) == (
-            self.SILENT,
-            self.IGN,
-            self.RST,
-        )
+        assert (
+            fc.tiny_window,
+            fc.zero_update_stream,
+            fc.large_update_stream,
+            fc.zero_update_connection,
+            fc.large_update_connection,
+        ) == (self.SILENT, self.IGN, self.RST, self.AWAY, self.AWAY)
 
 
 class TestMultiplexingRow:
