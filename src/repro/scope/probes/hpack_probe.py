@@ -39,8 +39,16 @@ def probe_hpack(
     assert conn is not None
 
     sizes: list[int] = []
+    # Only the header block is measured: the window holds the body back,
+    # so each stream is cancelled in the write that opens the next, and
+    # at most one stream is open at a time.
+    cancel: int | None = None
     for _ in range(REPETITIONS):
-        stream_id = client.request(path)
+        with client.batch():
+            if cancel is not None:
+                client.send_rst_stream(cancel)
+            stream_id = client.request(path)
+        cancel = None
         client.wait_for(
             lambda: client.headers_for(stream_id) is not None,
             timeout=HPACK_TIMEOUT,
@@ -49,10 +57,10 @@ def probe_hpack(
         if event is None:
             break
         sizes.append(event.encoded_size)
-        # Only the header block is measured: the window holds the body
-        # back; cancel it, so at most one stream is open for the next.
         if not conn.streams[stream_id].closed:
-            client.send_rst_stream(stream_id)
+            cancel = stream_id
+    if cancel is not None:
+        client.send_rst_stream(cancel)
 
     client.close()
     result.header_sizes = sizes

@@ -80,16 +80,22 @@ def probe_priority(
         client.close()
         return result
 
-    # Step 2: plant Table I's tree with prioritised requests...
-    planted = _plant_tree(client, test_paths)
-    sid = {p.label: p.stream_id for p in planted}
+    # Step 2, in one write: plant Table I's tree with prioritised
+    # requests...
+    with client.batch():
+        planted = _plant_tree(client, test_paths)
+        sid = {p.label: p.stream_id for p in planted}
 
-    # ...and reshape it with PRIORITY frames: A becomes the exclusive
-    # child of D (the §5.3.3 "moving a dependency" case — D, previously
-    # A's child, is first hoisted to A's old parent), then E moves under
-    # C.  Final tree: D -> A -> {B, C, F}, C -> E.
-    client.send_priority(sid["A"], depends_on=sid["D"], weight=16, exclusive=True)
-    client.send_priority(sid["E"], depends_on=sid["C"], weight=16, exclusive=False)
+        # ...and reshape it with PRIORITY frames: A becomes the exclusive
+        # child of D (the §5.3.3 "moving a dependency" case — D,
+        # previously A's child, is first hoisted to A's old parent), then
+        # E moves under C.  Final tree: D -> A -> {B, C, F}, C -> E.
+        client.send_priority(
+            sid["A"], depends_on=sid["D"], weight=16, exclusive=True
+        )
+        client.send_priority(
+            sid["E"], depends_on=sid["C"], weight=16, exclusive=False
+        )
 
     # Give the server a moment to build the tree; record whether it
     # leaks HEADERS while the connection window is still zero.
@@ -164,8 +170,9 @@ def _deplete_connection_window(
         received = consumed()
         if received >= INITIAL_CONNECTION_WINDOW:
             break
-    for stream_id in depletion_ids:
-        client.send_rst_stream(stream_id)
+    with client.batch():
+        for stream_id in depletion_ids:
+            client.send_rst_stream(stream_id)
     return received >= INITIAL_CONNECTION_WINDOW
 
 

@@ -121,9 +121,11 @@ class TestWindowDepletionMechanism:
             for te in client.events_of(ev.DataReceived)
         )
         assert received == INITIAL_CONNECTION_WINDOW
-        # Another request cannot receive anything either.
+        # Another request cannot receive anything either, although it
+        # reached the server: h2o answers HEADERS with no window.
         other = client.request("/large/1.bin")
         network.sim.run(until=network.sim.now + 2.0)
+        assert client.headers_for(other) is not None
         assert data_for(client, other) == b""
 
     def test_window_update_releases_everything(self, deployed):
