@@ -26,19 +26,21 @@ from dataclasses import dataclass, field
 
 from repro.h2 import events as ev
 from repro.scope.probes import (
+    probe_flow_control,
     probe_hpack,
-    probe_large_window_update,
     probe_multiplexing,
     probe_negotiation,
     probe_ping,
     probe_priority,
     probe_push,
     probe_self_dependency,
-    probe_tiny_window,
-    probe_zero_window_headers,
-    probe_zero_window_update,
 )
-from repro.scope.report import ErrorReaction, SettingsResult, TinyWindowResult
+from repro.scope.report import (
+    ErrorReaction,
+    FlowControlResult,
+    SettingsResult,
+    TinyWindowResult,
+)
 from repro.scope.session import ProbeSession
 
 
@@ -181,35 +183,29 @@ def _measure(
         "support" if multiplexing.interleaved else "no support"
     )
 
-    tiny, first_size, _ = probe_tiny_window(
-        session, domain, sframe=TESTBED_SFRAME, path="/large/1.bin"
+    # The scan's sequence (DESIGN §8) at Sframe = TESTBED_SFRAME: the
+    # DATA and HEADERS rows fetch /large/1.bin, the updates block /large/3.bin.
+    fc = FlowControlResult()
+    probe_flow_control(
+        session, domain, fc, TESTBED_SFRAME, "/large/1.bin", "/large/3.bin"
     )
     cells["Flow Control on DATA Frames"] = (
         "yes"
-        if tiny is TinyWindowResult.WINDOW_SIZED_DATA and first_size == TESTBED_SFRAME
+        if fc.tiny_window is TinyWindowResult.WINDOW_SIZED_DATA
+        and fc.first_data_size == TESTBED_SFRAME
         else "no"
     )
-
-    headers_ok = probe_zero_window_headers(session, domain, path="/large/2.bin")
-    cells["Flow Control on HEADERS Frames"] = "no" if headers_ok else "yes"
-
-    reaction, _ = probe_zero_window_update(
-        session, domain, level="stream", path="/large/3.bin"
+    cells["Flow Control on HEADERS Frames"] = (
+        "no" if fc.headers_with_zero_window else "yes"
     )
-    cells["Zero Window Update on stream"] = _reaction_cell(reaction)
-    reaction, _ = probe_zero_window_update(
-        session, domain, level="connection", path="/large/3.bin"
+    cells["Zero Window Update on stream"] = _reaction_cell(fc.zero_update_stream)
+    cells["Zero Window Update on connection"] = _reaction_cell(
+        fc.zero_update_connection
     )
-    cells["Zero Window Update on connection"] = _reaction_cell(reaction)
-
-    reaction = probe_large_window_update(
-        session, domain, level="connection", path="/large/4.bin"
+    cells["Large Window Update (Connection)"] = _reaction_cell(
+        fc.large_update_connection
     )
-    cells["Large Window Update (Connection)"] = _reaction_cell(reaction)
-    reaction = probe_large_window_update(
-        session, domain, level="stream", path="/large/4.bin"
-    )
-    cells["Large Window Update (Stream)"] = _reaction_cell(reaction)
+    cells["Large Window Update (Stream)"] = _reaction_cell(fc.large_update_stream)
 
     push = probe_push(session, domain)
     cells["Server Push"] = "yes" if push.push_received else "no"

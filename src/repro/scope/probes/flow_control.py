@@ -13,16 +13,21 @@ Four sub-probes:
 4. **Large window update** — overflow the window past 2^31-1 with two
    updates and classify the reaction.
 
-A scan runs sub-probe 2 on a connection of its own: it announces a
-zero window and reads the server's answer to it.  The other five take
-turns, in this order, on one connection announcing a one-octet window,
-a :class:`SharedConnection`: 1, then 3 and 4 at stream level, then 3
-and 4 at connection level.  Each reads its own stream's reaction and a
-GOAWAY that arrives during its turn, nothing the connection carried
-before.  The connection-level turns come last because their bogus
-updates are the ones most likely to end the connection; the overflow
-needs no particular starting window, since the two increments sum past
-2^31-1 on their own.
+:func:`probe_flow_control` is the one sequence the population scan and
+Table III both run.  Sub-probe 2 takes the one turn on a connection of
+its own: it announces a zero window and reads the server's answer to
+it.  The other five take turns, in this order, on one connection
+announcing ``Sframe``, a :class:`SharedConnection`: 1, then 3 and 4 at
+stream level, then 3 and 4 at connection level.  Each reads its own
+stream's reaction and a GOAWAY that arrives during its turn, nothing
+the connection carried before.  The connection-level turns come last
+because their bogus updates are the ones most likely to end the
+connection; the overflow needs no particular starting window, since
+the two increments sum past 2^31-1 on their own.
+
+:class:`SharedConnection` is how every probe that reads one stream's
+answer takes its turn on a connection: the HPACK and self-dependency
+probes take theirs on one of their own.
 """
 
 from __future__ import annotations
@@ -30,20 +35,22 @@ from __future__ import annotations
 from repro.h2 import events as ev
 from repro.h2.constants import MAX_WINDOW_SIZE
 from repro.scope.client import DEFAULT_TIMEOUT, IWS, ScopeClient
-from repro.scope.report import ErrorReaction, TinyWindowResult
+from repro.scope.report import ErrorReaction, FlowControlResult, TinyWindowResult
 from repro.scope.session import ProbeSession
 
 
 class SharedConnection:
-    """One connection announcing ``window`` that sub-probes take turns on.
+    """One connection announcing ``window`` that probes take turns on.
 
     :meth:`acquire` hands out the open connection unless the server
     ended it (GOAWAY or close), and opens a fresh one otherwise, so a
-    server that answers a sub-probe with GOAWAY costs the connections
-    it always did.  :meth:`release` cancels a sub-probe's stream unless
-    the server ended it, so no stream outlives its sub-probe: the
-    cancel leaves in the write that opens the next sub-probe's stream
-    (:meth:`request`), or before the connection closes.
+    server that answers a turn with GOAWAY costs the connections it
+    always did.  :meth:`release` cancels a turn's stream unless the
+    server ended it, so no stream outlives its turn: the cancel leaves
+    in the write that opens the next turn's stream (:meth:`request`),
+    or before the connection closes.  A stream nobody released is not
+    cancelled.  Leaving the ``with`` block closes the connection on
+    every way out, a raised wait or handshake included.
     """
 
     def __init__(self, session: ProbeSession, domain: str, window: int = 1):
@@ -51,29 +58,29 @@ class SharedConnection:
         self.domain = domain
         self.window = window
         self.client: ScopeClient | None = None
-        #: The stream the last sub-probe released and nobody cancelled yet.
+        #: The stream the last turn released and nobody cancelled yet.
         self._cancel: int | None = None
 
     def acquire(self) -> tuple[ScopeClient, int] | None:
-        """The connection for the next sub-probe, and the index in its
-        ``events`` where the sub-probe's own begin (0 on a fresh one);
-        None when HTTP/2 could not be established."""
+        """The connection for the next turn, and the index in its
+        ``events`` where the turn's own begin (0 on a fresh one); None
+        when HTTP/2 could not be established."""
         client = self.client
         if client is not None:
             assert client.conn is not None
             if not (client.peer_closed or client.conn.terminated):
                 return client, len(client.events)
             self.close()
-        client = self.session.client(self.domain, settings={IWS: self.window})
-        if not client.establish_h2():
-            client.close()
+        # Ours before the handshake, so close() ends it if that raises.
+        self.client = self.session.client(self.domain, settings={IWS: self.window})
+        if not self.client.establish_h2():
+            self.close()
             return None
-        self.client = client
-        return client, 0
+        return self.client, 0
 
     def request(self, path: str) -> int:
-        """Open the sub-probe's stream, in one write with the cancel of
-        the stream the previous sub-probe released."""
+        """Open the turn's stream, in one write with the cancel of the
+        stream the previous turn released."""
         client = self.client
         assert client is not None
         with client.batch():
@@ -81,8 +88,8 @@ class SharedConnection:
             return client.request(path)
 
     def release(self, stream_id: int) -> None:
-        """End a sub-probe: its stream is cancelled unless the server
-        ended it."""
+        """End a turn: its stream is cancelled unless the server ended
+        it."""
         client = self.client
         assert client is not None and client.conn is not None
         stream = client.conn.streams.get(stream_id)
@@ -108,26 +115,52 @@ class SharedConnection:
         self.close()
 
 
-def probe_tiny_window(
+def probe_flow_control(
     session: ProbeSession,
     domain: str,
+    result: FlowControlResult,
     sframe: int = 1,
     path: str = "/",
-    shared: SharedConnection | None = None,
-) -> tuple[TinyWindowResult, int | None, bool]:
-    """§III-B1.  Returns (category, first DATA size, headers_received).
+    blocked_path: str = "/big.bin",
+) -> None:
+    """§III-B's four sub-probes, filling ``result`` as each answers, so
+    a sub-probe that raises keeps the verdicts read before it.
 
-    Runs on ``shared`` when given (its window is ``sframe``), else on a
-    connection of its own.
+    Sub-probes 1 and 2 fetch ``path``; 3 and 4 block ``blocked_path``,
+    which must be larger than ``sframe``.
     """
-    assert shared is None or shared.window == sframe
-    link = shared or SharedConnection(session, domain, window=sframe)
-    turn = link.acquire()
+    result.headers_with_zero_window = probe_zero_window_headers(
+        session, domain, path
+    )
+    with SharedConnection(session, domain, window=sframe) as shared:
+        result.tiny_window, result.first_data_size, _ = probe_tiny_window(
+            shared, path
+        )
+        result.zero_update_stream, result.zero_update_debug_data = (
+            probe_zero_window_update(shared, "stream", blocked_path)
+        )
+        result.large_update_stream = probe_large_window_update(
+            shared, "stream", blocked_path
+        )
+        result.zero_update_connection, _ = probe_zero_window_update(
+            shared, "connection", blocked_path
+        )
+        result.large_update_connection = probe_large_window_update(
+            shared, "connection", blocked_path
+        )
+
+
+def probe_tiny_window(
+    shared: SharedConnection, path: str = "/"
+) -> tuple[TinyWindowResult, int | None, bool]:
+    """§III-B1 on ``shared``, whose window is ``Sframe``.  Returns
+    (category, first DATA size, headers_received)."""
+    turn = shared.acquire()
     if turn is None:
         return TinyWindowResult.NO_RESPONSE, None, False
 
     client = turn[0]
-    stream_id = link.request(path)
+    stream_id = shared.request(path)
 
     def first_data() -> ev.DataReceived | None:
         for te in client.events_of(ev.DataReceived):
@@ -138,7 +171,7 @@ def probe_tiny_window(
     client.wait_for(lambda: first_data() is not None)
     data = first_data()
     headers_received = client.headers_for(stream_id) is not None
-    _finish(link, shared, stream_id)
+    shared.release(stream_id)
 
     if data is None:
         return TinyWindowResult.NO_RESPONSE, None, headers_received
@@ -155,39 +188,30 @@ def probe_zero_window_headers(
 
     Returns None when HTTP/2 could not be established at all.
     """
-    client = session.client(domain, settings={IWS: 0})
-    if not client.establish_h2():
-        client.close()
-        return None
-    stream_id = client.request(path)
-    client.wait_for(lambda: client.headers_for(stream_id) is not None)
-    headers = client.headers_for(stream_id) is not None
-    got_data = any(
-        te.event.stream_id == stream_id and te.event.data
-        for te in client.events_of(ev.DataReceived)
-    )
-    client.close()
-    # Compliance requires headers *without* data.
-    return headers and not got_data
+    with SharedConnection(session, domain, window=0) as link:
+        turn = link.acquire()
+        if turn is None:
+            return None
+        client = turn[0]
+        stream_id = link.request(path)
+        client.wait_for(lambda: client.headers_for(stream_id) is not None)
+        got_data = any(
+            te.event.stream_id == stream_id and te.event.data
+            for te in client.events_of(ev.DataReceived)
+        )
+        # Compliance requires headers *without* data.
+        return client.headers_for(stream_id) is not None and not got_data
 
 
 def probe_zero_window_update(
-    session: ProbeSession,
-    domain: str,
-    level: str = "stream",
-    path: str = "/big.bin",
-    shared: SharedConnection | None = None,
+    shared: SharedConnection, level: str = "stream", path: str = "/big.bin"
 ) -> tuple[ErrorReaction | None, bytes]:
-    """§III-B3.  Returns (reaction, GOAWAY debug data if any).
-
-    Runs on ``shared`` when given, else on a connection of its own.
-    """
-    # A one-octet window keeps the response stream alive and blocked,
-    # so the server definitely still knows the stream when the bogus
-    # update arrives.
-    client, link, since, stream_id = _blocked_stream(session, domain, path, shared)
-    if client is None:
+    """§III-B3 on ``shared``.  Returns (reaction, GOAWAY debug data if
+    any)."""
+    turn = blocked_stream(shared, path)
+    if turn is None:
         return None, b""
+    client, since, stream_id = turn
 
     target = 0 if level == "connection" else stream_id
     client.send_window_update(target, 0)
@@ -197,24 +221,19 @@ def probe_zero_window_update(
     for te in client.events[since:]:
         if isinstance(te.event, ev.GoAwayReceived):
             debug = te.event.debug_data
-    _finish(link, shared, stream_id)
+    shared.release(stream_id)
     return reaction, debug
 
 
 def probe_large_window_update(
-    session: ProbeSession,
-    domain: str,
-    level: str = "stream",
-    path: str = "/big.bin",
-    shared: SharedConnection | None = None,
+    shared: SharedConnection, level: str = "stream", path: str = "/big.bin"
 ) -> ErrorReaction | None:
-    """§III-B4: two WINDOW_UPDATEs whose sum exceeds 2^31-1.
-
-    Runs on ``shared`` when given, else on a connection of its own.
-    """
-    client, link, since, stream_id = _blocked_stream(session, domain, path, shared)
-    if client is None:
+    """§III-B4 on ``shared``: two WINDOW_UPDATEs whose sum exceeds
+    2^31-1."""
+    turn = blocked_stream(shared, path)
+    if turn is None:
         return None
+    client, since, stream_id = turn
 
     target = 0 if level == "connection" else stream_id
     half = MAX_WINDOW_SIZE // 2 + 1
@@ -225,45 +244,31 @@ def probe_large_window_update(
         client.send_window_update(target, half)
 
     reaction = await_reaction(client, stream_id, since)
-    _finish(link, shared, stream_id)
+    shared.release(stream_id)
     return reaction
 
 
-def _blocked_stream(
-    session: ProbeSession,
-    domain: str,
-    path: str,
-    shared: SharedConnection | None,
-) -> tuple[ScopeClient | None, SharedConnection, int, int]:
-    """Open a stream behind a one-octet window and wait for its HEADERS.
+def blocked_stream(
+    shared: SharedConnection, path: str
+) -> tuple[ScopeClient, int, int] | None:
+    """Take a turn on ``shared``: open a stream for ``path`` behind the
+    connection's small window, so the server still knows the stream
+    when a bogus frame for it arrives, and wait for its HEADERS.
 
-    Returns the client (None when HTTP/2 could not be established), the
-    connection it is on, the index in ``client.events`` where this
-    sub-probe's events begin, and the stream id.
+    Returns the client, the index in ``client.events`` where the turn's
+    events begin and the stream id; None when HTTP/2 could not be
+    established.
     """
-    assert shared is None or shared.window == 1
-    link = shared or SharedConnection(session, domain, window=1)
-    turn = link.acquire()
+    turn = shared.acquire()
     if turn is None:
-        return None, link, 0, 0
+        return None
     client, since = turn
-    stream_id = link.request(path)
+    stream_id = shared.request(path)
     client.wait_for(
         lambda: client.headers_for(stream_id) is not None,
         timeout=DEFAULT_TIMEOUT / 2,
     )
-    return client, link, since, stream_id
-
-
-def _finish(
-    link: SharedConnection, shared: SharedConnection | None, stream_id: int
-) -> None:
-    """A shared connection stays open for the next sub-probe; one of
-    the sub-probe's own is closed."""
-    if shared is None:
-        link.close()
-    else:
-        link.release(stream_id)
+    return client, since, stream_id
 
 
 def await_reaction(

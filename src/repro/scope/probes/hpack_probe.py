@@ -15,7 +15,8 @@ analysis layer, exactly as the paper filters them from Figs. 4-5.
 
 from __future__ import annotations
 
-from repro.scope.client import HEADERS_ONLY_WINDOW, IWS
+from repro.scope.client import HEADERS_ONLY_WINDOW
+from repro.scope.probes.flow_control import SharedConnection
 from repro.scope.report import HpackResult
 from repro.scope.session import ProbeSession
 
@@ -31,38 +32,28 @@ def probe_hpack(
     path: str = "/",
 ) -> HpackResult:
     result = HpackResult(requests=REPETITIONS)
-    client = session.client(domain, settings={IWS: HEADERS_ONLY_WINDOW})
-    if not client.establish_h2():
-        client.close()
-        return result
-    conn = client.conn
-    assert conn is not None
-
     sizes: list[int] = []
     # Only the header block is measured: the window holds the body back,
     # so each stream is cancelled in the write that opens the next, and
-    # at most one stream is open at a time.
-    cancel: int | None = None
-    for _ in range(REPETITIONS):
-        with client.batch():
-            if cancel is not None:
-                client.send_rst_stream(cancel)
-            stream_id = client.request(path)
-        cancel = None
-        client.wait_for(
-            lambda: client.headers_for(stream_id) is not None,
-            timeout=HPACK_TIMEOUT,
-        )
-        event = client.headers_for(stream_id)
-        if event is None:
-            break
-        sizes.append(event.encoded_size)
-        if not conn.streams[stream_id].closed:
-            cancel = stream_id
-    if cancel is not None:
-        client.send_rst_stream(cancel)
+    # at most one stream is open at a time.  The connection is acquired
+    # once, so a GOAWAY ends the measurement.
+    with SharedConnection(session, domain, window=HEADERS_ONLY_WINDOW) as link:
+        turn = link.acquire()
+        if turn is None:
+            return result
+        client = turn[0]
+        for _ in range(REPETITIONS):
+            stream_id = link.request(path)
+            client.wait_for(
+                lambda: client.headers_for(stream_id) is not None,
+                timeout=HPACK_TIMEOUT,
+            )
+            event = client.headers_for(stream_id)
+            if event is None:
+                break
+            sizes.append(event.encoded_size)
+            link.release(stream_id)
 
-    client.close()
     result.header_sizes = sizes
     if len(sizes) == REPETITIONS and sizes[0] > 0:
         result.ratio = sum(sizes) / (sizes[0] * REPETITIONS)

@@ -25,36 +25,37 @@ def probe_multiplexing(
 ) -> MultiplexingResult:
     result = MultiplexingResult(streams=len(paths))
     client = session.client(domain, auto_window_update=True)
-    if not client.establish_h2():
-        client.close()
-        return result
+    try:
+        if not client.establish_h2():
+            return result
 
-    # N must stay below the server's MAX_CONCURRENT_STREAMS (§III-A1).
-    assert client.conn is not None
-    limit = client.conn.remote_settings.max_concurrent_streams
-    if limit is not None and len(paths) >= limit:
-        paths = paths[: max(1, limit - 1)]
-        result.streams = len(paths)
+        # N must stay below the server's MAX_CONCURRENT_STREAMS (§III-A1).
+        assert client.conn is not None
+        limit = client.conn.remote_settings.max_concurrent_streams
+        if limit is not None and len(paths) >= limit:
+            paths = paths[: max(1, limit - 1)]
+            result.streams = len(paths)
 
-    stream_ids = [client.request(path) for path in paths]
-    wanted = set(stream_ids)
-    client.wait_for(
-        lambda: wanted
-        <= {
+        stream_ids = [client.request(path) for path in paths]
+        wanted = set(stream_ids)
+        client.wait_for(
+            lambda: wanted
+            <= {
+                te.event.stream_id
+                for te in client.events_of(ev.StreamEnded)
+            },
+            timeout=BULK_TIMEOUT,
+        )
+
+        pattern = [
             te.event.stream_id
-            for te in client.events_of(ev.StreamEnded)
-        },
-        timeout=BULK_TIMEOUT,
-    )
-
-    pattern = [
-        te.event.stream_id
-        for te in client.events_of(ev.DataReceived)
-        if te.event.stream_id in wanted and te.event.data
-    ]
-    result.arrival_pattern = pattern
-    result.interleaved = _is_interleaved(pattern)
-    client.close()
+            for te in client.events_of(ev.DataReceived)
+            if te.event.stream_id in wanted and te.event.data
+        ]
+        result.arrival_pattern = pattern
+        result.interleaved = _is_interleaved(pattern)
+    finally:
+        client.close()
     return result
 
 

@@ -28,41 +28,45 @@ def probe_ping(
 
     # -- HTTP/2 PING + TCP handshake RTT -----------------------------------
     client = session.client(domain)
-    if client.establish_h2():
-        result.tcp_rtt = client.tls.tcp_handshake_rtt
-        rtts: list[float] = []
-        for i in range(samples):
-            payload = f"scope{i:03d}".encode()[:8].ljust(8, b"\x00")
-            start = client.now
-            client.send_ping(payload)
+    try:
+        if client.establish_h2():
+            result.tcp_rtt = client.tls.tcp_handshake_rtt
+            rtts: list[float] = []
+            for i in range(samples):
+                payload = f"scope{i:03d}".encode()[:8].ljust(8, b"\x00")
+                start = client.now
+                client.send_ping(payload)
 
-            def ack_time() -> float | None:
-                for te in client.events_of(ev.PingAckReceived):
-                    if te.event.payload == payload:
-                        return te.at
-                return None
+                def ack_time() -> float | None:
+                    for te in client.events_of(ev.PingAckReceived):
+                        if te.event.payload == payload:
+                            return te.at
+                    return None
 
-            if client.wait_for(lambda: ack_time() is not None):
-                rtts.append(ack_time() - start)
-        if rtts:
-            result.ping_supported = True
-            result.h2_ping_rtt = sum(rtts) / len(rtts)
-    client.close()
+                if client.wait_for(lambda: ack_time() is not None):
+                    rtts.append(ack_time() - start)
+            if rtts:
+                result.ping_supported = True
+                result.h2_ping_rtt = sum(rtts) / len(rtts)
+    finally:
+        client.close()
 
     # -- ICMP ------------------------------------------------------------------
     result.icmp_rtt = session.icmp_rtt(domain, count=samples)
 
     # -- HTTP/1.1 request ---------------------------------------------------------
     h1 = session.client(domain, alpn=[HTTP11], offer_npn=False)
-    if h1.connect():
-        tls = h1.tls_handshake()
-        if tls.connected:
-            h1_rtts = []
-            for _ in range(samples):
-                interval = h1.http1_get("/")
-                if interval is not None:
-                    h1_rtts.append(interval)
-            if h1_rtts:
-                result.http1_rtt = sum(h1_rtts) / len(h1_rtts)
-    h1.close()
+    try:
+        if h1.connect():
+            tls = h1.tls_handshake()
+            if tls.connected:
+                h1_rtts = []
+                for _ in range(samples):
+                    interval = h1.http1_get("/")
+                    if interval is not None:
+                        h1_rtts.append(interval)
+                if h1_rtts:
+                    result.http1_rtt = sum(h1_rtts) / len(h1_rtts)
+    finally:
+        h1.close()
     return result

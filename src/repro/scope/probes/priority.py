@@ -29,8 +29,12 @@ from dataclasses import dataclass
 from repro.h2 import events as ev
 from repro.h2.constants import MAX_WINDOW_SIZE
 from repro.h2.frames import PriorityData
-from repro.scope.client import BULK_TIMEOUT, DEFAULT_TIMEOUT, IWS, ScopeClient
-from repro.scope.probes.flow_control import await_reaction
+from repro.scope.client import BULK_TIMEOUT, IWS, ScopeClient
+from repro.scope.probes.flow_control import (
+    SharedConnection,
+    await_reaction,
+    blocked_stream,
+)
 from repro.scope.report import ErrorReaction, PriorityResult
 from repro.scope.session import ProbeSession
 
@@ -70,73 +74,71 @@ def probe_priority(
         settings={IWS: MAX_WINDOW_SIZE},
         auto_window_update=False,
     )
-    if not client.establish_h2():
-        client.close()
-        return result
+    try:
+        # Step 1b: drain the 65,535-octet connection window.
+        if not client.establish_h2() or not _deplete_connection_window(
+            client, depletion_paths
+        ):
+            return result
 
-    # Step 1b: drain the 65,535-octet connection window.
-    drained = _deplete_connection_window(client, depletion_paths)
-    if not drained:
-        client.close()
-        return result
+        # Step 2, in one write: plant Table I's tree with prioritised
+        # requests...
+        with client.batch():
+            planted = _plant_tree(client, test_paths)
+            sid = {p.label: p.stream_id for p in planted}
 
-    # Step 2, in one write: plant Table I's tree with prioritised
-    # requests...
-    with client.batch():
-        planted = _plant_tree(client, test_paths)
-        sid = {p.label: p.stream_id for p in planted}
+            # ...and reshape it with PRIORITY frames: A becomes the exclusive
+            # child of D (the §5.3.3 "moving a dependency" case — D,
+            # previously A's child, is first hoisted to A's old parent), then
+            # E moves under C.  Final tree: D -> A -> {B, C, F}, C -> E.
+            client.send_priority(
+                sid["A"], depends_on=sid["D"], weight=16, exclusive=True
+            )
+            client.send_priority(
+                sid["E"], depends_on=sid["C"], weight=16, exclusive=False
+            )
 
-        # ...and reshape it with PRIORITY frames: A becomes the exclusive
-        # child of D (the §5.3.3 "moving a dependency" case — D,
-        # previously A's child, is first hoisted to A's old parent), then
-        # E moves under C.  Final tree: D -> A -> {B, C, F}, C -> E.
-        client.send_priority(
-            sid["A"], depends_on=sid["D"], weight=16, exclusive=True
+        # Give the server a moment to build the tree; record whether it
+        # leaks HEADERS while the connection window is still zero.
+        client.sleep(1.0)
+        planted_ids = set(sid.values())
+        result.headers_while_blocked = any(
+            te.event.stream_id in planted_ids
+            for te in client.events_of(ev.HeadersReceived)
         )
-        client.send_priority(
-            sid["E"], depends_on=sid["C"], weight=16, exclusive=False
+
+        # Step 3: release the connection window and let everything drain.
+        client.send_window_update(0, MAX_WINDOW_SIZE - INITIAL_CONNECTION_WINDOW)
+        client.wait_for(
+            lambda: planted_ids
+            <= {te.event.stream_id for te in client.events_of(ev.StreamEnded)},
+            timeout=BULK_TIMEOUT,
         )
 
-    # Give the server a moment to build the tree; record whether it
-    # leaks HEADERS while the connection window is still zero.
-    client.sleep(1.0)
-    planted_ids = set(sid.values())
-    result.headers_while_blocked = any(
-        te.event.stream_id in planted_ids
-        for te in client.events_of(ev.HeadersReceived)
-    )
+        # Analyse DATA-frame order.
+        id_to_label = {p.stream_id: p.label for p in planted}
+        first_order: list[str] = []
+        last_seen: dict[str, int] = {}
+        for index, te in enumerate(client.events_of(ev.DataReceived)):
+            label = id_to_label.get(te.event.stream_id)
+            if label is None or not te.event.data:
+                continue
+            if label not in first_order:
+                first_order.append(label)
+            last_seen[label] = index
+        last_order = sorted(last_seen, key=last_seen.get)  # type: ignore[arg-type]
 
-    # Step 3: release the connection window and let everything drain.
-    client.send_window_update(0, MAX_WINDOW_SIZE - INITIAL_CONNECTION_WINDOW)
-    client.wait_for(
-        lambda: planted_ids
-        <= {te.event.stream_id for te in client.events_of(ev.StreamEnded)},
-        timeout=BULK_TIMEOUT,
-    )
-
-    # Analyse DATA-frame order.
-    id_to_label = {p.stream_id: p.label for p in planted}
-    first_order: list[str] = []
-    last_seen: dict[str, int] = {}
-    for index, te in enumerate(client.events_of(ev.DataReceived)):
-        label = id_to_label.get(te.event.stream_id)
-        if label is None or not te.event.data:
-            continue
-        if label not in first_order:
-            first_order.append(label)
-        last_seen[label] = index
-    last_order = sorted(last_seen, key=last_seen.get)  # type: ignore[arg-type]
-
-    result.first_frame_order = first_order
-    result.last_frame_order = last_order
-    result.follows_rules_by_first = _follows_rules(first_order)
-    result.follows_rules_by_last = _follows_rules(last_order)
-    result.follows_rules_by_both = (
-        result.follows_rules_by_first and result.follows_rules_by_last
-    )
-    result.passes_algorithm1 = result.follows_rules_by_last
-    client.close()
-    return result
+        result.first_frame_order = first_order
+        result.last_frame_order = last_order
+        result.follows_rules_by_first = _follows_rules(first_order)
+        result.follows_rules_by_last = _follows_rules(last_order)
+        result.follows_rules_by_both = (
+            result.follows_rules_by_first and result.follows_rules_by_last
+        )
+        result.passes_algorithm1 = result.follows_rules_by_last
+        return result
+    finally:
+        client.close()
 
 
 def _deplete_connection_window(
@@ -233,16 +235,10 @@ def probe_self_dependency(
     RFC 7540 prescribes a stream error (RST_STREAM); Table III shows
     servers also answer GOAWAY or ignore it.
     """
-    client = session.client(domain, settings={IWS: 1})
-    if not client.establish_h2():
-        client.close()
-        return None
-    stream_id = client.request(path)
-    client.wait_for(
-        lambda: client.headers_for(stream_id) is not None,
-        timeout=DEFAULT_TIMEOUT / 2,
-    )
-    client.send_priority(stream_id, depends_on=stream_id, weight=16)
-    reaction = await_reaction(client, stream_id)
-    client.close()
-    return reaction
+    with SharedConnection(session, domain) as link:
+        turn = blocked_stream(link, path)
+        if turn is None:
+            return None
+        client, since, stream_id = turn
+        client.send_priority(stream_id, depends_on=stream_id, weight=16)
+        return await_reaction(client, stream_id, since)

@@ -22,22 +22,23 @@ def probe_push(session: ProbeSession, domain: str) -> PushResult:
     client = session.client(
         domain, settings={IWS: HEADERS_ONLY_WINDOW}, enable_push=True
     )
-    if not client.establish_h2():
+    try:
+        if not client.establish_h2():
+            return result
+
+        # Promises precede the page's HEADERS (RFC 7540 §8.2.1); the window
+        # holds every body, and the settle still counts a late promise.
+        stream_id = client.request("/")
+        client.wait_for(
+            lambda: client.headers_for(stream_id) is not None, timeout=PUSH_TIMEOUT
+        )
+        client.settle(quiet_period=0.5, timeout=PUSH_TIMEOUT)
+
+        for te in client.events_of(ev.PushPromiseReceived):
+            result.push_received = True
+            for name, value in te.event.headers:
+                if name == b":path":
+                    result.promised_paths.append(value.decode("latin-1"))
+    finally:
         client.close()
-        return result
-
-    # Promises precede the page's HEADERS (RFC 7540 §8.2.1); the window
-    # holds every body, and the settle still counts a late promise.
-    stream_id = client.request("/")
-    client.wait_for(
-        lambda: client.headers_for(stream_id) is not None, timeout=PUSH_TIMEOUT
-    )
-    client.settle(quiet_period=0.5, timeout=PUSH_TIMEOUT)
-
-    for te in client.events_of(ev.PushPromiseReceived):
-        result.push_received = True
-        for name, value in te.event.headers:
-            if name == b":path":
-                result.promised_paths.append(value.decode("latin-1"))
-    client.close()
     return result

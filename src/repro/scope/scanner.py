@@ -21,18 +21,14 @@ from repro.net.faults import FaultPlan
 from repro.net.transport import Network
 from repro.scope.campaign import CampaignResult, CampaignRun
 from repro.scope.probes import (
+    probe_flow_control,
     probe_hpack,
-    probe_large_window_update,
     probe_negotiation,
     probe_ping,
     probe_priority,
     probe_push,
     probe_self_dependency,
-    probe_tiny_window,
-    probe_zero_window_headers,
-    probe_zero_window_update,
 )
-from repro.scope.probes.flow_control import SharedConnection
 from repro.scope.report import ErrorClass, SiteReport
 from repro.scope.resilience import (
     ResilienceConfig,
@@ -154,35 +150,12 @@ def probe_target(
             return report
 
     if "flow_control" in include_set:
-
-        def run_flow_control() -> None:
-            fc = report.flow_control
-            # The zero-window HEADERS probe announces a window of its own;
-            # the other five take turns on one connection, the
-            # connection-level updates last (DESIGN §8).
-            fc.headers_with_zero_window = probe_zero_window_headers(
-                session, domain
-            )
-            with SharedConnection(session, domain) as shared:
-                fc.tiny_window, fc.first_data_size, _ = probe_tiny_window(
-                    session, domain, shared=shared
-                )
-                fc.zero_update_stream, fc.zero_update_debug_data = (
-                    probe_zero_window_update(
-                        session, domain, level="stream", shared=shared
-                    )
-                )
-                fc.large_update_stream = probe_large_window_update(
-                    session, domain, level="stream", shared=shared
-                )
-                fc.zero_update_connection, _ = probe_zero_window_update(
-                    session, domain, level="connection", shared=shared
-                )
-                fc.large_update_connection = probe_large_window_update(
-                    session, domain, level="connection", shared=shared
-                )
-
-        guarded("flow_control", run_flow_control)
+        # Filled in place: a raised attempt keeps the verdicts read
+        # before it (DESIGN §8).
+        guarded(
+            "flow_control",
+            lambda: probe_flow_control(session, domain, report.flow_control),
+        )
 
     if "priority" in include_set:
 

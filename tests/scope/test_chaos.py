@@ -7,6 +7,7 @@ never raises, and identical seeds reproduce byte-identical reports.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -14,7 +15,9 @@ from repro.net.faults import FaultPlan
 from repro.population.generator import PopulationConfig, make_population
 from repro.scope.report import ErrorClass, summarize_errors
 from repro.scope.resilience import ResilienceConfig
+from repro.scope import scanner
 from repro.scope.scanner import scan_population
+from repro.scope.session import ProbeSession
 from repro.scope.storage import _encode
 
 #: A hostile mixture covering every fault kind; ``xN`` caps on the
@@ -90,3 +93,54 @@ class TestChaosSoak:
                 continue
             assert "negotiation" in report.probe_attempts
             assert all(n >= 1 for n in report.probe_attempts.values())
+
+
+class TestNoConnectionOutlivesItsAttempt:
+    """A probe group's attempt closes every client it made, whether it
+    returns or raises: a server must not see an idle probe connection
+    held open past the attempt that made it (DESIGN §8)."""
+
+    def test_every_client_is_closed_when_its_attempt_ends(self, monkeypatch):
+        clients = []
+        real_client = ProbeSession.client
+
+        def client(self, domain, **kwargs):
+            made = real_client(self, domain, **kwargs)
+            clients.append(made)
+            return made
+
+        left_open = Counter()
+        real_run_resilient = scanner.run_resilient
+
+        def run_resilient(backend, probe, fn, config, seed=0):
+            def attempt():
+                clients.clear()
+                try:
+                    fn()
+                finally:
+                    left_open[probe] += sum(
+                        c.endpoint is not None and not c.endpoint.closed
+                        for c in clients
+                    )
+
+            return real_run_resilient(backend, probe, attempt, config, seed)
+
+        monkeypatch.setattr(ProbeSession, "client", client)
+        monkeypatch.setattr(scanner, "run_resilient", run_resilient)
+        sites = make_population(PopulationConfig(n_sites=20, seed=7))
+        plan = FaultPlan.parse(
+            "refuse:0.1x6,reset:0.06x4,stall(30):0.05,truncate(400):0.05", seed=5
+        )
+        reports = [
+            scanner.scan_site(
+                site,
+                seed=7 + index,
+                fault_plan=plan,
+                resilience=ResilienceConfig(timeout=10.0, retries=1),
+            )
+            for index, site in enumerate(sites)
+        ]
+        # Attempts did raise: the check covers the raised way out.
+        assert sum(len(report.errors) for report in reports) > 0
+        assert set(left_open) >= {"flow_control", "priority", "push", "hpack", "ping"}
+        assert +left_open == Counter()

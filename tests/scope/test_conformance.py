@@ -96,6 +96,41 @@ class TestVendorConformance:
             assert (v[row.check_id] is Verdict.PASS) == expected, row.label
 
 
+
+class TestTableIIIConnectionBudget:
+    """``run_conformance`` runs the scan's flow-control sequence
+    (DESIGN §8): the zero-window HEADERS probe on a connection of its
+    own, then five turns on one connection that a GOAWAY replaces, so
+    flow control opens 2 (nginx, tengine), 3 (litespeed, h2o) or 4
+    (nghttpd, apache) connections.  The other ten: negotiation and
+    ping two each, and one each for multiplexing, push, Algorithm 1,
+    self-dependency, HPACK and the SETTINGS acknowledgement check.
+    Every cell is the paper's."""
+
+    CONNECTIONS = {
+        "nginx": 12,
+        "litespeed": 13,
+        "h2o": 13,
+        "nghttpd": 14,
+        "tengine": 12,
+        "apache": 14,
+    }
+
+    def test_connections_and_cells(self, monkeypatch, vendor):
+        connects = []
+        real_connect = Network.connect
+
+        def connect(self, *args, **kwargs):
+            connects.append(args)
+            return real_connect(self, *args, **kwargs)
+
+        monkeypatch.setattr(Network, "connect", connect)
+        report = run_vendor(vendor)
+        assert len(connects) == self.CONNECTIONS[vendor]
+        assert report.cells == {
+            row.label: PAPER_TABLE3[row.label][vendor] for row in ROWS
+        }
+
 class TestRules:
     def test_stream_overflow_needs_rst_stream(self):
         # RFC 7540 §6.9.1: a stream's overflow is a stream error.

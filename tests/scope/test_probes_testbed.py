@@ -9,13 +9,16 @@ import pytest
 
 from repro.scope.probes import (
     probe_hpack,
-    probe_large_window_update,
     probe_multiplexing,
     probe_negotiation,
     probe_ping,
     probe_priority,
     probe_push,
     probe_self_dependency,
+)
+from repro.scope.probes.flow_control import (
+    SharedConnection,
+    probe_large_window_update,
     probe_tiny_window,
     probe_zero_window_headers,
     probe_zero_window_update,
@@ -190,15 +193,15 @@ class TestFlowControlRows:
     def test_data_frames_sized_to_window(self, vendor):
         # Sframe=64 exceeds LiteSpeed's hold threshold, so even it replies.
         network, domain = deploy_vendor(vendor)
-        category, size, _ = probe_tiny_window(
-            sim_session(network), domain, sframe=64, path="/large/0.bin"
-        )
+        with SharedConnection(sim_session(network), domain, window=64) as shared:
+            category, size, _ = probe_tiny_window(shared, path="/large/0.bin")
         assert category is TinyWindowResult.WINDOW_SIZED_DATA
         assert size == 64
 
     def test_litespeed_silent_at_one_octet(self):
         network, domain = deploy_vendor("litespeed")
-        category, _, headers = probe_tiny_window(sim_session(network), domain, sframe=1)
+        with SharedConnection(sim_session(network), domain, window=1) as shared:
+            category, _, headers = probe_tiny_window(shared)
         assert category is TinyWindowResult.NO_RESPONSE
         assert not headers
 
@@ -220,9 +223,10 @@ class TestFlowControlRows:
 
     def test_zero_window_update_on_stream(self, vendor):
         network, domain = deploy_vendor(vendor)
-        reaction, _ = probe_zero_window_update(
-            sim_session(network), domain, level="stream", path="/large/1.bin"
-        )
+        with SharedConnection(sim_session(network), domain) as shared:
+            reaction, _ = probe_zero_window_update(
+                shared, level="stream", path="/large/1.bin"
+            )
         assert reaction is self.ZERO_WU_STREAM[vendor]
 
     ZERO_WU_CONN = {
@@ -236,23 +240,26 @@ class TestFlowControlRows:
 
     def test_zero_window_update_on_connection(self, vendor):
         network, domain = deploy_vendor(vendor)
-        reaction, _ = probe_zero_window_update(
-            sim_session(network), domain, level="connection", path="/large/1.bin"
-        )
+        with SharedConnection(sim_session(network), domain) as shared:
+            reaction, _ = probe_zero_window_update(
+                shared, level="connection", path="/large/1.bin"
+            )
         assert reaction is self.ZERO_WU_CONN[vendor]
 
     def test_large_window_update_stream_rst(self, vendor):
         network, domain = deploy_vendor(vendor)
-        reaction = probe_large_window_update(
-            sim_session(network), domain, level="stream", path="/large/2.bin"
-        )
+        with SharedConnection(sim_session(network), domain) as shared:
+            reaction = probe_large_window_update(
+                shared, level="stream", path="/large/2.bin"
+            )
         assert reaction is ErrorReaction.RST_STREAM
 
     def test_large_window_update_connection_goaway(self, vendor):
         network, domain = deploy_vendor(vendor)
-        reaction = probe_large_window_update(
-            sim_session(network), domain, level="connection", path="/large/2.bin"
-        )
+        with SharedConnection(sim_session(network), domain) as shared:
+            reaction = probe_large_window_update(
+                shared, level="connection", path="/large/2.bin"
+            )
         assert reaction is ErrorReaction.GOAWAY
 
 
