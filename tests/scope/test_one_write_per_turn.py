@@ -10,12 +10,12 @@ from repro.h2.frames import parse_frames_view
 from repro.net.clock import Simulation
 from repro.net.tls import encode_client_hello
 from repro.net.transport import Endpoint, LinkProfile, Network
-from repro.scope.probes.hpack_probe import REPETITIONS, probe_hpack
+from repro.scope.probes.hpack_probe import REPETITIONS
 from repro.scope.probes.priority import LABELS, probe_priority
 from repro.servers.site import Site, deploy_site
 from repro.servers.vendors import h2o
 from repro.servers.website import testbed_website
-from tests.conftest import sim_session
+from tests.conftest import hpack_of, sim_session
 
 DOMAIN = "turns.test"
 TEST_PATHS = [f"/large/{i}.bin" for i in range(6)]
@@ -78,7 +78,7 @@ def test_algorithm1_plants_its_tree_and_reshapes_it_in_one_write(client_writes):
 
 def test_hpack_cancels_each_stream_in_the_write_that_opens_the_next(client_writes):
     network, _ = universe()
-    result = probe_hpack(sim_session(network), DOMAIN)
+    result = hpack_of(sim_session(network), DOMAIN)
     assert len(result.header_sizes) == REPETITIONS
     requests = [write for write in client_writes if FrameType.HEADERS in write]
     assert requests == [[FrameType.HEADERS]] + [

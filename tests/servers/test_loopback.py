@@ -6,12 +6,12 @@ import pytest
 
 from repro.h2 import events as ev
 from repro.net.socket_backend import SocketBackend
-from repro.scope.probes import probe_hpack
 from repro.scope.session import ProbeSession
 from repro.servers.loopback import _TIMER_GRAIN, LoopbackBridge, _SiteRuntime
 from repro.servers.site import Site, serve_site
 from repro.servers.vendors import VENDOR_FACTORIES
 from repro.servers.website import Resource, Website, testbed_website
+from tests.conftest import hpack_of
 
 
 @pytest.fixture
@@ -154,14 +154,14 @@ def test_noisy_site_draws_the_simulators_header_sizes(bridge):
         website=testbed_website(),
     )
     with serve_site(site, seed=bridge.seed) as (backend, _):
-        simulated = probe_hpack(ProbeSession(backend), site.domain)
+        simulated = hpack_of(ProbeSession(backend), site.domain)
     bridge.serve(site)
     session = make_session(bridge)
     try:
         client = session.client(site.domain)
         assert client.establish_h2()
         client.close()
-        live = probe_hpack(session, site.domain)
+        live = hpack_of(session, site.domain)
     finally:
         session.close()
     assert live.header_sizes == simulated.header_sizes
