@@ -96,11 +96,16 @@ class TestChaosSoak:
 
 
 class TestNoConnectionOutlivesItsAttempt:
-    """A probe group's attempt closes every client it made, whether it
-    returns or raises: a server must not see an idle probe connection
-    held open past the attempt that made it (DESIGN §8)."""
+    """A probe group's attempt that raises leaves no client it or an
+    earlier group made open.  One that returns may leave only the
+    header-block link, and only when a later header-block group (push,
+    HPACK) is included, so a server never sees an idle probe connection
+    held across another group's turns; nothing is open when
+    ``scan_site`` returns (DESIGN §8)."""
 
     def test_every_client_is_closed_when_its_attempt_ends(self, monkeypatch):
+        from repro.scope.client import HEADERS_ONLY_WINDOW, IWS
+
         clients = []
         real_client = ProbeSession.client
 
@@ -109,19 +114,30 @@ class TestNoConnectionOutlivesItsAttempt:
             clients.append(made)
             return made
 
+        def still_open():
+            return [
+                c for c in clients if c.endpoint is not None and not c.endpoint.closed
+            ]
+
         left_open = Counter()
+        links_held = Counter()
         real_run_resilient = scanner.run_resilient
 
         def run_resilient(backend, probe, fn, config, seed=0):
             def attempt():
-                clients.clear()
+                returned = False
                 try:
                     fn()
+                    returned = True
                 finally:
-                    left_open[probe] += sum(
-                        c.endpoint is not None and not c.endpoint.closed
-                        for c in clients
-                    )
+                    leftover = still_open()
+                    if returned and probe in ("negotiation", "push") and leftover:
+                        # The header-block link, held for push or HPACK.
+                        (link,) = leftover
+                        assert link.initial_settings == {IWS: HEADERS_ONLY_WINDOW}
+                        links_held[probe] += 1
+                    else:
+                        left_open[probe] += len(leftover)
 
             return real_run_resilient(backend, probe, attempt, config, seed)
 
@@ -131,16 +147,21 @@ class TestNoConnectionOutlivesItsAttempt:
         plan = FaultPlan.parse(
             "refuse:0.1x6,reset:0.06x4,stall(30):0.05,truncate(400):0.05", seed=5
         )
-        reports = [
-            scanner.scan_site(
-                site,
-                seed=7 + index,
-                fault_plan=plan,
-                resilience=ResilienceConfig(timeout=10.0, retries=1),
+        reports = []
+        for index, site in enumerate(sites):
+            clients.clear()
+            reports.append(
+                scanner.scan_site(
+                    site,
+                    seed=7 + index,
+                    fault_plan=plan,
+                    resilience=ResilienceConfig(timeout=10.0, retries=1),
+                )
             )
-            for index, site in enumerate(sites)
-        ]
+            assert still_open() == [], site.domain
         # Attempts did raise: the check covers the raised way out.
         assert sum(len(report.errors) for report in reports) > 0
         assert set(left_open) >= {"flow_control", "priority", "push", "hpack", "ping"}
         assert +left_open == Counter()
+        # And the link was held: negotiation handed it to push on most sites.
+        assert links_held["negotiation"] > 0 and links_held["push"] > 0

@@ -102,18 +102,19 @@ class TestTableIIIConnectionBudget:
     (DESIGN §8): the zero-window HEADERS probe on a connection of its
     own, then five turns on one connection that a GOAWAY replaces, so
     flow control opens 2 (nginx, tengine), 3 (litespeed, h2o) or 4
-    (nghttpd, apache) connections.  The other ten: negotiation and
-    ping two each, and one each for multiplexing, push, Algorithm 1,
-    self-dependency, HPACK and the SETTINGS acknowledgement check.
-    Every cell is the paper's."""
+    (nghttpd, apache) connections.  The other eight: negotiation and
+    ping two each, and one each for multiplexing, Algorithm 1,
+    self-dependency and the SETTINGS acknowledgement check.  Push and
+    HPACK open none: they take their turns on the negotiation fetch's
+    connection, the header-block link.  Every cell is the paper's."""
 
     CONNECTIONS = {
-        "nginx": 12,
-        "litespeed": 13,
-        "h2o": 13,
-        "nghttpd": 14,
-        "tengine": 12,
-        "apache": 14,
+        "nginx": 10,
+        "litespeed": 11,
+        "h2o": 11,
+        "nghttpd": 12,
+        "tengine": 10,
+        "apache": 12,
     }
 
     def test_connections_and_cells(self, monkeypatch, vendor):
@@ -188,7 +189,7 @@ class TestReportShape:
         # with nothing read they skip instead of failing the server.
         import repro.scope.conformance as conformance_module
 
-        def exploding_negotiation(session, domain):
+        def exploding_negotiation(session, domain, link):
             raise RuntimeError("negotiation exploded")
 
         monkeypatch.setattr(
