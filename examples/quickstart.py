@@ -15,6 +15,7 @@ Run with::
 
 from repro.h2 import events as ev
 from repro.scope import ScopeClient, scan_site
+from repro.scope.scanner import TESTBED_PLAN
 from repro.servers import Site, serve_site, vendors
 from repro.servers.website import testbed_website
 
@@ -54,16 +55,13 @@ def full_scan() -> None:
         profile=vendors.nginx(),
         website=testbed_website(),
     )
-    report = scan_site(
-        site,
-        priority_test_paths=[f"/large/{i}.bin" for i in range(6)],
-        priority_depletion_paths=[f"/medium/{i}.bin" for i in range(4)],
-    )
+    report = scan_site(site, plan=TESTBED_PLAN)
     print()
     print(f"full H2Scope report for {report.domain}:")
     print(f"  ALPN h2: {report.negotiation.alpn_h2}, NPN h2: {report.negotiation.npn_h2}")
     print(f"  announced SETTINGS: {report.settings.announced}")
-    print(f"  Sframe=1 behaviour: {report.flow_control.tiny_window.value}")
+    print(f"  Sframe={TESTBED_PLAN.sframe} behaviour: "
+          f"{report.flow_control.tiny_window.value}")
     print(f"  zero WINDOW_UPDATE on stream: {report.flow_control.zero_update_stream.value}")
     print(f"  Algorithm 1 (priority): "
           f"{'pass' if report.priority.passes_algorithm1 else 'fail'}")

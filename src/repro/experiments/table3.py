@@ -1,14 +1,14 @@
 """Table III — characterizing the six servers in the testbed.
 
 Installs each vendor profile on a testbed host with large objects
-(§III-A1's requirement), measures its column with
-:func:`~repro.scope.conformance.matrix_cells`, then renders the
-resulting feature matrix next to the paper's published cells.  The
-``mismatches`` entry in the result data lists any cell where the
-reproduction deviates from the paper; it should be empty.  The "RFC
-7540" column and the conformance score come from the conformance
-suite's row table (:data:`~repro.scope.conformance.ROWS`), so the suite
-and this table judge every cell by the same rule.
+(§III-A1's requirement), measures its column with the population
+scan's own probes (:func:`~repro.scope.conformance.matrix_cells`), then
+renders the resulting feature matrix next to the paper's published
+cells.  The ``mismatches`` entry in the result data lists any cell
+where the reproduction deviates from the paper; it should be empty.
+The "RFC 7540" column and the conformance score come from the
+conformance suite's row table (:data:`~repro.scope.conformance.ROWS`),
+so the suite and this table judge every cell by the same rule.
 """
 
 from __future__ import annotations

@@ -5,14 +5,17 @@ only place a probe result becomes an RFC verdict.  :data:`ROWS` is the
 table's row list: each row carries the "RFC 7540" column's cell, and
 every row the RFC requires something of also carries the section, the
 requirement level (MUST / SHOULD / feature) and the id of the check
-that judges it.  :func:`matrix_cells` measures one target's column;
+that judges it.  :func:`matrix_cells` measures one target's column:
+the scan's own probe sequence (:func:`~repro.scope.scanner.probe_target`
+with :data:`~repro.scope.scanner.TESTBED_PLAN`), read by the pure
+:func:`cells`, plus the multiplexing probe, which no scan group runs.
 :meth:`Row.judge` turns a cell into a verdict, and
 ``experiments.table3`` scores the paper's matrix with the same rows.
 
 :func:`run_conformance` measures the column once, judges every scored
 row, then runs the three checks Table III has no row for (SETTINGS
 after the preface, SETTINGS acknowledgement, the concurrency floor).
-The two SETTINGS checks judge the frame the column's negotiation fetch
+The two SETTINGS checks judge the frame the scan's negotiation fetch
 received; only the acknowledgement check opens a connection.
 Its report is how the paper's "not all implementations strictly follow
 RFC 7540" becomes a per-server, per-requirement statement.
@@ -25,25 +28,9 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.h2 import events as ev
-from repro.scope.probes import (
-    HeaderBlockLink,
-    probe_flow_control,
-    probe_hpack,
-    probe_multiplexing,
-    probe_negotiation,
-    probe_ping,
-    probe_priority,
-    probe_push,
-    probe_self_dependency,
-)
-from repro.scope.report import (
-    ErrorReaction,
-    FlowControlResult,
-    HpackResult,
-    PushResult,
-    SettingsResult,
-    TinyWindowResult,
-)
+from repro.scope import scanner
+from repro.scope.probes import probe_multiplexing
+from repro.scope.report import ErrorReaction, SettingsResult, SiteReport
 from repro.scope.session import ProbeSession
 
 
@@ -150,10 +137,29 @@ ROWS: tuple[Row, ...] = (
 SCORED_ROWS = tuple(row for row in ROWS if row.level is not None)
 
 
-#: Sframe used for the DATA-frame flow-control row.  Larger than
-#: LiteSpeed's HEADERS-hold threshold so every vendor responds (the
-#: population experiment separately probes Sframe=1, §V-D1).
-TESTBED_SFRAME = 64
+def cells(report: SiteReport, plan: scanner.ProbePlan) -> dict[str, str]:
+    """The Table III cells a scan's report holds: every row but Request
+    Multiplexing, which no scan group measures.  ``plan`` is the plan
+    the report was scanned with; the DATA-frame row reads its Sframe."""
+    fc = report.flow_control
+    return {
+        "ALPN": _support(report.negotiation.alpn_h2),
+        "NPN": _support(report.negotiation.npn_h2),
+        # Only window-sized DATA records a first size above zero.
+        "Flow Control on DATA Frames": _yes(fc.first_data_size == plan.sframe),
+        "Flow Control on HEADERS Frames": _yes(not fc.headers_with_zero_window),
+        "Zero Window Update on stream": _reaction_cell(fc.zero_update_stream),
+        "Zero Window Update on connection": _reaction_cell(fc.zero_update_connection),
+        "Large Window Update (Connection)": _reaction_cell(fc.large_update_connection),
+        "Large Window Update (Stream)": _reaction_cell(fc.large_update_stream),
+        "Server Push": _yes(report.push.push_received),
+        "Priority Mechanism Testing (Algorithm 1)": (
+            "pass" if report.priority.passes_algorithm1 else "fail"
+        ),
+        "Self-dependent Stream": _reaction_cell(report.priority.self_dependency),
+        "Header Compression": _compression_cell(report.hpack.ratio),
+        "HTTP/2 PING": _support(report.ping.ping_supported),
+    }
 
 
 def matrix_cells(session: ProbeSession, domain: str) -> dict[str, str]:
@@ -162,83 +168,39 @@ def matrix_cells(session: ProbeSession, domain: str) -> dict[str, str]:
     Backend-agnostic: the session's backend decides whether the cells
     come from the simulated testbed or from a real server — the socket-
     backend differential test compares the two verdict-for-verdict.
-    The target must serve the testbed object layout (``/large/*.bin``,
-    ``/medium/*.bin``); cells degrade to "no response" otherwise.
+    The target must serve the testbed object layout
+    (:data:`~repro.scope.scanner.TESTBED_PLAN`); cells degrade to "no
+    response" otherwise.  Raises when a probe raised.
     """
-    return _measure(session, domain, ConformanceReport(domain=domain))
+    report = scanner.probe_target(session, domain, plan=scanner.TESTBED_PLAN)
+    return _column(session, domain, report)
 
 
-def _measure(
-    session: ProbeSession, domain: str, report: ConformanceReport
-) -> dict[str, str]:
-    """:func:`matrix_cells`, keeping the SETTINGS its negotiation fetch
-    received in ``report.settings`` as soon as they are in."""
-    cells: dict[str, str] = {}
-
-    # The scan's header-block turns (DESIGN §8): the negotiation fetch is
-    # push's turn and HPACK's first sample.
-    push, hpack = PushResult(), HpackResult()
-    with HeaderBlockLink(session, domain) as link:
-        negotiation, report.settings = probe_negotiation(session, domain, link)
-        probe_push(link, push)
-        probe_hpack(link, hpack)
-    cells["ALPN"] = "support" if negotiation.alpn_h2 else "no support"
-    cells["NPN"] = "support" if negotiation.npn_h2 else "no support"
-    cells["Server Push"] = "yes" if push.push_received else "no"
-    if hpack.ratio is None:
-        cells["Header Compression"] = "no support"
-    elif hpack.ratio >= 0.95:
-        cells["Header Compression"] = "support*"
-    else:
-        cells["Header Compression"] = "support"
-
+def _column(session: ProbeSession, domain: str, report: SiteReport) -> dict[str, str]:
+    """:func:`matrix_cells` from the scan's ``report``, with the
+    multiplexing cell measured on the target."""
+    if report.errors:
+        raise RuntimeError(str(report.errors[0]))
     multiplexing = probe_multiplexing(
-        session, domain, [f"/large/{i}.bin" for i in range(4)]
+        session, domain, list(scanner.TESTBED_PLAN.test_paths[:4])
     )
-    cells["Request Multiplexing"] = (
-        "support" if multiplexing.interleaved else "no support"
-    )
+    column = cells(report, scanner.TESTBED_PLAN)
+    column["Request Multiplexing"] = _support(multiplexing.interleaved)
+    return {row.label: column[row.label] for row in ROWS}
 
-    # The scan's sequence (DESIGN §8) at Sframe = TESTBED_SFRAME: the
-    # DATA and HEADERS rows fetch /large/1.bin, the updates block /large/3.bin.
-    fc = FlowControlResult()
-    probe_flow_control(
-        session, domain, fc, TESTBED_SFRAME, "/large/1.bin", "/large/3.bin"
-    )
-    cells["Flow Control on DATA Frames"] = (
-        "yes"
-        if fc.tiny_window is TinyWindowResult.WINDOW_SIZED_DATA
-        and fc.first_data_size == TESTBED_SFRAME
-        else "no"
-    )
-    cells["Flow Control on HEADERS Frames"] = (
-        "no" if fc.headers_with_zero_window else "yes"
-    )
-    cells["Zero Window Update on stream"] = _reaction_cell(fc.zero_update_stream)
-    cells["Zero Window Update on connection"] = _reaction_cell(
-        fc.zero_update_connection
-    )
-    cells["Large Window Update (Connection)"] = _reaction_cell(
-        fc.large_update_connection
-    )
-    cells["Large Window Update (Stream)"] = _reaction_cell(fc.large_update_stream)
 
-    priority = probe_priority(
-        session,
-        domain,
-        test_paths=[f"/large/{i}.bin" for i in range(6)],
-        depletion_paths=[f"/medium/{i}.bin" for i in range(4)],
-    )
-    cells["Priority Mechanism Testing (Algorithm 1)"] = (
-        "pass" if priority.passes_algorithm1 else "fail"
-    )
+def _support(supported: bool) -> str:
+    return "support" if supported else "no support"
 
-    selfdep = probe_self_dependency(session, domain, path="/large/5.bin")
-    cells["Self-dependent Stream"] = _reaction_cell(selfdep)
 
-    ping = probe_ping(session, domain, samples=1)
-    cells["HTTP/2 PING"] = "support" if ping.ping_supported else "no support"
-    return cells
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def _compression_cell(ratio: float | None) -> str:
+    if ratio is None:
+        return "no support"
+    return "support*" if ratio >= 0.95 else "support"
 
 
 def _reaction_cell(reaction: ErrorReaction | None) -> str:
@@ -262,8 +224,8 @@ class ConformanceReport:
     #: The Table III column the row checks were judged from (empty when
     #: measuring it raised).
     cells: dict[str, str] = field(default_factory=dict)
-    #: The SETTINGS the column's negotiation fetch received (None when
-    #: the negotiation probe raised).
+    #: The SETTINGS the scan's negotiation fetch received (None only
+    #: when the negotiation probe raised).
     settings: SettingsResult | None = None
 
     def _count(self, verdict: Verdict, level: Level | None = None) -> int:
@@ -385,12 +347,16 @@ def run_conformance(session: ProbeSession, domain: str) -> ConformanceReport:
     """Run the whole suite against one target over ``session``.
 
     The target must serve the testbed object layout that
-    :func:`matrix_cells` reads.  A probe that raises skips the checks
-    that read it (a checker must not crash).
+    :func:`matrix_cells` reads.  A probe that raises skips every scored
+    row, and the SETTINGS checks too when it was negotiation's (a
+    checker must not crash).
     """
     report = ConformanceReport(domain=domain)
     try:
-        report.cells = _measure(session, domain, report)
+        scan = scanner.probe_target(session, domain, plan=scanner.TESTBED_PLAN)
+        if not any(error.probe == "negotiation" for error in scan.errors):
+            report.settings = scan.settings
+        report.cells = _column(session, domain, scan)
         outcomes = {row: row.judge(report.cells) for row in SCORED_ROWS}
     except Exception as exc:  # noqa: BLE001 - a checker must not crash
         outcomes = dict.fromkeys(SCORED_ROWS, _crashed(exc))

@@ -11,6 +11,10 @@ reusable.
 :func:`probe_settings` reads the SETTINGS a client received;
 :func:`probe_negotiation` calls it on its fetch connection.
 
+:func:`~repro.scope.scanner.probe_target` calls them for the scan and
+Table III alike, with its :class:`~repro.scope.scanner.ProbePlan`'s
+objects; only :func:`probe_multiplexing` runs outside it.
+
 A probe that reads one stream's answer takes its turn on a
 :class:`~repro.scope.probes.flow_control.SharedConnection`: the
 flow-control sub-probes share one (:func:`probe_flow_control` runs

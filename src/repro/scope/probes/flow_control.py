@@ -119,22 +119,21 @@ def probe_flow_control(
     session: ProbeSession,
     domain: str,
     result: FlowControlResult,
-    sframe: int = 1,
-    path: str = "/",
-    blocked_path: str = "/big.bin",
+    sframe: int,
+    blocked_path: str,
 ) -> None:
     """§III-B's four sub-probes, filling ``result`` as each answers, so
     a sub-probe that raises keeps the verdicts read before it.
 
-    Sub-probes 1 and 2 fetch ``path``; 3 and 4 block ``blocked_path``,
+    Sub-probes 1 and 2 fetch ``/``; 3 and 4 block ``blocked_path``,
     which must be larger than ``sframe``.
     """
     result.headers_with_zero_window = probe_zero_window_headers(
-        session, domain, path
+        session, domain, "/"
     )
     with SharedConnection(session, domain, window=sframe) as shared:
         result.tiny_window, result.first_data_size, _ = probe_tiny_window(
-            shared, path
+            shared, "/"
         )
         result.zero_update_stream, result.zero_update_debug_data = (
             probe_zero_window_update(shared, "stream", blocked_path)

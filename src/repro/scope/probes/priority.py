@@ -24,6 +24,7 @@ DATA frames, and both.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.h2 import events as ev
@@ -55,8 +56,8 @@ class _PlantedStream:
 def probe_priority(
     session: ProbeSession,
     domain: str,
-    test_paths: list[str],
-    depletion_paths: list[str],
+    test_paths: Sequence[str],
+    depletion_paths: Sequence[str],
 ) -> PriorityResult:
     """Run Algorithm 1 against ``domain``.
 
@@ -142,7 +143,7 @@ def probe_priority(
 
 
 def _deplete_connection_window(
-    client: ScopeClient, depletion_paths: list[str]
+    client: ScopeClient, depletion_paths: Sequence[str]
 ) -> bool:
     """§III-C step 1: download until 65,535 octets have been received.
 
@@ -185,7 +186,7 @@ def _stalled(client: ScopeClient, depletion_ids: list[int]) -> bool:
 
 
 def _plant_tree(
-    client: ScopeClient, test_paths: list[str]
+    client: ScopeClient, test_paths: Sequence[str]
 ) -> list[_PlantedStream]:
     """Send the six prioritised requests of Table I.
 
@@ -228,9 +229,10 @@ def _follows_rules(order: list[str]) -> bool:
 def probe_self_dependency(
     session: ProbeSession,
     domain: str,
-    path: str = "/big.bin",
+    path: str,
 ) -> ErrorReaction | None:
-    """§III-C2: PRIORITY frame making a stream depend on itself.
+    """§III-C2: PRIORITY frame making a stream for ``path`` depend on
+    itself.
 
     RFC 7540 prescribes a stream error (RST_STREAM); Table III shows
     servers also answer GOAWAY or ignore it.

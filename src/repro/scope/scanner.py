@@ -41,6 +41,31 @@ from repro.scope.storage import ReportStore
 from repro.servers.site import Site, deploy_site
 from repro.servers.website import PRIORITY_DEPLETION_PATHS, PRIORITY_TEST_PATHS
 
+
+@dataclass(frozen=True)
+class ProbePlan:
+    """What a probe sequence fetches (DESIGN §8): flow control announces
+    ``sframe`` and fetches ``/``, its update sub-probes and
+    self-dependency block ``blocked_path`` (larger than ``sframe``), and
+    Algorithm 1 plants ``test_paths`` after fetching ``depletion_paths``."""
+
+    sframe: int
+    blocked_path: str
+    test_paths: tuple[str, ...]
+    depletion_paths: tuple[str, ...]
+
+
+#: The population scan's: Sframe = 1 (§V-D1) and the generated sites' objects.
+SCAN_PLAN = ProbePlan(1, "/big.bin", PRIORITY_TEST_PATHS, PRIORITY_DEPLETION_PATHS)
+#: Table III's, on the testbed's large objects: Sframe = 64 exceeds
+#: LiteSpeed's HEADERS-hold threshold, so every vendor answers that row.
+TESTBED_PLAN = ProbePlan(
+    64,
+    "/large/3.bin",
+    tuple(f"/large/{i}.bin" for i in range(6)),
+    tuple(f"/medium/{i}.bin" for i in range(4)),
+)
+
 #: Probe groups a scan can include.
 ALL_PROBES = frozenset(
     {"negotiation", "settings", "flow_control", "priority", "push", "hpack", "ping"}
@@ -94,8 +119,7 @@ def probe_target(
     domain: str,
     include: Iterable[str] | None = None,
     seed: int = 0,
-    priority_test_paths: list[str] | None = None,
-    priority_depletion_paths: list[str] | None = None,
+    plan: ProbePlan = SCAN_PLAN,
     resilience: ResilienceConfig | None = None,
     known_paths=None,
     report: SiteReport | None = None,
@@ -104,15 +128,16 @@ def probe_target(
 
     This is the backend-agnostic core of :func:`scan_site`: the
     session's backend decides whether the suite runs against a simulated
-    universe or a real server over sockets.  ``known_paths``, when
-    given, gates Algorithm 1 on the test objects actually existing on
-    the target (the population scanner passes the site's website); when
-    None the priority probe is attempted unconditionally.  The groups
-    run in the order negotiation, push, hpack, flow_control, priority,
-    ping, the first three on one header-block link.  If the session
-    carries a :class:`~repro.scope.trace.TraceRecorder`, each probe's
-    received frames are recorded under the name of the probe whose turn
-    received them.
+    universe or a real server over sockets, and ``plan`` what it fetches.
+    ``known_paths``, when given, gates Algorithm 1 on the test objects
+    actually existing on the target (the population scanner passes the
+    site's website); when None the priority probe is attempted
+    unconditionally.  The groups run in the order negotiation, push,
+    hpack, flow_control, priority, ping, the first three on one
+    header-block link.  If the session carries a
+    :class:`~repro.scope.trace.TraceRecorder`, each probe's received
+    frames are recorded under the name of the probe whose turn received
+    them.
     """
     include_set = _validate_include(include)
     if report is None:
@@ -185,22 +210,22 @@ def probe_target(
     if "flow_control" in include_set:
         guarded(
             "flow_control",
-            lambda: probe_flow_control(session, domain, report.flow_control),
+            lambda: probe_flow_control(
+                session, domain, report.flow_control, plan.sframe, plan.blocked_path
+            ),
         )
 
     if "priority" in include_set:
 
         def run_priority() -> None:
-            test_paths = priority_test_paths or PRIORITY_TEST_PATHS
-            depletion = priority_depletion_paths or PRIORITY_DEPLETION_PATHS
             if known_paths is None or all(
-                path in known_paths for path in test_paths
+                path in known_paths for path in plan.test_paths
             ):
                 report.priority = probe_priority(
-                    session, domain, test_paths, depletion
+                    session, domain, plan.test_paths, plan.depletion_paths
                 )
             report.priority.self_dependency = probe_self_dependency(
-                session, domain
+                session, domain, plan.blocked_path
             )
 
         guarded("priority", run_priority)
@@ -218,8 +243,7 @@ def scan_site(
     site: Site,
     include: Iterable[str] | None = None,
     seed: int = 0,
-    priority_test_paths: list[str] | None = None,
-    priority_depletion_paths: list[str] | None = None,
+    plan: ProbePlan = SCAN_PLAN,
     fault_plan: FaultPlan | None = None,
     resilience: ResilienceConfig | None = None,
     backend_factory: Callable[[Network], object] | None = None,
@@ -235,7 +259,7 @@ def scan_site(
     :class:`~repro.net.backend.SimulatedBackend` with its own wrapper
     (the interleaved backend from :mod:`repro.scope.concurrent`); the
     substitute must be observationally identical for this universe, so
-    the report stays a pure function of ``(site, include, seed,
+    the report stays a pure function of ``(site, include, seed, plan,
     fault_plan, resilience)``.
 
     The universe ends with the call: on every way out its back-edges
@@ -262,8 +286,7 @@ def scan_site(
                 site.domain,
                 include=include,
                 seed=seed,
-                priority_test_paths=priority_test_paths,
-                priority_depletion_paths=priority_depletion_paths,
+                plan=plan,
                 resilience=resilience,
                 known_paths=site.website,
                 report=report,

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 #: and the objects that drain the connection window.  The population
 #: generator plants them and the scanner requests them; if the two ever
 #: disagreed, every site would silently skip Algorithm 1.
-PRIORITY_TEST_PATHS = [f"/prio/{label}.bin" for label in "abcdef"]
-PRIORITY_DEPLETION_PATHS = [f"/prio/deplete{i}.bin" for i in range(4)]
+PRIORITY_TEST_PATHS = tuple(f"/prio/{label}.bin" for label in "abcdef")
+PRIORITY_DEPLETION_PATHS = tuple(f"/prio/deplete{i}.bin" for i in range(4))
 
 
 @dataclass(frozen=True, slots=True)

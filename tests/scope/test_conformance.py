@@ -4,17 +4,22 @@ from repro.experiments.table3 import PAPER_TABLE3
 from repro.h2.connection import Reaction
 from repro.net.clock import Simulation
 from repro.net.transport import Network
+from repro.scope import scanner
 from repro.scope.conformance import (
     REPORT_ORDER,
     ROWS,
     SCORED_ROWS,
     Level,
     Verdict,
+    cells,
+    matrix_cells,
     run_conformance,
 )
+from repro.scope.scanner import TESTBED_PLAN, scan_site
 from repro.scope.session import ProbeSession
 from repro.servers.profiles import ServerProfile
 from repro.servers.site import Site, serve_site
+from repro.servers.vendors import VENDOR_FACTORIES
 from repro.servers.website import testbed_website
 from tests.conftest import sim_session
 from tests.scope.conftest import deploy_vendor
@@ -132,6 +137,40 @@ class TestTableIIIConnectionBudget:
             row.label: PAPER_TABLE3[row.label][vendor] for row in ROWS
         }
 
+class TestOneProbeSequence:
+    """Table III's column is a view of the scan's report (DESIGN §8):
+    the population scanner, given the testbed's plan, reads every cell
+    of the paper's but multiplexing, which no scan group measures, and
+    ``matrix_cells`` runs that scan once."""
+
+    def test_the_scan_reproduces_table3(self, vendor):
+        site = Site(
+            domain=f"{vendor}.testbed",
+            profile=VENDOR_FACTORIES[vendor](),
+            website=testbed_website(),
+        )
+        measured = cells(scan_site(site, plan=TESTBED_PLAN), TESTBED_PLAN)
+        assert measured == {
+            row.label: PAPER_TABLE3[row.label][vendor]
+            for row in ROWS
+            if row.label != "Request Multiplexing"
+        }
+
+    def test_matrix_cells_runs_the_scan_once(self, monkeypatch):
+        calls = []
+        real_probe_target = scanner.probe_target
+
+        def probe_target(*args, **kwargs):
+            calls.append(kwargs.get("plan"))
+            return real_probe_target(*args, **kwargs)
+
+        monkeypatch.setattr(scanner, "probe_target", probe_target)
+        network, domain = deploy_vendor("h2o")
+        column = matrix_cells(sim_session(network), domain)
+        assert calls == [TESTBED_PLAN]
+        assert column == {row.label: PAPER_TABLE3[row.label]["h2o"] for row in ROWS}
+
+
 class TestRules:
     def test_stream_overflow_needs_rst_stream(self):
         # RFC 7540 §6.9.1: a stream's overflow is a stream error.
@@ -187,13 +226,13 @@ class TestReportShape:
     def test_settings_checks_skip_when_negotiation_raised(self, monkeypatch):
         # The SETTINGS checks judge what the column's negotiation read;
         # with nothing read they skip instead of failing the server.
-        import repro.scope.conformance as conformance_module
+        import repro.scope.scanner as scanner_module
 
         def exploding_negotiation(session, domain, link):
             raise RuntimeError("negotiation exploded")
 
         monkeypatch.setattr(
-            conformance_module, "probe_negotiation", exploding_negotiation
+            scanner_module, "probe_negotiation", exploding_negotiation
         )
         network, domain = deploy_vendor("nginx")
         report = run_conformance(sim_session(network), domain)
@@ -203,3 +242,27 @@ class TestReportShape:
             assert v[check_id] is Verdict.SKIP, check_id
         assert v["settings-ack"] is Verdict.PASS
         assert v["tls-alpn"] is Verdict.SKIP  # the column crashed
+
+    def test_a_raised_probe_skips_the_column_and_keeps_the_settings(
+        self, monkeypatch
+    ):
+        # The column is the scan's report: a probe that raised there fails
+        # every scored row, while the negotiation fetch's SETTINGS stand.
+        import repro.scope.scanner as scanner_module
+
+        def exploding_ping(session, domain):
+            raise RuntimeError("ping exploded")
+
+        monkeypatch.setattr(scanner_module, "probe_ping", exploding_ping)
+        network, domain = deploy_vendor("nginx")
+        report = run_conformance(sim_session(network), domain)
+        v = verdicts(report)
+        assert report.cells == {}
+        assert report.settings is not None
+        for row in SCORED_ROWS:
+            assert v[row.check_id] is Verdict.SKIP, row.check_id
+        assert "ping exploded" in next(
+            r.detail for r in report.results if r.check_id == "ping-echo"
+        )
+        for check_id in ("preface-settings", "settings-ack", "concurrent-floor"):
+            assert v[check_id] is Verdict.PASS, check_id

@@ -19,10 +19,10 @@ from repro.h2 import events as ev
 from repro.h2.frames import DataFrame, WindowUpdateFrame
 from repro.net.backend import SimulatedBackend
 from repro.scope.client import BULK_TIMEOUT
-from repro.scope.scanner import probe_target
+from repro.scope.scanner import TESTBED_PLAN, probe_target
 from repro.scope.session import ProbeSession
 
-from tests.scope.conftest import DEPLETION_PATHS, TEST_PATHS, deploy_vendor
+from tests.scope.conftest import DEPLETION_PATHS, deploy_vendor
 from tests.support.frames import tap_connections
 
 HALF_WINDOW = 65_535 // 2
@@ -45,12 +45,7 @@ def test_window_updates_stay_inside_the_half_window_budget(vendor):
     network, domain = deploy_vendor(vendor)
     session = RecordingSession(SimulatedBackend(network))
     with tap_connections() as taps:
-        report = probe_target(
-            session,
-            domain,
-            priority_test_paths=TEST_PATHS,
-            priority_depletion_paths=DEPLETION_PATHS,
-        )
+        report = probe_target(session, domain, plan=TESTBED_PLAN)
         client = session.client(domain, auto_window_update=True)
         assert client.establish_h2()
         streams = {client.request(path) for path in DEPLETION_PATHS}

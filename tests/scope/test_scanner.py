@@ -3,7 +3,7 @@
 import pytest
 
 from repro.scope.report import SiteReport
-from repro.scope.scanner import ALL_PROBES, scan_population, scan_site
+from repro.scope.scanner import ALL_PROBES, TESTBED_PLAN, scan_population, scan_site
 from repro.servers.profiles import ServerProfile
 from repro.servers.site import Site
 from repro.servers.website import default_website, testbed_website
@@ -19,11 +19,7 @@ def make_site(domain="scan.test", profile=None):
 
 class TestScanSite:
     def test_full_scan_produces_report(self):
-        report = scan_site(
-            make_site(),
-            priority_test_paths=[f"/large/{i}.bin" for i in range(6)],
-            priority_depletion_paths=[f"/medium/{i}.bin" for i in range(4)],
-        )
+        report = scan_site(make_site(), plan=TESTBED_PLAN)
         assert isinstance(report, SiteReport)
         assert report.errors == []
         assert report.speaks_h2
@@ -62,11 +58,7 @@ class TestScanSite:
         assert report.priority.self_dependency is not None
 
     def test_deterministic_given_seed(self):
-        kwargs = dict(
-            priority_test_paths=[f"/large/{i}.bin" for i in range(6)],
-            priority_depletion_paths=[f"/medium/{i}.bin" for i in range(4)],
-            seed=11,
-        )
+        kwargs = dict(plan=TESTBED_PLAN, seed=11)
         a = scan_site(make_site(), **kwargs)
         b = scan_site(make_site(), **kwargs)
         assert a.hpack.header_sizes == b.hpack.header_sizes

@@ -24,7 +24,7 @@ from repro.scope.report import (
     SiteReport,
     TinyWindowResult,
 )
-from repro.scope.scanner import scan_site
+from repro.scope.scanner import TESTBED_PLAN, scan_site
 from repro.scope.storage import ReportStore, _encode
 from repro.scope.trace import ConnectionTimeline, TracedFrame
 from repro.servers.profiles import ServerProfile
@@ -35,11 +35,7 @@ from repro.servers.website import testbed_website
 @pytest.fixture
 def scanned_report():
     site = Site(domain="store.test", profile=ServerProfile(), website=testbed_website())
-    return scan_site(
-        site,
-        priority_test_paths=[f"/large/{i}.bin" for i in range(6)],
-        priority_depletion_paths=[f"/medium/{i}.bin" for i in range(4)],
-    )
+    return scan_site(site, plan=TESTBED_PLAN)
 
 
 def stored_document(store, campaign, domain):

@@ -116,66 +116,70 @@ CLEAN_FULL = {
 #: ``run_conformance`` against each Table III vendor: group -> the
 #: counts of ``tests.support.work.SUMMARY`` (frames summed over their
 #: types).  ``-`` is the ``settings-ack`` check's connection and the
-#: cancel of HPACK's last stream, which leaves when ``_measure`` closes
-#: the header-block link.
+#: cancel of HPACK's last stream, which leaves when ``probe_target``
+#: closes the header-block link.  The column is the scan's own sequence
+#: (``probe_target`` with ``TESTBED_PLAN``), so ping takes its 3 samples
+#: (9 client writes), flow control fetches ``/``, whose PUSH_PROMISEs
+#: h2o, nghttpd and Apache send on its connections, and multiplexing
+#: runs last.
 TABLE3 = {
     "nginx": {
         "-": (1, 3, 90, 3, 0, 2, 85, 3, 0, 6),
-        "flow_control": (2, 15, 450, 20, 6, 18, 1153, 25, 6, 42),
+        "flow_control": (2, 15, 430, 20, 6, 18, 1133, 25, 6, 43),
         "hpack": (0, 7, 189, 14, 7, 14, 7847, 21, 7, 28),
-        "multiplexing": (1, 77, 1376, 97, 4, 109, 1601377, 111, 4, 193),
+        "multiplexing": (1, 77, 1376, 97, 4, 109, 1601377, 111, 4, 192),
         "negotiation": (2, 4, 142, 3, 1, 5, 1271, 8, 1, 13),
-        "ping": (2, 5, 165, 3, 0, 5, 8221, 4, 0, 17),
+        "ping": (2, 9, 277, 5, 0, 9, 24429, 6, 0, 31),
         "priority": (2, 11, 535, 19, 9, 171, 2468005, 181, 9, 196),
         "push": (0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
     },
     "litespeed": {
         "-": (1, 3, 90, 3, 0, 2, 78, 2, 0, 6),
-        "flow_control": (3, 18, 556, 21, 6, 15, 860, 20, 5, 44),
+        "flow_control": (3, 18, 536, 21, 6, 15, 872, 20, 5, 45),
         "hpack": (0, 7, 189, 14, 7, 7, 7336, 14, 7, 21),
-        "multiplexing": (1, 77, 1378, 97, 4, 102, 1601101, 106, 4, 186),
+        "multiplexing": (1, 77, 1378, 97, 4, 102, 1601101, 106, 4, 185),
         "negotiation": (2, 4, 144, 3, 1, 4, 1237, 5, 1, 12),
-        "ping": (2, 5, 169, 3, 0, 5, 8211, 3, 0, 17),
+        "ping": (2, 9, 289, 5, 0, 9, 24413, 5, 0, 31),
         "priority": (2, 11, 539, 19, 9, 159, 2467274, 167, 8, 184),
         "push": (0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
     },
     "h2o": {
         "-": (1, 3, 90, 3, 0, 2, 72, 2, 0, 6),
-        "flow_control": (3, 18, 544, 21, 6, 16, 920, 21, 6, 45),
+        "flow_control": (3, 18, 524, 21, 6, 18, 1308, 31, 14, 50),
         "hpack": (0, 7, 189, 14, 7, 21, 22246, 56, 35, 33),
-        "multiplexing": (1, 77, 1374, 97, 4, 105, 1601095, 106, 4, 191),
+        "multiplexing": (1, 77, 1374, 97, 4, 105, 1601095, 106, 4, 188),
         "negotiation": (2, 4, 140, 3, 1, 6, 3411, 11, 5, 12),
-        "ping": (2, 5, 163, 3, 0, 5, 8205, 3, 0, 17),
+        "ping": (2, 9, 271, 5, 0, 9, 24407, 5, 0, 31),
         "priority": (2, 11, 531, 19, 9, 167, 2467367, 170, 9, 192),
         "push": (0, 0, 0, 0, 0, 0, 0, 0, 0, 2),
     },
     "nghttpd": {
         "-": (1, 3, 90, 3, 0, 2, 72, 2, 0, 6),
-        "flow_control": (4, 21, 680, 24, 6, 18, 1095, 23, 6, 52),
+        "flow_control": (4, 21, 660, 24, 6, 20, 1483, 33, 14, 57),
         "hpack": (0, 7, 189, 14, 7, 21, 22246, 56, 35, 33),
-        "multiplexing": (1, 76, 1377, 97, 4, 105, 1601104, 106, 4, 190),
+        "multiplexing": (1, 76, 1377, 97, 4, 105, 1601104, 106, 4, 187),
         "negotiation": (2, 4, 143, 3, 1, 6, 3420, 11, 5, 12),
-        "ping": (2, 5, 167, 3, 0, 5, 8218, 3, 0, 17),
+        "ping": (2, 9, 283, 5, 0, 9, 24446, 5, 0, 31),
         "priority": (2, 11, 537, 19, 9, 167, 2467385, 170, 9, 192),
         "push": (0, 0, 0, 0, 0, 0, 0, 0, 0, 2),
     },
     "tengine": {
         "-": (1, 3, 90, 3, 0, 2, 85, 3, 0, 6),
-        "flow_control": (2, 15, 452, 20, 6, 18, 1159, 25, 6, 42),
+        "flow_control": (2, 15, 432, 20, 6, 18, 1139, 25, 6, 43),
         "hpack": (0, 7, 189, 14, 7, 14, 7854, 21, 7, 28),
-        "multiplexing": (1, 77, 1377, 97, 4, 109, 1601381, 111, 4, 193),
+        "multiplexing": (1, 77, 1377, 97, 4, 109, 1601381, 111, 4, 192),
         "negotiation": (2, 4, 143, 3, 1, 5, 1272, 8, 1, 13),
-        "ping": (2, 5, 167, 3, 0, 5, 8222, 4, 0, 17),
+        "ping": (2, 9, 283, 5, 0, 9, 24432, 6, 0, 31),
         "priority": (2, 11, 537, 19, 9, 171, 2468014, 181, 9, 196),
         "push": (0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
     },
     "apache": {
         "-": (1, 3, 90, 3, 0, 2, 68, 2, 0, 6),
-        "flow_control": (4, 21, 676, 24, 6, 18, 1055, 23, 6, 52),
+        "flow_control": (4, 21, 656, 24, 6, 20, 1443, 33, 14, 57),
         "hpack": (0, 7, 189, 14, 7, 21, 22246, 56, 35, 33),
-        "multiplexing": (1, 77, 1376, 97, 4, 105, 1601094, 106, 4, 191),
+        "multiplexing": (1, 75, 1376, 97, 4, 105, 1601094, 106, 4, 186),
         "negotiation": (2, 4, 142, 3, 1, 6, 3383, 10, 5, 12),
-        "ping": (2, 5, 166, 3, 0, 5, 8205, 3, 0, 17),
+        "ping": (2, 9, 280, 5, 0, 9, 24415, 5, 0, 31),
         "priority": (2, 11, 535, 19, 9, 167, 2467365, 170, 9, 192),
         "push": (0, 0, 0, 0, 0, 0, 0, 0, 0, 2),
     },
