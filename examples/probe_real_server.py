@@ -24,8 +24,9 @@ probes see is then real wire bytes on a real socket.
 
 Note the cell semantics: the matrix expects the testbed object layout
 (``/large/*.bin``, ``/medium/*.bin``).  Against an arbitrary origin the
-transfer-shaped rows (multiplexing, flow control, priorities) degrade
-to "no response" / "no support" rather than failing.
+transfer-shaped rows (flow control, and Algorithm 1's priority and
+multiplexing cells) degrade to "no response" / "no support" / "fail"
+rather than failing.
 """
 
 import argparse

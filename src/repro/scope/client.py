@@ -59,7 +59,7 @@ from repro.scope.resilience import (
 
 #: Default budget (backend clock-seconds) for a server-reaction wait.
 DEFAULT_TIMEOUT = 8.0
-#: Budget for a wait that drains large objects (Algorithm 1, multiplexing).
+#: Budget for a wait that drains large objects (Algorithm 1).
 BULK_TIMEOUT = 120.0
 #: The SETTINGS_INITIAL_WINDOW_SIZE identifier, as a ``settings=`` key.
 IWS = int(SettingCode.INITIAL_WINDOW_SIZE)

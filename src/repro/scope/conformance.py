@@ -8,7 +8,8 @@ requirement level (MUST / SHOULD / feature) and the id of the check
 that judges it.  :func:`matrix_cells` measures one target's column:
 the scan's own probe sequence (:func:`~repro.scope.scanner.probe_target`
 with :data:`~repro.scope.scanner.TESTBED_PLAN`), read by the pure
-:func:`cells`, plus the multiplexing probe, which no scan group runs.
+:func:`cells`.  This module calls no probe: even the Request
+Multiplexing cell is read from Algorithm 1's DATA frames.
 :meth:`Row.judge` turns a cell into a verdict, and
 ``experiments.table3`` scores the paper's matrix with the same rows.
 
@@ -29,7 +30,6 @@ from dataclasses import dataclass, field
 
 from repro.h2 import events as ev
 from repro.scope import scanner
-from repro.scope.probes import probe_multiplexing
 from repro.scope.report import ErrorReaction, SettingsResult, SiteReport
 from repro.scope.session import ProbeSession
 
@@ -138,13 +138,15 @@ SCORED_ROWS = tuple(row for row in ROWS if row.level is not None)
 
 
 def cells(report: SiteReport, plan: scanner.ProbePlan) -> dict[str, str]:
-    """The Table III cells a scan's report holds: every row but Request
-    Multiplexing, which no scan group measures.  ``plan`` is the plan
-    the report was scanned with; the DATA-frame row reads its Sframe."""
+    """The Table III cells a scan's report holds, in :data:`ROWS` order.
+    ``plan`` is the plan the report was scanned with; the DATA-frame row
+    reads its Sframe."""
     fc = report.flow_control
     return {
         "ALPN": _support(report.negotiation.alpn_h2),
         "NPN": _support(report.negotiation.npn_h2),
+        # Only Algorithm 1's context shows the server's own order.
+        "Request Multiplexing": _support(report.priority.interleaved),
         # Only window-sized DATA records a first size above zero.
         "Flow Control on DATA Frames": _yes(fc.first_data_size == plan.sframe),
         "Flow Control on HEADERS Frames": _yes(not fc.headers_with_zero_window),
@@ -172,21 +174,17 @@ def matrix_cells(session: ProbeSession, domain: str) -> dict[str, str]:
     (:data:`~repro.scope.scanner.TESTBED_PLAN`); cells degrade to "no
     response" otherwise.  Raises when a probe raised.
     """
-    report = scanner.probe_target(session, domain, plan=scanner.TESTBED_PLAN)
-    return _column(session, domain, report)
+    return _column(
+        scanner.probe_target(session, domain, plan=scanner.TESTBED_PLAN)
+    )
 
 
-def _column(session: ProbeSession, domain: str, report: SiteReport) -> dict[str, str]:
-    """:func:`matrix_cells` from the scan's ``report``, with the
-    multiplexing cell measured on the target."""
+def _column(report: SiteReport) -> dict[str, str]:
+    """:func:`matrix_cells` from the scan's ``report``; raises on its
+    first error."""
     if report.errors:
         raise RuntimeError(str(report.errors[0]))
-    multiplexing = probe_multiplexing(
-        session, domain, list(scanner.TESTBED_PLAN.test_paths[:4])
-    )
-    column = cells(report, scanner.TESTBED_PLAN)
-    column["Request Multiplexing"] = _support(multiplexing.interleaved)
-    return {row.label: column[row.label] for row in ROWS}
+    return cells(report, scanner.TESTBED_PLAN)
 
 
 def _support(supported: bool) -> str:
@@ -356,7 +354,7 @@ def run_conformance(session: ProbeSession, domain: str) -> ConformanceReport:
         scan = scanner.probe_target(session, domain, plan=scanner.TESTBED_PLAN)
         if not any(error.probe == "negotiation" for error in scan.errors):
             report.settings = scan.settings
-        report.cells = _column(session, domain, scan)
+        report.cells = _column(scan)
         outcomes = {row: row.judge(report.cells) for row in SCORED_ROWS}
     except Exception as exc:  # noqa: BLE001 - a checker must not crash
         outcomes = dict.fromkeys(SCORED_ROWS, _crashed(exc))

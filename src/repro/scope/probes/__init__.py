@@ -13,7 +13,9 @@ reusable.
 
 :func:`~repro.scope.scanner.probe_target` calls them for the scan and
 Table III alike, with its :class:`~repro.scope.scanner.ProbePlan`'s
-objects; only :func:`probe_multiplexing` runs outside it.
+objects; no probe runs outside it.  Table III's Request Multiplexing
+cell is read from Algorithm 1 (:func:`probe_priority`), whose context is
+the only one that shows a server's own scheduling order.
 
 A probe that reads one stream's answer takes its turn on a
 :class:`~repro.scope.probes.flow_control.SharedConnection`: the
@@ -28,7 +30,6 @@ directly — all transport access goes through the session's backend.
 """
 
 from repro.scope.probes.negotiation import HeaderBlockLink, probe_negotiation
-from repro.scope.probes.multiplexing import probe_multiplexing
 from repro.scope.probes.flow_control import probe_flow_control
 from repro.scope.probes.priority import probe_priority, probe_self_dependency
 from repro.scope.probes.push import probe_push
@@ -39,7 +40,6 @@ __all__ = [
     "HeaderBlockLink",
     "probe_flow_control",
     "probe_hpack",
-    "probe_multiplexing",
     "probe_negotiation",
     "probe_ping",
     "probe_priority",

@@ -113,9 +113,10 @@ TESTBED_OBJECTS, TESTBED_OBJECT_SIZE = 8, 400_000
 def testbed_website() -> Website:
     """The paper's testbed content: several *large* objects.
 
-    §III-A1: the multiplexing probe only works against servers hosting
-    large objects (small responses complete before interleaving can be
-    observed), so the authors place large files on their testbed server.
+    §III-A1: interleaving shows only in responses large enough that
+    they cannot complete in one scheduler turn, so the authors place
+    large files on their testbed server.  Algorithm 1 requests six of
+    them, and its DATA frames read Table III's Request Multiplexing row.
     """
     site = Website()
     paths = [f"/large/{i}.bin" for i in range(TESTBED_OBJECTS)]
