@@ -68,7 +68,7 @@ def _render_probe_report(report) -> str:
     if report.hpack.ratio is not None:
         lines.append(
             f"  hpack: ratio={report.hpack.ratio:.3f} "
-            f"over {report.hpack.requests} requests"
+            f"over {len(report.hpack.header_sizes)} requests"
         )
     ping = report.ping
     if ping.ping_supported or ping.h2_ping_rtt is not None:

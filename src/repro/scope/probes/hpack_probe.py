@@ -27,20 +27,17 @@ opens a fresh one and fetches ``/`` there as S_1.
 from __future__ import annotations
 
 from repro.scope.probes.negotiation import HeaderBlockLink
-from repro.scope.report import HpackResult
+from repro.scope.report import REPETITIONS, HpackResult
 
 #: Budget (backend clock-seconds) for each response's HEADERS.
 HPACK_TIMEOUT = 10.0
-#: Requests whose header blocks Eq. 1 compares.
-REPETITIONS = 8
 
 
 def probe_hpack(link: HeaderBlockLink, result: HpackResult) -> None:
     """Fill ``result`` as each header block arrives: a wait that raises
-    keeps the sizes read before it, and Eq. 1 needs all ``REPETITIONS``."""
-    result.requests = REPETITIONS
+    keeps the sizes read before it, and Eq. 1 (``result.ratio``) needs
+    all ``REPETITIONS``."""
     result.header_sizes = sizes = []
-    result.ratio = None
     turn = link.fetch_turn()
     if turn is None:
         return
@@ -57,6 +54,3 @@ def probe_hpack(link: HeaderBlockLink, result: HpackResult) -> None:
             return
         sizes.append(event.encoded_size)
         link.release(stream_id)
-
-    if sizes[0] > 0:
-        result.ratio = sum(sizes) / (sizes[0] * REPETITIONS)
