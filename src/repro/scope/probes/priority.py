@@ -111,13 +111,19 @@ def probe_priority(
             for te in client.events_of(ev.HeadersReceived)
         )
 
-        # Step 3: release the connection window and let everything drain.
+        # Step 3: release the connection window and let everything drain:
+        # the wait ends when every planted stream has ended or been reset.
         client.send_window_update(0, MAX_WINDOW_SIZE - INITIAL_CONNECTION_WINDOW)
-        client.wait_for(
-            lambda: planted_ids
-            <= {te.event.stream_id for te in client.events_of(ev.StreamEnded)},
-            timeout=BULK_TIMEOUT,
-        )
+
+        def settled() -> bool:
+            done = {
+                te.event.stream_id
+                for kind in (ev.StreamEnded, ev.StreamReset)
+                for te in client.events_of(kind)
+            }
+            return planted_ids <= done
+
+        client.wait_for(settled, timeout=BULK_TIMEOUT)
 
         # Analyse DATA-frame order.
         id_to_label = {p.stream_id: p.label for p in planted}

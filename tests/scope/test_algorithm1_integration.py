@@ -12,9 +12,11 @@ from repro.h2.constants import MAX_WINDOW_SIZE
 from repro.h2.frames import PriorityData
 from repro.net.clock import Simulation
 from repro.net.transport import LinkProfile, Network
-from repro.scope.probes.priority import INITIAL_CONNECTION_WINDOW
+from repro.scope.client import BULK_TIMEOUT
+from repro.scope.probes.priority import INITIAL_CONNECTION_WINDOW, probe_priority
+from repro.scope.scanner import TESTBED_PLAN
 from repro.servers.site import Site, deploy_site
-from repro.servers.vendors import h2o
+from repro.servers.vendors import MCS, h2o, litespeed
 from repro.servers.website import testbed_website
 from tests.conftest import sim_session
 from tests.support.readers import children_of, data_for, parent_of, weight_of
@@ -141,3 +143,22 @@ class TestWindowDepletionMechanism:
             timeout=60,
         )
         assert len(data_for(client, sid)) == testbed_website().get("/large/0.bin").size
+
+
+class TestReleaseWait:
+    def test_reset_planted_streams_end_the_wait(self):
+        """With MAX_CONCURRENT_STREAMS = 1 the server refuses planted
+        streams B-F with RST_STREAM and serves A alone; Algorithm 1's
+        release wait ends once every planted stream has ended or been
+        reset, not at ``BULK_TIMEOUT``."""
+        profile = litespeed()
+        profile = profile.clone(settings={**profile.settings, MCS: 1})
+        network = Network(Simulation(), seed=1)
+        site = Site(domain="mcs1.test", profile=profile, website=testbed_website())
+        deploy_site(network, site)
+        session = sim_session(network)
+        result = probe_priority(
+            session, site.domain, TESTBED_PLAN.test_paths, TESTBED_PLAN.depletion_paths
+        )
+        assert result.first_frame_order == ["A"]
+        assert session.now < BULK_TIMEOUT / 4
