@@ -18,10 +18,10 @@ Invariants every backend must uphold:
   ``drain`` / ``bytes_sent`` / ``bytes_received``.
 * ``now`` is monotone non-decreasing and ``run_until`` never returns
   before the predicate is true or ``timeout`` clock-seconds elapsed.
-* ``probe_policy`` is a readable/writable slot the resilience layer
-  uses to publish the per-attempt deadline.  It lives on the backend
-  object, so a client sees a probe's deadline only if it was made on
-  the same backend the resilience layer was handed.
+* ``deadline`` is a readable/writable slot the resilience layer uses
+  to publish the per-attempt deadline.  It lives on the backend object,
+  so a client sees a probe's deadline only if it was made on the same
+  backend the resilience layer was handed.
 
 ``timeout_scale`` lets wall-clock backends shrink the probe timeouts
 that were tuned for simulated WAN latency (8 s waits are physics in the
@@ -43,9 +43,9 @@ class TransportBackend(ABC):
 
     #: Multiplier applied to probe-level timeouts (see module docstring).
     timeout_scale: float = 1.0
-    #: The per-attempt policy slot (see module docstring); clients read
-    #: it on every wait.
-    probe_policy = None
+    #: The per-attempt deadline slot (see module docstring); clients
+    #: read it on every wait.
+    deadline = None
 
     # -- connections ------------------------------------------------------
 

@@ -235,8 +235,8 @@ class SocketBackend(TransportBackend):
         #: Attempts not yet established or refused.
         self._connecting: list[SocketConnectAttempt] = []
         self._closed = False
-        #: Per-attempt probing policy slot (see resilience layer).
-        self.probe_policy = None
+        #: Per-attempt deadline slot (see resilience layer).
+        self.deadline = None
 
     # -- resolution -------------------------------------------------------
 

@@ -129,18 +129,6 @@ class Deadline:
         return min(timeout, remaining)
 
 
-@dataclass
-class ProbePolicy:
-    """Per-attempt policy the client reads off ``backend.probe_policy``.
-
-    While one is published, connection-establishment failures raise
-    classified :class:`ScanFault` exceptions instead of degrading
-    silently.
-    """
-
-    deadline: Deadline | None = None
-
-
 #: Backoff before retry ``n`` (from 0): ``BACKOFF_BASE * BACKOFF_FACTOR**n``
 #: seconds, capped at ``BACKOFF_MAX``, plus jitter drawn uniformly from
 #: ``[0, BACKOFF_JITTER * delay)`` with a seeded RNG.  Backoff elapses on
@@ -173,8 +161,11 @@ def run_resilient(
 ) -> tuple[int, ScanError | None]:
     """Run one probe under a deadline, retrying transient failures.
 
-    The policy is published on ``backend``, so ``fn`` must make its
-    clients on that same backend object.  Returns ``(attempts, error)``
+    Each attempt's :class:`Deadline` is published as
+    ``backend.deadline``, so ``fn`` must make its clients on that same
+    backend object; while it is, connection-establishment failures
+    raise classified :class:`ScanFault` exceptions instead of degrading
+    silently.  Returns ``(attempts, error)``
     where ``error`` is None on success.  Backoff delays elapse on the
     backend's clock — on the simulated backend retries are free in wall
     time and fully deterministic.
@@ -184,9 +175,7 @@ def run_resilient(
     try:
         while True:
             attempts += 1
-            backend.probe_policy = ProbePolicy(
-                deadline=Deadline(backend, backend.scale(config.timeout))
-            )
+            backend.deadline = Deadline(backend, backend.scale(config.timeout))
             try:
                 fn()
                 return attempts, None
@@ -201,4 +190,4 @@ def run_resilient(
                 delay += rng.random() * BACKOFF_JITTER * delay
                 backend.sleep(backend.scale(delay))
     finally:
-        backend.probe_policy = None
+        backend.deadline = None

@@ -9,7 +9,7 @@ from repro.net.backend import SimulatedBackend, TransportBackend
 from repro.net.clock import Simulation
 from repro.net.socket_backend import SocketBackend
 from repro.net.transport import Network
-from repro.scope.resilience import ProbePolicy
+from repro.scope.resilience import Deadline
 
 
 def make_network(seed=0):
@@ -43,15 +43,15 @@ class TestSimulatedBackend:
         assert backend.timeout_scale == 1.0
         assert backend.scale(8.0) == 8.0
 
-    def test_probe_policy_is_the_backends_own_slot(self):
+    def test_deadline_is_the_backends_own_slot(self):
         network, _ = make_network()
         backend, second = SimulatedBackend(network), SimulatedBackend(network)
-        assert backend.probe_policy is None
-        backend.probe_policy = ProbePolicy()
-        # A second wrapper of the same network does not see the policy:
+        assert backend.deadline is None
+        backend.deadline = Deadline(backend, 5.0)
+        # A second wrapper of the same network does not see the deadline:
         # clients that must honour it come from the backend that has it.
-        assert second.probe_policy is None
-        assert not hasattr(network, "probe_policy")
+        assert second.deadline is None
+        assert not hasattr(network, "deadline")
 
     def test_connect_reaches_simulated_host(self):
         network, _ = make_network()

@@ -133,18 +133,18 @@ class TestRunResilient:
             self.backend, "probe", lambda: None, ResilienceConfig()
         )
         assert (attempts, error) == (1, None)
-        assert self.backend.probe_policy is None  # policy cleared after run
+        assert self.backend.deadline is None  # deadline cleared after run
 
     def test_policy_installed_during_attempts(self):
         seen = []
 
         def fn():
-            seen.append(self.backend.probe_policy)
+            seen.append(self.backend.deadline)
 
         run_resilient(self.backend, "probe", fn, ResilienceConfig(timeout=7.0))
         assert len(seen) == 1
-        assert seen[0].deadline is not None
-        assert seen[0].deadline.remaining == 7.0
+        assert seen[0] is not None
+        assert seen[0].remaining == 7.0
 
     def test_transient_failures_retried_until_success(self):
         calls = []
@@ -203,7 +203,7 @@ class TestRunResilient:
         deadlines = []
 
         def fn():
-            deadlines.append(self.backend.probe_policy.deadline.at)
+            deadlines.append(self.backend.deadline.at)
             if len(deadlines) < 2:
                 raise ConnectionRefusedFault("refused")
 
