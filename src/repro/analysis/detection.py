@@ -6,8 +6,8 @@ record into :class:`~repro.scope.trace.ConnectionTimeline` — and emits
 a :class:`Verdict` *mid-connection*, as soon as the evidence crosses a
 rule threshold.  Detection is defence: most rules are
 :mod:`repro.h2.abuse`, the core the server engine's abuse guards run
-live; only the thresholds differ (the guards' are the vendor's, these
-on :class:`DetectorConfig` are ours).
+live; only the thresholds differ (the guards' are the vendor's, the
+constants below are ours).
 
 * ``slow_preface`` / ``slow_headers`` / ``ping_flood`` /
   ``settings_flood`` / ``rst_churn`` / ``priority_churn`` — the core's
@@ -17,14 +17,18 @@ on :class:`DetectorConfig` are ours).
   RST_STREAM no longer counts) and keeps the connection alive past
   ``stall_window`` without granting window.  A benign probe with a
   small window looks like a young stall, so ``stall_window`` exceeds
-  the probe suite's longest wait (8 s; the default is 10 s);
+  the probe suite's longest wait (8 s; the default is 10 s; ``h2scope
+  detect --stall-window`` sets it);
 * ``table_flood`` — a client announcing a SETTINGS_HEADER_TABLE_SIZE
   no browser needs, which only buys it room in our encoder's table.
 
-The PRIORITY rate and the table size are module constants, not
-configuration: the benign corpus peaks at one PRIORITY frame a second
-and never announces a table size, so there is nothing to tune them
-against.
+Every other threshold is a module constant, not configuration, tuned
+to the testbed: strict enough to catch every battery profile well
+inside a 16 s attack window, loose enough that the probe suite's own
+protocol abuse (tiny windows, PING batches, deliberate violations)
+stays clean.  The benign corpus peaks at one PRIORITY frame a second
+and never announces a table size, so there is nothing to tune those
+two against.
 
 :func:`score_corpus` evaluates the detector on labelled timelines —
 benign chaos-campaign traffic vs each battery profile — reporting
@@ -48,10 +52,31 @@ from repro.scope.trace import ConnectionTimeline
 #: SETTINGS_HEADER_TABLE_SIZE and SETTINGS_INITIAL_WINDOW_SIZE identifiers.
 _HEADER_TABLE_SIZE = 1
 _INITIAL_WINDOW = 4
+#: Seconds an h2 connection may take to complete the preface.
+PREFACE_DEADLINE = 3.0
+#: Seconds a header block may stay unterminated.
+HEADER_DEADLINE = 3.0
+#: Seconds a tiny-window connection may idle without window grants,
+#: unless the caller gives its own.
+STALL_WINDOW = 10.0
+#: Initial windows at or below this are "tiny" (attack-sized).
+_TINY_WINDOW = 256
+#: Streams a tiny-window connection must hold open before the stall rule
+#: applies: pinning server memory at scale requires concurrent stalled
+#: responses, while the probe suite's benign tiny-window measurement
+#: stalls exactly one.
+_STALL_MIN_STREAMS = 2
+#: Frame-rate thresholds: more than this many non-ack PINGs, non-ack
+#: SETTINGS or RST_STREAMs inside any ``_RATE_WINDOW`` seconds triggers
+#: the corresponding flood verdict.
+_PING_RATE = 30
+_SETTINGS_RATE = 12
+_RST_RATE = 40
+_RATE_WINDOW = 1.0
 #: An announced header table above this is a flood in preparation (the
 #: default is 4 096; browsers announce 65 536).
 _MAX_HEADER_TABLE_SIZE = 2**20
-#: More PRIORITY frames than this inside one ``rate_window`` is churn (a
+#: More PRIORITY frames than this inside one ``_RATE_WINDOW`` is churn (a
 #: page load re-prioritises a handful of streams).
 _PRIORITY_RATE = 40
 #: The label of each rule core verdict.
@@ -63,34 +88,6 @@ _LABELS = {
     "rst-flood": "rst_churn",
     "priority-flood": "priority_churn",
 }
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    """Rule thresholds.  Defaults are tuned to the testbed: strict
-    enough to catch every battery profile well inside a 16 s attack
-    window, loose enough that the probe suite's own protocol abuse
-    (tiny windows, PING batches, deliberate violations) stays clean."""
-
-    #: Seconds an h2 connection may take to complete the preface.
-    preface_deadline: float = 3.0
-    #: Seconds a header block may stay unterminated.
-    header_deadline: float = 3.0
-    #: Seconds a tiny-window connection may idle without window grants.
-    stall_window: float = 10.0
-    #: Initial windows at or below this are "tiny" (attack-sized).
-    tiny_window_threshold: int = 256
-    #: Streams a tiny-window connection must hold open before the stall
-    #: rule applies: pinning server memory at scale requires concurrent
-    #: stalled responses, while the probe suite's benign tiny-window
-    #: measurement stalls exactly one.
-    stall_min_streams: int = 2
-    #: Frame-rate thresholds: more than ``*_rate`` frames inside any
-    #: ``rate_window`` triggers the corresponding flood verdict.
-    ping_rate: int = 30
-    settings_rate: int = 12
-    rst_rate: int = 40
-    rate_window: float = 1.0
 
 
 @dataclass
@@ -114,20 +111,20 @@ class ConnectionMonitor:
     def __init__(
         self,
         opened_at: float,
-        config: DetectorConfig | None = None,
+        stall_window: float = STALL_WINDOW,
         protocol: str = "h2",
     ):
-        self.config = cfg = config or DetectorConfig()
         self.opened_at = opened_at
+        self.stall_window = stall_window
         self.verdict: Verdict | None = None
         self._rules = AbuseRules(
             opened_at,
-            preface=cfg.preface_deadline,
-            header=cfg.header_deadline,
-            window=cfg.rate_window,
-            ping=cfg.ping_rate,
-            settings=cfg.settings_rate,
-            rst=cfg.rst_rate,
+            preface=PREFACE_DEADLINE,
+            header=HEADER_DEADLINE,
+            window=_RATE_WINDOW,
+            ping=_PING_RATE,
+            settings=_SETTINGS_RATE,
+            rst=_RST_RATE,
             priority=_PRIORITY_RATE,
         )
         if not protocol.startswith("h2"):
@@ -145,7 +142,7 @@ class ConnectionMonitor:
         if found is not None:
             reason = found.rule
             if found.count:
-                reason += f": {found.count} frames in {self.config.rate_window:g}s"
+                reason += f": {found.count} frames in {_RATE_WINDOW:g}s"
             self._flag(found.at, _LABELS[found.rule], reason)
 
     def tick(self, at: float) -> Verdict | None:
@@ -159,18 +156,18 @@ class ConnectionMonitor:
         if self.verdict is not None:
             return self.verdict
         self._adopt(self._rules.tick(at))
-        cfg = self.config
+        stall_window = self.stall_window
         if (
             self.verdict is None
             and self._tiny_window
             and not self._window_granted
-            and len(self._streams) >= cfg.stall_min_streams
-            and at >= self.opened_at + cfg.stall_window
+            and len(self._streams) >= _STALL_MIN_STREAMS
+            and at >= self.opened_at + stall_window
         ):
             self._flag(
-                self.opened_at + cfg.stall_window,
+                self.opened_at + stall_window,
                 "zero_window_stall",
-                f"tiny window, no grants for {cfg.stall_window:g}s",
+                f"tiny window, no grants for {stall_window:g}s",
             )
         return self.verdict
 
@@ -182,10 +179,9 @@ class ConnectionMonitor:
         self.tick(at)
         if self.verdict is not None:
             return self.verdict
-        cfg = self.config
         if isinstance(frame, SettingsFrame) and not frame.is_ack:
             for ident, value in frame.settings:
-                if ident == _INITIAL_WINDOW and value <= cfg.tiny_window_threshold:
+                if ident == _INITIAL_WINDOW and value <= _TINY_WINDOW:
                     self._tiny_window = True
                 if ident == _HEADER_TABLE_SIZE and value > _MAX_HEADER_TABLE_SIZE:
                     self._flag(
@@ -204,7 +200,7 @@ class ConnectionMonitor:
 
 
 def analyze_timeline(
-    timeline: ConnectionTimeline, config: DetectorConfig | None = None
+    timeline: ConnectionTimeline, stall_window: float = STALL_WINDOW
 ) -> Verdict | None:
     """Replay one recorded connection through a monitor.
 
@@ -213,7 +209,7 @@ def analyze_timeline(
     the engine's guard timer would have fired.
     """
     monitor = ConnectionMonitor(
-        timeline.opened_at, config=config, protocol=timeline.protocol
+        timeline.opened_at, stall_window, protocol=timeline.protocol
     )
     for traced in timeline.frames:
         monitor.observe(traced.at, traced.frame)
@@ -285,7 +281,7 @@ class DetectionScore:
 
 def score_corpus(
     timelines: list[ConnectionTimeline],
-    config: DetectorConfig | None = None,
+    stall_window: float = STALL_WINDOW,
 ) -> DetectionScore:
     """Score the detector on labelled timelines.
 
@@ -297,7 +293,7 @@ def score_corpus(
     score = DetectionScore()
     latencies: dict[str, list[float]] = {}
     for timeline in timelines:
-        verdict = analyze_timeline(timeline, config)
+        verdict = analyze_timeline(timeline, stall_window)
         if timeline.label is None:
             if verdict is None:
                 score.true_negatives += 1

@@ -5,16 +5,15 @@ measures each with HTTP/2 PING, ICMP, the TCP handshake and an
 HTTP/1.1 request.  The observable Fig. 6 reports is the CDF of RTT
 estimates per method across all selected sites; the expected shape is
 h2-ping ≈ tcp-rtt ≈ icmp, with h2-request visibly to the right (server
-processing time inflates it).
+processing time inflates it).  The scan's ping group measures all four;
+this module folds its reports into the series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.scope.probes.ping import probe_ping
-from repro.scope.session import ProbeSession
-from repro.servers.site import Site, serve_site
+from repro.scope.report import SiteReport
 
 
 @dataclass
@@ -42,16 +41,11 @@ class RttComparison:
         return out
 
 
-def compare_rtt_methods(
-    sites: list[Site], samples_per_site: int = 3, seed: int = 0
-) -> RttComparison:
-    """Run the four estimators against every site (fresh universe each)."""
+def compare_rtt_methods(reports: list[SiteReport]) -> RttComparison:
+    """Each report's ping readings, in milliseconds, by method."""
     comparison = RttComparison()
-    for index, site in enumerate(sites):
-        with serve_site(site, seed + index) as (backend, _):
-            result = probe_ping(
-                ProbeSession(backend), site.domain, samples=samples_per_site
-            )
+    for report in reports:
+        result = report.ping
         if result.h2_ping_rtt is not None:
             comparison.h2_ping.append(result.h2_ping_rtt * 1000)
         if result.icmp_rtt is not None:

@@ -695,7 +695,6 @@ def run_battery(
     duration: float = DEFAULT_DURATION,
     guard_scale: float = 1.0,
     record_frames: bool = False,
-    knobs: dict | None = None,
 ) -> SurvivalMatrix:
     """Sweep the battery over ``profiles`` × ``vendors``.
 
@@ -723,7 +722,6 @@ def run_battery(
                     seed=seed,
                     duration=duration,
                     record_frames=record_frames,
-                    knobs=knobs,
                 )
             )
     return matrix

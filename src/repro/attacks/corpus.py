@@ -36,19 +36,15 @@ CHAOS_SPEC = "reset:0.2,truncate(600):0.2,stall(1.5):0.2"
 
 
 def benign_timelines(
-    vendors: list[str] | None = None,
-    seed: int = 0,
-    chaos: bool = True,
+    vendors: list[str] | None = None, seed: int = 0
 ) -> list[ConnectionTimeline]:
     """Probe-suite traffic against each vendor, frames recorded.
 
-    One clean scan per vendor, plus (``chaos=True``) one scan through a
-    faulty network.  Labels stay ``None``.
+    One clean scan per vendor, plus one scan through a faulty network.
+    Labels stay ``None``.
     """
     names = list(VENDOR_FACTORIES) if vendors is None else list(vendors)
-    plans: list[FaultPlan | None] = [None]
-    if chaos:
-        plans.append(FaultPlan.parse(CHAOS_SPEC, seed=seed))
+    plans = [None, FaultPlan.parse(CHAOS_SPEC, seed=seed)]
     timelines: list[ConnectionTimeline] = []
     for vendor in names:
         for plan in plans:
@@ -63,26 +59,18 @@ def benign_timelines(
 
 
 def attack_timelines(
-    vendors: list[str] | None = None,
-    profiles: list[str] | None = None,
-    seed: int = 0,
-    duration: float = 16.0,
+    vendors: list[str] | None = None, seed: int = 0, duration: float = 16.0
 ) -> list[ConnectionTimeline]:
-    """Battery traffic, guards off, labelled with each profile's name."""
-    matrix = run_battery(
-        vendors, profiles, seed=seed, duration=duration, record_frames=True
-    )
+    """Every battery profile's traffic, guards off, labelled with the
+    profile's name."""
+    matrix = run_battery(vendors, seed=seed, duration=duration, record_frames=True)
     return [timeline for result in matrix.results for timeline in result.timelines]
 
 
 def build_corpus(
-    vendors: list[str] | None = None,
-    profiles: list[str] | None = None,
-    seed: int = 0,
-    duration: float = 16.0,
-    chaos: bool = True,
+    vendors: list[str] | None = None, seed: int = 0, duration: float = 16.0
 ) -> list[ConnectionTimeline]:
     """Benign + attack timelines, ready for ``score_corpus``."""
-    return benign_timelines(vendors, seed=seed, chaos=chaos) + attack_timelines(
-        vendors, profiles, seed=seed, duration=duration
+    return benign_timelines(vendors, seed=seed) + attack_timelines(
+        vendors, seed=seed, duration=duration
     )

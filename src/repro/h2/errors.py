@@ -34,13 +34,8 @@ class H2StreamError(H2Error):
 
     error_code = ErrorCode.PROTOCOL_ERROR
 
-    def __init__(
-        self,
-        message: str = "",
-        error_code: ErrorCode | None = None,
-        stream_id: int = 0,
-    ):
-        super().__init__(message, error_code)
+    def __init__(self, message: str = "", stream_id: int = 0):
+        super().__init__(message)
         self.stream_id = stream_id
 
 

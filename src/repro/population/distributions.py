@@ -74,10 +74,6 @@ class ExperimentData:
 
     # -- §V-G: HPACK-measurable sites per family (Figs. 4-5 populations) ----------
     hpack_sites: dict[str, int]
-    #: Fraction of Nginx sites whose ratio is exactly 1 (93.5% in exp 1).
-    nginx_ratio_one_fraction: float = 0.935
-    #: Fraction of LiteSpeed sites with ratio < 0.3 (80%).
-    litespeed_good_fraction: float = 0.80
 
     def h2_site_estimate(self) -> int:
         """Sites speaking HTTP/2 by either mechanism.

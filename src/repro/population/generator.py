@@ -60,6 +60,10 @@ MUTE_FRONT_PAGE = Resource("/", 1_000)
 
 #: Families whose nginx lineage means responses are not HPACK-indexed.
 NGINX_LINEAGE = {"nginx", "tengine", "tengine-aserver", "cloudflare-nginx"}
+#: §V-G: the fraction of Nginx sites whose ratio is exactly 1 (93.5 %),
+#: and of LiteSpeed sites with ratio < 0.3 (80 %).
+NGINX_RATIO_ONE_FRACTION = 0.935
+LITESPEED_GOOD_FRACTION = 0.80
 
 
 @dataclass
@@ -191,7 +195,7 @@ def _make_site(
     _sample_settings(rng, data, profile, truth)
     _sample_flow_control(rng, data, profile, family, truth)
     _sample_priority(rng, data, profile, truth)
-    _sample_hpack(rng, data, profile, family, truth)
+    _sample_hpack(rng, profile, family, truth)
 
     cookie_prob = {"gse": 0.0, "litespeed": 0.05}.get(family, 0.25)
     website = _make_website(rng, cookie_prob=cookie_prob)
@@ -386,17 +390,10 @@ def _sample_priority(
 
 
 def _sample_hpack(
-    rng: random.Random,
-    data: ExperimentData,
-    profile: ServerProfile,
-    family: str,
-    truth: dict,
+    rng: random.Random, profile: ServerProfile, family: str, truth: dict
 ) -> None:
     if family in NGINX_LINEAGE or family == "ideaweb":
-        # §V-G: 93.5% of Nginx servers have ratio exactly 1.
-        profile.hpack_index_responses = (
-            rng.random() >= data.nginx_ratio_one_fraction
-        )
+        profile.hpack_index_responses = rng.random() >= NGINX_RATIO_ONE_FRACTION
         profile.response_header_noise = (
             rng.uniform(0.0, 0.4) if profile.hpack_index_responses else 0.0
         )
@@ -405,7 +402,7 @@ def _sample_hpack(
         profile.response_header_noise = 0.0
     elif family == "litespeed":
         profile.hpack_index_responses = True
-        if rng.random() < data.litespeed_good_fraction:
+        if rng.random() < LITESPEED_GOOD_FRACTION:
             profile.response_header_noise = rng.uniform(0.0, 0.1)
         else:
             profile.response_header_noise = rng.uniform(0.3, 1.0)

@@ -683,9 +683,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     """Score the real-time detector, or sweep stored timelines."""
     import json as _json
 
-    from repro.analysis.detection import DetectorConfig, score_corpus
+    from repro.analysis.detection import score_corpus
 
-    config = DetectorConfig(stall_window=args.stall_window)
     if args.db is not None:
         store = _open_store(args.db)
         if store is None:
@@ -709,7 +708,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         timelines = build_corpus(
             vendors=vendors, seed=args.seed, duration=args.duration
         )
-    score = score_corpus(timelines, config)
+    score = score_corpus(timelines, args.stall_window)
     document = {"timelines": len(timelines), **score.to_json()}
     print(_json.dumps(document, indent=2))
     if args.out is not None:

@@ -18,12 +18,11 @@ from repro.scope.client import HTTP11
 from repro.scope.report import PingResult
 from repro.scope.session import ProbeSession
 
+#: Samples each estimator averages: the scan's, Table III's and Fig. 6's.
+SAMPLES = 3
 
-def probe_ping(
-    session: ProbeSession,
-    domain: str,
-    samples: int = 3,
-) -> PingResult:
+
+def probe_ping(session: ProbeSession, domain: str) -> PingResult:
     result = PingResult()
 
     # -- HTTP/2 PING + TCP handshake RTT -----------------------------------
@@ -32,7 +31,7 @@ def probe_ping(
         if client.establish_h2():
             result.tcp_rtt = client.tls.tcp_handshake_rtt
             rtts: list[float] = []
-            for i in range(samples):
+            for i in range(SAMPLES):
                 payload = f"scope{i:03d}".encode()[:8].ljust(8, b"\x00")
                 start = client.now
                 client.send_ping(payload)
@@ -52,7 +51,7 @@ def probe_ping(
         client.close()
 
     # -- ICMP ------------------------------------------------------------------
-    result.icmp_rtt = session.icmp_rtt(domain, count=samples)
+    result.icmp_rtt = session.icmp_rtt(domain, count=SAMPLES)
 
     # -- HTTP/1.1 request ---------------------------------------------------------
     h1 = session.client(domain, alpn=[HTTP11], offer_npn=False)
@@ -61,7 +60,7 @@ def probe_ping(
             tls = h1.tls_handshake()
             if tls.connected:
                 h1_rtts = []
-                for _ in range(samples):
+                for _ in range(SAMPLES):
                     interval = h1.http1_get("/")
                     if interval is not None:
                         h1_rtts.append(interval)

@@ -3,13 +3,16 @@
 import pytest
 
 from repro.analysis.detection import (
+    _LABELS,
+    HEADER_DEADLINE,
+    PREFACE_DEADLINE,
     ConnectionMonitor,
-    DetectorConfig,
     analyze_timeline,
     score_corpus,
 )
 from repro.attacks import run_battery
-from repro.attacks.corpus import attack_timelines, benign_timelines
+from repro.attacks.corpus import benign_timelines
+from repro.h2.abuse import AbuseRules
 from repro.h2.constants import FrameFlag
 from repro.h2.frames import (
     ContinuationFrame,
@@ -42,7 +45,7 @@ class TestPrefaceRule:
         assert monitor.tick(7.9) is None
         verdict = monitor.tick(40.0)  # late poll
         assert verdict is not None and verdict.label == "slow_preface"
-        assert verdict.at == 5.0 + DetectorConfig().preface_deadline
+        assert verdict.at == 5.0 + PREFACE_DEADLINE
 
     def test_first_frame_proves_preface_done(self):
         monitor = ConnectionMonitor(opened_at=0.0)
@@ -61,7 +64,7 @@ class TestHeaderRule:
         monitor.observe(2.0, ContinuationFrame(stream_id=1, header_block=b"x"))
         verdict = monitor.tick(10.0)
         assert verdict.label == "slow_headers"
-        assert verdict.at == 1.0 + DetectorConfig().header_deadline
+        assert verdict.at == 1.0 + HEADER_DEADLINE
 
     def test_terminated_assembly_is_clean(self):
         monitor = ConnectionMonitor(opened_at=0.0)
@@ -76,19 +79,16 @@ class TestHeaderRule:
 
 
 class TestStallRule:
-    def config(self) -> DetectorConfig:
-        return DetectorConfig(stall_window=10.0, stall_min_streams=2)
-
     def test_single_stream_probe_is_benign(self):
         # The probe suite's tiny-window measurement opens ONE stream
         # and idles past the window: must not flag.
-        monitor = ConnectionMonitor(opened_at=0.0, config=self.config())
+        monitor = ConnectionMonitor(opened_at=0.0, stall_window=10.0)
         monitor.observe(0.1, tiny_settings())
         monitor.observe(0.2, headers(1))
         assert monitor.tick(30.0) is None
 
     def test_many_streams_tiny_window_flags(self):
-        monitor = ConnectionMonitor(opened_at=0.0, config=self.config())
+        monitor = ConnectionMonitor(opened_at=0.0, stall_window=10.0)
         monitor.observe(0.1, tiny_settings())
         for i in range(4):
             monitor.observe(0.2 + i * 0.01, headers(1 + 2 * i))
@@ -99,7 +99,7 @@ class TestStallRule:
     def test_cancelled_streams_are_not_held(self):
         # The probe suite's shared flow-control connection: each
         # sub-probe cancels its stream before the next opens one.
-        monitor = ConnectionMonitor(opened_at=0.0, config=self.config())
+        monitor = ConnectionMonitor(opened_at=0.0, stall_window=10.0)
         monitor.observe(0.1, tiny_settings())
         monitor.observe(0.2, headers(1))
         monitor.observe(8.0, RstStreamFrame(stream_id=1, error_code=8))
@@ -107,7 +107,7 @@ class TestStallRule:
         assert monitor.tick(30.0) is None
 
     def test_window_grant_suppresses(self):
-        monitor = ConnectionMonitor(opened_at=0.0, config=self.config())
+        monitor = ConnectionMonitor(opened_at=0.0, stall_window=10.0)
         monitor.observe(0.1, tiny_settings())
         monitor.observe(0.2, headers(1))
         monitor.observe(0.3, headers(3))
@@ -117,8 +117,7 @@ class TestStallRule:
 
 class TestRateRules:
     def test_ping_flood_over_limit(self):
-        cfg = DetectorConfig(ping_rate=30)
-        monitor = ConnectionMonitor(opened_at=0.0, config=cfg)
+        monitor = ConnectionMonitor(opened_at=0.0)
         verdict = None
         for i in range(40):
             verdict = monitor.observe(0.1 + i * 0.01, PingFrame(payload=b"p" * 8))
@@ -127,15 +126,13 @@ class TestRateRules:
         assert verdict is not None and verdict.label == "ping_flood"
 
     def test_slow_pings_stay_clean(self):
-        cfg = DetectorConfig(ping_rate=30)
-        monitor = ConnectionMonitor(opened_at=0.0, config=cfg)
+        monitor = ConnectionMonitor(opened_at=0.0)
         for i in range(60):
             # 10/s: always under the limit inside any 1 s window.
             assert monitor.observe(0.1 + i * 0.1, PingFrame(payload=b"p" * 8)) is None
 
     def test_rst_churn_over_limit(self):
-        cfg = DetectorConfig(rst_rate=40)
-        monitor = ConnectionMonitor(opened_at=0.0, config=cfg)
+        monitor = ConnectionMonitor(opened_at=0.0)
         verdict = None
         for i in range(60):
             verdict = monitor.observe(
@@ -146,8 +143,7 @@ class TestRateRules:
         assert verdict is not None and verdict.label == "rst_churn"
 
     def test_settings_flood_over_limit(self):
-        cfg = DetectorConfig(settings_rate=12)
-        monitor = ConnectionMonitor(opened_at=0.0, config=cfg)
+        monitor = ConnectionMonitor(opened_at=0.0)
         verdict = None
         for i in range(20):
             verdict = monitor.observe(0.1 + i * 0.01, SettingsFrame(settings=[]))
@@ -194,7 +190,7 @@ class TestReplay:
         timeline = ConnectionTimeline(opened_at=2.0, closed_at=20.0, protocol="h2")
         verdict = analyze_timeline(timeline)
         assert verdict is not None and verdict.label == "slow_preface"
-        assert verdict.at == 2.0 + DetectorConfig().preface_deadline
+        assert verdict.at == 2.0 + PREFACE_DEADLINE
 
     def test_benign_timeline_none(self):
         timeline = ConnectionTimeline(
@@ -209,22 +205,31 @@ class TestReplay:
         assert analyze_timeline(timeline) is None
 
 
-def detector_from(guards: AbuseGuards) -> DetectorConfig:
-    """A detector with a vendor's guard thresholds for the shared rules."""
-    return DetectorConfig(
-        preface_deadline=guards.preface_timeout,
-        header_deadline=guards.header_timeout,
-        ping_rate=guards.ping_rate_limit,
-        settings_rate=guards.settings_rate_limit,
-        rst_rate=guards.rst_rate_limit,
-        rate_window=guards.rate_window,
+def replay(timeline: ConnectionTimeline, guards: AbuseGuards):
+    """Replay one timeline through the rule core with a vendor's guard
+    thresholds, as the detector replays it with its own: time rules
+    over the inter-frame gaps, then once more at the connection's end."""
+    rules = AbuseRules(
+        timeline.opened_at,
+        preface=guards.preface_timeout,
+        header=guards.header_timeout,
+        window=guards.rate_window,
+        ping=guards.ping_rate_limit,
+        settings=guards.settings_rate_limit,
+        rst=guards.rst_rate_limit,
     )
+    for traced in timeline.frames:
+        rules.tick(traced.at)
+        if rules.observe(traced.at, traced.frame) is not None:
+            return rules.verdict
+    return rules.tick(timeline.end_at)
 
 
 class TestGuardsAgreeWithDetector:
     """The engine's guards run the detector's rules: replaying a
-    guards-on battery timeline with that vendor's thresholds finds the
-    engine's reason at the very instant the engine evicted."""
+    guards-on battery timeline through the rule core with that vendor's
+    thresholds finds the engine's reason, under the detector's label,
+    at the very instant the engine evicted."""
 
     #: The engine's guard reason for each profile both layers judge.
     SHARED = {
@@ -245,10 +250,10 @@ class TestGuardsAgreeWithDetector:
             cell = (result.profile, result.vendor)
             assert result.guard_reasons == [self.SHARED[result.profile]], cell
             [timeline] = result.timelines
-            config = detector_from(vendor_guards(result.vendor))
-            verdict = analyze_timeline(timeline, config)
+            verdict = replay(timeline, vendor_guards(result.vendor))
             assert verdict is not None, cell
-            assert verdict.label == result.profile, cell
+            assert verdict.rule == self.SHARED[result.profile], cell
+            assert _LABELS[verdict.rule] == result.profile, cell
             assert verdict.at == timeline.closed_at, cell
 
 
@@ -292,6 +297,15 @@ class TestCorpusScoring:
         assert score.precision == 1.0 and score.recall == 1.0
 
 
+def nginx_attack_timelines(profiles, duration):
+    """Battery traffic against nginx, guards off, labelled with each
+    profile's name (``attack_timelines`` for some profiles)."""
+    matrix = run_battery(
+        ["nginx"], profiles, seed=3, duration=duration, record_frames=True
+    )
+    return [timeline for result in matrix.results for timeline in result.timelines]
+
+
 class TestEndToEndFloors:
     """Small real corpora through the actual engines (the full
     six-vendor floor lives in benchmarks/bench_detection.py)."""
@@ -306,7 +320,7 @@ class TestEndToEndFloors:
         # LiteSpeed sends nothing at a one-octet window, so its shared
         # flow-control connection idles past ``stall_window`` with two
         # streams seen, one of them cancelled.
-        timelines = benign_timelines(vendors=["litespeed"], seed=7, chaos=False)
+        timelines = benign_timelines(vendors=["litespeed"], seed=7)
         score = score_corpus(timelines)
         assert score.false_positives == 0, score.to_json()
 
@@ -314,16 +328,14 @@ class TestEndToEndFloors:
         profiles = ["slow_preface", "slow_headers", "ping_flood",
                     "settings_flood", "rst_churn", "table_flood",
                     "priority_churn"]
-        timelines = attack_timelines(["nginx"], profiles, seed=3, duration=8.0)
+        timelines = nginx_attack_timelines(profiles, duration=8.0)
         score = score_corpus(timelines)
         assert score.recall == 1.0, score.to_json()
         for name in profiles:
             assert score.per_profile[name].mislabels == 0, name
 
     def test_zero_window_stall_detected_at_stall_window(self):
-        timelines = attack_timelines(
-            ["nginx"], ["zero_window_stall"], seed=3, duration=13.0
-        )
+        timelines = nginx_attack_timelines(["zero_window_stall"], duration=13.0)
         score = score_corpus(timelines)
         row = score.per_profile["zero_window_stall"]
         assert row.detected == row.of == 1

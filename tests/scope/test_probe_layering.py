@@ -1,4 +1,5 @@
-"""Layering rule: probes never touch the transport layer directly.
+"""Layering rules: probes never touch the transport layer directly, and
+no probe runs outside the sequence.
 
 Probe modules take a :class:`~repro.scope.session.ProbeSession` and go
 through its backend for every transport interaction — that is what
@@ -12,9 +13,14 @@ that into a loud failure.
 import ast
 from pathlib import Path
 
+import repro
 import repro.scope.probes as probes_package
 
 PROBES_DIR = Path(probes_package.__file__).parent
+SRC = Path(repro.__file__).parent
+#: The probe sequence (DESIGN §8): the one module outside the probes
+#: that may call them.
+SEQUENCE = SRC / "scope" / "scanner.py"
 
 #: Modules the probe layer must not import: concrete transports and
 #: the simulator's clock.  ``repro.net.backend`` is *allowed* — that is
@@ -72,3 +78,22 @@ def test_no_probe_touches_simulation_attributes():
         "probe modules must not reach into the simulation:\n"
         + "\n".join(violations)
     )
+
+
+def test_no_probe_runs_outside_the_sequence():
+    """The scan, Table III and Fig. 6 read one probe sequence
+    (``probe_target``): outside ``scope/probes/`` only ``scanner.py``
+    calls a probe entry or ``probe_settings``."""
+    entries = {name for name in probes_package.__all__ if name.startswith("probe_")}
+    entries.add("probe_settings")
+    violations = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path == SEQUENCE or PROBES_DIR in path.parents:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in entries:
+                    violations.append(f"{path.relative_to(SRC)}:{node.lineno}: {name}")
+    assert violations == [], "a probe called outside the sequence"

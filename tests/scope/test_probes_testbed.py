@@ -508,18 +508,18 @@ class TestPushAndHpackFillTheirSection:
 class TestPingRow:
     def test_all_vendors_answer_ping(self, vendor):
         network, domain = deploy_vendor(vendor)
-        result = probe_ping(sim_session(network), domain, samples=2)
+        result = probe_ping(sim_session(network), domain)
         assert result.ping_supported
 
     def test_ping_close_to_tcp_and_icmp(self):
         network, domain = deploy_vendor("nginx")
-        result = probe_ping(sim_session(network), domain, samples=2)
+        result = probe_ping(sim_session(network), domain)
         assert result.h2_ping_rtt == pytest.approx(result.tcp_rtt, rel=0.05)
         assert result.h2_ping_rtt == pytest.approx(result.icmp_rtt, rel=0.05)
 
     def test_http1_estimate_inflated_by_processing(self):
         network, domain = deploy_vendor("apache")
-        result = probe_ping(sim_session(network), domain, samples=2)
+        result = probe_ping(sim_session(network), domain)
         assert result.http1_rtt > result.h2_ping_rtt * 1.1
 
 

@@ -16,11 +16,24 @@ literal block after a line ending in ``::``).  Tests do not count.
   ``__all__`` that no program user imports through that package.
 * :func:`unset_values` lists every defaulted parameter and dataclass
   field that no program call sets by keyword or by position, matching
-  calls by the callee's last name (so it errs towards "set").  A field
-  the program assigns as an attribute (``report.ping = ...``) is state,
-  not an option, and counts as set; so does every field of a class whose
-  body calls ``replace(self, **...)``.  Positions count a dataclass's own
-  fields only, so a subclass's field set by position reads as unset.
+  calls by the callee's last name (so it errs towards "set").  A call
+  of a class that inherits its ``__init__`` counts for the class that
+  defines it, and so does ``super().__init__(...)``; the clock's
+  ``call_at(when, fn, *args)`` and ``call_later(delay, fn, *args)``
+  count as calls of ``fn`` with ``args``.  A field the program fills is
+  state, not an option, and counts as set: one assigned as an attribute
+  (``report.ping = ...``), filled through ``.append``-style methods,
+  item assignment or an attribute of its own (``report.errors.append``,
+  ``taxonomy.by_class[key] = ...``), named by ``setattr`` (a literal
+  name, or an f-string's literal prefix: ``setattr(r, f"peak_{k}", ...)``
+  covers every ``peak_*`` field), or handed to a function that fills
+  that parameter in place (``probe_push(link, report.push)``); a local
+  name bound to the field, or to the name, in the same function
+  (``samples = stats.with_push if push else stats.without_push``)
+  stands for it.  So does
+  every field of a class whose body calls ``replace(self, **...)``.
+  Positions count a dataclass's own fields only, so a subclass's field
+  set by position reads as unset.
 
 Run ``python -m tests.support.census`` from the repository root to print
 all three.
@@ -390,54 +403,222 @@ def _is_init_false(value: ast.expr) -> bool:
     )
 
 
+#: Methods that fill the object they are called on.
+_FILLERS = frozenset({"append", "extend", "insert", "add", "update", "setdefault"})
+#: The clock's schedulers: ``call_at(when, fn, *args)`` calls ``fn(*args)``.
+_SCHEDULERS = frozenset({"call_at", "call_later"})
+
+
+def _callee(call: ast.Call) -> str | None:
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _filled(node: ast.AST) -> list[ast.expr]:
+    """The expressions ``node`` fills in place: a store target's inner
+    values, the object a filler method is called on, ``setattr``'s first
+    argument."""
+    if isinstance(node, (ast.Attribute, ast.Subscript)) and isinstance(
+        node.ctx, ast.Store
+    ):
+        return [node.value]
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in _FILLERS:
+            return [func.value]
+        if isinstance(func, ast.Name) and func.id == "setattr" and node.args:
+            return [node.args[0]]
+    return []
+
+
+def _chain(node: ast.expr) -> list[ast.expr]:
+    """``node`` and every value under it: ``a.b[k].c`` -> itself, ``a.b[k]``,
+    ``a.b``, ``a``."""
+    out = [node]
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+        out.append(node)
+    return out
+
+
 class _CallIndex(ast.NodeVisitor):
-    """Every program call, by the callee's last name; every attribute the
-    program assigns, under ``"." + name``.  Inside a class body a call
-    to ``cls(...)``, and a ``replace(self, **...)``, count as calls to
-    that class."""
+    """Every program call, by the callee's last name; every field the
+    program fills, under ``"." + name`` (``"." + prefix + "*"`` for a
+    ``setattr`` f-string).  Inside a class body a call to ``cls(...)``,
+    ``super().__init__(...)`` and a ``replace(self, **...)`` count as
+    calls to that class (``super()``: to its first base)."""
 
     def __init__(self):
         self.calls: dict[str, list[ast.AST]] = {}
-        self._classes: list[str] = []
+        self._classes: list[ast.ClassDef] = []
+        #: Per enclosing function: local name -> the values bound to it.
+        self._aliases: list[dict[str, list[ast.expr]]] = []
+        #: Function name -> the positions and names of parameters it fills.
+        self.fills: dict[str, set[int | str]] = {}
+
+    def _state(self, name: str, node: ast.AST) -> None:
+        self.calls.setdefault("." + name, []).append(node)
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self._classes.append(node.name)
+        self._classes.append(node)
         self.generic_visit(node)
         self._classes.pop()
 
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        params = node.args.posonlyargs + node.args.args
+        if self._classes and params and params[0].arg in ("self", "cls"):
+            params = params[1:]
+        names = {arg.arg for arg in params + node.args.kwonlyargs}
+        filled = {
+            inner.id
+            for sub in ast.walk(node)
+            for target in _filled(sub)
+            for inner in _chain(target)
+            if isinstance(inner, ast.Name) and inner.id in names
+        }
+        if filled:
+            self.fills.setdefault(node.name, set()).update(
+                {i for i, arg in enumerate(params) if arg.arg in filled} | filled
+            )
+        aliases: dict[str, list[ast.expr]] = {}
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Assign):
+                for target in sub.targets:
+                    if isinstance(target, ast.Name):
+                        aliases.setdefault(target.id, []).append(sub.value)
+        self._aliases.append(aliases)
+        self.generic_visit(node)
+        self._aliases.pop()
+
+    def _bound(self, node: ast.expr) -> list[ast.expr]:
+        """``node``, or what a local name stands for: the values bound
+        to it in the enclosing function, both branches of a conditional."""
+        values = [node]
+        if isinstance(node, ast.Name) and self._aliases:
+            values = self._aliases[-1].get(node.id, values)
+        out = []
+        for value in values:
+            out += [value.body, value.orelse] if isinstance(value, ast.IfExp) else [value]
+        return out
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
     def visit_Attribute(self, node: ast.Attribute) -> None:
         if isinstance(node.ctx, ast.Store):
-            self.calls.setdefault("." + node.attr, []).append(node)
+            self._state(node.attr, node)
         self.generic_visit(node)
 
+    def visit_Subscript(self, node: ast.Subscript) -> None:
+        for target in _filled(node):
+            self._fill(target)
+        self.generic_visit(node)
+
+    def _fill(self, target: ast.expr) -> None:
+        for value in self._bound(target):
+            for inner in _chain(value):
+                if isinstance(inner, ast.Attribute):
+                    self._state(inner.attr, inner)
+
     def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        name = (
-            func.id
-            if isinstance(func, ast.Name)
-            else func.attr
-            if isinstance(func, ast.Attribute)
-            else None
-        )
-        if self._classes and (
-            name == "cls"
-            or (name == "replace" and any(k.arg is None for k in node.keywords))
-        ):
-            name = self._classes[-1]
+        name = _callee(node)
+        for target in _filled(node):
+            self._fill(target)
+        if name == "setattr" and len(node.args) > 1:
+            for field_name in self._bound(node.args[1]):
+                if isinstance(field_name, ast.Constant) and isinstance(
+                    field_name.value, str
+                ):
+                    self._state(field_name.value, node)
+                elif (
+                    isinstance(field_name, ast.JoinedStr)
+                    and field_name.values
+                    and isinstance(field_name.values[0], ast.Constant)
+                ):
+                    self._state(field_name.values[0].value + "*", node)
+        if self._classes:
+            owner = self._classes[-1]
+            if name == "cls" or (
+                name == "replace" and any(k.arg is None for k in node.keywords)
+            ):
+                name = owner.name
+            elif (
+                name == "__init__"
+                and isinstance(node.func.value, ast.Call)
+                and _callee(node.func.value) == "super"
+                and owner.bases
+            ):
+                name = ast.unparse(owner.bases[0]).split(".")[-1]
+        if name in _SCHEDULERS and len(node.args) > 1:
+            callback = node.args[1]
+            if isinstance(callback, (ast.Name, ast.Attribute)):
+                scheduled = ast.Call(callback, node.args[2:], [])
+                self.calls.setdefault(_callee(scheduled), []).append(scheduled)
         if name is not None:
             self.calls.setdefault(name, []).append(node)
         self.generic_visit(node)
 
 
+def _inherited_inits(root: Path) -> dict[str, str]:
+    """Class -> the ancestor whose ``__init__`` it inherits, for every
+    ``src/`` class that is no dataclass and defines none of its own."""
+    classes = {
+        node.name: node
+        for path in sorted((root / "src").rglob("*.py"))
+        for node in _tree(path).body
+        if isinstance(node, ast.ClassDef)
+    }
+
+    def defines_init(node: ast.ClassDef) -> bool:
+        return _is_dataclass(node) or any(
+            isinstance(item, ast.FunctionDef) and item.name == "__init__"
+            for item in node.body
+        )
+
+    found = {}
+    for name, node in classes.items():
+        ancestor = node
+        while not defines_init(ancestor) and ancestor.bases:
+            ancestor = classes.get(ast.unparse(ancestor.bases[0]).split(".")[-1])
+            if ancestor is None:
+                break
+        if ancestor is not None and ancestor is not node and defines_init(ancestor):
+            found[name] = ancestor.name
+    return found
+
+
+@cache
 def _calls(root: Path) -> dict[str, list[ast.AST]]:
     index = _CallIndex()
     for path in program_files(root):
         index.visit(_tree(path))
-    return index.calls
+    calls = index.calls
+    for name, ancestor in _inherited_inits(root).items():
+        calls.setdefault(ancestor, []).extend(calls.get(name, []))
+    # A field handed to a function that fills that parameter is state.
+    for name, filled in index.fills.items():
+        for call in list(calls.get(name, [])):
+            handed = list(enumerate(call.args)) + [
+                (k.arg, k.value) for k in call.keywords if k.arg is not None
+            ]
+            for key, value in handed:
+                if key in filled and isinstance(value, ast.Attribute):
+                    calls.setdefault("." + value.attr, []).append(value)
+    return calls
 
 
 def is_set(value: Settable, calls: dict[str, list[ast.AST]]) -> bool:
-    if value.field and "." + value.name in calls:
+    if value.field and (
+        "." + value.name in calls
+        or any(
+            key.endswith("*") and value.name.startswith(key[1:-1])
+            for key in calls
+            if key.startswith(".")
+        )
+    ):
         return True
     callee = value.owner.split(".")[-1]
     for call in calls.get(callee, []):

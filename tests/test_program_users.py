@@ -4,8 +4,9 @@ A program user is a file under ``src/``, ``benchmarks/``, ``examples/``
 or ``tools/``, a code block in README.md, or a docstring example in
 ``src/``; tests do not count (``tests/support/census.py`` says how each
 census matches).  A definition or a package re-export with no program
-user fails here unless it is allowlisted below with its reason.  A
-reader only tests need belongs in ``tests/support/readers.py``.
+user fails here unless it is allowlisted below with its reason, and so
+does a defaulted parameter or dataclass field that no program call sets.
+A reader only tests need belongs in ``tests/support/readers.py``.
 """
 
 from tests.support import census
@@ -29,8 +30,54 @@ DEFINITIONS_WITHOUT_USER = {
 }
 
 
+#: ``path owner(name=)`` -> why it stays although no program call sets it.
+#: Any other value no program sets is a constant (DESIGN §8).
+VALUES_WITHOUT_SETTER = {
+    **{
+        f"src/repro/scope/live.py {owner}({name}=)": (
+            "test clock seam: the rate-limit tests run it on a fake clock"
+        )
+        for owner in ("TokenBucket", "SiteGate")
+        for name in ("clock", "sleep")
+    },
+    **{
+        f"src/repro/h2/hpack/encoder.py Encoder({name}=)": (
+            "the RFC 7541 Appendix C vectors encode with a 256-octet table, "
+            "with and without Huffman coding"
+        )
+        for name in ("header_table_size", "use_huffman")
+    },
+    "src/repro/h2/hpack/decoder.py Decoder(max_header_list_size=)": (
+        "ROADMAP 21 wires it to bound what a hostile server can make the "
+        "scanner decode"
+    ),
+    **{
+        f"src/repro/servers/fleet.py FleetPlan({name}=)": (
+            "the planted-fault counts of the live fault tests' only fleet"
+        )
+        for name in ("refuse", "stall", "blackhole", "unresolvable")
+    },
+    **{
+        f"src/repro/scope/concurrent.py scan_interleaved({name}=)": (
+            "ROADMAP 3 deletes the interleaved scheduler"
+        )
+        for name in ("concurrency", "metrics", "grant_policy")
+    },
+    **{
+        f"src/repro/scope/client.py ScopeClient.upgrade_h2c({name}=)": (
+            "ROADMAP 17(e) deletes the cleartext entry"
+        )
+        for name in ("path", "timeout")
+    },
+}
+
+
 def _key(definition: census.Definition) -> str:
     return f"{definition.path}:{definition.qualname}"
+
+
+def _value_key(value: census.Settable) -> str:
+    return f"{value.path} {value.owner}({value.name}=)"
 
 
 def test_every_definition_has_a_program_user():
@@ -52,6 +99,40 @@ def test_every_allowlisted_definition_exists_and_is_unused():
 
 def test_every_allowlist_row_names_its_reason():
     assert all(reason.strip() for reason in DEFINITIONS_WITHOUT_USER.values())
+
+
+def test_every_settable_value_has_a_program_setter():
+    unexplained = [
+        _value_key(v)
+        for v in census.unset_values()
+        if _value_key(v) not in VALUES_WITHOUT_SETTER
+    ]
+    assert unexplained == [], (
+        "set by no program call: make it a constant, give it a setter, "
+        "or allowlist it with its reason"
+    )
+
+
+def test_every_allowlisted_value_exists_and_is_unset():
+    unset = {_value_key(v) for v in census.unset_values()}
+    assert sorted(set(VALUES_WITHOUT_SETTER) - unset) == []
+    assert all(reason.strip() for reason in VALUES_WITHOUT_SETTER.values())
+
+
+def test_a_filled_field_is_state_not_an_option():
+    """A record's field the program fills (``.append``, item assignment,
+    ``setattr``, an alias, or in place by the function it is handed to)
+    is not an option; an option only tests set stays unset."""
+    unset = {_value_key(v) for v in census.unset_values()}
+    for filled in (
+        "src/repro/scope/report.py SiteReport(errors=)",
+        "src/repro/scope/report.py SiteReport(push=)",
+        "src/repro/scope/report.py ErrorTaxonomy(by_class=)",
+        "src/repro/attacks/base.py AttackResult(peak_pinned_bytes=)",
+        "src/repro/analysis/pageload.py PageLoadStats(with_push=)",
+    ):
+        assert filled not in unset, filled
+    assert "src/repro/servers/fleet.py FleetPlan(refuse=)" in unset
 
 
 def test_every_reexport_is_imported_through_its_package():
