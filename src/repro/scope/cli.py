@@ -2,7 +2,9 @@
 
 Mirrors how the paper's tool was used: characterize the testbed
 servers, scan a (synthetic) population, or reproduce a specific
-table/figure.
+table/figure.  Each command is one declaration beside its handler
+(:func:`command`); :func:`build_parser` reads them all, and ``scan``'s
+resume command and backend check read its flags.
 
 Examples::
 
@@ -19,7 +21,42 @@ import shlex
 import sys
 from contextlib import ExitStack
 
+from repro.experiments import EXPERIMENTS
 
+
+class Flag:
+    """One flag of a command: argparse's ``add_argument`` names and
+    keywords, and for a ``scan`` flag the backend that reads it (None:
+    both), which prefixes its help."""
+
+    def __init__(self, *names: str, backend: str | None = None, **spec):
+        self.names, self.backend, self.spec = names, backend, spec
+        self.dest = names[-1].lstrip("-").replace("-", "_")
+        self.default = spec.get("default")
+
+
+#: Every command in ``h2scope --help`` order: (name, help, aliases,
+#: flags, handler), one :func:`command` declaration each.
+COMMANDS: list[tuple] = []
+
+
+def command(name: str, help: str, *flags: Flag, aliases: tuple[str, ...] = ()):
+    """Declare the command ``name``, its help, flags and aliases; the
+    decorated function handles it."""
+
+    def declare(handler):
+        COMMANDS.append((name, help, aliases, flags, handler))
+        return handler
+
+    return declare
+
+
+@command(
+    "testbed", "Table III: six-vendor feature matrix",
+    Flag("--backend", choices=("sim", "socket"), default="sim",
+         help="probe inside the simulator (default) or over real loopback "
+         "TCP sockets served by the bridge; cells must match either way"),
+)
 def _cmd_testbed(args: argparse.Namespace) -> int:
     from repro.experiments import table3
 
@@ -118,6 +155,27 @@ def _pick(what: str, name: str, known, *, allow_all: bool = True) -> list[str] |
     return None
 
 
+@command(
+    "probe", "probe one target over a chosen transport backend",
+    Flag("domain", help="domain to probe (SNI / Host header)"),
+    Flag("--backend", choices=("sim", "socket"), default="sim",
+         help="sim: deploy --vendor in a fresh simulation; socket: real "
+         "TCP to --target (or the domain's real address)"),
+    Flag("--vendor", help="vendor profile for --backend sim "
+         "(nginx, litespeed, h2o, nghttpd, tengine, apache)"),
+    Flag("--target", metavar="HOST:PORT",
+         help="socket backend: address serving the TLS-side listener "
+         "(defaults to the domain itself on port 443)"),
+    Flag("--include", default=DEFAULT_PROBE_INCLUDE,
+         help=f"comma-separated probe list (default {DEFAULT_PROBE_INCLUDE})"),
+    Flag("--timeout-scale", type=float, default=0.15,
+         help="socket backend: multiplier shrinking the simulation-tuned "
+         "probe timeouts to wall-clock waits (default 0.15)"),
+    Flag("--db", help="store the report plus per-probe frame traces here "
+         "(render them later with 'h2scope trace')"),
+    Flag("--campaign", default="probe",
+         help="campaign name for --db rows (default 'probe')"),
+)
 def _cmd_probe(args: argparse.Namespace) -> int:
     """Probe one target over a chosen transport backend.
 
@@ -184,6 +242,14 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     return 0 if not report.failed else 1
 
 
+@command(
+    "trace", "render stored per-frame timelines for one scanned site",
+    Flag("db", help="SQLite database written with traces"),
+    Flag("domain", help="site whose traces to render"),
+    Flag("--campaign",
+         help="campaign name (optional when the database holds exactly one)"),
+    Flag("--probe", help="render only this probe's timeline"),
+)
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Render stored per-frame timelines for one scanned site."""
     from repro.scope.trace import render_trace
@@ -232,35 +298,64 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``scan``'s flags.  A tagged one is read by one backend only, and
+#: setting it away from its default on the other is refused.
+SCAN_FLAGS = (
+    Flag("--experiment", type=int, choices=(1, 2), default=1, backend="sim"),
+    Flag("-n", "--n-sites", type=int, default=300, backend="sim"),
+    Flag("--backend", choices=("sim", "socket"), default="sim",
+         help="sim: generated population in per-site simulations "
+         "(default); socket: live scan of --targets over real TCP with "
+         "the bounded pool + politeness + DNS pipeline"),
+    Flag("--targets", metavar="FILE", backend="socket",
+         help="file of target domains, one per line ('#' comments allowed)"),
+    Flag("--campaign", default="live", backend="socket",
+         help="campaign name for the journal (default 'live')"),
+    Flag("--concurrency", type=int, metavar="N", backend="socket",
+         help="max in-flight probe sessions, the live pool size (default 8, "
+         "floor 1); simulated scans use --workers"),
+    Flag("--per-host-gap", type=float, default=0.0, metavar="SECONDS",
+         backend="socket", help="minimum gap between TCP connects to the "
+         "same host (contacts to one host never overlap either)"),
+    Flag("--rate", type=float, metavar="PER_SECOND", backend="socket",
+         help="global contact-rate budget (token bucket)"),
+    Flag("--burst", type=float, metavar="N", backend="socket",
+         help="token-bucket burst (default max(1, rate))"),
+    Flag("--timeout-scale", type=float, default=1.0, metavar="X",
+         backend="socket", help="multiplier shrinking simulation-tuned "
+         "probe timeouts to wall-clock waits (default 1.0)"),
+    Flag("--db",
+         help="also store full per-site reports into this SQLite database"),
+    Flag("--fault-plan", metavar="SPEC|FILE", backend="sim",
+         help="chaos mode: inject faults from a spec string "
+         "(e.g. 'refuse:0.1x2,stall(30):0.05,truncate(400)') or a JSON "
+         "file; probes then run with deadlines + retry/backoff"),
+    Flag("--timeout", type=float, metavar="SECONDS",
+         help="per-probe virtual-time budget (implies resilient mode)"),
+    Flag("--retries", type=int, metavar="N",
+         help="retry budget for transient failures (implies resilient mode)"),
+    Flag("--resume", action="store_true",
+         help="resume the journaled campaign in --db: skip completed sites, "
+         "retry failed ones (refused if the configuration mismatches)"),
+    Flag("--checkpoint-every", type=int, default=25, metavar="N",
+         help="flush reports + journal to --db every N sites (default 25)"),
+    Flag("--workers", type=int, default=1, metavar="N", backend="sim",
+         help="shard the scan across N worker processes (results are "
+         "byte-identical for any N; a campaign may be resumed with a "
+         "different N)"),
+)
+
+
 def _resume_command(args: argparse.Namespace) -> str:
-    """The exact command line that resumes this campaign."""
-    live = args.backend == "socket"
+    """The exact command line that resumes this campaign: the seed, every
+    scan flag set away from its default, and ``--resume``.  Workers,
+    in-flight sessions and the politeness knobs are not part of the
+    manifest, so a campaign may be resumed with other values of them."""
     parts = ["h2scope", "--seed", args.seed, "scan"]
-
-    def option(flag: str, value, default=None) -> None:
-        if value != default:
-            parts.extend([flag, value])
-
-    # Workers, in-flight sessions and the politeness knobs are not part
-    # of the manifest: a campaign may be resumed with different values
-    # (simulated bytes stay identical; a live scan gets gentler or more
-    # aggressive than it started).
-    if live:
-        parts += ["--backend", "socket", "--targets", args.targets]
-        parts += ["--db", args.db, "--campaign", args.campaign]
-        option("--per-host-gap", args.per_host_gap, 0.0)
-        option("--rate", args.rate)
-        option("--burst", args.burst)
-        option("--timeout-scale", args.timeout_scale, 1.0)
-    else:
-        parts += ["--experiment", args.experiment, "-n", args.n_sites]
-        parts += ["--db", args.db]
-        option("--fault-plan", args.fault_plan)
-        option("--workers", args.workers, 1)
-    option("--timeout", args.timeout)
-    option("--retries", args.retries)
-    option("--checkpoint-every", args.checkpoint_every, 25)
-    option("--concurrency", args.concurrency)  # socket only; None on sim
+    for flag in SCAN_FLAGS:
+        value = getattr(args, flag.dest)
+        if flag.dest != "resume" and value != flag.default:
+            parts += [flag.names[0], value]
     parts.append("--resume")
     return shlex.join(str(part) for part in parts)
 
@@ -402,6 +497,7 @@ def _cmd_scan_live(args: argparse.Namespace) -> int:
     )
 
 
+@command("scan", "population scan summaries (§V-B..F)", *SCAN_FLAGS)
 def _cmd_scan(args: argparse.Namespace) -> int:
     """Scan the generated population once, then print its summaries.
 
@@ -417,15 +513,21 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if args.resume and not args.db:
         print("--resume requires --db (the journaled database)", file=sys.stderr)
         return 2
+    for flag in SCAN_FLAGS:
+        if flag.backend not in (None, args.backend) and (
+            getattr(args, flag.dest) != flag.default
+        ):
+            print(
+                f"{'/'.join(flag.names)} requires --backend {flag.backend}",
+                file=sys.stderr,
+            )
+            return 2
     if args.backend == "socket":
         return _cmd_scan_live(args)
-    for flag in ("targets", "concurrency"):
-        if getattr(args, flag) is not None:
-            print(f"--{flag} requires --backend socket", file=sys.stderr)
-            return 2
 
     from repro.experiments import SCAN_SUMMARIES, fault_study, load
     from repro.population import PopulationConfig, make_population
+    from repro.scope.parallel import effective_workers
     from repro.scope.scanner import ALL_PROBES, run_campaign, scan_population
 
     plan = resilience = None
@@ -460,6 +562,14 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             else frozenset().union(*(module.PROBES for module in summaries))
         )
 
+    workers = effective_workers(args.workers)
+    if workers < args.workers:
+        print(
+            f"warning: --workers {args.workers} exceeds the available "
+            f"CPU count; using {workers} (oversubscribing a CPU-bound "
+            f"scan only slows it down)",
+            file=sys.stderr,
+        )
     config = PopulationConfig(
         experiment=args.experiment, n_sites=args.n_sites, seed=args.seed
     )
@@ -481,7 +591,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         seed=args.seed,
         fault_plan=plan,
         resilience=resilience,
-        workers=args.workers,
+        workers=workers,
     )
     if not args.db:
         print_summaries(scan_population(sites, **scan))
@@ -502,6 +612,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return _run_stored_campaign(args, campaign, run, "virtual seconds")
 
 
+@command(
+    "report", "summarize a stored scan database",
+    Flag("db", help="SQLite database written by 'scan --db'"),
+)
 def _cmd_report(args: argparse.Namespace) -> int:
     """Summarize a stored scan database (the paper's 'further study')."""
     from repro.analysis.tables import format_table
@@ -534,6 +648,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+@command(
+    "campaign-status",
+    "journal summary for a campaign database: done/failed/"
+    "quarantined/pending counts plus the recorded manifest",
+    Flag("db", help="SQLite database written by 'scan --db'"),
+    Flag("--campaign", help="limit to one campaign by name"),
+    Flag("--verify", action="store_true",
+         help="also run the storage integrity check before summarizing"),
+    aliases=("campaign_status",),
+)
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
     """Summarize a journaled campaign database: manifest + status counts."""
     from repro.scope.campaign import CampaignJournal
@@ -601,6 +725,11 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
     return 0
 
 
+@command(
+    "conformance",
+    "h2spec-style RFC 7540 conformance report for one testbed vendor",
+    Flag("vendor", help="nginx, litespeed, h2o, nghttpd, tengine, apache, or 'all'"),
+)
 def _cmd_conformance(args: argparse.Namespace) -> int:
     from repro.scope.conformance import run_conformance
     from repro.scope.session import ProbeSession
@@ -617,25 +746,31 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.experiments import EXPERIMENTS, run_experiment
-
-    names = _pick("experiment", args.name, EXPERIMENTS)
-    if names is None:
-        return 2
-    for name in names:
-        result = run_experiment(
-            name,
-            experiment=args.experiment,
-            n_sites=args.n_sites,
-            seed=args.seed,
-            visits=args.visits,
-        )
-        print(result.text)
-        print("=" * 72)
-    return 0
-
-
+@command(
+    "attack", "run the DoS attack battery against the vendor engines",
+    Flag("--profile", default="all",
+         help="battery profile (slow_preface, slow_headers, zero_window_stall, "
+         "ping_flood, settings_flood, rst_churn, slow_read, table_flood, "
+         "priority_churn) or 'all'"),
+    Flag("--vendor", default="all", help="victim engine (nginx, litespeed, "
+         "h2o, nghttpd, tengine, apache) or 'all'"),
+    Flag("--backend", choices=("sim", "loopback"), default="sim",
+         help="sim: discrete-event engines, deterministic in --seed "
+         "(default); loopback: the same engines behind real TCP sockets"),
+    Flag("--guards", choices=("off", "vendor"), default="off",
+         help="abuse guards: off reproduces the exposed 2016 behaviour; "
+         "vendor enables each engine's hardened defaults"),
+    Flag("--duration", type=float, default=16.0,
+         help="attack window in backend seconds (default 16)"),
+    Flag("--guard-scale", type=float, default=1.0,
+         help="scale factor on the vendor guard deadlines (loopback runs "
+         "pay wall-clock seconds; 0.5 halves every deadline)"),
+    Flag("--json", action="store_true", help="emit the matrix as JSON"),
+    Flag("--db", help="record server-side frame timelines (labelled with "
+         "the attack profile) into this database"),
+    Flag("--campaign", default="attack",
+         help="campaign name for --db rows (default 'attack')"),
+)
 def _cmd_attack(args: argparse.Namespace) -> int:
     """Run the attack battery and print the survival matrix."""
     import json as _json
@@ -679,6 +814,25 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     return 0
 
 
+@command(
+    "detect", "score the real-time slow-rate detector on labelled traffic",
+    Flag("--db", help="score stored labelled timelines from this database "
+         "instead of generating a fresh corpus"),
+    Flag("--campaign", default="attack",
+         help="campaign holding the stored timelines (default 'attack')"),
+    Flag("--vendor", default="all",
+         help="corpus mode: limit to one vendor (default all six)"),
+    Flag("--duration", type=float, default=16.0,
+         help="corpus mode: attack window per battery run (default 16)"),
+    Flag("--stall-window", type=float, default=10.0,
+         help="detector rule: seconds a tiny-window connection may idle "
+         "(must exceed the benign probe budget; default 10)"),
+    Flag("--out", help="also write the score document here"),
+    Flag("--min-precision", type=float, default=0.0,
+         help="exit 1 if precision falls below this floor"),
+    Flag("--min-recall", type=float, default=0.0,
+         help="exit 1 if recall falls below this floor"),
+)
 def _cmd_detect(args: argparse.Namespace) -> int:
     """Score the real-time detector, or sweep stored timelines."""
     import json as _json
@@ -727,9 +881,33 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    from repro.experiments import EXPERIMENTS
+@command(
+    "experiment", "run one table/figure by name",
+    Flag("name", help=f"{', '.join(EXPERIMENTS)}, or 'all'"),
+    Flag("--experiment", type=int, choices=(1, 2), default=1),
+    Flag("-n", "--n-sites", type=int, default=300),
+    Flag("--visits", type=int, default=10),
+)
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.experiments import EXPERIMENTS, run_experiment
 
+    names = _pick("experiment", args.name, EXPERIMENTS)
+    if names is None:
+        return 2
+    for name in names:
+        result = run_experiment(
+            name,
+            experiment=args.experiment,
+            n_sites=args.n_sites,
+            seed=args.seed,
+            visits=args.visits,
+        )
+        print(result.text)
+        print("=" * 72)
+    return 0
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="h2scope",
         description="H2Scope reproduction: probe simulated HTTP/2 servers "
@@ -737,360 +915,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=7, help="deterministic seed")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    testbed = sub.add_parser("testbed", help="Table III: six-vendor feature matrix")
-    testbed.add_argument(
-        "--backend",
-        choices=("sim", "socket"),
-        default="sim",
-        help="probe inside the simulator (default) or over real loopback "
-        "TCP sockets served by the bridge; cells must match either way",
-    )
-    testbed.set_defaults(func=_cmd_testbed)
-
-    probe = sub.add_parser(
-        "probe",
-        help="probe one target over a chosen transport backend",
-    )
-    probe.add_argument("domain", help="domain to probe (SNI / Host header)")
-    probe.add_argument(
-        "--backend",
-        choices=("sim", "socket"),
-        default="sim",
-        help="sim: deploy --vendor in a fresh simulation; socket: real "
-        "TCP to --target (or the domain's real address)",
-    )
-    probe.add_argument(
-        "--vendor",
-        default=None,
-        help="vendor profile for --backend sim "
-        "(nginx, litespeed, h2o, nghttpd, tengine, apache)",
-    )
-    probe.add_argument(
-        "--target",
-        default=None,
-        metavar="HOST:PORT",
-        help="socket backend: address serving the TLS-side listener "
-        "(defaults to the domain itself on port 443)",
-    )
-    probe.add_argument(
-        "--include",
-        default=DEFAULT_PROBE_INCLUDE,
-        help=f"comma-separated probe list (default {DEFAULT_PROBE_INCLUDE})",
-    )
-    probe.add_argument(
-        "--timeout-scale",
-        type=float,
-        default=0.15,
-        help="socket backend: multiplier shrinking the simulation-tuned "
-        "probe timeouts to wall-clock waits (default 0.15)",
-    )
-    probe.add_argument(
-        "--db",
-        default=None,
-        help="store the report plus per-probe frame traces here "
-        "(render them later with 'h2scope trace')",
-    )
-    probe.add_argument(
-        "--campaign",
-        default="probe",
-        help="campaign name for --db rows (default 'probe')",
-    )
-    probe.set_defaults(func=_cmd_probe)
-
-    trace = sub.add_parser(
-        "trace",
-        help="render stored per-frame timelines for one scanned site",
-    )
-    trace.add_argument("db", help="SQLite database written with traces")
-    trace.add_argument("domain", help="site whose traces to render")
-    trace.add_argument(
-        "--campaign",
-        default=None,
-        help="campaign name (optional when the database holds exactly one)",
-    )
-    trace.add_argument(
-        "--probe", default=None, help="render only this probe's timeline"
-    )
-    trace.set_defaults(func=_cmd_trace)
-
-    scan = sub.add_parser("scan", help="population scan summaries (§V-B..F)")
-    scan.add_argument("--experiment", type=int, choices=(1, 2), default=1)
-    scan.add_argument("-n", "--n-sites", type=int, default=300)
-    scan.add_argument(
-        "--backend",
-        choices=("sim", "socket"),
-        default="sim",
-        help="sim: generated population in per-site simulations "
-        "(default); socket: live scan of --targets over real TCP with "
-        "the bounded pool + politeness + DNS pipeline",
-    )
-    scan.add_argument(
-        "--targets",
-        default=None,
-        metavar="FILE",
-        help="socket backend: file of target domains, one per line "
-        "('#' comments allowed)",
-    )
-    scan.add_argument(
-        "--campaign",
-        default="live",
-        help="socket backend: campaign name for the journal "
-        "(default 'live')",
-    )
-    scan.add_argument(
-        "--concurrency",
-        type=int,
-        default=None,
-        metavar="N",
-        help="socket backend: max in-flight probe sessions, the live pool "
-        "size (default 8, floor 1); simulated scans use --workers",
-    )
-    scan.add_argument(
-        "--per-host-gap",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="socket backend: minimum gap between TCP connects to the "
-        "same host (contacts to one host never overlap either)",
-    )
-    scan.add_argument(
-        "--rate",
-        type=float,
-        default=None,
-        metavar="PER_SECOND",
-        help="socket backend: global contact-rate budget (token bucket)",
-    )
-    scan.add_argument(
-        "--burst",
-        type=float,
-        default=None,
-        metavar="N",
-        help="socket backend: token-bucket burst (default max(1, rate))",
-    )
-    scan.add_argument(
-        "--timeout-scale",
-        type=float,
-        default=1.0,
-        metavar="X",
-        help="socket backend: multiplier shrinking simulation-tuned "
-        "probe timeouts to wall-clock waits (default 1.0)",
-    )
-    scan.add_argument(
-        "--db",
-        default=None,
-        help="also store full per-site reports into this SQLite database",
-    )
-    scan.add_argument(
-        "--fault-plan",
-        default=None,
-        metavar="SPEC|FILE",
-        help="chaos mode: inject faults from a spec string "
-        "(e.g. 'refuse:0.1x2,stall(30):0.05,truncate(400)') or a JSON "
-        "file; probes then run with deadlines + retry/backoff",
-    )
-    scan.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-probe virtual-time budget (implies resilient mode)",
-    )
-    scan.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="retry budget for transient failures (implies resilient mode)",
-    )
-    scan.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume the journaled campaign in --db: skip completed sites, "
-        "retry failed ones (refused if the configuration mismatches)",
-    )
-    scan.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=25,
-        metavar="N",
-        help="flush reports + journal to --db every N sites (default 25)",
-    )
-    scan.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard the scan across N worker processes (results are "
-        "byte-identical for any N; a campaign may be resumed with a "
-        "different N)",
-    )
-    scan.set_defaults(func=_cmd_scan)
-
-    report = sub.add_parser("report", help="summarize a stored scan database")
-    report.add_argument("db", help="SQLite database written by 'scan --db'")
-    report.set_defaults(func=_cmd_report)
-
-    status = sub.add_parser(
-        "campaign-status",
-        aliases=["campaign_status"],
-        help="journal summary for a campaign database: done/failed/"
-        "quarantined/pending counts plus the recorded manifest",
-    )
-    status.add_argument("db", help="SQLite database written by 'scan --db'")
-    status.add_argument(
-        "--campaign", default=None, help="limit to one campaign by name"
-    )
-    status.add_argument(
-        "--verify",
-        action="store_true",
-        help="also run the storage integrity check before summarizing",
-    )
-    status.set_defaults(func=_cmd_campaign_status)
-
-    conformance = sub.add_parser(
-        "conformance",
-        help="h2spec-style RFC 7540 conformance report for one testbed vendor",
-    )
-    conformance.add_argument(
-        "vendor",
-        help="nginx, litespeed, h2o, nghttpd, tengine, apache, or 'all'",
-    )
-    conformance.set_defaults(func=_cmd_conformance)
-
-    attack = sub.add_parser(
-        "attack",
-        help="run the DoS attack battery against the vendor engines",
-    )
-    attack.add_argument(
-        "--profile",
-        default="all",
-        help="battery profile (slow_preface, slow_headers, zero_window_stall, "
-        "ping_flood, settings_flood, rst_churn, slow_read, table_flood, "
-        "priority_churn) or 'all'",
-    )
-    attack.add_argument(
-        "--vendor",
-        default="all",
-        help="victim engine (nginx, litespeed, h2o, nghttpd, tengine, "
-        "apache) or 'all'",
-    )
-    attack.add_argument(
-        "--backend",
-        choices=("sim", "loopback"),
-        default="sim",
-        help="sim: discrete-event engines, deterministic in --seed "
-        "(default); loopback: the same engines behind real TCP sockets",
-    )
-    attack.add_argument(
-        "--guards",
-        choices=("off", "vendor"),
-        default="off",
-        help="abuse guards: off reproduces the exposed 2016 behaviour; "
-        "vendor enables each engine's hardened defaults",
-    )
-    attack.add_argument(
-        "--duration",
-        type=float,
-        default=16.0,
-        help="attack window in backend seconds (default 16)",
-    )
-    attack.add_argument(
-        "--guard-scale",
-        type=float,
-        default=1.0,
-        help="scale factor on the vendor guard deadlines (loopback runs "
-        "pay wall-clock seconds; 0.5 halves every deadline)",
-    )
-    attack.add_argument(
-        "--json", action="store_true", help="emit the matrix as JSON"
-    )
-    attack.add_argument(
-        "--db",
-        default=None,
-        help="record server-side frame timelines (labelled with the "
-        "attack profile) into this database",
-    )
-    attack.add_argument(
-        "--campaign",
-        default="attack",
-        help="campaign name for --db rows (default 'attack')",
-    )
-    attack.set_defaults(func=_cmd_attack)
-
-    detect = sub.add_parser(
-        "detect",
-        help="score the real-time slow-rate detector on labelled traffic",
-    )
-    detect.add_argument(
-        "--db",
-        default=None,
-        help="score stored labelled timelines from this database instead "
-        "of generating a fresh corpus",
-    )
-    detect.add_argument(
-        "--campaign",
-        default="attack",
-        help="campaign holding the stored timelines (default 'attack')",
-    )
-    detect.add_argument(
-        "--vendor",
-        default="all",
-        help="corpus mode: limit to one vendor (default all six)",
-    )
-    detect.add_argument(
-        "--duration",
-        type=float,
-        default=16.0,
-        help="corpus mode: attack window per battery run (default 16)",
-    )
-    detect.add_argument(
-        "--stall-window",
-        type=float,
-        default=10.0,
-        help="detector rule: seconds a tiny-window connection may idle "
-        "(must exceed the benign probe budget; default 10)",
-    )
-    detect.add_argument(
-        "--out", default=None, help="also write the score document here"
-    )
-    detect.add_argument(
-        "--min-precision",
-        type=float,
-        default=0.0,
-        help="exit 1 if precision falls below this floor",
-    )
-    detect.add_argument(
-        "--min-recall",
-        type=float,
-        default=0.0,
-        help="exit 1 if recall falls below this floor",
-    )
-    detect.set_defaults(func=_cmd_detect)
-
-    experiment = sub.add_parser("experiment", help="run one table/figure by name")
-    experiment.add_argument("name", help=f"{', '.join(EXPERIMENTS)}, or 'all'")
-    experiment.add_argument("--experiment", type=int, choices=(1, 2), default=1)
-    experiment.add_argument("-n", "--n-sites", type=int, default=300)
-    experiment.add_argument("--visits", type=int, default=10)
-    experiment.set_defaults(func=_cmd_experiment)
+    for name, help, aliases, flags, handler in COMMANDS:
+        command_parser = sub.add_parser(name, help=help, aliases=aliases)
+        for flag in flags:
+            spec = flag.spec
+            if flag.backend is not None:
+                tagged = [f"{flag.backend} backend", spec.get("help")]
+                spec = {**spec, "help": ": ".join(filter(None, tagged))}
+            command_parser.add_argument(*flag.names, **spec)
+        command_parser.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "workers", None) is not None:
-        from repro.scope.parallel import effective_workers
-
-        capped = effective_workers(args.workers)
-        if capped < args.workers:
-            print(
-                f"warning: --workers {args.workers} exceeds the available "
-                f"CPU count; using {capped} (oversubscribing a CPU-bound "
-                f"scan only slows it down)",
-                file=sys.stderr,
-            )
-        args.workers = capped
     return args.func(args)
 
 

@@ -300,7 +300,9 @@ class LiveScanMetrics:
     concurrency_high_water: int = 0
     sessions: int = 0
     dns_quarantined: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False
+    )
 
     def session_started(self) -> None:
         with self._lock:

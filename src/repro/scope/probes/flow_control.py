@@ -203,7 +203,7 @@ def probe_zero_window_headers(
 
 
 def probe_zero_window_update(
-    shared: SharedConnection, level: str = "stream", path: str = "/big.bin"
+    shared: SharedConnection, level: str, path: str
 ) -> tuple[ErrorReaction | None, bytes]:
     """§III-B3 on ``shared``.  Returns (reaction, GOAWAY debug data if
     any)."""
@@ -225,7 +225,7 @@ def probe_zero_window_update(
 
 
 def probe_large_window_update(
-    shared: SharedConnection, level: str = "stream", path: str = "/big.bin"
+    shared: SharedConnection, level: str, path: str
 ) -> ErrorReaction | None:
     """§III-B4 on ``shared``: two WINDOW_UPDATEs whose sum exceeds
     2^31-1."""

@@ -620,9 +620,7 @@ class _ServerConnection:
         ev.GoAwayReceived: _drop_tasks,
     }
 
-    def _respond(
-        self, stream_id: int, resource: Resource | None, path: str = "/"
-    ) -> None:
+    def _respond(self, stream_id: int, resource: Resource | None, path: str) -> None:
         conn = self.conn
         if conn is None or self.endpoint.closed or conn.terminated:
             return

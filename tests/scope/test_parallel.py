@@ -231,29 +231,16 @@ class TestWorkersCap:
 
     def test_cli_pre_clamps_workers_with_stderr_notice(self, monkeypatch, capsys):
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        from repro.scope import cli
+        from repro.scope import cli, scanner
 
         seen = {}
+        scan_population = scanner.scan_population
 
-        def fake_cmd(args):
-            seen["workers"] = args.workers
-            return 0
+        def recording(sites, **kwargs):
+            seen["workers"] = kwargs["workers"]
+            return scan_population(sites, **kwargs)
 
-        monkeypatch.setattr(cli, "_cmd_scan", fake_cmd)
-        parser = cli.build_parser()
-        args = parser.parse_args(["scan", "--n-sites", "5", "--workers", "6"])
-        monkeypatch.setattr(args, "func", fake_cmd)
-        monkeypatch.setattr(
-            cli, "build_parser", lambda: _FixedParser(args)
-        )
-        assert cli.main(["scan"]) == 0
+        monkeypatch.setattr(scanner, "scan_population", recording)
+        assert cli.main(["scan", "-n", "5", "--workers", "6"]) == 0
         assert seen["workers"] == 1
         assert "exceeds the available" in capsys.readouterr().err
-
-
-class _FixedParser:
-    def __init__(self, args):
-        self._args = args
-
-    def parse_args(self, argv=None):
-        return self._args

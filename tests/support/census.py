@@ -11,7 +11,9 @@ literal block after a line ending in ``::``).  Tests do not count.
   an attribute, an import outside a package ``__init__.py``, or a word
   of a string or a docstring example.  A method is used by an attribute
   of its name, a word of a string or a docstring example, or a bare name
-  in its own class body (a handler table).
+  in its own class body (a handler table).  A module-level function
+  decorated with a call of a function of its own module is used by that
+  decorator, which registers it (``scope/cli.py``'s ``@command(...)``).
 * :func:`unimported_reexports` lists every name of a package's
   ``__all__`` that no program user imports through that package.
 * :func:`unset_values` lists every defaulted parameter and dataclass
@@ -22,16 +24,17 @@ literal block after a line ending in ``::``).  Tests do not count.
   ``call_at(when, fn, *args)`` and ``call_later(delay, fn, *args)``
   count as calls of ``fn`` with ``args``.  A field the program fills is
   state, not an option, and counts as set: one assigned as an attribute
-  (``report.ping = ...``), filled through ``.append``-style methods,
-  item assignment or an attribute of its own (``report.errors.append``,
-  ``taxonomy.by_class[key] = ...``), named by ``setattr`` (a literal
-  name, or an f-string's literal prefix: ``setattr(r, f"peak_{k}", ...)``
-  covers every ``peak_*`` field), or handed to a function that fills
-  that parameter in place (``probe_push(link, report.push)``); a local
-  name bound to the field, or to the name, in the same function
-  (``samples = stats.with_push if push else stats.without_push``)
-  stands for it.  So does
-  every field of a class whose body calls ``replace(self, **...)``.
+  (``report.ping = ...``; a store on ``self`` sets a field of its own
+  class or of a class it inherits from, no other), filled through
+  ``.append``-style methods, item assignment or an attribute of its own
+  (``report.errors.append``, ``taxonomy.by_class[key] = ...``), named
+  by ``setattr`` (a literal name, or an f-string's literal prefix:
+  ``setattr(r, f"peak_{k}", ...)`` covers every ``peak_*`` field), or
+  handed to a function that fills that parameter in place
+  (``probe_push(link, report.push)``); a local name bound to the field,
+  or to the name, in the same function (``samples = stats.with_push if
+  push else stats.without_push``) stands for it.  So does every field
+  of a class whose body calls ``replace(self, **...)``.
   Positions count a dataclass's own fields only, so a subclass's field
   set by position reads as unset.
 
@@ -262,6 +265,22 @@ def _class_span(root: Path, d: Definition) -> str:
     return ""
 
 
+def _registered(root: Path, d: Definition) -> bool:
+    body = _tree(root / d.path).body
+    own = {node.name for node in body if isinstance(node, ast.FunctionDef)}
+    return any(
+        isinstance(node, ast.FunctionDef)
+        and node.name == d.qualname
+        and any(
+            isinstance(deco, ast.Call)
+            and isinstance(deco.func, ast.Name)
+            and deco.func.id in own
+            for deco in node.decorator_list
+        )
+        for node in body
+    )
+
+
 def is_used(d: Definition, root: Path = ROOT) -> bool:
     index = _index(root)
     name = d.qualname.split(".")[-1]
@@ -274,8 +293,10 @@ def is_used(d: Definition, root: Path = ROOT) -> bool:
         return _outside(
             [use for use in index.names.get(name, []) if use.scope == span], d
         )
-    return _outside(index.names.get(name, []), d) or _outside(
-        index.imports.get(name, []), d
+    return (
+        _outside(index.names.get(name, []), d)
+        or _outside(index.imports.get(name, []), d)
+        or _registered(root, d)
     )
 
 
@@ -459,11 +480,14 @@ class _CallIndex(ast.NodeVisitor):
         self._aliases: list[dict[str, list[ast.expr]]] = []
         #: Function name -> the positions and names of parameters it fills.
         self.fills: dict[str, set[int | str]] = {}
+        #: Class name -> the last names of its bases.
+        self.bases: dict[str, list[str]] = {}
 
     def _state(self, name: str, node: ast.AST) -> None:
         self.calls.setdefault("." + name, []).append(node)
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self.bases[node.name] = [ast.unparse(b).split(".")[-1] for b in node.bases]
         self._classes.append(node)
         self.generic_visit(node)
         self._classes.pop()
@@ -509,7 +533,13 @@ class _CallIndex(ast.NodeVisitor):
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         if isinstance(node.ctx, ast.Store):
-            self._state(node.attr, node)
+            target = node.value
+            if self._classes and isinstance(target, ast.Name) and target.id == "self":
+                # A field of this class or of one it inherits (see _calls).
+                key = f"{self._classes[-1].name}.{node.attr}"
+                self.calls.setdefault(key, []).append(node)
+            else:
+                self._state(node.attr, node)
         self.generic_visit(node)
 
     def visit_Subscript(self, node: ast.Subscript) -> None:
@@ -598,6 +628,16 @@ def _calls(root: Path) -> dict[str, list[ast.AST]]:
     calls = index.calls
     for name, ancestor in _inherited_inits(root).items():
         calls.setdefault(ancestor, []).extend(calls.get(name, []))
+    # A store on self in a class sets the field of every class it inherits.
+    for key in [key for key in calls if "." in key[1:]]:
+        owner, _, attr = key.partition(".")
+        seen, ancestors = {owner}, list(index.bases.get(owner, []))
+        while ancestors:
+            ancestor = ancestors.pop()
+            if ancestor not in seen:
+                seen.add(ancestor)
+                calls.setdefault(f"{ancestor}.{attr}", []).extend(calls[key])
+                ancestors += index.bases.get(ancestor, [])
     # A field handed to a function that fills that parameter is state.
     for name, filled in index.fills.items():
         for call in list(calls.get(name, [])):
@@ -613,6 +653,7 @@ def _calls(root: Path) -> dict[str, list[ast.AST]]:
 def is_set(value: Settable, calls: dict[str, list[ast.AST]]) -> bool:
     if value.field and (
         "." + value.name in calls
+        or f"{value.owner}.{value.name}" in calls
         or any(
             key.endswith("*") and value.name.startswith(key[1:-1])
             for key in calls

@@ -11,6 +11,9 @@ own, a connection a scanner closes between groups).  Per group it counts, by sid
 
 * ``connects``: ``Network.connect`` calls (the client's);
 * ``writes`` and ``octets``: ``Endpoint.send`` calls and their bytes;
+* ``second_writes``: writes by an endpoint that already wrote in the
+  same clock callback (the same ``now`` and ``processed_events`` of its
+  simulation), which one write could have carried (ROADMAP 19);
 * ``frames.<Type>``: frames ``H2Connection`` serialised, by class;
 * ``hpack``: header blocks encoded (HEADERS and PUSH_PROMISE);
 
@@ -47,6 +50,9 @@ class WorkCounter:
         self.work: dict[str, Counter] = defaultdict(Counter)
         self._group = [OUTSIDE]
         self._patched: list[tuple[object, str, object]] = []
+        #: The clock callback of the last write, and who wrote in it.
+        self._callback: tuple | None = None
+        self._writers: set = set()
 
     # -- what is counted ------------------------------------------------
 
@@ -75,6 +81,13 @@ class WorkCounter:
             side = "client" if endpoint._label[2] else "server"
             self._add(f"{side}.writes")
             self._add(f"{side}.octets", len(data))
+            sim = endpoint._sim
+            callback = (sim, sim.now, sim.processed_events)
+            if callback != self._callback:
+                self._callback, self._writers = callback, set()
+            if endpoint in self._writers:
+                self._add(f"{side}.second_writes")
+            self._writers.add(endpoint)
             return fn(endpoint, data)
 
         return counted
@@ -193,6 +206,8 @@ SUMMARY = (
     "server.frames",
     "server.hpack",
     "events",
+    "client.second_writes",
+    "server.second_writes",
 )
 
 

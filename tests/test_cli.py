@@ -192,15 +192,29 @@ def test_scan_bad_fault_plan_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--targets", "targets.txt"), ("--concurrency", "4")]
+    "flag, value, backend",
+    [
+        ("--experiment", "2", "sim"),
+        ("-n/--n-sites", "5", "sim"),
+        ("--fault-plan", "refuse:0.1", "sim"),
+        ("--workers", "2", "sim"),
+        ("--targets", "targets.txt", "socket"),
+        ("--campaign", "x", "socket"),
+        ("--concurrency", "4", "socket"),
+        ("--per-host-gap", "2", "socket"),
+        ("--rate", "3", "socket"),
+        ("--burst", "2", "socket"),
+        ("--timeout-scale", "0.1", "socket"),
+    ],
 )
-def test_socket_only_flags_are_refused_on_sim(flag, value, capsys):
-    """Simulated scans widen with --workers; the live pool's width and
-    its target list are usage errors there, refused before any scan."""
-    rc = main(["scan", "-n", "20", flag, value])
+def test_a_flag_of_one_backend_is_refused_on_the_other(flag, value, backend, capsys):
+    """A scan flag that one backend reads is refused on the other before
+    any scan or file is touched; none is silently ignored."""
+    other = ["--backend", "socket"] if backend == "sim" else ["-n", "5"]
+    rc = main(["scan", *other, flag.split("/")[0], value])
     captured = capsys.readouterr()
     assert rc == 2
-    assert f"{flag} requires --backend socket" in captured.err
+    assert captured.err == f"{flag} requires --backend {backend}\n"
     assert captured.out == ""
 
 

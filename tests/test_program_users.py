@@ -47,6 +47,9 @@ VALUES_WITHOUT_SETTER = {
         )
         for name in ("header_table_size", "use_huffman")
     },
+    "src/repro/scope/live.py LiveConfig(connect_timeout=)": (
+        "the live fleet tests bound a blackholed connect at 1 s with it"
+    ),
     "src/repro/h2/hpack/decoder.py Decoder(max_header_list_size=)": (
         "ROADMAP 21 wires it to bound what a hostile server can make the "
         "scanner decode"
@@ -133,6 +136,15 @@ def test_a_filled_field_is_state_not_an_option():
     ):
         assert filled not in unset, filled
     assert "src/repro/servers/fleet.py FleetPlan(refuse=)" in unset
+
+
+def test_a_store_on_self_sets_only_its_own_classes_fields():
+    """``SocketBackend``'s ``self.connect_timeout`` sets no field of
+    ``LiveConfig``; ``DataFrame``'s ``self.flags`` sets the ``flags`` it
+    inherits from ``Frame``."""
+    unset = {_value_key(v) for v in census.unset_values()}
+    assert "src/repro/scope/live.py LiveConfig(connect_timeout=)" in unset
+    assert "src/repro/h2/frames.py Frame(flags=)" not in unset
 
 
 def test_every_reexport_is_imported_through_its_package():

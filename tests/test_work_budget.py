@@ -2,10 +2,12 @@
 
 ``tests/support/work.py`` counts, from outside the program and per
 probe group, the connections a scan opens, the writes and octets each
-side sends, the frames by type, the HPACK blocks, the simulated clock
-events and, under a fault plan, the fault draws.  The counts are exact and host-independent, so a change
-that moves them names the group that paid: every re-pin here is
-recorded in CHANGES.md with its cause, like ``PINNED_SHA256``.
+side sends, the second writes (an endpoint's second or later write in
+one clock callback), the frames by type, the HPACK blocks, the
+simulated clock events and, under a fault plan, the fault draws.  The
+counts are exact and host-independent, so a change that moves them
+names the group that paid: every re-pin here is recorded in CHANGES.md
+with its cause, like ``PINNED_SHA256``.
 ``python -m tests.support.work`` prints the vectors below.
 
 The budget attributes; it claims nothing about speed.
@@ -35,6 +37,7 @@ CLEAN_FULL = {
         "client.frames.WindowUpdateFrame": 120,
         "client.hpack": 120,
         "client.octets": 11056,
+        "client.second_writes": 56,
         "client.writes": 354,
         "events": 858,
         "server.frames.DataFrame": 89,
@@ -45,6 +48,7 @@ CLEAN_FULL = {
         "server.frames.WindowUpdateFrame": 9,
         "server.hpack": 82,
         "server.octets": 273441,
+        "server.second_writes": 12,
         "server.writes": 275,
     },
     "hpack": {
@@ -67,6 +71,7 @@ CLEAN_FULL = {
         "client.frames.SettingsFrame": 39,
         "client.hpack": 20,
         "client.octets": 3031,
+        "client.second_writes": 19,
         "client.writes": 80,
         "events": 238,
         "server.frames.DataFrame": 19,
@@ -82,6 +87,7 @@ CLEAN_FULL = {
         "client.frames.PingFrame": 60,
         "client.frames.SettingsFrame": 39,
         "client.octets": 6491,
+        "client.second_writes": 19,
         "client.writes": 180,
         "events": 613,
         "server.frames.PingFrame": 57,
@@ -99,6 +105,7 @@ CLEAN_FULL = {
         "client.frames.WindowUpdateFrame": 19,
         "client.hpack": 191,
         "client.octets": 11406,
+        "client.second_writes": 57,
         "client.writes": 232,
         "events": 1101,
         "server.frames.DataFrame": 452,
@@ -109,6 +116,7 @@ CLEAN_FULL = {
         "server.frames.WindowUpdateFrame": 12,
         "server.hpack": 186,
         "server.octets": 5821330,
+        "server.second_writes": 361,
         "server.writes": 581,
     },
 }
@@ -129,6 +137,7 @@ CHAOS = {
         "client.frames.SettingsFrame": 30,
         "client.hpack": 15,
         "client.octets": 2550,
+        "client.second_writes": 15,
         "client.writes": 68,
         "events": 210,
         "faults.draws": 45,
@@ -145,6 +154,7 @@ CHAOS = {
         "client.frames.PingFrame": 42,
         "client.frames.SettingsFrame": 28,
         "client.octets": 4261,
+        "client.second_writes": 14,
         "client.writes": 121,
         "events": 422,
         "faults.draws": 34,
@@ -167,58 +177,58 @@ CHAOS = {
 #: the multiplexing cell: no group of its own.
 TABLE3 = {
     "nginx": {
-        "-": (1, 3, 90, 3, 0, 2, 85, 3, 0, 6),
-        "flow_control": (2, 15, 430, 20, 6, 18, 1133, 25, 6, 43),
-        "hpack": (0, 7, 189, 14, 7, 14, 7847, 21, 7, 28),
-        "negotiation": (2, 4, 142, 3, 1, 5, 1271, 8, 1, 13),
-        "ping": (2, 9, 277, 5, 0, 9, 24429, 6, 0, 31),
-        "priority": (2, 11, 535, 19, 9, 171, 2468005, 181, 9, 196),
-        "push": (0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+        "-": (1, 3, 90, 3, 0, 2, 85, 3, 0, 6, 0, 0),
+        "flow_control": (2, 15, 430, 20, 6, 18, 1133, 25, 6, 43, 2, 0),
+        "hpack": (0, 7, 189, 14, 7, 14, 7847, 21, 7, 28, 0, 0),
+        "negotiation": (2, 4, 142, 3, 1, 5, 1271, 8, 1, 13, 1, 0),
+        "ping": (2, 9, 277, 5, 0, 9, 24429, 6, 0, 31, 1, 0),
+        "priority": (2, 11, 535, 19, 9, 171, 2468005, 181, 9, 196, 3, 152),
+        "push": (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
     },
     "litespeed": {
-        "-": (1, 3, 90, 3, 0, 2, 78, 2, 0, 6),
-        "flow_control": (3, 18, 536, 21, 6, 15, 872, 20, 5, 45),
-        "hpack": (0, 7, 189, 14, 7, 7, 7336, 14, 7, 21),
-        "negotiation": (2, 4, 144, 3, 1, 4, 1237, 5, 1, 12),
-        "ping": (2, 9, 289, 5, 0, 9, 24413, 5, 0, 31),
-        "priority": (2, 11, 539, 19, 9, 159, 2467274, 167, 8, 184),
-        "push": (0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+        "-": (1, 3, 90, 3, 0, 2, 78, 2, 0, 6, 0, 0),
+        "flow_control": (3, 18, 536, 21, 6, 15, 872, 20, 5, 45, 3, 0),
+        "hpack": (0, 7, 189, 14, 7, 7, 7336, 14, 7, 21, 0, 0),
+        "negotiation": (2, 4, 144, 3, 1, 4, 1237, 5, 1, 12, 1, 0),
+        "ping": (2, 9, 289, 5, 0, 9, 24413, 5, 0, 31, 1, 0),
+        "priority": (2, 11, 539, 19, 9, 159, 2467274, 167, 8, 184, 3, 152),
+        "push": (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
     },
     "h2o": {
-        "-": (1, 3, 90, 3, 0, 2, 72, 2, 0, 6),
-        "flow_control": (3, 18, 524, 21, 6, 18, 1308, 31, 14, 50),
-        "hpack": (0, 7, 189, 14, 7, 21, 22246, 56, 35, 33),
-        "negotiation": (2, 4, 140, 3, 1, 6, 3411, 11, 5, 12),
-        "ping": (2, 9, 271, 5, 0, 9, 24407, 5, 0, 31),
-        "priority": (2, 11, 531, 19, 9, 167, 2467367, 170, 9, 192),
-        "push": (0, 0, 0, 0, 0, 0, 0, 0, 0, 2),
+        "-": (1, 3, 90, 3, 0, 2, 72, 2, 0, 6, 0, 0),
+        "flow_control": (3, 18, 524, 21, 6, 18, 1308, 31, 14, 50, 3, 2),
+        "hpack": (0, 7, 189, 14, 7, 21, 22246, 56, 35, 33, 0, 14),
+        "negotiation": (2, 4, 140, 3, 1, 6, 3411, 11, 5, 12, 1, 2),
+        "ping": (2, 9, 271, 5, 0, 9, 24407, 5, 0, 31, 1, 0),
+        "priority": (2, 11, 531, 19, 9, 167, 2467367, 170, 9, 192, 3, 152),
+        "push": (0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0),
     },
     "nghttpd": {
-        "-": (1, 3, 90, 3, 0, 2, 72, 2, 0, 6),
-        "flow_control": (4, 21, 660, 24, 6, 20, 1483, 33, 14, 57),
-        "hpack": (0, 7, 189, 14, 7, 21, 22246, 56, 35, 33),
-        "negotiation": (2, 4, 143, 3, 1, 6, 3420, 11, 5, 12),
-        "ping": (2, 9, 283, 5, 0, 9, 24446, 5, 0, 31),
-        "priority": (2, 11, 537, 19, 9, 167, 2467385, 170, 9, 192),
-        "push": (0, 0, 0, 0, 0, 0, 0, 0, 0, 2),
+        "-": (1, 3, 90, 3, 0, 2, 72, 2, 0, 6, 0, 0),
+        "flow_control": (4, 21, 660, 24, 6, 20, 1483, 33, 14, 57, 4, 2),
+        "hpack": (0, 7, 189, 14, 7, 21, 22246, 56, 35, 33, 0, 14),
+        "negotiation": (2, 4, 143, 3, 1, 6, 3420, 11, 5, 12, 1, 2),
+        "ping": (2, 9, 283, 5, 0, 9, 24446, 5, 0, 31, 1, 0),
+        "priority": (2, 11, 537, 19, 9, 167, 2467385, 170, 9, 192, 3, 152),
+        "push": (0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0),
     },
     "tengine": {
-        "-": (1, 3, 90, 3, 0, 2, 85, 3, 0, 6),
-        "flow_control": (2, 15, 432, 20, 6, 18, 1139, 25, 6, 43),
-        "hpack": (0, 7, 189, 14, 7, 14, 7854, 21, 7, 28),
-        "negotiation": (2, 4, 143, 3, 1, 5, 1272, 8, 1, 13),
-        "ping": (2, 9, 283, 5, 0, 9, 24432, 6, 0, 31),
-        "priority": (2, 11, 537, 19, 9, 171, 2468014, 181, 9, 196),
-        "push": (0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+        "-": (1, 3, 90, 3, 0, 2, 85, 3, 0, 6, 0, 0),
+        "flow_control": (2, 15, 432, 20, 6, 18, 1139, 25, 6, 43, 2, 0),
+        "hpack": (0, 7, 189, 14, 7, 14, 7854, 21, 7, 28, 0, 0),
+        "negotiation": (2, 4, 143, 3, 1, 5, 1272, 8, 1, 13, 1, 0),
+        "ping": (2, 9, 283, 5, 0, 9, 24432, 6, 0, 31, 1, 0),
+        "priority": (2, 11, 537, 19, 9, 171, 2468014, 181, 9, 196, 3, 152),
+        "push": (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
     },
     "apache": {
-        "-": (1, 3, 90, 3, 0, 2, 68, 2, 0, 6),
-        "flow_control": (4, 21, 656, 24, 6, 20, 1443, 33, 14, 57),
-        "hpack": (0, 7, 189, 14, 7, 21, 22246, 56, 35, 33),
-        "negotiation": (2, 4, 142, 3, 1, 6, 3383, 10, 5, 12),
-        "ping": (2, 9, 280, 5, 0, 9, 24415, 5, 0, 31),
-        "priority": (2, 11, 535, 19, 9, 167, 2467365, 170, 9, 192),
-        "push": (0, 0, 0, 0, 0, 0, 0, 0, 0, 2),
+        "-": (1, 3, 90, 3, 0, 2, 68, 2, 0, 6, 0, 0),
+        "flow_control": (4, 21, 656, 24, 6, 20, 1443, 33, 14, 57, 4, 2),
+        "hpack": (0, 7, 189, 14, 7, 21, 22246, 56, 35, 33, 0, 14),
+        "negotiation": (2, 4, 142, 3, 1, 6, 3383, 10, 5, 12, 1, 2),
+        "ping": (2, 9, 280, 5, 0, 9, 24415, 5, 0, 31, 1, 0),
+        "priority": (2, 11, 535, 19, 9, 167, 2467365, 170, 9, 192, 3, 152),
+        "push": (0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0),
     },
 }
 
