@@ -3,8 +3,9 @@
 Mirrors how the paper's tool was used: characterize the testbed
 servers, scan a (synthetic) population, or reproduce a specific
 table/figure.  Each command is one declaration beside its handler
-(:func:`command`); :func:`build_parser` reads them all, and ``scan``'s
-resume command and backend check read its flags.
+(:func:`command`); :func:`build_parser` reads them all, :func:`main`
+refuses a flag of the other backend on any command, and ``scan``'s
+resume command reads its flags.
 
 Examples::
 
@@ -26,8 +27,9 @@ from repro.experiments import EXPERIMENTS
 
 class Flag:
     """One flag of a command: argparse's ``add_argument`` names and
-    keywords, and for a ``scan`` flag the backend that reads it (None:
-    both), which prefixes its help."""
+    keywords, and for a flag that one backend reads that backend (None:
+    both or neither), which prefixes its help.  Setting a tagged flag
+    away from its default on the other ``--backend`` is refused."""
 
     def __init__(self, *names: str, backend: str | None = None, **spec):
         self.names, self.backend, self.spec = names, backend, spec
@@ -161,15 +163,15 @@ def _pick(what: str, name: str, known, *, allow_all: bool = True) -> list[str] |
     Flag("--backend", choices=("sim", "socket"), default="sim",
          help="sim: deploy --vendor in a fresh simulation; socket: real "
          "TCP to --target (or the domain's real address)"),
-    Flag("--vendor", help="vendor profile for --backend sim "
+    Flag("--vendor", backend="sim", help="vendor profile "
          "(nginx, litespeed, h2o, nghttpd, tengine, apache)"),
-    Flag("--target", metavar="HOST:PORT",
-         help="socket backend: address serving the TLS-side listener "
+    Flag("--target", metavar="HOST:PORT", backend="socket",
+         help="address serving the TLS-side listener "
          "(defaults to the domain itself on port 443)"),
     Flag("--include", default=DEFAULT_PROBE_INCLUDE,
          help=f"comma-separated probe list (default {DEFAULT_PROBE_INCLUDE})"),
-    Flag("--timeout-scale", type=float, default=0.15,
-         help="socket backend: multiplier shrinking the simulation-tuned "
+    Flag("--timeout-scale", type=float, default=0.15, backend="socket",
+         help="multiplier shrinking the simulation-tuned "
          "probe timeouts to wall-clock waits (default 0.15)"),
     Flag("--db", help="store the report plus per-probe frame traces here "
          "(render them later with 'h2scope trace')"),
@@ -298,8 +300,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-#: ``scan``'s flags.  A tagged one is read by one backend only, and
-#: setting it away from its default on the other is refused.
+#: ``scan``'s flags, tagged as :class:`Flag` says.
 SCAN_FLAGS = (
     Flag("--experiment", type=int, choices=(1, 2), default=1, backend="sim"),
     Flag("-n", "--n-sites", type=int, default=300, backend="sim"),
@@ -513,15 +514,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if args.resume and not args.db:
         print("--resume requires --db (the journaled database)", file=sys.stderr)
         return 2
-    for flag in SCAN_FLAGS:
-        if flag.backend not in (None, args.backend) and (
-            getattr(args, flag.dest) != flag.default
-        ):
-            print(
-                f"{'/'.join(flag.names)} requires --backend {flag.backend}",
-                file=sys.stderr,
-            )
-            return 2
     if args.backend == "socket":
         return _cmd_scan_live(args)
 
@@ -923,12 +915,22 @@ def build_parser() -> argparse.ArgumentParser:
                 tagged = [f"{flag.backend} backend", spec.get("help")]
                 spec = {**spec, "help": ": ".join(filter(None, tagged))}
             command_parser.add_argument(*flag.names, **spec)
-        command_parser.set_defaults(func=handler)
+        command_parser.set_defaults(func=handler, flags=flags)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # The one backend check, before any handler reads a flag.
+    for flag in args.flags:
+        if flag.backend is not None and flag.backend != args.backend and (
+            getattr(args, flag.dest) != flag.default
+        ):
+            print(
+                f"{'/'.join(flag.names)} requires --backend {flag.backend}",
+                file=sys.stderr,
+            )
+            return 2
     return args.func(args)
 
 

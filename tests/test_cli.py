@@ -191,27 +191,52 @@ def test_scan_bad_fault_plan_is_usage_error(capsys):
     assert "explode" in err
 
 
+#: ``(argv, the flag refused, the backend it needs)``: one of each
+#: tagged ``scan`` flag, set on the other backend, and a ``probe`` whose
+#: two socket flags are set on the simulated backend.
+MISPLACED_FLAGS = [
+    *(
+        (["scan", "--backend", "socket", flag.split("/")[0], value], flag, "sim")
+        for flag, value in (
+            ("--experiment", "2"),
+            ("-n/--n-sites", "5"),
+            ("--fault-plan", "refuse:0.1"),
+            ("--workers", "2"),
+        )
+    ),
+    *(
+        (["scan", "-n", "5", flag, value], flag, "socket")
+        for flag, value in (
+            ("--targets", "targets.txt"),
+            ("--campaign", "x"),
+            ("--concurrency", "4"),
+            ("--per-host-gap", "2"),
+            ("--rate", "3"),
+            ("--burst", "2"),
+            ("--timeout-scale", "0.1"),
+        )
+    ),
+    (
+        ["probe", "--backend", "sim", "--vendor", "nginx", "--target",
+         "1.2.3.4:443", "--timeout-scale", "0.5", "x.test"],
+        "--target",
+        "socket",
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "flag, value, backend",
-    [
-        ("--experiment", "2", "sim"),
-        ("-n/--n-sites", "5", "sim"),
-        ("--fault-plan", "refuse:0.1", "sim"),
-        ("--workers", "2", "sim"),
-        ("--targets", "targets.txt", "socket"),
-        ("--campaign", "x", "socket"),
-        ("--concurrency", "4", "socket"),
-        ("--per-host-gap", "2", "socket"),
-        ("--rate", "3", "socket"),
-        ("--burst", "2", "socket"),
-        ("--timeout-scale", "0.1", "socket"),
+    "argv, flag, backend",
+    MISPLACED_FLAGS,
+    ids=[
+        f"{flag}-{argv[-1]}-{backend}" if argv[0] == "scan" else "probe"
+        for argv, flag, backend in MISPLACED_FLAGS
     ],
 )
-def test_a_flag_of_one_backend_is_refused_on_the_other(flag, value, backend, capsys):
-    """A scan flag that one backend reads is refused on the other before
-    any scan or file is touched; none is silently ignored."""
-    other = ["--backend", "socket"] if backend == "sim" else ["-n", "5"]
-    rc = main(["scan", *other, flag.split("/")[0], value])
+def test_a_flag_of_one_backend_is_refused_on_the_other(argv, flag, backend, capsys):
+    """A flag that one backend reads is refused on the other before any
+    probe, scan or file is touched; none is silently ignored."""
+    rc = main(argv)
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.err == f"{flag} requires --backend {backend}\n"
