@@ -154,8 +154,10 @@ class H2Server:
     def path_rng(self, path: str) -> random.Random:
         """The stream a response to ``path`` draws its processing delay,
         cookie token and header noise from.  It is keyed by the site and
-        the path alone, so a draw does not depend on which connection
-        carried the request, nor on how many came before it."""
+        the path alone and read in request order: the n-th request for
+        ``path`` gets the n-th draw, whichever connection or probe group
+        sent it.  So a connection more or fewer moves no draw, but two
+        groups that fetch the same path swap draws when they swap turns."""
         rng = self._path_rngs.get(path)
         if rng is None:
             rng = self._path_rngs[path] = random.Random(stable_seed(self.seed, path))
