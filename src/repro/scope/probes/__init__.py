@@ -20,9 +20,10 @@ the only one that shows a server's own scheduling order.
 A probe that reads one stream's answer takes its turn on a
 :class:`~repro.scope.probes.flow_control.SharedConnection`: the
 flow-control sub-probes share one (:func:`probe_flow_control` runs
-them), the negotiation fetch, push and HPACK take theirs on the site's
-:class:`HeaderBlockLink`, in that order, and the zero-window HEADERS
-and self-dependency probes each take theirs on one of their own.
+them), the negotiation fetch, push, HPACK and ping's PINGs take theirs
+on the site's :class:`HeaderBlockLink`, in that order, and the
+zero-window HEADERS and self-dependency probes each take theirs on one
+of their own.
 
 Layering rule: probe modules never import :mod:`repro.net.transport`
 directly — all transport access goes through the session's backend.

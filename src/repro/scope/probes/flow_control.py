@@ -48,9 +48,10 @@ class SharedConnection:
     always did.  :meth:`release` cancels a turn's stream unless the
     server ended it, so no stream outlives its turn: the cancel leaves
     in the write that opens the next turn's stream (:meth:`request`),
-    or before the connection closes.  A stream nobody released is not
-    cancelled.  Leaving the ``with`` block closes the connection on
-    every way out, a raised wait or handshake included.
+    in the next turn's first PING when that turn opens no stream
+    (:meth:`ping`), or before the connection closes.  A stream nobody
+    released is not cancelled.  Leaving the ``with`` block closes the
+    connection on every way out, a raised wait or handshake included.
     """
 
     def __init__(self, session: ProbeSession, domain: str, window: int = 1):
@@ -86,6 +87,15 @@ class SharedConnection:
         with client.batch():
             self._send_cancel()
             return client.request(path)
+
+    def ping(self, payload: bytes) -> None:
+        """Send a PING, in one write with the cancel of the stream the
+        previous turn released."""
+        client = self.client
+        assert client is not None
+        with client.batch():
+            self._send_cancel()
+            client.send_ping(payload)
 
     def release(self, stream_id: int) -> None:
         """End a turn: its stream is cancelled unless the server ended

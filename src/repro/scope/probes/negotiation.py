@@ -23,9 +23,10 @@ verdict.
 
 The fetch is the first turn on the site's :class:`HeaderBlockLink`:
 the probe hands the fetch connection to the link instead of closing
-it, and the push and HPACK probes read the fetch's response as their
-own first turn (DESIGN §8, "The fetch turn is the header-block turn").
-The other connection is closed on every way out.
+it, the push and HPACK probes read the fetch's response as their own
+first turn and ping's PINGs take the link's last (DESIGN §8, "The fetch
+turn is the header-block turn").  The other connection is closed on
+every way out.
 """
 
 from __future__ import annotations
@@ -46,8 +47,10 @@ class HeaderBlockLink(SharedConnection):
     fetch on it; :meth:`fetch_turn` hands the fetch to the next
     header-block probe, and fetches ``/`` on a fresh connection when the
     server ended the one it had (GOAWAY or close) or when nothing was
-    adopted.  The owner closes the link once no later probe takes a
-    turn on it, and when an attempt on it raises.
+    adopted.  Ping's turn takes the connection alone (:meth:`acquire`)
+    and releases the fetch if no turn did.  The owner closes the link
+    once no later probe takes a turn on it, and when an attempt on it
+    raises.
     """
 
     def __init__(self, session: ProbeSession, domain: str):

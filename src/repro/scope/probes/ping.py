@@ -9,12 +9,22 @@ Four estimators against the same target:
 * **icmp** — classic ICMP echo.
 * **h2-request** — HTTP/1.1 request → first response byte; inflated by
   server-side request processing, which is the effect Fig. 6 shows.
+
+The PINGs read no window and no HPACK table, so they take the last turn
+on the site's header-block link (DESIGN §8): the negotiation fetch's
+connection, unless the server ended it, and otherwise a fresh one the
+link opens.  The TCP RTT is that connection's handshake.  The turn
+opens no stream; it releases the one the link still holds (the fetch,
+or HPACK's last request), whose cancel leaves in the first PING's
+write.  The link is closed before the ICMP and HTTP/1.1 steps, which
+keep their own connection.
 """
 
 from __future__ import annotations
 
 from repro.h2 import events as ev
 from repro.scope.client import HTTP11
+from repro.scope.probes.negotiation import HeaderBlockLink
 from repro.scope.report import PingResult
 from repro.scope.session import ProbeSession
 
@@ -22,19 +32,24 @@ from repro.scope.session import ProbeSession
 SAMPLES = 3
 
 
-def probe_ping(session: ProbeSession, domain: str) -> PingResult:
+def probe_ping(
+    session: ProbeSession, domain: str, link: HeaderBlockLink
+) -> PingResult:
     result = PingResult()
 
-    # -- HTTP/2 PING + TCP handshake RTT -----------------------------------
-    client = session.client(domain)
+    # -- HTTP/2 PING + TCP handshake RTT, on the link ----------------------
     try:
-        if client.establish_h2():
+        turn = link.acquire()
+        if turn is not None:
+            client = turn[0]
             result.tcp_rtt = client.tls.tcp_handshake_rtt
+            if link.fetch is not None:
+                link.release(link.fetch)
             rtts: list[float] = []
             for i in range(SAMPLES):
                 payload = f"scope{i:03d}".encode()[:8].ljust(8, b"\x00")
                 start = client.now
-                client.send_ping(payload)
+                link.ping(payload)
 
                 def ack_time() -> float | None:
                     for te in client.events_of(ev.PingAckReceived):
@@ -48,7 +63,7 @@ def probe_ping(session: ProbeSession, domain: str) -> PingResult:
                 result.ping_supported = True
                 result.h2_ping_rtt = sum(rtts) / len(rtts)
     finally:
-        client.close()
+        link.close()
 
     # -- ICMP ------------------------------------------------------------------
     result.icmp_rtt = session.icmp_rtt(domain, count=SAMPLES)

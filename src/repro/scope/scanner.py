@@ -133,7 +133,7 @@ def probe_target(
     actually existing on the target (the population scanner passes the
     site's website); when None the priority probe is attempted
     unconditionally.  The groups run in the order negotiation, push,
-    hpack, flow_control, priority, ping, the first three on one
+    hpack, ping, flow_control, priority, the first four on one
     header-block link.  If the session carries a
     :class:`~repro.scope.trace.TraceRecorder`, each probe's received
     frames are recorded under the name of the probe whose turn received
@@ -143,12 +143,16 @@ def probe_target(
     if report is None:
         report = SiteReport(domain=domain)
 
-    # The header-block link (DESIGN §8): the negotiation fetch, push and
-    # HPACK take their turns on it, in that order.  An attempt keeps it
-    # open only when it returns and a later one of them is included, so
-    # it never sits idle across another group's turns.
+    # The header-block link (DESIGN §8): the negotiation fetch, push,
+    # HPACK and ping's PINGs take their turns on it, in that order.  An
+    # attempt keeps it open only when it returns and a later one of them
+    # is included, so it never sits idle across another group's turns.
     link = HeaderBlockLink(session, domain)
-    on_link = [name for name in ("negotiation", "push", "hpack") if name in include_set]
+    on_link = [
+        name
+        for name in ("negotiation", "push", "hpack", "ping")
+        if name in include_set
+    ]
 
     def holding_link(fn: Callable[[], None], keep: bool) -> Callable[[], None]:
         def attempt() -> None:
@@ -207,6 +211,12 @@ def probe_target(
     if "hpack" in include_set:
         guarded("hpack", lambda: probe_hpack(link, report.hpack))
 
+    if "ping" in include_set:
+        guarded(
+            "ping",
+            lambda: setattr(report, "ping", probe_ping(session, domain, link)),
+        )
+
     if "flow_control" in include_set:
         guarded(
             "flow_control",
@@ -229,12 +239,6 @@ def probe_target(
             )
 
         guarded("priority", run_priority)
-
-    if "ping" in include_set:
-        guarded(
-            "ping",
-            lambda: setattr(report, "ping", probe_ping(session, domain)),
-        )
 
     return report
 

@@ -9,9 +9,10 @@ from repro.scope.probes import (
     HeaderBlockLink,
     probe_hpack,
     probe_negotiation,
+    probe_ping,
     probe_push,
 )
-from repro.scope.report import HpackResult, PushResult
+from repro.scope.report import HpackResult, PingResult, PushResult
 from repro.scope.session import ProbeSession
 
 
@@ -37,6 +38,12 @@ def push_of(session: ProbeSession, domain: str) -> PushResult:
     with HeaderBlockLink(session, domain) as link:
         probe_push(link, result)
     return result
+
+
+def ping_of(session: ProbeSession, domain: str) -> PingResult:
+    """``probe_ping`` on a header-block link of its own, as a scan that
+    includes only ping (Fig. 6's) runs it."""
+    return probe_ping(session, domain, HeaderBlockLink(session, domain))
 
 
 def hpack_of(session: ProbeSession, domain: str) -> HpackResult:

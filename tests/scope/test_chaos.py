@@ -99,8 +99,8 @@ class TestNoConnectionOutlivesItsAttempt:
     """A probe group's attempt that raises leaves no client it or an
     earlier group made open.  One that returns may leave only the
     header-block link, and only when a later header-block group (push,
-    HPACK) is included, so a server never sees an idle probe connection
-    held across another group's turns; nothing is open when
+    HPACK, ping) is included, so a server never sees an idle probe
+    connection held across another group's turns; nothing is open when
     ``scan_site`` returns (DESIGN §8)."""
 
     def test_every_client_is_closed_when_its_attempt_ends(self, monkeypatch):
@@ -121,6 +121,7 @@ class TestNoConnectionOutlivesItsAttempt:
 
         left_open = Counter()
         links_held = Counter()
+        HOLDERS = ("negotiation", "push", "hpack")
         real_run_resilient = scanner.run_resilient
 
         def run_resilient(backend, probe, fn, config, seed=0):
@@ -131,8 +132,8 @@ class TestNoConnectionOutlivesItsAttempt:
                     returned = True
                 finally:
                     leftover = still_open()
-                    if returned and probe in ("negotiation", "push") and leftover:
-                        # The header-block link, held for push or HPACK.
+                    if returned and probe in HOLDERS and leftover:
+                        # The header-block link, held for push, HPACK or ping.
                         (link,) = leftover
                         assert link.initial_settings == {IWS: HEADERS_ONLY_WINDOW}
                         links_held[probe] += 1
@@ -161,7 +162,11 @@ class TestNoConnectionOutlivesItsAttempt:
             assert still_open() == [], site.domain
         # Attempts did raise: the check covers the raised way out.
         assert sum(len(report.errors) for report in reports) > 0
-        assert set(left_open) >= {"flow_control", "priority", "push", "hpack", "ping"}
+        # Every group's attempts were checked, on one way out or the other.
+        checked = set(left_open) | set(links_held)
+        assert checked >= {"flow_control", "priority", "push", "hpack", "ping"}
         assert +left_open == Counter()
-        # And the link was held: negotiation handed it to push on most sites.
+        # And the link was held: negotiation handed it to push on most
+        # sites, and HPACK to ping.
         assert links_held["negotiation"] > 0 and links_held["push"] > 0
+        assert links_held["hpack"] > 0

@@ -111,20 +111,20 @@ class TestTableIIIConnectionBudget:
     (DESIGN §8): the zero-window HEADERS probe on a connection of its
     own, then five turns on one connection that a GOAWAY replaces, so
     flow control opens 2 (nginx, tengine), 3 (litespeed, h2o) or 4
-    (nghttpd, apache) connections.  The other seven: negotiation and
-    ping two each, and one each for Algorithm 1 (which also reads the
-    multiplexing cell), self-dependency and the SETTINGS
-    acknowledgement check.  Push and HPACK open none: they take their
-    turns on the negotiation fetch's connection, the header-block link.
-    Every cell is the paper's."""
+    (nghttpd, apache) connections.  The other six: negotiation two, and
+    one each for ping's HTTP/1.1 samples, Algorithm 1 (which also reads
+    the multiplexing cell), self-dependency and the SETTINGS
+    acknowledgement check.  Push, HPACK and ping's PINGs open none: they
+    take their turns on the negotiation fetch's connection, the
+    header-block link.  Every cell is the paper's."""
 
     CONNECTIONS = {
-        "nginx": 9,
-        "litespeed": 10,
-        "h2o": 10,
-        "nghttpd": 11,
-        "tengine": 9,
-        "apache": 11,
+        "nginx": 8,
+        "litespeed": 9,
+        "h2o": 9,
+        "nghttpd": 10,
+        "tengine": 8,
+        "apache": 10,
     }
 
     def test_connections_and_cells(self, monkeypatch, vendor):
@@ -315,7 +315,7 @@ class TestReportShape:
         # every scored row, while the negotiation fetch's SETTINGS stand.
         import repro.scope.scanner as scanner_module
 
-        def exploding_ping(session, domain):
+        def exploding_ping(session, domain, link):
             raise RuntimeError("ping exploded")
 
         monkeypatch.setattr(scanner_module, "probe_ping", exploding_ping)

@@ -8,7 +8,6 @@ Table III cell.
 import pytest
 
 from repro.scope.probes import (
-    probe_ping,
     probe_priority,
     probe_self_dependency,
 )
@@ -22,7 +21,7 @@ from repro.scope.probes.flow_control import (
 from repro.scope.probes.hpack_probe import REPETITIONS
 from repro.scope.report import ErrorReaction, TinyWindowResult
 
-from tests.conftest import hpack_of, negotiation_of, push_of, sim_session
+from tests.conftest import hpack_of, negotiation_of, ping_of, push_of, sim_session
 from tests.scope.conftest import DEPLETION_PATHS, TEST_PATHS, deploy_vendor
 
 
@@ -46,14 +45,16 @@ class TestNegotiationRow:
 
 class TestShortProbeConnectionBudget:
     """The settings probe reads the SETTINGS the negotiation fetch
-    received, on the handshake that chose h2 (DESIGN §8), so a
-    fault-free short-probe scan opens two connections for negotiation
-    and settings together, and two for ping: four a site."""
+    received, on the handshake that chose h2, and ping's PINGs take
+    their turn on the fetch's connection (DESIGN §8), so a fault-free
+    short-probe scan opens two connections for negotiation, settings
+    and the PINGs together, and one for ping's HTTP/1.1 samples: three
+    a site."""
 
     @pytest.mark.parametrize(
         "alpn, npn", [(True, True), (False, True)], ids=["alpn-h2", "npn-only"]
     )
-    def test_four_connections(self, monkeypatch, alpn, npn):
+    def test_three_connections(self, monkeypatch, alpn, npn):
         from repro.net.transport import Network
         from repro.scope import scanner
         from repro.servers.site import Site
@@ -81,7 +82,7 @@ class TestShortProbeConnectionBudget:
         assert report.settings.announced == {3: 128, 4: 0, 5: 16384}
         assert report.ping.ping_supported
         assert not report.errors
-        assert len(connects) == 4
+        assert len(connects) == 3
 
 
 class TestHeaderBlockLink:
@@ -117,6 +118,74 @@ class TestHeaderBlockLink:
         assert connects == {"negotiation": 2, "push": 0, "hpack": 0}
         assert len(report.hpack.header_sizes) == REPETITIONS
         assert report.hpack.ratio == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "include",
+        [{"negotiation", "settings", "ping"}, None],
+        ids=["short-probes", "every-group"],
+    )
+    def test_the_pings_leave_on_the_fetch_connection(self, monkeypatch, include):
+        """Ping's PINGs are the link's last turn: they leave on the
+        endpoint that sent the negotiation fetch, and the first one's
+        write carries the cancel of the stream the link still held (the
+        fetch itself, or HPACK's last request)."""
+        from repro.h2.constants import CONNECTION_PREFACE, FrameType
+        from repro.h2.frames import parse_frames_view
+        from repro.net.transport import Endpoint, Network
+        from repro.scope import scanner
+        from repro.servers.site import Site
+        from repro.servers.vendors import nginx
+        from repro.servers.website import testbed_website
+
+        connects, writes = [], []
+        real_connect, real_send = Network.connect, Endpoint.send
+
+        def connect(self, *args, **kwargs):
+            connects.append(args)
+            return real_connect(self, *args, **kwargs)
+
+        def send(self, data):
+            towards_server = self._label[2]
+            if towards_server and not data.startswith(
+                (b"CLIENTHELLO", CONNECTION_PREFACE)
+            ):
+                frames, _ = parse_frames_view(memoryview(data), max_frame_size=1 << 24)
+                writes.append((self, frames))
+            return real_send(self, data)
+
+        monkeypatch.setattr(Network, "connect", connect)
+        monkeypatch.setattr(Endpoint, "send", send)
+        site = Site(
+            domain="link.testbed", profile=nginx(), website=testbed_website()
+        )
+        report = scanner.scan_site(site, include=include, seed=7)
+        assert report.ping.ping_supported and not report.errors
+
+        def types(frames):
+            return [frame.frame_type for frame in frames]
+
+        fetch_endpoint = next(
+            endpoint for endpoint, frames in writes if FrameType.HEADERS in types(frames)
+        )
+        pings = [
+            (index, endpoint, frames)
+            for index, (endpoint, frames) in enumerate(writes)
+            if FrameType.PING in types(frames)
+        ]
+        assert len(pings) == 3
+        assert {endpoint for _, endpoint, _ in pings} == {fetch_endpoint}
+        first, _, frames = pings[0]
+        held = [
+            frame.stream_id
+            for endpoint, sent in writes[:first]
+            if endpoint is fetch_endpoint
+            for frame in sent
+            if frame.frame_type is FrameType.HEADERS
+        ][-1]
+        assert types(frames) == [FrameType.RST_STREAM, FrameType.PING]
+        assert frames[0].stream_id == held
+        if include is not None:
+            assert held == 1 and len(connects) == 3
 
     def test_hpack_takes_the_fetch_block_as_its_first_sample(self):
         from repro.scope.probes import HeaderBlockLink, probe_hpack, probe_push
@@ -508,18 +577,18 @@ class TestPushAndHpackFillTheirSection:
 class TestPingRow:
     def test_all_vendors_answer_ping(self, vendor):
         network, domain = deploy_vendor(vendor)
-        result = probe_ping(sim_session(network), domain)
+        result = ping_of(sim_session(network), domain)
         assert result.ping_supported
 
     def test_ping_close_to_tcp_and_icmp(self):
         network, domain = deploy_vendor("nginx")
-        result = probe_ping(sim_session(network), domain)
+        result = ping_of(sim_session(network), domain)
         assert result.h2_ping_rtt == pytest.approx(result.tcp_rtt, rel=0.05)
         assert result.h2_ping_rtt == pytest.approx(result.icmp_rtt, rel=0.05)
 
     def test_http1_estimate_inflated_by_processing(self):
         network, domain = deploy_vendor("apache")
-        result = probe_ping(sim_session(network), domain)
+        result = ping_of(sim_session(network), domain)
         assert result.http1_rtt > result.h2_ping_rtt * 1.1
 
 
