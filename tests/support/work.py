@@ -230,15 +230,21 @@ def clean_full_sites():
     return sites[:CLEAN_FULL_SITES]
 
 
-def clean_full_work() -> WorkCounter:
+def scan_clean_full(counter):
     """Every probe group on the first :data:`CLEAN_FULL_SITES` sites, each
-    in the universe ``run_campaign`` gives it (seed + position)."""
+    in the universe ``run_campaign`` gives it (seed + position), inside
+    ``counter`` (a context manager); returns ``counter``."""
     from repro.scope.scanner import scan_site
 
-    with WorkCounter() as counter:
-        for index, site in enumerate(clean_full_sites()):
+    sites = clean_full_sites()
+    with counter:
+        for index, site in enumerate(sites):
             scan_site(site, seed=CLEAN_FULL_SEED + index)
     return counter
+
+
+def clean_full_work() -> WorkCounter:
+    return scan_clean_full(WorkCounter())
 
 
 #: ``sim_chaos``'s fault plan, its seed, its probes and its resilience
@@ -249,16 +255,18 @@ SHORT_PROBES = frozenset({"negotiation", "settings", "ping"})
 CHAOS_SITES = 20
 
 
-def chaos_work() -> WorkCounter:
+def scan_chaos(counter):
     """The short probes on the first :data:`CHAOS_SITES` sites under
-    ``sim_chaos``'s fault plan, with one retry in a 10 s attempt."""
+    ``sim_chaos``'s fault plan, with one retry in a 10 s attempt, inside
+    ``counter``; returns ``counter``."""
     from repro.net.faults import FaultPlan
     from repro.scope.resilience import ResilienceConfig
     from repro.scope.scanner import scan_site
 
     plan = FaultPlan.parse(CHAOS_PLAN, seed=CHAOS_PLAN_SEED)
-    with WorkCounter() as counter:
-        for index, site in enumerate(clean_full_sites()[:CHAOS_SITES]):
+    sites = clean_full_sites()[:CHAOS_SITES]
+    with counter:
+        for index, site in enumerate(sites):
             scan_site(
                 site,
                 include=SHORT_PROBES,
@@ -267,6 +275,10 @@ def chaos_work() -> WorkCounter:
                 resilience=ResilienceConfig(timeout=10.0, retries=1),
             )
     return counter
+
+
+def chaos_work() -> WorkCounter:
+    return scan_chaos(WorkCounter())
 
 
 def table3_work(vendor: str) -> WorkCounter:
