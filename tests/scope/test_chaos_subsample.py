@@ -11,9 +11,14 @@ are a subsample of the planted distributions under any keying.
 import pytest
 
 from repro.experiments import fault_study
+from repro.net.clock import Simulation
 from repro.net.faults import FaultPlan
+from repro.net.transport import Network
 from repro.population.generator import PopulationConfig, make_population
-from repro.scope.scanner import scan_population, scan_site
+from repro.scope.scanner import probe_target, scan_population, scan_site
+from repro.scope.session import ProbeSession
+from repro.servers.site import deploy_site
+from tests.conftest import sim_session
 from tests.scope.test_parallel import CHAOS_SPEC, PROBES, RESILIENCE
 
 
@@ -104,3 +109,33 @@ def test_mute_site_keeps_its_negotiation_verdict_under_resilience():
     # body wait follows it to raise, so the handshakes' verdicts stand.
     resilient = mute_site_verdicts(resilience=fault_study.RESILIENCE)
     assert resilient == mute_site_verdicts()
+
+
+def test_a_mute_site_ends_its_scan_at_negotiation(monkeypatch):
+    # Every §V table reads the sites that returned HEADERS, so a site
+    # that sent none runs no later group: no attempt is spent waiting on
+    # a server that never answers, no error is recorded for it, and the
+    # header-block link is not left open for a group that will not come.
+    sites = make_population(PopulationConfig(n_sites=40, seed=7))
+    mute = next(site for site in sites if site.profile.h2_unresponsive)
+    network = Network(Simulation(), seed=7)
+    deploy_site(network, mute)
+    clients = []
+    real_client = ProbeSession.client
+
+    def client(self, domain, **kwargs):
+        clients.append(real_client(self, domain, **kwargs))
+        return clients[-1]
+
+    monkeypatch.setattr(ProbeSession, "client", client)
+    report = probe_target(
+        sim_session(network),
+        mute.domain,
+        seed=7,
+        resilience=fault_study.RESILIENCE,
+        known_paths=mute.website,
+    )
+    assert report.speaks_h2 and not report.negotiation.headers_received
+    assert report.probe_attempts == {"negotiation": 1}
+    assert report.errors == []
+    assert all(c.endpoint is None or c.endpoint.closed for c in clients)
