@@ -37,7 +37,6 @@ def probe_hpack(link: HeaderBlockLink, result: HpackResult) -> None:
     """Fill ``result`` as each header block arrives: a wait that raises
     keeps the sizes read before it, and Eq. 1 (``result.ratio``) needs
     all ``REPETITIONS``."""
-    result.header_sizes = sizes = []
     turn = link.fetch_turn()
     if turn is None:
         return
@@ -52,5 +51,5 @@ def probe_hpack(link: HeaderBlockLink, result: HpackResult) -> None:
         event = client.headers_for(stream_id)
         if event is None:
             return
-        sizes.append(event.encoded_size)
+        result.header_sizes.append(event.encoded_size)
         link.release(stream_id)

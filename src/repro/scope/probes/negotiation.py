@@ -88,24 +88,24 @@ class HeaderBlockLink(SharedConnection):
 
 
 def probe_negotiation(
-    session: ProbeSession, domain: str, link: HeaderBlockLink
-) -> tuple[NegotiationResult, SettingsResult]:
-    """The negotiation verdicts, and the SETTINGS the fetch connection
-    received (empty when no hello chose h2, so nothing was fetched).
+    session: ProbeSession,
+    domain: str,
+    link: HeaderBlockLink,
+    result: NegotiationResult,
+    settings: SettingsResult,
+) -> None:
+    """Fill ``result`` with each verdict as it is read, and ``settings``
+    with the fetch connection's SETTINGS (empty when no hello chose h2).
     The fetch connection is left to ``link``."""
-    result = NegotiationResult()
-    settings_result = SettingsResult()
-    settings = {IWS: HEADERS_ONLY_WINDOW}
+    window = {IWS: HEADERS_ONLY_WINDOW}
     alpn_client = session.client(
-        domain, alpn=[H2, HTTP11], offer_npn=False, settings=settings
+        domain, alpn=[H2, HTTP11], offer_npn=False, settings=window
     )
-    npn_client = session.client(
-        domain, alpn=[], offer_npn=True, settings=settings
-    )
+    npn_client = session.client(domain, alpn=[], offer_npn=True, settings=window)
     try:
         # -- ALPN-only handshake --------------------------------------------
         if not alpn_client.connect():
-            return result, settings_result
+            return
         result.tcp_connected = True
         tls = alpn_client.tls_handshake()
         result.tcp_handshake_rtt = tls.tcp_handshake_rtt
@@ -125,9 +125,9 @@ def probe_negotiation(
         elif alpn_client.tls.alpn_protocol is None and result.npn_h2:
             fetch = npn_client
         else:
-            return result, settings_result
+            return
         fetch.speak_h2()
-        settings_result = probe_settings(fetch)
+        probe_settings(fetch, settings)
         stream_id = link.adopt(fetch)
         fetch.wait_for(lambda: fetch.headers_for(stream_id) is not None)
         headers_event = fetch.headers_for(stream_id)
@@ -137,7 +137,6 @@ def probe_negotiation(
                 if name == b"server":
                     result.server_header = value.decode("latin-1")
                     break
-        return result, settings_result
     finally:
         # Every way out, a failed wait included, leaves closed what the
         # link did not take.

@@ -33,10 +33,9 @@ SAMPLES = 3
 
 
 def probe_ping(
-    session: ProbeSession, domain: str, link: HeaderBlockLink
-) -> PingResult:
-    result = PingResult()
-
+    session: ProbeSession, domain: str, link: HeaderBlockLink, result: PingResult
+) -> None:
+    """Fill ``result`` with each estimator as it is read."""
     # -- HTTP/2 PING + TCP handshake RTT, on the link ----------------------
     try:
         turn = link.acquire()
@@ -83,4 +82,3 @@ def probe_ping(
                     result.http1_rtt = sum(h1_rtts) / len(h1_rtts)
     finally:
         h1.close()
-    return result

@@ -29,8 +29,6 @@ def probe_push(link: HeaderBlockLink, result: PushResult) -> None:
     """Fill ``result`` with the promises the fetch's stream received,
     however the turn ends: a wait that raises keeps the ones read before
     it.  The fetch stays unreleased, for the HPACK probe to read."""
-    result.push_received = False
-    result.promised_paths = []
     turn = link.fetch_turn()
     if turn is None:
         return

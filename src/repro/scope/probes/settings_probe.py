@@ -17,8 +17,8 @@ from repro.scope.client import ScopeClient
 from repro.scope.report import SettingsResult
 
 
-def probe_settings(client: ScopeClient) -> SettingsResult:
-    result = SettingsResult()
+def probe_settings(client: ScopeClient, result: SettingsResult) -> None:
+    """Fill ``result`` with the SETTINGS ``client`` has received."""
     frames = client.events_of(ev.SettingsReceived)
     if frames:
         result.settings_frame_received = True
@@ -26,4 +26,3 @@ def probe_settings(client: ScopeClient) -> SettingsResult:
         for timed in frames:
             for identifier, value in timed.event.settings:
                 result.announced[identifier] = value
-    return result

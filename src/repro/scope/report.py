@@ -225,6 +225,12 @@ class SiteReport:
     def speaks_h2(self) -> bool:
         return self.negotiation.alpn_h2 or self.negotiation.npn_h2
 
+    def fresh(self, section: str):
+        """Put an empty result in ``section`` and return it (DESIGN §8)."""
+        result = type(getattr(self, section))()
+        setattr(self, section, result)
+        return result
+
     @property
     def failed(self) -> bool:
         return bool(self.errors)

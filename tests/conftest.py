@@ -12,7 +12,13 @@ from repro.scope.probes import (
     probe_ping,
     probe_push,
 )
-from repro.scope.report import HpackResult, PingResult, PushResult
+from repro.scope.report import (
+    HpackResult,
+    NegotiationResult,
+    PingResult,
+    PushResult,
+    SettingsResult,
+)
 from repro.scope.session import ProbeSession
 
 
@@ -24,11 +30,15 @@ def sim_session(network) -> ProbeSession:
     return ProbeSession(SimulatedBackend(network))
 
 
-def negotiation_of(session: ProbeSession, domain: str):
+def negotiation_of(
+    session: ProbeSession, domain: str
+) -> tuple[NegotiationResult, SettingsResult]:
     """``probe_negotiation`` on a header-block link of its own, closed on
     return, as a scan runs it when no push or HPACK follows."""
+    result, settings = NegotiationResult(), SettingsResult()
     with HeaderBlockLink(session, domain) as link:
-        return probe_negotiation(session, domain, link)
+        probe_negotiation(session, domain, link, result, settings)
+    return result, settings
 
 
 def push_of(session: ProbeSession, domain: str) -> PushResult:
@@ -43,7 +53,9 @@ def push_of(session: ProbeSession, domain: str) -> PushResult:
 def ping_of(session: ProbeSession, domain: str) -> PingResult:
     """``probe_ping`` on a header-block link of its own, as a scan that
     includes only ping (Fig. 6's) runs it."""
-    return probe_ping(session, domain, HeaderBlockLink(session, domain))
+    result = PingResult()
+    probe_ping(session, domain, HeaderBlockLink(session, domain), result)
+    return result
 
 
 def hpack_of(session: ProbeSession, domain: str) -> HpackResult:

@@ -293,7 +293,7 @@ class TestReportShape:
         # with nothing read they skip instead of failing the server.
         import repro.scope.scanner as scanner_module
 
-        def exploding_negotiation(session, domain, link):
+        def exploding_negotiation(session, domain, link, result, settings):
             raise RuntimeError("negotiation exploded")
 
         monkeypatch.setattr(
@@ -315,7 +315,7 @@ class TestReportShape:
         # every scored row, while the negotiation fetch's SETTINGS stand.
         import repro.scope.scanner as scanner_module
 
-        def exploding_ping(session, domain, link):
+        def exploding_ping(session, domain, link, result):
             raise RuntimeError("ping exploded")
 
         monkeypatch.setattr(scanner_module, "probe_ping", exploding_ping)

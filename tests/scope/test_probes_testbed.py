@@ -238,8 +238,10 @@ class TestHeaderBlockLink:
 def negotiation_fetch(session, domain, link):
     """``probe_negotiation`` on ``link``, which then holds the fetch."""
     from repro.scope.probes import probe_negotiation
+    from repro.scope.report import NegotiationResult, SettingsResult
 
-    result, _ = probe_negotiation(session, domain, link)
+    result = NegotiationResult()
+    probe_negotiation(session, domain, link, result, SettingsResult())
     assert result.headers_received and link.fetch is not None
     return result
 
@@ -515,8 +517,9 @@ class TestHpackRow:
 
 class TestPushAndHpackFillTheirSection:
     """``probe_push`` and ``probe_hpack`` fill the report's section as they
-    read it, so a raised attempt keeps what it read, and each resets the
-    section first, so no field mixes two attempts (DESIGN §8)."""
+    read it, so a raised attempt keeps what it read, and the scanner hands
+    each attempt a fresh section, so no field mixes two attempts
+    (DESIGN §8)."""
 
     @staticmethod
     def scan(monkeypatch, vendor, include, raise_at):
@@ -558,20 +561,49 @@ class TestPushAndHpackFillTheirSection:
         assert len(report.hpack.header_sizes) == 3
         assert report.hpack.ratio is None
 
-    def test_each_attempt_resets_the_section(self):
-        from repro.scope.probes import HeaderBlockLink, probe_hpack, probe_push
-        from repro.scope.report import HpackResult, PushResult
+    def test_each_attempt_resets_the_section(self, monkeypatch):
+        # The scanner hands every attempt an empty section: attempt 1
+        # leaves stale values and raises, and attempt 2 starts on none.
+        import repro.scope.scanner as scanner_module
+        from repro.scope.report import PushResult
+        from repro.scope.resilience import ResilienceConfig
+        from repro.scope.scanner import probe_target
 
+        handed = {}
+
+        def stale_once(name, real, fill):
+            def attempt(link, result):
+                handed.setdefault(name, []).append(result == type(result)())
+                if len(handed[name]) == 1:
+                    fill(result)
+                    raise ConnectionError("cut after a stale read")
+                real(link, result)
+
+            monkeypatch.setattr(scanner_module, name, attempt)
+
+        stale_once(
+            "probe_push",
+            scanner_module.probe_push,
+            lambda result: result.promised_paths.append("/stale.css"),
+        )
+        stale_once(
+            "probe_hpack",
+            scanner_module.probe_hpack,
+            lambda result: result.header_sizes.extend([9, 9]),
+        )
         network, domain = deploy_vendor("nginx")
-        session = sim_session(network)
-        push = PushResult(push_received=True, promised_paths=["/stale.css"])
-        with HeaderBlockLink(session, domain) as link:
-            probe_push(link, push)
-        assert push == PushResult()
-        hpack = HpackResult(header_sizes=[9, 9])
-        with HeaderBlockLink(session, "nowhere.test") as link:
-            probe_hpack(link, hpack)
-        assert (hpack.header_sizes, hpack.ratio) == ([], None)
+        report = probe_target(
+            sim_session(network),
+            domain,
+            include={"negotiation", "push", "hpack"},
+            resilience=ResilienceConfig(retries=1),
+        )
+        assert handed == {"probe_push": [True, True], "probe_hpack": [True, True]}
+        assert report.probe_attempts == {"negotiation": 1, "push": 2, "hpack": 2}
+        # Each raise closed the link, so each retry fetches / on a new
+        # connection: nginx pushes nothing, and HPACK reads every sample.
+        assert report.push == PushResult()
+        assert report.hpack.header_sizes == [66] * REPETITIONS
 
 
 class TestPingRow:

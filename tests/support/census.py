@@ -31,7 +31,9 @@ literal block after a line ending in ``::``).  Tests do not count.
   by ``setattr`` (a literal name, or an f-string's literal prefix:
   ``setattr(r, f"peak_{k}", ...)`` covers every ``peak_*`` field), or
   handed to a function that fills that parameter in place
-  (``probe_push(link, report.push)``); a local name bound to the field,
+  (``probe_push(link, report.push)``), or named by a literal handed to a
+  function that sets the field its parameter names through ``setattr``
+  (``report.fresh("ping")``); a local name bound to the field,
   or to the name, in the same function (``samples = stats.with_push if
   push else stats.without_push``) stands for it.  So does every field
   of a class whose body calls ``replace(self, **...)``.
@@ -480,6 +482,9 @@ class _CallIndex(ast.NodeVisitor):
         self._aliases: list[dict[str, list[ast.expr]]] = []
         #: Function name -> the positions and names of parameters it fills.
         self.fills: dict[str, set[int | str]] = {}
+        #: Function name -> the positions and names of parameters that
+        #: name the field it sets through ``setattr``.
+        self.names: dict[str, set[int | str]] = {}
         #: Class name -> the last names of its bases.
         self.bases: dict[str, list[str]] = {}
 
@@ -507,6 +512,19 @@ class _CallIndex(ast.NodeVisitor):
         if filled:
             self.fills.setdefault(node.name, set()).update(
                 {i for i, arg in enumerate(params) if arg.arg in filled} | filled
+            )
+        named = {
+            sub.args[1].id
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Call)
+            and _callee(sub) == "setattr"
+            and len(sub.args) > 1
+            and isinstance(sub.args[1], ast.Name)
+            and sub.args[1].id in names
+        }
+        if named:
+            self.names.setdefault(node.name, set()).update(
+                {i for i, arg in enumerate(params) if arg.arg in named} | named
             )
         aliases: dict[str, list[ast.expr]] = {}
         for sub in ast.walk(node):
@@ -638,16 +656,29 @@ def _calls(root: Path) -> dict[str, list[ast.AST]]:
                 seen.add(ancestor)
                 calls.setdefault(f"{ancestor}.{attr}", []).extend(calls[key])
                 ancestors += index.bases.get(ancestor, [])
-    # A field handed to a function that fills that parameter is state.
-    for name, filled in index.fills.items():
-        for call in list(calls.get(name, [])):
-            handed = list(enumerate(call.args)) + [
-                (k.arg, k.value) for k in call.keywords if k.arg is not None
-            ]
-            for key, value in handed:
-                if key in filled and isinstance(value, ast.Attribute):
-                    calls.setdefault("." + value.attr, []).append(value)
+    # A field handed to a function that fills that parameter is state,
+    # and so is one whose name is handed to a function that sets it.
+    for fills, state in ((index.fills, _attribute), (index.names, _literal)):
+        for name, filled in fills.items():
+            for call in list(calls.get(name, [])):
+                handed = list(enumerate(call.args)) + [
+                    (k.arg, k.value) for k in call.keywords if k.arg is not None
+                ]
+                for key, value in handed:
+                    field_name = state(value)
+                    if key in filled and field_name is not None:
+                        calls.setdefault("." + field_name, []).append(value)
     return calls
+
+
+def _attribute(node: ast.expr) -> str | None:
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _literal(node: ast.expr) -> str | None:
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
 
 
 def is_set(value: Settable, calls: dict[str, list[ast.AST]]) -> bool:

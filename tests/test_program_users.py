@@ -124,12 +124,14 @@ def test_every_allowlisted_value_exists_and_is_unset():
 
 def test_a_filled_field_is_state_not_an_option():
     """A record's field the program fills (``.append``, item assignment,
-    ``setattr``, an alias, or in place by the function it is handed to)
-    is not an option; an option only tests set stays unset."""
+    ``setattr``, an alias, in place by the function it is handed to, or
+    by the function its name is handed to) is not an option; an option
+    only tests set stays unset."""
     unset = {_value_key(v) for v in census.unset_values()}
     for filled in (
         "src/repro/scope/report.py SiteReport(errors=)",
         "src/repro/scope/report.py SiteReport(push=)",
+        "src/repro/scope/report.py SiteReport(ping=)",
         "src/repro/scope/report.py ErrorTaxonomy(by_class=)",
         "src/repro/attacks/base.py AttackResult(peak_pinned_bytes=)",
         "src/repro/analysis/pageload.py PageLoadStats(with_push=)",
