@@ -288,6 +288,25 @@ class TestReportShape:
             r.verdict in (Verdict.FAIL, Verdict.SKIP) for r in report.results
         )
 
+    def test_a_skipped_must_row_is_not_fully_conformant(self, monkeypatch):
+        # With negotiation raised the scored rows are skipped, not
+        # passed: a report that measured nothing conforms to nothing.
+        import repro.scope.scanner as scanner_module
+
+        def exploding_negotiation(session, domain, link, result, settings):
+            raise RuntimeError("negotiation exploded")
+
+        monkeypatch.setattr(
+            scanner_module, "probe_negotiation", exploding_negotiation
+        )
+        network, domain = deploy_vendor("nginx")
+        report = run_conformance(sim_session(network), domain)
+        v = verdicts(report)
+        assert v["tls-alpn"] is Verdict.SKIP
+        assert report.musts_failed == 0
+        assert not report.fully_conformant
+        assert report.summary().endswith("fully conformant: False\n")
+
     def test_settings_checks_skip_when_negotiation_raised(self, monkeypatch):
         # The SETTINGS checks judge what the column's negotiation read;
         # with nothing read they skip instead of failing the server.
