@@ -234,8 +234,7 @@ class AttackRun:
 
 def _behave_slow_preface(run: AttackRun) -> None:
     client = run.client
-    if not client.connect():
-        return
+    client.connect()
     client.tls_handshake()
     if client.tls.chosen != H2:
         return

@@ -104,8 +104,7 @@ def probe_negotiation(
     npn_client = session.client(domain, alpn=[], offer_npn=True, settings=window)
     try:
         # -- ALPN-only handshake --------------------------------------------
-        if not alpn_client.connect():
-            return
+        alpn_client.connect()
         result.tcp_connected = True
         tls = alpn_client.tls_handshake()
         result.tcp_handshake_rtt = tls.tcp_handshake_rtt
@@ -114,9 +113,8 @@ def probe_negotiation(
             alpn_client.close()
 
         # -- NPN-only handshake ---------------------------------------------
-        if npn_client.connect():
-            npn = npn_client.tls_handshake()
-            result.npn_h2 = npn.npn_protocol == H2
+        npn_client.connect()
+        result.npn_h2 = npn_client.tls_handshake().npn_protocol == H2
 
         # -- fetch / over HTTP/2 on the connection that chose it -------------
         if result.alpn_h2:

@@ -70,15 +70,14 @@ def probe_ping(
     # -- HTTP/1.1 request ---------------------------------------------------------
     h1 = session.client(domain, alpn=[HTTP11], offer_npn=False)
     try:
-        if h1.connect():
-            tls = h1.tls_handshake()
-            if tls.connected:
-                h1_rtts = []
-                for _ in range(SAMPLES):
-                    interval = h1.http1_get("/")
-                    if interval is not None:
-                        h1_rtts.append(interval)
-                if h1_rtts:
-                    result.http1_rtt = sum(h1_rtts) / len(h1_rtts)
+        h1.connect()
+        h1.tls_handshake()
+        h1_rtts = []
+        for _ in range(SAMPLES):
+            interval = h1.http1_get("/")
+            if interval is not None:
+                h1_rtts.append(interval)
+        if h1_rtts:
+            result.http1_rtt = sum(h1_rtts) / len(h1_rtts)
     finally:
         h1.close()

@@ -64,7 +64,7 @@ def hello(profile: ServerProfile, **client_options):
         Site(domain="tls.test", profile=profile, website=default_website()),
     )
     client = sim_session(network).client("tls.test", **client_options)
-    assert client.connect()
+    client.connect()
     client.tls_handshake()
     return client
 

@@ -1,21 +1,31 @@
 """ScopeClient mechanics (connection setup, logging, waiting)."""
 
+import pytest
+
 from repro.h2 import events as ev
 from repro.h2.frames import DataFrame, HeadersFrame
 from repro.net.clock import Simulation
+from repro.net.faults import FaultPlan
 from repro.net.transport import LinkProfile, Network
 from repro.servers.profiles import ServerProfile
 from repro.servers.site import Site, deploy_site
 from repro.servers.website import default_website
+from repro.scope.resilience import (
+    ConnectionRefusedFault,
+    ConnectionResetFault,
+    ProbeTimeout,
+    TlsFault,
+)
 from repro.scope.trace import TraceRecorder
 from tests.conftest import sim_session
 from tests.support.frames import tap_connections
 from tests.support.readers import data_for
 
 
-def make_network(profile=None, rtt=0.05):
+def make_network(profile=None, rtt=0.05, fault_spec=None):
     sim = Simulation()
-    network = Network(sim, seed=3)
+    plan = None if fault_spec is None else FaultPlan.parse(fault_spec, seed=3)
+    network = Network(sim, seed=3, fault_plan=plan)
     site = Site(
         domain="probe.test",
         profile=profile or ServerProfile(),
@@ -30,13 +40,14 @@ class TestConnectionSetup:
     def test_connect_records_tcp_rtt(self):
         network = make_network(rtt=0.08)
         client = sim_session(network).client("probe.test")
-        assert client.connect()
+        client.connect()
         assert abs(client.tls.tcp_handshake_rtt - 0.08) < 0.005
 
     def test_connect_failure_to_unknown_host(self):
         network = make_network()
         client = sim_session(network).client("ghost.test")
-        assert not client.connect(timeout=2)
+        with pytest.raises(ConnectionRefusedFault):
+            client.connect(timeout=2)
 
     def test_establish_h2(self):
         network = make_network()
@@ -61,6 +72,41 @@ class TestConnectionSetup:
         assert tls.alpn_protocol is None
         assert tls.npn_protocol == "h2"
         assert tls.mechanism == "npn"
+
+
+class TestAFailedConnectionRaises:
+    """A refused connect or a failed hello raises its classified fault
+    with no attempt deadline on the backend, as it does under one."""
+
+    @pytest.mark.parametrize(
+        "spec, fault",
+        [
+            ("refuse", ConnectionRefusedFault),
+            ("reset", ConnectionResetFault),
+            ("hello-corrupt", TlsFault),
+        ],
+    )
+    def test_without_a_deadline(self, spec, fault):
+        network = make_network(fault_spec=spec)
+        session = sim_session(network)
+        assert session.backend.deadline is None
+        client = session.client("probe.test")
+        with pytest.raises(fault):
+            client.establish_h2()
+
+    def test_a_silent_hello_times_out(self):
+        network = make_network(fault_spec="blackhole")
+        client = sim_session(network).client("probe.test")
+        client.connect()
+        with pytest.raises(ProbeTimeout):
+            client.tls_handshake(timeout=2)
+
+    def test_another_protocol_is_a_verdict_not_a_fault(self):
+        network = make_network()
+        client = sim_session(network).client("probe.test", alpn=["http/1.1"],
+                                             offer_npn=False)
+        assert client.establish_h2() is False
+        assert client.tls.chosen == "http/1.1"
 
 
 class TestLoggingAndInspection:

@@ -645,13 +645,15 @@ class TestSharedStateHazards:
         limbo path (they were silently dropped in "idle" mode before),
         then replayed into the hello parser by tls_handshake()."""
         from repro.scope.client import ScopeClient
+        from repro.scope.resilience import TlsFault
 
         endpoint = _StubEndpoint(pending=b"!garbage before our hello\n")
         client = ScopeClient(_StubBackend(endpoint), "eager.test")
-        assert client.connect() is True
+        client.connect()
         assert bytes(client._limbo_buffer) == b"!garbage before our hello\n"
         assert not endpoint._recv_buffer, "bytes stranded in the endpoint"
-        outcome = client.tls_handshake()
-        # The replayed pre-hello garbage is a malformed server hello.
+        # The replayed pre-hello garbage is a malformed server hello,
+        # which raises with no deadline on the backend.
+        with pytest.raises(TlsFault):
+            client.tls_handshake()
         assert client._mode == "failed"
-        assert outcome.connected is False

@@ -675,7 +675,7 @@ class TestH2cRow:
     @staticmethod
     def upgrade(network, domain):
         client = sim_session(network).client(domain, port=80)
-        assert client.connect()
+        client.connect()
         return client.upgrade_h2c("/")
 
     def test_testbed_vendors_decline_h2c_by_default(self, vendor):

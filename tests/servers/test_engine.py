@@ -467,7 +467,7 @@ class TestHttp1Fallback:
         client = sim_session(network).client(
             "engine.test", alpn=["http/1.1"], offer_npn=False
         )
-        assert client.connect()
+        client.connect()
         client.tls_handshake()
         assert client.tls.chosen == "http/1.1"
         interval = client.http1_get("/style.css")
@@ -476,7 +476,7 @@ class TestHttp1Fallback:
     def test_h1_only_server_rejects_h2(self):
         network = deploy(ServerProfile(supports_alpn=False, supports_npn=False))
         client = sim_session(network).client("engine.test")
-        assert client.connect()
+        client.connect()
         tls = client.tls_handshake()
         # Neither extension: nothing is negotiated and HTTP/1.1 is implied.
         assert tls.chosen is None
@@ -499,7 +499,7 @@ class TestResetAndTermination:
     def test_unresponsive_profile_stays_mute(self):
         network = deploy(ServerProfile(h2_unresponsive=True))
         client = sim_session(network).client("engine.test")
-        assert client.connect()
+        client.connect()
         client.tls_handshake()
         assert client.tls.chosen == "h2"
         client.start_h2()
@@ -703,7 +703,7 @@ class TestBodyMadePerChunk:
         client = sim_session(network).client(
             "engine.test", port=80, settings={IWS: 1_000}
         )
-        assert client.connect()
+        client.connect()
         assert client.upgrade_h2c("/style.css")
         body = default_website().get("/style.css").body()
         assert read_to_end(client, 1, 1_000) == body

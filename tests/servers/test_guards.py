@@ -61,7 +61,7 @@ class TestDeadlineGuards:
     def test_preface_timeout_fires_once(self):
         network, server = deploy(AbuseGuards(preface_timeout=2.0))
         client = sim_session(network).client("guards.test")
-        assert client.connect()
+        client.connect()
         client.tls_handshake()
         # Never send a preface byte; the deadline must evict us.
         client.wait_for(lambda: client.peer_closed, timeout=6.0)
