@@ -1,5 +1,7 @@
 """h2scope CLI."""
 
+import socket
+
 import pytest
 
 from repro.scope.cli import build_parser, main
@@ -573,6 +575,21 @@ def test_probe_settings_without_negotiation_names_the_missing_group(capsys):
     assert rc == 2
     assert captured.err == "probe 'settings' needs probe 'negotiation'\n"
     assert captured.out == ""
+
+
+def test_probe_of_a_refused_port_says_why_and_exits_1(capsys):
+    # A socket bound but not listening answers the SYN with a reset: the
+    # negotiation cannot ask, so the probe reports that, not "no ALPN".
+    with socket.socket() as closed_port:
+        closed_port.bind(("127.0.0.1", 0))
+        host, port = closed_port.getsockname()
+        rc = main(
+            ["probe", "--backend", "socket", "--target", f"{host}:{port}",
+             "dead.test"]
+        )
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "  error: negotiation: dead.test:443: connection refused" in out
 
 
 def test_scan_takes_no_include(capsys):
