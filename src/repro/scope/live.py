@@ -293,13 +293,11 @@ class DnsStage:
 
 @dataclass
 class LiveScanMetrics:
-    """The pool's counters: sessions in flight and their high-water
-    mark, sessions started, and sites quarantined by the DNS stage."""
+    """The pool's state: sessions in flight and their high-water mark.
+    (The journal and ``ScanProgress`` count the DNS stage's sites.)"""
 
     in_flight: int = 0
     concurrency_high_water: int = 0
-    sessions: int = 0
-    dns_quarantined: int = 0
     _lock: threading.Lock = field(
         default_factory=threading.Lock, init=False, repr=False
     )
@@ -307,7 +305,6 @@ class LiveScanMetrics:
     def session_started(self) -> None:
         with self._lock:
             self.in_flight += 1
-            self.sessions += 1
             self.concurrency_high_water = max(
                 self.concurrency_high_water, self.in_flight
             )
@@ -422,7 +419,6 @@ class _LivePool:
             if fault is None:
                 scan_tasks.append(task)
             else:
-                self.metrics.dns_quarantined += 1
                 yield SiteResult(task, _dns_quarantine_report(task.domain, fault))
         if not scan_tasks:
             return

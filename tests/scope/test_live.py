@@ -158,7 +158,7 @@ class TestLiveScanMetrics:
         metrics.session_finished()
         metrics.session_started()
         assert metrics.concurrency_high_water == 2
-        assert metrics.sessions == 3
+        assert metrics.in_flight == 2
 
     def test_min_host_gap_and_max_rate_helpers(self):
         contacts = [("a", 0.0), ("b", 0.1), ("a", 2.0), ("a", 3.5)]
@@ -277,8 +277,8 @@ class TestLiveCampaignDnsQuarantine:
             assert report.errors[0].probe == "dns"
             assert report.errors[0].exception == "DnsFault"
         assert result.counts["quarantined"] == len(self.DOMAINS)
-        assert metrics.dns_quarantined == len(self.DOMAINS)
-        assert metrics.sessions == 0  # not a single probe session ran
+        assert result.scanned == len(self.DOMAINS)
+        assert metrics.concurrency_high_water == 0  # not a single probe session ran
         assert tap.contacts == []  # and not a single TCP contact
         assert ticks[-1].dns_failures == len(self.DOMAINS)
         assert ticks[-1].done == len(self.DOMAINS)

@@ -171,7 +171,6 @@ class TestFaultClassification:
             assert report.errors[0].probe == "dns"
             assert report.errors[0].error_class is ErrorClass.DNS
         assert fleet_campaign["dns_failures"] == len(unresolvable)
-        assert fleet_campaign["metrics"].dns_quarantined == len(unresolvable)
         assert fleet_campaign["ticks"][-1].dns_failures == len(unresolvable)
 
     def test_stalled_sites_cut_by_probe_deadline(self, fleet_campaign):
